@@ -1,8 +1,10 @@
 // Wsd serves the sharded parallel working-set map over TCP, speaking the
 // RESP-like internal/wire protocol (GET/SET/DEL/MGET/MSET/SCAN/LEN/
 // STATS/PING/QUIT). Each connection's pipelined requests are drained
-// into one batch Apply, so the paper's duplicate combining and
-// working-set adaptivity survive the network hop. SCAN is cursor-paged
+// into one job for the server's group-commit scheduler, which applies
+// whatever all connections have queued as one combined batch — so the
+// paper's duplicate combining and working-set adaptivity survive the
+// network hop, within a pipeline and across connections. SCAN is cursor-paged
 // (SCAN lo hi [count [cursor]]) and rides the same batched engine path —
 // scans never stop the world, so write tail latency stays flat under
 // concurrent scan load.
@@ -12,9 +14,10 @@
 //	wsd                          # serve on :6380, M1 engine, GOMAXPROCS shards
 //	wsd -addr :7000 -engine m2   # pipelined engine for latency
 //	wsd -shards 8 -p 4           # fixed shard count and per-shard p
-//	wsd -coalesce-window 200us   # cross-connection group commit: depth-1
-//	                             # traffic from many clients rides combined
-//	                             # batches (README: tuning -coalesce-window)
+//	wsd -coalesce-window 200us   # let a cut wait up to 200us for more
+//	                             # traffic, so depth-1 clients ride bigger
+//	                             # combined batches (0 = no added latency;
+//	                             # README: tuning -coalesce-window)
 //	wsd -front-cache 0           # disable the per-shard hot-key read cache
 //	                             # (on by default; GETs of recently read
 //	                             # keys answer before the batch pipeline)
@@ -60,8 +63,8 @@ func main() {
 		p         = flag.Int("p", 0, "per-shard processor parameter p (0 = auto)")
 		maxConns  = flag.Int("maxconns", 1024, "max concurrent connections")
 		maxPipe   = flag.Int("maxpipeline", 256, "max pipelined commands per batch")
-		coWin     = flag.Duration("coalesce-window", 0, "cross-connection coalescing window (0 = per-connection batching only; forced on with -data-dir)")
-		coBatch   = flag.Int("coalesce-batch", 1024, "coalescing size trigger in ops (with -coalesce-window)")
+		coWin     = flag.Duration("coalesce-window", 0, "longest a combined batch may wait for more traffic before it is cut (0 = no added latency; with -data-dir 0 means 200us, amortizing each fsync)")
+		coBatch   = flag.Int("coalesce-batch", 1024, "cut a combined batch early once this many ops are queued")
 		frontSz   = flag.Int("front-cache", server.DefaultFrontCache, "per-shard hot-key read cache entries (0 = off)")
 		maxBytes  = flag.Int64("max-bytes", 0, "global resident-byte budget; least-recent keys evict at batch boundaries (0 = unbounded)")
 		maxScan   = flag.Int("max-scan", 1000, "max pairs per SCAN page (clients page past it with the reply cursor)")
@@ -164,10 +167,11 @@ func main() {
 			}
 		}()
 	}
-	mode := "per-connection batching"
-	if *coWin > 0 {
-		mode = fmt.Sprintf("coalescing window=%s batch=%d", *coWin, *coBatch)
+	win := *coWin
+	if win <= 0 && cfg.WAL != nil {
+		win = server.DefaultDurableWindow
 	}
+	mode := fmt.Sprintf("coalesce window=%s batch=%d", win, *coBatch)
 	if *frontSz > 0 {
 		mode += fmt.Sprintf(", front-cache=%d/shard", *frontSz)
 	}

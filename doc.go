@@ -70,9 +70,11 @@
 // batch pipeline (ShardedOptions.FrontCache, internal/frontcache):
 // repeat Gets of hot keys are answered wait-free from a version-checked
 // hash front — two atomic loads, zero allocations, ~10x under the
-// batched path — while writes invalidate touched keys at the batch
-// commit boundary, preserving batch-level linearizability (a write
-// acked in batch N is never shadowed by a cached read in batch N+1).
+// batched path — while every write drops its key from the front at the
+// key's engine serialization point, before any result of its batch is
+// released (a reader that has seen a write never then sees an older
+// cached value, and a write acked in batch N is never shadowed by a
+// cached read in batch N+1).
 // The cache is populated from batch results via version-guarded
 // reservations, so a stale value can never be installed over a newer
 // write. Misses and uniform workloads pay one failed probe and proceed
@@ -99,14 +101,15 @@
 // The maps are also servable over a socket: cmd/wsd fronts a Sharded
 // map with a RESP-like text protocol (internal/wire) and turns network
 // pipelining into the paper's batching — each connection's pipelined
-// requests are drained into one batch Apply, so duplicate combining and
-// working-set adaptivity survive the network hop (internal/server).
-// For unpipelined fleets (each client one request at a time), wsd's
-// -coalesce-window enables cross-connection group commit
-// (internal/coalesce): many connections' single operations are cut into
-// one combined batch under a size-or-deadline policy, restoring the
-// paper's batch economics — including duplicate combining across
-// clients — to depth-1 traffic. SCAN is a cursor-paged range read
+// requests are drained into one job for a group-commit scheduler
+// (internal/coalesce), the server's single path to the map, which cuts
+// whatever all connections have queued into one combined batch Apply, so
+// duplicate combining and working-set adaptivity survive the network
+// hop within a pipeline and across clients (internal/server). wsd's
+// -coalesce-window bounds how long a cut may wait for more traffic:
+// 0 (the default) adds no latency, and a small window restores the
+// paper's batch economics to unpipelined fleets (each client one
+// request at a time). SCAN is a cursor-paged range read
 // served by the batched range path, so scans never stall writers. The
 // front cache is on by default server-side (-front-cache, SECTION
 // front in STATS, hit ratio via wsload -statsz).

@@ -2,17 +2,19 @@
 // scheduler: many submitters (the server's connection goroutines) hand
 // their decoded operations to one Coalescer, which cuts the accumulated
 // queue into combined batches under a size-or-deadline policy and applies
-// each combined batch as one call against the underlying map.
+// each combined batch as one call against the underlying map. It is the
+// server's only path to the map — the paper's single batching interface
+// in front of the structure.
 //
 // This is what turns depth-1 traffic — a fleet of unpipelined clients,
 // each contributing one operation at a time — back into the paper's
-// size-p batches: a single connection's pipeline window used to be the
-// only batch boundary, so unpipelined clients degenerated to batch size 1
-// and lost duplicate combining and working-set adaptivity entirely. The
-// Coalescer restores the batch across connections, the way group commit
-// amortizes fsync in a write-ahead log: whoever arrives during the
-// current window (or during the previous batch's application) rides the
-// next combined batch.
+// size-p batches: with a single connection's pipeline window as the only
+// batch boundary, unpipelined clients degenerate to batch size 1 and lose
+// duplicate combining and working-set adaptivity entirely. The Coalescer
+// restores the batch across connections, the way group commit amortizes
+// fsync in a write-ahead log: whoever arrives during the previous
+// batch's application (or, with MaxDelay set, during the current window)
+// rides the next combined batch.
 //
 // # Ordering and fairness
 //
@@ -32,8 +34,7 @@
 // The queue is bounded by construction rather than by a limit of its
 // own: every submitter blocks in Job.Wait until its batch commits, so at
 // most one job per connection is in flight and the queue never holds
-// more than MaxConns jobs (times the few barrier-split segments a single
-// pipeline can contribute). A slow apply therefore slows admission — the
+// more than MaxConns jobs. A slow apply therefore slows admission — the
 // closed loop is the backpressure.
 package coalesce
 
@@ -72,14 +73,17 @@ type Config struct {
 	// cut, which may exceed MaxBatch — group commit wants the batch as
 	// large as the traffic makes it.
 	MaxBatch int
-	// MaxDelay cuts the queue when its oldest job has waited this long
-	// (default 200µs). It bounds the latency cost of coalescing: an
-	// operation arriving into an empty queue waits at most MaxDelay plus
-	// one batch application before its results are delivered.
+	// MaxDelay cuts the queue when its oldest job has waited this long.
+	// It bounds the latency cost of coalescing: an operation arriving
+	// into an empty queue waits at most MaxDelay plus one batch
+	// application before its results are delivered. Zero (or negative)
+	// means no added latency: the commit loop cuts as soon as it is free,
+	// the window timer is never armed, and a combined batch is exactly
+	// what queued while the previous one was being applied.
 	//
-	// MaxDelay is a bound, not a fixed wait: the commit loop also cuts as
-	// soon as the queue has refilled to (three quarters of) the previous
-	// cut's size. At saturation — every client resubmitting as soon as
+	// A positive MaxDelay is a bound, not a fixed wait: the commit loop
+	// also cuts as soon as the queue has refilled to (three quarters of)
+	// the previous cut's size. At saturation — every client resubmitting as soon as
 	// its last batch commits — consecutive cuts therefore chain with no
 	// window wait at all, and throughput is set by batch application
 	// time, not by MaxDelay; the full window is only ever waited out when
@@ -95,8 +99,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 1024
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 200 * time.Microsecond
+	if c.MaxDelay < 0 {
+		c.MaxDelay = 0
 	}
 	return c
 }
@@ -110,9 +114,10 @@ type Stats struct {
 	Ops      int64 `json:"ops"`
 	MaxBatch int64 `json:"max_batch"`
 	// SizeCuts, WindowCuts and DrainCuts split Batches by what triggered
-	// the cut: the batch growing large enough (the MaxBatch threshold or
-	// the adaptive refill-to-previous-size trigger), the MaxDelay window
-	// expiring, or the Close drain.
+	// the cut: nothing left to wait for (the MaxBatch threshold, the
+	// adaptive refill-to-previous-size trigger, or MaxDelay zero, where
+	// every cut is immediate), the MaxDelay window expiring, or the Close
+	// drain.
 	SizeCuts   int64 `json:"size_cuts"`
 	WindowCuts int64 `json:"window_cuts"`
 	DrainCuts  int64 `json:"drain_cuts"`
@@ -295,9 +300,9 @@ const (
 	cutDrain
 )
 
-// run is the commit loop: wait for work, wait out the window (unless the
-// size trigger or Close preempts it), cut the whole queue, apply it as
-// one combined batch, release the waiters, repeat.
+// run is the commit loop: wait for work, wait out the window (unless
+// there is none, or the size trigger or Close preempts it), cut the whole
+// queue, apply it as one combined batch, release the waiters, repeat.
 func (c *Coalescer[K, V]) run() {
 	defer close(c.done)
 	for {
@@ -333,7 +338,7 @@ func (c *Coalescer[K, V]) run() {
 				cause = cutDrain
 				break
 			}
-			if c.nops >= c.cfg.MaxBatch || c.nops >= refill {
+			if c.cfg.MaxDelay == 0 || c.nops >= c.cfg.MaxBatch || c.nops >= refill {
 				cause = cutSize
 				break
 			}
@@ -392,13 +397,9 @@ func (c *Coalescer[K, V]) commit(jobs []*Job[K, V], nops int, cause cutCause) {
 		c.dsts[i] = j.Res
 	}
 	c.apply(c.batches[:len(jobs)], c.dsts[:len(jobs)])
-	for i, j := range jobs {
-		j.wg.Done()
-		jobs[i] = nil // the cut queue becomes the next append target: drop refs
-	}
-	clear(c.batches[:len(jobs)])
-	clear(c.dsts[:len(jobs)])
 
+	// Count the cut before releasing it, so a submitter that reads Stats
+	// after Wait finds its own batch in them.
 	c.st.batches.Add(1)
 	c.st.ops.Add(int64(nops))
 	for {
@@ -415,4 +416,11 @@ func (c *Coalescer[K, V]) commit(jobs []*Job[K, V], nops int, cause cutCause) {
 	default:
 		c.st.drainCuts.Add(1)
 	}
+
+	for i, j := range jobs {
+		j.wg.Done()
+		jobs[i] = nil // the cut queue becomes the next append target: drop refs
+	}
+	clear(c.batches[:len(jobs)])
+	clear(c.dsts[:len(jobs)])
 }

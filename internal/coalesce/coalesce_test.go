@@ -214,6 +214,28 @@ func TestCoalesceWindowExpiry(t *testing.T) {
 	}
 }
 
+// TestCoalesceNoWindow checks MaxDelay zero: "no added latency" means the
+// commit loop cuts the moment it is free, so N sequential lone jobs are N
+// batches, none of them a window cut — the timer is never armed, which on
+// an otherwise idle process is the difference between a few microseconds
+// and a late-firing timer per operation.
+func TestCoalesceNoWindow(t *testing.T) {
+	const n = 200
+	c, _ := newMapCoalescer(t, Config{MaxBatch: 1 << 20}, 2)
+	j := &Job[string, string]{Ops: []core.Op[string, string]{{Kind: core.OpInsert, Key: "k", Val: "v"}}}
+	for i := 0; i < n; i++ {
+		c.Submit(j)
+		j.Wait()
+	}
+	st := c.Stats()
+	if st.Batches != n || st.Ops != n {
+		t.Errorf("%d lone jobs made %d batches of %d ops, want %d of %d", n, st.Batches, st.Ops, n, n)
+	}
+	if st.WindowCuts != 0 || st.SizeCuts != n {
+		t.Errorf("cut causes %+v, want %d immediate (size) cuts and no window cut", st, n)
+	}
+}
+
 // TestCoalesceCloseDrains checks that Close commits jobs still waiting in
 // an open window immediately, and that Submit after Close panics.
 func TestCoalesceCloseDrains(t *testing.T) {

@@ -168,10 +168,10 @@ func (m *M1[K, V]) Evicted() int64 { return m.mem.evicted.Load() }
 // set before operations are submitted.
 func (m *M1[K, V]) SetOnEvict(fn func(K, V)) { m.mem.onEvict = fn }
 
-// SetTTLHooks installs the TTL sidecar hooks, consulted at group
-// resolution — the engine's per-key serialization point (see TTLHooks).
+// SetKeyHooks installs the per-key sidecar hooks, consulted at group
+// resolution — the engine's per-key serialization point (see KeyHooks).
 // Must be set before operations are submitted.
-func (m *M1[K, V]) SetTTLHooks(h *TTLHooks[K]) { m.slab.ttl = h }
+func (m *M1[K, V]) SetKeyHooks(h *KeyHooks[K]) { m.slab.hooks = h }
 
 // Batches returns the number of cut batches processed so far.
 func (m *M1[K, V]) Batches() int64 { return m.batches.Load() }
@@ -289,7 +289,7 @@ func (m *M1[K, V]) finishBatch(pending []*group[K, V]) {
 		}
 		tailCalls += len(g.calls)
 		var zero V
-		p, v := g.resolve(false, zero, m.slab.ttl)
+		p, v := g.resolve(false, zero, m.slab.hooks)
 		if p {
 			insKeys = append(insKeys, g.key) // pending is key-sorted
 			insVals = append(insVals, v)
@@ -305,6 +305,10 @@ func (m *M1[K, V]) finishBatch(pending []*group[K, V]) {
 		m.size += len(insKeys)
 	}
 	m.slab.trimEmpty()
+	// Publish the size before the calls that changed it complete, so an
+	// acked write is visible to Len even when another submitter's
+	// goroutine is the one running the engine.
+	m.sizeA.Store(int64(m.size))
 	completeAll(pending)
 }
 

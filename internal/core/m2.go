@@ -42,11 +42,11 @@ type fentry[K cmp.Ordered, V any] struct {
 }
 
 // replay resolves all pending groups starting from the given state, moves
-// them to done, and records the resulting state. ttl are the engine's
-// TTL sidecar hooks (nil = none), fired as the replayed ops take effect.
-func (e *fentry[K, V]) replay(present bool, val V, ttl *TTLHooks[K]) (bool, V) {
+// them to done, and records the resulting state. hooks are the engine's
+// per-key sidecar hooks (nil = none), fired as the replayed ops take effect.
+func (e *fentry[K, V]) replay(present bool, val V, hooks *KeyHooks[K]) (bool, V) {
 	for _, g := range e.pending {
-		present, val = g.resolve(present, val, ttl)
+		present, val = g.resolve(present, val, hooks)
 	}
 	e.done = append(e.done, e.pending...)
 	e.pending = nil
@@ -174,7 +174,7 @@ type M2[K cmp.Ordered, V any] struct {
 
 	first slab[K, V] // S[0..m-1]; S[m-1] additionally under nlock0+FL[0]
 	mem   *memAcct[K, V]
-	ttl   *TTLHooks[K] // TTL sidecar hooks (nil = off; see ops.go)
+	hooks *KeyHooks[K] // per-key sidecar hooks (nil = off; see ops.go)
 
 	flt    filter[K, V]
 	fl0    *locks.Dedicated // FL[0]
@@ -280,14 +280,14 @@ func (m *M2[K, V]) Evicted() int64 { return m.mem.evicted.Load() }
 // be set before operations are submitted.
 func (m *M2[K, V]) SetOnEvict(fn func(K, V)) { m.mem.onEvict = fn }
 
-// SetTTLHooks installs the TTL sidecar hooks, consulted at group
+// SetKeyHooks installs the per-key sidecar hooks, consulted at group
 // resolution — the engine's per-key serialization point, wherever it
 // happens: first slab pass, final slab observation, or terminal
-// resolution (see TTLHooks). Must be set before operations are
+// resolution (see KeyHooks). Must be set before operations are
 // submitted.
-func (m *M2[K, V]) SetTTLHooks(h *TTLHooks[K]) {
-	m.ttl = h
-	m.first.ttl = h
+func (m *M2[K, V]) SetKeyHooks(h *KeyHooks[K]) {
+	m.hooks = h
+	m.first.hooks = h
 }
 
 // Batches returns the number of cut batches processed so far.
@@ -378,6 +378,12 @@ func (m *M2[K, V]) interfaceRun() bool {
 	var d int
 	pending, d = m.first.pass(m.mSeg-1, pending)
 	sizeDelta += d
+	// Publish the first slab's deletions before their calls can complete
+	// — in finishInFirstSlab below, or in a final slab run the moment
+	// filterAndForward hands them over. Every size change in M2 is
+	// published before the calls it accounts for complete, so a client's
+	// acked writes are visible to its next Len.
+	m.sizeA.Add(int64(sizeDelta))
 
 	if len(pending) > 0 {
 		m.segsMu.RLock()
@@ -386,13 +392,12 @@ func (m *M2[K, V]) interfaceRun() bool {
 		if hasFinal {
 			m.filterAndForward(pending)
 		} else {
-			sizeDelta += m.finishInFirstSlab(pending)
+			m.finishInFirstSlab(pending)
 		}
 	}
 
 	m.fl0.Release()
 	m.nlock0.Release()
-	m.sizeA.Add(int64(sizeDelta))
 	m.finishRanges()
 	return true
 }
@@ -414,7 +419,7 @@ func (m *M2[K, V]) finishRanges() {
 // the first slab (an insert is an access with recency 1), spilling the
 // slab's coldest items into a newly created S[m] if it overflows.
 // Caller holds nlock0 and FL[0].
-func (m *M2[K, V]) finishInFirstSlab(pending []*group[K, V]) int {
+func (m *M2[K, V]) finishInFirstSlab(pending []*group[K, V]) {
 	var insKeys []K
 	var insVals []V
 	tailCalls := 0
@@ -424,7 +429,7 @@ func (m *M2[K, V]) finishInFirstSlab(pending []*group[K, V]) int {
 		}
 		tailCalls += len(g.calls)
 		var zero V
-		p, v := g.resolve(false, zero, m.ttl)
+		p, v := g.resolve(false, zero, m.hooks)
 		if p {
 			m.mem.add(g.key, v)
 			insKeys = append(insKeys, g.key)
@@ -443,8 +448,8 @@ func (m *M2[K, V]) finishInFirstSlab(pending []*group[K, V]) int {
 			f.publishFlat()
 		}
 	}
+	m.sizeA.Add(int64(len(insKeys)))
 	completeAll(pending)
-	return len(insKeys)
 }
 
 // filterAndForward passes the unfinished groups through the filter
@@ -584,14 +589,13 @@ func (f *fseg[K, V]) run() bool {
 		f.fl.Acquire(flKeyOwner)
 	}
 
-	sizeDelta := f.runLocked(pos)
+	f.runLocked(pos)
 
 	if pos == 0 {
 		f.fl.Release()
 	}
 	f.right.Release()
 	f.left.Release()
-	m.sizeA.Add(int64(sizeDelta))
 	return false // the ready condition re-checks the buffer
 }
 
@@ -617,7 +621,7 @@ func (f *fseg[K, V]) inRPrime(key K) bool {
 
 // runLocked is the body of a segment run, with neighbour locks (and, for
 // S[m], FL[0]) held.
-func (f *fseg[K, V]) runLocked(pos int) (sizeDelta int) {
+func (f *fseg[K, V]) runLocked(pos int) {
 	m := f.m2
 
 	// Step 3: terminal growth check.
@@ -646,7 +650,7 @@ func (f *fseg[K, V]) runLocked(pos int) (sizeDelta int) {
 	f.buf = nil
 	f.bufA.Store(0)
 	if len(A) == 0 {
-		return 0
+		return
 	}
 	f.evSelf = f.evSelf[:0]
 	f.evPrev = f.evPrev[:0]
@@ -714,11 +718,11 @@ func (f *fseg[K, V]) runLocked(pos int) (sizeDelta int) {
 		// dead incarnation is removed right here, under this run's
 		// locks.
 		obsP, base := true, old
-		if m.ttl.ghost(g.key) {
+		if m.hooks.ghost(g.key) {
 			var zero V
 			obsP, base = false, zero
 		}
-		p, v := e.replay(obsP, base, m.ttl)
+		p, v := e.replay(obsP, base, m.hooks)
 		f.fPresent[i] = p
 		if p {
 			// Searched/updated: belongs to R'.
@@ -729,10 +733,11 @@ func (f *fseg[K, V]) runLocked(pos int) (sizeDelta int) {
 			completeAll(e.done)
 		} else {
 			// Net deletion: tag and keep travelling; results return at the
-			// terminal segment.
+			// terminal segment. (Size changes are published where they
+			// happen, ahead of the completion — see interfaceRun.)
 			m.mem.sub(g.key, old)
 			g.deleted = true
-			sizeDelta--
+			m.sizeA.Add(-1)
 		}
 	}
 
@@ -761,7 +766,7 @@ func (f *fseg[K, V]) runLocked(pos int) (sizeDelta int) {
 	}
 
 	if isTerminal {
-		sizeDelta += f.resolveTerminal(A, target, pos)
+		f.resolveTerminal(A, target, pos)
 	}
 
 	// 4e: if the filter has room, reactivate the interface.
@@ -829,7 +834,7 @@ func (f *fseg[K, V]) runLocked(pos int) (sizeDelta int) {
 				m.mem.evict(lf.Key, lf.Payload.val)
 				f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, del: true})
 			}
-			sizeDelta -= tb.len()
+			m.sizeA.Add(-int64(tb.len()))
 		}
 	}
 
@@ -888,7 +893,6 @@ func (f *fseg[K, V]) runLocked(pos int) (sizeDelta int) {
 	clear(f.evPrev)
 	clear(f.evFront)
 	f.evSelf, f.evPrev, f.evFront = f.evSelf[:0], f.evPrev[:0], f.evFront[:0]
-	return sizeDelta
 }
 
 // resolveTerminal handles the terminal-segment clause of step 4d: every
@@ -896,7 +900,7 @@ func (f *fseg[K, V]) runLocked(pos int) (sizeDelta int) {
 // insert fresh items at the front of S[m']; all accumulated results are
 // returned and the entries leave the filter. pos >= 1 records the
 // insertions for the target segment's snapshot.
-func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V], pos int) (sizeDelta int) {
+func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V], pos int) {
 	m := f.m2
 	insKeys := f.insKeysSc[:0]
 	insVals := f.insValsSc[:0]
@@ -918,12 +922,12 @@ func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V], po
 		}
 		e := leaf.Payload
 		sp, sv := e.start()
-		p, v := e.replay(sp, sv, m.ttl)
+		p, v := e.replay(sp, sv, m.hooks)
 		if p {
 			m.mem.add(g.key, v)
 			insKeys = append(insKeys, g.key) // a is key-sorted
 			insVals = append(insVals, v)
-			sizeDelta++
+			m.sizeA.Add(1)
 		}
 		completeAll(e.done)
 		m.flt.tree.Delete(g.key)
@@ -941,7 +945,6 @@ func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V], po
 	f.insKeysSc = insKeys
 	clear(insVals)
 	f.insValsSc = insVals[:0]
-	return sizeDelta
 }
 
 // CheckInvariants verifies the M2 balance invariants of Lemma 16 plus

@@ -35,11 +35,11 @@ const (
 	// OpExpire arms (or clears) a key's TTL. To the engines it is a read
 	// — it observes presence and touches recency like OpGet and never
 	// mutates the stored value — except that resolving it against a
-	// present item fires the TTLHooks.Arm hook: the deadline itself
+	// present item fires the KeyHooks.Arm hook: the deadline itself
 	// lives in the sharded front-end's expiry table (internal/shard),
 	// keyed off Op.Deadline, not in the segment trees, and the hook is
 	// what orders the arm with every racing op on the key (see
-	// TTLHooks). Result.OK reports whether the key was present (and not
+	// KeyHooks). Result.OK reports whether the key was present (and not
 	// already expired) when the op took effect.
 	OpExpire
 )
@@ -159,14 +159,16 @@ func (cp *callPool[K, V]) put(c *call[K, V]) {
 	cp.p.Put(c)
 }
 
-// TTLHooks wires a TTL sidecar (internal/shard's expiry table) into the
-// engines' per-key serialization point: group resolution. Deadlines
-// never live in the engines — the hooks are how the sidecar's state
-// transitions are ordered exactly with the engine's, which is what
-// makes expiry linearizable. All three hooks run on engine goroutines,
-// inside the critical section that owns the key, so they must be cheap
-// and must never call back into the engine. Engines with no hooks
-// installed (nil) pay a single predictable branch per resolved call.
+// KeyHooks wires the sharded front-end's per-key sidecars (internal/
+// shard: the expiry table and the hot-key read front) into the engines'
+// per-key serialization point: group resolution. Neither deadlines nor
+// cached copies live in the engines — the hooks are how the sidecars'
+// state transitions are ordered exactly with the engine's, which is
+// what makes expiry linearizable and cached reads never stale. All three
+// hooks run on engine goroutines, inside the critical section that owns
+// the key, so they must be cheap and must never call back into the
+// engine. Engines with no hooks installed (nil) pay a single predictable
+// branch per resolved call.
 //
 // The protocol:
 //
@@ -178,16 +180,21 @@ func (cp *callPool[K, V]) put(c *call[K, V]) {
 //     through the normal delete machinery — the observation IS the
 //     deletion, at the key's serialization point, so no racing op can
 //     ever see the ghost or double-delete it.
-//   - Clear fires as each insert or delete resolves: a fresh SET
-//     carries no TTL, and a DEL removes deadline and key together.
+//   - Wrote fires as each insert or delete resolves — before the call's
+//     result is released, and before any later operation on the key can
+//     resolve and observe the new state. It is the one place a written
+//     key's sidecar state is dropped: its cached front copy (so no
+//     reader can see the new value and then a cached old one) and its
+//     deadline (a fresh SET carries no TTL, and a DEL removes deadline
+//     and key together).
 //   - Arm fires as an OpExpire resolves against a present item,
 //     setting the absolute deadline (0 clears it). It returns whether
 //     the deadline was already past, in which case the engine treats
 //     the op as an immediate delete (Redis EXPIRE with a non-positive
 //     TTL) instead of arming a dead-on-arrival entry.
-type TTLHooks[K cmp.Ordered] struct {
+type KeyHooks[K cmp.Ordered] struct {
 	Ghost func(k K) bool
-	Clear func(k K)
+	Wrote func(k K)
 	Arm   func(k K, deadline int64) bool
 }
 
@@ -195,7 +202,7 @@ type TTLHooks[K cmp.Ordered] struct {
 // sites: true means the observed incarnation is past its deadline (and
 // its table entry has been retired), so the observer replays the group
 // from "absent".
-func (h *TTLHooks[K]) ghost(k K) bool {
+func (h *KeyHooks[K]) ghost(k K) bool {
 	return h != nil && h.Ghost(k)
 }
 
@@ -229,18 +236,18 @@ type group[K cmp.Ordered, V any] struct {
 // trees, and only insert keys carry the caller's guarantee of a stable
 // backing (the server hands out transient arena-backed strings for search
 // keys but copies inserted ones; see wire.Reader's aliasing contract).
-// The ttl hooks (nil = none) fire as the ops they concern take effect,
-// so TTL state transitions are ordered exactly with the engine's; see
-// TTLHooks for the protocol. A caller at a present-observation site
-// must consult ttl.ghost first and pass the (possibly flipped) state.
-func (g *group[K, V]) resolve(present bool, val V, ttl *TTLHooks[K]) (netPresent bool, netVal V) {
+// The hooks (nil = none) fire as the ops they concern take effect, so
+// sidecar state transitions are ordered exactly with the engine's; see
+// KeyHooks for the protocol. A caller at a present-observation site
+// must consult hooks.ghost first and pass the (possibly flipped) state.
+func (g *group[K, V]) resolve(present bool, val V, hooks *KeyHooks[K]) (netPresent bool, netVal V) {
 	for _, c := range g.calls {
 		switch c.op.Kind {
 		case OpGet:
 			c.res = Result[V]{Val: val, OK: present}
 		case OpExpire:
 			c.res = Result[V]{Val: val, OK: present}
-			if present && ttl != nil && ttl.Arm(c.op.Key, c.op.Deadline) {
+			if present && hooks != nil && hooks.Arm(c.op.Key, c.op.Deadline) {
 				// Deadline already past: the expire is an immediate
 				// delete, still inside this group's replay.
 				var zero V
@@ -250,15 +257,15 @@ func (g *group[K, V]) resolve(present bool, val V, ttl *TTLHooks[K]) (netPresent
 			c.res = Result[V]{Val: val, OK: present}
 			val, present = c.op.Val, true
 			g.key = c.op.Key
-			if ttl != nil {
-				ttl.Clear(c.op.Key)
+			if hooks != nil {
+				hooks.Wrote(c.op.Key)
 			}
 		case OpDelete:
 			c.res = Result[V]{Val: val, OK: present}
 			var zero V
 			val, present = zero, false
-			if ttl != nil {
-				ttl.Clear(c.op.Key)
+			if hooks != nil {
+				hooks.Wrote(c.op.Key)
 			}
 		}
 	}

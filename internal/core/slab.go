@@ -23,7 +23,7 @@ type slab[K cmp.Ordered, V any] struct {
 	obs   *obs.EngineObs // depth telemetry sink (nil = off)
 	pools segPools[K, V] // shared node free-lists for every segment's trees
 	mem   *memAcct[K, V] // byte accountant (nil = off; see core.go)
-	ttl   *TTLHooks[K]   // TTL sidecar hooks (nil = off; see ops.go)
+	hooks *KeyHooks[K]   // per-key sidecar hooks (nil = off; see ops.go)
 
 	keySc    []K               // groupKeys of the pending batch
 	foundSc  []*kmLeaf[K, V]   // BatchGetInto result
@@ -93,11 +93,11 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 			// deletes the dead incarnation through the normal delete
 			// machinery, at the key's serialization point.
 			obsP, base := true, old
-			if s.ttl.ghost(g.key) {
+			if s.hooks.ghost(g.key) {
 				var zero V
 				obsP, base = false, zero
 			}
-			p, v := g.resolve(obsP, base, s.ttl)
+			p, v := g.resolve(obsP, base, s.hooks)
 			s.fPresent[i] = p
 			if p {
 				if s.mem != nil {

@@ -20,16 +20,16 @@ import (
 // CoalesceSweep measures end-to-end server throughput and tail latency
 // across conns × depth × coalescing window, over the in-process
 // net.Pipe transport. The depth-1 rows are the experiment's point: a
-// fleet of unpipelined connections degenerates to batch size 1 under
-// per-connection batching (window "off"), and the group-commit scheduler
-// restores the paper's multi-op batches across connections — the
+// fleet of unpipelined connections rides tiny batches when the scheduler
+// cuts without waiting (window 0), and a coalescing window restores the
+// paper's multi-op batches across connections — the
 // avg-batch column shows the mechanism, the ops/s and p99 columns the
 // payoff, and allocs/op that the zero-allocation discipline survived the
 // new path.
 //
 // Two appendix row groups probe what the main grid cannot: a uniform
-// (cold-key) pair, where per-connection batching's tail latency explodes
-// under promotion churn while coalescing bounds it; and an open-loop
+// (cold-key) pair, where window-0 tail latency suffers under promotion
+// churn while a window bounds it; and an open-loop
 // fixed-rate pair (loadgen -rate), which prices the coalescing window in
 // latency without closed-loop coordinated omission.
 func CoalesceSweep(s experiments.Scale) experiments.Table {
@@ -37,7 +37,7 @@ func CoalesceSweep(s experiments.Scale) experiments.Table {
 		Title: "E19: cross-connection batch coalescing (conns x depth x window)",
 		Header: []string{"workload", "pacing", "conns", "depth", "window", "ops/s", "p50", "p99",
 			"avg batch", "allocs/op"},
-		Note: "window off = per-connection batching (PR 2 baseline); single-core container: client+server share the CPU, so depth-1 gains are bounded by per-op wire cost — the batch-parallel win needs p>1 processors, while the tail-latency win (uniform rows) shows at any p",
+		Note: "window 0 = cut as soon as the commit loop is free (no added latency); single-core container: client+server share the CPU, so depth-1 gains are bounded by per-op wire cost — the batch-parallel win needs p>1 processors, while the tail-latency win (uniform rows) shows at any p",
 	}
 	ops := s.N
 	if ops > 100_000 {
@@ -55,8 +55,8 @@ func CoalesceSweep(s experiments.Scale) experiments.Table {
 		}
 	}
 	// Cold-key tail pair: uniform accesses promote from deep segments on
-	// every hit; per-connection batching pays that churn per op and its
-	// p99 explodes, while combined batches amortize it.
+	// every hit; without a window depth-1 cuts stay small and pay that
+	// churn per op, while combined batches amortize it.
 	for _, window := range windows {
 		t.AddRow(runCell(cellCfg{
 			conns: 64, depth: 1, window: window, ops: ops,
@@ -83,8 +83,8 @@ type cellCfg struct {
 	rate         float64 // 0 = closed loop
 }
 
-// runCell runs one sweep cell: an in-process server (coalescing iff
-// window > 0) under load, reporting throughput, latency percentiles,
+// runCell runs one sweep cell: an in-process server with the given
+// coalescing window under load, reporting throughput, latency percentiles,
 // realized batch size and process-wide allocs/op.
 func runCell(c cellCfg) []string {
 	srv := server.New(server.Config{
@@ -115,23 +115,16 @@ func runCell(c cellCfg) []string {
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return []string{string(c.workload), pacing, fmt.Sprint(c.conns), fmt.Sprint(c.depth),
-			windowLabel(c.window), "ERR: " + err.Error(), "-", "-", "-", "-"}
+			c.window.String(), "ERR: " + err.Error(), "-", "-", "-", "-"}
 	}
 	st := srv.Stats()
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(rep.Ops)
 	return []string{
-		string(c.workload), pacing, fmt.Sprint(c.conns), fmt.Sprint(c.depth), windowLabel(c.window),
+		string(c.workload), pacing, fmt.Sprint(c.conns), fmt.Sprint(c.depth), c.window.String(),
 		fmt.Sprintf("%.0f", rep.OpsPerSec),
 		rep.P50.Round(time.Microsecond).String(),
 		rep.P99.Round(time.Microsecond).String(),
 		fmt.Sprintf("%.1f", st.AvgBatch()),
 		fmt.Sprintf("%.1f", allocs),
 	}
-}
-
-func windowLabel(w time.Duration) string {
-	if w == 0 {
-		return "off"
-	}
-	return w.String()
 }

@@ -30,15 +30,23 @@
 // wrote the key, or another reservation that recycled the slot — has
 // bumped the version, so a stale value can never be installed over a
 // newer committed write. The reservation existing *before* the fallback
-// op is submitted is what makes commit-boundary invalidation airtight:
-// if the fallback's value predates a write batch, the reservation
-// predates that batch's invalidation sweep, so the sweep finds and
-// kills it (see shard.Map and DESIGN.md "Hot-key front cache").
+// op is submitted is what makes invalidation airtight: if the fallback
+// read resolved before a write to the key, the reservation predates
+// that write's invalidation, which finds and kills it.
 //
-// Invalidation-only (rather than refresh-in-place) keeps concurrent
-// appliers safe: clearing a slot commutes, while two racing refreshes
-// could publish values in an order that disagrees with the engines'
-// linearization. A hot key lost to a write re-installs on its next miss.
+// # The write contract
+//
+// The cache itself knows nothing about writes; its owner (shard.Map)
+// must call Invalidate for a written key at the key's engine
+// serialization point — as the write resolves inside the engine, before
+// any result of its batch is released and so before any later operation
+// on the key can read the new value. Invalidating any later (after the
+// batch's results are collected, say) is NOT safe, however tempting
+// "clearing commutes" sounds: a concurrent reader's engine read can
+// return the new value while the old one is still cached for its next
+// Get. Invalidation-only (rather than refresh-in-place) keeps the engine
+// hook trivial; a hot key lost to a write re-installs on its next miss.
+// See DESIGN.md "Hot-key front cache".
 package frontcache
 
 import (
@@ -95,7 +103,7 @@ type Stats struct {
 	Reserves     int64 `json:"reserves"`
 	Installs     int64 `json:"installs"`
 	InstallDrops int64 `json:"install_drops"`
-	// Invalidates counts slots cleared by commit-boundary sweeps;
+	// Invalidates counts slots cleared by writes, expiries and evictions;
 	// Evictions counts valid entries overwritten by reservations.
 	Invalidates int64 `json:"invalidates"`
 	Evictions   int64 `json:"evictions"`
@@ -211,9 +219,9 @@ type Ticket[K comparable, V any] struct {
 	v uint64       // slot version at reservation time: the install guard
 }
 
-// Reserve claims a slot for k ahead of a fallback read, so the
-// commit-boundary invalidation sweep can find (and kill) the in-flight
-// population if a batch writes k before the fallback value installs.
+// Reserve claims a slot for k ahead of a fallback read, so a write's
+// Invalidate can find (and kill) the in-flight population if k is
+// written before the fallback value installs.
 // It declines (zero Ticket) when k is already published, when the
 // window is full of other live keys and the eviction rate limit says
 // no, or when it loses a slot race — population is opportunistic.
@@ -289,8 +297,8 @@ func (t Ticket[K, V]) Reserved() bool { return t.s != nil }
 // Install publishes the fallback result behind a reservation: the value
 // when the key was present (ok), or clears the placeholder when it was
 // absent. The single version CAS is the staleness guard: if anything
-// touched the slot since Reserve — a commit-boundary invalidation for
-// this key, or another reservation recycling the slot — the install is
+// touched the slot since Reserve — an Invalidate for this key, or
+// another reservation recycling the slot — the install is
 // dropped. It reports whether a value was published.
 func (t Ticket[K, V]) Install(val V, ok bool) bool {
 	if t.s == nil {
@@ -317,10 +325,8 @@ func (t Ticket[K, V]) Install(val V, ok bool) bool {
 
 // Invalidate clears every slot in k's probe window that holds k —
 // published or pending — bumping each slot's version so in-flight
-// installs for k are dropped. Called by the shard applier for every
-// written key after the engine applied the batch and before its
-// results are released, which is what keeps cached reads inside
-// batch-level linearizability. Unlike Get it must not skip: it spins
+// installs for k are dropped. Called from the engine's per-key resolve
+// hooks (see "The write contract" above). Unlike Get it must not skip: it spins
 // (briefly — writer critical sections are two stores) until each
 // matching slot is cleared.
 func (c *Cache[K, V]) Invalidate(h uint64, k K) {

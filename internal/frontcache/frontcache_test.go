@@ -1,6 +1,7 @@
 package frontcache
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,8 +145,8 @@ func TestFrontCacheEvictionRateLimit(t *testing.T) {
 }
 
 // fuzzModel drives one op against the cache and an exact mirror.
-// Every mirror mutation invalidates, matching the shard applier's
-// commit-boundary contract — under that coupling a front hit must
+// Every mirror mutation invalidates, matching the write contract the
+// shard layer's engine hooks keep — under that coupling a front hit must
 // equal the mirror exactly (a reservation's stale install is killed
 // by the version guard, and sequentially at most one entry per key
 // can be live).
@@ -241,20 +242,6 @@ func TestFrontCacheConcurrent(t *testing.T) {
 	var stop atomic.Bool
 	var wWG, rWG sync.WaitGroup
 
-	for w := 0; w < writers; w++ {
-		wWG.Add(1)
-		go func(w int) {
-			defer wWG.Done()
-			// Disjoint key ownership keeps per-key sequences monotonic.
-			for i := 0; i < opsPerW; i++ {
-				k := uint64(w*(numKeys/writers) + i%(numKeys/writers))
-				seq := engine[k].Load() + 1
-				engine[k].Store(seq)
-				c.Invalidate(testHash(k), k)
-				released[k].Store(seq)
-			}
-		}(w)
-	}
 	for r := 0; r < readers; r++ {
 		rWG.Add(1)
 		go func(r int) {
@@ -284,6 +271,26 @@ func TestFrontCacheConcurrent(t *testing.T) {
 		}(r)
 	}
 
+	// Writers start against a warm cache: on one P they can otherwise run
+	// to completion before any reader has installed anything, and the
+	// run exercises neither hits nor invalidations.
+	for c.Stats().Hits == 0 {
+		runtime.Gosched()
+	}
+	for w := 0; w < writers; w++ {
+		wWG.Add(1)
+		go func(w int) {
+			defer wWG.Done()
+			// Disjoint key ownership keeps per-key sequences monotonic.
+			for i := 0; i < opsPerW; i++ {
+				k := uint64(w*(numKeys/writers) + i%(numKeys/writers))
+				seq := engine[k].Load() + 1
+				engine[k].Store(seq)
+				c.Invalidate(testHash(k), k)
+				released[k].Store(seq)
+			}
+		}(w)
+	}
 	wWG.Wait() // writers finish first, then stop the readers
 	stop.Store(true)
 	rWG.Wait()

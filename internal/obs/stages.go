@@ -7,12 +7,12 @@ package obs
 type Stage uint8
 
 const (
-	// StageParse is the reader half decoding a pipeline: from the first
+	// StageParse is a connection decoding a pipeline: from the first
 	// (blocking) command of the pipeline to the end of the non-blocking
 	// drain. The idle wait for the first command is excluded — it
 	// measures the client, not the server.
 	StageParse Stage = iota
-	// StageQueueWait is a coalesced job's time from Submit to its
+	// StageQueueWait is a connection's job's time from Submit to its
 	// combined batch being cut (per job).
 	StageQueueWait
 	// StageWindowWait is the coalescer's open-window time: from the

@@ -61,12 +61,20 @@ func New[T any](p int) *Buffer[T] {
 // Add buffers one operation. Safe for any number of concurrent callers.
 // The caller is responsible for activating the data structure afterwards
 // (the activation interface makes duplicate activations cheap).
+//
+// The size is counted inside the sub-buffer's critical section, so an
+// operation a flush can take is always one Len already reports. Counting
+// after the unlock let a flush take (and subtract) an operation before
+// its adder had added it: Len under-reported, the engine's ready
+// condition read "empty" over a non-empty buffer and went idle, and an
+// operation whose activation was deferred to a later Collect could wait
+// forever.
 func (b *Buffer[T]) Add(x T) {
 	s := &b.shards[rand.IntN(len(b.shards))]
 	s.mu.Lock()
 	s.items = append(s.items, x)
-	s.mu.Unlock()
 	b.size.Add(1)
+	s.mu.Unlock()
 }
 
 // AddAll buffers a sequence of operations atomically into one sub-buffer,
@@ -80,11 +88,13 @@ func (b *Buffer[T]) AddAll(xs []T) {
 	s := &b.shards[rand.IntN(len(b.shards))]
 	s.mu.Lock()
 	s.items = append(s.items, xs...)
-	s.mu.Unlock()
 	b.size.Add(int64(len(xs)))
+	s.mu.Unlock()
 }
 
-// Len reports the number of currently buffered operations (racy snapshot).
+// Len reports the number of currently buffered operations (racy snapshot;
+// it may briefly over-report operations a flush in progress has already
+// taken, never under-report buffered ones).
 func (b *Buffer[T]) Len() int { return int(b.size.Load()) }
 
 // Flush atomically swaps out all sub-buffers and returns their combined

@@ -1,6 +1,7 @@
 package pbuffer
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -73,4 +74,39 @@ func TestLenTracksAdds(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("Len after flush = %d", b.Len())
 	}
+}
+
+// TestLenNeverUnderReports pins the invariant the engines' ready
+// conditions rest on: a flush can only take operations Len already
+// counts, so Len never dips below zero (an under-report read as "empty"
+// by an engine about to go idle strands whatever is still buffered).
+func TestLenNeverUnderReports(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	b := New[int](2)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for a := 0; a < 3; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				if i%2 == 0 {
+					b.Add(i)
+				} else {
+					b.AddAll([]int{i, i})
+				}
+			}
+		}()
+	}
+	var sc []int
+	for i := 0; i < 50000; i++ {
+		sc = b.FlushInto(sc[:0])
+		if n := b.Len(); n < 0 {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("flush %d: Len = %d with adders in flight", i, n)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -89,7 +89,7 @@ type statszReply struct {
 	Keys         int                   `json:"keys"`
 	Server       Stats                 `json:"server"`
 	Memory       pws.MemStats          `json:"memory"`
-	Coalesce     *coalesce.Stats       `json:"coalesce,omitempty"`
+	Coalesce     coalesce.Stats        `json:"coalesce"`
 	Front        *statszFront          `json:"front,omitempty"`
 	Depth        statszHist            `json:"depth"`
 	DepthSources map[string]int64      `json:"depth_sources"`
@@ -102,14 +102,12 @@ type statszReply struct {
 // statsz builds the /statsz reply document.
 func (s *Server) statsz() statszReply {
 	r := statszReply{
-		Engine: s.Engine(),
-		Shards: s.store.Shards(),
-		Keys:   s.store.Len(),
-		Server: s.Stats(),
-		Memory: s.store.Mem(),
-	}
-	if cs, ok := s.Coalesced(); ok {
-		r.Coalesce = &cs
+		Engine:   s.Engine(),
+		Shards:   s.store.Shards(),
+		Keys:     s.store.Len(),
+		Server:   s.Stats(),
+		Memory:   s.store.Mem(),
+		Coalesce: s.CoalesceStats(),
 	}
 	if fs, ok := s.Front(); ok {
 		r.Front = &statszFront{Stats: fs, HitNS: toStatszHist(fs.HitNS)}
@@ -196,12 +194,11 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	writeGauge("wsd_mem_ttls", ms.TTLs)
 	writeCounter("wsd_evicted_total", ms.Evicted)
 	writeCounter("wsd_expired_total", ms.Expired)
-	if cs, ok := s.Coalesced(); ok {
-		writeCounter("wsd_coalesce_size_cuts_total", cs.SizeCuts)
-		writeCounter("wsd_coalesce_window_cuts_total", cs.WindowCuts)
-		writeCounter("wsd_coalesce_drain_cuts_total", cs.DrainCuts)
-		writeCounter("wsd_coalesce_absorbed_total", cs.Absorbed)
-	}
+	cs := s.CoalesceStats()
+	writeCounter("wsd_coalesce_size_cuts_total", cs.SizeCuts)
+	writeCounter("wsd_coalesce_window_cuts_total", cs.WindowCuts)
+	writeCounter("wsd_coalesce_drain_cuts_total", cs.DrainCuts)
+	writeCounter("wsd_coalesce_absorbed_total", cs.Absorbed)
 	if fs, ok := s.Front(); ok {
 		writeGauge("wsd_front_entries", fs.Entries)
 		writeCounter("wsd_front_hits_total", fs.Hits)

@@ -1,9 +1,10 @@
 package server
 
-// Tests for the cross-connection group-commit scheduler behind the
-// server: reply integrity per connection, ordering across barriers,
-// graceful Close mid-window, and the cross-connection batching thesis
-// itself. All run under -race in CI.
+// Tests for what a coalescing window adds to the one write path: reply
+// integrity per connection while ops merge across connections, the
+// cross-connection batching thesis itself, and teardown of a connection
+// whose write side died. Behaviour that must hold at any window runs
+// under forWindows in server_test.go. All run under -race in CI.
 
 import (
 	"fmt"
@@ -14,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	pws "repro"
 	"repro/internal/wire"
 )
 
@@ -22,103 +22,6 @@ import (
 // concurrent test traffic reliably, small enough to keep tests fast.
 func coalescedConfig() Config {
 	return Config{CoalesceWindow: 200 * time.Microsecond, CoalesceBatch: 64}
-}
-
-// TestServerCoalescedCommands exercises every command of the protocol
-// over one connection with coalescing enabled: the split reader/writer
-// connection must produce byte-identical behavior to the synchronous
-// path, including barrier commands and errors interleaved with map ops.
-func TestServerCoalescedCommands(t *testing.T) {
-	s := newTestServer(t, coalescedConfig())
-	c := pipeClient(t, s)
-
-	if r, err := c.Do("PING"); err != nil || r.Str != "PONG" {
-		t.Fatalf("PING: %+v, %v", r, err)
-	}
-	if _, ok, err := c.Get("k"); err != nil || ok {
-		t.Fatalf("GET missing: ok=%v err=%v", ok, err)
-	}
-	if err := c.Set("k", "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := c.Get("k"); err != nil || !ok || v != "v1" {
-		t.Fatalf("GET k: %q %v %v", v, ok, err)
-	}
-	if n, err := c.Del("k", "nope"); err != nil || n != 1 {
-		t.Fatalf("DEL: %d, %v", n, err)
-	}
-	if r, err := c.Do("MSET", "a", "1", "b", "2", "c", "3"); err != nil || r.Str != "OK" {
-		t.Fatalf("MSET: %+v, %v", r, err)
-	}
-	r, err := c.Do("MGET", "a", "miss", "c")
-	if err != nil || r.Kind != wire.ArrayReply || len(r.Elems) != 3 {
-		t.Fatalf("MGET: %+v, %v", r, err)
-	}
-	if r.Elems[0].Str != "1" || r.Elems[1].Kind != wire.NilReply || r.Elems[2].Str != "3" {
-		t.Fatalf("MGET elems: %+v", r.Elems)
-	}
-	if n, err := c.Len(); err != nil || n != 3 {
-		t.Fatalf("LEN: %d, %v", n, err)
-	}
-	r, err = c.Do("SCAN", "a", "c")
-	if err != nil || r.Kind != wire.ArrayReply || len(r.Elems) != 5 || r.Elems[0].Str != "" {
-		t.Fatalf("SCAN [a,c): %+v, %v", r, err)
-	}
-	r, err = c.Do("STATS")
-	if err != nil || r.Kind != wire.BulkReply || !strings.Contains(r.Str, "coalesce_window ") {
-		t.Fatalf("STATS missing coalesce counters: %+v, %v", r, err)
-	}
-	if r, _ := c.Do("NOSUCH"); r.Kind != wire.ErrorReply {
-		t.Fatalf("unknown command: %+v", r)
-	}
-	if r, _ := c.Do("SET", "only-key"); r.Kind != wire.ErrorReply {
-		t.Fatalf("SET arity: %+v", r)
-	}
-	if r, err := c.Do("QUIT"); err != nil || r.Str != "OK" {
-		t.Fatalf("QUIT: %+v, %v", r, err)
-	}
-	if _, err := c.Do("PING"); err == nil {
-		t.Fatal("connection alive after QUIT")
-	}
-}
-
-// TestServerCoalescedInterleavedBatch checks sequential semantics inside
-// one pipelined batch under coalescing, with barrier commands cutting the
-// pipeline into several jobs: replies must come back in command order and
-// per-key effects in program order.
-func TestServerCoalescedInterleavedBatch(t *testing.T) {
-	s := newTestServer(t, coalescedConfig())
-	c := pipeClient(t, s)
-	c.Send("SET", "x", "1")
-	c.Send("GET", "x")
-	c.Send("PING")
-	c.Send("DEL", "x")
-	c.Send("GET", "x")
-	c.Send("LEN")
-	c.Send("SET", "x", "2")
-	c.Send("GET", "x")
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := []wire.Reply{
-		{Kind: wire.SimpleReply, Str: "OK"},
-		{Kind: wire.BulkReply, Str: "1"},
-		{Kind: wire.SimpleReply, Str: "PONG"},
-		{Kind: wire.IntReply, Int: 1},
-		{Kind: wire.NilReply},
-		{Kind: wire.IntReply, Int: 0},
-		{Kind: wire.SimpleReply, Str: "OK"},
-		{Kind: wire.BulkReply, Str: "2"},
-	}
-	for i, exp := range want {
-		got, err := c.Recv()
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		if got.Kind != exp.Kind || got.Str != exp.Str || got.Int != exp.Int {
-			t.Fatalf("reply %d: got %+v, want %+v", i, got, exp)
-		}
-	}
 }
 
 // TestServerCoalescedExactReplies is the coalescer's integrity test: many
@@ -189,7 +92,7 @@ func TestServerCoalescedExactReplies(t *testing.T) {
 	// Front-cache hits are absorbed before the window and appear in no
 	// combined batch; batch ops plus absorbed must account for every
 	// command exactly.
-	cs, _ := s.Coalesced()
+	cs := s.CoalesceStats()
 	if st.Ops+cs.Absorbed != conns*rounds {
 		t.Errorf("ops+absorbed = %d+%d, want %d", st.Ops, cs.Absorbed, conns*rounds)
 	}
@@ -204,8 +107,8 @@ func TestServerCoalescedExactReplies(t *testing.T) {
 
 // TestServerCoalescedDuplicateAcrossConns checks that simultaneous
 // same-key traffic from different connections rides one combined batch
-// (the cross-connection duplicate-combining the per-connection batcher
-// could never do) and that both connections still get exact replies.
+// (cross-connection duplicate combining) and that both connections still
+// get exact replies.
 func TestServerCoalescedDuplicateAcrossConns(t *testing.T) {
 	const rounds = 100
 	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond, CoalesceBatch: 1 << 20})
@@ -236,70 +139,10 @@ func TestServerCoalescedDuplicateAcrossConns(t *testing.T) {
 		t.Errorf("same-key gets from two conns did not coalesce: %d batches for %d ops",
 			st.Batches, st.Ops)
 	}
-	cs, ok := s.Coalesced()
-	if !ok || cs.Batches != st.Batches {
+	if cs := s.CoalesceStats(); cs.Batches != st.Batches {
 		t.Errorf("coalescer stats disagree with server stats: %+v vs %+v", cs, st)
 	}
 	t.Logf("%d ops in %d batches (avg %.1f)", st.Ops, st.Batches, st.AvgBatch())
-}
-
-// TestServerCoalescedCloseDrains checks graceful shutdown with jobs
-// potentially caught mid-window: every batch whose flush succeeded gets
-// all its replies, and Close never deadlocks on the coalescer.
-func TestServerCoalescedCloseDrains(t *testing.T) {
-	const conns = 6
-	s := newTestServer(t, Config{CoalesceWindow: 500 * time.Microsecond, CoalesceBatch: 1 << 20})
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	errc := make(chan error, conns)
-	for id := 0; id < conns; id++ {
-		nc, err := s.Pipe()
-		if err != nil {
-			t.Fatalf("Pipe: %v", err)
-		}
-		wg.Add(1)
-		go func(id int, c *wire.Client) {
-			defer wg.Done()
-			defer nc.Close()
-			<-start
-			for b := 0; ; b++ {
-				const depth = 4
-				for i := 0; i < depth; i++ {
-					if err := c.Send("SET", fmt.Sprintf("c%d-%d-%d", id, b, i), "v"); err != nil {
-						return // server gone before the batch was accepted
-					}
-				}
-				if err := c.Flush(); err != nil {
-					return // ditto: no replies owed
-				}
-				for i := 0; i < depth; i++ {
-					rep, err := c.Recv()
-					if err != nil {
-						errc <- fmt.Errorf("conn %d batch %d: lost reply %d after accepted flush: %w", id, b, i, err)
-						return
-					}
-					if rep.Kind != wire.SimpleReply {
-						errc <- fmt.Errorf("conn %d batch %d reply %d: %+v", id, b, i, rep)
-						return
-					}
-				}
-			}
-		}(id, wire.NewClient(nc))
-	}
-	close(start)
-	for s.Stats().Batches < 5 {
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-	s.Close() // idempotent
-	if _, err := s.Pipe(); err != ErrClosed {
-		t.Fatalf("Pipe after Close: %v, want ErrClosed", err)
-	}
 }
 
 // deadWriteConn wraps a net.Conn so writes fail while reads keep
@@ -312,12 +155,12 @@ func (c deadWriteConn) Write(b []byte) (int, error) {
 	return 0, fmt.Errorf("simulated dead write side")
 }
 
-// TestServerCoalescedDeadWriter checks that the split connection tears
-// itself down when its write side dies: the reply-writer half's flush
-// failure must close the transport and release the connection, not keep
-// serving a peer that can never hear the answers.
-func TestServerCoalescedDeadWriter(t *testing.T) {
-	s := newTestServer(t, coalescedConfig())
+// TestServerDeadWriter checks that a connection tears itself down when
+// its write side dies: the end-of-pipeline flush failure must end the
+// connection and release it, not keep serving a peer that can never hear
+// the answers.
+func TestServerDeadWriter(t *testing.T) {
+	s := newTestServer(t, Config{})
 	cl, sv := net.Pipe()
 	defer cl.Close()
 	served := make(chan struct{})
@@ -346,85 +189,5 @@ func TestServerCoalescedDeadWriter(t *testing.T) {
 	}
 	if n := s.Stats().ActiveConns; n != 0 {
 		t.Fatalf("dead connection still registered: ActiveConns = %d", n)
-	}
-}
-
-// TestServerCoalescedM2 smoke-tests the split connection over the
-// pipelined per-shard engine (which clones all keys, exercising the
-// other arena discipline).
-func TestServerCoalescedM2(t *testing.T) {
-	cfg := coalescedConfig()
-	cfg.Engine = pws.EngineM2
-	cfg.Shards = 2
-	s := newTestServer(t, cfg)
-	c := pipeClient(t, s)
-	for i := 0; i < 64; i++ {
-		c.Send("SET", fmt.Sprintf("k%03d", i), fmt.Sprintf("%d", i))
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if rep, err := c.Recv(); err != nil || rep.Str != "OK" {
-			t.Fatalf("reply %d: %+v, %v", i, rep, err)
-		}
-	}
-	if n, err := c.Len(); err != nil || n != 64 {
-		t.Fatalf("LEN: %d, %v", n, err)
-	}
-	if v, ok, err := c.Get("k042"); err != nil || !ok || v != "42" {
-		t.Fatalf("GET: %q %v %v", v, ok, err)
-	}
-}
-
-// TestServerCoalescedArenaSafety is the coalesced-mode version of the
-// wire.Reader aliasing contract test: jobs hold arena-backed keys until
-// their combined batch commits, so the end-of-pipeline ack must fully
-// order every commit before the arena recycles. Same-shaped churn then
-// probes for retained aliases, on both engines.
-func TestServerCoalescedArenaSafety(t *testing.T) {
-	for _, engine := range []struct {
-		name string
-		e    pws.Engine
-	}{{"m1", pws.EngineM1}, {"m2", pws.EngineM2}} {
-		t.Run(engine.name, func(t *testing.T) {
-			cfg := coalescedConfig()
-			cfg.Engine = engine.e
-			s := newTestServer(t, cfg)
-			c := pipeClient(t, s)
-
-			c.Send("GET", "combined")
-			c.Send("SET", "combined", "cv")
-			c.Send("MSET", "mk1", "mv1", "mk2", "mv2")
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 3; i++ {
-				if _, err := c.Recv(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 8; i++ {
-				c.Send("GET", "XXXXXXXX")
-				c.Send("SET", "YYYYYYYY", "ZZ")
-				c.Send("MSET", "AB1", "CD1", "AB2", "CD2")
-				if err := c.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				for j := 0; j < 3; j++ {
-					if _, err := c.Recv(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			for k, want := range map[string]string{
-				"combined": "cv", "mk1": "mv1", "mk2": "mv2",
-			} {
-				v, ok, err := c.Get(strings.Clone(k))
-				if err != nil || !ok || v != want {
-					t.Fatalf("GET %s = (%q, %v, %v), want %q", k, v, ok, err, want)
-				}
-			}
-		})
 	}
 }

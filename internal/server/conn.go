@@ -17,20 +17,14 @@ import (
 	"repro/internal/wire"
 )
 
-// conn is one client connection. In the default (per-connection batching)
-// mode its goroutine alternates between one blocking read and a
-// non-blocking drain of everything else already on the wire, so a
-// connection's pipelined requests become exactly one batch Apply against
-// the sharded map.
-//
-// With coalescing enabled (Config.CoalesceWindow > 0) the connection is
-// split into two halves: the reader/submitter half (the connection's main
-// goroutine) decodes pipelines and submits their map operations as jobs
-// to the server's shared group-commit scheduler, and the reply-writer
-// half (writeLoop, its own goroutine) receives those jobs in submission
-// order, waits for each job's combined batch to commit, and renders the
-// replies — so reply order always matches command order even though the
-// operations commit inside cross-connection batches.
+// conn is one client connection, served by one goroutine that alternates
+// between one blocking read and a non-blocking drain of everything else
+// already on the wire. The drained pipeline's map operations are cut
+// into segments at barrier commands; each segment is submitted as one
+// job to the server's group-commit scheduler (internal/coalesce), waited
+// for, and rendered in place — so reply order is command order by
+// construction, and every map operation of every connection reaches the
+// map through the scheduler's single commit loop.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -45,12 +39,13 @@ type conn struct {
 	cloneAllKeys bool
 
 	// batch state, reused across pipelines so a long-lived connection's
-	// steady state allocates nothing per pipeline. In coalesced mode the
-	// accumulated ops/pending are swapped into a job at each cut, trading
-	// backing arrays with the job free list instead of copying.
+	// steady state allocates nothing per pipeline. job is the one frame
+	// this connection ever has in the scheduler: its Ops alias c.ops for
+	// the duration of a segment's commit and its Res is the result
+	// buffer, grown by Submit and kept across segments.
 	cmds    []wire.Command
 	ops     []pws.Op[string, string]
-	res     []pws.Result[string]
+	job     coalesce.Job[string, string]
 	pending []pendingReply
 	scanBuf []pws.KV[string, string] // SCAN page buffer, reused across pages
 
@@ -75,18 +70,9 @@ type conn struct {
 	resKey string
 	mkRes  func() string
 
-	// Coalesced-mode plumbing (nil in per-connection batching mode).
-	// jobCh carries jobs to the writer half in submission order; ack is
-	// the writer's end-of-pipeline signal back to the reader (the arena
-	// reuse gate); freeJobs recycles job frames between the two halves.
-	jobCh      chan *connJob
-	ack        chan struct{}
-	writerDone chan struct{}
-	freeJobs   chan *connJob
-
-	// dlMu serializes read-deadline writers: the reader goroutine's
+	// dlMu serializes read-deadline writers: the connection goroutine's
 	// idle-timeout arming/disarming and Close's shutdown grace. Once
-	// shuttingDown is set the shutdown deadline wins — the reader must
+	// shuttingDown is set the shutdown deadline wins — the connection must
 	// not overwrite (or clear) it with an idle deadline.
 	dlMu         sync.Mutex
 	shuttingDown bool
@@ -173,40 +159,8 @@ const (
 	replySetex  // +OK, consumes two results (insert + expire)
 )
 
-// jobKind tells the writer half what one queued job is.
-type jobKind uint8
-
-const (
-	// jobMap carries a batch of map ops submitted to the coalescer: the
-	// writer waits for the combined batch to commit, then renders the
-	// replies from job.Res.
-	jobMap jobKind = iota
-	// jobPing/jobQuit/jobErr are the map-state-free commands the writer
-	// answers in reply order (QUIT also flushes). Commands that read map
-	// state (LEN, STATS, SCAN) never go through the writer: they run on
-	// the reader after a pipeline sync, so they cannot observe effects of
-	// this connection's later commands that the scheduler already
-	// committed.
-	jobPing
-	jobQuit
-	jobErr
-	// jobMark ends a pipeline: the writer flushes and acks the reader,
-	// which is what makes the read arena safe to recycle.
-	jobMark
-)
-
-// connJob is one unit of the reader→writer queue.
-type connJob struct {
-	kind    jobKind
-	job     coalesce.Job[string, string] // jobMap: ops in, results out
-	pending []pendingReply               // jobMap: reply plan
-	hits    []frontHit                   // jobMap: front-cache answers to interleave
-	tickets []opTicket                   // jobMap: reservations to install from Res
-	errText string                       // jobErr: pre-rendered error text
-}
-
 // serve runs the connection until it closes, errors, quits, or the server
-// shuts down, dispatching on the server's batching mode.
+// shuts down.
 //
 // Shutdown needs no check here: Close sets the read deadline to the
 // grace window, so commands that reach the server's buffers before it
@@ -216,10 +170,6 @@ type connJob struct {
 // half by the deadline simply ends the connection; its bytes were never
 // fully accepted, so no reply is owed.
 func (c *conn) serve() {
-	if c.srv.co != nil {
-		c.serveCoalesced()
-		return
-	}
 	for {
 		firstErr, drainErr := c.readPipeline()
 		if firstErr != nil {
@@ -231,15 +181,19 @@ func (c *conn) serve() {
 			c.finish(drainErr)
 			return
 		}
+		// A failed flush means the client's receive side is gone: end the
+		// connection instead of serving a peer that can never hear the
+		// answers.
 		if err := c.w.Flush(); err != nil {
 			return
 		}
 		if quit {
 			return
 		}
-		// The pipeline is fully processed and replied to, and nothing of
-		// it is retained (inserted keys/values were copied): recycle the
-		// reader's command arena (wire.Reader aliasing contract).
+		// The pipeline is fully committed and replied to (every segment
+		// was waited for before its replies were rendered), and nothing
+		// of it is retained (inserted keys/values were copied): recycle
+		// the reader's command arena (wire.Reader aliasing contract).
 		c.r.Reset()
 	}
 }
@@ -275,133 +229,6 @@ func (c *conn) readPipeline() (firstErr, drainErr error) {
 	return nil, nil
 }
 
-// serveCoalesced is the reader/submitter half of the split connection: it
-// decodes pipelines and turns them into jobs for the writer half, then
-// waits for the writer's end-of-pipeline ack before recycling the read
-// arena — jobs still hold arena-backed keys until their batch commits, so
-// the ack is exactly the point where reuse becomes safe.
-func (c *conn) serveCoalesced() {
-	c.jobCh = make(chan *connJob, 8)
-	c.ack = make(chan struct{}, 1)
-	c.writerDone = make(chan struct{})
-	c.freeJobs = make(chan *connJob, 8)
-	go c.writeLoop()
-	defer func() {
-		close(c.jobCh)
-		<-c.writerDone
-	}()
-	for {
-		firstErr, drainErr := c.readPipeline()
-		if firstErr != nil {
-			c.finishCoalesced(firstErr)
-			return
-		}
-		quit := c.process(c.cmds)
-		if drainErr != nil {
-			c.finishCoalesced(drainErr)
-			return
-		}
-		c.syncPipeline()
-		if quit {
-			return
-		}
-		c.r.Reset()
-	}
-}
-
-// writeLoop is the reply-writer half: it consumes the job queue in
-// submission order, waiting out each map job's combined commit, so every
-// reply is written in the order its command arrived no matter how the
-// scheduler grouped the operations.
-//
-// A failed flush means the client's receive side is gone: the
-// synchronous path ends the connection there, so this path must too —
-// closing the transport makes the reader's next read fail and tears the
-// connection down, instead of serving a peer that can never hear the
-// answers. The loop itself keeps draining (acks included) so the reader
-// is never stranded mid-pipeline.
-func (c *conn) writeLoop() {
-	defer close(c.writerDone)
-	for cj := range c.jobCh {
-		switch cj.kind {
-		case jobMap:
-			cj.job.Wait()
-			installTickets(cj.tickets, cj.job.Res)
-			var t0 int64
-			st := c.srv.stages()
-			if st != nil {
-				t0 = obs.Now()
-			}
-			c.renderReplies(cj.pending, cj.job.Res, cj.hits)
-			st.RecordSince(obs.StageReply, t0)
-		case jobPing:
-			c.w.WriteSimple("PONG")
-		case jobQuit:
-			c.w.WriteSimple("OK")
-			c.w.Flush()
-		case jobErr:
-			c.w.WriteError(cj.errText)
-		case jobMark:
-			if err := c.w.Flush(); err != nil {
-				c.nc.Close()
-			}
-			c.putJob(cj)
-			c.ack <- struct{}{}
-			continue
-		}
-		c.putJob(cj)
-	}
-}
-
-// syncPipeline asks the writer half to flush everything queued so far and
-// waits for its ack. After it returns the writer is idle (blocked on the
-// job queue), all replies up to here are flushed, and the read arena
-// holds no live references — the reader may Reset it or write to the
-// connection itself (the SCAN path).
-func (c *conn) syncPipeline() {
-	cj := c.getJob()
-	cj.kind = jobMark
-	c.jobCh <- cj
-	<-c.ack
-}
-
-// getJob takes a job frame off the free list (or allocates one).
-func (c *conn) getJob() *connJob {
-	select {
-	case cj := <-c.freeJobs:
-		return cj
-	default:
-		return &connJob{}
-	}
-}
-
-// putJob recycles a job frame: lengths reset, capacities kept. The hit
-// values and tickets are cleared, not just truncated — they reference
-// map-owned values and cache slots that must not stay reachable from
-// the free list.
-func (c *conn) putJob(cj *connJob) {
-	cj.kind = 0
-	cj.errText = ""
-	cj.job.Ops = cj.job.Ops[:0]
-	cj.pending = cj.pending[:0]
-	clear(cj.hits)
-	cj.hits = cj.hits[:0]
-	clear(cj.tickets)
-	cj.tickets = cj.tickets[:0]
-	select {
-	case c.freeJobs <- cj:
-	default:
-	}
-}
-
-// enqueue hands a non-map command to the writer half.
-func (c *conn) enqueue(kind jobKind, errText string) {
-	cj := c.getJob()
-	cj.kind = kind
-	cj.errText = errText
-	c.jobCh <- cj
-}
-
 // silentErr reports the terminal read errors that end a connection
 // without an error reply: clean disconnects and shutdown deadlines.
 func silentErr(err error) bool {
@@ -410,29 +237,15 @@ func silentErr(err error) bool {
 		errors.Is(err, os.ErrDeadlineExceeded)
 }
 
-// finish handles a terminal read error in per-connection batching mode:
-// silent errors end the connection quietly; protocol violations get one
-// final error reply. Either way the connection is done.
+// finish handles a terminal read error: silent errors end the connection
+// quietly; protocol violations get one final error reply. Either way the
+// connection is done.
 func (c *conn) finish(err error) {
-	if silentErr(err) {
-		c.w.Flush()
-		return
-	}
-	c.srv.st.errors.Add(1)
-	c.w.WriteError("ERR " + trunc(err.Error()))
-	c.w.Flush()
-}
-
-// finishCoalesced is finish for the split connection: the final error
-// reply (if owed) travels through the writer half like any other, and the
-// closing sync guarantees every accepted command's reply is flushed
-// before the connection ends.
-func (c *conn) finishCoalesced(err error) {
 	if !silentErr(err) {
 		c.srv.st.errors.Add(1)
-		c.enqueue(jobErr, "ERR "+trunc(err.Error()))
+		c.w.WriteError("ERR " + trunc(err.Error()))
 	}
-	c.syncPipeline()
+	c.w.Flush()
 }
 
 // trunc bounds client-supplied text echoed into error replies, so the
@@ -447,15 +260,12 @@ func trunc(s string) string {
 }
 
 // process executes one drained pipeline. Consecutive map commands
-// accumulate into a single batch; non-map commands (LEN, STATS, SCAN,
-// PING, QUIT and errors) act as barriers that cut the accumulated batch
-// first, preserving reply order. In per-connection batching mode the cut
-// applies the batch synchronously and non-map commands execute inline; in
-// coalesced mode the cut submits a job to the group-commit scheduler and
-// non-map commands are queued to the writer half in the same order
-// (map-state readers — LEN, STATS, SCAN — execute on the reader after a
-// sync instead, so they observe this connection's earlier commands and
-// none of its later ones). It reports whether the client asked to quit.
+// accumulate into a single segment; non-map commands (LEN, STATS, SCAN,
+// PING, QUIT and errors) act as barriers that cut the accumulated
+// segment first (flushBatch: submit, wait, render), so replies stay in
+// command order and a map-state reader observes this connection's
+// earlier commands and none of its later ones. It reports whether the
+// client asked to quit.
 func (c *conn) process(cmds []wire.Command) (quit bool) {
 	c.ops = c.ops[:0]
 	c.pending = c.pending[:0]
@@ -465,7 +275,6 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 		clear(c.writeKeys)
 		c.writeKeys = c.writeKeys[:0]
 	}
-	co := c.srv.co != nil
 	for _, cmd := range cmds {
 		switch name := strings.ToUpper(cmd.Name); name {
 		case "GET":
@@ -475,9 +284,7 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 			c.srv.st.gets.Add(1)
 			if hit := c.frontOp(cmd.Args[0], 0); hit {
 				c.pending = append(c.pending, pendingReply{kind: replyGet, n: 1, hits: 1})
-				if co {
-					c.srv.co.Absorb(1)
-				}
+				c.srv.co.Absorb(1)
 				continue
 			}
 			c.pending = append(c.pending, pendingReply{kind: replyGet, n: 1})
@@ -514,7 +321,7 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 			}
 			c.pending = append(c.pending, pendingReply{kind: replyMGet, n: len(cmd.Args), hits: nhits})
 			c.srv.st.gets.Add(int64(len(cmd.Args)))
-			if nhits > 0 && co {
+			if nhits > 0 {
 				c.srv.co.Absorb(nhits)
 			}
 		case "EXPIRE":
@@ -525,7 +332,7 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 			if err != nil {
 				c.flushBatch()
 				c.srv.st.errors.Add(1)
-				c.writeErr("ERR invalid expire time '" + trunc(cmd.Args[1]) + "'")
+				c.w.WriteError("ERR invalid expire time '" + trunc(cmd.Args[1]) + "'")
 				continue
 			}
 			c.noteWrite(cmd.Args[0])
@@ -545,7 +352,7 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 			if err != nil {
 				c.flushBatch()
 				c.srv.st.errors.Add(1)
-				c.writeErr("ERR invalid expire time '" + trunc(cmd.Args[1]) + "'")
+				c.w.WriteError("ERR invalid expire time '" + trunc(cmd.Args[1]) + "'")
 				continue
 			}
 			c.noteWrite(cmd.Args[0])
@@ -573,61 +380,29 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 			c.pending = append(c.pending, pendingReply{kind: replyMSet, n: len(cmd.Args) / 2})
 			c.srv.st.sets.Add(int64(len(cmd.Args) / 2))
 		case "LEN":
-			c.barrierSync()
+			c.flushBatch()
 			c.w.WriteInt(int64(c.srv.store.Len()))
 		case "PING":
 			c.flushBatch()
-			if co {
-				c.enqueue(jobPing, "")
-			} else {
-				c.w.WriteSimple("PONG")
-			}
+			c.w.WriteSimple("PONG")
 		case "STATS":
-			c.barrierSync()
+			c.flushBatch()
 			c.w.WriteBulk(c.srv.statsText())
 		case "SCAN":
-			c.barrierSync()
+			c.flushBatch()
 			c.scan(cmd)
 		case "QUIT":
 			c.flushBatch()
-			if co {
-				c.enqueue(jobQuit, "")
-			} else {
-				c.w.WriteSimple("OK")
-			}
+			c.w.WriteSimple("OK")
 			return true
 		default:
 			c.flushBatch()
 			c.srv.st.errors.Add(1)
-			c.writeErr("ERR unknown command '" + trunc(cmd.Name) + "'")
+			c.w.WriteError("ERR unknown command '" + trunc(cmd.Name) + "'")
 		}
 	}
 	c.flushBatch()
 	return false
-}
-
-// barrierSync prepares a map-state-reading command (LEN, STATS, SCAN) to
-// run inline on this goroutine: it cuts the accumulated batch and, in
-// coalesced mode, waits for the writer half to render everything queued
-// so far. After it returns, this connection's earlier commands are
-// committed and replied to, none of its later ones have been submitted,
-// and the writer is idle — so reading map state and writing the reply
-// from the reader preserves exact per-connection sequential semantics.
-func (c *conn) barrierSync() {
-	c.flushBatch()
-	if c.srv.co != nil {
-		c.syncPipeline()
-	}
-}
-
-// writeErr emits one error reply in command order: inline in
-// per-connection batching mode, through the writer half when coalescing.
-func (c *conn) writeErr(text string) {
-	if c.srv.co != nil {
-		c.enqueue(jobErr, text)
-		return
-	}
-	c.w.WriteError(text)
 }
 
 // wantArgs validates a command's arity; on failure it cuts the batch
@@ -638,7 +413,7 @@ func (c *conn) wantArgs(cmd wire.Command, ok bool) bool {
 	}
 	c.flushBatch()
 	c.srv.st.errors.Add(1)
-	c.writeErr("ERR wrong number of arguments for '" + trunc(strings.ToLower(cmd.Name)) + "'")
+	c.w.WriteError("ERR wrong number of arguments for '" + trunc(strings.ToLower(cmd.Name)) + "'")
 	return false
 }
 
@@ -659,9 +434,9 @@ func (c *conn) key(k string) string {
 // population reservation and reports false. Keys this pipeline already
 // wrote skip the front entirely — their write may sit in an
 // uncommitted batch, and program order within a pipeline must observe
-// it — and place no reservation (the write's commit-boundary
-// invalidation would kill the install anyway). pos is the key's
-// position within its command, for reply interleaving.
+// it — and place no reservation (the write's own front drop would kill
+// the install anyway). pos is the key's position within its command, for
+// reply interleaving.
 func (c *conn) frontOp(k string, pos int) (hit bool) {
 	if c.front && !c.wroteKey(k) {
 		if v, ok := c.srv.store.FrontGet(k); ok {
@@ -706,54 +481,37 @@ func (c *conn) wroteKey(k string) bool {
 // installTickets publishes a segment's results into the front cache
 // through the reservations placed at decode time. Runs after the
 // batch's results are released; each install's version guard drops it
-// if a later batch already invalidated (or recycled) the slot.
+// if a write that resolved after the reservation already dropped (or a
+// later reservation recycled) the slot.
 func installTickets(tickets []opTicket, res []pws.Result[string]) {
 	for _, t := range tickets {
 		t.tk.Install(res[t.idx].Val, res[t.idx].OK)
 	}
 }
 
-// flushBatch cuts the accumulated operations. In per-connection batching
-// mode it submits them as one batch Apply and renders the replies in
-// place; in coalesced mode it swaps them into a job frame, submits the
-// job to the group-commit scheduler, and queues the job to the writer
-// half — the reply order is the queue order, and the results arrive in
-// the job's own Res slice straight from the combined batch.
+// flushBatch cuts the accumulated segment: it submits the operations as
+// one job to the group-commit scheduler, waits for the combined batch
+// that carries them to commit (applied, and logged when durable),
+// installs the segment's front-cache reservations from the results, and
+// renders the replies in place. A segment that is all front-cache hits
+// has replies owed but nothing to commit, so it skips the scheduler.
 func (c *conn) flushBatch() {
-	// A segment can be all front-cache hits: no ops, but replies owed.
 	if len(c.ops) == 0 && len(c.pending) == 0 {
 		return
 	}
 	s := c.srv
-	if s.co != nil {
-		cj := c.getJob()
-		cj.kind = jobMap
-		cj.job.Ops, c.ops = c.ops, cj.job.Ops[:0]
-		cj.pending, c.pending = c.pending, cj.pending[:0]
-		cj.hits, c.hits = c.hits, cj.hits[:0]
-		cj.tickets, c.tickets = c.tickets, cj.tickets[:0]
-		// A hits-only job skips the scheduler: there is nothing to
-		// commit and no reason to wait out a coalesce window — Wait on
-		// the unsubmitted job returns immediately and the writer half
-		// renders the cached replies in queue order.
-		if len(cj.job.Ops) > 0 {
-			s.co.Submit(&cj.job)
-		}
-		c.jobCh <- cj
-		return
-	}
 	if len(c.ops) > 0 {
-		res := s.store.ApplyInto(c.ops, c.res[:0])
-		c.res = res
-		s.st.recordBatch(len(c.ops))
-		installTickets(c.tickets, res)
+		c.job.Ops = c.ops
+		s.co.Submit(&c.job)
+		c.job.Wait()
+		installTickets(c.tickets, c.job.Res)
 	}
 	var t0 int64
 	st := s.stages()
 	if st != nil {
 		t0 = obs.Now()
 	}
-	c.renderReplies(c.pending, c.res[:len(c.ops)], c.hits)
+	c.renderReplies(c.pending, c.job.Res, c.hits)
 	st.RecordSince(obs.StageReply, t0)
 	c.ops = c.ops[:0]
 	c.pending = c.pending[:0]
@@ -840,10 +598,9 @@ func (c *conn) writeGet(r pws.Result[string]) {
 //
 // The page is served by Sharded.RangePage: one bounded batched range op
 // broadcast to the shards, riding their normal cut batches. No Quiesce,
-// no map-wide lock — concurrent batch Applies from other connections (and
-// the coalescer's combined commits) proceed untouched, which is what
-// retired the stop-the-world SCAN. It still runs on the reader goroutine
-// after a barrierSync, preserving per-connection sequential semantics
+// no map-wide lock — the scheduler's combined commits proceed untouched,
+// which is what retired the stop-the-world SCAN. It runs after the
+// caller's flushBatch, preserving per-connection sequential semantics
 // (this connection's earlier writes are committed and visible).
 //
 // The lo/hi arguments may alias the read arena: the range op completes

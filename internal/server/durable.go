@@ -30,13 +30,14 @@ import (
 // usual group-commit window: a crash between apply and fsync loses
 // only mutations whose replies were never written.
 //
-// Durable mode requires the coalescer (New force-enables it): the
-// single commit loop gives the WAL a total append order that matches
-// the map's linearization order. Per-connection batching has no such
-// order across concurrent Applies, so it cannot feed a sequential log.
+// The scheduler's single commit loop is what gives the WAL a total
+// append order that matches the map's linearization order: every
+// client mutation reaches the map through it, so the applier sees the
+// cuts one at a time, in commit order.
 
-// DefaultDurableWindow is the coalescing window New imposes when a WAL
-// is configured but coalescing was left off.
+// DefaultDurableWindow is the coalescing window a WAL-backed server
+// gets when Config.CoalesceWindow is left zero: with an fsync on every
+// cut, waiting this long for more traffic buys a shared sync.
 const DefaultDurableWindow = 200 * time.Microsecond
 
 // snapshotPage is the RangePage size used when streaming a checkpoint.

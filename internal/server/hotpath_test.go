@@ -64,11 +64,11 @@ func TestAllocsServerPipeRoundTrip(t *testing.T) {
 }
 
 // TestAllocsServerCoalescedRoundTrip bounds the allocations of one
-// depth-1 GET round trip through the group-commit path: wire decode, job
-// submission, combined-batch commit, reply render via the writer half.
-// Pooled job frames, the coalescer's reused cut/commit scratch and the
-// scattered-collect path must keep the steady state flat. Skipped under
-// -race (instrumentation inflates counts).
+// depth-1 GET round trip with a coalescing window armed: wire decode, job
+// submission, window timer, combined-batch commit, reply render. The
+// connection's one reused job frame, the coalescer's reused cut/commit
+// scratch and the scattered-collect path must keep the steady state
+// flat. Skipped under -race (instrumentation inflates counts).
 func TestAllocsServerCoalescedRoundTrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflated under -race")
@@ -92,7 +92,7 @@ func TestAllocsServerCoalescedRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		roundTrip() // warm codecs, job free list, coalescer scratch
+		roundTrip() // warm codecs, the job frame, coalescer scratch
 	}
 	// Measured ~40 allocs per depth-1 round trip, about half client-side
 	// reply decoding and segment-tree node churn (see the node free-list
@@ -105,67 +105,73 @@ func TestAllocsServerCoalescedRoundTrip(t *testing.T) {
 
 // TestServerNoArenaRetention is the server half of the wire.Reader
 // aliasing contract: nothing the server stores may alias a connection's
-// read arena. It stores values through every insert form, churns the
-// connection's arena with unrelated traffic of the same byte shapes, and
-// checks the stored data is intact — on both engines (M1 relies on
-// insert-key cloning plus the engine's insert-key rebinding for combined
-// search+insert groups; M2 additionally clones search keys, which its
-// filter tree can retain as interior separators).
+// read arena, and a segment's arena-backed keys stay valid until its
+// combined batch commits (the connection waits for every segment before
+// the arena recycles). It stores values through every insert form,
+// churns the connection's arena with unrelated traffic of the same byte
+// shapes, and checks the stored data is intact — on both engines (M1
+// relies on insert-key cloning plus the engine's insert-key rebinding
+// for combined search+insert groups; M2 additionally clones search keys,
+// which its filter tree can retain as interior separators) and under
+// both cut policies.
 func TestServerNoArenaRetention(t *testing.T) {
 	for _, engine := range []struct {
 		name string
 		e    pws.Engine
 	}{{"m1", pws.EngineM1}, {"m2", pws.EngineM2}} {
 		t.Run(engine.name, func(t *testing.T) {
-			srv := New(Config{Engine: engine.e})
-			defer srv.Close()
-			nc, err := srv.Pipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nc.Close()
-			cl := wire.NewClient(nc)
-
-			// One pipeline that combines a miss-GET and a SET of the same
-			// key in a single batch: the engine groups them, and the
-			// group's insertion must store the SET's copied key, not the
-			// GET's arena-backed one.
-			cl.Send("GET", "combined")
-			cl.Send("SET", "combined", "cv")
-			cl.Send("MSET", "mk1", "mv1", "mk2", "mv2")
-			if err := cl.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 3; i++ {
-				if _, err := cl.Recv(); err != nil {
+			forWindows(t, func(t *testing.T, cfg Config) {
+				cfg.Engine = engine.e
+				srv := New(cfg)
+				defer srv.Close()
+				nc, err := srv.Pipe()
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
+				defer nc.Close()
+				cl := wire.NewClient(nc)
 
-			// Churn the arena: same-shaped traffic overwrites the bytes
-			// the previous pipeline's strings lived in.
-			for i := 0; i < 8; i++ {
-				cl.Send("GET", "XXXXXXXX")
-				cl.Send("SET", "YYYYYYYY", "ZZ")
-				cl.Send("MSET", "AB1", "CD1", "AB2", "CD2")
+				// One pipeline that combines a miss-GET and a SET of the
+				// same key in a single batch: the engine groups them, and
+				// the group's insertion must store the SET's copied key,
+				// not the GET's arena-backed one.
+				cl.Send("GET", "combined")
+				cl.Send("SET", "combined", "cv")
+				cl.Send("MSET", "mk1", "mv1", "mk2", "mv2")
 				if err := cl.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				for j := 0; j < 3; j++ {
+				for i := 0; i < 3; i++ {
 					if _, err := cl.Recv(); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
 
-			for k, want := range map[string]string{
-				"combined": "cv", "mk1": "mv1", "mk2": "mv2",
-			} {
-				v, ok, err := cl.Get(strings.Clone(k))
-				if err != nil || !ok || v != want {
-					t.Fatalf("GET %s = (%q, %v, %v), want %q", k, v, ok, err, want)
+				// Churn the arena: same-shaped traffic overwrites the
+				// bytes the previous pipeline's strings lived in.
+				for i := 0; i < 8; i++ {
+					cl.Send("GET", "XXXXXXXX")
+					cl.Send("SET", "YYYYYYYY", "ZZ")
+					cl.Send("MSET", "AB1", "CD1", "AB2", "CD2")
+					if err := cl.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					for j := 0; j < 3; j++ {
+						if _, err := cl.Recv(); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-			}
+
+				for k, want := range map[string]string{
+					"combined": "cv", "mk1": "mv1", "mk2": "mv2",
+				} {
+					v, ok, err := cl.Get(strings.Clone(k))
+					if err != nil || !ok || v != want {
+						t.Fatalf("GET %s = (%q, %v, %v), want %q", k, v, ok, err, want)
+					}
+				}
+			})
 		})
 	}
 }

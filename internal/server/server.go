@@ -1,22 +1,22 @@
 // Package server implements wsd, a network server fronting the sharded
 // parallel working-set map. Its load-bearing idea is that network
-// pipelining is the paper's batching: each connection goroutine drains
+// pipelining is the paper's batching, and that there is exactly one
+// write path from socket to engine: each connection goroutine drains
 // every pipelined request already on the wire into one []pws.Op and
-// submits it as a single batch Apply, so duplicate combining and
-// working-set adaptivity survive the network hop — a connection's
-// pipeline window plays the role of the parallel buffer's implicit
-// batch, the way batch-parallel structures amortize per-operation cost
-// over batches.
+// submits it as one job to the server's group-commit scheduler
+// (internal/coalesce), whose single commit loop cuts whatever all
+// connections have queued into one combined batch Apply — the paper's
+// one batching interface in front of the structure (the parallel
+// buffer, App. A.1). Duplicate combining and working-set adaptivity
+// therefore survive the network hop both within a connection's pipeline
+// window and across connections: a fleet of unpipelined (depth-1)
+// clients rides multi-op batches too.
 //
-// A pipeline window only batches what one client sends, though: a fleet
-// of unpipelined clients degenerates to batch size 1. With
-// Config.CoalesceWindow set, the server instead runs a cross-connection
-// group-commit scheduler (internal/coalesce): each connection splits
-// into a reader/submitter half and a reply-writer half, decoded ops are
-// accumulated across connections, and combined batches are cut under a
-// size-or-deadline policy — so depth-1 traffic from many clients rides
-// the paper's multi-op batches, duplicate combining included. See
-// DESIGN.md "Cross-connection batch coalescing".
+// Config.CoalesceWindow only bounds how long a cut may wait for more
+// traffic; it selects no code. Zero (the default) adds no latency — the
+// commit loop cuts as soon as it is free, so batches form only from
+// what queued while the previous cut was being applied. See DESIGN.md
+// "Cross-connection batch coalescing".
 //
 // The server speaks the internal/wire protocol (GET/SET/DEL/MGET/MSET/
 // SCAN/LEN/STATS/PING/QUIT), enforces connection and pipeline limits,
@@ -77,19 +77,20 @@ type Config struct {
 	MaxScan int
 	// Limits are the wire-protocol frame limits.
 	Limits wire.Limits
-	// CoalesceWindow, when positive, enables the cross-connection
-	// group-commit scheduler (internal/coalesce): connections stop
-	// applying their own batches and instead submit decoded operations
-	// into a shared accumulator, which cuts combined batches when
-	// CoalesceBatch operations are pending or the oldest has waited
-	// CoalesceWindow, whichever comes first. This is what turns a fleet
-	// of unpipelined (depth-1) clients back into the paper's parallel
-	// batches; see DESIGN.md "Cross-connection batch coalescing". Zero
-	// disables coalescing: each connection applies its own pipeline as
-	// one batch, as before.
+	// CoalesceWindow bounds the latency the group-commit scheduler may
+	// add to grow a combined batch: a cut fires when CoalesceBatch
+	// operations are pending or the oldest has waited CoalesceWindow,
+	// whichever comes first. Zero means no added latency — the commit
+	// loop cuts as soon as it is free, and combined batches form only
+	// from what queued during the previous cut's application. A window
+	// is what turns a fleet of unpipelined (depth-1) clients back into
+	// the paper's parallel batches when the server is otherwise idle
+	// between arrivals; see DESIGN.md "Cross-connection batch
+	// coalescing". It is a wait bound, not a mode: every operation takes
+	// the same path at any value.
 	CoalesceWindow time.Duration
-	// CoalesceBatch is the coalescer's size trigger in operations
-	// (default 1024; only meaningful with CoalesceWindow > 0).
+	// CoalesceBatch is the scheduler's size trigger in operations
+	// (default 1024).
 	CoalesceBatch int
 	// WorkCounter attaches a structural-work counter (pointer-machine
 	// units: node visits, comparisons, item moves) to the map, surfaced
@@ -101,10 +102,10 @@ type Config struct {
 	// appended (and, per the log's fsync policy, synced) before its
 	// replies are written, and the background snapshotter checkpoints
 	// the map through the log. The server takes ownership: Close closes
-	// the log. Durable mode requires coalescing — New force-enables it
-	// with DefaultDurableWindow if CoalesceWindow is zero — because the
-	// scheduler's single commit loop is what gives the log a total
-	// order matching the map's linearization (see durable.go).
+	// the log. The scheduler's single commit loop is what gives the log
+	// a total order matching the map's linearization; with a WAL a zero
+	// CoalesceWindow defaults to DefaultDurableWindow, so each fsync is
+	// amortized over a window's worth of traffic (see durable.go).
 	WAL *wal.Log
 	// SnapshotBytes triggers a background checkpoint once the WAL has
 	// grown this much past the last one (default 64 MiB; negative
@@ -118,8 +119,9 @@ type Config struct {
 	// FrontCache sizes the per-shard lock-free hot-key read front
 	// (internal/frontcache) in entries: GETs consult it before the
 	// batch pipeline and hot keys are answered in nanoseconds, with
-	// every write invalidating its key at the batch commit boundary so
-	// batch-level linearizability is preserved. 0 means the default
+	// every write dropping its key from the front as it resolves inside
+	// the engine, before any result of its batch is released, so a
+	// cached read never shadows a newer value. 0 means the default
 	// (DefaultFrontCache entries per shard); negative disables the
 	// front — the same negative-really-zero convention the load
 	// generator's fraction knobs use.
@@ -252,9 +254,8 @@ type Server struct {
 	cfg   Config
 	store *pws.Sharded[string, string]
 
-	// co is the cross-connection group-commit scheduler, nil unless
-	// Config.CoalesceWindow is set. When present, connections submit ops
-	// through it instead of applying their own batches (see conn.go).
+	// co is the group-commit scheduler: the only submitter to the map on
+	// behalf of connections (see conn.flushBatch).
 	co *coalesce.Coalescer[string, string]
 
 	// obsm is the map's telemetry bundle — per-shard working-set depth
@@ -315,35 +316,31 @@ func New(cfg Config) *Server {
 		s.wal = cfg.WAL
 		s.walHi = walHiSentinel(cfg.Limits)
 	}
-	if cfg.CoalesceWindow > 0 {
-		// The applier is the single point where combined batches touch
-		// the map; it feeds the server's batch counters, which therefore
-		// keep meaning "map-level batch Applies" in both modes. SCAN needs
-		// no exclusion here: range reads are batch ops themselves now, so
-		// combined commits and scan pages interleave freely on the map.
-		//
-		// In durable mode the applier is also the WAL commit hook: the
-		// combined batch is applied, then logged (and fsynced per
-		// policy), all before this callback returns and the coalescer
-		// releases the batch's jobs — so replies wait on durability.
-		// Apply-before-append is what makes fuzzy checkpoints correct
-		// (see durable.go).
-		s.co = coalesce.New(coalesce.Config{
-			MaxBatch: cfg.CoalesceBatch,
-			MaxDelay: cfg.CoalesceWindow,
-			Stages:   s.obsm.Stages(),
-		}, func(batches [][]pws.Op[string, string], dsts [][]pws.Result[string]) {
-			n := 0
-			for _, b := range batches {
-				n += len(b)
-			}
-			s.store.ApplyScattered(batches, dsts)
-			s.st.recordBatch(n)
-			if s.wal != nil {
-				s.appendWAL(batches)
-			}
-		})
-	}
+	// The applier is the single point where client operations touch the
+	// map; it feeds the server's batch counters. SCAN needs no exclusion
+	// here: range reads are batch ops themselves, so combined commits and
+	// scan pages interleave freely on the map.
+	//
+	// In durable mode the applier is also the WAL commit hook: the
+	// combined batch is applied, then logged (and fsynced per policy), all
+	// before this callback returns and the coalescer releases the batch's
+	// jobs — so replies wait on durability. Apply-before-append is what
+	// makes fuzzy checkpoints correct (see durable.go).
+	s.co = coalesce.New(coalesce.Config{
+		MaxBatch: cfg.CoalesceBatch,
+		MaxDelay: cfg.CoalesceWindow,
+		Stages:   s.obsm.Stages(),
+	}, func(batches [][]pws.Op[string, string], dsts [][]pws.Result[string]) {
+		n := 0
+		for _, b := range batches {
+			n += len(b)
+		}
+		s.store.ApplyScattered(batches, dsts)
+		s.st.recordBatch(n)
+		if s.wal != nil {
+			s.appendWAL(batches)
+		}
+	})
 	if s.wal != nil && cfg.SnapshotBytes > 0 {
 		s.snapStop = make(chan struct{})
 		s.snapDone = make(chan struct{})
@@ -352,14 +349,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Coalesced reports whether cross-connection batch coalescing is enabled,
-// and returns the coalescer's counters when it is.
-func (s *Server) Coalesced() (coalesce.Stats, bool) {
-	if s.co == nil {
-		return coalesce.Stats{}, false
-	}
-	return s.co.Stats(), true
-}
+// CoalesceStats returns the group-commit scheduler's counters.
+func (s *Server) CoalesceStats() coalesce.Stats { return s.co.Stats() }
 
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats { return s.st.snapshot() }
@@ -561,9 +552,7 @@ func (s *Server) Close() error {
 		// coalescer drain commits anything caught mid-window (connections
 		// waiting on such jobs are part of wg, so this is belt and braces)
 		// before the map closes under it.
-		if s.co != nil {
-			s.co.Close()
-		}
+		s.co.Close()
 		// The coalescer is drained, so nothing appends to the WAL
 		// anymore; stop the snapshotter (it may be mid-RangePage, which
 		// needs the map alive) and seal the log before the map closes.
@@ -593,11 +582,10 @@ func (s *Server) statsText() string {
 		st.ActiveConns, st.TotalConns, st.RejectedConns,
 		st.Batches, st.Ops, st.MaxBatch, st.AvgBatch(),
 		st.Gets, st.Sets, st.Dels, st.Expires, st.Scans, st.Errors)
-	if cs, ok := s.Coalesced(); ok {
-		base += fmt.Sprintf(
-			"coalesce_window %s\ncoalesce_size_cuts %d\ncoalesce_window_cuts %d\ncoalesce_drain_cuts %d\ncoalesce_absorbed %d\n",
-			s.cfg.CoalesceWindow, cs.SizeCuts, cs.WindowCuts, cs.DrainCuts, cs.Absorbed)
-	}
+	cs := s.CoalesceStats()
+	base += fmt.Sprintf(
+		"coalesce_window %s\ncoalesce_size_cuts %d\ncoalesce_window_cuts %d\ncoalesce_drain_cuts %d\ncoalesce_absorbed %d\n",
+		s.cfg.CoalesceWindow, cs.SizeCuts, cs.WindowCuts, cs.DrainCuts, cs.Absorbed)
 	return base + s.statsMemory() + s.statsWAL() + s.statsFront() + s.statsTelemetry()
 }
 

@@ -35,10 +35,32 @@ func pipeClient(t *testing.T, s *Server) *wire.Client {
 	return wire.NewClient(nc)
 }
 
+// forWindows runs a test under both cut policies of the one write path:
+// no added wait (the default), and a window wide enough to merge
+// concurrent test traffic yet small enough to keep tests fast. The two
+// differ only in when the scheduler cuts, never in which code serves a
+// command.
+func forWindows(t *testing.T, run func(t *testing.T, cfg Config)) {
+	for _, w := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"window0", Config{}},
+		{"window200us", coalescedConfig()},
+	} {
+		t.Run(w.name, func(t *testing.T) { run(t, w.cfg) })
+	}
+}
+
 // TestServerCommands exercises every command of the protocol over one
-// in-process connection.
+// in-process connection, including barrier commands and errors
+// interleaved with map ops.
 func TestServerCommands(t *testing.T) {
-	s := newTestServer(t, Config{})
+	forWindows(t, testServerCommands)
+}
+
+func testServerCommands(t *testing.T, cfg Config) {
+	s := newTestServer(t, cfg)
 	c := pipeClient(t, s)
 
 	if r, err := c.Do("PING"); err != nil || r.Str != "PONG" {
@@ -113,7 +135,8 @@ func TestServerCommands(t *testing.T) {
 	}
 	// STATS.
 	r, err = c.Do("STATS")
-	if err != nil || r.Kind != wire.BulkReply || !strings.Contains(r.Str, "batches ") {
+	if err != nil || r.Kind != wire.BulkReply || !strings.Contains(r.Str, "batches ") ||
+		!strings.Contains(r.Str, "coalesce_window ") {
 		t.Fatalf("STATS: %+v, %v", r, err)
 	}
 	// Errors: unknown command, wrong arity, bad scan count.
@@ -149,37 +172,45 @@ func TestServerCommands(t *testing.T) {
 }
 
 // TestServerInterleavedBatch checks sequential semantics inside one
-// pipelined batch: a GET after a SET of the same key in the same
-// pipeline observes the SET.
+// pipelined batch, with barrier commands cutting the pipeline into
+// several scheduler jobs: replies come back in command order and per-key
+// effects in program order (a GET after a SET of the same key in the
+// same pipeline observes the SET).
 func TestServerInterleavedBatch(t *testing.T) {
-	s := newTestServer(t, Config{})
-	c := pipeClient(t, s)
-	c.Send("SET", "x", "1")
-	c.Send("GET", "x")
-	c.Send("DEL", "x")
-	c.Send("GET", "x")
-	c.Send("SET", "x", "2")
-	c.Send("GET", "x")
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := []wire.Reply{
-		{Kind: wire.SimpleReply, Str: "OK"},
-		{Kind: wire.BulkReply, Str: "1"},
-		{Kind: wire.IntReply, Int: 1},
-		{Kind: wire.NilReply},
-		{Kind: wire.SimpleReply, Str: "OK"},
-		{Kind: wire.BulkReply, Str: "2"},
-	}
-	for i, exp := range want {
-		got, err := c.Recv()
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
+	forWindows(t, func(t *testing.T, cfg Config) {
+		s := newTestServer(t, cfg)
+		c := pipeClient(t, s)
+		c.Send("SET", "x", "1")
+		c.Send("GET", "x")
+		c.Send("PING")
+		c.Send("DEL", "x")
+		c.Send("GET", "x")
+		c.Send("LEN")
+		c.Send("SET", "x", "2")
+		c.Send("GET", "x")
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		if got.Kind != exp.Kind || got.Str != exp.Str || got.Int != exp.Int {
-			t.Fatalf("reply %d: got %+v, want %+v", i, got, exp)
+		want := []wire.Reply{
+			{Kind: wire.SimpleReply, Str: "OK"},
+			{Kind: wire.BulkReply, Str: "1"},
+			{Kind: wire.SimpleReply, Str: "PONG"},
+			{Kind: wire.IntReply, Int: 1},
+			{Kind: wire.NilReply},
+			{Kind: wire.IntReply, Int: 0},
+			{Kind: wire.SimpleReply, Str: "OK"},
+			{Kind: wire.BulkReply, Str: "2"},
 		}
-	}
+		for i, exp := range want {
+			got, err := c.Recv()
+			if err != nil {
+				t.Fatalf("reply %d: %v", i, err)
+			}
+			if got.Kind != exp.Kind || got.Str != exp.Str || got.Int != exp.Int {
+				t.Fatalf("reply %d: got %+v, want %+v", i, got, exp)
+			}
+		}
+	})
 }
 
 // clientOp mirrors one command and its model-predicted reply.
@@ -283,11 +314,16 @@ func TestServerConcurrentPipelined(t *testing.T) {
 }
 
 // TestServerCloseDrains checks graceful shutdown: Close racing active
-// pipelines loses no replies — every batch whose flush succeeded gets
-// all its replies — and never panics with use-after-close.
+// pipelines (jobs possibly caught mid-window) loses no replies — every
+// batch whose flush succeeded gets all its replies — and neither panics
+// with use-after-close nor deadlocks on the scheduler.
 func TestServerCloseDrains(t *testing.T) {
+	forWindows(t, testServerCloseDrains)
+}
+
+func testServerCloseDrains(t *testing.T, cfg Config) {
 	const conns = 6
-	s := newTestServer(t, Config{})
+	s := newTestServer(t, cfg)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	errc := make(chan error, conns)
@@ -466,28 +502,38 @@ func TestServerProtocolError(t *testing.T) {
 	}
 }
 
-// TestServerM2Engine smoke-tests the pipelined per-shard engine behind
-// the same server surface.
+// TestServerM2Engine drives the pipelined per-shard engine (which clones
+// all keys, exercising the other arena discipline) behind the same server
+// surface, and pins read-your-writes for LEN: after a connection's 64
+// SETs are acked, its next LEN counts all of them — every time, on any
+// core count (M2 used to publish its size after completing the calls).
 func TestServerM2Engine(t *testing.T) {
-	s := newTestServer(t, Config{Engine: pws.EngineM2, Shards: 2})
-	c := pipeClient(t, s)
-	for i := 0; i < 64; i++ {
-		c.Send("SET", fmt.Sprintf("k%03d", i), fmt.Sprintf("%d", i))
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if rep, err := c.Recv(); err != nil || rep.Str != "OK" {
-			t.Fatalf("reply %d: %+v, %v", i, rep, err)
+	forWindows(t, func(t *testing.T, cfg Config) {
+		cfg.Engine = pws.EngineM2
+		cfg.Shards = 2
+		s := newTestServer(t, cfg)
+		c := pipeClient(t, s)
+		const per, iters = 64, 200
+		for it := 0; it < iters; it++ {
+			for i := 0; i < per; i++ {
+				c.Send("SET", fmt.Sprintf("k%03d-%03d", it, i), fmt.Sprintf("%d", i))
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < per; i++ {
+				if rep, err := c.Recv(); err != nil || rep.Str != "OK" {
+					t.Fatalf("iter %d reply %d: %+v, %v", it, i, rep, err)
+				}
+			}
+			if n, err := c.Len(); err != nil || n != int64(per*(it+1)) {
+				t.Fatalf("iter %d: LEN = %d, %v after %d acked SETs", it, n, err, per*(it+1))
+			}
 		}
-	}
-	if n, err := c.Len(); err != nil || n != 64 {
-		t.Fatalf("LEN: %d, %v", n, err)
-	}
-	if v, ok, err := c.Get("k042"); err != nil || !ok || v != "42" {
-		t.Fatalf("GET: %q %v %v", v, ok, err)
-	}
+		if v, ok, err := c.Get("k007-042"); err != nil || !ok || v != "42" {
+			t.Fatalf("GET: %q %v %v", v, ok, err)
+		}
+	})
 }
 
 // TestServerScanConcurrentWritesAndClose is the scan-path teardown race:
@@ -497,15 +543,15 @@ func TestServerM2Engine(t *testing.T) {
 // be internally consistent (sorted, in-bounds, cursor well-formed): the
 // keys and values on the wire are map-owned copies or delivered before
 // the reader arena resets, so churned write traffic cannot corrupt them.
-// Run under -race this covers the batched range path against concurrent
-// ApplyInto/ApplyScattered and the Close drain.
+// Run under -race this covers the batched range path against the
+// scheduler's concurrent combined commits and the Close drain.
 func TestServerScanConcurrentWritesAndClose(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"per-conn", Config{}},
-		{"coalesced", Config{CoalesceWindow: 100 * time.Microsecond, CoalesceBatch: 64}},
+		{"window0", Config{}},
+		{"window100us", Config{CoalesceWindow: 100 * time.Microsecond, CoalesceBatch: 64}},
 		{"m2", Config{Engine: pws.EngineM2}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

@@ -104,22 +104,20 @@ func TestStatsTextGolden(t *testing.T) {
 		}
 	}
 
-	// The uncoalesced, uncounted server drops exactly the coalesce block
-	// and the work section.
+	// The default server (no window, no work counter) drops exactly the
+	// work section: the coalesce block is part of the one schema.
 	srv2 := New(Config{})
 	defer srv2.Close()
 	got2 := statsKeys(srv2.statsText())
 	var want2 []string
 	for _, k := range want {
-		switch {
-		case strings.HasPrefix(k, "coalesce_"),
-			k == "SECTION work", strings.HasPrefix(k, "work_"):
+		if k == "SECTION work" || strings.HasPrefix(k, "work_") {
 			continue
 		}
 		want2 = append(want2, k)
 	}
 	if fmt.Sprint(got2) != fmt.Sprint(want2) {
-		t.Errorf("plain server STATS schema:\ngot  %v\nwant %v", got2, want2)
+		t.Errorf("default server STATS schema:\ngot  %v\nwant %v", got2, want2)
 	}
 
 	// Disabling the front cache drops exactly its section; everything

@@ -4,10 +4,11 @@
 // deadline, plus a lazy min-heap ordering the deadlines for the sweep.
 //
 // The table's state transitions are driven from the engines, through
-// the core.TTLHooks installed at Map construction, so every transition
+// the core.KeyHooks installed at Map construction, so every transition
 // is ordered exactly with the engine op that causes it — arming (an
 // OpExpire resolving against a present key), clearing (an insert or
-// delete resolving), and retiring (the ghost consult when an engine
+// delete resolving — the Wrote hook, which also drops the front slot),
+// and retiring (the ghost consult when an engine
 // observes a present item past its deadline, which simultaneously
 // deletes the dead incarnation through the engine's normal delete
 // machinery). Nothing outside an engine ever mutates an entry's
@@ -134,7 +135,7 @@ func (t *expTable[K]) clear(k K) bool {
 	return had
 }
 
-// ghost is the engine-facing retire check (core.TTLHooks.Ghost): if k
+// ghost is the engine-facing retire check (core.KeyHooks.Ghost): if k
 // is armed with a deadline at or before now, the entry is removed and
 // ghost reports true — the calling engine is observing k's resident
 // incarnation and will delete it in the same critical section. At most
@@ -165,17 +166,6 @@ func (t *expTable[K]) expired(k K, now int64) bool {
 	dl, ok := t.dl[k]
 	t.mu.Unlock()
 	return ok && dl <= now
-}
-
-// deadline returns k's armed deadline (0 = none).
-func (t *expTable[K]) deadline(k K) int64 {
-	if t.n.Load() == 0 {
-		return 0
-	}
-	t.mu.Lock()
-	dl := t.dl[k]
-	t.mu.Unlock()
-	return dl
 }
 
 // dueKeys pops up to max heap entries whose deadlines are at or before

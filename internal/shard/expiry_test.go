@@ -401,7 +401,7 @@ func TestExpTableDueKeys(t *testing.T) {
 		t.Fatalf("dueKeys = %v, want [a] (stale entries must be discarded)", keys)
 	}
 	// The collected key keeps its table entry until an engine observes it.
-	if tb.deadline("a") != 50 {
+	if !tb.expired("a", 50) || tb.expired("a", 49) {
 		t.Fatal("dueKeys removed the table entry; retirement belongs to the ghost consult")
 	}
 	// But it is not collected twice while the sweep get is in flight.

@@ -61,10 +61,10 @@ type Config struct {
 	Telemetry bool
 	// FrontCache, when positive, equips each shard with a lock-free
 	// hot-key read front of that many entries (internal/frontcache):
-	// Get consults it before the engine, and every write invalidates
-	// its key at the batch commit boundary (inside ApplyScattered,
-	// before results are released), preserving batch-level
-	// linearizability. 0 disables the front.
+	// Get consults it before the engine, and every write drops its key
+	// from the front as it resolves inside the engine (core.KeyHooks
+	// Wrote — the key's serialization point, before any result of the
+	// batch is released). 0 disables the front.
 	FrontCache int
 	// MaxBytes, when positive, bounds the map's approximate resident
 	// bytes (keys + values + per-item structural overhead): the budget
@@ -80,10 +80,6 @@ type Config struct {
 
 // engineMap is the per-shard surface shared by core.M1 and core.M2.
 type engineMap[K cmp.Ordered, V any] interface {
-	Get(k K) (V, bool)
-	Insert(k K, v V) (V, bool)
-	Delete(k K) (V, bool)
-	Apply(ops []core.Op[K, V]) []core.Result[V]
 	ApplyInto(ops []core.Op[K, V], dst []core.Result[V]) []core.Result[V]
 	ApplyAsync(ops []core.Op[K, V]) core.Pending[K, V]
 	ApplyAsyncMulti(batches [][]core.Op[K, V]) core.Pending[K, V]
@@ -92,7 +88,7 @@ type engineMap[K cmp.Ordered, V any] interface {
 	Bytes() int64
 	Evicted() int64
 	SetOnEvict(fn func(K, V))
-	SetTTLHooks(h *core.TTLHooks[K])
+	SetKeyHooks(h *core.KeyHooks[K])
 	Batches() int64
 	Quiesce()
 	Close()
@@ -211,28 +207,28 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 		default:
 			m.shards[i] = core.NewM1[K, V](sc)
 		}
-		// An engine-initiated removal (budget eviction) must go through
-		// the same invalidation path as a client DEL: drop the key's
-		// front slot and its TTL before the eviction's batch releases.
+		// Every sidecar transition for a key — its cached front copy and
+		// its TTL — happens inside the engine, at the key's serialization
+		// point, through these hooks and nowhere else: a write resolving
+		// (Wrote), an OpExpire resolving (Arm), an engine observing a
+		// resident item past its deadline (Ghost), and the engine evicting
+		// a key under its byte budget (SetOnEvict). Each runs before the
+		// batch that caused it releases any result, so the front can never
+		// outlive the engine's copy and no reader can observe a new value
+		// and then a cached old one.
+		//
+		// Every hook drops the key's front slot FIRST and only then touches
+		// the expiry table. FrontGet consults the table before probing the
+		// front, so this order closes the retirement race: a reader that
+		// misses the entry is guaranteed to also miss the slot. (frontDrop
+		// is idempotent; the hooks own the key, so the check-then-remove
+		// pairs below cannot interleave with another mutation of it.)
 		t := m.exp[i]
 		m.shards[i].SetOnEvict(func(k K, _ V) {
 			m.frontDrop(k)
 			t.clear(k)
 		})
-		// The TTL hooks put every expiry-state transition at the
-		// engine's per-key serialization point (core.TTLHooks,
-		// expiry.go): arming, clearing on writes, and retiring expired
-		// incarnations as the engine observes them. Each transition
-		// that kills a resident value also drops its front slot, so
-		// the front can never outlive the engine's copy.
-		// Every hook that removes a table entry drops the key's front
-		// slot FIRST. FrontGet consults the table before probing the
-		// front, so this order closes the retirement race: a reader
-		// that misses the entry is guaranteed to also miss the slot.
-		// (frontDrop is idempotent; the hooks run at the key's engine
-		// serialization point, so the check-then-remove pairs below
-		// cannot interleave with another mutation of the same key.)
-		m.shards[i].SetTTLHooks(&core.TTLHooks[K]{
+		m.shards[i].SetKeyHooks(&core.KeyHooks[K]{
 			Ghost: func(k K) bool {
 				// Armed-count gate first: with no TTLs in the shard
 				// the per-observation cost is one atomic load, no
@@ -251,11 +247,9 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 				}
 				return false
 			},
-			Clear: func(k K) {
-				if t.deadline(k) != 0 {
-					m.frontDrop(k)
-					t.clear(k)
-				}
+			Wrote: func(k K) {
+				m.frontDrop(k)
+				t.clear(k)
 			},
 			Arm: func(k K, deadline int64) bool {
 				if deadline != 0 && deadline <= m.now() {
@@ -339,8 +333,9 @@ func (m *Map[K, V]) FrontGet(k K) (V, bool) {
 // fallback read through the batch pipeline; install the batch's result
 // through the returned ticket once it is released. The reservation
 // MUST be placed before the fallback op is submitted — that ordering
-// is what lets the commit-boundary invalidation sweep kill any install
-// whose value a later batch overwrote. The front retains the
+// is what lets a write's in-engine front drop kill any install whose
+// value the write overwrote: a fallback read that resolved before the
+// write reserved before the write's drop. The front retains the
 // reservation's key until the slot recycles: callers whose k aliases a
 // reusable buffer (the server's read arena) pass mk to materialize a
 // stable copy — called only when a slot is actually claimed — while
@@ -386,13 +381,14 @@ func (m *Map[K, V]) ttlAny() bool {
 // expOf returns the expiry table of the shard owning k.
 func (m *Map[K, V]) expOf(k K) *expTable[K] { return m.exp[m.shardOf(k)] }
 
-// frontDrop is the single commit-boundary invalidation path: every
-// removal or overwrite — client SET/DEL, TTL expiry, budget eviction —
-// funnels through here, so the front can never keep serving a value
-// the engines no longer hold. Invalidate-only (no refresh-in-place):
-// clearing commutes across concurrently-committing appliers, while
-// racing refreshes could publish values in an order that disagrees
-// with the engines' linearization.
+// frontDrop is the single front invalidation path. Its only callers are
+// the engine hooks installed in New — a write resolving, a ghost
+// retiring, an already-past EXPIRE, a budget eviction — so every removal
+// or overwrite drops the key's front slot at the key's engine
+// serialization point, and the front can never keep serving a value the
+// engines no longer hold. Invalidate-only (no refresh-in-place): a
+// refresh would have to publish from inside the engine's critical
+// section; a dropped hot key re-installs on its next miss.
 func (m *Map[K, V]) frontDrop(k K) {
 	if m.fronts == nil {
 		return
@@ -401,26 +397,25 @@ func (m *Map[K, V]) frontDrop(k K) {
 	m.fronts[h%uint64(len(m.shards))].Invalidate(h, k)
 }
 
-// commitBoundary is the batch commit boundary's bookkeeping. It runs
-// after the engines have applied the ops and their results sit in the
-// submitters' slices, but before ApplyScattered returns and the results
-// are released — so callers observe batch-level linearizability, the
-// same granularity the coalescer linearizes at. It invalidates the
-// front slot of every written key (the front-cache write contract) and
-// then runs the lazy expiry sweep. TTL result semantics need no fixing
-// up here: the engines resolve them exactly, at each key's
-// serialization point, through the core.TTLHooks.
-func (m *Map[K, V]) commitBoundary(batches [][]core.Op[K, V]) {
-	if m.fronts != nil {
-		for _, ops := range batches {
-			for i := range ops {
-				switch ops[i].Kind {
-				case core.OpInsert, core.OpDelete:
-					m.frontDrop(ops[i].Key)
-				}
-			}
-		}
-	}
+// commitBoundary is the shard layer's share of a batch commit, run once
+// per ApplyScattered call after collect. The whole boundary, in order:
+//
+//  1. collect — the engines apply every op. As each write, expire or
+//     ghost observation resolves at its key's serialization point the
+//     core.KeyHooks drop the key's front slot and settle its TTL; budget
+//     eviction at the engine's batch end does the same through
+//     SetOnEvict. When collect returns, every result sits in its
+//     submitter's slice and no sidecar holds state the engines
+//     contradict.
+//  2. sweep — here: lazily retire due TTLs (reclamation only; an expired
+//     key already reads as absent).
+//  3. durable hook — ApplyScattered returns to the server's applier,
+//     which appends the batch to the WAL and syncs per policy.
+//  4. release — the coalescer releases the batch's waiters; replies are
+//     written.
+//
+// Nothing here depends on which ops the batch carried.
+func (m *Map[K, V]) commitBoundary() {
 	m.sweep()
 }
 
@@ -434,10 +429,10 @@ func (m *Map[K, V]) commitBoundary(batches [][]core.Op[K, V]) {
 // absent, so the get neither revives recency nor returns a value). A
 // write racing the sweep serializes with the observation either way:
 // if it resolves first it clears the deadline and the get degrades to
-// a harmless read of the fresh value. Runs at batch commit boundaries
-// and after the singleton Get/Insert/Delete point ops (so a library
-// workload that never batches still reclaims expired keys); the common
-// no-TTL and nothing-due cases pay S atomic loads, no clock read and no
+// a harmless read of the fresh value. Runs at every batch commit
+// boundary — point ops are one-op batches, so a library workload that
+// never batches still reclaims expired keys; the common no-TTL and
+// nothing-due cases pay S atomic loads, no clock read and no
 // allocation, keeping the due-key work itself off the per-op hot path.
 // Concurrent sweeps are safe: dueKeys hands out disjoint key sets and
 // ghost retirement is exactly-once.
@@ -477,51 +472,44 @@ func (m *Map[K, V]) enter() {
 	}
 }
 
+// applyOne runs one operation as a one-op batch: ApplyScattered is the
+// only way into the engines, so point ops share the batch path's commit
+// boundary instead of restating it.
+func (m *Map[K, V]) applyOne(op core.Op[K, V]) core.Result[V] {
+	ops := [1]core.Op[K, V]{op}
+	var res [1]core.Result[V]
+	m.ApplyInto(ops[:], res[:])
+	return res[0]
+}
+
 // Get searches for key k. With the front cache enabled the hot path is
 // a lock-free front probe; misses fall through to the engine and
 // install the result behind a reservation placed before the engine
-// read (so a concurrent write batch invalidates the in-flight
-// population rather than racing it). Get callers pass ordinary Go
-// strings/values they own — the front may retain k.
+// read (so a write resolving in between drops the in-flight population
+// rather than racing it). Get callers pass ordinary Go strings/values
+// they own — the front may retain k.
 func (m *Map[K, V]) Get(k K) (V, bool) {
 	if v, ok := m.FrontGet(k); ok {
 		return v, true
 	}
 	t := m.FrontReserve(k, nil)
-	m.enter()
-	v, ok := m.shards[m.shardOf(k)].Get(k)
-	m.sweep()
-	m.pending.Done()
-	// No expiry post-check: the engine's own resolution consulted the
-	// ghost hook at the key's serialization point, so an expired key
-	// already read as absent (and was removed).
-	t.Install(v, ok)
-	return v, ok
+	r := m.applyOne(core.Op[K, V]{Kind: core.OpGet, Key: k})
+	t.Install(r.Val, r.OK)
+	return r.Val, r.OK
 }
 
 // Insert adds k with value v, or updates it if present; it returns the
 // previous value and whether the key existed.
 func (m *Map[K, V]) Insert(k K, v V) (V, bool) {
-	m.enter()
-	defer m.pending.Done()
-	prev, ok := m.shards[m.shardOf(k)].Insert(k, v)
-	// TTL clearing (a fresh SET carries no TTL) and expired-previous-
-	// value semantics resolved in-engine via the hooks; the boundary
-	// only owes the front-cache write invalidation.
-	m.frontDrop(k)
-	m.sweep()
-	return prev, ok
+	r := m.applyOne(core.Op[K, V]{Kind: core.OpInsert, Key: k, Val: v})
+	return r.Val, r.OK
 }
 
 // Delete removes k; it returns the removed value and whether the key
 // existed.
 func (m *Map[K, V]) Delete(k K) (V, bool) {
-	m.enter()
-	defer m.pending.Done()
-	prev, ok := m.shards[m.shardOf(k)].Delete(k)
-	m.frontDrop(k)
-	m.sweep()
-	return prev, ok
+	r := m.applyOne(core.Op[K, V]{Kind: core.OpDelete, Key: k})
+	return r.Val, r.OK
 }
 
 // Expire arms an absolute unix-nano deadline on k, riding the batch
@@ -530,10 +518,7 @@ func (m *Map[K, V]) Delete(k K) (V, bool) {
 // deadline 0 clears an armed TTL. Returns whether k was present (and
 // not already expired) — Redis EXPIRE semantics.
 func (m *Map[K, V]) Expire(k K, deadline int64) bool {
-	ops := [1]core.Op[K, V]{{Kind: core.OpExpire, Key: k, Deadline: deadline}}
-	var res [1]core.Result[V]
-	m.ApplyInto(ops[:], res[:])
-	return res[0].OK
+	return m.applyOne(core.Op[K, V]{Kind: core.OpExpire, Key: k, Deadline: deadline}).OK
 }
 
 // Apply submits a whole batch of operations at once and waits for all of
@@ -760,13 +745,9 @@ func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 // per-shard sub-batches still combine duplicates across submitters,
 // because the shard engines see one batch.
 //
-// The split is a two-pass counting sort into pooled scratch: pass one
-// routes every op and counts per shard, pass two lays the ops out
-// contiguously by shard. A combined batch that lands entirely in one
-// shard is submitted as-is and collected on the calling goroutine — no
-// regrouping, no handoff. Multi-shard batches are submitted shard by
-// shard (cheap, non-blocking) and collected by the persistent per-shard
-// workers, the caller taking the last sub-batch itself.
+// It is the only way into the engines for point operations: Apply and
+// ApplyInto are its one-batch case, Get/Insert/Delete/Expire its one-op
+// case, so every operation ends in the same commitBoundary.
 func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Result[V]) {
 	m.enter()
 	defer m.pending.Done()
@@ -777,6 +758,21 @@ func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Resu
 	if total == 0 {
 		return
 	}
+	m.collect(batches, dsts, total)
+	m.commitBoundary()
+}
+
+// collect is ApplyScattered's split → submit → collect → scatter: when it
+// returns every op is applied and its result delivered.
+//
+// The split is a two-pass counting sort into pooled scratch: pass one
+// routes every op and counts per shard, pass two lays the ops out
+// contiguously by shard. A combined batch that lands entirely in one
+// shard is submitted as-is and collected on the calling goroutine — no
+// regrouping, no handoff. Multi-shard batches are submitted shard by
+// shard (cheap, non-blocking) and collected by the persistent per-shard
+// workers, the caller taking the last sub-batch itself.
+func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], total int) {
 	// Stage timing is per batch (two clock reads when enabled), recorded
 	// as fanout (split + submit) and apply (submit to last result).
 	var t0 int64
@@ -788,7 +784,6 @@ func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Resu
 		tApply := m.markFanout(t0)
 		pend.CollectScattered(dsts)
 		m.stages.RecordSince(obs.StageApply, tApply)
-		m.commitBoundary(batches)
 		return
 	}
 
@@ -834,7 +829,6 @@ func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Resu
 		tApply := m.markFanout(t0)
 		pend.CollectScattered(dsts)
 		m.stages.RecordSince(obs.StageApply, tApply)
-		m.commitBoundary(batches)
 		return
 	}
 
@@ -896,11 +890,6 @@ func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Resu
 			i++
 		}
 	}
-	// Commit boundary: the engines have applied every op and the results
-	// sit in the submitters' slices; fix up expired observations, clear
-	// written keys from the front and sweep due TTLs before the results
-	// leave this call.
-	m.commitBoundary(batches)
 }
 
 // markFanout closes the fanout stage opened at t0 and opens the apply

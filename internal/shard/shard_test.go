@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -59,6 +60,9 @@ func TestShardedAgainstReference(t *testing.T) {
 			if m.Len() != len(ref) {
 				t.Fatalf("Len = %d, want %d", m.Len(), len(ref))
 			}
+			// M2 delivers results ahead of its structural tail work;
+			// CheckInvariants needs the engines idle.
+			m.Quiesce()
 			if err := m.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -273,6 +277,61 @@ func TestShardedConcurrent(t *testing.T) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// TestFrontCacheNoStaleRead is the front cache's write contract at the
+// library surface: one writer bumps a hot key while readers keep it hot
+// in the front, and every reader's view must be monotone — having seen
+// value n (from the engine or the front), it may never then see an older
+// one. That holds only if a write drops the key's front slot at the
+// key's engine serialization point; dropping it any later lets a reader
+// whose engine read already resolved behind the write return the new
+// value while the old one is still cached for its next Get. Needs real
+// parallelism to bite, so it pins GOMAXPROCS to 2.
+func TestFrontCacheNoStaleRead(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const (
+		readers = 3
+		writes  = 20000
+	)
+	m := New[string, int](Config{Shards: 2, FrontCache: 64})
+	defer m.Close()
+	m.Insert("hot", 0)
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	var stale atomic.Int64
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := -1
+			for n := 0; !done.Load(); n++ {
+				// Three spinning readers on two Ps can hold a woken
+				// writer off-CPU for a whole time slice; a periodic
+				// yield keeps the run at milliseconds while leaving
+				// 63 of 64 reads truly parallel with the writer.
+				if n%64 == 63 {
+					runtime.Gosched()
+				}
+				v, ok := m.Get("hot")
+				if !ok || v < last {
+					stale.Add(1)
+					t.Errorf("Get(hot) = %d, %v after reading %d", v, ok, last)
+					return
+				}
+				last = v
+			}
+		}()
+	}
+	for i := 1; i <= writes && stale.Load() == 0; i++ {
+		m.Insert("hot", i)
+	}
+	done.Store(true)
+	wg.Wait()
+	if fs := m.FrontStats(); fs.Hits == 0 || fs.Invalidates == 0 {
+		t.Errorf("front idle during the run: %+v (want hits and invalidates)", fs)
 	}
 }
 

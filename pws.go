@@ -245,8 +245,9 @@ type ShardedOptions struct {
 	// FrontCache, when positive, puts a lock-free hot-key read front of
 	// that many entries ahead of each shard (internal/frontcache): Get
 	// answers recently-read keys in nanoseconds without entering the
-	// batch pipeline, and every write invalidates its key at the batch
-	// commit boundary, so batch-level linearizability is preserved. 0
+	// batch pipeline, and every write drops its key from the front as it
+	// resolves inside the engine — before any result of its batch is
+	// released — so a cached read never shadows a newer value. 0
 	// disables the front. Hits appear in the depth telemetry as source
 	// "front" at depth 0.
 	FrontCache int
