@@ -1,0 +1,52 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// TestAllocsM1FreshInsert bounds the mallocs a brand-new key costs M1 at
+// batch 128, with the server's string keys and values. Measured 4.7: the
+// item's two leaves, ~1.5 routing nodes the growing trees take beyond
+// what the pool returns, and two leaf slices per batch. The insert
+// cascade (S[0] front, each segment's overflow popped from its back into
+// the next) runs on the slab's moveScratch and adds nothing per level; it
+// was 18.3 when every level made its own slices and every batch-op
+// recursion step heap-allocated its two results. Skipped under -race
+// (inflated counts).
+func TestAllocsM1FreshInsert(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts inflated under -race")
+	}
+	const preload, batch, batches = 1 << 15, 128, 64
+	m := NewM1[string, string](Config{P: 2})
+	defer m.Close()
+	val := string(make([]byte, 64))
+	key := func(i int) string { return fmt.Sprintf("k%08d", i*7919%(1<<24)) }
+	all := make([][]Op[string, string], preload/batch+batches)
+	for j := range all {
+		all[j] = make([]Op[string, string], batch)
+		for i := range all[j] {
+			all[j][i] = Op[string, string]{Kind: OpInsert, Key: key(j*batch + i), Val: val}
+		}
+	}
+	var res []Result[string]
+	for _, ops := range all[:preload/batch] { // preload, and warm scratch and pools
+		res = m.ApplyInto(ops, res)
+	}
+	m.Quiesce()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ops := range all[preload/batch:] {
+		res = m.ApplyInto(ops, res)
+	}
+	m.Quiesce()
+	runtime.ReadMemStats(&after)
+	perInsert := float64(after.Mallocs-before.Mallocs) / (batch * batches)
+	t.Logf("%.2f mallocs per fresh insert at batch %d", perInsert, batch)
+	const ceiling = 6.0
+	if perInsert > ceiling {
+		t.Errorf("fresh insert: %.2f mallocs per item at batch %d, ceiling %.1f", perInsert, batch, ceiling)
+	}
+}

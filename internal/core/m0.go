@@ -22,6 +22,7 @@ type M0[K cmp.Ordered, V any] struct {
 	size  int
 	cnt   *metrics.Counter
 	pools segPools[K, V]
+	ms    moveScratch[K, V]
 }
 
 // NewM0 creates an empty map. cnt may be nil; when set, structural work is
@@ -58,14 +59,14 @@ func (m *M0[K, V]) find(k K) (int, *kmLeaf[K, V]) {
 // front of S[i] to preserve segment sizes.
 func (m *M0[K, V]) promote(i int, k K) {
 	seg := m.segs[i]
-	mb := seg.removeItems([]K{k})
+	mb := m.ms.removeItems(seg, []K{k})
 	tgt := i - 1
 	if tgt < 0 {
 		tgt = 0
 	}
 	m.segs[tgt].pushFront(mb)
 	if i > 0 {
-		shift := m.segs[i-1].popBack(1)
+		shift := m.ms.popBack(m.segs[i-1], 1)
 		m.segs[i].pushFront(shift)
 	}
 }
@@ -100,7 +101,7 @@ func (m *M0[K, V]) Insert(k K, v V) (V, bool) {
 		m.segs = append(m.segs, newSegment[K, V](len(m.segs), m.cnt, m.pools))
 		last = m.segs[len(m.segs)-1]
 	}
-	last.pushBack(newItems([]K{k}, []V{v}, []K{k}))
+	last.pushBack(newItems([]K{k}, []V{v}))
 	m.size++
 	var zero V
 	return zero, false
@@ -115,14 +116,14 @@ func (m *M0[K, V]) Delete(k K) (V, bool) {
 		return zero, false
 	}
 	v := leaf.Payload.val
-	m.segs[i].removeItems([]K{k})
+	m.ms.removeItems(m.segs[i], []K{k})
 	m.size--
 	for j := i; j < len(m.segs)-1; j++ {
 		next := m.segs[j+1]
 		if next.size() == 0 {
 			break
 		}
-		mb := next.popFront(1)
+		mb := m.ms.popFront(next, 1)
 		m.segs[j].pushBack(mb)
 	}
 	for len(m.segs) > 0 && m.segs[len(m.segs)-1].size() == 0 {

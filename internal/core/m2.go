@@ -793,7 +793,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 
 	// 4g: rearward transfer if S[k-1] exceeds capacity.
 	if ex := prev.overBy(); ex > 0 {
-		tb := prev.popBack(ex)
+		tb := f.ms.popBack(prev, ex)
 		for _, lf := range tb.kmLeaves {
 			f.recordPrev(pos, snapKV[K, V]{key: lf.Key, del: true})
 			f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, val: lf.Payload.val})
@@ -810,7 +810,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	if under := prev.underBy(); under > 0 && dSucc > 0 {
 		x := min(under, f.seg.size(), dSucc)
 		if x > 0 {
-			tb := f.seg.popFront(x)
+			tb := f.ms.popFront(f.seg, x)
 			for _, lf := range tb.kmLeaves {
 				f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, del: true})
 				f.recordPrev(pos, snapKV[K, V]{key: lf.Key, val: lf.Payload.val})
@@ -829,7 +829,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	// most the first slab's ~couple dozen items) is the budget floor.
 	if deepest && m.mem.over() {
 		for m.mem.over() && f.seg.size() > 0 {
-			tb := f.seg.popBack(min(evictChunk, f.seg.size()))
+			tb := f.ms.popBack(f.seg, evictChunk)
 			for _, lf := range tb.kmLeaves {
 				m.mem.evict(lf.Key, lf.Payload.val)
 				f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, del: true})
@@ -935,7 +935,7 @@ func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V], po
 	}
 	m.cfg.Obs.RecordLookup(obs.SrcTail, f.k+1, tailCalls)
 	if len(insKeys) > 0 {
-		target.pushFront(newItems(insKeys, insVals, insKeys))
+		target.pushFront(newItems(insKeys, insVals))
 		if pos >= 1 {
 			for i, k := range insKeys {
 				f.evFront = append(f.evFront, snapKV[K, V]{key: k, val: insVals[i]})

@@ -31,20 +31,22 @@ func TestM2UseAfterClosePanics(t *testing.T) {
 
 func TestSegmentRemoveAbsentPanics(t *testing.T) {
 	s := newSegment[int, int](2, nil, newSegPools[int, int]())
-	s.pushBack(newItems([]int{1, 2, 3}, []int{1, 2, 3}, []int{1, 2, 3}))
+	s.pushBack(newItems([]int{1, 2, 3}, []int{1, 2, 3}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic removing absent key")
 		}
 	}()
-	s.removeItems([]int{1, 99})
+	var ms moveScratch[int, int]
+	ms.removeItems(s, []int{1, 99})
 }
 
 func TestSegmentMoveRoundTrip(t *testing.T) {
 	a := newSegment[int, int](3, nil, newSegPools[int, int]())
 	b := newSegment[int, int](3, nil, newSegPools[int, int]())
-	a.pushBack(newItems([]int{1, 2, 3, 4, 5}, []int{10, 20, 30, 40, 50}, []int{1, 2, 3, 4, 5}))
-	mb := a.popBack(2) // items 4, 5 (least recent)
+	a.pushBack(newItems([]int{1, 2, 3, 4, 5}, []int{10, 20, 30, 40, 50}))
+	var ms moveScratch[int, int]
+	mb := ms.popBack(a, 2) // items 4, 5 (least recent)
 	b.pushFront(mb)
 	if a.size() != 3 || b.size() != 2 {
 		t.Fatalf("sizes %d, %d", a.size(), b.size())
@@ -61,27 +63,12 @@ func TestSegmentMoveRoundTrip(t *testing.T) {
 		t.Fatal("value lost in transit")
 	}
 	// And back again.
-	a.pushBack(b.popFront(2))
+	a.pushBack(ms.popFront(b, 2))
 	if a.size() != 5 || b.size() != 0 {
 		t.Fatalf("sizes after return %d, %d", a.size(), b.size())
 	}
 	if err := a.checkInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMoveBatchFilter(t *testing.T) {
-	mb := newItems([]int{1, 2, 3, 4}, []int{1, 2, 3, 4}, []int{4, 3, 2, 1})
-	kept, dropped := mb.filterByKeys(func(k int) bool { return k%2 == 0 })
-	if kept.len() != 2 || dropped.len() != 2 {
-		t.Fatalf("kept %d dropped %d", kept.len(), dropped.len())
-	}
-	// Orders preserved: km by key, rec by given recency order.
-	if kept.kmLeaves[0].Key != 2 || kept.kmLeaves[1].Key != 4 {
-		t.Fatal("km order broken")
-	}
-	if kept.recLeaves[0].Key != 4 || kept.recLeaves[1].Key != 2 {
-		t.Fatal("rec order broken")
 	}
 }
 

@@ -106,58 +106,35 @@ type moveBatch[K cmp.Ordered, V any] struct {
 
 func (mb moveBatch[K, V]) len() int { return len(mb.kmLeaves) }
 
-// newItems builds a moveBatch of brand-new items. keysSorted must be sorted
-// and distinct; recOrder lists the same keys in the desired recency order
-// (most recent first); vals is keyed by key order (aligned with
-// keysSorted).
-func newItems[K cmp.Ordered, V any](keysSorted []K, vals []V, recOrder []K) moveBatch[K, V] {
-	recLeaves := make([]*twothree.SeqLeaf[K], len(recOrder))
-	byKey := make(map[K]*twothree.SeqLeaf[K], len(recOrder))
-	for i, k := range recOrder {
-		leaf := twothree.NewLeaf(k, struct{}{})
-		recLeaves[i] = leaf
-		byKey[k] = leaf
-	}
+// newItems builds a moveBatch of brand-new items from keysSorted (sorted,
+// distinct) and the values aligned with it. The recency order is the key
+// order, so the two leaf slices are index-aligned.
+func newItems[K cmp.Ordered, V any](keysSorted []K, vals []V) moveBatch[K, V] {
 	kmLeaves := make([]*kmLeaf[K, V], len(keysSorted))
+	recLeaves := make([]*twothree.SeqLeaf[K], len(keysSorted))
 	for i, k := range keysSorted {
-		kmLeaves[i] = twothree.NewLeaf(k, segPayload[K, V]{val: vals[i], rec: byKey[k]})
+		recLeaves[i] = twothree.NewLeaf(k, struct{}{})
+		kmLeaves[i] = twothree.NewLeaf(k, segPayload[K, V]{val: vals[i], rec: recLeaves[i]})
 	}
 	return moveBatch[K, V]{kmLeaves: kmLeaves, recLeaves: recLeaves}
 }
 
-// removeItems deletes the given present keys (sorted, distinct) from the
-// segment and returns them as a moveBatch. Panics if a key is absent —
-// callers only remove keys found by a prior search.
-func (s *segment[K, V]) removeItems(keys []K) moveBatch[K, V] {
-	if len(keys) == 0 {
-		return moveBatch[K, V]{}
-	}
-	kmLeaves := s.km.BatchDelete(keys)
-	recs := make([]*twothree.SeqLeaf[K], len(kmLeaves))
-	for i, lf := range kmLeaves {
-		if lf == nil {
-			panic(fmt.Sprintf("core: removeItems: key %v absent", keys[i]))
-		}
-		recs[i] = lf.Payload.rec
-	}
-	recLeaves := s.rec.Remove(recs)
-	return moveBatch[K, V]{kmLeaves: kmLeaves, recLeaves: recLeaves}
-}
-
-// moveScratch backs allocation-free segment removals: removeItems whose
-// returned moveBatch aliases the scratch, valid until the next removal
-// through the same scratch. One instance per single-threaded user (the
-// slab's engine run, each final slab segment's activation).
+// moveScratch backs allocation-free segment removals: the moveBatch a
+// removal returns aliases the scratch and is valid until the next removal
+// through the same scratch — every caller pushes it into its destination
+// segment before removing again. One instance per single-threaded user
+// (M0, the slab's engine run, each final slab segment's activation).
 type moveScratch[K cmp.Ordered, V any] struct {
+	keys   []K
 	del    []*kmLeaf[K, V]
 	recOrd []*twothree.SeqLeaf[K]
 	rank   []int
 	rec    []*twothree.SeqLeaf[K]
 }
 
-// removeItems is segment.removeItems into the scratch: it deletes the
-// given present keys (sorted, distinct) from seg and returns them as a
-// moveBatch aliasing ms.
+// removeItems deletes the given present keys (sorted, distinct) from seg
+// and returns them as a moveBatch. Panics if a key is absent — callers
+// only remove keys found by a prior search.
 func (ms *moveScratch[K, V]) removeItems(seg *segment[K, V], keys []K) moveBatch[K, V] {
 	if len(keys) == 0 {
 		return moveBatch[K, V]{}
@@ -177,35 +154,38 @@ func (ms *moveScratch[K, V]) removeItems(seg *segment[K, V], keys []K) moveBatch
 	return moveBatch[K, V]{kmLeaves: kmLeaves, recLeaves: recLeaves}
 }
 
-// popBack removes the x least recent items (x is clamped to the segment
-// size) and returns them in recency order.
-func (s *segment[K, V]) popBack(x int) moveBatch[K, V] {
-	recLeaves := s.rec.PopBack(x)
-	return s.deleteByRecLeaves(recLeaves)
+// popBack removes the x least recent items of seg (x is clamped to the
+// segment size) and returns them in recency order.
+func (ms *moveScratch[K, V]) popBack(seg *segment[K, V], x int) moveBatch[K, V] {
+	ms.rec = seg.rec.PopBack(x, grow(ms.rec, min(x, seg.size())))
+	return ms.deleteByRecLeaves(seg)
 }
 
-// popFront removes the x most recent items.
-func (s *segment[K, V]) popFront(x int) moveBatch[K, V] {
-	recLeaves := s.rec.PopFront(x)
-	return s.deleteByRecLeaves(recLeaves)
+// popFront removes the x most recent items of seg.
+func (ms *moveScratch[K, V]) popFront(seg *segment[K, V], x int) moveBatch[K, V] {
+	ms.rec = seg.rec.PopFront(x, grow(ms.rec, min(x, seg.size())))
+	return ms.deleteByRecLeaves(seg)
 }
 
-func (s *segment[K, V]) deleteByRecLeaves(recLeaves []*twothree.SeqLeaf[K]) moveBatch[K, V] {
-	if len(recLeaves) == 0 {
+// deleteByRecLeaves finishes a pop: ms.rec has left seg's recency-map, and
+// the same items now leave its key-map.
+func (ms *moveScratch[K, V]) deleteByRecLeaves(seg *segment[K, V]) moveBatch[K, V] {
+	if len(ms.rec) == 0 {
 		return moveBatch[K, V]{}
 	}
-	keys := make([]K, len(recLeaves))
-	for i, lf := range recLeaves {
-		keys[i] = lf.Key
+	ms.keys = grow(ms.keys, len(ms.rec))
+	for i, lf := range ms.rec {
+		ms.keys[i] = lf.Key
 	}
-	slices.Sort(keys)
-	kmLeaves := s.km.BatchDelete(keys)
+	slices.Sort(ms.keys)
+	ms.del = grow(ms.del, len(ms.keys))
+	kmLeaves := seg.km.BatchDeleteInto(ms.keys, ms.del)
 	for i, lf := range kmLeaves {
 		if lf == nil {
-			panic(fmt.Sprintf("core: segment key-map missing key %v from recency map", keys[i]))
+			panic(fmt.Sprintf("core: segment key-map missing key %v from recency map", ms.keys[i]))
 		}
 	}
-	return moveBatch[K, V]{kmLeaves: kmLeaves, recLeaves: recLeaves}
+	return moveBatch[K, V]{kmLeaves: kmLeaves, recLeaves: ms.rec}
 }
 
 // pushFront inserts the batch at the most recent end of the segment.
@@ -230,8 +210,7 @@ func (s *segment[K, V]) pushBack(mb moveBatch[K, V]) {
 // satisfies keepIdx and the recency leaves whose key satisfies keepKey
 // (the two views are in different orders, hence the two predicates —
 // callers must make them agree). Both internal orders are preserved; the
-// returned moveBatch aliases mb's slices. The allocation-free counterpart
-// of filterByKeys for callers that discard the dropped items.
+// returned moveBatch aliases mb's slices.
 func (mb moveBatch[K, V]) keepOnly(keepIdx func(int) bool, keepKey func(K) bool) moveBatch[K, V] {
 	w := 0
 	for i, lf := range mb.kmLeaves {
@@ -250,26 +229,6 @@ func (mb moveBatch[K, V]) keepOnly(keepIdx func(int) bool, keepKey func(K) bool)
 	}
 	kept.recLeaves = mb.recLeaves[:w]
 	return kept
-}
-
-// filterByKeys splits mb into (kept, dropped) according to keep, preserving
-// both internal orders.
-func (mb moveBatch[K, V]) filterByKeys(keep func(K) bool) (kept, dropped moveBatch[K, V]) {
-	for _, lf := range mb.kmLeaves {
-		if keep(lf.Key) {
-			kept.kmLeaves = append(kept.kmLeaves, lf)
-		} else {
-			dropped.kmLeaves = append(dropped.kmLeaves, lf)
-		}
-	}
-	for _, lf := range mb.recLeaves {
-		if keep(lf.Key) {
-			kept.recLeaves = append(kept.recLeaves, lf)
-		} else {
-			dropped.recLeaves = append(dropped.recLeaves, lf)
-		}
-	}
-	return kept, dropped
 }
 
 // checkInvariants validates the segment's internal consistency (test

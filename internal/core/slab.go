@@ -31,7 +31,7 @@ type slab[K cmp.Ordered, V any] struct {
 	fGroups  []*group[K, V]    // groups of found keys, aligned with fKeys
 	fPresent []bool            // net-present after resolve, aligned with fKeys
 	finished []*group[K, V]    // groups completed this pass
-	ms       moveScratch[K, V] // removeItemsInto scratch
+	ms       moveScratch[K, V] // segment removal scratch
 }
 
 // grow returns s[:n], reallocating when the capacity is short.
@@ -40,14 +40,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// removeItemsInto is segment.removeItems using the slab's scratch: it
-// deletes the given present keys (sorted, distinct) from seg and returns
-// them as a moveBatch whose slices alias slab scratch — valid until the
-// next pass.
-func (s *slab[K, V]) removeItemsInto(seg *segment[K, V], keys []K) moveBatch[K, V] {
-	return s.ms.removeItems(seg, keys)
 }
 
 // pass processes the pending groups at segment k (Section 6.1): search,
@@ -83,7 +75,7 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 			}
 			s.obs.RecordLookup(obs.SrcFirstSlab, k, n)
 		}
-		mb := s.removeItemsInto(seg, fKeys)
+		mb := s.ms.removeItems(seg, fKeys)
 		s.fPresent = grow(s.fPresent, len(fGroups))
 		finished := s.finished[:0]
 		for i, g := range fGroups {
@@ -155,14 +147,14 @@ func (s *slab[K, V]) restore(k int) {
 		}
 		want := capPrefix(i - 1)
 		if prefix > want {
-			mb := s.segs[i-1].popBack(prefix - want)
+			mb := s.ms.popBack(s.segs[i-1], prefix-want)
 			s.segs[i].pushFront(mb)
 		} else if prefix < want && s.segs[i].size() > 0 {
 			x := want - prefix
 			if sz := s.segs[i].size(); x > sz {
 				x = sz
 			}
-			mb := s.segs[i].popFront(x)
+			mb := s.ms.popFront(s.segs[i], x)
 			s.segs[i-1].pushBack(mb)
 		}
 	}
@@ -192,7 +184,7 @@ func (s *slab[K, V]) insertFront(keysSorted []K, vals []V, maxSegs int) moveBatc
 	if len(s.segs) == 0 {
 		s.segs = append(s.segs, newSegment[K, V](0, s.cnt, s.pools))
 	}
-	s.segs[0].pushFront(newItems(keysSorted, vals, keysSorted))
+	s.segs[0].pushFront(newItems(keysSorted, vals))
 	for l := 0; ; l++ {
 		ex := s.segs[l].overBy()
 		if ex == 0 {
@@ -200,11 +192,11 @@ func (s *slab[K, V]) insertFront(keysSorted []K, vals []V, maxSegs int) moveBatc
 		}
 		if l == len(s.segs)-1 {
 			if maxSegs > 0 && len(s.segs) == maxSegs {
-				return s.segs[l].popBack(ex)
+				return s.ms.popBack(s.segs[l], ex)
 			}
 			s.segs = append(s.segs, newSegment[K, V](l+1, s.cnt, s.pools))
 		}
-		s.segs[l+1].pushFront(s.segs[l].popBack(ex))
+		s.segs[l+1].pushFront(s.ms.popBack(s.segs[l], ex))
 	}
 }
 
@@ -221,7 +213,7 @@ func (s *slab[K, V]) evictColdest(n int) int {
 	if sz := s.segs[l].size(); n > sz {
 		n = sz
 	}
-	mb := s.segs[l].popBack(n)
+	mb := s.ms.popBack(s.segs[l], n)
 	for _, lf := range mb.kmLeaves {
 		s.mem.evict(lf.Key, lf.Payload.val)
 	}

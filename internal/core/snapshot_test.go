@@ -58,7 +58,7 @@ func TestSegSnapRandomized(t *testing.T) {
 		sortInts(dels)
 		sortInts(ins)
 		if len(dels) > 0 {
-			f.seg.removeItems(dels)
+			f.ms.removeItems(f.seg, dels)
 			for _, k := range dels {
 				events = append(events, snapKV[int, int]{key: k, del: true})
 			}
@@ -71,7 +71,7 @@ func TestSegSnapRandomized(t *testing.T) {
 				model[k] = v
 				events = append(events, snapKV[int, int]{key: k, val: v})
 			}
-			f.seg.pushFront(newItems(ins, insVals, ins))
+			f.seg.pushFront(newItems(ins, insVals))
 		}
 
 		if round%17 == 16 {

@@ -77,7 +77,7 @@ func BenchmarkSeqTransfer(b *testing.B) {
 	s.PushBack(keys)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		moved := s.PopBack(64)
+		moved := s.PopBack(64, nil)
 		s.PushFrontLeaves(moved)
 	}
 }

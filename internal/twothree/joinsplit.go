@@ -6,61 +6,61 @@ import "cmp"
 // b) and returns the root of the result. It runs in O(|height(a)-height(b)|
 // + 1) time, mutating spine nodes in place so that leaf identities (and
 // their parent chains) remain valid.
-func join[K cmp.Ordered, P any](np *NodePool[K, P], a, b *Node[K, P]) *Node[K, P] {
+func join[K cmp.Ordered, P any](np *NodePool[K, P], a, b ref[K, P]) ref[K, P] {
 	switch {
-	case a == nil:
-		return detach(b)
-	case b == nil:
-		return detach(a)
+	case a.empty():
+		return b.detach()
+	case b.empty():
+		return a.detach()
 	case a.h == b.h:
-		return detach(mk2(np, detach(a), detach(b)))
+		return innerRef(mk2(np, a, b))
 	case a.h > b.h:
-		x, y := joinRight(np, detach(a), detach(b))
+		x, y := joinRight(np, a.detach().node(), b.detach())
 		if y != nil {
-			return detach(mk2(np, x, y))
+			return innerRef(mk2(np, innerRef(x), innerRef(y)))
 		}
-		return detach(x)
+		return innerRef(x)
 	default:
-		x, y := joinLeft(np, detach(b), detach(a))
+		x, y := joinLeft(np, b.detach().node(), a.detach())
 		if y != nil {
-			return detach(mk2(np, y, x))
+			return innerRef(mk2(np, innerRef(y), innerRef(x)))
 		}
-		return detach(x)
+		return innerRef(x)
 	}
 }
 
 // joinRight hangs b (with height(b) < height(a)) below a's rightmost spine.
 // It returns one or two nodes of height a.h that together hold all leaves
 // in order; when two are returned the second goes to the right.
-func joinRight[K cmp.Ordered, P any](np *NodePool[K, P], a, b *Node[K, P]) (x, y *Node[K, P]) {
+func joinRight[K cmp.Ordered, P any](np *NodePool[K, P], a *inner[K, P], b ref[K, P]) (x, y *inner[K, P]) {
 	if a.h == b.h+1 {
 		if a.nc == 2 {
-			a.child[2] = b
+			a.setKid(2, b)
 			a.nc = 3
 			refresh(a)
 			return a, nil
 		}
-		c2 := a.child[2]
-		a.child[2] = nil
+		c2 := a.kid(2)
+		a.setKid(2, ref[K, P]{})
 		a.nc = 2
 		refresh(a)
 		return a, mk2(np, c2, b)
 	}
-	r1, r2 := joinRight(np, a.child[a.nc-1], b)
-	a.child[a.nc-1] = r1
+	r1, r2 := joinRight(np, a.kid(a.nc-1).node(), b)
+	a.setKid(a.nc-1, innerRef(r1))
 	if r2 == nil {
 		refresh(a)
 		return a, nil
 	}
 	if a.nc == 2 {
-		a.child[2] = r2
+		a.setKid(2, innerRef(r2))
 		a.nc = 3
 		refresh(a)
 		return a, nil
 	}
 	// a had three children; keep (c0, c1) in a and split off (r1, r2).
-	y = mk2(np, a.child[2], r2)
-	a.child[2] = nil
+	y = mk2(np, a.kid(2), innerRef(r2))
+	a.setKid(2, ref[K, P]{})
 	a.nc = 2
 	refresh(a)
 	return a, y
@@ -69,17 +69,17 @@ func joinRight[K cmp.Ordered, P any](np *NodePool[K, P], a, b *Node[K, P]) (x, y
 // joinLeft is the mirror image of joinRight: b with height(b) < height(a)
 // is hung below a's leftmost spine. When two nodes are returned the second
 // goes to the left.
-func joinLeft[K cmp.Ordered, P any](np *NodePool[K, P], a, b *Node[K, P]) (x, y *Node[K, P]) {
+func joinLeft[K cmp.Ordered, P any](np *NodePool[K, P], a *inner[K, P], b ref[K, P]) (x, y *inner[K, P]) {
 	if a.h == b.h+1 {
 		if a.nc == 2 {
 			a.child[2] = a.child[1]
 			a.child[1] = a.child[0]
-			a.child[0] = b
+			a.setKid(0, b)
 			a.nc = 3
 			refresh(a)
 			return a, nil
 		}
-		c0 := a.child[0]
+		c0 := a.kid(0)
 		a.child[0] = a.child[1]
 		a.child[1] = a.child[2]
 		a.child[2] = nil
@@ -87,8 +87,8 @@ func joinLeft[K cmp.Ordered, P any](np *NodePool[K, P], a, b *Node[K, P]) (x, y 
 		refresh(a)
 		return a, mk2(np, b, c0)
 	}
-	r1, r2 := joinLeft(np, a.child[0], b)
-	a.child[0] = r1
+	r1, r2 := joinLeft(np, a.kid(0).node(), b)
+	a.setKid(0, innerRef(r1))
 	if r2 == nil {
 		refresh(a)
 		return a, nil
@@ -96,12 +96,12 @@ func joinLeft[K cmp.Ordered, P any](np *NodePool[K, P], a, b *Node[K, P]) (x, y 
 	if a.nc == 2 {
 		a.child[2] = a.child[1]
 		a.child[1] = a.child[0]
-		a.child[0] = r2
+		a.setKid(0, innerRef(r2))
 		a.nc = 3
 		refresh(a)
 		return a, nil
 	}
-	y = mk2(np, r2, a.child[0])
+	y = mk2(np, innerRef(r2), a.kid(0))
 	a.child[0] = a.child[1]
 	a.child[1] = a.child[2]
 	a.child[2] = nil
@@ -114,57 +114,52 @@ func joinLeft[K cmp.Ordered, P any](np *NodePool[K, P], a, b *Node[K, P]) (x, y 
 // with key k, or nil), and r (keys > k). t is consumed: the spine nodes
 // the split passes through are dropped — and recycled into the pool —
 // as their children are redistributed into l and r. O(log n).
-func splitKey[K cmp.Ordered, P any](np *NodePool[K, P], t *Node[K, P], k K) (l, eq, r *Node[K, P]) {
-	if t == nil {
-		return nil, nil, nil
+func splitKey[K cmp.Ordered, P any](np *NodePool[K, P], t ref[K, P], k K) (l ref[K, P], eq *Node[K, P], r ref[K, P]) {
+	if t.empty() {
+		return l, nil, r
 	}
-	if t.IsLeaf() {
-		switch {
-		case t.Key < k:
-			return detach(t), nil, nil
-		case t.Key > k:
-			return nil, nil, detach(t)
+	if t.isLeaf() {
+		switch lf := t.detach().leaf(); {
+		case lf.Key < k:
+			return t, nil, r
+		case lf.Key > k:
+			return l, nil, t
 		default:
-			return nil, detach(t), nil
+			return l, lf, r
 		}
 	}
-	i := int8(0)
-	for i < t.nc-1 && t.child[i].maxKey < k {
-		i++
-	}
-	l, eq, r = splitKey(np, detach(t.child[i]), k)
+	n := t.node()
+	i := n.route(k)
+	l, eq, r = splitKey(np, n.kid(i), k)
 	for j := i - 1; j >= 0; j-- {
-		l = join(np, detach(t.child[j]), l)
+		l = join(np, n.kid(j), l)
 	}
-	for j := i + 1; j < t.nc; j++ {
-		r = join(np, r, detach(t.child[j]))
+	for j := i + 1; j < n.nc; j++ {
+		r = join(np, r, n.kid(j))
 	}
-	np.put(t)
+	np.put(n)
 	return l, eq, r
 }
 
 // splitRank splits t so that l holds the first i leaves and r the rest.
 // t is consumed (spine nodes recycled, as in splitKey). O(log n).
-func splitRank[K cmp.Ordered, P any](np *NodePool[K, P], t *Node[K, P], i int) (l, r *Node[K, P]) {
-	if t == nil || i <= 0 {
-		return nil, detach(t)
+func splitRank[K cmp.Ordered, P any](np *NodePool[K, P], t ref[K, P], i int) (l, r ref[K, P]) {
+	if t.empty() || i <= 0 {
+		return l, t.detach()
 	}
-	if i >= t.size {
-		return detach(t), nil
+	if i >= t.size() {
+		return t.detach(), r
 	}
-	// t is internal (a leaf has size 1 and was handled above).
-	ci := int8(0)
-	for t.child[ci].size <= i {
-		i -= t.child[ci].size
-		ci++
-	}
-	l, r = splitRank(np, detach(t.child[ci]), i)
+	// t is a routing node (a leaf has size 1 and was handled above).
+	n := t.node()
+	ci, i := n.locate(i)
+	l, r = splitRank(np, n.kid(ci), i)
 	for j := ci - 1; j >= 0; j-- {
-		l = join(np, detach(t.child[j]), l)
+		l = join(np, n.kid(j), l)
 	}
-	for j := ci + 1; j < t.nc; j++ {
-		r = join(np, r, detach(t.child[j]))
+	for j := ci + 1; j < n.nc; j++ {
+		r = join(np, r, n.kid(j))
 	}
-	np.put(t)
+	np.put(n)
 	return l, r
 }

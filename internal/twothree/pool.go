@@ -5,17 +5,17 @@ import (
 	"sync"
 )
 
-// NodePool recycles internal 2-3 tree nodes. The working-set maps churn
-// internal nodes constantly — every split consumes the spine nodes it
-// passes and every join/build makes new ones, so items migrating between
-// segments rebuild the routing structure above them on every batch —
-// and that churn is almost all of the engines' residual steady-state
-// allocation (EXPERIMENTS.md E18). A pool turns it into reuse.
+// NodePool recycles routing nodes. The working-set maps churn routing
+// nodes constantly — every split consumes the spine nodes it passes and
+// every join/build makes new ones, so items migrating between segments
+// rebuild the routing structure above them on every batch — and that
+// churn is almost all of the engines' residual steady-state allocation
+// (EXPERIMENTS.md E18). A pool turns it into reuse.
 //
-// Only internal nodes are pooled. Leaves are identity: the maps hold
-// direct pointers to them across segment moves (the paper's cross
-// pointers), so a leaf may never be recycled while its item exists —
-// put refuses leaves outright rather than trusting every call site.
+// Only routing nodes are pooled, which the types enforce: leaves are
+// identity — the maps hold direct pointers to them across segment moves
+// (the paper's cross pointers) — and a leaf is a different type from
+// what the pool holds.
 //
 // A NodePool is safe for concurrent use (batch operations fork their
 // divide-and-conquer recursions, and M2's final slab segments run as
@@ -34,24 +34,22 @@ func NewNodePool[K cmp.Ordered, P any]() *NodePool[K, P] {
 	return &NodePool[K, P]{}
 }
 
-// get returns a zeroed node, recycled if available.
-func (np *NodePool[K, P]) get() *Node[K, P] {
-	if np == nil {
-		return &Node[K, P]{}
+// get returns a zeroed routing node, recycled if available.
+func (np *NodePool[K, P]) get() *inner[K, P] {
+	if np != nil {
+		if v := np.p.Get(); v != nil {
+			return v.(*inner[K, P])
+		}
 	}
-	if v := np.p.Get(); v != nil {
-		return v.(*Node[K, P])
-	}
-	return &Node[K, P]{}
+	return &inner[K, P]{}
 }
 
-// put recycles an internal node the structure has dropped. The node is
-// cleared first so pooled nodes pin neither subtrees nor key/payload
-// memory. Leaves (and nil) are ignored.
-func (np *NodePool[K, P]) put(n *Node[K, P]) {
-	if np == nil || n == nil || n.nc == 0 {
+// put recycles a routing node the structure has dropped. The node is
+// cleared first so pooled nodes pin neither subtrees nor key memory.
+func (np *NodePool[K, P]) put(n *inner[K, P]) {
+	if np == nil {
 		return
 	}
-	*n = Node[K, P]{}
+	*n = inner[K, P]{}
 	np.p.Put(n)
 }

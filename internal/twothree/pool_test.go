@@ -64,22 +64,13 @@ func TestNodePoolLeafIdentity(t *testing.T) {
 	}
 }
 
-// TestNodePoolRefusesLeaves checks the pool's safety valve: a leaf handed
-// to put is ignored (leaves are identity and may never be recycled), and
-// pooled internal nodes come back zeroed.
-func TestNodePoolRefusesLeaves(t *testing.T) {
+// TestNodePoolZeroes checks the pool's clearing contract: a recycled
+// routing node comes back with no children, parent, size or key. (That
+// leaves are never pooled needs no test: put takes *inner, and a leaf is
+// a *Node.)
+func TestNodePoolZeroes(t *testing.T) {
 	np := NewNodePool[int, string]()
-	leaf := newLeaf(42, "payload")
-	np.put(leaf)
-	if leaf.Key != 42 || leaf.Payload != "payload" {
-		t.Fatalf("put cleared a leaf: %+v", leaf)
-	}
-	got := np.get()
-	if got == leaf {
-		t.Fatal("pool recycled a leaf")
-	}
-
-	internal := mk2(np, newLeaf(1, "a"), newLeaf(2, "b"))
+	internal := mk2(np, leafRef(NewLeaf(1, "a")), leafRef(NewLeaf(2, "b")))
 	np.put(internal)
 	back := np.get()
 	if back != internal {
@@ -87,7 +78,7 @@ func TestNodePoolRefusesLeaves(t *testing.T) {
 		// contract is hard.
 		t.Skip("pool dropped the node (GC); zeroing unverifiable this run")
 	}
-	if back.nc != 0 || back.child[0] != nil || back.parent != nil || back.size != 0 {
+	if *back != (inner[int, string]{}) {
 		t.Fatalf("pooled node not zeroed: %+v", back)
 	}
 }
@@ -103,7 +94,7 @@ func TestSeqPooledPops(t *testing.T) {
 	}
 	front := s.PushBack(keys)
 	for i := 0; i < 10; i++ {
-		popped := s.PopFront(15)
+		popped := s.PopFront(15, nil)
 		if len(popped) != 15 {
 			t.Fatalf("pop %d: got %d leaves", i, len(popped))
 		}

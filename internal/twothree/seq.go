@@ -20,7 +20,7 @@ type SeqLeaf[K cmp.Ordered] = Node[K, struct{}]
 // Seq reuses the same balanced node machinery as Tree but routes only by
 // rank, never by key.
 type Seq[K cmp.Ordered] struct {
-	root *Node[K, struct{}]
+	root ref[K, struct{}]
 	cnt  *metrics.Counter
 	pool *NodePool[K, struct{}]
 }
@@ -38,11 +38,11 @@ func NewSeqPooled[K cmp.Ordered](cnt *metrics.Counter, pool *NodePool[K, struct{
 }
 
 // Len returns the number of items.
-func (s *Seq[K]) Len() int { return s.root.Size() }
+func (s *Seq[K]) Len() int { return s.root.size() }
 
 func (s *Seq[K]) charge(ops int) {
 	if s.cnt != nil {
-		s.cnt.Add(int64(ops) * int64(height(s.root)+2))
+		s.cnt.Add(int64(ops) * int64(s.root.height()+2))
 	}
 }
 
@@ -52,15 +52,15 @@ func (s *Seq[K]) chargeBatch(b int) {
 	if s.cnt == nil || b == 0 {
 		return
 	}
-	n := s.root.Size()
+	n := s.root.size()
 	per := bitsLen(n/b+1) + 2
-	s.cnt.Add(int64(b*per) + int64(height(s.root)+2))
+	s.cnt.Add(int64(b*per) + int64(s.root.height()+2))
 }
 
 func seqLeaves[K cmp.Ordered](keys []K) []*SeqLeaf[K] {
 	leaves := make([]*SeqLeaf[K], len(keys))
 	for i, k := range keys {
-		leaves[i] = newLeaf(k, struct{}{})
+		leaves[i] = NewLeaf(k, struct{}{})
 	}
 	return leaves
 }
@@ -97,27 +97,23 @@ func (s *Seq[K]) PushBackLeaves(leaves []*SeqLeaf[K]) {
 }
 
 // PopFront removes the n most recent items and returns them most recent
-// first. O(n + log size).
-func (s *Seq[K]) PopFront(n int) []*SeqLeaf[K] {
+// first, appended to out[:0] (caller scratch, may be nil).
+// O(n + log size).
+func (s *Seq[K]) PopFront(n int, out []*SeqLeaf[K]) []*SeqLeaf[K] {
 	s.charge(1)
-	if n > s.Len() {
-		n = s.Len()
-	}
 	l, r := splitRank(s.pool, s.root, n)
 	s.root = r
-	return appendLeavesFree(s.pool, l, make([]*SeqLeaf[K], 0, n))
+	return appendLeavesFree(s.pool, l, out[:0])
 }
 
 // PopBack removes the n least recent items and returns them in recency
-// order (most recent of the removed items first). O(n + log size).
-func (s *Seq[K]) PopBack(n int) []*SeqLeaf[K] {
+// order (most recent of the removed items first), appended to out[:0]
+// (caller scratch, may be nil). O(n + log size).
+func (s *Seq[K]) PopBack(n int, out []*SeqLeaf[K]) []*SeqLeaf[K] {
 	s.charge(1)
-	if n > s.Len() {
-		n = s.Len()
-	}
 	l, r := splitRank(s.pool, s.root, s.Len()-n)
 	s.root = l
-	return appendLeavesFree(s.pool, r, make([]*SeqLeaf[K], 0, n))
+	return appendLeavesFree(s.pool, r, out[:0])
 }
 
 // Remove deletes the given leaves (in any order) from the sequence via
@@ -155,20 +151,11 @@ func (s *Seq[K]) RankOf(leaf *SeqLeaf[K]) int {
 
 // Kth returns the leaf at recency rank i, or nil if out of range.
 func (s *Seq[K]) Kth(i int) *SeqLeaf[K] {
-	n := s.root
-	if n == nil || i < 0 || i >= n.size {
+	if i < 0 || i >= s.root.size() {
 		return nil
 	}
 	s.charge(1)
-	for !n.IsLeaf() {
-		ci := int8(0)
-		for n.child[ci].size <= i {
-			i -= n.child[ci].size
-			ci++
-		}
-		n = n.child[ci]
-	}
-	return n
+	return kth(s.root, i)
 }
 
 // Flatten returns all leaves in recency order. O(n).
@@ -189,11 +176,7 @@ func (s *Seq[K]) Keys() []K {
 // Owns reports whether leaf currently belongs to this sequence, by walking
 // its parent chain to the root (test hook; O(log n)).
 func (s *Seq[K]) Owns(leaf *SeqLeaf[K]) bool {
-	n := leaf
-	for n.parent != nil {
-		n = n.parent
-	}
-	return n == s.root && s.root != nil
+	return root(leaf) == s.root
 }
 
 // Validate checks structural invariants, ignoring key order (test hook).

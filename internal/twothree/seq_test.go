@@ -60,7 +60,7 @@ func TestSeqPushPop(t *testing.T) {
 			if want > len(m) {
 				want = len(m)
 			}
-			got := s.PopFront(b)
+			got := s.PopFront(b, nil)
 			if len(got) != want {
 				t.Fatalf("PopFront returned %d, want %d", len(got), want)
 			}
@@ -76,7 +76,7 @@ func TestSeqPushPop(t *testing.T) {
 			if want > len(m) {
 				want = len(m)
 			}
-			got := s.PopBack(b)
+			got := s.PopBack(b, nil)
 			if len(got) != want {
 				t.Fatalf("PopBack returned %d, want %d", len(got), want)
 			}
@@ -157,7 +157,7 @@ func TestSeqRankOfAndKth(t *testing.T) {
 func TestSeqPushFrontLeavesIdentity(t *testing.T) {
 	s := NewSeq[int](nil)
 	s.PushBack([]int{1, 2, 3})
-	moved := s.PopBack(2) // leaves 2, 3
+	moved := s.PopBack(2, nil) // leaves 2, 3
 	s2 := NewSeq[int](nil)
 	s2.PushBack([]int{7, 8})
 	s2.PushFrontLeaves(moved)

@@ -10,7 +10,10 @@ import (
 )
 
 // batchGrain is the batch size above which batch operations fork their
-// divide-and-conquer recursions onto separate goroutines.
+// divide-and-conquer recursions onto separate goroutines. Below it each
+// recursion step returns from its own branch with its own sub-result
+// variables: the pair the forked closures assign is heap-allocated where
+// it is declared, whether or not the step forks.
 const batchGrain = 384
 
 // Item is one element of a batch update.
@@ -27,7 +30,7 @@ type Item[K cmp.Ordered, P any] struct {
 // A Tree is not safe for concurrent mutation; the working-set maps guard
 // each tree with the paper's locking schemes.
 type Tree[K cmp.Ordered, P any] struct {
-	root *Node[K, P]
+	root ref[K, P]
 	cnt  *metrics.Counter
 	pool *NodePool[K, P]
 }
@@ -46,14 +49,14 @@ func NewPooled[K cmp.Ordered, P any](cnt *metrics.Counter, pool *NodePool[K, P])
 }
 
 // Len returns the number of items.
-func (t *Tree[K, P]) Len() int { return t.root.Size() }
+func (t *Tree[K, P]) Len() int { return t.root.size() }
 
 // Height returns the height of the tree (-1 when empty).
-func (t *Tree[K, P]) Height() int { return int(height(t.root)) }
+func (t *Tree[K, P]) Height() int { return int(t.root.height()) }
 
 func (t *Tree[K, P]) chargePerOp(ops int) {
 	if t.cnt != nil {
-		t.cnt.Add(int64(ops) * int64(height(t.root)+2))
+		t.cnt.Add(int64(ops) * int64(t.root.height()+2))
 	}
 }
 
@@ -66,24 +69,24 @@ func (t *Tree[K, P]) chargeBatch(b int) {
 	if t.cnt == nil || b == 0 {
 		return
 	}
-	n := t.root.Size()
+	n := t.root.size()
 	per := bits.Len(uint(n/b+1)) + 2
-	t.cnt.Add(int64(b*per) + int64(height(t.root)+2))
+	t.cnt.Add(int64(b*per) + int64(t.root.height()+2))
 }
 
 // Get returns the leaf holding k, if present. O(log n).
 func (t *Tree[K, P]) Get(k K) (*Node[K, P], bool) {
 	t.chargePerOp(1)
-	n := t.root
-	for n != nil && !n.IsLeaf() {
-		i := int8(0)
-		for i < n.nc-1 && n.child[i].maxKey < k {
-			i++
-		}
-		n = n.child[i]
+	r := t.root
+	if r.empty() {
+		return nil, false
 	}
-	if n != nil && n.Key == k {
-		return n, true
+	for !r.isLeaf() {
+		n := r.node()
+		r = n.kid(n.route(k))
+	}
+	if lf := r.leaf(); lf.Key == k {
+		return lf, true
 	}
 	return nil, false
 }
@@ -95,11 +98,11 @@ func (t *Tree[K, P]) Insert(k K, p P) (*Node[K, P], bool) {
 	l, eq, r := splitKey(t.pool, t.root, k)
 	existed := eq != nil
 	if eq == nil {
-		eq = newLeaf(k, p)
+		eq = NewLeaf(k, p)
 	} else {
 		eq.Payload = p
 	}
-	t.root = join(t.pool, join(t.pool, l, eq), r)
+	t.root = join(t.pool, join(t.pool, l, leafRef(eq)), r)
 	return eq, existed
 }
 
@@ -117,36 +120,39 @@ func (t *Tree[K, P]) Min() *Node[K, P] { return edgeLeaf(t.root, 0) }
 // Max returns the rightmost leaf, or nil when empty.
 func (t *Tree[K, P]) Max() *Node[K, P] { return edgeLeaf(t.root, 1) }
 
-func edgeLeaf[K cmp.Ordered, P any](n *Node[K, P], right int) *Node[K, P] {
-	if n == nil {
+func edgeLeaf[K cmp.Ordered, P any](r ref[K, P], right int) *Node[K, P] {
+	if r.empty() {
 		return nil
 	}
-	for !n.IsLeaf() {
+	for !r.isLeaf() {
+		n := r.node()
 		if right == 1 {
-			n = n.child[n.nc-1]
+			r = n.kid(n.nc - 1)
 		} else {
-			n = n.child[0]
+			r = n.kid(0)
 		}
 	}
-	return n
+	return r.leaf()
 }
 
 // Kth returns the leaf with rank i (0-based), or nil if out of range.
 func (t *Tree[K, P]) Kth(i int) *Node[K, P] {
-	n := t.root
-	if n == nil || i < 0 || i >= n.size {
+	if i < 0 || i >= t.root.size() {
 		return nil
 	}
 	t.chargePerOp(1)
-	for !n.IsLeaf() {
-		ci := int8(0)
-		for n.child[ci].size <= i {
-			i -= n.child[ci].size
-			ci++
-		}
-		n = n.child[ci]
+	return kth(t.root, i)
+}
+
+// kth returns the leaf of rank i under r; 0 <= i < r.size().
+func kth[K cmp.Ordered, P any](r ref[K, P], i int) *Node[K, P] {
+	for !r.isLeaf() {
+		n := r.node()
+		var ci int8
+		ci, i = n.locate(i)
+		r = n.kid(ci)
 	}
-	return n
+	return r.leaf()
 }
 
 // Flatten returns all leaves in key order. O(n).
@@ -172,7 +178,7 @@ func (t *Tree[K, P]) Validate() error { return validate(t.root, true) }
 // cached maxKey, so subtrees entirely outside [lo, hi) are never entered.
 // This is the bounded collector behind the engines' batched range reads.
 func (t *Tree[K, P]) RangeInto(lo, hi K, limit int, out []*Node[K, P]) []*Node[K, P] {
-	if t.root == nil || hi <= lo {
+	if t.root.empty() || hi <= lo {
 		return out
 	}
 	base := len(out)
@@ -182,7 +188,7 @@ func (t *Tree[K, P]) RangeInto(lo, hi K, limit int, out []*Node[K, P]) []*Node[K
 	}
 	out, _ = rangeLeaves(t.root, lo, hi, abs, out)
 	if t.cnt != nil {
-		t.cnt.Add(int64(height(t.root)+2) + int64(len(out)-base))
+		t.cnt.Add(int64(t.root.height()+2) + int64(len(out)-base))
 	}
 	return out
 }
@@ -190,21 +196,23 @@ func (t *Tree[K, P]) RangeInto(lo, hi K, limit int, out []*Node[K, P]) []*Node[K
 // rangeLeaves is RangeInto's walk; limit is the absolute out length to
 // stop at (0 = unbounded). The bool reports whether the caller should
 // keep walking (false once the bound is reached).
-func rangeLeaves[K cmp.Ordered, P any](n *Node[K, P], lo, hi K, limit int, out []*Node[K, P]) ([]*Node[K, P], bool) {
-	if n.IsLeaf() {
-		if n.Key >= lo && n.Key < hi {
-			out = append(out, n)
+func rangeLeaves[K cmp.Ordered, P any](r ref[K, P], lo, hi K, limit int, out []*Node[K, P]) ([]*Node[K, P], bool) {
+	if r.isLeaf() {
+		if lf := r.leaf(); lf.Key >= lo && lf.Key < hi {
+			out = append(out, lf)
 		}
 		return out, limit <= 0 || len(out) < limit
 	}
+	n := r.node()
 	more := true
 	for i := int8(0); i < n.nc && more; i++ {
-		c := n.child[i]
-		if c.maxKey < lo {
+		c := n.kid(i)
+		mx := c.maxKey()
+		if mx < lo {
 			continue // entire subtree below the range
 		}
 		out, more = rangeLeaves(c, lo, hi, limit, out)
-		if c.maxKey >= hi {
+		if mx >= hi {
 			break // later siblings hold only keys > maxKey >= hi
 		}
 	}
@@ -228,16 +236,18 @@ func (t *Tree[K, P]) BatchGetInto(keys []K, out []*Node[K, P]) []*Node[K, P] {
 	return out
 }
 
-func batchGet[K cmp.Ordered, P any](n *Node[K, P], keys []K, out []*Node[K, P]) {
-	for n != nil && len(keys) > 0 {
-		if n.IsLeaf() {
-			// Locate n.Key in keys (it can match at most one).
-			i := sort.Search(len(keys), func(j int) bool { return keys[j] >= n.Key })
-			if i < len(keys) && keys[i] == n.Key {
-				out[i] = n
+func batchGet[K cmp.Ordered, P any](r ref[K, P], keys []K, out []*Node[K, P]) {
+	for !r.empty() && len(keys) > 0 {
+		if r.isLeaf() {
+			// Locate the leaf's key in keys (it can match at most one).
+			lf := r.leaf()
+			i := sort.Search(len(keys), func(j int) bool { return keys[j] >= lf.Key })
+			if i < len(keys) && keys[i] == lf.Key {
+				out[i] = lf
 			}
 			return
 		}
+		n := r.node()
 		// Narrow to a single child when possible to avoid recursion.
 		var lo [4]int
 		lo[0] = 0
@@ -246,7 +256,7 @@ func batchGet[K cmp.Ordered, P any](n *Node[K, P], keys []K, out []*Node[K, P]) 
 				lo[ci+1] = len(keys)
 				break
 			}
-			mx := n.child[ci].maxKey
+			mx := n.kid(ci).maxKey()
 			base := lo[ci]
 			lo[ci+1] = base + sort.Search(len(keys)-base, func(j int) bool { return keys[base+j] > mx })
 		}
@@ -260,14 +270,14 @@ func batchGet[K cmp.Ordered, P any](n *Node[K, P], keys []K, out []*Node[K, P]) 
 			}
 		}
 		if nonEmpty <= 1 {
-			n, keys, out = n.child[only], keys[lo[only]:lo[only+1]], out[lo[only]:lo[only+1]]
+			r, keys, out = n.kid(only), keys[lo[only]:lo[only+1]], out[lo[only]:lo[only+1]]
 			continue
 		}
 		if len(keys) < batchGrain {
 			// Sequential recursion: no closures, no forking overhead.
 			for ci := int8(0); ci < n.nc; ci++ {
 				if lo[ci+1] > lo[ci] {
-					batchGet(n.child[ci], keys[lo[ci]:lo[ci+1]], out[lo[ci]:lo[ci+1]])
+					batchGet(n.kid(ci), keys[lo[ci]:lo[ci+1]], out[lo[ci]:lo[ci+1]])
 				}
 			}
 			return
@@ -278,31 +288,16 @@ func batchGet[K cmp.Ordered, P any](n *Node[K, P], keys []K, out []*Node[K, P]) 
 			if lo[ci+1] <= lo[ci] {
 				continue
 			}
-			c, ks, os := n.child[ci], keys[lo[ci]:lo[ci+1]], out[lo[ci]:lo[ci+1]]
+			c, ks, os := n.kid(ci), keys[lo[ci]:lo[ci+1]], out[lo[ci]:lo[ci+1]]
 			fns[nf] = func() { batchGet(c, ks, os) }
 			nf++
 		}
-		runForked(len(keys), fns[:nf])
-		return
-	}
-}
-
-// runForked executes the given closures, in parallel when the driving batch
-// is large enough to amortize goroutine startup.
-func runForked(batchSize int, fns []func()) {
-	if batchSize < batchGrain {
-		for _, f := range fns {
-			f()
+		if nf == 2 {
+			parallel.Do(fns[0], fns[1])
+		} else {
+			parallel.Do3(fns[0], fns[1], fns[2])
 		}
 		return
-	}
-	switch len(fns) {
-	case 1:
-		fns[0]()
-	case 2:
-		parallel.Do(fns[0], fns[1])
-	default:
-		parallel.Do3(fns[0], fns[1], fns[2])
 	}
 }
 
@@ -316,37 +311,36 @@ func (t *Tree[K, P]) BatchUpsert(items []Item[K, P]) []*Node[K, P] {
 	return out
 }
 
-func batchUpsert[K cmp.Ordered, P any](np *NodePool[K, P], n *Node[K, P], items []Item[K, P], out []*Node[K, P]) *Node[K, P] {
+func batchUpsert[K cmp.Ordered, P any](np *NodePool[K, P], n ref[K, P], items []Item[K, P], out []*Node[K, P]) ref[K, P] {
 	if len(items) == 0 {
 		return n
 	}
-	if n == nil {
-		leaves := make([]*Node[K, P], len(items))
+	if n.empty() {
+		// out doubles as the leaf run to build over.
 		for i, it := range items {
-			leaves[i] = newLeaf(it.Key, it.Payload)
-			out[i] = leaves[i]
+			out[i] = NewLeaf(it.Key, it.Payload)
 		}
-		return buildLeaves(np, leaves)
+		return buildLeaves(np, out)
 	}
 	mid := len(items) / 2
 	l, eq, r := splitKey(np, n, items[mid].Key)
 	if eq == nil {
-		eq = newLeaf(items[mid].Key, items[mid].Payload)
+		eq = NewLeaf(items[mid].Key, items[mid].Payload)
 	} else {
 		eq.Payload = items[mid].Payload
 	}
 	out[mid] = eq
-	var lt, rt *Node[K, P]
 	if len(items) < batchGrain {
-		lt = batchUpsert(np, l, items[:mid], out[:mid])
-		rt = batchUpsert(np, r, items[mid+1:], out[mid+1:])
-	} else {
-		runForked(len(items), []func(){
-			func() { lt = batchUpsert(np, l, items[:mid], out[:mid]) },
-			func() { rt = batchUpsert(np, r, items[mid+1:], out[mid+1:]) },
-		})
+		lt := batchUpsert(np, l, items[:mid], out[:mid])
+		rt := batchUpsert(np, r, items[mid+1:], out[mid+1:])
+		return join(np, join(np, lt, leafRef(eq)), rt)
 	}
-	return join(np, join(np, lt, eq), rt)
+	var lt, rt ref[K, P]
+	parallel.Do(
+		func() { lt = batchUpsert(np, l, items[:mid], out[:mid]) },
+		func() { rt = batchUpsert(np, r, items[mid+1:], out[mid+1:]) },
+	)
+	return join(np, join(np, lt, leafRef(eq)), rt)
 }
 
 // BatchInsertLeaves inserts pre-built leaves (sorted by key, distinct, and
@@ -358,11 +352,11 @@ func (t *Tree[K, P]) BatchInsertLeaves(leaves []*Node[K, P]) {
 	t.root = batchInsertLeaves(t.pool, t.root, leaves)
 }
 
-func batchInsertLeaves[K cmp.Ordered, P any](np *NodePool[K, P], n *Node[K, P], leaves []*Node[K, P]) *Node[K, P] {
+func batchInsertLeaves[K cmp.Ordered, P any](np *NodePool[K, P], n ref[K, P], leaves []*Node[K, P]) ref[K, P] {
 	if len(leaves) == 0 {
 		return n
 	}
-	if n == nil {
+	if n.empty() {
 		return buildLeaves(np, leaves)
 	}
 	mid := len(leaves) / 2
@@ -370,17 +364,17 @@ func batchInsertLeaves[K cmp.Ordered, P any](np *NodePool[K, P], n *Node[K, P], 
 	if eq != nil {
 		panic("twothree: BatchInsertLeaves: key already present")
 	}
-	var lt, rt *Node[K, P]
 	if len(leaves) < batchGrain {
-		lt = batchInsertLeaves(np, l, leaves[:mid])
-		rt = batchInsertLeaves(np, r, leaves[mid+1:])
-	} else {
-		runForked(len(leaves), []func(){
-			func() { lt = batchInsertLeaves(np, l, leaves[:mid]) },
-			func() { rt = batchInsertLeaves(np, r, leaves[mid+1:]) },
-		})
+		lt := batchInsertLeaves(np, l, leaves[:mid])
+		rt := batchInsertLeaves(np, r, leaves[mid+1:])
+		return join(np, join(np, lt, leafRef(leaves[mid])), rt)
 	}
-	return join(np, join(np, lt, detach(leaves[mid])), rt)
+	var lt, rt ref[K, P]
+	parallel.Do(
+		func() { lt = batchInsertLeaves(np, l, leaves[:mid]) },
+		func() { rt = batchInsertLeaves(np, r, leaves[mid+1:]) },
+	)
+	return join(np, join(np, lt, leafRef(leaves[mid])), rt)
 }
 
 // BatchDelete removes every key of the sorted, distinct batch and returns
@@ -398,23 +392,23 @@ func (t *Tree[K, P]) BatchDeleteInto(keys []K, out []*Node[K, P]) []*Node[K, P] 
 	return out
 }
 
-func batchDelete[K cmp.Ordered, P any](np *NodePool[K, P], n *Node[K, P], keys []K, out []*Node[K, P]) *Node[K, P] {
-	if len(keys) == 0 || n == nil {
+func batchDelete[K cmp.Ordered, P any](np *NodePool[K, P], n ref[K, P], keys []K, out []*Node[K, P]) ref[K, P] {
+	if len(keys) == 0 || n.empty() {
 		return n
 	}
 	mid := len(keys) / 2
 	l, eq, r := splitKey(np, n, keys[mid])
 	out[mid] = eq
-	var lt, rt *Node[K, P]
 	if len(keys) < batchGrain {
-		lt = batchDelete(np, l, keys[:mid], out[:mid])
-		rt = batchDelete(np, r, keys[mid+1:], out[mid+1:])
-	} else {
-		runForked(len(keys), []func(){
-			func() { lt = batchDelete(np, l, keys[:mid], out[:mid]) },
-			func() { rt = batchDelete(np, r, keys[mid+1:], out[mid+1:]) },
-		})
+		lt := batchDelete(np, l, keys[:mid], out[:mid])
+		rt := batchDelete(np, r, keys[mid+1:], out[mid+1:])
+		return join(np, lt, rt)
 	}
+	var lt, rt ref[K, P]
+	parallel.Do(
+		func() { lt = batchDelete(np, l, keys[:mid], out[:mid]) },
+		func() { rt = batchDelete(np, r, keys[mid+1:], out[mid+1:]) },
+	)
 	return join(np, lt, rt)
 }
 
@@ -429,23 +423,23 @@ func (t *Tree[K, P]) BatchDeleteRanks(ranks []int) []*Node[K, P] {
 	return out
 }
 
-func batchDeleteRanks[K cmp.Ordered, P any](np *NodePool[K, P], n *Node[K, P], ranks []int, off int, out []*Node[K, P]) *Node[K, P] {
+func batchDeleteRanks[K cmp.Ordered, P any](np *NodePool[K, P], n ref[K, P], ranks []int, off int, out []*Node[K, P]) ref[K, P] {
 	if len(ranks) == 0 {
 		return n
 	}
 	mid := len(ranks) / 2
 	a, rest := splitRank(np, n, ranks[mid]-off)
 	leaf, b := splitRank(np, rest, 1)
-	out[mid] = leaf
-	var at, bt *Node[K, P]
+	out[mid] = leaf.leaf()
 	if len(ranks) < batchGrain {
-		at = batchDeleteRanks(np, a, ranks[:mid], off, out[:mid])
-		bt = batchDeleteRanks(np, b, ranks[mid+1:], ranks[mid]+1, out[mid+1:])
-	} else {
-		runForked(len(ranks), []func(){
-			func() { at = batchDeleteRanks(np, a, ranks[:mid], off, out[:mid]) },
-			func() { bt = batchDeleteRanks(np, b, ranks[mid+1:], ranks[mid]+1, out[mid+1:]) },
-		})
+		at := batchDeleteRanks(np, a, ranks[:mid], off, out[:mid])
+		bt := batchDeleteRanks(np, b, ranks[mid+1:], ranks[mid]+1, out[mid+1:])
+		return join(np, at, bt)
 	}
+	var at, bt ref[K, P]
+	parallel.Do(
+		func() { at = batchDeleteRanks(np, a, ranks[:mid], off, out[:mid]) },
+		func() { bt = batchDeleteRanks(np, b, ranks[mid+1:], ranks[mid]+1, out[mid+1:]) },
+	)
 	return join(np, at, bt)
 }

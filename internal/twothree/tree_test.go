@@ -208,7 +208,7 @@ func TestBatchInsertLeavesPreservesIdentity(t *testing.T) {
 	keys := sortedDistinct(rng, 500, 10000)
 	leaves := make([]*Node[int, string], len(keys))
 	for i, k := range keys {
-		leaves[i] = newLeaf(k, "x")
+		leaves[i] = NewLeaf(k, "x")
 	}
 	tr.BatchInsertLeaves(leaves)
 	if err := tr.Validate(); err != nil {
@@ -224,7 +224,7 @@ func TestBatchInsertLeavesPreservesIdentity(t *testing.T) {
 	var more []*Node[int, string]
 	for _, k := range sortedDistinct(rng, 300, 10000) {
 		if _, ok := tr.Get(k); !ok {
-			more = append(more, newLeaf(k, "y"))
+			more = append(more, NewLeaf(k, "y"))
 		}
 	}
 	tr.BatchInsertLeaves(more)
@@ -290,7 +290,7 @@ func TestQuickJoinSplitRoundTrip(t *testing.T) {
 		sort.Ints(keys)
 		leaves := make([]*Node[int, struct{}], len(keys))
 		for i, k := range keys {
-			leaves[i] = newLeaf(k, struct{}{})
+			leaves[i] = NewLeaf(k, struct{}{})
 		}
 		root := buildLeaves(pool, leaves)
 		l, eq, r := splitKey(pool, root, int(cut))
@@ -302,14 +302,14 @@ func TestQuickJoinSplitRoundTrip(t *testing.T) {
 		if (eq != nil) != foundWant {
 			return false
 		}
-		if l.Size() != i {
+		if l.size() != i {
 			return false
 		}
-		rejoined := join(pool, join(pool, l, eq), r)
+		rejoined := join(pool, join(pool, l, leafRef(eq)), r)
 		if validate(rejoined, true) != nil {
 			return false
 		}
-		if rejoined.Size() != len(keys) {
+		if rejoined.size() != len(keys) {
 			return false
 		}
 		got := appendLeaves(rejoined, nil)
@@ -332,18 +332,18 @@ func TestQuickSplitRank(t *testing.T) {
 		cut := int(at) % (size + 1)
 		leaves := make([]*Node[int, struct{}], size)
 		for i := range leaves {
-			leaves[i] = newLeaf(i, struct{}{})
+			leaves[i] = NewLeaf(i, struct{}{})
 		}
 		root := buildLeaves(pool, leaves)
 		l, r := splitRank(pool, root, cut)
-		if l.Size() != cut || r.Size() != size-cut {
+		if l.size() != cut || r.size() != size-cut {
 			return false
 		}
 		if validate(l, true) != nil || validate(r, true) != nil {
 			return false
 		}
 		back := join(pool, l, r)
-		if back.Size() != size || validate(back, true) != nil {
+		if back.size() != size || validate(back, true) != nil {
 			return false
 		}
 		return true
