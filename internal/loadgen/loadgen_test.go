@@ -63,15 +63,20 @@ func TestLoadgenWorkloads(t *testing.T) {
 
 // TestLoadgenPipelineBatching is the acceptance check that a pipelined
 // load run submits measurably fewer, larger batches than an unpipelined
-// one, asserted via server batch stats.
+// one, asserted via server batch stats. An unpipelined run is not one
+// batch per op: every connection feeds the one commit loop, so depth-1
+// commands of different connections that arrive together share a cut.
+// What is promised is that a cut never holds two commands of one
+// unpipelined connection.
 func TestLoadgenPipelineBatching(t *testing.T) {
+	const conns = 4
 	run := func(depth int) (Report, server.Stats) {
 		// Front cache off: hot GETs answered ahead of the pipeline would
 		// skew the batch counts this test is about.
 		s := server.New(server.Config{Shards: 4, P: 2, FrontCache: -1})
 		defer s.Close()
 		rep, err := Run(Config{
-			Conns:    4,
+			Conns:    conns,
 			Depth:    depth,
 			Ops:      2048,
 			Workload: Zipf,
@@ -88,8 +93,8 @@ func TestLoadgenPipelineBatching(t *testing.T) {
 	if repP.Ops != repU.Ops {
 		t.Fatalf("unequal op counts: %d vs %d", repP.Ops, repU.Ops)
 	}
-	if stU.Batches != int64(repU.Ops) {
-		t.Errorf("unpipelined run batched: %d batches for %d ops", stU.Batches, repU.Ops)
+	if stU.Batches > int64(repU.Ops) || stU.AvgBatch() > conns {
+		t.Errorf("unpipelined run: %d batches (avg %.2f) for %d ops on %d connections", stU.Batches, stU.AvgBatch(), repU.Ops, conns)
 	}
 	if stP.Batches*4 > stU.Batches {
 		t.Errorf("pipelined run not measurably fewer batches: %d vs %d", stP.Batches, stU.Batches)

@@ -1,6 +1,7 @@
 package twothree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -44,19 +45,47 @@ func BenchmarkBatchGet1k(b *testing.B) {
 	}
 }
 
-func BenchmarkBatchUpsertDelete1k(b *testing.B) {
-	tr, _ := benchTree(1 << 16)
-	items := make([]Item[int, int], 1024)
-	keys := make([]int, 1024)
-	for i := range items {
-		items[i] = Item[int, int]{Key: 1<<29 + i, Payload: i}
-		keys[i] = 1<<29 + i
+// BenchmarkBatchKernel is the update a shard issues per cut: a sorted
+// batch of b pre-built leaves at random positions goes into a pooled
+// string-keyed tree of n items (BatchInsertLeaves) and comes out again
+// (BatchDeleteInto), cycling through 32 different batches.
+func BenchmarkBatchKernel(b *testing.B) {
+	for _, n := range []int{1 << 8, 1 << 12, 1 << 18} {
+		for _, size := range []int{16, 64, 1024} {
+			b.Run(fmt.Sprintf("n=%d/b=%d", n, size), func(b *testing.B) {
+				benchBatchKernel(b, n, size)
+			})
+		}
 	}
+}
+
+func benchBatchKernel(b *testing.B, n, size int) {
+	type leaf = Node[string, int]
+	key := func(id int) string { return fmt.Sprintf("k%08d", id) }
+	tr := NewPooled[string, int](nil, NewNodePool[string, int]())
+	resident := make([]*leaf, n)
+	for i := range resident {
+		resident[i] = NewLeaf(key(8*i), i) // ids that are multiples of 8
+	}
+	tr.BatchInsertLeaves(resident)
+	rng := rand.New(rand.NewSource(1))
+	batches := make([][]*leaf, 32)
+	keys := make([][]string, len(batches))
+	for j := range batches {
+		for _, id := range sortedDistinct(rng, size, 7*n) {
+			k := key(id/7*8 + id%7 + 1) // the other ids below 8n
+			batches[j] = append(batches[j], NewLeaf(k, id))
+			keys[j] = append(keys[j], k)
+		}
+	}
+	out := make([]*leaf, size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.BatchUpsert(items)
-		tr.BatchDelete(keys)
+		j := i % len(batches)
+		tr.BatchInsertLeaves(batches[j])
+		tr.BatchDeleteInto(keys[j], out)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*size), "ns/key-op")
 }
 
 func BenchmarkRankWalk(b *testing.B) {

@@ -33,116 +33,57 @@ func join[K cmp.Ordered, P any](np *NodePool[K, P], a, b ref[K, P]) ref[K, P] {
 // It returns one or two nodes of height a.h that together hold all leaves
 // in order; when two are returned the second goes to the right.
 func joinRight[K cmp.Ordered, P any](np *NodePool[K, P], a *inner[K, P], b ref[K, P]) (x, y *inner[K, P]) {
-	if a.h == b.h+1 {
-		if a.nc == 2 {
-			a.setKid(2, b)
-			a.nc = 3
+	last := a.nc - 1
+	if a.h > b.h+1 {
+		r1, r2 := joinRight(np, a.kid(last).node(), b)
+		a.setKid(last, innerRef(r1))
+		if r2 == nil {
 			refresh(a)
 			return a, nil
 		}
-		c2 := a.kid(2)
-		a.setKid(2, ref[K, P]{})
-		a.nc = 2
-		refresh(a)
-		return a, mk2(np, c2, b)
+		b = innerRef(r2)
 	}
-	r1, r2 := joinRight(np, a.kid(a.nc-1).node(), b)
-	a.setKid(a.nc-1, innerRef(r1))
-	if r2 == nil {
-		refresh(a)
-		return a, nil
-	}
+	// b is one more child for a, after its last.
 	if a.nc == 2 {
-		a.setKid(2, innerRef(r2))
-		a.nc = 3
+		a.insertKid(2, b)
 		refresh(a)
 		return a, nil
 	}
-	// a had three children; keep (c0, c1) in a and split off (r1, r2).
-	y = mk2(np, a.kid(2), innerRef(r2))
-	a.setKid(2, ref[K, P]{})
-	a.nc = 2
+	c2 := a.kid(2)
+	a.dropKid(2)
 	refresh(a)
-	return a, y
+	return a, mk2(np, c2, b)
 }
 
 // joinLeft is the mirror image of joinRight: b with height(b) < height(a)
 // is hung below a's leftmost spine. When two nodes are returned the second
 // goes to the left.
 func joinLeft[K cmp.Ordered, P any](np *NodePool[K, P], a *inner[K, P], b ref[K, P]) (x, y *inner[K, P]) {
-	if a.h == b.h+1 {
-		if a.nc == 2 {
-			a.child[2] = a.child[1]
-			a.child[1] = a.child[0]
-			a.setKid(0, b)
-			a.nc = 3
+	if a.h > b.h+1 {
+		r1, r2 := joinLeft(np, a.kid(0).node(), b)
+		a.setKid(0, innerRef(r1))
+		if r2 == nil {
 			refresh(a)
 			return a, nil
 		}
-		c0 := a.kid(0)
-		a.child[0] = a.child[1]
-		a.child[1] = a.child[2]
-		a.child[2] = nil
-		a.nc = 2
-		refresh(a)
-		return a, mk2(np, b, c0)
+		b = innerRef(r2)
 	}
-	r1, r2 := joinLeft(np, a.kid(0).node(), b)
-	a.setKid(0, innerRef(r1))
-	if r2 == nil {
-		refresh(a)
-		return a, nil
-	}
+	// b is one more child for a, before its first.
 	if a.nc == 2 {
-		a.child[2] = a.child[1]
-		a.child[1] = a.child[0]
-		a.setKid(0, innerRef(r2))
-		a.nc = 3
+		a.insertKid(0, b)
 		refresh(a)
 		return a, nil
 	}
-	y = mk2(np, innerRef(r2), a.kid(0))
-	a.child[0] = a.child[1]
-	a.child[1] = a.child[2]
-	a.child[2] = nil
-	a.nc = 2
+	c0 := a.kid(0)
+	a.dropKid(0)
 	refresh(a)
-	return a, y
-}
-
-// splitKey splits t around key k into l (keys < k), eq (the unique leaf
-// with key k, or nil), and r (keys > k). t is consumed: the spine nodes
-// the split passes through are dropped — and recycled into the pool —
-// as their children are redistributed into l and r. O(log n).
-func splitKey[K cmp.Ordered, P any](np *NodePool[K, P], t ref[K, P], k K) (l ref[K, P], eq *Node[K, P], r ref[K, P]) {
-	if t.empty() {
-		return l, nil, r
-	}
-	if t.isLeaf() {
-		switch lf := t.detach().leaf(); {
-		case lf.Key < k:
-			return t, nil, r
-		case lf.Key > k:
-			return l, nil, t
-		default:
-			return l, lf, r
-		}
-	}
-	n := t.node()
-	i := n.route(k)
-	l, eq, r = splitKey(np, n.kid(i), k)
-	for j := i - 1; j >= 0; j-- {
-		l = join(np, n.kid(j), l)
-	}
-	for j := i + 1; j < n.nc; j++ {
-		r = join(np, r, n.kid(j))
-	}
-	np.put(n)
-	return l, eq, r
+	return a, mk2(np, b, c0)
 }
 
 // splitRank splits t so that l holds the first i leaves and r the rest.
-// t is consumed (spine nodes recycled, as in splitKey). O(log n).
+// t is consumed: the spine nodes the split passes through are dropped —
+// and recycled into the pool — as their children are redistributed into l
+// and r. O(log n).
 func splitRank[K cmp.Ordered, P any](np *NodePool[K, P], t ref[K, P], i int) (l, r ref[K, P]) {
 	if t.empty() || i <= 0 {
 		return l, t.detach()

@@ -1,6 +1,7 @@
 package twothree
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -27,103 +28,189 @@ func TestNodeSizes(t *testing.T) {
 	}
 }
 
+// treeModel is a Tree beside its reference: the present keys in order, and
+// for each the leaf it must keep for as long as it is present and the
+// payload that leaf must hold. Every operation goes through both, and
+// check compares them leaf by leaf.
+type treeModel struct {
+	t      *testing.T
+	tr     *Tree[int, int]
+	keys   []int
+	leafOf map[int]*Node[int, int]
+	valOf  map[int]int
+	next   int // payloads are distinct, so a missed overwrite shows
+}
+
+func newTreeModel(t *testing.T) *treeModel {
+	return &treeModel{
+		t:      t,
+		tr:     NewPooled[int, int](nil, NewNodePool[int, int]()),
+		leafOf: map[int]*Node[int, int]{},
+		valOf:  map[int]int{},
+	}
+}
+
+func (m *treeModel) resync() {
+	m.keys = m.keys[:0]
+	for k := range m.leafOf {
+		m.keys = append(m.keys, k)
+	}
+	sort.Ints(m.keys)
+}
+
+// upsert is BatchUpsert of the sorted keys, present or not.
+func (m *treeModel) upsert(keys []int) {
+	m.t.Helper()
+	items := make([]Item[int, int], len(keys))
+	for i, k := range keys {
+		m.next++
+		items[i] = Item[int, int]{Key: k, Payload: m.next}
+	}
+	for i, lf := range m.tr.BatchUpsert(items) {
+		k := keys[i]
+		if old := m.leafOf[k]; old != nil && old != lf {
+			m.t.Fatalf("BatchUpsert replaced the leaf of present key %d", k)
+		}
+		m.leafOf[k], m.valOf[k] = lf, items[i].Payload
+	}
+	m.resync()
+}
+
+// insertLeaves is BatchInsertLeaves of new leaves for the sorted, absent
+// keys.
+func (m *treeModel) insertLeaves(keys []int) {
+	leaves := make([]*Node[int, int], len(keys))
+	for i, k := range keys {
+		m.next++
+		leaves[i] = NewLeaf(k, m.next)
+		m.leafOf[k], m.valOf[k] = leaves[i], m.next
+	}
+	m.tr.BatchInsertLeaves(leaves)
+	m.resync()
+}
+
+func (m *treeModel) forget(what string, k int, got *Node[int, int]) {
+	m.t.Helper()
+	if got != m.leafOf[k] { // nil for an absent key
+		m.t.Fatalf("%s removed %p for key %d, want %p", what, got, k, m.leafOf[k])
+	}
+	delete(m.leafOf, k)
+	delete(m.valOf, k)
+}
+
+// drop is BatchDelete of the sorted keys, present or not.
+func (m *treeModel) drop(keys []int) {
+	m.t.Helper()
+	for i, lf := range m.tr.BatchDelete(keys) {
+		m.forget("BatchDelete", keys[i], lf)
+	}
+	m.resync()
+}
+
+// dropRanks is BatchDeleteRanks of the sorted ranks.
+func (m *treeModel) dropRanks(ranks []int) {
+	m.t.Helper()
+	keys := make([]int, len(ranks))
+	for i, r := range ranks {
+		keys[i] = m.keys[r]
+	}
+	for i, lf := range m.tr.BatchDeleteRanks(ranks) {
+		m.forget("BatchDeleteRanks", keys[i], lf)
+	}
+	m.resync()
+}
+
+func (m *treeModel) check() {
+	m.t.Helper()
+	if err := m.tr.Validate(); err != nil {
+		m.t.Fatal(err)
+	}
+	flat := m.tr.Flatten()
+	if len(flat) != len(m.keys) || m.tr.Len() != len(m.keys) {
+		m.t.Fatalf("%d leaves, Len %d, model %d", len(flat), m.tr.Len(), len(m.keys))
+	}
+	for i, lf := range flat {
+		if k := m.keys[i]; lf != m.leafOf[k] || lf.Key != k || lf.Payload != m.valOf[k] {
+			m.t.Fatalf("leaf %d is {%d, %d}, want the leaf of %d", i, lf.Key, lf.Payload, k)
+		}
+	}
+	if !slices.Equal(m.tr.BatchGet(m.keys), flat) {
+		m.t.Fatalf("BatchGet of every key did not return every leaf")
+	}
+}
+
 // TestModelTree drives a Tree with random batch and point operations
-// against a sorted slice, validating the structure and every leaf's
-// identity after each step. Every third step first shrinks the tree to
-// 0, 1 or 2 items: there the root is empty or itself a leaf, the boundary
-// between the two node types.
+// against the model, validating the structure and every leaf's identity
+// after each step. Every third step first shrinks the tree to 0, 1 or 2
+// items: there the root is empty or itself a leaf, the boundary between
+// the two node types.
 func TestModelTree(t *testing.T) {
 	const space = 200
 	rng := rand.New(rand.NewSource(1))
-	tr := NewPooled[int, int](nil, NewNodePool[int, int]())
-	var model []int                     // present keys, sorted
-	leafOf := map[int]*Node[int, int]{} // the leaf each present key must keep
-	valOf := map[int]int{}
-
-	drop := func(step int, keys []int) {
-		got := tr.BatchDelete(keys)
-		for i, k := range keys {
-			if got[i] != leafOf[k] { // nil for an absent key
-				t.Fatalf("step %d: BatchDelete(%d) returned %p, want %p", step, k, got[i], leafOf[k])
-			}
-			delete(leafOf, k)
-			delete(valOf, k)
-		}
-		model = slices.DeleteFunc(model, func(k int) bool { return leafOf[k] == nil })
-	}
+	m := newTreeModel(t)
+	tr := m.tr
 	for step := 0; step < 3000; step++ {
-		if step%3 == 0 && len(model) > 2 {
-			perm := rng.Perm(len(model))[rng.Intn(3):]
-			keys := make([]int, len(perm))
-			for i, p := range perm {
-				keys[i] = model[p]
-			}
-			sort.Ints(keys)
-			drop(step, keys)
-		}
-		switch op := rng.Intn(7); op {
-		case 0, 1: // BatchUpsert
-			keys := sortedDistinct(rng, rng.Intn(41), space)
-			items := make([]Item[int, int], len(keys))
-			for i, k := range keys {
-				items[i] = Item[int, int]{Key: k, Payload: rng.Int()}
-			}
-			for i, lf := range tr.BatchUpsert(items) {
-				k := keys[i]
-				if old := leafOf[k]; old != nil && old != lf {
-					t.Fatalf("step %d: BatchUpsert replaced the leaf of present key %d", step, k)
+		if step%3 == 0 && len(m.keys) > 2 {
+			perm := rng.Perm(len(m.keys))[rng.Intn(3):]
+			sort.Ints(perm)
+			if rng.Intn(2) == 0 {
+				m.dropRanks(perm)
+			} else {
+				keys := make([]int, len(perm))
+				for i, p := range perm {
+					keys[i] = m.keys[p]
 				}
-				leafOf[k], valOf[k] = lf, items[i].Payload
+				m.drop(keys)
 			}
-			model = model[:0]
-			for k := range leafOf {
-				model = append(model, k)
-			}
-			sort.Ints(model)
-		case 2: // BatchDelete
-			drop(step, sortedDistinct(rng, rng.Intn(41), space))
+		}
+		switch op := rng.Intn(8); op {
+		case 0, 1:
+			m.upsert(sortedDistinct(rng, rng.Intn(41), space))
+		case 2:
+			m.drop(sortedDistinct(rng, rng.Intn(41), space))
 		case 3: // BatchGet
 			keys := sortedDistinct(rng, rng.Intn(41), space)
 			for i, lf := range tr.BatchGet(keys) {
-				if lf != leafOf[keys[i]] {
-					t.Fatalf("step %d: BatchGet(%d) returned %p, want %p", step, keys[i], lf, leafOf[keys[i]])
+				if lf != m.leafOf[keys[i]] {
+					t.Fatalf("step %d: BatchGet(%d) returned %p, want %p", step, keys[i], lf, m.leafOf[keys[i]])
 				}
 			}
 		case 4: // Rank and Kth
-			for i, k := range model {
-				if r := Rank(leafOf[k]); r != i {
+			for i, k := range m.keys {
+				if r := Rank(m.leafOf[k]); r != i {
 					t.Fatalf("step %d: Rank(%d) = %d, want %d", step, k, r, i)
 				}
-				if tr.Kth(i) != leafOf[k] {
+				if tr.Kth(i) != m.leafOf[k] {
 					t.Fatalf("step %d: Kth(%d) is not the leaf of %d", step, i, k)
 				}
 			}
-			if tr.Kth(-1) != nil || tr.Kth(len(model)) != nil {
+			if tr.Kth(-1) != nil || tr.Kth(len(m.keys)) != nil {
 				t.Fatalf("step %d: Kth out of range returned a leaf", step)
 			}
 		case 5: // point operations
 			k := rng.Intn(space)
-			if lf, ok := tr.Get(k); ok != (leafOf[k] != nil) || lf != leafOf[k] {
+			if lf, ok := tr.Get(k); ok != (m.leafOf[k] != nil) || lf != m.leafOf[k] {
 				t.Fatalf("step %d: Get(%d) = %p, %v", step, k, lf, ok)
 			}
 			if rng.Intn(2) == 0 {
-				v := rng.Int()
-				lf, existed := tr.Insert(k, v)
-				if existed != (leafOf[k] != nil) || (existed && lf != leafOf[k]) {
+				m.next++
+				lf, existed := tr.Insert(k, m.next)
+				if existed != (m.leafOf[k] != nil) || (existed && lf != m.leafOf[k]) {
 					t.Fatalf("step %d: Insert(%d) = %p, %v", step, k, lf, existed)
 				}
-				if !existed {
-					i, _ := slices.BinarySearch(model, k)
-					model = slices.Insert(model, i, k)
-				}
-				leafOf[k], valOf[k] = lf, v
+				m.leafOf[k], m.valOf[k] = lf, m.next
 			} else {
-				drop(step, []int{k})
+				lf, ok := tr.Delete(k)
+				if ok != (lf != nil) {
+					t.Fatalf("step %d: Delete(%d) = %p, %v", step, k, lf, ok)
+				}
+				m.forget("Delete", k, lf)
 			}
+			m.resync()
 		case 6: // RangeInto, Min, Max
 			lo, hi := rng.Intn(space), rng.Intn(space+1)
 			var want []int
-			for _, k := range model {
+			for _, k := range m.keys {
 				if lo <= k && k < hi {
 					want = append(want, k)
 				}
@@ -133,30 +220,104 @@ func TestModelTree(t *testing.T) {
 				t.Fatalf("step %d: RangeInto(%d, %d) returned %d leaves, want %d", step, lo, hi, len(got), len(want))
 			}
 			for i, lf := range got {
-				if lf != leafOf[want[i]] {
+				if lf != m.leafOf[want[i]] {
 					t.Fatalf("step %d: RangeInto(%d, %d)[%d] is not the leaf of %d", step, lo, hi, i, want[i])
 				}
 			}
-			if len(model) == 0 {
+			if len(m.keys) == 0 {
 				if tr.Min() != nil || tr.Max() != nil {
 					t.Fatalf("step %d: Min/Max of an empty tree", step)
 				}
-			} else if tr.Min() != leafOf[model[0]] || tr.Max() != leafOf[model[len(model)-1]] {
+			} else if tr.Min() != m.leafOf[m.keys[0]] || tr.Max() != m.leafOf[m.keys[len(m.keys)-1]] {
 				t.Fatalf("step %d: Min/Max wrong", step)
 			}
+		case 7: // BatchInsertLeaves of absent keys
+			keys := sortedDistinct(rng, rng.Intn(41), space)
+			m.insertLeaves(slices.DeleteFunc(keys, func(k int) bool { return m.leafOf[k] != nil }))
 		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		flat := tr.Flatten()
-		if len(flat) != len(model) || tr.Len() != len(model) {
-			t.Fatalf("step %d: %d leaves, Len %d, model %d", step, len(flat), tr.Len(), len(model))
-		}
-		for i, lf := range flat {
-			if k := model[i]; lf != leafOf[k] || lf.Key != k || lf.Payload != valOf[k] {
-				t.Fatalf("step %d: leaf %d is {%d, %d}, want the leaf of %d", step, i, lf.Key, lf.Payload, k)
+		m.check()
+	}
+}
+
+// span returns lo, lo+step, ... below hi.
+func span(lo, hi, step int) []int {
+	var s []int
+	for k := lo; k < hi; k += step {
+		s = append(s, k)
+	}
+	return s
+}
+
+// TestModelTreeShapes runs the batches whose repair is a case of its own
+// against the model. Deletions: from trees of every size up to 40 and the
+// full ternary trees of 81 and 243 leaves, every contiguous run of keys
+// and every complement of one, by key and by rank — that is delete-all,
+// all but one (the root collapses to a leaf), all but the two ends, a
+// whole subtree (its parent loses a child), a subtree but one leaf (what is
+// left is shorter than its siblings by more than one level, at the front,
+// in the middle or at the back) and rank deletes at both ends. Insertions:
+// into trees of 0 to 30 keys, a batch of every size up to 40 in one gap
+// between neighbours (it lands under one h == 1 node and splits it into
+// many), at every gap, and a batch interleaved with and larger than the
+// tree.
+func TestModelTreeShapes(t *testing.T) {
+	build := func(n int) *treeModel {
+		m := newTreeModel(t)
+		m.insertLeaves(span(0, 100*n, 100))
+		m.check()
+		return m
+	}
+	sizes := append(span(1, 41, 1), 81, 243)
+	for _, n := range sizes {
+		stride := max(1, n/27) // the big trees: cuts at subtree boundaries and one off
+		for i := 0; i <= n; i += stride {
+			for _, j := range []int{i + 1, i + stride - 1, i + stride, i + 3*stride - 1, i + 3*stride, i + 9*stride, n - 1, n} {
+				if j <= i || j > n {
+					continue
+				}
+				for _, byRank := range []bool{false, true} {
+					for _, complement := range []bool{false, true} {
+						ranks := span(i, j, 1)
+						if complement {
+							ranks = append(span(0, i, 1), span(j, n, 1)...)
+						}
+						m := build(n)
+						if byRank {
+							m.dropRanks(ranks)
+						} else {
+							keys := make([]int, len(ranks))
+							for x, r := range ranks {
+								keys[x] = 100 * r
+							}
+							m.drop(keys)
+						}
+						if len(m.keys) != n-len(ranks) {
+							t.Fatalf("n=%d [%d,%d) rank=%v complement=%v: %d keys left", n, i, j, byRank, complement, len(m.keys))
+						}
+						m.check()
+					}
+				}
 			}
 		}
+	}
+	for _, n := range span(0, 31, 1) {
+		for gap := 0; gap <= n; gap++ {
+			for _, b := range []int{1, 2, 3, 4, 5, 7, 12, 40} {
+				m := build(n)
+				lo := 100*gap - 50
+				if b%2 == 0 {
+					m.insertLeaves(span(lo, lo+b, 1))
+				} else {
+					m.upsert(span(lo, lo+b, 1))
+				}
+				m.check()
+			}
+		}
+		m := build(n)
+		m.upsert(span(-100, 100*n+100, 20)) // every resident key and four more in every gap
+		m.check()
+		m.insertLeaves(span(-90, 100*n+100, 20))
+		m.check()
 	}
 }
 
@@ -181,19 +342,41 @@ func TestModelSeq(t *testing.T) {
 			t.Fatalf("step %d: %s returned %d leaves that are not the model's %d", step, what, len(got), len(want))
 		}
 	}
+	// remove takes the model's leaves at the sorted positions pick out of
+	// the sequence, handing them over in random order.
+	remove := func(step int, pick []int) {
+		var gone, rest []*SeqLeaf[int]
+		for i, lf := range model {
+			if _, found := slices.BinarySearch(pick, i); found {
+				gone = append(gone, lf)
+			} else {
+				rest = append(rest, lf)
+			}
+		}
+		shuffled := slices.Clone(gone)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		same(step, "RemoveInto", s.RemoveInto(shuffled, make([]int, len(gone)), make([]*SeqLeaf[int], len(gone))), gone)
+		model = rest
+	}
 	var scratch []*SeqLeaf[int]
 	for step := 0; step < 3000; step++ {
 		if step%3 == 0 && len(model) > 2 {
 			keep := rng.Intn(3)
 			cut := len(model) - keep
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(4) {
+			case 0:
 				scratch = s.PopBack(cut, scratch)
 				same(step, "PopBack", scratch, model[keep:])
 				model = model[:keep]
-			} else {
+			case 1:
 				scratch = s.PopFront(cut, scratch)
 				same(step, "PopFront", scratch, model[:cut])
 				model = slices.Clone(model[cut:])
+			case 2: // a run by rank: both ends, or everything, when keep is 0
+				remove(step, span(keep/2, len(model)-(keep+1)/2, 1))
+			default: // all but the middle: rank deletes at both ends at once
+				mid := len(model) / 2
+				remove(step, append(span(0, mid-keep/2, 1), span(mid+(keep+1)/2, len(model), 1)...))
 			}
 		}
 		switch op := rng.Intn(7); op {
@@ -222,19 +405,14 @@ func TestModelSeq(t *testing.T) {
 					model = append(popped, model...)
 				}
 			}
-		case 4: // Remove a random subset, handed over in random order
-			var pick, rest []*SeqLeaf[int]
-			for _, lf := range model {
+		case 4: // remove a random subset
+			var pick []int
+			for i := range model {
 				if rng.Intn(3) == 0 {
-					pick = append(pick, lf)
-				} else {
-					rest = append(rest, lf)
+					pick = append(pick, i)
 				}
 			}
-			shuffled := slices.Clone(pick)
-			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			same(step, "Remove", s.Remove(shuffled), pick)
-			model = rest
+			remove(step, pick)
 		case 5: // RankOf, Kth, Owns
 			for i, lf := range model {
 				if r := s.RankOf(lf); r != i {
@@ -262,5 +440,51 @@ func TestModelSeq(t *testing.T) {
 			t.Fatalf("step %d: Len %d, model %d", step, s.Len(), len(model))
 		}
 		same(step, "Flatten", s.Flatten(), model)
+	}
+}
+
+// TestForkedKernels runs every kernel on batches of several times
+// batchGrain, so that the recursion forks at the upper levels of the tree
+// and the goroutines repair neighbouring subtrees at once (CI runs this
+// under -race at GOMAXPROCS 1, 2 and 4), and checks the result leaf by
+// leaf.
+func TestForkedKernels(t *testing.T) {
+	const n = 40 * batchGrain
+	for _, frac := range []int{2, 3, 40} { // a batch of n/frac spread over the tree
+		t.Run(fmt.Sprintf("1in%d", frac), func(t *testing.T) {
+			m := newTreeModel(t)
+			m.insertLeaves(span(0, 8*n, 8))
+			m.check()
+			m.insertLeaves(span(4, 8*n, 8*frac))
+			m.check()
+			m.upsert(span(0, 8*n, 2*frac)) // some present, some not
+			m.check()
+			m.insertLeaves(span(1, 8*n*3/5, 16)) // a forking node with a child that gets none
+			m.check()
+			m.drop(span(0, 8*n, frac+1)) // likewise
+			m.check()
+			m.dropRanks(span(0, len(m.keys), frac))
+			m.check()
+			m.drop(slices.Clone(m.keys[1:])) // all but the first, through the forks
+			m.check()
+
+			s := NewSeqPooled[int](nil, NewNodePool[int, struct{}]())
+			leaves := s.PushBack(span(0, n, 1))
+			var pick, rest []*SeqLeaf[int]
+			for i, lf := range leaves {
+				if i%frac == 0 {
+					pick = append(pick, lf)
+				} else {
+					rest = append(rest, lf)
+				}
+			}
+			got := s.RemoveInto(pick, make([]int, len(pick)), make([]*SeqLeaf[int], len(pick)))
+			if !slices.Equal(got, pick) || !slices.Equal(s.Flatten(), rest) {
+				t.Fatalf("RemoveInto of %d leaves in %d: wrong leaves removed or left", len(pick), n)
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -12,12 +12,31 @@
 // sort, for a total of O(b log n) work — the same bound as the paper's
 // batched reverse-indexing.
 //
-// Batch operations take item-sorted batches of distinct keys and run in
-// Θ(b log n) work. They are implemented as divide-and-conquer over
-// split/join, which parallelizes cleanly (disjoint subtrees after a split);
-// the span is O(log b · log n) instead of the pipelined O(log b + log n) of
-// Paul-Vishkin-Wagener — a documented substitution (DESIGN.md) that leaves
-// every work bound intact.
+// Batch operations take key-sorted batches of distinct keys (or sorted
+// ranks) and are the in-place scheme of Paul-Vishkin-Wagener: the batch is
+// routed down the tree once and the tree is repaired on the way back. Every
+// routing node deals its share of the batch to its children by their
+// maxKey (by their cumulative size, for ranks) with one binary search per
+// child boundary, and only children that were dealt a key are visited, so
+// neighbouring keys of the batch share the path they have in common: a
+// batch of b visits Θ(b·log(n/b) + b) nodes, not b root-to-leaf spines,
+// and a subtree no key routes to is never entered. Leaves are edited under
+// the h == 1 nodes. An insert hands back to a node's parent the list of
+// same-height nodes that replace it — the node itself first, then new ones,
+// its children regrouped three to a node with twos to finish; the lists sit
+// on one stack owned by the tree, so a run allocates only the routing nodes
+// the tree grows by. A delete hands back the node while it keeps two or
+// three children; what is left of a node that does not is hung under the
+// spine of the sibling beside it (join's two halves, joinLeft and
+// joinRight), at any height difference. A node whose set of children did
+// not change is updated from the count of leaves added or removed, without
+// reading the children. The shares of different children are disjoint
+// subtrees, so a node with a share of batchGrain keys or more forks the
+// visits to its children (each insert branch building its list on a stack
+// of its own): the span is O(log b · log n), against the pipelined
+// O(log b + log n) of Paul-Vishkin-Wagener, with every work bound intact.
+// join and splitRank (joinsplit.go) remain for the recency sequence, which
+// only ever changes at its two ends.
 //
 // Node layout. Leaves and routing nodes are two struct types, so neither
 // pays for the other's fields: a leaf (Node) is a parent pointer, the key
@@ -142,6 +161,33 @@ func (n *inner[K, P]) kid(i int8) ref[K, P] {
 // setKid stores c, which must have height n.h-1 (or be empty), as n's i'th
 // child. The caller refreshes n once its children are in place.
 func (n *inner[K, P]) setKid(i int8, c ref[K, P]) { n.child[i] = c.p }
+
+// setKids makes kids — two or three subtrees of height n.h-1, in order —
+// n's children and refreshes n.
+func (n *inner[K, P]) setKids(kids []ref[K, P]) {
+	n.child = [3]unsafe.Pointer{}
+	for i, c := range kids {
+		n.child[i] = c.p
+	}
+	n.nc = int8(len(kids))
+	refresh(n)
+}
+
+// insertKid makes c, of height n.h-1, the i'th of n's now three children,
+// moving the later ones right. The caller refreshes n.
+func (n *inner[K, P]) insertKid(i int8, c ref[K, P]) {
+	copy(n.child[i+1:], n.child[i:n.nc])
+	n.child[i] = c.p
+	n.nc++
+}
+
+// dropKid removes n's i'th child, moving the later ones left. The caller
+// refreshes n.
+func (n *inner[K, P]) dropKid(i int8) {
+	copy(n.child[i:], n.child[i+1:n.nc])
+	n.nc--
+	n.child[n.nc] = nil
+}
 
 // route returns the index of the child of n whose subtree would hold k: the
 // first child whose maximum is >= k, or the last child.
@@ -283,16 +329,47 @@ func appendLeavesFree[K cmp.Ordered, P any](np *NodePool[K, P], r ref[K, P], out
 	return out
 }
 
+// take is how many of rem >= 2 same-height subtrees the next routing node
+// built over them gets: three, with twos to finish a remainder of two or
+// four.
+func take(rem int) int {
+	if rem == 2 || rem == 4 {
+		return 2
+	}
+	return 3
+}
+
+// group makes routing nodes over kids — two or more subtrees of equal
+// height, in order — and writes them over the front of kids, returning how
+// many it made. The first is first unless that is nil (a node rebuilt in
+// place keeps its identity); the rest come from the pool.
+func group[K cmp.Ordered, P any](np *NodePool[K, P], first *inner[K, P], kids []ref[K, P]) int {
+	h := kids[0].h + 1
+	w := 0
+	for i := 0; i < len(kids); w++ {
+		n := first
+		first = nil
+		if n == nil {
+			n = np.get()
+			n.h = h
+		}
+		g := take(len(kids) - i)
+		n.setKids(kids[i : i+g])
+		kids[w] = innerRef(n) // w <= i: written behind what was just read
+		i += g
+	}
+	return w
+}
+
 // buildStack is how many first-level routing nodes buildLeaves keeps on its
 // own stack; longer runs of leaves allocate one level buffer.
 const buildStack = 16
 
 // buildLeaves constructs a balanced 2-3 tree over the given leaves (in
 // order) and returns its root (empty for an empty slice). O(b) work. Each
-// level is grouped left to right into threes, with twos to finish a
-// remainder of two or four; a level is written over the front of the
-// previous one, which it can never overtake, so one buffer of half the
-// leaf count serves every level.
+// level is grouped left to right as group does it; a level is written over
+// the front of the previous one, which it can never overtake, so one buffer
+// of half the leaf count serves every level.
 func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P]) ref[K, P] {
 	switch len(leaves) {
 	case 0:
@@ -300,34 +377,24 @@ func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P])
 	case 1:
 		return leafRef(leaves[0]).detach()
 	}
-	var stack [buildStack]*inner[K, P]
+	var stack [buildStack]ref[K, P]
 	level := stack[:0]
 	if need := (len(leaves) + 1) / 2; need > buildStack {
-		level = make([]*inner[K, P], 0, need)
+		level = make([]ref[K, P], 0, need)
 	}
 	for i := 0; i < len(leaves); {
-		if rem := len(leaves) - i; rem == 2 || rem == 4 {
-			level = append(level, mk2(np, leafRef(leaves[i]), leafRef(leaves[i+1])))
+		if take(len(leaves)-i) == 2 {
+			level = append(level, innerRef(mk2(np, leafRef(leaves[i]), leafRef(leaves[i+1]))))
 			i += 2
-		} else { // rem == 3 or rem >= 5: take three
-			level = append(level, mk3(np, leafRef(leaves[i]), leafRef(leaves[i+1]), leafRef(leaves[i+2])))
+		} else {
+			level = append(level, innerRef(mk3(np, leafRef(leaves[i]), leafRef(leaves[i+1]), leafRef(leaves[i+2]))))
 			i += 3
 		}
 	}
 	for len(level) > 1 {
-		w := 0
-		for i := 0; i < len(level); w++ {
-			if rem := len(level) - i; rem == 2 || rem == 4 {
-				level[w] = mk2(np, innerRef(level[i]), innerRef(level[i+1]))
-				i += 2
-			} else {
-				level[w] = mk3(np, innerRef(level[i]), innerRef(level[i+1]), innerRef(level[i+2]))
-				i += 3
-			}
-		}
-		level = level[:w]
+		level = level[:group(np, nil, level)]
 	}
-	return innerRef(level[0])
+	return level[0]
 }
 
 // validate checks structural invariants below r: uniform leaf depth, 2-3

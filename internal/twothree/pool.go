@@ -5,20 +5,21 @@ import (
 	"sync"
 )
 
-// NodePool recycles routing nodes. The working-set maps churn routing
-// nodes constantly — every split consumes the spine nodes it passes and
-// every join/build makes new ones, so items migrating between segments
-// rebuild the routing structure above them on every batch — and that
-// churn is almost all of the engines' residual steady-state allocation
-// (EXPERIMENTS.md E18). A pool turns it into reuse.
+// NodePool recycles routing nodes. Items migrating between segments take
+// routing nodes out of one tree and need them in another: a key-map batch
+// delete drops the nodes left with fewer than two children and a batch
+// insert takes one for every node that overflows, while the recency
+// sequences still split and rejoin their spines at every pop and push —
+// and that churn is almost all of the engines' residual steady-state
+// allocation (EXPERIMENTS.md E18). A pool turns it into reuse.
 //
 // Only routing nodes are pooled, which the types enforce: leaves are
 // identity — the maps hold direct pointers to them across segment moves
 // (the paper's cross pointers) — and a leaf is a different type from
 // what the pool holds.
 //
-// A NodePool is safe for concurrent use (batch operations fork their
-// divide-and-conquer recursions, and M2's final slab segments run as
+// A NodePool is safe for concurrent use (batch operations fork the visits
+// to a node's children, and M2's final slab segments run as
 // concurrent activations over a shared engine pool); it is backed by a
 // sync.Pool, so recycled nodes are also GC-discardable. A nil *NodePool
 // is valid and simply allocates: trees without a pool behave exactly as
@@ -29,7 +30,7 @@ type NodePool[K cmp.Ordered, P any] struct {
 
 // NewNodePool creates an empty pool. One pool per engine is the intended
 // shape: all segments (and M2's filter tree) share it, so nodes freed by
-// one segment's split feed another segment's join.
+// one segment's deletions feed another segment's insertions.
 func NewNodePool[K cmp.Ordered, P any]() *NodePool[K, P] {
 	return &NodePool[K, P]{}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestNodePoolLeafIdentity churns a pooled tree hard — batch inserts,
-// deletes and single-key splits recycling internal nodes constantly —
+// TestNodePoolLeafIdentity churns a pooled tree hard — single-key inserts
+// and deletes taking and recycling routing nodes constantly —
 // and checks that leaves are never recycled out from under their direct
 // pointers: every surviving leaf keeps its key and payload, and the tree
 // stays valid.

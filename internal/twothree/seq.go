@@ -116,19 +116,11 @@ func (s *Seq[K]) PopBack(n int, out []*SeqLeaf[K]) []*SeqLeaf[K] {
 	return appendLeavesFree(s.pool, r, out[:0])
 }
 
-// Remove deletes the given leaves (in any order) from the sequence via
+// RemoveInto deletes the given leaves (in any order) from the sequence via
 // reverse indexing: compute each leaf's rank by a parent walk, sort the
-// ranks, and batch-delete. It returns the removed leaves in recency order.
+// ranks, and batch-delete. It returns the removed leaves in recency order,
+// in out; ranks and out are caller scratch of length len(leaves).
 // Θ(b log n) work.
-func (s *Seq[K]) Remove(leaves []*SeqLeaf[K]) []*SeqLeaf[K] {
-	if len(leaves) == 0 {
-		return nil
-	}
-	return s.RemoveInto(leaves, make([]int, len(leaves)), make([]*SeqLeaf[K], len(leaves)))
-}
-
-// RemoveInto is Remove with caller scratch: ranks and out must both have
-// length len(leaves); out is filled and returned.
 func (s *Seq[K]) RemoveInto(leaves []*SeqLeaf[K], ranks []int, out []*SeqLeaf[K]) []*SeqLeaf[K] {
 	if len(leaves) == 0 {
 		return out[:0]
@@ -138,8 +130,8 @@ func (s *Seq[K]) RemoveInto(leaves []*SeqLeaf[K], ranks []int, out []*SeqLeaf[K]
 		ranks[i] = Rank(lf)
 	}
 	sort.Ints(ranks)
-	clear(out)
-	s.root = batchDeleteRanks(s.pool, s.root, ranks, 0, out)
+	d := deleter[K, struct{}]{np: s.pool, ranks: ranks, out: out}
+	s.root = d.run(s.root, len(ranks))
 	return out
 }
 

@@ -113,7 +113,7 @@ func TestSeqRemoveByPointers(t *testing.T) {
 			pick = append(pick, leaves[i])
 			picked[i] = true
 		}
-		removed := s.Remove(pick)
+		removed := s.RemoveInto(pick, make([]int, len(pick)), make([]*SeqLeaf[int], len(pick)))
 		if len(removed) != b {
 			t.Fatalf("Remove returned %d, want %d", len(removed), b)
 		}

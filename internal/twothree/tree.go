@@ -3,18 +3,9 @@ package twothree
 import (
 	"cmp"
 	"math/bits"
-	"sort"
 
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 )
-
-// batchGrain is the batch size above which batch operations fork their
-// divide-and-conquer recursions onto separate goroutines. Below it each
-// recursion step returns from its own branch with its own sub-result
-// variables: the pair the forked closures assign is heap-allocated where
-// it is declared, whether or not the step forks.
-const batchGrain = 384
 
 // Item is one element of a batch update.
 type Item[K cmp.Ordered, P any] struct {
@@ -33,6 +24,14 @@ type Tree[K cmp.Ordered, P any] struct {
 	root ref[K, P]
 	cnt  *metrics.Counter
 	pool *NodePool[K, P]
+
+	// Scratch of the updates (a Tree has one mutator at a time), holding
+	// nothing between calls: the insert kernel's stack, an insert batch's
+	// keys, and the one-key batch of Insert and Delete.
+	stack []ref[K, P]
+	keys  []K
+	item  [1]Item[K, P]
+	leaf  [1]*Node[K, P]
 }
 
 // New returns an empty tree. cnt may be nil; when set, operations charge
@@ -41,9 +40,10 @@ func New[K cmp.Ordered, P any](cnt *metrics.Counter) *Tree[K, P] {
 	return &Tree[K, P]{cnt: cnt}
 }
 
-// NewPooled is New with a node free-list: internal nodes dropped by
-// splits are recycled through pool (which may be shared with other trees
-// of the same engine) instead of becoming garbage. pool may be nil.
+// NewPooled is New with a node free-list: routing nodes that deletions
+// leave without children are recycled through pool (which may be shared
+// with other trees of the same engine) instead of becoming garbage. pool
+// may be nil.
 func NewPooled[K cmp.Ordered, P any](cnt *metrics.Counter, pool *NodePool[K, P]) *Tree[K, P] {
 	return &Tree[K, P]{cnt: cnt, pool: pool}
 }
@@ -60,11 +60,11 @@ func (t *Tree[K, P]) chargePerOp(ops int) {
 	}
 }
 
-// chargeBatch charges the cost of a divide-and-conquer batch operation of
-// size b: the recursion visits Θ(b·log(n/b + 2) + b) nodes plus one root
-// descent, which is what the paper's batched 2-3 tree costs (it is the
-// standard bulk-operation bound; the coarser per-op bound b·log n used in
-// the paper's statements is an upper bound on this).
+// chargeBatch charges the cost of a batch operation of size b: the one
+// descent visits Θ(b·log(n/b + 2) + b) nodes plus one root path, which is
+// what the paper's batched 2-3 tree costs (it is the standard
+// bulk-operation bound; the coarser per-op bound b·log n used in the
+// paper's statements is an upper bound on this).
 func (t *Tree[K, P]) chargeBatch(b int) {
 	if t.cnt == nil || b == 0 {
 		return
@@ -95,23 +95,23 @@ func (t *Tree[K, P]) Get(k K) (*Node[K, P], bool) {
 // It returns the item's leaf and whether the key already existed. O(log n).
 func (t *Tree[K, P]) Insert(k K, p P) (*Node[K, P], bool) {
 	t.chargePerOp(1)
-	l, eq, r := splitKey(t.pool, t.root, k)
-	existed := eq != nil
-	if eq == nil {
-		eq = NewLeaf(k, p)
-	} else {
-		eq.Payload = p
-	}
-	t.root = join(t.pool, join(t.pool, l, leafRef(eq)), r)
-	return eq, existed
+	size := t.Len()
+	t.item[0] = Item[K, P]{Key: k, Payload: p}
+	t.upsert(t.item[:], t.leaf[:])
+	leaf := t.leaf[0]
+	t.item[0], t.leaf[0] = Item[K, P]{}, nil
+	return leaf, t.Len() == size
 }
 
 // Delete removes k and returns its leaf, if present. O(log n).
 func (t *Tree[K, P]) Delete(k K) (*Node[K, P], bool) {
 	t.chargePerOp(1)
-	l, eq, r := splitKey(t.pool, t.root, k)
-	t.root = join(t.pool, l, r)
-	return eq, eq != nil
+	t.keys = append(t.keys[:0], k)
+	t.deleteKeys(t.keys, t.leaf[:])
+	leaf := t.leaf[0]
+	clear(t.keys)
+	t.leaf[0] = nil
+	return leaf, leaf != nil
 }
 
 // Min returns the leftmost leaf, or nil when empty.
@@ -220,8 +220,8 @@ func rangeLeaves[K cmp.Ordered, P any](r ref[K, P], lo, hi K, limit int, out []*
 }
 
 // BatchGet looks up every key of the sorted, distinct batch and returns the
-// found leaves aligned with keys (nil where absent). Θ(b log n) work,
-// read-only, parallel.
+// found leaves aligned with keys (nil where absent). Θ(b·log(n/b) + b)
+// node visits, read-only, parallel.
 func (t *Tree[K, P]) BatchGet(keys []K) []*Node[K, P] {
 	return t.BatchGetInto(keys, make([]*Node[K, P], len(keys)))
 }
@@ -232,153 +232,64 @@ func (t *Tree[K, P]) BatchGet(keys []K) []*Node[K, P] {
 func (t *Tree[K, P]) BatchGetInto(keys []K, out []*Node[K, P]) []*Node[K, P] {
 	t.chargeBatch(len(keys))
 	clear(out)
-	batchGet(t.root, keys, out)
-	return out
-}
-
-func batchGet[K cmp.Ordered, P any](r ref[K, P], keys []K, out []*Node[K, P]) {
-	for !r.empty() && len(keys) > 0 {
-		if r.isLeaf() {
-			// Locate the leaf's key in keys (it can match at most one).
-			lf := r.leaf()
-			i := sort.Search(len(keys), func(j int) bool { return keys[j] >= lf.Key })
-			if i < len(keys) && keys[i] == lf.Key {
-				out[i] = lf
-			}
-			return
+	switch {
+	case t.root.empty() || len(keys) == 0:
+	case t.root.isLeaf():
+		if i := matchLeaf(t.root.leaf(), keys); i >= 0 {
+			out[i] = t.root.leaf()
 		}
-		n := r.node()
-		// Narrow to a single child when possible to avoid recursion.
-		var lo [4]int
-		lo[0] = 0
-		for ci := int8(0); ci < n.nc; ci++ {
-			if ci == n.nc-1 {
-				lo[ci+1] = len(keys)
-				break
-			}
-			mx := n.kid(ci).maxKey()
-			base := lo[ci]
-			lo[ci+1] = base + sort.Search(len(keys)-base, func(j int) bool { return keys[base+j] > mx })
-		}
-		// Count non-empty child ranges.
-		nonEmpty := 0
-		only := int8(0)
-		for ci := int8(0); ci < n.nc; ci++ {
-			if lo[ci+1] > lo[ci] {
-				nonEmpty++
-				only = ci
-			}
-		}
-		if nonEmpty <= 1 {
-			r, keys, out = n.kid(only), keys[lo[only]:lo[only+1]], out[lo[only]:lo[only+1]]
-			continue
-		}
-		if len(keys) < batchGrain {
-			// Sequential recursion: no closures, no forking overhead.
-			for ci := int8(0); ci < n.nc; ci++ {
-				if lo[ci+1] > lo[ci] {
-					batchGet(n.kid(ci), keys[lo[ci]:lo[ci+1]], out[lo[ci]:lo[ci+1]])
-				}
-			}
-			return
-		}
-		var fns [3]func()
-		nf := 0
-		for ci := int8(0); ci < n.nc; ci++ {
-			if lo[ci+1] <= lo[ci] {
-				continue
-			}
-			c, ks, os := n.kid(ci), keys[lo[ci]:lo[ci+1]], out[lo[ci]:lo[ci+1]]
-			fns[nf] = func() { batchGet(c, ks, os) }
-			nf++
-		}
-		if nf == 2 {
-			parallel.Do(fns[0], fns[1])
-		} else {
-			parallel.Do3(fns[0], fns[1], fns[2])
-		}
-		return
+	default:
+		batchGet(t.root.node(), keys, out)
 	}
+	return out
 }
 
 // BatchUpsert inserts every item of the sorted, distinct batch (overwriting
 // payloads of existing keys) and returns the leaves aligned with items.
-// Θ(b log n) work.
+// One descent, Θ(b·log(n/b) + b) node visits.
 func (t *Tree[K, P]) BatchUpsert(items []Item[K, P]) []*Node[K, P] {
 	t.chargeBatch(len(items))
 	out := make([]*Node[K, P], len(items))
-	t.root = batchUpsert(t.pool, t.root, items, out)
+	t.upsert(items, out)
 	return out
 }
 
-func batchUpsert[K cmp.Ordered, P any](np *NodePool[K, P], n ref[K, P], items []Item[K, P], out []*Node[K, P]) ref[K, P] {
-	if len(items) == 0 {
-		return n
+// upsert is BatchUpsert into caller scratch.
+func (t *Tree[K, P]) upsert(items []Item[K, P], out []*Node[K, P]) {
+	t.keys = t.keys[:0]
+	for _, it := range items {
+		t.keys = append(t.keys, it.Key)
 	}
-	if n.empty() {
-		// out doubles as the leaf run to build over.
-		for i, it := range items {
-			out[i] = NewLeaf(it.Key, it.Payload)
-		}
-		return buildLeaves(np, out)
-	}
-	mid := len(items) / 2
-	l, eq, r := splitKey(np, n, items[mid].Key)
-	if eq == nil {
-		eq = NewLeaf(items[mid].Key, items[mid].Payload)
-	} else {
-		eq.Payload = items[mid].Payload
-	}
-	out[mid] = eq
-	if len(items) < batchGrain {
-		lt := batchUpsert(np, l, items[:mid], out[:mid])
-		rt := batchUpsert(np, r, items[mid+1:], out[mid+1:])
-		return join(np, join(np, lt, leafRef(eq)), rt)
-	}
-	var lt, rt ref[K, P]
-	parallel.Do(
-		func() { lt = batchUpsert(np, l, items[:mid], out[:mid]) },
-		func() { rt = batchUpsert(np, r, items[mid+1:], out[mid+1:]) },
-	)
-	return join(np, join(np, lt, leafRef(eq)), rt)
+	t.insert(out, items)
 }
 
 // BatchInsertLeaves inserts pre-built leaves (sorted by key, distinct, and
 // absent from the tree). It preserves leaf identity, which the working-set
 // maps rely on to keep key-map/recency-map cross links valid while items
-// move between segments. Θ(b log n) work.
+// move between segments. Θ(b·log(n/b) + b) node visits.
 func (t *Tree[K, P]) BatchInsertLeaves(leaves []*Node[K, P]) {
 	t.chargeBatch(len(leaves))
-	t.root = batchInsertLeaves(t.pool, t.root, leaves)
+	t.keys = t.keys[:0]
+	for _, lf := range leaves {
+		t.keys = append(t.keys, lf.Key)
+	}
+	t.insert(leaves, nil)
 }
 
-func batchInsertLeaves[K cmp.Ordered, P any](np *NodePool[K, P], n ref[K, P], leaves []*Node[K, P]) ref[K, P] {
-	if len(leaves) == 0 {
-		return n
+// insert runs the insert kernel over the batch whose keys are in t.keys.
+func (t *Tree[K, P]) insert(lv []*Node[K, P], items []Item[K, P]) {
+	if len(lv) == 0 {
+		return
 	}
-	if n.empty() {
-		return buildLeaves(np, leaves)
-	}
-	mid := len(leaves) / 2
-	l, eq, r := splitKey(np, n, leaves[mid].Key)
-	if eq != nil {
-		panic("twothree: BatchInsertLeaves: key already present")
-	}
-	if len(leaves) < batchGrain {
-		lt := batchInsertLeaves(np, l, leaves[:mid])
-		rt := batchInsertLeaves(np, r, leaves[mid+1:])
-		return join(np, join(np, lt, leafRef(leaves[mid])), rt)
-	}
-	var lt, rt ref[K, P]
-	parallel.Do(
-		func() { lt = batchInsertLeaves(np, l, leaves[:mid]) },
-		func() { rt = batchInsertLeaves(np, r, leaves[mid+1:]) },
-	)
-	return join(np, join(np, lt, leafRef(leaves[mid])), rt)
+	s := inserter[K, P]{np: t.pool, keys: t.keys, lv: lv, items: items, stack: t.stack[:0]}
+	t.root = s.run(t.root)
+	t.stack = s.stack[:0]
+	clear(t.keys)
 }
 
 // BatchDelete removes every key of the sorted, distinct batch and returns
-// the removed leaves aligned with keys (nil where absent). Θ(b log n) work.
+// the removed leaves aligned with keys (nil where absent).
+// Θ(b·log(n/b) + b) node visits.
 func (t *Tree[K, P]) BatchDelete(keys []K) []*Node[K, P] {
 	return t.BatchDeleteInto(keys, make([]*Node[K, P], len(keys)))
 }
@@ -388,58 +299,22 @@ func (t *Tree[K, P]) BatchDelete(keys []K) []*Node[K, P] {
 func (t *Tree[K, P]) BatchDeleteInto(keys []K, out []*Node[K, P]) []*Node[K, P] {
 	t.chargeBatch(len(keys))
 	clear(out)
-	t.root = batchDelete(t.pool, t.root, keys, out)
+	t.deleteKeys(keys, out)
 	return out
 }
 
-func batchDelete[K cmp.Ordered, P any](np *NodePool[K, P], n ref[K, P], keys []K, out []*Node[K, P]) ref[K, P] {
-	if len(keys) == 0 || n.empty() {
-		return n
-	}
-	mid := len(keys) / 2
-	l, eq, r := splitKey(np, n, keys[mid])
-	out[mid] = eq
-	if len(keys) < batchGrain {
-		lt := batchDelete(np, l, keys[:mid], out[:mid])
-		rt := batchDelete(np, r, keys[mid+1:], out[mid+1:])
-		return join(np, lt, rt)
-	}
-	var lt, rt ref[K, P]
-	parallel.Do(
-		func() { lt = batchDelete(np, l, keys[:mid], out[:mid]) },
-		func() { rt = batchDelete(np, r, keys[mid+1:], out[mid+1:]) },
-	)
-	return join(np, lt, rt)
+func (t *Tree[K, P]) deleteKeys(keys []K, out []*Node[K, P]) {
+	d := deleter[K, P]{np: t.pool, keys: keys, out: out}
+	t.root = d.run(t.root, len(keys))
 }
 
 // BatchDeleteRanks removes the leaves at the given sorted, distinct 0-based
 // ranks and returns them in rank order. This is the second half of the
 // paper's reverse-indexing pattern: ranks come from Rank walks on direct
-// pointers. Θ(b log n) work.
+// pointers. Θ(b·log(n/b) + b) node visits.
 func (t *Tree[K, P]) BatchDeleteRanks(ranks []int) []*Node[K, P] {
 	t.chargeBatch(len(ranks))
-	out := make([]*Node[K, P], len(ranks))
-	t.root = batchDeleteRanks(t.pool, t.root, ranks, 0, out)
-	return out
-}
-
-func batchDeleteRanks[K cmp.Ordered, P any](np *NodePool[K, P], n ref[K, P], ranks []int, off int, out []*Node[K, P]) ref[K, P] {
-	if len(ranks) == 0 {
-		return n
-	}
-	mid := len(ranks) / 2
-	a, rest := splitRank(np, n, ranks[mid]-off)
-	leaf, b := splitRank(np, rest, 1)
-	out[mid] = leaf.leaf()
-	if len(ranks) < batchGrain {
-		at := batchDeleteRanks(np, a, ranks[:mid], off, out[:mid])
-		bt := batchDeleteRanks(np, b, ranks[mid+1:], ranks[mid]+1, out[mid+1:])
-		return join(np, at, bt)
-	}
-	var at, bt ref[K, P]
-	parallel.Do(
-		func() { at = batchDeleteRanks(np, a, ranks[:mid], off, out[:mid]) },
-		func() { bt = batchDeleteRanks(np, b, ranks[mid+1:], ranks[mid]+1, out[mid+1:]) },
-	)
-	return join(np, at, bt)
+	d := deleter[K, P]{np: t.pool, ranks: ranks, out: make([]*Node[K, P], len(ranks))}
+	t.root = d.run(t.root, len(ranks))
+	return d.out
 }

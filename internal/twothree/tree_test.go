@@ -274,57 +274,6 @@ func TestBatchDeleteRanks(t *testing.T) {
 	}
 }
 
-func TestQuickJoinSplitRoundTrip(t *testing.T) {
-	pool := NewNodePool[int, struct{}]()
-	f := func(raw []uint16, cut uint16) bool {
-		// Build a tree from distinct keys, split at an arbitrary key, and
-		// verify both halves plus rejoin.
-		m := map[int]bool{}
-		for _, r := range raw {
-			m[int(r)] = true
-		}
-		keys := make([]int, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		leaves := make([]*Node[int, struct{}], len(keys))
-		for i, k := range keys {
-			leaves[i] = NewLeaf(k, struct{}{})
-		}
-		root := buildLeaves(pool, leaves)
-		l, eq, r := splitKey(pool, root, int(cut))
-		if validate(l, true) != nil || validate(r, true) != nil {
-			return false
-		}
-		i := sort.SearchInts(keys, int(cut))
-		foundWant := i < len(keys) && keys[i] == int(cut)
-		if (eq != nil) != foundWant {
-			return false
-		}
-		if l.size() != i {
-			return false
-		}
-		rejoined := join(pool, join(pool, l, leafRef(eq)), r)
-		if validate(rejoined, true) != nil {
-			return false
-		}
-		if rejoined.size() != len(keys) {
-			return false
-		}
-		got := appendLeaves(rejoined, nil)
-		for j, lf := range got {
-			if lf.Key != keys[j] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickSplitRank(t *testing.T) {
 	pool := NewNodePool[int, struct{}]()
 	f := func(n uint16, at uint16) bool {
@@ -350,44 +299,6 @@ func TestQuickSplitRank(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLargeBatchParallelPaths(t *testing.T) {
-	// Exercise the forked (parallel) recursion paths with batches well above
-	// batchGrain.
-	rng := rand.New(rand.NewSource(5))
-	tr := New[int, int](nil)
-	keys := sortedDistinct(rng, 50000, 1<<30)
-	items := make([]Item[int, int], len(keys))
-	for i, k := range keys {
-		items[i] = Item[int, int]{Key: k, Payload: k}
-	}
-	tr.BatchUpsert(items)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got := tr.BatchGet(keys)
-	for i, lf := range got {
-		if lf == nil || lf.Payload != keys[i] {
-			t.Fatalf("missing key %d", keys[i])
-		}
-	}
-	half := make([]int, 0, len(keys)/2+1)
-	for i := 0; i < len(keys); i += 2 {
-		half = append(half, keys[i])
-	}
-	removed := tr.BatchDelete(half)
-	for i, lf := range removed {
-		if lf == nil || lf.Key != half[i] {
-			t.Fatalf("BatchDelete missed key %d", half[i])
-		}
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != len(keys)-len(half) {
-		t.Fatalf("Len = %d after bulk delete", tr.Len())
 	}
 }
 
@@ -472,4 +383,15 @@ func TestFlattenInto(t *testing.T) {
 	if cap(sc) != before {
 		t.Fatalf("FlattenInto reallocated a big-enough scratch: cap %d -> %d", before, cap(sc))
 	}
+}
+
+func TestBatchInsertLeavesPresentKeyPanics(t *testing.T) {
+	tr := New[int, string](nil)
+	tr.BatchInsertLeaves([]*Node[int, string]{NewLeaf(1, "a"), NewLeaf(2, "b"), NewLeaf(3, "c")})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("inserting a leaf for a present key did not panic")
+		}
+	}()
+	tr.BatchInsertLeaves([]*Node[int, string]{NewLeaf(0, "x"), NewLeaf(2, "y")})
 }
