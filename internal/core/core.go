@@ -23,13 +23,14 @@ import (
 // charge, not the footprint: budgets, eviction points and the standing
 // benchmark's hit ratios are all computed from it, so it stays put when
 // the layout changes. What an item really costs, measured by
-// TestBytesPerItem with the server's 9-byte keys and 64-byte values: 240
+// TestBytesPerItem with the server's 9-byte keys and 64-byte values: 182
 // live heap bytes, of which 80 are the key and value in their size
-// classes and 160 are structure — a 48-byte key-map leaf, a 24-byte
-// recency leaf and ~0.7 routing nodes per leaf at 64 bytes (twothree's
-// node layout) — against 431 and 351 when leaves and routing nodes
-// shared one 104-byte node type. A server's RSS runs at about
-// 1.8 x mem_bytes (uniform_mix: 155 MiB over 84.5 MiB accounted; 3.8 x
+// classes and 102 are structure — a 48-byte key-map leaf, a 24-byte
+// recency leaf and in each tree a 160-byte routing node per ~10.7 leaves
+// (twothree's node layout) — against 240 and 160 with 64-byte 2-3
+// routing nodes, and 431 and 351 when leaves and routing nodes shared one
+// 104-byte node type. A server's RSS runs at about 1.5 x mem_bytes
+// (uniform_mix: 124 MiB over 84.5 MiB accounted; 1.8 x and 3.8 x
 // before).
 const itemOverhead = 96
 

@@ -12,78 +12,107 @@ func join[K cmp.Ordered, P any](np *NodePool[K, P], a, b ref[K, P]) ref[K, P] {
 		return b.detach()
 	case b.empty():
 		return a.detach()
-	case a.h == b.h:
+	case a.h == 0 && b.h == 0:
 		return innerRef(mk2(np, a, b))
-	case a.h > b.h:
-		x, y := joinRight(np, a.detach().node(), b.detach())
-		if y != nil {
-			return innerRef(mk2(np, innerRef(x), innerRef(y)))
+	}
+	// The lower tree is hung at the end of the higher that faces it.
+	high, low, s := a.detach(), b.detach(), right
+	if a.h < b.h {
+		high, low, s = b, a, left
+	}
+	x := high.node()
+	y := hang(np, x, low, s)
+	switch {
+	case y == nil:
+		return high
+	case s == left:
+		x, y = y, x
+	}
+	return innerRef(mk2(np, innerRef(x), innerRef(y)))
+}
+
+// hang puts the tree b — a leaf, or a root with two children or more, no
+// higher than a — at the s end of the leaves of a's subtree. What a cannot
+// hold is returned in a second node of a's height, to go beside a on that
+// side; nil when a holds everything. a keeps its parent pointer, the second
+// node's is the caller's to set.
+//
+// b ends up beside the node of its own height on a's s spine when it is thin
+// (the two merge, or share their children evenly when one node cannot hold
+// them), and as one more child of the spine node a level above when it is
+// not; a node that overflows splits the same way, and the half it cannot
+// keep goes up as b did. With a's children, and all nodes below them, at
+// minKids or more, everything under a and the second node is again, and so
+// is either of the two if a was, or if there are two.
+func hang[K cmp.Ordered, P any](np *NodePool[K, P], a *inner[K, P], b ref[K, P], s side) *inner[K, P] {
+	if a.h == b.h {
+		return balance(np, a, b.node(), s)
+	}
+	size, top := b.size(), b.maxKey()
+	if !b.whole(a.h) {
+		// b belongs further down: only what a's end child cannot hold, if
+		// anything, is a child for a.
+		more := hang(np, a.edge(s).node(), b, s)
+		if more == nil {
+			a.grow(size, top, s)
+			return nil
 		}
-		return innerRef(x)
-	default:
-		x, y := joinLeft(np, b.detach().node(), a.detach())
-		if y != nil {
-			return innerRef(mk2(np, innerRef(y), innerRef(x)))
-		}
-		return innerRef(x)
+		b = innerRef(more)
+	}
+	if a.nc < maxKids {
+		a.addKid(s, b)
+		a.grow(size, top, s)
+		return nil
+	}
+	// a is full: b becomes the only child of a new node, which then takes
+	// half of a's.
+	y := np.get()
+	y.h = a.h
+	y.setKids([]ref[K, P]{b})
+	a.setSize(int(a.size) + size - b.size()) // a's end child took what of b is not in y
+	return balance(np, a, y, s)
+}
+
+// grow accounts for size leaves, the highest of them top, that were added
+// at the s end of n's subtree.
+func (n *inner[K, P]) grow(size int, top K, s side) {
+	n.setSize(int(n.size) + size)
+	if s == right {
+		n.maxKey = top
 	}
 }
 
-// joinRight hangs b (with height(b) < height(a)) below a's rightmost spine.
-// It returns one or two nodes of height a.h that together hold all leaves
-// in order; when two are returned the second goes to the right.
-func joinRight[K cmp.Ordered, P any](np *NodePool[K, P], a *inner[K, P], b ref[K, P]) (x, y *inner[K, P]) {
-	last := a.nc - 1
-	if a.h > b.h+1 {
-		r1, r2 := joinRight(np, a.kid(last).node(), b)
-		a.setKid(last, innerRef(r1))
-		if r2 == nil {
-			refresh(a)
-			return a, nil
-		}
-		b = innerRef(r2)
+// balance moves children between a and b, routing nodes of one height with
+// b's leaves next to a's on the s side: all of b's to a if the two have
+// fewer than two nodes need (b is recycled and nil returned), and otherwise
+// from the one with more to the one with fewer until they are level (b is
+// returned). Two that could be one full node stay two: a node filled to the
+// brim splits at the next insert, and a batch that goes in and comes out
+// again would split and merge the same nodes every time.
+func balance[K cmp.Ordered, P any](np *NodePool[K, P], a, b *inner[K, P], s side) *inner[K, P] {
+	l, r := a, b
+	if s == left {
+		l, r = b, a
 	}
-	// b is one more child for a, after its last.
-	if a.nc == 2 {
-		a.insertKid(2, b)
-		refresh(a)
-		return a, nil
+	total := l.nc + r.nc
+	if total < 2*minKids {
+		pour(l, r, b.nc, !s) // towards a
+		np.put(b)
+		return nil
 	}
-	c2 := a.kid(2)
-	a.dropKid(2)
-	refresh(a)
-	return a, mk2(np, c2, b)
-}
-
-// joinLeft is the mirror image of joinRight: b with height(b) < height(a)
-// is hung below a's leftmost spine. When two nodes are returned the second
-// goes to the left.
-func joinLeft[K cmp.Ordered, P any](np *NodePool[K, P], a *inner[K, P], b ref[K, P]) (x, y *inner[K, P]) {
-	if a.h > b.h+1 {
-		r1, r2 := joinLeft(np, a.kid(0).node(), b)
-		a.setKid(0, innerRef(r1))
-		if r2 == nil {
-			refresh(a)
-			return a, nil
-		}
-		b = innerRef(r2)
+	if keep := total / 2; l.nc > keep {
+		pour(l, r, l.nc-keep, right)
+	} else {
+		pour(l, r, keep-l.nc, left)
 	}
-	// b is one more child for a, before its first.
-	if a.nc == 2 {
-		a.insertKid(0, b)
-		refresh(a)
-		return a, nil
-	}
-	c0 := a.kid(0)
-	a.dropKid(0)
-	refresh(a)
-	return a, mk2(np, b, c0)
+	return b
 }
 
 // splitRank splits t so that l holds the first i leaves and r the rest.
-// t is consumed: the spine nodes the split passes through are dropped —
-// and recycled into the pool — as their children are redistributed into l
-// and r. O(log n).
+// t is consumed: a node the split passes through is left with its children
+// on one side of the cut, a new node takes those on the other, and each is
+// joined, once, with what the cut left of the child between them.
+// O(log n).
 func splitRank[K cmp.Ordered, P any](np *NodePool[K, P], t ref[K, P], i int) (l, r ref[K, P]) {
 	if t.empty() || i <= 0 {
 		return l, t.detach()
@@ -94,13 +123,32 @@ func splitRank[K cmp.Ordered, P any](np *NodePool[K, P], t ref[K, P], i int) (l,
 	// t is a routing node (a leaf has size 1 and was handled above).
 	n := t.node()
 	ci, i := n.locate(i)
-	l, r = splitRank(np, n.kid(ci), i)
-	for j := ci - 1; j >= 0; j-- {
-		l = join(np, n.kid(j), l)
+	c := n.kid(ci)
+	// n keeps the children before c, m takes those after it; c is the last
+	// of n's until it is dropped.
+	m := np.get()
+	m.h, m.maxKey = n.h, n.maxKey
+	pour(n, m, n.nc-ci-1, right)
+	n.nc--
+	n.child[ci] = nil
+	n.size -= int32(c.size())
+	if ci > 0 {
+		n.maxKey = n.kid(ci - 1).maxKey()
 	}
-	for j := ci + 1; j < n.nc; j++ {
-		r = join(np, r, n.kid(j))
+	l, r = splitRank(np, c, i)
+	return join(np, bundle(np, n), l), join(np, r, bundle(np, m))
+}
+
+// bundle returns the children of n as a tree: n itself if it has two or
+// more, and otherwise (n recycled) its only child or nothing.
+func bundle[K cmp.Ordered, P any](np *NodePool[K, P], n *inner[K, P]) ref[K, P] {
+	if n.nc >= 2 {
+		return innerRef(n).detach()
+	}
+	c := ref[K, P]{}
+	if n.nc == 1 {
+		c = n.kid(0)
 	}
 	np.put(n)
-	return l, r
+	return c
 }

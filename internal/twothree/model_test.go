@@ -2,6 +2,7 @@ package twothree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,7 +12,8 @@ import (
 
 // TestNodeSizes pins the three node shapes for the server's types (string
 // keys; a key-map payload of a string value plus the cross pointer): a
-// field added to Node or inner costs every resident item.
+// field added to Node or inner costs every resident item. The routing node
+// is the 160-byte size class exactly, ten bytes per child slot.
 func TestNodeSizes(t *testing.T) {
 	type kmPayload struct {
 		val string
@@ -23,8 +25,67 @@ func TestNodeSizes(t *testing.T) {
 	if n := reflect.TypeFor[SeqLeaf[string]]().Size(); n > 24 {
 		t.Errorf("recency leaf is %d bytes, want <= 24", n)
 	}
-	if n := reflect.TypeFor[inner[string, kmPayload]]().Size(); n > 64 {
-		t.Errorf("routing node is %d bytes, want <= 64", n)
+	if n := reflect.TypeFor[inner[string, kmPayload]]().Size(); n > 10*maxKids {
+		t.Errorf("routing node is %d bytes, want <= %d", n, 10*maxKids)
+	}
+}
+
+// TestValidateRejects breaks, one at a time, the invariants validate is the
+// oracle of in every model test below: the strict minimum below the root
+// and two at it, no child pointer past the count, exact cached size and
+// maximum.
+func TestValidateRejects(t *testing.T) {
+	// maxKids+1 leaves: a root over two nodes, of minKids+1 and minKids.
+	build := func() (*Tree[int, int], *inner[int, int]) {
+		m := newTreeModel(t)
+		m.insertLeaves(span(0, maxKids+1, 1))
+		m.check()
+		return m.tr, m.tr.root.node().kid(1).node()
+	}
+	for name, breakIt := range map[string]func(root, low *inner[int, int]){
+		"thin":     func(_, low *inner[int, int]) { low.nc--; low.size--; low.child[low.nc] = nil; low.maxKey-- },
+		"wide":     func(_, low *inner[int, int]) { low.nc = maxKids + 1 },
+		"lone":     func(root, _ *inner[int, int]) { root.nc = 1 },
+		"trailing": func(_, low *inner[int, int]) { low.child[maxKids-1] = low.child[0] },
+		"size":     func(_, low *inner[int, int]) { low.size++ },
+		"rootsize": func(root, _ *inner[int, int]) { root.size-- },
+		"maxKey":   func(_, low *inner[int, int]) { low.maxKey++ },
+		"parent":   func(root, low *inner[int, int]) { low.parent = low },
+	} {
+		tr, low := build()
+		if low.nc != minKids {
+			t.Fatalf("second node of %d leaves has %d children, want %d", maxKids+1, low.nc, minKids)
+		}
+		breakIt(tr.root.node(), low)
+		if err := tr.Validate(); err == nil {
+			t.Errorf("%s: validate accepts the broken tree", name)
+		}
+	}
+}
+
+// TestSizeCap checks that a subtree size that does not fit the node's 32
+// bits panics where it would be stored, instead of wrapping.
+func TestSizeCap(t *testing.T) {
+	half := func() *inner[int, int] { return &inner[int, int]{h: 1, size: math.MaxInt32/2 + 1} }
+	over := &inner[int, int]{h: 2, nc: 2}
+	over.child[0], over.child[1] = innerRef(half()).p, innerRef(half()).p
+	for name, grow := range map[string]func(){
+		"refresh": func() { refresh(over) },
+		"setSize": func() { half().setSize(math.MaxInt32 + 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a size of 2^31 did not panic", name)
+				}
+			}()
+			grow()
+		}()
+	}
+	n := half()
+	n.setSize(math.MaxInt32)
+	if n.size != math.MaxInt32 {
+		t.Errorf("setSize(2^31-1) stored %d", n.size)
 	}
 }
 
@@ -248,33 +309,46 @@ func span(lo, hi, step int) []int {
 	return s
 }
 
+// uniq sorts s and drops repeats and values outside [lo, hi].
+func uniq(s []int, lo, hi int) []int {
+	slices.Sort(s)
+	s = slices.Compact(s)
+	return slices.DeleteFunc(s, func(x int) bool { return x < lo || x > hi })
+}
+
 // TestModelTreeShapes runs the batches whose repair is a case of its own
-// against the model. Deletions: from trees of every size up to 40 and the
-// full ternary trees of 81 and 243 leaves, every contiguous run of keys
-// and every complement of one, by key and by rank — that is delete-all,
-// all but one (the root collapses to a leaf), all but the two ends, a
+// against the model, on trees whose sizes are cut from the node's bounds
+// a = minKids and b = maxKids. A tree built in one batch has full nodes
+// with the remainder split, so b+1 leaves are a node of a+1 beside one of
+// a, 2b+a are two full nodes and one of a, a·b±1, b², b²+1 have two
+// levels of routing nodes and b³+1 three, the last two nodes of every
+// level being a+1 and a. Deletions: runs of keys that start and end at
+// node and subtree boundaries and one off them, and the complements of the
+// runs, by key and by rank — that is a node left at a−1 beside a neighbour
+// at a (the two merge: b+1 leaves less the first two) and beside a full
+// one or one at a+1 (they share: 2b+a leaves less the last, b+1 less the
+// last), a thin node first, in the middle and last under its parent, a
 // whole subtree (its parent loses a child), a subtree but one leaf (what is
-// left is shorter than its siblings by more than one level, at the front,
-// in the middle or at the back) and rank deletes at both ends. Insertions:
-// into trees of 0 to 30 keys, a batch of every size up to 40 in one gap
-// between neighbours (it lands under one h == 1 node and splits it into
-// many), at every gap, and a batch interleaved with and larger than the
-// tree.
+// left is shorter than its siblings by one level and by two, at the front,
+// in the middle or at the back), everything but one leaf (the root
+// collapses to a leaf), everything but the two ends, delete-all. Insertions:
+// a batch of every size from 1 to a·b+3 in one gap between neighbours (it
+// lands under one h == 1 node and splits it into many) at the ends and in
+// the middle, and a batch interleaved with and larger than the tree.
 func TestModelTreeShapes(t *testing.T) {
+	const a, b = minKids, maxKids
+	const step = 1000 // between resident keys: room for any batch in one gap
 	build := func(n int) *treeModel {
 		m := newTreeModel(t)
-		m.insertLeaves(span(0, 100*n, 100))
+		m.insertLeaves(span(0, step*n, step))
 		m.check()
 		return m
 	}
-	sizes := append(span(1, 41, 1), 81, 243)
-	for _, n := range sizes {
-		stride := max(1, n/27) // the big trees: cuts at subtree boundaries and one off
-		for i := 0; i <= n; i += stride {
-			for _, j := range []int{i + 1, i + stride - 1, i + stride, i + 3*stride - 1, i + 3*stride, i + 9*stride, n - 1, n} {
-				if j <= i || j > n {
-					continue
-				}
+	for _, n := range []int{2, a, b, b + 1, 2*b + a, a*b - 1, a*b + 1, b * b, b*b + 1, b*b*b + 1} {
+		starts := uniq([]int{0, 1, a, b - 1, b, b + 1, 2 * b, a * b, b*b - 1, b * b, b*b + 1, n / 2, n - b - 1, n - b, n - a, n - 2, n - 1}, 0, n-1)
+		for _, i := range starts {
+			ends := uniq([]int{i + 1, i + 2, i + a - 1, i + a, i + a + 1, i + b - 1, i + b, i + b + 1, i + a*b, i + b*b - 1, i + b*b, i + b*b + 1, n - 1, n}, i+1, n)
+			for _, j := range ends {
 				for _, byRank := range []bool{false, true} {
 					for _, complement := range []bool{false, true} {
 						ranks := span(i, j, 1)
@@ -287,7 +361,7 @@ func TestModelTreeShapes(t *testing.T) {
 						} else {
 							keys := make([]int, len(ranks))
 							for x, r := range ranks {
-								keys[x] = 100 * r
+								keys[x] = step * r
 							}
 							m.drop(keys)
 						}
@@ -300,23 +374,23 @@ func TestModelTreeShapes(t *testing.T) {
 			}
 		}
 	}
-	for _, n := range span(0, 31, 1) {
-		for gap := 0; gap <= n; gap++ {
-			for _, b := range []int{1, 2, 3, 4, 5, 7, 12, 40} {
+	for _, n := range []int{0, 1, 2, a, b - 1, b, b + 1, 2 * b, a * b, b * b} {
+		for _, gap := range uniq([]int{0, 1, a, b, n / 2, n - 1, n}, 0, n) {
+			for _, size := range []int{1, 2, a - 1, a, b - 1, b, b + 1, 2*b + 1, a*b + 3} {
 				m := build(n)
-				lo := 100*gap - 50
-				if b%2 == 0 {
-					m.insertLeaves(span(lo, lo+b, 1))
+				lo := step*gap - step/2
+				if size%2 == 0 {
+					m.insertLeaves(span(lo, lo+size, 1))
 				} else {
-					m.upsert(span(lo, lo+b, 1))
+					m.upsert(span(lo, lo+size, 1))
 				}
 				m.check()
 			}
 		}
 		m := build(n)
-		m.upsert(span(-100, 100*n+100, 20)) // every resident key and four more in every gap
+		m.upsert(span(-step, step*n+step, step/5)) // every resident key and four more in every gap
 		m.check()
-		m.insertLeaves(span(-90, 100*n+100, 20))
+		m.insertLeaves(span(-step+1, step*n+step, step/5))
 		m.check()
 	}
 }
@@ -441,13 +515,82 @@ func TestModelSeq(t *testing.T) {
 		}
 		same(step, "Flatten", s.Flatten(), model)
 	}
+	s.PopFront(len(model), nil)
+
+	// Ends of every shape. With a = minKids and b = maxKids, a run of 2..a-1
+	// leaves is a tree whose root is thin at height 1, of 2b..(a-1)·b at
+	// height 2, and of b+1 or b²+1 one whose root has two children: pushed at
+	// either end of a sequence of one, two and three levels each is hung
+	// under that spine — merged into the spine's node of its height, sharing
+	// children with it, or as a child of the node above, splitting nodes on
+	// the way up when they are full — or, higher than the sequence, takes the
+	// sequence under its own spine. Then the three-level sequence is split at
+	// every rank from both ends and put together again.
+	const a, b = minKids, maxKids
+	sizes := []int{1, 2, a - 1, a, b, b + 1, 2 * b, (a-1)*b - 1, (a - 1) * b, a * b, b * b, b*b + 1}
+	verify := func(what string, n, k int) {
+		t.Helper()
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s %d at %d: %v", what, k, n, err)
+		}
+		same(n, what, s.Flatten(), model)
+	}
+	for _, n := range []int{0, 1, b, b + 1, b * b, b*b + 1, b*b*b + 1} {
+		for _, k := range sizes {
+			for _, front := range []bool{true, false} {
+				model = s.PushBack(span(0, n, 1))
+				// Full nodes first, then nodes at the minimum, down the spine.
+				for _, pre := range []int{0, 1, a*b + a} {
+					if pre < len(model) {
+						if front {
+							s.PopFront(pre, nil)
+							model = model[pre:]
+						} else {
+							s.PopBack(pre, nil)
+							model = model[:len(model)-pre]
+						}
+					}
+					verify("pop before push of", n, k)
+					if front {
+						model = append(s.PushFront(span(0, k, 1)), model...)
+					} else {
+						model = append(model, s.PushBack(span(0, k, 1))...)
+					}
+					verify("push of", n, k)
+				}
+				s.PopBack(len(model), nil)
+			}
+		}
+	}
+	const n = b*b + a*b + 1 // three levels: a root of two, over a full node and one of a+1
+	model = s.PushBack(span(0, n, 1))
+	for i := 0; i <= n; i++ {
+		scratch = s.PopFront(i, scratch)
+		same(i, "PopFront", scratch, model[:i])
+		if err := s.Validate(); err != nil {
+			t.Fatalf("PopFront(%d) of %d: %v", i, n, err)
+		}
+		same(i, "what PopFront left", s.Flatten(), model[i:])
+		s.PushFrontLeaves(scratch)
+		verify("PushFrontLeaves of", n, i)
+		scratch = s.PopBack(n-i, scratch)
+		same(i, "PopBack", scratch, model[i:])
+		if err := s.Validate(); err != nil {
+			t.Fatalf("PopBack(%d) of %d: %v", n-i, n, err)
+		}
+		s.PushBackLeaves(scratch)
+		verify("PushBackLeaves of", n, n-i)
+	}
 }
 
 // TestForkedKernels runs every kernel on batches of several times
 // batchGrain, so that the recursion forks at the upper levels of the tree
 // and the goroutines repair neighbouring subtrees at once (CI runs this
 // under -race at GOMAXPROCS 1, 2 and 4), and checks the result leaf by
-// leaf.
+// leaf. The tree of 40·batchGrain leaves built in one batch is a root of
+// four over full nodes; in 16way every batch leaves out the keys of one
+// child of the first of them, so a node with maxKids children forks with
+// one child that has no share.
 func TestForkedKernels(t *testing.T) {
 	const n = 40 * batchGrain
 	for _, frac := range []int{2, 3, 40} { // a batch of n/frac spread over the tree
@@ -483,8 +626,48 @@ func TestForkedKernels(t *testing.T) {
 				t.Fatalf("RemoveInto of %d leaves in %d: wrong leaves removed or left", len(pick), n)
 			}
 			if err := s.Validate(); err != nil {
-				t.Fatal(err)
+				t.Fatalf("after RemoveInto: %v", err)
 			}
 		})
 	}
+	t.Run("16way", func(t *testing.T) {
+		const under = maxKids * maxKids // leaves under a full node of height 2
+		// skip drops what routes to the sixth child of the root's first:
+		// leaves 5·under..6·under-1, the keys above 8·(5·under-1) up to
+		// 8·(6·under-1).
+		skip := func(keys []int) []int {
+			return slices.DeleteFunc(keys, func(k int) bool { return k > 8*(5*under-1) && k <= 8*(6*under-1) })
+		}
+		// Each kernel meets the tree as it was built.
+		for _, run := range []func(m *treeModel){
+			func(m *treeModel) {
+				keys := skip(span(0, 8*n, 4)) // every other key is absent
+				for i, lf := range m.tr.BatchGet(keys) {
+					if lf != m.leafOf[keys[i]] {
+						t.Fatalf("BatchGet(%d) returned %p, want %p", keys[i], lf, m.leafOf[keys[i]])
+					}
+				}
+			},
+			func(m *treeModel) { m.insertLeaves(skip(span(4, 8*n, 16))) },
+			func(m *treeModel) { m.upsert(skip(span(0, 8*n, 4))) },
+			func(m *treeModel) { m.drop(skip(span(0, 8*n, 12))) },
+			func(m *treeModel) {
+				ranks := skip(span(0, 8*n, 24)) // leaf r has key 8r
+				for i := range ranks {
+					ranks[i] /= 8
+				}
+				m.dropRanks(ranks)
+			},
+		} {
+			m := newTreeModel(t)
+			m.insertLeaves(span(0, 8*n, 8))
+			top := m.tr.root.node().kid(0).node()
+			if top.h != 3 || top.nc != maxKids || top.kid(5).size() != under {
+				t.Fatalf("the root's first child has height %d and %d children, the sixth of them %d leaves: want 3, %d, %d",
+					top.h, top.nc, top.kid(5).size(), maxKids, under)
+			}
+			run(m)
+			m.check()
+		}
+	})
 }

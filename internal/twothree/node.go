@@ -1,47 +1,66 @@
-// Package twothree implements the batched parallel 2-3 tree of the paper's
-// Appendix A.2 (adapted from Paul, Vishkin and Wagener's parallel 2-3
-// dictionary), plus the recency sequence used for every segment's
-// recency-map.
+// Package twothree implements the batched parallel search tree of the
+// paper's Appendix A.2, plus the recency sequence used for every segment's
+// recency-map. The appendix picks the 2-3 tree of Paul, Vishkin and Wagener;
+// nothing in the paper's bounds needs fan-out 3, only height O(log n) and a
+// batch descent of Θ(b·log(n/b) + b) visits, and this package keeps both on
+// an (a,b)-tree with a = minKids = 8 and b = maxKids = 16. The package name
+// and path are the 2-3 tree's because bench/probes.go imports them.
 //
-// Trees are leaf-based: all items live in leaves; internal nodes have two or
-// three children and carry the subtree size (for rank/order-statistic
-// queries) and the maximum key of their subtree (for routing). Leaves carry
-// parent pointers so that a "direct pointer" to an item supports the
-// reverse-indexing operation: computing the leaf's rank by walking to the
-// root costs O(log n), and a batch of b ranks is then ordered by an integer
-// sort, for a total of O(b log n) work — the same bound as the paper's
-// batched reverse-indexing.
+// Trees are leaf-based: all items live in leaves; routing nodes have
+// minKids..maxKids children (the root: 2..maxKids) and carry the subtree
+// size (for rank/order-statistic queries) and the maximum key of their
+// subtree (for routing), so the height is at most log_8 n below the root.
+// Leaves carry parent pointers so that a "direct pointer" to an item
+// supports the reverse-indexing operation: computing the leaf's rank by
+// walking to the root costs O(log n), and a batch of b ranks is then ordered
+// by an integer sort, for a total of O(b log n) work — the same bound as the
+// paper's batched reverse-indexing.
+//
+// The minimum is strict: no operation leaves a routing node below the root
+// with fewer than minKids children. A relaxed minimum (2, say) keeps every
+// bound but not the footprint: under random overwrites the occupancy of a
+// node is then a critical birth–death chain on [2, maxKids] whose mean is
+// 6.3 children, and bytes per item drift up by a fifth and more; on
+// [minKids, maxKids] no node is ever less than half full
+// (TestBytesPerItemChurn in the root package is the test of that).
 //
 // Batch operations take key-sorted batches of distinct keys (or sorted
 // ranks) and are the in-place scheme of Paul-Vishkin-Wagener: the batch is
 // routed down the tree once and the tree is repaired on the way back. Every
-// routing node deals its share of the batch to its children by their
-// maxKey (by their cumulative size, for ranks) with one binary search per
-// child boundary, and only children that were dealt a key are visited, so
-// neighbouring keys of the batch share the path they have in common: a
-// batch of b visits Θ(b·log(n/b) + b) nodes, not b root-to-leaf spines,
-// and a subtree no key routes to is never entered. Leaves are edited under
-// the h == 1 nodes. An insert hands back to a node's parent the list of
-// same-height nodes that replace it — the node itself first, then new ones,
-// its children regrouped three to a node with twos to finish; the lists sit
-// on one stack owned by the tree, so a run allocates only the routing nodes
-// the tree grows by. A delete hands back the node while it keeps two or
-// three children; what is left of a node that does not is hung under the
-// spine of the sibling beside it (join's two halves, joinLeft and
-// joinRight), at any height difference. A node whose set of children did
-// not change is updated from the count of leaves added or removed, without
-// reading the children. The shares of different children are disjoint
-// subtrees, so a node with a share of batchGrain keys or more forks the
-// visits to its children (each insert branch building its list on a stack
-// of its own): the span is O(log b · log n), against the pipelined
-// O(log b + log n) of Paul-Vishkin-Wagener, with every work bound intact.
-// join and splitRank (joinsplit.go) remain for the recency sequence, which
-// only ever changes at its two ends.
+// routing node deals its share of the batch to its children in one sweep
+// (partition: a binary search over the children not yet dealt to finds the
+// child a share starts in, one over the batch finds where the share ends;
+// ranks are dealt by cumulative size), and only children that were dealt a
+// key are visited, so neighbouring keys of the batch share the path they
+// have in common: a batch of b visits Θ(b·log(n/b) + b) nodes, not b
+// root-to-leaf spines, and a subtree no key routes to is never entered.
+// Leaves are edited under the h == 1 nodes. An insert hands back to a
+// node's parent the list of same-height nodes that replace it — the node
+// itself first, then new ones, its children regrouped into full nodes with
+// the remainder split so that each keeps minKids; the lists sit on one
+// stack owned by the tree, so a run allocates only the routing nodes the
+// tree grows by, and a node that takes new children without splitting
+// touches only those. A delete hands back the node while it keeps two
+// children or more, thin (fewer than minKids) or not, and its only child in
+// its place otherwise; the parent puts what is thin or short beside or under
+// the sibling next to it (hang: merge with the node of the same height on
+// that sibling's spine, or share children evenly with it when one node
+// cannot hold both), at any height difference. A node whose set of children
+// did not change is updated from the count of leaves added or removed,
+// without reading the children. The shares of different children are
+// disjoint subtrees, so a node with a share of batchGrain keys or more forks
+// the visits to its children: in two, by halves of the share, and each half
+// again while it has batchGrain keys and more than one child to give them
+// to, up to maxKids ways (each insert branch building its list on a stack
+// of its own). The span is O(log b · log n), against the pipelined
+// O(log b + log n) of Paul-Vishkin-Wagener, with every work bound intact. join and splitRank (joinsplit.go) serve the recency
+// sequence, which only ever changes at its two ends, on the same hang.
 //
 // Node layout. Leaves and routing nodes are two struct types, so neither
 // pays for the other's fields: a leaf (Node) is a parent pointer, the key
-// and the payload; a routing node (inner) is a parent pointer, three child
-// references, the child count, height, subtree size and subtree maximum.
+// and the payload; a routing node (inner) is a parent pointer, maxKids child
+// references, the child count, height, subtree size and subtree maximum —
+// 160 bytes with a string key, ten per child slot.
 // A routing node's children are all leaves or all routing nodes, and its
 // height says which: h == 1 ⇒ the children are leaves, h > 1 ⇒ they are
 // routing nodes. Child references are therefore untyped single-word
@@ -54,10 +73,21 @@ package twothree
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"unsafe"
 )
 
-// Node is a 2-3 tree leaf: one item's key and payload. Leaves are stable:
+// maxKids and minKids bound the children of a routing node below the root;
+// the root has 2..maxKids. Sixteen makes the node of a string-keyed tree
+// exactly the 160-byte size class; the bytes per item are about the same at
+// any width from 8 to 32 (~10 per child slot at the ~70 % fill random
+// insertion settles at), so the width is chosen for the height.
+const (
+	maxKids = 16
+	minKids = maxKids / 2
+)
+
+// Node is a tree leaf: one item's key and payload. Leaves are stable:
 // once created, a leaf is identified by its pointer for as long as the item
 // is in the tree ("direct pointers" in the paper), even as batch operations
 // restructure the routing nodes above it.
@@ -69,15 +99,25 @@ type Node[K cmp.Ordered, P any] struct {
 	parent  *inner[K, P]
 }
 
-// inner is a routing node: two or three children, all of height h-1.
+// inner is a routing node: nc children, all of height h-1. size is 32 bits
+// wide to keep the node in its size class, which caps a tree at 2^31-1
+// leaves; growing past that panics (setSize) rather than wraps.
 type inner[K cmp.Ordered, P any] struct {
 	parent *inner[K, P]
-	child  [3]unsafe.Pointer // *Node[K, P] when h == 1, *inner[K, P] otherwise
-	size   int               // number of leaves in the subtree
-	maxKey K                 // maximum key in the subtree
-	h      int16             // height above the leaf level, >= 1; fixed at creation
-	nc     int8              // number of children, 2 or 3
+	child  [maxKids]unsafe.Pointer // *Node[K, P] when h == 1, *inner[K, P] otherwise; nil from nc on
+	maxKey K                       // maximum key in the subtree
+	size   int32                   // number of leaves in the subtree
+	h      int16                   // height above the leaf level, >= 1; fixed at creation
+	nc     int8                    // number of children
 }
+
+// A side is an end of a node's children.
+type side bool
+
+const (
+	left  side = false
+	right side = true
+)
 
 // ref is a reference to a subtree: empty, a leaf (h == 0) or a routing node
 // (h >= 1). It lives in tree roots, locals and arguments only; nodes store
@@ -114,7 +154,7 @@ func (r ref[K, P]) size() int {
 	case r.h == 0:
 		return 1
 	}
-	return r.node().size
+	return int(r.node().size)
 }
 
 // height returns r's height, -1 when empty.
@@ -141,16 +181,30 @@ func (r ref[K, P]) parent() *inner[K, P] {
 	return r.node().parent
 }
 
-// detach clears r's parent pointer so it can stand alone as a root.
-func (r ref[K, P]) detach() ref[K, P] {
+// setParent points r, if not empty, back at up; nil lets it stand alone as a
+// root.
+func (r ref[K, P]) setParent(up *inner[K, P]) {
 	switch {
 	case r.p == nil:
 	case r.h == 0:
-		r.leaf().parent = nil
+		r.leaf().parent = up
 	default:
-		r.node().parent = nil
+		r.node().parent = up
 	}
+}
+
+// detach clears r's parent pointer so it can stand alone as a root.
+func (r ref[K, P]) detach() ref[K, P] {
+	r.setParent(nil)
 	return r
+}
+
+// whole reports whether a non-empty r can be the child of a node of height
+// h as it is: it has that height less one and, if a routing node, minKids
+// children. What is not whole is thin (that height, too few children) or
+// short (a lower one).
+func (r ref[K, P]) whole(h int16) bool {
+	return r.h == h-1 && (r.h == 0 || r.node().nc >= minKids)
 }
 
 // kid returns n's i'th child.
@@ -158,52 +212,109 @@ func (n *inner[K, P]) kid(i int8) ref[K, P] {
 	return ref[K, P]{p: n.child[i], h: n.h - 1}
 }
 
-// setKid stores c, which must have height n.h-1 (or be empty), as n's i'th
-// child. The caller refreshes n once its children are in place.
-func (n *inner[K, P]) setKid(i int8, c ref[K, P]) { n.child[i] = c.p }
+// edge returns n's first or last child.
+func (n *inner[K, P]) edge(s side) ref[K, P] {
+	if s == right {
+		return n.kid(n.nc - 1)
+	}
+	return n.kid(0)
+}
 
-// setKids makes kids — two or three subtrees of height n.h-1, in order —
+// setSize sets n's leaf count.
+func (n *inner[K, P]) setSize(size int) {
+	if size > math.MaxInt32 {
+		panic("twothree: tree exceeds 2^31-1 leaves")
+	}
+	n.size = int32(size)
+}
+
+// setKids makes kids — at most maxKids subtrees of height n.h-1, in order —
 // n's children and refreshes n.
 func (n *inner[K, P]) setKids(kids []ref[K, P]) {
-	n.child = [3]unsafe.Pointer{}
+	n.putKids(kids)
+	refresh(n)
+}
+
+// putKids makes kids n's children and no more: neither n's size and maximum
+// nor the children's parent pointers are touched.
+func (n *inner[K, P]) putKids(kids []ref[K, P]) {
+	n.child = [maxKids]unsafe.Pointer{}
 	for i, c := range kids {
 		n.child[i] = c.p
 	}
 	n.nc = int8(len(kids))
-	refresh(n)
 }
 
-// insertKid makes c, of height n.h-1, the i'th of n's now three children,
-// moving the later ones right. The caller refreshes n.
-func (n *inner[K, P]) insertKid(i int8, c ref[K, P]) {
-	copy(n.child[i+1:], n.child[i:n.nc])
-	n.child[i] = c.p
+// addKid makes c, of height n.h-1, the first or last of n's children, of
+// which there must be fewer than maxKids, and points it back at n. n's size
+// and maximum are the caller's.
+func (n *inner[K, P]) addKid(s side, c ref[K, P]) {
+	if s == right {
+		n.child[n.nc] = c.p
+	} else {
+		copy(n.child[1:], n.child[:n.nc])
+		n.child[0] = c.p
+	}
 	n.nc++
+	c.setParent(n)
 }
 
-// dropKid removes n's i'th child, moving the later ones left. The caller
-// refreshes n.
-func (n *inner[K, P]) dropKid(i int8) {
-	copy(n.child[i:], n.child[i+1:n.nc])
-	n.nc--
-	n.child[n.nc] = nil
+// pour moves cnt children between the neighbours l and r (l to the left, of
+// one height): the last cnt of l to the front of r when to is right, the
+// first cnt of r to the end of l otherwise. Only the children that move are
+// touched, for their sizes and parent pointers, and l's new last child for
+// l's maximum; a node left without children keeps a stale one.
+func pour[K cmp.Ordered, P any](l, r *inner[K, P], cnt int8, to side) {
+	from, dst, at := l, r, int8(0)
+	if to == right {
+		copy(r.child[cnt:], r.child[:r.nc])
+		copy(r.child[:cnt], l.child[l.nc-cnt:l.nc])
+		clear(l.child[l.nc-cnt : l.nc])
+	} else {
+		from, dst, at = r, l, l.nc
+		copy(l.child[l.nc:], r.child[:cnt])
+		copy(r.child[:], r.child[cnt:r.nc])
+		clear(r.child[r.nc-cnt : r.nc])
+	}
+	moved := 0
+	for i := at; i < at+cnt; i++ {
+		c := dst.kid(i)
+		c.setParent(dst)
+		moved += c.size()
+	}
+	from.nc -= cnt
+	dst.nc += cnt
+	from.size -= int32(moved)
+	dst.setSize(int(dst.size) + moved)
+	if l.nc > 0 {
+		l.maxKey = l.kid(l.nc - 1).maxKey()
+	}
+}
+
+// maxAt returns the maximum key under n's i'th child.
+func (n *inner[K, P]) maxAt(i int8) K {
+	if n.h == 1 {
+		return (*Node[K, P])(n.child[i]).Key
+	}
+	return (*inner[K, P])(n.child[i]).maxKey
+}
+
+// routeIn returns the first of n's children i <= c < j whose maximum is >= k,
+// j when none is, by binary search.
+func (n *inner[K, P]) routeIn(i, j int8, k K) int8 {
+	for i < j {
+		if m := int8(uint8(i+j) >> 1); n.maxAt(m) < k {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i
 }
 
 // route returns the index of the child of n whose subtree would hold k: the
 // first child whose maximum is >= k, or the last child.
-func (n *inner[K, P]) route(k K) int8 {
-	i, last := int8(0), n.nc-1
-	if n.h == 1 {
-		for i < last && (*Node[K, P])(n.child[i]).Key < k {
-			i++
-		}
-		return i
-	}
-	for i < last && (*inner[K, P])(n.child[i]).maxKey < k {
-		i++
-	}
-	return i
-}
+func (n *inner[K, P]) route(k K) int8 { return n.routeIn(0, n.nc-1, k) }
 
 // locate returns the index of the child of n holding the leaf of rank i
 // (0 <= i < n.size) and that leaf's rank within the child.
@@ -213,7 +324,7 @@ func (n *inner[K, P]) locate(i int) (int8, int) {
 	}
 	ci := int8(0)
 	for {
-		sz := (*inner[K, P])(n.child[ci]).size
+		sz := int((*inner[K, P])(n.child[ci]).size)
 		if i < sz {
 			return ci, i
 		}
@@ -237,34 +348,25 @@ func refresh[K cmp.Ordered, P any](n *inner[K, P]) {
 		for i := int8(0); i < n.nc; i++ {
 			(*Node[K, P])(n.child[i]).parent = n
 		}
-		n.size = int(n.nc)
+		n.size = int32(n.nc)
 		n.maxKey = (*Node[K, P])(n.child[n.nc-1]).Key
 		return
 	}
-	n.size = 0
+	size := 0
 	for i := int8(0); i < n.nc; i++ {
 		c := (*inner[K, P])(n.child[i])
-		n.size += c.size
+		size += int(c.size)
 		c.parent = n
 	}
+	n.setSize(size)
 	n.maxKey = (*inner[K, P])(n.child[n.nc-1]).maxKey
 }
 
 // mk2 makes a routing node over a and b, which must have equal heights.
 func mk2[K cmp.Ordered, P any](np *NodePool[K, P], a, b ref[K, P]) *inner[K, P] {
 	n := np.get()
-	n.h, n.nc = a.h+1, 2
-	n.child[0], n.child[1] = a.p, b.p
-	refresh(n)
-	return n
-}
-
-// mk3 makes a routing node over a, b and c, which must have equal heights.
-func mk3[K cmp.Ordered, P any](np *NodePool[K, P], a, b, c ref[K, P]) *inner[K, P] {
-	n := np.get()
-	n.h, n.nc = a.h+1, 3
-	n.child[0], n.child[1], n.child[2] = a.p, b.p, c.p
-	refresh(n)
+	n.h = a.h + 1
+	n.setKids([]ref[K, P]{a, b})
 	return n
 }
 
@@ -330,13 +432,17 @@ func appendLeavesFree[K cmp.Ordered, P any](np *NodePool[K, P], r ref[K, P], out
 }
 
 // take is how many of rem >= 2 same-height subtrees the next routing node
-// built over them gets: three, with twos to finish a remainder of two or
-// four.
+// built over them gets: maxKids while that leaves minKids for the next, all
+// that fit in one node, and otherwise half, so that the last two nodes share
+// a remainder neither could hold alone.
 func take(rem int) int {
-	if rem == 2 || rem == 4 {
-		return 2
+	switch {
+	case rem <= maxKids:
+		return rem
+	case rem >= maxKids+minKids:
+		return maxKids
 	}
-	return 3
+	return (rem + 1) / 2
 }
 
 // group makes routing nodes over kids — two or more subtrees of equal
@@ -365,11 +471,11 @@ func group[K cmp.Ordered, P any](np *NodePool[K, P], first *inner[K, P], kids []
 // own stack; longer runs of leaves allocate one level buffer.
 const buildStack = 16
 
-// buildLeaves constructs a balanced 2-3 tree over the given leaves (in
-// order) and returns its root (empty for an empty slice). O(b) work. Each
-// level is grouped left to right as group does it; a level is written over
-// the front of the previous one, which it can never overtake, so one buffer
-// of half the leaf count serves every level.
+// buildLeaves constructs a balanced tree over the given leaves (in order)
+// and returns its root (empty for an empty slice). O(b) work. Each level is
+// grouped left to right as group does it; a level is written over the front
+// of the previous one, which it can never overtake, so one buffer of a
+// sixteenth of the leaf count serves every level.
 func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P]) ref[K, P] {
 	switch len(leaves) {
 	case 0:
@@ -379,17 +485,20 @@ func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P])
 	}
 	var stack [buildStack]ref[K, P]
 	level := stack[:0]
-	if need := (len(leaves) + 1) / 2; need > buildStack {
+	if need := len(leaves)/maxKids + 1; need > buildStack {
 		level = make([]ref[K, P], 0, need)
 	}
 	for i := 0; i < len(leaves); {
-		if take(len(leaves)-i) == 2 {
-			level = append(level, innerRef(mk2(np, leafRef(leaves[i]), leafRef(leaves[i+1]))))
-			i += 2
-		} else {
-			level = append(level, innerRef(mk3(np, leafRef(leaves[i]), leafRef(leaves[i+1]), leafRef(leaves[i+2]))))
-			i += 3
+		n := np.get()
+		n.h = 1
+		g := take(len(leaves) - i)
+		for j, lf := range leaves[i : i+g] {
+			n.child[j] = unsafe.Pointer(lf)
 		}
+		n.nc = int8(g)
+		refresh(n)
+		level = append(level, innerRef(n))
+		i += g
 	}
 	for len(level) > 1 {
 		level = level[:group(np, nil, level)]
@@ -397,9 +506,11 @@ func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P])
 	return level[0]
 }
 
-// validate checks structural invariants below r: uniform leaf depth, 2-3
-// fan-out, size and maxKey caching, and parent pointers. If ordered is true
-// it additionally checks that leaf keys are strictly increasing.
+// validate checks structural invariants below r: uniform leaf depth,
+// minKids..maxKids children below the root and 2..maxKids at it, no child
+// pointer past the count, size and maxKey caching, and parent pointers. If
+// ordered is true it additionally checks that leaf keys are strictly
+// increasing.
 func validate[K cmp.Ordered, P any](r ref[K, P], ordered bool) error {
 	if r.empty() {
 		return nil
@@ -430,8 +541,12 @@ func validate[K cmp.Ordered, P any](r ref[K, P], ordered bool) error {
 		if n.h != r.h {
 			return fmt.Errorf("node height %d reached as height %d", n.h, r.h)
 		}
-		if n.nc < 2 || n.nc > 3 {
-			return fmt.Errorf("internal node with %d children", n.nc)
+		least := int8(minKids)
+		if up == nil {
+			least = 2
+		}
+		if n.nc < least || n.nc > maxKids {
+			return fmt.Errorf("node of height %d (root: %v) with %d children, want %d..%d", n.h, up == nil, n.nc, least, maxKids)
 		}
 		size := 0
 		for i := int8(0); i < n.nc; i++ {
@@ -444,10 +559,12 @@ func validate[K cmp.Ordered, P any](r ref[K, P], ordered bool) error {
 			}
 			size += c.size()
 		}
-		if n.nc == 2 && n.child[2] != nil {
-			return fmt.Errorf("two-child node holds a third pointer")
+		for _, p := range n.child[n.nc:] {
+			if p != nil {
+				return fmt.Errorf("node with %d children holds a pointer past them", n.nc)
+			}
 		}
-		if size != n.size {
+		if size != int(n.size) {
 			return fmt.Errorf("cached size %d, actual %d", n.size, size)
 		}
 		if n.maxKey != n.kid(n.nc-1).maxKey() {

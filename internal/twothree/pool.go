@@ -7,9 +7,9 @@ import (
 
 // NodePool recycles routing nodes. Items migrating between segments take
 // routing nodes out of one tree and need them in another: a key-map batch
-// delete drops the nodes left with fewer than two children and a batch
-// insert takes one for every node that overflows, while the recency
-// sequences still split and rejoin their spines at every pop and push —
+// delete drops the nodes it merges into a neighbour and a batch insert
+// takes one for every node that overflows, while the recency sequences
+// still split and rejoin their spines at every pop and push —
 // and that churn is almost all of the engines' residual steady-state
 // allocation (EXPERIMENTS.md E18). A pool turns it into reuse.
 //

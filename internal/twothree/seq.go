@@ -2,6 +2,7 @@ package twothree
 
 import (
 	"cmp"
+	"math/bits"
 	"sort"
 
 	"repro/internal/metrics"
@@ -12,7 +13,7 @@ import (
 // itself is ordered by recency, not by key.
 type SeqLeaf[K cmp.Ordered] = Node[K, struct{}]
 
-// Seq is the recency-map of a segment: a 2-3 tree ordered by recency (rank
+// Seq is the recency-map of a segment: a tree ordered by recency (rank
 // 0 = most recent, last rank = least recent) supporting the batched
 // front/back transfers and reverse indexing that the working-set maps
 // perform when shifting items between segments.
@@ -53,7 +54,7 @@ func (s *Seq[K]) chargeBatch(b int) {
 		return
 	}
 	n := s.root.size()
-	per := bitsLen(n/b+1) + 2
+	per := bits.Len(uint(n/b+1)) + 2
 	s.cnt.Add(int64(b*per) + int64(s.root.height()+2))
 }
 
@@ -173,13 +174,3 @@ func (s *Seq[K]) Owns(leaf *SeqLeaf[K]) bool {
 
 // Validate checks structural invariants, ignoring key order (test hook).
 func (s *Seq[K]) Validate() error { return validate(s.root, false) }
-
-// bitsLen is math/bits.Len over int (avoiding an import just for this).
-func bitsLen(n int) int {
-	l := 0
-	for n > 0 {
-		n >>= 1
-		l++
-	}
-	return l
-}

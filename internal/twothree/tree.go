@@ -13,11 +13,11 @@ type Item[K cmp.Ordered, P any] struct {
 	Payload P
 }
 
-// Tree is a key-ordered, leaf-based 2-3 tree supporting sequential and
+// Tree is a key-ordered, leaf-based (a,b)-tree supporting sequential and
 // batched operations. The zero value is not usable; create trees with New.
 //
 // Batch operations require the input batch to be sorted by key with
-// distinct keys, matching the paper's batched parallel 2-3 tree interface.
+// distinct keys, matching the paper's batched parallel search tree interface.
 // A Tree is not safe for concurrent mutation; the working-set maps guard
 // each tree with the paper's locking schemes.
 type Tree[K cmp.Ordered, P any] struct {
@@ -62,7 +62,7 @@ func (t *Tree[K, P]) chargePerOp(ops int) {
 
 // chargeBatch charges the cost of a batch operation of size b: the one
 // descent visits Θ(b·log(n/b + 2) + b) nodes plus one root path, which is
-// what the paper's batched 2-3 tree costs (it is the standard
+// what the paper's batched search tree costs (it is the standard
 // bulk-operation bound; the coarser per-op bound b·log n used in the
 // paper's statements is an upper bound on this).
 func (t *Tree[K, P]) chargeBatch(b int) {
@@ -115,22 +115,17 @@ func (t *Tree[K, P]) Delete(k K) (*Node[K, P], bool) {
 }
 
 // Min returns the leftmost leaf, or nil when empty.
-func (t *Tree[K, P]) Min() *Node[K, P] { return edgeLeaf(t.root, 0) }
+func (t *Tree[K, P]) Min() *Node[K, P] { return edgeLeaf(t.root, left) }
 
 // Max returns the rightmost leaf, or nil when empty.
-func (t *Tree[K, P]) Max() *Node[K, P] { return edgeLeaf(t.root, 1) }
+func (t *Tree[K, P]) Max() *Node[K, P] { return edgeLeaf(t.root, right) }
 
-func edgeLeaf[K cmp.Ordered, P any](r ref[K, P], right int) *Node[K, P] {
+func edgeLeaf[K cmp.Ordered, P any](r ref[K, P], s side) *Node[K, P] {
 	if r.empty() {
 		return nil
 	}
 	for !r.isLeaf() {
-		n := r.node()
-		if right == 1 {
-			r = n.kid(n.nc - 1)
-		} else {
-			r = n.kid(0)
-		}
+		r = r.node().edge(s)
 	}
 	return r.leaf()
 }
@@ -205,14 +200,10 @@ func rangeLeaves[K cmp.Ordered, P any](r ref[K, P], lo, hi K, limit int, out []*
 	}
 	n := r.node()
 	more := true
-	for i := int8(0); i < n.nc && more; i++ {
+	for i := n.route(lo); i < n.nc && more; i++ {
 		c := n.kid(i)
-		mx := c.maxKey()
-		if mx < lo {
-			continue // entire subtree below the range
-		}
 		out, more = rangeLeaves(c, lo, hi, limit, out)
-		if mx >= hi {
+		if c.maxKey() >= hi {
 			break // later siblings hold only keys > maxKey >= hi
 		}
 	}
