@@ -19,18 +19,21 @@ import (
 // classes, GC headroom) rides on top, which is why the soak criterion
 // compares engine bytes — not RSS — against the budget.
 
-// itemOverhead is the flat per-item structural charge in bytes. It is a
-// charge, not the footprint: budgets, eviction points and the standing
-// benchmark's hit ratios are all computed from it, so it stays put when
-// the layout changes. What an item really costs, measured by
-// TestBytesPerItem with the server's 9-byte keys and 64-byte values: 182
-// live heap bytes, of which 80 are the key and value in their size
-// classes and 102 are structure — a 48-byte key-map leaf, a 24-byte
-// recency leaf and in each tree a 160-byte routing node per ~10.7 leaves
-// (twothree's node layout) — against 240 and 160 with 64-byte 2-3
-// routing nodes, and 431 and 351 when leaves and routing nodes shared one
-// 104-byte node type. A server's RSS runs at about 1.5 x mem_bytes
-// (uniform_mix: 124 MiB over 84.5 MiB accounted; 1.8 x and 3.8 x
+// itemOverhead is the flat per-item structural charge in bytes. It is
+// still a charge, and still 96, not the footprint: budgets, eviction points
+// and the standing benchmark's hit ratios are all computed from it —
+// bench/spec.go mirrors it as residentPerItem to size cache_scan_d1's
+// -max-bytes at a tenth of the preload — so it stays put when the layout
+// changes, or every hit ratio moves with no change in behaviour. What an
+// item really costs, measured by TestBytesPerItem with the server's 9-byte
+// keys and 64-byte values: 158 live heap bytes, of which 80 are the key and
+// value in their size classes and 78 are structure — one 48-byte leaf
+// threaded by both trees of the segment, and in each tree a 160-byte
+// routing node per ~10.7 leaves (twothree's node layout) — against 182 and
+// 102 when the recency-map had a leaf of its own, 240 and 160 with 64-byte
+// 2-3 routing nodes, and 431 and 351 when leaves and routing nodes shared
+// one 104-byte node type. A server's RSS runs at about 1.3 x mem_bytes
+// (uniform_mix: 112 MiB over 84.5 MiB accounted; 1.5 x, 1.8 x and 3.8 x
 // before).
 const itemOverhead = 96
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
+	"repro/internal/twothree"
 )
 
 // M0 is the amortized sequential working-set map of Section 5: items live
@@ -18,17 +19,17 @@ import (
 // M0 is not safe for concurrent use; it is the sequential baseline that M1
 // and M2 parallelize.
 type M0[K cmp.Ordered, V any] struct {
-	segs  []*segment[K, V]
-	size  int
-	cnt   *metrics.Counter
-	pools segPools[K, V]
-	ms    moveScratch[K, V]
+	segs []*segment[K, V]
+	size int
+	cnt  *metrics.Counter
+	pool *twothree.NodePool[K, V]
+	ms   moveScratch[K, V]
 }
 
 // NewM0 creates an empty map. cnt may be nil; when set, structural work is
 // charged to it.
 func NewM0[K cmp.Ordered, V any](cnt *metrics.Counter) *M0[K, V] {
-	return &M0[K, V]{cnt: cnt, pools: newSegPools[K, V]()}
+	return &M0[K, V]{cnt: cnt, pool: twothree.NewNodePool[K, V]()}
 }
 
 // Len returns the number of items.
@@ -44,7 +45,7 @@ func (m *M0[K, V]) Segments() []int {
 }
 
 // find locates k, returning its segment index and leaf.
-func (m *M0[K, V]) find(k K) (int, *kmLeaf[K, V]) {
+func (m *M0[K, V]) find(k K) (int, *segLeaf[K, V]) {
 	for i, s := range m.segs {
 		if leaf, ok := s.km.Get(k); ok {
 			return i, leaf
@@ -79,7 +80,7 @@ func (m *M0[K, V]) Get(k K) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	v := leaf.Payload.val
+	v := leaf.Payload
 	m.promote(i, k)
 	return v, true
 }
@@ -88,17 +89,17 @@ func (m *M0[K, V]) Get(k K) (V, bool) {
 // returns the previous value if the key existed. O(1 + log n).
 func (m *M0[K, V]) Insert(k K, v V) (V, bool) {
 	if i, leaf := m.find(k); leaf != nil {
-		old := leaf.Payload.val
-		leaf.Payload.val = v
+		old := leaf.Payload
+		leaf.Payload = v
 		m.promote(i, k)
 		return old, true
 	}
 	if len(m.segs) == 0 {
-		m.segs = append(m.segs, newSegment[K, V](0, m.cnt, m.pools))
+		m.segs = append(m.segs, newSegment[K, V](0, m.cnt, m.pool))
 	}
 	last := m.segs[len(m.segs)-1]
 	if last.overBy() > 0 || last.underBy() == 0 {
-		m.segs = append(m.segs, newSegment[K, V](len(m.segs), m.cnt, m.pools))
+		m.segs = append(m.segs, newSegment[K, V](len(m.segs), m.cnt, m.pool))
 		last = m.segs[len(m.segs)-1]
 	}
 	last.pushBack(newItems([]K{k}, []V{v}))
@@ -115,7 +116,7 @@ func (m *M0[K, V]) Delete(k K) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	v := leaf.Payload.val
+	v := leaf.Payload
 	m.ms.removeItems(m.segs[i], []K{k})
 	m.size--
 	for j := i; j < len(m.segs)-1; j++ {

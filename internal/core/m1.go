@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pbuffer"
+	"repro/internal/twothree"
 )
 
 // Config configures the parallel working-set maps.
@@ -108,7 +109,7 @@ func NewM1[K cmp.Ordered, V any](cfg Config) *M1[K, V] {
 	}
 	m.slab.cnt = cfg.Counter
 	m.slab.obs = cfg.Obs
-	m.slab.pools = newSegPools[K, V]()
+	m.slab.pool = twothree.NewNodePool[K, V]()
 	m.mem = newMemAcct[K, V](cfg.MaxBytes)
 	m.slab.mem = m.mem
 	m.act = locks.NewActivation(

@@ -101,7 +101,7 @@ type fseg[K cmp.Ordered, V any] struct {
 	// the prev list when S[k-1] IS S[m] (k = m+1), preserving the global
 	// chronological order of that segment's events.
 	keysSc    []K
-	foundSc   []*kmLeaf[K, V]
+	foundSc   []*segLeaf[K, V]
 	fKeys     []K
 	fGroups   []*group[K, V]
 	fPresent  []bool
@@ -113,7 +113,7 @@ type fseg[K cmp.Ordered, V any] struct {
 	evSelf    []snapKV[K, V]
 	evPrev    []snapKV[K, V]
 	evFront   []snapKV[K, V]
-	flatSc    []*kmLeaf[K, V]
+	flatSc    []*segLeaf[K, V]
 	ms        moveScratch[K, V]
 }
 
@@ -212,12 +212,12 @@ func NewM2[K cmp.Ordered, V any](cfg Config) *M2[K, V] {
 	}
 	m.first.cnt = cfg.Counter
 	m.first.obs = cfg.Obs
-	m.first.pools = newSegPools[K, V]()
+	m.first.pool = twothree.NewNodePool[K, V]()
 	m.mem = newMemAcct[K, V](cfg.MaxBytes)
 	m.first.mem = m.mem
 	m.first.segs = make([]*segment[K, V], mSeg)
 	for k := 0; k < mSeg; k++ {
-		m.first.segs[k] = newSegment[K, V](k, cfg.Counter, m.first.pools)
+		m.first.segs[k] = newSegment[K, V](k, cfg.Counter, m.first.pool)
 	}
 	m.flt.tree = twothree.NewPooled[K, *fentry[K, V]](cfg.Counter, twothree.NewNodePool[K, *fentry[K, V]]())
 	m.act = locks.NewAsyncActivation(
@@ -517,7 +517,7 @@ func (m *M2[K, V]) createFseg(k int, left *locks.Dedicated) *fseg[K, V] {
 	f := &fseg[K, V]{
 		m2:    m,
 		k:     k,
-		seg:   newSegment[K, V](k, m.cfg.Counter, m.first.pools),
+		seg:   newSegment[K, V](k, m.cfg.Counter, m.first.pool),
 		left:  left,
 		right: locks.NewDedicated(2),
 	}
@@ -712,7 +712,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 			panic("core: M2 found item with no filter entry")
 		}
 		e := leaf.Payload
-		old := mb.kmLeaves[i].Payload.val
+		old := mb.kmLeaves[i].Payload
 		// Present observation: consult the TTL ghost hook first (see
 		// slab.pass); a past-deadline item replays as absent and its
 		// dead incarnation is removed right here, under this run's
@@ -751,7 +751,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	}
 	for i := range fGroups {
 		if f.fPresent[i] {
-			mb.kmLeaves[i].Payload.val = f.fVals[i]
+			mb.kmLeaves[i].Payload = f.fVals[i]
 		}
 	}
 	kept := mb.keepOnly(func(i int) bool { return f.fPresent[i] }, func(key K) bool {
@@ -761,7 +761,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	target.pushFront(kept)
 	if pos > 0 {
 		for _, lf := range kept.kmLeaves {
-			f.evFront = append(f.evFront, snapKV[K, V]{key: lf.Key, val: lf.Payload.val})
+			f.evFront = append(f.evFront, snapKV[K, V]{key: lf.Key, val: lf.Payload})
 		}
 	}
 
@@ -796,7 +796,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 		tb := f.ms.popBack(prev, ex)
 		for _, lf := range tb.kmLeaves {
 			f.recordPrev(pos, snapKV[K, V]{key: lf.Key, del: true})
-			f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, val: lf.Payload.val})
+			f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, val: lf.Payload})
 		}
 		f.seg.pushFront(tb)
 	}
@@ -813,7 +813,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 			tb := f.ms.popFront(f.seg, x)
 			for _, lf := range tb.kmLeaves {
 				f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, del: true})
-				f.recordPrev(pos, snapKV[K, V]{key: lf.Key, val: lf.Payload.val})
+				f.recordPrev(pos, snapKV[K, V]{key: lf.Key, val: lf.Payload})
 			}
 			prev.pushBack(tb)
 		}
@@ -831,7 +831,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 		for m.mem.over() && f.seg.size() > 0 {
 			tb := f.ms.popBack(f.seg, evictChunk)
 			for _, lf := range tb.kmLeaves {
-				m.mem.evict(lf.Key, lf.Payload.val)
+				m.mem.evict(lf.Key, lf.Payload)
 				f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, del: true})
 			}
 			m.sizeA.Add(-int64(tb.len()))
@@ -1005,7 +1005,7 @@ func (m *M2[K, V]) CheckInvariants() error {
 	bytes := m.first.recomputeBytes()
 	for _, f := range m.fsegs {
 		for _, lf := range f.seg.km.Flatten() {
-			bytes += m.mem.itemBytes(lf.Key, lf.Payload.val)
+			bytes += m.mem.itemBytes(lf.Key, lf.Payload)
 		}
 	}
 	if got := m.mem.bytes.Load(); bytes != got {

@@ -30,7 +30,7 @@ func TestM2UseAfterClosePanics(t *testing.T) {
 }
 
 func TestSegmentRemoveAbsentPanics(t *testing.T) {
-	s := newSegment[int, int](2, nil, newSegPools[int, int]())
+	s := newSegment[int, int](2, nil, nil)
 	s.pushBack(newItems([]int{1, 2, 3}, []int{1, 2, 3}))
 	defer func() {
 		if recover() == nil {
@@ -42,8 +42,8 @@ func TestSegmentRemoveAbsentPanics(t *testing.T) {
 }
 
 func TestSegmentMoveRoundTrip(t *testing.T) {
-	a := newSegment[int, int](3, nil, newSegPools[int, int]())
-	b := newSegment[int, int](3, nil, newSegPools[int, int]())
+	a := newSegment[int, int](3, nil, nil)
+	b := newSegment[int, int](3, nil, nil)
 	a.pushBack(newItems([]int{1, 2, 3, 4, 5}, []int{10, 20, 30, 40, 50}))
 	var ms moveScratch[int, int]
 	mb := ms.popBack(a, 2) // items 4, 5 (least recent)
@@ -59,7 +59,7 @@ func TestSegmentMoveRoundTrip(t *testing.T) {
 	}
 	// Values travel with the items.
 	leaf, ok := b.km.Get(4)
-	if !ok || leaf.Payload.val != 40 {
+	if !ok || leaf.Payload != 40 {
 		t.Fatal("value lost in transit")
 	}
 	// And back again.

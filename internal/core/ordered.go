@@ -21,7 +21,7 @@ func orderedItems[K cmp.Ordered, V any](segs []*segment[K, V]) []kvPair[K, V] {
 		leaves := s.km.Flatten()
 		level := make([]kvPair[K, V], len(leaves))
 		for i, lf := range leaves {
-			level[i] = kvPair[K, V]{key: lf.Key, val: lf.Payload.val}
+			level[i] = kvPair[K, V]{key: lf.Key, val: lf.Payload}
 		}
 		merged = mergeKV(merged, level)
 	}
@@ -71,7 +71,7 @@ func edgeOf[K cmp.Ordered, V any](segs []*segment[K, V], max bool) (K, V, bool) 
 	var bestV V
 	found := false
 	for _, s := range segs {
-		var leaf *kmLeaf[K, V]
+		var leaf *segLeaf[K, V]
 		if max {
 			leaf = s.km.Max()
 		} else {
@@ -81,7 +81,7 @@ func edgeOf[K cmp.Ordered, V any](segs []*segment[K, V], max bool) (K, V, bool) 
 			continue
 		}
 		if !found || (max && leaf.Key > bestK) || (!max && leaf.Key < bestK) {
-			bestK, bestV, found = leaf.Key, leaf.Payload.val, true
+			bestK, bestV, found = leaf.Key, leaf.Payload, true
 		}
 	}
 	return bestK, bestV, found

@@ -56,7 +56,7 @@ import (
 // across batches so steady-state range serving allocates nothing beyond
 // growing the caller's Out buffers.
 type rangeScratch[K cmp.Ordered, V any] struct {
-	leaves  []*kmLeaf[K, V]
+	leaves  []*segLeaf[K, V]
 	kvs     []KV[K, V]
 	offs    []int
 	cur     []int
@@ -143,7 +143,7 @@ func serveOneRange[K cmp.Ordered, V any](segs []*segment[K, V], snaps []*segSnap
 		sc.cur = append(sc.cur, start)
 		sc.leaves = seg.km.RangeInto(lo, hi, bound, sc.leaves[:0])
 		for _, lf := range sc.leaves {
-			sc.kvs = append(sc.kvs, KV[K, V]{Key: lf.Key, Val: lf.Payload.val})
+			sc.kvs = append(sc.kvs, KV[K, V]{Key: lf.Key, Val: lf.Payload})
 		}
 		if bound > 0 && len(sc.kvs)-start == bound {
 			// The source may hold further in-range items beyond its

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/twothree"
 )
 
 // slab is a run of consecutive working-set segments processed M1-style:
@@ -20,13 +21,13 @@ import (
 type slab[K cmp.Ordered, V any] struct {
 	segs  []*segment[K, V]
 	cnt   *metrics.Counter
-	obs   *obs.EngineObs // depth telemetry sink (nil = off)
-	pools segPools[K, V] // shared node free-lists for every segment's trees
-	mem   *memAcct[K, V] // byte accountant (nil = off; see core.go)
-	hooks *KeyHooks[K]   // per-key sidecar hooks (nil = off; see ops.go)
+	obs   *obs.EngineObs           // depth telemetry sink (nil = off)
+	pool  *twothree.NodePool[K, V] // the engine's one free-list of routing nodes
+	mem   *memAcct[K, V]           // byte accountant (nil = off; see core.go)
+	hooks *KeyHooks[K]             // per-key sidecar hooks (nil = off; see ops.go)
 
 	keySc    []K               // groupKeys of the pending batch
-	foundSc  []*kmLeaf[K, V]   // BatchGetInto result
+	foundSc  []*segLeaf[K, V]  // BatchGetInto result
 	fKeys    []K               // keys of found groups (sorted subset)
 	fGroups  []*group[K, V]    // groups of found keys, aligned with fKeys
 	fPresent []bool            // net-present after resolve, aligned with fKeys
@@ -79,7 +80,7 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 		s.fPresent = grow(s.fPresent, len(fGroups))
 		finished := s.finished[:0]
 		for i, g := range fGroups {
-			old := mb.kmLeaves[i].Payload.val
+			old := mb.kmLeaves[i].Payload
 			// Present observation: consult the TTL ghost hook first. A
 			// past-deadline item replays as absent — the observation
 			// deletes the dead incarnation through the normal delete
@@ -95,7 +96,7 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 				if s.mem != nil {
 					s.mem.swap(old, v)
 				}
-				mb.kmLeaves[i].Payload.val = v
+				mb.kmLeaves[i].Payload = v
 				finished = append(finished, g)
 			} else {
 				if s.mem != nil {
@@ -182,7 +183,7 @@ func (s *slab[K, V]) size() int {
 // instead of bouncing every new insert.
 func (s *slab[K, V]) insertFront(keysSorted []K, vals []V, maxSegs int) moveBatch[K, V] {
 	if len(s.segs) == 0 {
-		s.segs = append(s.segs, newSegment[K, V](0, s.cnt, s.pools))
+		s.segs = append(s.segs, newSegment[K, V](0, s.cnt, s.pool))
 	}
 	s.segs[0].pushFront(newItems(keysSorted, vals))
 	for l := 0; ; l++ {
@@ -194,7 +195,7 @@ func (s *slab[K, V]) insertFront(keysSorted []K, vals []V, maxSegs int) moveBatc
 			if maxSegs > 0 && len(s.segs) == maxSegs {
 				return s.ms.popBack(s.segs[l], ex)
 			}
-			s.segs = append(s.segs, newSegment[K, V](l+1, s.cnt, s.pools))
+			s.segs = append(s.segs, newSegment[K, V](l+1, s.cnt, s.pool))
 		}
 		s.segs[l+1].pushFront(s.ms.popBack(s.segs[l], ex))
 	}
@@ -215,7 +216,7 @@ func (s *slab[K, V]) evictColdest(n int) int {
 	}
 	mb := s.ms.popBack(s.segs[l], n)
 	for _, lf := range mb.kmLeaves {
-		s.mem.evict(lf.Key, lf.Payload.val)
+		s.mem.evict(lf.Key, lf.Payload)
 	}
 	s.trimEmpty()
 	return mb.len()
@@ -230,7 +231,7 @@ func (s *slab[K, V]) recomputeBytes() int64 {
 	var total int64
 	for _, seg := range s.segs {
 		for _, lf := range seg.km.Flatten() {
-			total += s.mem.itemBytes(lf.Key, lf.Payload.val)
+			total += s.mem.itemBytes(lf.Key, lf.Payload)
 		}
 	}
 	return total

@@ -128,7 +128,7 @@ func (f *fseg[K, V]) publishFlat() {
 	f.flatSc = f.seg.km.FlattenInto(f.flatSc)
 	base := make([]KV[K, V], len(f.flatSc))
 	for i, lf := range f.flatSc {
-		base[i] = KV[K, V]{Key: lf.Key, Val: lf.Payload.val}
+		base[i] = KV[K, V]{Key: lf.Key, Val: lf.Payload}
 	}
 	clear(f.flatSc) // don't pin leaves between runs
 	f.flatSc = f.flatSc[:0]

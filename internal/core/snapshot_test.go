@@ -16,7 +16,7 @@ import (
 // delta-chain compaction many times over.
 func TestSegSnapRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
-	f := &fseg[int, int]{seg: newSegment[int, int](4, nil, newSegPools[int, int]())}
+	f := &fseg[int, int]{seg: newSegment[int, int](4, nil, nil)}
 	model := map[int]int{}
 	const keySpace = 512
 

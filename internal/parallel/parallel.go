@@ -51,11 +51,6 @@ func Do(f, g func()) {
 	wg.Wait()
 }
 
-// Do3 runs three functions, in parallel when possible.
-func Do3(f, g, h func()) {
-	Do(f, func() { Do(g, h) })
-}
-
 // For runs body(i) for every i in [0, n), splitting the range across up to
 // MaxProcs goroutines in contiguous chunks of at least min(grainSize, ...)
 // iterations. grainSize <= 0 selects the default grain.

@@ -14,14 +14,6 @@ func TestDoRunsBoth(t *testing.T) {
 	}
 }
 
-func TestDo3RunsAll(t *testing.T) {
-	var n atomic.Int32
-	Do3(func() { n.Add(1) }, func() { n.Add(1) }, func() { n.Add(1) })
-	if n.Load() != 3 {
-		t.Fatalf("Do3 ran %d", n.Load())
-	}
-}
-
 func TestForCoversRange(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 255, 256, 257, 100000} {
 		seen := make([]atomic.Bool, n)

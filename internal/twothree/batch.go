@@ -176,8 +176,8 @@ func (s *inserter[K, P]) pushNew(up *inner[K, P], a, z int) {
 		if s.items != nil {
 			s.lv[i] = NewLeaf(s.items[i].Key, s.items[i].Payload)
 		}
-		s.lv[i].parent = up
-		s.stack = append(s.stack, leafRef(s.lv[i]))
+		s.lv[i].up[byKey] = up
+		s.stack = append(s.stack, leafRef(s.lv[i], byKey))
 	}
 }
 
@@ -193,7 +193,7 @@ func (s *inserter[K, P]) place(up *inner[K, P], e *Node[K, P], a, z int) {
 		s.lv[z] = e
 	}
 	s.pushNew(up, a, z)
-	s.stack = append(s.stack, leafRef(e))
+	s.stack = append(s.stack, leafRef(e, byKey))
 }
 
 // adopt points the routing nodes on the stack from at on at n: the new
@@ -350,7 +350,8 @@ func (d *deleter[K, P]) delLeaves(n *inner[K, P], a, z, off int) (rest ref[K, P]
 	var keep [maxKids]ref[K, P]
 	k := 0
 	for ci := int8(0); ci < n.nc; ci++ {
-		lf := n.kid(ci).leaf()
+		c := n.kid(ci)
+		lf := c.leaf()
 		switch {
 		case d.ranks != nil && a < z && d.ranks[a] == off+int(ci):
 			d.out[a] = lf
@@ -358,7 +359,7 @@ func (d *deleter[K, P]) delLeaves(n *inner[K, P], a, z, off int) (rest ref[K, P]
 		case d.ranks == nil && lo[ci+1] > lo[ci] && d.keys[a+lo[ci+1]-1] == lf.Key:
 			d.out[a+lo[ci+1]-1] = lf
 		default:
-			keep[k] = leafRef(lf)
+			keep[k] = c
 			k++
 		}
 	}
@@ -366,7 +367,7 @@ func (d *deleter[K, P]) delLeaves(n *inner[K, P], a, z, off int) (rest ref[K, P]
 	case gone == 0:
 	case k >= 2:
 		n.putKids(keep[:k])
-		n.size, n.maxKey = int32(k), keep[k-1].leaf().Key
+		n.size, n.maxKey = int32(k), keep[k-1].maxKey()
 	default: // keep[0] is empty if no leaf is left
 		d.np.put(n)
 		return keep[0], gone

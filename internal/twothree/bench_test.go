@@ -93,17 +93,13 @@ func BenchmarkRankWalk(b *testing.B) {
 	leaves := tr.BatchGet(keys[:4096])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Rank(leaves[i%len(leaves)])
+		rank(leaves[i%len(leaves)], byKey)
 	}
 }
 
 func BenchmarkSeqTransfer(b *testing.B) {
-	s := NewSeq[int](nil)
-	keys := make([]int, 1<<14)
-	for i := range keys {
-		keys[i] = i
-	}
-	s.PushBack(keys)
+	s := NewSeq[int, int](nil)
+	s.PushBackLeaves(mint(span(0, 1<<14, 1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		moved := s.PopBack(64, nil)

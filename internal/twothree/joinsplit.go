@@ -66,8 +66,7 @@ func hang[K cmp.Ordered, P any](np *NodePool[K, P], a *inner[K, P], b ref[K, P],
 	}
 	// a is full: b becomes the only child of a new node, which then takes
 	// half of a's.
-	y := np.get()
-	y.h = a.h
+	y := np.get(a.h, a.ax)
 	y.setKids([]ref[K, P]{b})
 	a.setSize(int(a.size) + size - b.size()) // a's end child took what of b is not in y
 	return balance(np, a, y, s)
@@ -126,8 +125,8 @@ func splitRank[K cmp.Ordered, P any](np *NodePool[K, P], t ref[K, P], i int) (l,
 	c := n.kid(ci)
 	// n keeps the children before c, m takes those after it; c is the last
 	// of n's until it is dropped.
-	m := np.get()
-	m.h, m.maxKey = n.h, n.maxKey
+	m := np.get(n.h, n.ax)
+	m.maxKey = n.maxKey
 	pour(n, m, n.nc-ci-1, right)
 	n.nc--
 	n.child[ci] = nil

@@ -10,34 +10,35 @@ import (
 	"testing"
 )
 
-// TestNodeSizes pins the three node shapes for the server's types (string
-// keys; a key-map payload of a string value plus the cross pointer): a
-// field added to Node or inner costs every resident item. The routing node
-// is the 160-byte size class exactly, ten bytes per child slot.
+// TestNodeSizes pins the node shapes for the server's types (string keys
+// and values): a field added to Node or inner costs every resident item. The
+// item is one 48-byte leaf for both trees of its segment — value, key and an
+// up-pointer for each — and the routing node is the 160-byte size class
+// exactly, ten bytes per child slot. The second up-pointer is there whether
+// a second tree uses it or not: a plain Node[int, int] is 32 bytes, not 24.
 func TestNodeSizes(t *testing.T) {
-	type kmPayload struct {
-		val string
-		rec *SeqLeaf[string]
+	if n := reflect.TypeFor[Node[string, string]]().Size(); n != 48 {
+		t.Errorf("segment item is %d bytes, want 48", n)
 	}
-	if n := reflect.TypeFor[Node[string, kmPayload]]().Size(); n > 48 {
-		t.Errorf("key-map leaf is %d bytes, want <= 48", n)
+	if n := reflect.TypeFor[inner[string, string]]().Size(); n != 10*maxKids {
+		t.Errorf("routing node is %d bytes, want %d", n, 10*maxKids)
 	}
-	if n := reflect.TypeFor[SeqLeaf[string]]().Size(); n > 24 {
-		t.Errorf("recency leaf is %d bytes, want <= 24", n)
-	}
-	if n := reflect.TypeFor[inner[string, kmPayload]]().Size(); n > 10*maxKids {
-		t.Errorf("routing node is %d bytes, want <= %d", n, 10*maxKids)
+	if n := reflect.TypeFor[Node[int, int]]().Size(); n != 32 {
+		t.Errorf("Node[int, int] is %d bytes, want 32", n)
 	}
 }
 
 // TestValidateRejects breaks, one at a time, the invariants validate is the
 // oracle of in every model test below: the strict minimum below the root
 // and two at it, no child pointer past the count, exact cached size and
-// maximum.
+// maximum, one axis, parent pointers — a leaf's on the tree's own axis. A
+// stale pointer on the other axis is not the tree's business: the same
+// leaves validate as a Tree whatever their up[byRank] and as a Seq whatever
+// their up[byKey].
 func TestValidateRejects(t *testing.T) {
 	// maxKids+1 leaves: a root over two nodes, of minKids+1 and minKids.
 	build := func() (*Tree[int, int], *inner[int, int]) {
-		m := newTreeModel(t)
+		m := newTreeModel(t, false)
 		m.insertLeaves(span(0, maxKids+1, 1))
 		m.check()
 		return m.tr, m.tr.root.node().kid(1).node()
@@ -51,6 +52,8 @@ func TestValidateRejects(t *testing.T) {
 		"rootsize": func(root, _ *inner[int, int]) { root.size-- },
 		"maxKey":   func(_, low *inner[int, int]) { low.maxKey++ },
 		"parent":   func(root, low *inner[int, int]) { low.parent = low },
+		"axis":     func(_, low *inner[int, int]) { low.ax = byRank },
+		"ownAxis":  func(root, low *inner[int, int]) { low.kid(0).leaf().up[byKey] = root },
 	} {
 		tr, low := build()
 		if low.nc != minKids {
@@ -60,6 +63,32 @@ func TestValidateRejects(t *testing.T) {
 		if err := tr.Validate(); err == nil {
 			t.Errorf("%s: validate accepts the broken tree", name)
 		}
+	}
+
+	tr, low := build()
+	leaves := tr.Flatten()
+	for _, lf := range leaves {
+		lf.up[byRank] = low
+	}
+	if err := tr.Validate(); err != nil {
+		t.Errorf("stale up[byRank]: the Tree does not validate: %v", err)
+	}
+	s := NewSeq[int, int](nil)
+	s.PushBackLeaves(leaves)
+	for _, lf := range leaves {
+		lf.up[byKey] = low
+	}
+	if err := s.Validate(); err != nil {
+		t.Errorf("stale up[byKey]: the Seq does not validate: %v", err)
+	}
+	leaves[0].up[byRank] = low
+	if err := s.Validate(); err == nil {
+		t.Errorf("stale up[byRank]: validate accepts the broken Seq")
+	}
+	s.root.node().maxKey = 1
+	leaves[0].up[byRank] = s.root.node().kid(0).node()
+	if err := s.Validate(); err == nil {
+		t.Errorf("validate accepts a Seq node with a maxKey")
 	}
 }
 
@@ -93,22 +122,35 @@ func TestSizeCap(t *testing.T) {
 // for each the leaf it must keep for as long as it is present and the
 // payload that leaf must hold. Every operation goes through both, and
 // check compares them leaf by leaf.
+//
+// With seq set the model is a segment: the tree's leaves are at the same
+// time those of a Seq, which every leaf enters (at either end, in turn) when
+// it enters the tree and leaves, reverse-indexed, when it leaves the tree;
+// rec is the order the Seq must have them in. The kernels of one axis then
+// run over leaves the other tree's routing nodes point at and whose other
+// up-pointer is live, and check validates both.
 type treeModel struct {
 	t      *testing.T
 	tr     *Tree[int, int]
 	keys   []int
-	leafOf map[int]*Node[int, int]
+	leafOf map[int]*leaf
 	valOf  map[int]int
 	next   int // payloads are distinct, so a missed overwrite shows
+	seq    *Seq[int, int]
+	rec    []*leaf
 }
 
-func newTreeModel(t *testing.T) *treeModel {
-	return &treeModel{
+func newTreeModel(t *testing.T, withSeq bool) *treeModel {
+	m := &treeModel{
 		t:      t,
-		tr:     NewPooled[int, int](nil, NewNodePool[int, int]()),
-		leafOf: map[int]*Node[int, int]{},
+		tr:     NewPooled(nil, NewNodePool[int, int]()),
+		leafOf: map[int]*leaf{},
 		valOf:  map[int]int{},
 	}
+	if withSeq {
+		m.seq = NewSeqPooled(nil, m.tr.pool)
+	}
+	return m
 }
 
 func (m *treeModel) resync() {
@@ -119,6 +161,49 @@ func (m *treeModel) resync() {
 	sort.Ints(m.keys)
 }
 
+// enter pushes leaves new to the tree onto the Seq, at the front or the
+// back in turn.
+func (m *treeModel) enter(leaves []*leaf) {
+	if m.seq == nil || len(leaves) == 0 {
+		return
+	}
+	if m.next%2 == 0 {
+		m.seq.PushFrontLeaves(leaves)
+		m.rec = append(slices.Clone(leaves), m.rec...)
+	} else {
+		m.seq.PushBackLeaves(leaves)
+		m.rec = append(m.rec, leaves...)
+	}
+}
+
+// leave takes leaves the tree has dropped out of the Seq by reverse
+// indexing, which must hand them back in recency order.
+func (m *treeModel) leave(leaves []*leaf) {
+	m.t.Helper()
+	if m.seq == nil || len(leaves) == 0 {
+		return
+	}
+	if err := m.tr.Validate(); err != nil { // before the Seq loses what the tree has lost
+		m.t.Fatal(err)
+	}
+	leaving := make(map[*leaf]bool, len(leaves))
+	for _, lf := range leaves {
+		leaving[lf] = true
+	}
+	var gone, rest []*leaf
+	for _, lf := range m.rec {
+		if leaving[lf] {
+			gone = append(gone, lf)
+		} else {
+			rest = append(rest, lf)
+		}
+	}
+	if got := m.seq.RemoveInto(leaves, make([]int, len(leaves)), make([]*leaf, len(leaves))); !slices.Equal(got, gone) {
+		m.t.Fatalf("RemoveInto of %d leaves did not return them in recency order", len(leaves))
+	}
+	m.rec = rest
+}
+
 // upsert is BatchUpsert of the sorted keys, present or not.
 func (m *treeModel) upsert(keys []int) {
 	m.t.Helper()
@@ -127,45 +212,60 @@ func (m *treeModel) upsert(keys []int) {
 		m.next++
 		items[i] = Item[int, int]{Key: k, Payload: m.next}
 	}
+	var fresh []*leaf
 	for i, lf := range m.tr.BatchUpsert(items) {
 		k := keys[i]
-		if old := m.leafOf[k]; old != nil && old != lf {
+		switch old := m.leafOf[k]; {
+		case old == nil:
+			fresh = append(fresh, lf)
+		case old != lf:
 			m.t.Fatalf("BatchUpsert replaced the leaf of present key %d", k)
 		}
 		m.leafOf[k], m.valOf[k] = lf, items[i].Payload
 	}
+	m.enter(fresh)
 	m.resync()
 }
 
 // insertLeaves is BatchInsertLeaves of new leaves for the sorted, absent
 // keys.
 func (m *treeModel) insertLeaves(keys []int) {
-	leaves := make([]*Node[int, int], len(keys))
+	leaves := make([]*leaf, len(keys))
 	for i, k := range keys {
 		m.next++
 		leaves[i] = NewLeaf(k, m.next)
 		m.leafOf[k], m.valOf[k] = leaves[i], m.next
 	}
 	m.tr.BatchInsertLeaves(leaves)
+	m.enter(leaves)
 	m.resync()
 }
 
-func (m *treeModel) forget(what string, k int, got *Node[int, int]) {
+// forget takes key k out of the model; got, the leaf the operation what
+// removed for it, must be the key's, nil for an absent key.
+func (m *treeModel) forget(what string, k int, got *leaf) {
 	m.t.Helper()
-	if got != m.leafOf[k] { // nil for an absent key
+	if got != m.leafOf[k] {
 		m.t.Fatalf("%s removed %p for key %d, want %p", what, got, k, m.leafOf[k])
 	}
 	delete(m.leafOf, k)
 	delete(m.valOf, k)
 }
 
+// forgetAll is forget for a batch, and the Seq's share of the removal.
+func (m *treeModel) forgetAll(what string, keys []int, got []*leaf) {
+	m.t.Helper()
+	for i, lf := range got {
+		m.forget(what, keys[i], lf)
+	}
+	m.leave(slices.DeleteFunc(got, func(lf *leaf) bool { return lf == nil }))
+	m.resync()
+}
+
 // drop is BatchDelete of the sorted keys, present or not.
 func (m *treeModel) drop(keys []int) {
 	m.t.Helper()
-	for i, lf := range m.tr.BatchDelete(keys) {
-		m.forget("BatchDelete", keys[i], lf)
-	}
-	m.resync()
+	m.forgetAll("BatchDelete", keys, m.tr.BatchDelete(keys))
 }
 
 // dropRanks is BatchDeleteRanks of the sorted ranks.
@@ -175,10 +275,20 @@ func (m *treeModel) dropRanks(ranks []int) {
 	for i, r := range ranks {
 		keys[i] = m.keys[r]
 	}
-	for i, lf := range m.tr.BatchDeleteRanks(ranks) {
-		m.forget("BatchDeleteRanks", keys[i], lf)
+	m.forgetAll("BatchDeleteRanks", keys, m.tr.BatchDeleteRanks(ranks))
+}
+
+// dropLeaves is RemoveInto of the leaves at the sorted ranks, handed over
+// in reverse.
+func (m *treeModel) dropLeaves(ranks []int) {
+	m.t.Helper()
+	keys := make([]int, len(ranks))
+	leaves := make([]*leaf, len(ranks))
+	for i, r := range ranks {
+		keys[i] = m.keys[r]
+		leaves[len(ranks)-1-i] = m.leafOf[keys[i]]
 	}
-	m.resync()
+	m.forgetAll("RemoveInto", keys, m.tr.RemoveInto(leaves, make([]int, len(ranks)), make([]*leaf, len(ranks))))
 }
 
 func (m *treeModel) check() {
@@ -198,25 +308,42 @@ func (m *treeModel) check() {
 	if !slices.Equal(m.tr.BatchGet(m.keys), flat) {
 		m.t.Fatalf("BatchGet of every key did not return every leaf")
 	}
+	if m.seq == nil {
+		return
+	}
+	if err := m.seq.Validate(); err != nil {
+		m.t.Fatalf("the Seq over the tree's leaves: %v", err)
+	}
+	if !slices.Equal(m.seq.Flatten(), m.rec) || m.seq.Len() != len(flat) {
+		m.t.Fatalf("the Seq holds %d leaves, not the tree's %d in the order they entered", m.seq.Len(), len(flat))
+	}
+	for _, lf := range flat {
+		if !m.tr.Owns(lf) || !m.seq.Owns(lf) {
+			m.t.Fatalf("the leaf of %d is not owned by both trees", lf.Key)
+		}
+	}
 }
 
 // TestModelTree drives a Tree with random batch and point operations
 // against the model, validating the structure and every leaf's identity
 // after each step. Every third step first shrinks the tree to 0, 1 or 2
 // items: there the root is empty or itself a leaf, the boundary between
-// the two node types.
+// the two node types. The model is a segment: a Seq holds the same leaves.
 func TestModelTree(t *testing.T) {
 	const space = 200
 	rng := rand.New(rand.NewSource(1))
-	m := newTreeModel(t)
+	m := newTreeModel(t, true)
 	tr := m.tr
 	for step := 0; step < 3000; step++ {
 		if step%3 == 0 && len(m.keys) > 2 {
 			perm := rng.Perm(len(m.keys))[rng.Intn(3):]
 			sort.Ints(perm)
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				m.dropRanks(perm)
-			} else {
+			case 1:
+				m.dropLeaves(perm)
+			default:
 				keys := make([]int, len(perm))
 				for i, p := range perm {
 					keys[i] = m.keys[p]
@@ -238,7 +365,7 @@ func TestModelTree(t *testing.T) {
 			}
 		case 4: // Rank and Kth
 			for i, k := range m.keys {
-				if r := Rank(m.leafOf[k]); r != i {
+				if r := rank(m.leafOf[k], byKey); r != i {
 					t.Fatalf("step %d: Rank(%d) = %d, want %d", step, k, r, i)
 				}
 				if tr.Kth(i) != m.leafOf[k] {
@@ -260,14 +387,17 @@ func TestModelTree(t *testing.T) {
 					t.Fatalf("step %d: Insert(%d) = %p, %v", step, k, lf, existed)
 				}
 				m.leafOf[k], m.valOf[k] = lf, m.next
+				if !existed {
+					m.enter([]*leaf{lf})
+				}
+				m.resync()
 			} else {
 				lf, ok := tr.Delete(k)
 				if ok != (lf != nil) {
 					t.Fatalf("step %d: Delete(%d) = %p, %v", step, k, lf, ok)
 				}
-				m.forget("Delete", k, lf)
+				m.forgetAll("Delete", []int{k}, []*leaf{lf})
 			}
-			m.resync()
 		case 6: // RangeInto, Min, Max
 			lo, hi := rng.Intn(space), rng.Intn(space+1)
 			var want []int
@@ -339,7 +469,7 @@ func TestModelTreeShapes(t *testing.T) {
 	const a, b = minKids, maxKids
 	const step = 1000 // between resident keys: room for any batch in one gap
 	build := func(n int) *treeModel {
-		m := newTreeModel(t)
+		m := newTreeModel(t, false)
 		m.insertLeaves(span(0, step*n, step))
 		m.check()
 		return m
@@ -395,32 +525,120 @@ func TestModelTreeShapes(t *testing.T) {
 	}
 }
 
+// seqModel is a Seq beside its reference, a slice of its leaves in recency
+// order, and a Tree that holds the same leaves by key, as a segment's
+// key-map does: whatever the Seq does to a leaf, the tree's routing nodes
+// point at it and its up[byKey] is live. A leaf enters the tree when it is
+// made and leaves it in retire, once the Seq has lost it for good, so a pop
+// and a push of the same leaves run with the tree untouched around them.
+type seqModel struct {
+	t     *testing.T
+	s     *Seq[int, int]
+	tr    *Tree[int, int]
+	model []*leaf
+	held  []*leaf // popped, and not yet pushed again or retired: the tree's alone
+	next  int     // keys are distinct and increasing: a new batch is sorted
+}
+
+func newSeqModel(t *testing.T) *seqModel {
+	pool := NewNodePool[int, int]()
+	return &seqModel{t: t, s: NewSeqPooled(nil, pool), tr: NewPooled(nil, pool)}
+}
+
+// fresh makes n leaves, which the tree takes at once and the caller pushes.
+func (m *seqModel) fresh(n int) []*leaf {
+	leaves := mint(span(m.next, m.next+n, 1))
+	m.next += n
+	m.tr.BatchInsertLeaves(leaves)
+	return leaves
+}
+
+func (m *seqModel) pushFront(leaves []*leaf) {
+	m.s.PushFrontLeaves(leaves)
+	m.model, m.held = append(slices.Clone(leaves), m.model...), nil
+}
+
+func (m *seqModel) pushBack(leaves []*leaf) {
+	m.s.PushBackLeaves(leaves)
+	m.model, m.held = append(m.model, leaves...), nil
+}
+
+// popFront pops n leaves, or all there are, and returns a copy of them.
+func (m *seqModel) popFront(what string, n int, scratch []*leaf) []*leaf {
+	m.t.Helper()
+	c := min(n, len(m.model))
+	got := m.s.PopFront(n, scratch)
+	m.same(what, got, m.model[:c])
+	m.model, m.held = slices.Clone(m.model[c:]), slices.Clone(got)
+	return m.held
+}
+
+func (m *seqModel) popBack(what string, n int, scratch []*leaf) []*leaf {
+	m.t.Helper()
+	c := len(m.model) - min(n, len(m.model))
+	got := m.s.PopBack(n, scratch)
+	m.same(what, got, m.model[c:])
+	m.model, m.held = m.model[:c], slices.Clone(got)
+	return m.held
+}
+
+// retire takes leaves that are in the Seq no more out of the tree. The tree
+// must be whole before — the Seq's kernels ran over its leaves — and give
+// back these very leaves.
+func (m *seqModel) retire(leaves []*leaf) {
+	m.t.Helper()
+	if err := m.tr.Validate(); err != nil {
+		m.t.Fatalf("the tree, after the Seq lost %d of its leaves: %v", len(leaves), err)
+	}
+	byKey := slices.Clone(leaves)
+	slices.SortFunc(byKey, func(a, b *leaf) int { return a.Key - b.Key })
+	keys := make([]int, len(byKey))
+	for i, lf := range byKey {
+		keys[i] = lf.Key
+	}
+	m.same("BatchDelete from the tree", m.tr.BatchDelete(keys), byKey)
+	m.held = nil
+}
+
+func (m *seqModel) same(what string, got, want []*leaf) {
+	m.t.Helper()
+	if !slices.Equal(got, want) {
+		m.t.Fatalf("%s returned %d leaves that are not the model's %d", what, len(got), len(want))
+	}
+}
+
+// check validates both trees and compares each with the model: the Seq
+// leaf by leaf in recency order, the tree in key order.
+func (m *seqModel) check(what string) {
+	m.t.Helper()
+	if err := m.s.Validate(); err != nil {
+		m.t.Fatalf("%s: %v", what, err)
+	}
+	if m.s.Len() != len(m.model) {
+		m.t.Fatalf("%s: Len %d, model %d", what, m.s.Len(), len(m.model))
+	}
+	m.same(what+": Flatten", m.s.Flatten(), m.model)
+	if err := m.tr.Validate(); err != nil {
+		m.t.Fatalf("%s: the tree over the same leaves: %v", what, err)
+	}
+	byKey := append(slices.Clone(m.model), m.held...)
+	slices.SortFunc(byKey, func(a, b *leaf) int { return a.Key - b.Key })
+	m.same(what+": the tree's Flatten", m.tr.Flatten(), byKey)
+}
+
 // TestModelSeq is TestModelTree for the recency sequence: pushes, pops
 // and reverse-indexed removals against a slice of leaves in recency
-// order, with the same share of steps on sequences of 0, 1 and 2 items.
+// order, with the same share of steps on sequences of 0, 1 and 2 items,
+// every leaf in a Tree as well for as long as it is in the Seq.
 func TestModelSeq(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := NewSeqPooled[int](nil, NewNodePool[int, struct{}]())
-	var model []*SeqLeaf[int] // recency order
-	next := 0                 // keys only label leaves here
-	fresh := func() []int {
-		keys := make([]int, rng.Intn(20))
-		for i := range keys {
-			keys[i] = next
-			next++
-		}
-		return keys
-	}
-	same := func(step int, what string, got, want []*SeqLeaf[int]) {
-		if !slices.Equal(got, want) {
-			t.Fatalf("step %d: %s returned %d leaves that are not the model's %d", step, what, len(got), len(want))
-		}
-	}
+	m := newSeqModel(t)
+	s := m.s
 	// remove takes the model's leaves at the sorted positions pick out of
 	// the sequence, handing them over in random order.
-	remove := func(step int, pick []int) {
-		var gone, rest []*SeqLeaf[int]
-		for i, lf := range model {
+	remove := func(pick []int) {
+		var gone, rest []*leaf
+		for i, lf := range m.model {
 			if _, found := slices.BinarySearch(pick, i); found {
 				gone = append(gone, lf)
 			} else {
@@ -429,93 +647,81 @@ func TestModelSeq(t *testing.T) {
 		}
 		shuffled := slices.Clone(gone)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		same(step, "RemoveInto", s.RemoveInto(shuffled, make([]int, len(gone)), make([]*SeqLeaf[int], len(gone))), gone)
-		model = rest
+		m.same("RemoveInto", s.RemoveInto(shuffled, make([]int, len(gone)), make([]*leaf, len(gone))), gone)
+		m.model = rest
+		m.retire(gone)
 	}
-	var scratch []*SeqLeaf[int]
+	var scratch []*leaf
 	for step := 0; step < 3000; step++ {
-		if step%3 == 0 && len(model) > 2 {
+		if step%3 == 0 && len(m.model) > 2 {
 			keep := rng.Intn(3)
-			cut := len(model) - keep
+			cut := len(m.model) - keep
 			switch rng.Intn(4) {
 			case 0:
-				scratch = s.PopBack(cut, scratch)
-				same(step, "PopBack", scratch, model[keep:])
-				model = model[:keep]
+				m.retire(m.popBack("PopBack", cut, scratch))
 			case 1:
-				scratch = s.PopFront(cut, scratch)
-				same(step, "PopFront", scratch, model[:cut])
-				model = slices.Clone(model[cut:])
+				m.retire(m.popFront("PopFront", cut, scratch))
 			case 2: // a run by rank: both ends, or everything, when keep is 0
-				remove(step, span(keep/2, len(model)-(keep+1)/2, 1))
+				remove(span(keep/2, len(m.model)-(keep+1)/2, 1))
 			default: // all but the middle: rank deletes at both ends at once
-				mid := len(model) / 2
-				remove(step, append(span(0, mid-keep/2, 1), span(mid+(keep+1)/2, len(model), 1)...))
+				mid := len(m.model) / 2
+				remove(append(span(0, mid-keep/2, 1), span(mid+(keep+1)/2, len(m.model), 1)...))
 			}
 		}
 		switch op := rng.Intn(7); op {
 		case 0:
-			model = append(s.PushFront(fresh()), model...)
+			m.pushFront(m.fresh(rng.Intn(20)))
 		case 1:
-			model = append(model, s.PushBack(fresh())...)
+			m.pushBack(m.fresh(rng.Intn(20)))
 		case 2, 3: // pop, and sometimes push the same leaves back at the other end
-			n := rng.Intn(len(model) + 3) // may exceed the length: pops clamp
-			c := min(n, len(model))
-			var popped []*SeqLeaf[int]
-			if op == 2 {
-				popped = s.PopFront(n, nil)
-				same(step, "PopFront", popped, model[:c])
-				model = slices.Clone(model[c:])
-				if rng.Intn(2) == 0 {
-					s.PushBackLeaves(popped)
-					model = append(model, popped...)
+			n := rng.Intn(len(m.model) + 3) // may exceed the length: pops clamp
+			again := rng.Intn(2) == 0
+			switch popped := m.popFront("PopFront", n, nil); {
+			case op == 3:
+				m.pushFront(popped) // undo, to pop at the back
+				if popped = m.popBack("PopBack", n, nil); again {
+					m.pushFront(popped)
+				} else {
+					m.retire(popped)
 				}
-			} else {
-				popped = s.PopBack(n, nil)
-				same(step, "PopBack", popped, model[len(model)-c:])
-				model = model[:len(model)-c]
-				if rng.Intn(2) == 0 {
-					s.PushFrontLeaves(popped)
-					model = append(popped, model...)
-				}
+			case again:
+				m.pushBack(popped)
+			default:
+				m.retire(popped)
 			}
 		case 4: // remove a random subset
 			var pick []int
-			for i := range model {
+			for i := range m.model {
 				if rng.Intn(3) == 0 {
 					pick = append(pick, i)
 				}
 			}
-			remove(step, pick)
+			remove(pick)
 		case 5: // RankOf, Kth, Owns
-			for i, lf := range model {
+			for i, lf := range m.model {
 				if r := s.RankOf(lf); r != i {
 					t.Fatalf("step %d: RankOf = %d, want %d", step, r, i)
 				}
 				if s.Kth(i) != lf {
 					t.Fatalf("step %d: Kth(%d) is another leaf", step, i)
 				}
-				if !s.Owns(lf) {
-					t.Fatalf("step %d: sequence disowns its leaf %d", step, i)
+				if !s.Owns(lf) || !m.tr.Owns(lf) {
+					t.Fatalf("step %d: leaf %d is not owned by both trees", step, i)
 				}
 			}
-			if s.Kth(-1) != nil || s.Kth(len(model)) != nil {
+			if s.Kth(-1) != nil || s.Kth(len(m.model)) != nil {
 				t.Fatalf("step %d: Kth out of range returned a leaf", step)
 			}
-		case 6: // a detached leaf belongs to no sequence
-			if s.Owns(NewLeaf(-1, struct{}{})) {
-				t.Fatalf("step %d: sequence owns a detached leaf", step)
+		case 6: // a leaf of the tree alone, or of neither, belongs to no sequence
+			lone := m.fresh(1)
+			if s.Owns(lone[0]) || s.Owns(NewLeaf(-1, 0)) {
+				t.Fatalf("step %d: sequence owns a leaf it was not pushed", step)
 			}
+			m.retire(lone)
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if s.Len() != len(model) {
-			t.Fatalf("step %d: Len %d, model %d", step, s.Len(), len(model))
-		}
-		same(step, "Flatten", s.Flatten(), model)
+		m.check(fmt.Sprintf("step %d", step))
 	}
-	s.PopFront(len(model), nil)
+	m.retire(m.popFront("PopFront", len(m.model), nil))
 
 	// Ends of every shape. With a = minKids and b = maxKids, a run of 2..a-1
 	// leaves is a tree whose root is thin at height 1, of 2b..(a-1)·b at
@@ -528,58 +734,42 @@ func TestModelSeq(t *testing.T) {
 	// every rank from both ends and put together again.
 	const a, b = minKids, maxKids
 	sizes := []int{1, 2, a - 1, a, b, b + 1, 2 * b, (a-1)*b - 1, (a - 1) * b, a * b, b * b, b*b + 1}
-	verify := func(what string, n, k int) {
-		t.Helper()
-		if err := s.Validate(); err != nil {
-			t.Fatalf("%s %d at %d: %v", what, k, n, err)
-		}
-		same(n, what, s.Flatten(), model)
-	}
 	for _, n := range []int{0, 1, b, b + 1, b * b, b*b + 1, b*b*b + 1} {
 		for _, k := range sizes {
 			for _, front := range []bool{true, false} {
-				model = s.PushBack(span(0, n, 1))
+				m.pushBack(m.fresh(n))
 				// Full nodes first, then nodes at the minimum, down the spine.
 				for _, pre := range []int{0, 1, a*b + a} {
-					if pre < len(model) {
+					if pre < len(m.model) {
 						if front {
-							s.PopFront(pre, nil)
-							model = model[pre:]
+							m.retire(m.popFront("PopFront", pre, nil))
 						} else {
-							s.PopBack(pre, nil)
-							model = model[:len(model)-pre]
+							m.retire(m.popBack("PopBack", pre, nil))
 						}
 					}
-					verify("pop before push of", n, k)
+					m.check(fmt.Sprintf("pop before push of %d at %d", k, n))
 					if front {
-						model = append(s.PushFront(span(0, k, 1)), model...)
+						m.pushFront(m.fresh(k))
 					} else {
-						model = append(model, s.PushBack(span(0, k, 1))...)
+						m.pushBack(m.fresh(k))
 					}
-					verify("push of", n, k)
+					m.check(fmt.Sprintf("push of %d at %d", k, n))
 				}
-				s.PopBack(len(model), nil)
+				m.retire(m.popBack("PopBack", len(m.model), nil))
 			}
 		}
 	}
 	const n = b*b + a*b + 1 // three levels: a root of two, over a full node and one of a+1
-	model = s.PushBack(span(0, n, 1))
+	m.pushBack(m.fresh(n))
 	for i := 0; i <= n; i++ {
-		scratch = s.PopFront(i, scratch)
-		same(i, "PopFront", scratch, model[:i])
-		if err := s.Validate(); err != nil {
-			t.Fatalf("PopFront(%d) of %d: %v", i, n, err)
-		}
-		same(i, "what PopFront left", s.Flatten(), model[i:])
-		s.PushFrontLeaves(scratch)
-		verify("PushFrontLeaves of", n, i)
-		scratch = s.PopBack(n-i, scratch)
-		same(i, "PopBack", scratch, model[i:])
-		if err := s.Validate(); err != nil {
-			t.Fatalf("PopBack(%d) of %d: %v", n-i, n, err)
-		}
-		s.PushBackLeaves(scratch)
-		verify("PushBackLeaves of", n, n-i)
+		front := m.popFront("PopFront", i, scratch)
+		m.check(fmt.Sprintf("PopFront(%d) of %d", i, n))
+		m.pushFront(front)
+		m.check(fmt.Sprintf("PushFrontLeaves of %d at %d", i, n))
+		back := m.popBack("PopBack", n-i, scratch)
+		m.check(fmt.Sprintf("PopBack(%d) of %d", n-i, n))
+		m.pushBack(back)
+		m.check(fmt.Sprintf("PushBackLeaves of %d at %d", n-i, n))
 	}
 }
 
@@ -587,7 +777,10 @@ func TestModelSeq(t *testing.T) {
 // batchGrain, so that the recursion forks at the upper levels of the tree
 // and the goroutines repair neighbouring subtrees at once (CI runs this
 // under -race at GOMAXPROCS 1, 2 and 4), and checks the result leaf by
-// leaf. The tree of 40·batchGrain leaves built in one batch is a root of
+// leaf. The models are segments: every leaf the tree takes a Seq takes too,
+// and every batch the tree drops leaves the Seq through the forking rank
+// deleter, so the goroutines of one axis write up-pointers in the leaves the
+// other tree hangs on. The tree of 40·batchGrain leaves built in one batch is a root of
 // four over full nodes; in 16way every batch leaves out the keys of one
 // child of the first of them, so a node with maxKids children forks with
 // one child that has no share.
@@ -595,7 +788,7 @@ func TestForkedKernels(t *testing.T) {
 	const n = 40 * batchGrain
 	for _, frac := range []int{2, 3, 40} { // a batch of n/frac spread over the tree
 		t.Run(fmt.Sprintf("1in%d", frac), func(t *testing.T) {
-			m := newTreeModel(t)
+			m := newTreeModel(t, true)
 			m.insertLeaves(span(0, 8*n, 8))
 			m.check()
 			m.insertLeaves(span(4, 8*n, 8*frac))
@@ -608,26 +801,10 @@ func TestForkedKernels(t *testing.T) {
 			m.check()
 			m.dropRanks(span(0, len(m.keys), frac))
 			m.check()
+			m.dropLeaves(span(1, len(m.keys), 2))
+			m.check()
 			m.drop(slices.Clone(m.keys[1:])) // all but the first, through the forks
 			m.check()
-
-			s := NewSeqPooled[int](nil, NewNodePool[int, struct{}]())
-			leaves := s.PushBack(span(0, n, 1))
-			var pick, rest []*SeqLeaf[int]
-			for i, lf := range leaves {
-				if i%frac == 0 {
-					pick = append(pick, lf)
-				} else {
-					rest = append(rest, lf)
-				}
-			}
-			got := s.RemoveInto(pick, make([]int, len(pick)), make([]*SeqLeaf[int], len(pick)))
-			if !slices.Equal(got, pick) || !slices.Equal(s.Flatten(), rest) {
-				t.Fatalf("RemoveInto of %d leaves in %d: wrong leaves removed or left", len(pick), n)
-			}
-			if err := s.Validate(); err != nil {
-				t.Fatalf("after RemoveInto: %v", err)
-			}
 		})
 	}
 	t.Run("16way", func(t *testing.T) {
@@ -659,7 +836,7 @@ func TestForkedKernels(t *testing.T) {
 				m.dropRanks(ranks)
 			},
 		} {
-			m := newTreeModel(t)
+			m := newTreeModel(t, true)
 			m.insertLeaves(span(0, 8*n, 8))
 			top := m.tr.root.node().kid(0).node()
 			if top.h != 3 || top.nc != maxKids || top.kid(5).size() != under {

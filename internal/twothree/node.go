@@ -57,17 +57,24 @@
 // sequence, which only ever changes at its two ends, on the same hang.
 //
 // Node layout. Leaves and routing nodes are two struct types, so neither
-// pays for the other's fields: a leaf (Node) is a parent pointer, the key
-// and the payload; a routing node (inner) is a parent pointer, maxKids child
-// references, the child count, height, subtree size and subtree maximum —
-// 160 bytes with a string key, ten per child slot.
+// pays for the other's fields. There is one leaf type, Node — the key, the
+// payload and two up-pointers — and it can be a leaf of two trees at once,
+// one on each axis: a Tree threads its leaves through up[byKey], a Seq
+// through up[byRank], so a working-set segment's key-map and recency-map are
+// two sets of routing nodes over one set of leaves, 48 bytes an item with a
+// string key and value. A tree reads and writes the up-pointer of its own
+// axis only — it knows which from the ax field of its routing nodes and of
+// every ref — and a Seq never reads a key: the maxKey of its nodes stays
+// zero. A routing node (inner) is a parent pointer, maxKids child
+// references, the child count, height, axis, subtree size and subtree
+// maximum — 160 bytes with a string key, ten per child slot.
 // A routing node's children are all leaves or all routing nodes, and its
 // height says which: h == 1 ⇒ the children are leaves, h > 1 ⇒ they are
 // routing nodes. Child references are therefore untyped single-word
 // pointers (unsafe.Pointer) cast on the parent's height — an interface
 // would spend a second word per child on a type the height already gives.
 // Every such cast is in this file; the rest of the package works on ref,
-// a (pointer, height) handle, and never sees an untyped pointer.
+// a (pointer, height, axis) handle, and never sees an untyped pointer.
 package twothree
 
 import (
@@ -87,16 +94,25 @@ const (
 	minKids = maxKids / 2
 )
 
+// An axis is one of the two orders a leaf can be threaded in at once: a
+// Tree's, by key, and a Seq's, by rank.
+type axis uint8
+
+const (
+	byKey axis = iota
+	byRank
+)
+
 // Node is a tree leaf: one item's key and payload. Leaves are stable:
 // once created, a leaf is identified by its pointer for as long as the item
 // is in the tree ("direct pointers" in the paper), even as batch operations
-// restructure the routing nodes above it.
+// restructure the routing nodes above it. A leaf may be in one Tree and in
+// one Seq at the same time; what either does to it leaves the other's
+// up-pointer and order alone.
 type Node[K cmp.Ordered, P any] struct {
-	// Payload leads so that a zero-size payload (the recency sequence's
-	// struct{}) does not pad the struct's tail.
 	Payload P
 	Key     K
-	parent  *inner[K, P]
+	up      [2]*inner[K, P] // the leaf's parent on each axis; stale on an axis the leaf is in no tree of
 }
 
 // inner is a routing node: nc children, all of height h-1. size is 32 bits
@@ -109,6 +125,7 @@ type inner[K cmp.Ordered, P any] struct {
 	size   int32                   // number of leaves in the subtree
 	h      int16                   // height above the leaf level, >= 1; fixed at creation
 	nc     int8                    // number of children
+	ax     axis                    // which up-pointer of the leaves below is this tree's; fixed at creation
 }
 
 // A side is an end of a node's children.
@@ -120,19 +137,21 @@ const (
 )
 
 // ref is a reference to a subtree: empty, a leaf (h == 0) or a routing node
-// (h >= 1). It lives in tree roots, locals and arguments only; nodes store
-// the bare pointer and recover h from their own height.
+// (h >= 1), on the axis of the tree it is part of. It lives in tree roots,
+// locals and arguments only; nodes store the bare pointer and recover h and
+// ax from their own.
 type ref[K cmp.Ordered, P any] struct {
-	p unsafe.Pointer
-	h int16 // height of the node p points at; 0 when p is nil
+	p  unsafe.Pointer
+	h  int16 // height of the node p points at; 0 when p is nil
+	ax axis
 }
 
-func leafRef[K cmp.Ordered, P any](n *Node[K, P]) ref[K, P] {
-	return ref[K, P]{p: unsafe.Pointer(n)}
+func leafRef[K cmp.Ordered, P any](n *Node[K, P], ax axis) ref[K, P] {
+	return ref[K, P]{p: unsafe.Pointer(n), ax: ax}
 }
 
 func innerRef[K cmp.Ordered, P any](n *inner[K, P]) ref[K, P] {
-	return ref[K, P]{p: unsafe.Pointer(n), h: n.h}
+	return ref[K, P]{p: unsafe.Pointer(n), h: n.h, ax: n.ax}
 }
 
 func (r ref[K, P]) empty() bool { return r.p == nil }
@@ -165,18 +184,23 @@ func (r ref[K, P]) height() int16 {
 	return r.h
 }
 
-// maxKey returns the maximum key under a non-empty r.
-func (r ref[K, P]) maxKey() K {
-	if r.h == 0 {
-		return r.leaf().Key
+// maxKey returns the maximum key under a non-empty r; the zero key by
+// rank, where keys are in no order and are not read.
+func (r ref[K, P]) maxKey() (k K) {
+	switch {
+	case r.ax != byKey:
+	case r.h == 0:
+		k = r.leaf().Key
+	default:
+		k = r.node().maxKey
 	}
-	return r.node().maxKey
+	return k
 }
 
 // parent returns the parent pointer of a non-empty r.
 func (r ref[K, P]) parent() *inner[K, P] {
 	if r.h == 0 {
-		return r.leaf().parent
+		return r.leaf().up[r.ax]
 	}
 	return r.node().parent
 }
@@ -187,7 +211,7 @@ func (r ref[K, P]) setParent(up *inner[K, P]) {
 	switch {
 	case r.p == nil:
 	case r.h == 0:
-		r.leaf().parent = up
+		r.leaf().up[r.ax] = up
 	default:
 		r.node().parent = up
 	}
@@ -209,7 +233,7 @@ func (r ref[K, P]) whole(h int16) bool {
 
 // kid returns n's i'th child.
 func (n *inner[K, P]) kid(i int8) ref[K, P] {
-	return ref[K, P]{p: n.child[i], h: n.h - 1}
+	return ref[K, P]{p: n.child[i], h: n.h - 1, ax: n.ax}
 }
 
 // edge returns n's first or last child.
@@ -291,7 +315,7 @@ func pour[K cmp.Ordered, P any](l, r *inner[K, P], cnt int8, to side) {
 	}
 }
 
-// maxAt returns the maximum key under n's i'th child.
+// maxAt returns the maximum key under the i'th child of n, a node of a Tree.
 func (n *inner[K, P]) maxAt(i int8) K {
 	if n.h == 1 {
 		return (*Node[K, P])(n.child[i]).Key
@@ -334,8 +358,9 @@ func (n *inner[K, P]) locate(i int) (int8, int) {
 }
 
 // NewLeaf creates a detached leaf, for later insertion with
-// BatchInsertLeaves. Callers use this to build an item's leaf once and move
-// it between trees without breaking direct pointers to it.
+// BatchInsertLeaves and a Seq's pushes. Callers use this to build an item's
+// leaf once and move it between trees without breaking direct pointers to
+// it.
 func NewLeaf[K cmp.Ordered, P any](k K, p P) *Node[K, P] {
 	return &Node[K, P]{Key: k, Payload: p}
 }
@@ -345,38 +370,38 @@ func NewLeaf[K cmp.Ordered, P any](k K, p P) *Node[K, P] {
 // place.
 func refresh[K cmp.Ordered, P any](n *inner[K, P]) {
 	if n.h == 1 {
+		ax := n.ax
 		for i := int8(0); i < n.nc; i++ {
-			(*Node[K, P])(n.child[i]).parent = n
+			(*Node[K, P])(n.child[i]).up[ax] = n
 		}
 		n.size = int32(n.nc)
-		n.maxKey = (*Node[K, P])(n.child[n.nc-1]).Key
-		return
+	} else {
+		size := 0
+		for i := int8(0); i < n.nc; i++ {
+			c := (*inner[K, P])(n.child[i])
+			size += int(c.size)
+			c.parent = n
+		}
+		n.setSize(size)
 	}
-	size := 0
-	for i := int8(0); i < n.nc; i++ {
-		c := (*inner[K, P])(n.child[i])
-		size += int(c.size)
-		c.parent = n
-	}
-	n.setSize(size)
-	n.maxKey = (*inner[K, P])(n.child[n.nc-1]).maxKey
+	n.maxKey = n.kid(n.nc - 1).maxKey()
 }
 
 // mk2 makes a routing node over a and b, which must have equal heights.
 func mk2[K cmp.Ordered, P any](np *NodePool[K, P], a, b ref[K, P]) *inner[K, P] {
-	n := np.get()
-	n.h = a.h + 1
+	n := np.get(a.h+1, a.ax)
 	n.setKids([]ref[K, P]{a, b})
 	return n
 }
 
-// Rank returns the number of leaves strictly before leaf in its tree's
-// left-to-right order, by walking parent pointers and summing the sizes of
-// left siblings. O(log n). leaf must currently belong to a tree.
-func Rank[K cmp.Ordered, P any](leaf *Node[K, P]) int {
+// rank returns the number of leaves strictly before leaf in the
+// left-to-right order of the tree it is in on axis ax, by walking parent
+// pointers and summing the sizes of left siblings. O(log n). leaf must
+// currently belong to such a tree.
+func rank[K cmp.Ordered, P any](leaf *Node[K, P], ax axis) int {
 	r := 0
 	cur := unsafe.Pointer(leaf)
-	for p := leaf.parent; p != nil; cur, p = unsafe.Pointer(p), p.parent {
+	for p := leaf.up[ax]; p != nil; cur, p = unsafe.Pointer(p), p.parent {
 		for i := int8(0); p.child[i] != cur; i++ {
 			r += p.kid(i).size()
 		}
@@ -384,11 +409,11 @@ func Rank[K cmp.Ordered, P any](leaf *Node[K, P]) int {
 	return r
 }
 
-// root returns the root of the tree leaf currently belongs to.
-func root[K cmp.Ordered, P any](leaf *Node[K, P]) ref[K, P] {
-	p := leaf.parent
+// root returns the root of the tree leaf currently belongs to on axis ax.
+func root[K cmp.Ordered, P any](leaf *Node[K, P], ax axis) ref[K, P] {
+	p := leaf.up[ax]
 	if p == nil {
-		return leafRef(leaf)
+		return leafRef(leaf, ax)
 	}
 	for p.parent != nil {
 		p = p.parent
@@ -414,8 +439,8 @@ func appendLeaves[K cmp.Ordered, P any](r ref[K, P], out []*Node[K, P]) []*Node[
 // appendLeavesFree is appendLeaves for a subtree being dismantled: the
 // routing nodes are recycled into the pool as the walk leaves them
 // behind. The extracted leaves keep their identity (their stale parent
-// pointers are overwritten on the next insertion, exactly as with the
-// non-freeing walk).
+// pointers on the subtree's axis are overwritten on the next insertion,
+// exactly as with the non-freeing walk).
 func appendLeavesFree[K cmp.Ordered, P any](np *NodePool[K, P], r ref[K, P], out []*Node[K, P]) []*Node[K, P] {
 	if r.empty() {
 		return out
@@ -450,14 +475,13 @@ func take(rem int) int {
 // many it made. The first is first unless that is nil (a node rebuilt in
 // place keeps its identity); the rest come from the pool.
 func group[K cmp.Ordered, P any](np *NodePool[K, P], first *inner[K, P], kids []ref[K, P]) int {
-	h := kids[0].h + 1
+	h, ax := kids[0].h+1, kids[0].ax
 	w := 0
 	for i := 0; i < len(kids); w++ {
 		n := first
 		first = nil
 		if n == nil {
-			n = np.get()
-			n.h = h
+			n = np.get(h, ax)
 		}
 		g := take(len(kids) - i)
 		n.setKids(kids[i : i+g])
@@ -472,16 +496,16 @@ func group[K cmp.Ordered, P any](np *NodePool[K, P], first *inner[K, P], kids []
 const buildStack = 16
 
 // buildLeaves constructs a balanced tree over the given leaves (in order)
-// and returns its root (empty for an empty slice). O(b) work. Each level is
+// on axis ax and returns its root (empty for an empty slice). O(b) work. Each level is
 // grouped left to right as group does it; a level is written over the front
 // of the previous one, which it can never overtake, so one buffer of a
 // sixteenth of the leaf count serves every level.
-func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P]) ref[K, P] {
+func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P], ax axis) ref[K, P] {
 	switch len(leaves) {
 	case 0:
 		return ref[K, P]{}
 	case 1:
-		return leafRef(leaves[0]).detach()
+		return leafRef(leaves[0], ax).detach()
 	}
 	var stack [buildStack]ref[K, P]
 	level := stack[:0]
@@ -489,8 +513,7 @@ func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P])
 		level = make([]ref[K, P], 0, need)
 	}
 	for i := 0; i < len(leaves); {
-		n := np.get()
-		n.h = 1
+		n := np.get(1, ax)
 		g := take(len(leaves) - i)
 		for j, lf := range leaves[i : i+g] {
 			n.child[j] = unsafe.Pointer(lf)
@@ -508,10 +531,12 @@ func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P])
 
 // validate checks structural invariants below r: uniform leaf depth,
 // minKids..maxKids children below the root and 2..maxKids at it, no child
-// pointer past the count, size and maxKey caching, and parent pointers. If
-// ordered is true it additionally checks that leaf keys are strictly
-// increasing.
-func validate[K cmp.Ordered, P any](r ref[K, P], ordered bool) error {
+// pointer past the count, one axis throughout, size and maxKey caching (by
+// rank: no maxKey), and parent pointers — of the leaves, the one on r's axis
+// and not the other. By key it additionally checks that leaf keys are
+// strictly increasing.
+func validate[K cmp.Ordered, P any](r ref[K, P]) error {
+	ordered := r.ax == byKey
 	if r.empty() {
 		return nil
 	}
@@ -524,7 +549,7 @@ func validate[K cmp.Ordered, P any](r ref[K, P], ordered bool) error {
 	walk = func(r ref[K, P], up *inner[K, P]) error {
 		if r.isLeaf() {
 			lf := r.leaf()
-			if lf.parent != up {
+			if lf.up[r.ax] != up {
 				return fmt.Errorf("leaf %v has wrong parent", lf.Key)
 			}
 			if ordered && prev != nil && cmp.Compare(*prev, lf.Key) >= 0 {
@@ -538,8 +563,8 @@ func validate[K cmp.Ordered, P any](r ref[K, P], ordered bool) error {
 		if n.parent != up {
 			return fmt.Errorf("node of height %d has wrong parent", n.h)
 		}
-		if n.h != r.h {
-			return fmt.Errorf("node height %d reached as height %d", n.h, r.h)
+		if n.h != r.h || n.ax != r.ax {
+			return fmt.Errorf("node of height %d, axis %d reached as height %d, axis %d", n.h, n.ax, r.h, r.ax)
 		}
 		least := int8(minKids)
 		if up == nil {

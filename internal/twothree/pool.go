@@ -16,7 +16,9 @@ import (
 // Only routing nodes are pooled, which the types enforce: leaves are
 // identity — the maps hold direct pointers to them across segment moves
 // (the paper's cross pointers) — and a leaf is a different type from
-// what the pool holds.
+// what the pool holds. The routing nodes of a Tree and of a Seq over the
+// same leaves are one type, so both draw on one pool: a node a shrinking
+// recency-map drops can feed the key-map growing beside it.
 //
 // A NodePool is safe for concurrent use (batch operations fork the visits
 // to a node's children, and M2's final slab segments run as
@@ -29,20 +31,24 @@ type NodePool[K cmp.Ordered, P any] struct {
 }
 
 // NewNodePool creates an empty pool. One pool per engine is the intended
-// shape: all segments (and M2's filter tree) share it, so nodes freed by
-// one segment's deletions feed another segment's insertions.
+// shape: the key-maps and recency-maps of all its segments share it, so
+// nodes freed by one segment's deletions feed another segment's insertions.
 func NewNodePool[K cmp.Ordered, P any]() *NodePool[K, P] {
 	return &NodePool[K, P]{}
 }
 
-// get returns a zeroed routing node, recycled if available.
-func (np *NodePool[K, P]) get() *inner[K, P] {
+// get returns a routing node of height h on axis ax and otherwise zero,
+// recycled if available.
+func (np *NodePool[K, P]) get(h int16, ax axis) *inner[K, P] {
+	var n *inner[K, P]
 	if np != nil {
-		if v := np.p.Get(); v != nil {
-			return v.(*inner[K, P])
-		}
+		n, _ = np.p.Get().(*inner[K, P])
 	}
-	return &inner[K, P]{}
+	if n == nil {
+		n = new(inner[K, P])
+	}
+	n.h, n.ax = h, ax
+	return n
 }
 
 // put recycles a routing node the structure has dropped. The node is

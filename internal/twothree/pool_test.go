@@ -65,14 +65,14 @@ func TestNodePoolLeafIdentity(t *testing.T) {
 }
 
 // TestNodePoolZeroes checks the pool's clearing contract: a recycled
-// routing node comes back with no children, parent, size or key. (That
+// routing node comes back with no children, parent, size, key or axis. (That
 // leaves are never pooled needs no test: put takes *inner, and a leaf is
 // a *Node.)
 func TestNodePoolZeroes(t *testing.T) {
 	np := NewNodePool[int, string]()
-	internal := mk2(np, leafRef(NewLeaf(1, "a")), leafRef(NewLeaf(2, "b")))
+	internal := mk2(np, leafRef(NewLeaf(1, "a"), byRank), leafRef(NewLeaf(2, "b"), byRank))
 	np.put(internal)
-	back := np.get()
+	back := np.get(0, byKey)
 	if back != internal {
 		// sync.Pool may drop entries under GC pressure; only the zeroing
 		// contract is hard.
@@ -86,13 +86,9 @@ func TestNodePoolZeroes(t *testing.T) {
 // TestSeqPooledPops checks the freeing leaf walk behind PopFront/PopBack:
 // popped leaves keep identity and order while their spine recycles.
 func TestSeqPooledPops(t *testing.T) {
-	pool := NewNodePool[int, struct{}]()
-	s := NewSeqPooled[int](nil, pool)
-	keys := make([]int, 200)
-	for i := range keys {
-		keys[i] = i
-	}
-	front := s.PushBack(keys)
+	s := NewSeqPooled(nil, NewNodePool[int, int]())
+	front := mint(span(0, 200, 1))
+	s.PushBackLeaves(front)
 	for i := 0; i < 10; i++ {
 		popped := s.PopFront(15, nil)
 		if len(popped) != 15 {

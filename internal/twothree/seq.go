@@ -8,40 +8,39 @@ import (
 	"repro/internal/metrics"
 )
 
-// SeqLeaf is a leaf of a recency sequence. Its Key field holds the item's
-// map key (used to find the item in a segment's key-map); the sequence
-// itself is ordered by recency, not by key.
-type SeqLeaf[K cmp.Ordered] = Node[K, struct{}]
-
 // Seq is the recency-map of a segment: a tree ordered by recency (rank
 // 0 = most recent, last rank = least recent) supporting the batched
 // front/back transfers and reverse indexing that the working-set maps
 // perform when shifting items between segments.
 //
-// Seq reuses the same balanced node machinery as Tree but routes only by
-// rank, never by key.
-type Seq[K cmp.Ordered] struct {
-	root ref[K, struct{}]
+// Seq runs the same balanced node machinery as Tree over the same leaf
+// type, on the other axis: it routes only by rank, never reads a key, and
+// uses the leaves' up[byRank], so its leaves can at the same time be those
+// of a Tree — the segment's key-map. It does not make leaves; it is pushed
+// the ones its owner built.
+type Seq[K cmp.Ordered, P any] struct {
+	root ref[K, P]
 	cnt  *metrics.Counter
-	pool *NodePool[K, struct{}]
+	pool *NodePool[K, P]
 }
 
 // NewSeq returns an empty recency sequence. cnt may be nil.
-func NewSeq[K cmp.Ordered](cnt *metrics.Counter) *Seq[K] {
-	return &Seq[K]{cnt: cnt}
+func NewSeq[K cmp.Ordered, P any](cnt *metrics.Counter) *Seq[K, P] {
+	return &Seq[K, P]{cnt: cnt}
 }
 
 // NewSeqPooled is NewSeq with a node free-list (see Tree.NewPooled):
 // internal nodes dropped by pops and rank deletions are recycled through
-// pool. pool may be nil.
-func NewSeqPooled[K cmp.Ordered](cnt *metrics.Counter, pool *NodePool[K, struct{}]) *Seq[K] {
-	return &Seq[K]{cnt: cnt, pool: pool}
+// pool, which may be the one of the Tree over the same leaves. pool may be
+// nil.
+func NewSeqPooled[K cmp.Ordered, P any](cnt *metrics.Counter, pool *NodePool[K, P]) *Seq[K, P] {
+	return &Seq[K, P]{cnt: cnt, pool: pool}
 }
 
 // Len returns the number of items.
-func (s *Seq[K]) Len() int { return s.root.size() }
+func (s *Seq[K, P]) Len() int { return s.root.size() }
 
-func (s *Seq[K]) charge(ops int) {
+func (s *Seq[K, P]) charge(ops int) {
 	if s.cnt != nil {
 		s.cnt.Add(int64(ops) * int64(s.root.height()+2))
 	}
@@ -49,7 +48,7 @@ func (s *Seq[K]) charge(ops int) {
 
 // chargeBatch mirrors Tree.chargeBatch for rank-based bulk operations:
 // Θ(b·log(n/b + 2) + b) node visits plus one root descent.
-func (s *Seq[K]) chargeBatch(b int) {
+func (s *Seq[K, P]) chargeBatch(b int) {
 	if s.cnt == nil || b == 0 {
 		return
 	}
@@ -58,49 +57,23 @@ func (s *Seq[K]) chargeBatch(b int) {
 	s.cnt.Add(int64(b*per) + int64(s.root.height()+2))
 }
 
-func seqLeaves[K cmp.Ordered](keys []K) []*SeqLeaf[K] {
-	leaves := make([]*SeqLeaf[K], len(keys))
-	for i, k := range keys {
-		leaves[i] = NewLeaf(k, struct{}{})
-	}
-	return leaves
+// PushFrontLeaves prepends leaves (most recent first), preserving their
+// identity. O(b + log n).
+func (s *Seq[K, P]) PushFrontLeaves(leaves []*Node[K, P]) {
+	s.charge(1)
+	s.root = join(s.pool, buildLeaves(s.pool, leaves, byRank), s.root)
 }
 
-// PushFront prepends keys so that keys[0] becomes the most recent item.
-// Returns the new leaves aligned with keys. O(b + log n).
-func (s *Seq[K]) PushFront(keys []K) []*SeqLeaf[K] {
+// PushBackLeaves appends leaves, preserving their identity. O(b + log n).
+func (s *Seq[K, P]) PushBackLeaves(leaves []*Node[K, P]) {
 	s.charge(1)
-	leaves := seqLeaves(keys)
-	s.root = join(s.pool, buildLeaves(s.pool, leaves), s.root)
-	return leaves
-}
-
-// PushBack appends keys so that the last key becomes the least recent item.
-// Returns the new leaves aligned with keys. O(b + log n).
-func (s *Seq[K]) PushBack(keys []K) []*SeqLeaf[K] {
-	s.charge(1)
-	leaves := seqLeaves(keys)
-	s.root = join(s.pool, s.root, buildLeaves(s.pool, leaves))
-	return leaves
-}
-
-// PushFrontLeaves prepends existing leaves (most recent first), preserving
-// their identity.
-func (s *Seq[K]) PushFrontLeaves(leaves []*SeqLeaf[K]) {
-	s.charge(1)
-	s.root = join(s.pool, buildLeaves(s.pool, leaves), s.root)
-}
-
-// PushBackLeaves appends existing leaves, preserving their identity.
-func (s *Seq[K]) PushBackLeaves(leaves []*SeqLeaf[K]) {
-	s.charge(1)
-	s.root = join(s.pool, s.root, buildLeaves(s.pool, leaves))
+	s.root = join(s.pool, s.root, buildLeaves(s.pool, leaves, byRank))
 }
 
 // PopFront removes the n most recent items and returns them most recent
 // first, appended to out[:0] (caller scratch, may be nil).
 // O(n + log size).
-func (s *Seq[K]) PopFront(n int, out []*SeqLeaf[K]) []*SeqLeaf[K] {
+func (s *Seq[K, P]) PopFront(n int, out []*Node[K, P]) []*Node[K, P] {
 	s.charge(1)
 	l, r := splitRank(s.pool, s.root, n)
 	s.root = r
@@ -110,7 +83,7 @@ func (s *Seq[K]) PopFront(n int, out []*SeqLeaf[K]) []*SeqLeaf[K] {
 // PopBack removes the n least recent items and returns them in recency
 // order (most recent of the removed items first), appended to out[:0]
 // (caller scratch, may be nil). O(n + log size).
-func (s *Seq[K]) PopBack(n int, out []*SeqLeaf[K]) []*SeqLeaf[K] {
+func (s *Seq[K, P]) PopBack(n int, out []*Node[K, P]) []*Node[K, P] {
 	s.charge(1)
 	l, r := splitRank(s.pool, s.root, s.Len()-n)
 	s.root = l
@@ -122,28 +95,31 @@ func (s *Seq[K]) PopBack(n int, out []*SeqLeaf[K]) []*SeqLeaf[K] {
 // ranks, and batch-delete. It returns the removed leaves in recency order,
 // in out; ranks and out are caller scratch of length len(leaves).
 // Θ(b log n) work.
-func (s *Seq[K]) RemoveInto(leaves []*SeqLeaf[K], ranks []int, out []*SeqLeaf[K]) []*SeqLeaf[K] {
-	if len(leaves) == 0 {
-		return out[:0]
-	}
+func (s *Seq[K, P]) RemoveInto(leaves []*Node[K, P], ranks []int, out []*Node[K, P]) []*Node[K, P] {
 	s.chargeBatch(len(leaves))
+	s.root = removeLeaves(s.pool, s.root, byRank, leaves, ranks, out)
+	return out[:len(leaves)]
+}
+
+// removeLeaves takes leaves out of the tree at root, which holds them on
+// axis ax, and returns the new root; out receives them in the tree's order.
+func removeLeaves[K cmp.Ordered, P any](np *NodePool[K, P], root ref[K, P], ax axis, leaves []*Node[K, P], ranks []int, out []*Node[K, P]) ref[K, P] {
 	for i, lf := range leaves {
-		ranks[i] = Rank(lf)
+		ranks[i] = rank(lf, ax)
 	}
 	sort.Ints(ranks)
-	d := deleter[K, struct{}]{np: s.pool, ranks: ranks, out: out}
-	s.root = d.run(s.root, len(ranks))
-	return out
+	d := deleter[K, P]{np: np, ranks: ranks, out: out}
+	return d.run(root, len(ranks))
 }
 
 // RankOf returns the recency rank of leaf (0 = most recent). O(log n).
-func (s *Seq[K]) RankOf(leaf *SeqLeaf[K]) int {
+func (s *Seq[K, P]) RankOf(leaf *Node[K, P]) int {
 	s.charge(1)
-	return Rank(leaf)
+	return rank(leaf, byRank)
 }
 
 // Kth returns the leaf at recency rank i, or nil if out of range.
-func (s *Seq[K]) Kth(i int) *SeqLeaf[K] {
+func (s *Seq[K, P]) Kth(i int) *Node[K, P] {
 	if i < 0 || i >= s.root.size() {
 		return nil
 	}
@@ -152,25 +128,15 @@ func (s *Seq[K]) Kth(i int) *SeqLeaf[K] {
 }
 
 // Flatten returns all leaves in recency order. O(n).
-func (s *Seq[K]) Flatten() []*SeqLeaf[K] {
-	return appendLeaves(s.root, make([]*SeqLeaf[K], 0, s.Len()))
-}
-
-// Keys returns all item keys in recency order. O(n).
-func (s *Seq[K]) Keys() []K {
-	leaves := s.Flatten()
-	keys := make([]K, len(leaves))
-	for i, lf := range leaves {
-		keys[i] = lf.Key
-	}
-	return keys
+func (s *Seq[K, P]) Flatten() []*Node[K, P] {
+	return appendLeaves(s.root, make([]*Node[K, P], 0, s.Len()))
 }
 
 // Owns reports whether leaf currently belongs to this sequence, by walking
 // its parent chain to the root (test hook; O(log n)).
-func (s *Seq[K]) Owns(leaf *SeqLeaf[K]) bool {
-	return root(leaf) == s.root
+func (s *Seq[K, P]) Owns(leaf *Node[K, P]) bool {
+	return root(leaf, byRank) == s.root
 }
 
 // Validate checks structural invariants, ignoring key order (test hook).
-func (s *Seq[K]) Validate() error { return validate(s.root, false) }
+func (s *Seq[K, P]) Validate() error { return validate(s.root) }

@@ -5,10 +5,31 @@ import (
 	"testing"
 )
 
-// seqModel mirrors a Seq as a plain slice, most recent first.
-type seqModel []int
+// seqKeyModel mirrors a Seq as a plain slice of keys, most recent first.
+type seqKeyModel []int
 
-func checkSeq(t *testing.T, s *Seq[int], m seqModel) {
+// leaf is the leaf of the tests' sequences; its key only labels it.
+type leaf = Node[int, int]
+
+// mint makes a leaf for each key: a sequence is pushed leaves, it makes none.
+func mint(keys []int) []*leaf {
+	leaves := make([]*leaf, len(keys))
+	for i, k := range keys {
+		leaves[i] = NewLeaf(k, 0)
+	}
+	return leaves
+}
+
+// seqKeys returns the keys of s's leaves in recency order.
+func seqKeys(s *Seq[int, int]) []int {
+	var keys []int
+	for _, lf := range s.Flatten() {
+		keys = append(keys, lf.Key)
+	}
+	return keys
+}
+
+func checkSeq(t *testing.T, s *Seq[int, int], m seqKeyModel) {
 	t.Helper()
 	if err := s.Validate(); err != nil {
 		t.Fatalf("invalid seq: %v", err)
@@ -16,7 +37,7 @@ func checkSeq(t *testing.T, s *Seq[int], m seqModel) {
 	if s.Len() != len(m) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(m))
 	}
-	got := s.Keys()
+	got := seqKeys(s)
 	for i, k := range got {
 		if k != m[i] {
 			t.Fatalf("rank %d = %d, want %d (all: %v vs %v)", i, k, m[i], got, m)
@@ -26,8 +47,8 @@ func checkSeq(t *testing.T, s *Seq[int], m seqModel) {
 
 func TestSeqPushPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	s := NewSeq[int](nil)
-	var m seqModel
+	s := NewSeq[int, int](nil)
+	var m seqKeyModel
 	next := 0
 	for step := 0; step < 3000; step++ {
 		switch rng.Intn(4) {
@@ -38,13 +59,8 @@ func TestSeqPushPop(t *testing.T) {
 				keys[i] = next
 				next++
 			}
-			leaves := s.PushFront(keys)
-			for i, lf := range leaves {
-				if lf.Key != keys[i] {
-					t.Fatal("PushFront leaf key mismatch")
-				}
-			}
-			m = append(append(seqModel{}, keys...), m...)
+			s.PushFrontLeaves(mint(keys))
+			m = append(append(seqKeyModel{}, keys...), m...)
 		case 1: // push back
 			b := rng.Intn(5) + 1
 			keys := make([]int, b)
@@ -52,7 +68,7 @@ func TestSeqPushPop(t *testing.T) {
 				keys[i] = next
 				next++
 			}
-			s.PushBack(keys)
+			s.PushBackLeaves(mint(keys))
 			m = append(m, keys...)
 		case 2: // pop front
 			b := rng.Intn(4)
@@ -98,22 +114,23 @@ func TestSeqRemoveByPointers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(500) + 5
-		s := NewSeq[int](nil)
+		s := NewSeq[int, int](nil)
 		keys := make([]int, n)
 		for i := range keys {
 			keys[i] = i
 		}
-		leaves := s.PushBack(keys)
+		leaves := mint(keys)
+		s.PushBackLeaves(leaves)
 		// Pick a random subset of leaves, in shuffled order.
 		perm := rng.Perm(n)
 		b := rng.Intn(n) + 1
-		var pick []*SeqLeaf[int]
+		var pick []*leaf
 		picked := map[int]bool{}
 		for _, i := range perm[:b] {
 			pick = append(pick, leaves[i])
 			picked[i] = true
 		}
-		removed := s.RemoveInto(pick, make([]int, len(pick)), make([]*SeqLeaf[int], len(pick)))
+		removed := s.RemoveInto(pick, make([]int, len(pick)), make([]*leaf, len(pick)))
 		if len(removed) != b {
 			t.Fatalf("Remove returned %d, want %d", len(removed), b)
 		}
@@ -123,7 +140,7 @@ func TestSeqRemoveByPointers(t *testing.T) {
 				t.Fatal("Remove output not in recency order")
 			}
 		}
-		var m seqModel
+		var m seqKeyModel
 		for i := 0; i < n; i++ {
 			if !picked[i] {
 				m = append(m, i)
@@ -134,8 +151,9 @@ func TestSeqRemoveByPointers(t *testing.T) {
 }
 
 func TestSeqRankOfAndKth(t *testing.T) {
-	s := NewSeq[int](nil)
-	leaves := s.PushBack([]int{10, 11, 12, 13, 14, 15})
+	s := NewSeq[int, int](nil)
+	leaves := mint([]int{10, 11, 12, 13, 14, 15})
+	s.PushBackLeaves(leaves)
 	for i, lf := range leaves {
 		if got := s.RankOf(lf); got != i {
 			t.Fatalf("RankOf leaf %d = %d", i, got)
@@ -148,20 +166,20 @@ func TestSeqRankOfAndKth(t *testing.T) {
 		t.Fatal("Kth out of range should be nil")
 	}
 	// After a front push, old ranks shift.
-	s.PushFront([]int{99})
+	s.PushFrontLeaves(mint([]int{99}))
 	if got := s.RankOf(leaves[0]); got != 1 {
 		t.Fatalf("RankOf after PushFront = %d, want 1", got)
 	}
 }
 
 func TestSeqPushFrontLeavesIdentity(t *testing.T) {
-	s := NewSeq[int](nil)
-	s.PushBack([]int{1, 2, 3})
+	s := NewSeq[int, int](nil)
+	s.PushBackLeaves(mint([]int{1, 2, 3}))
 	moved := s.PopBack(2, nil) // leaves 2, 3
-	s2 := NewSeq[int](nil)
-	s2.PushBack([]int{7, 8})
+	s2 := NewSeq[int, int](nil)
+	s2.PushBackLeaves(mint([]int{7, 8}))
 	s2.PushFrontLeaves(moved)
-	if got := s2.Keys(); len(got) != 4 || got[0] != 2 || got[1] != 3 || got[2] != 7 || got[3] != 8 {
+	if got := seqKeys(s2); len(got) != 4 || got[0] != 2 || got[1] != 3 || got[2] != 7 || got[3] != 8 {
 		t.Fatalf("got %v", got)
 	}
 	if s2.Kth(0) != moved[0] {

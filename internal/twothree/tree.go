@@ -163,8 +163,14 @@ func (t *Tree[K, P]) FlattenInto(out []*Node[K, P]) []*Node[K, P] {
 	return appendLeaves(t.root, out[:0])
 }
 
+// Owns reports whether leaf currently belongs to this tree, by walking its
+// parent chain to the root (test hook; O(log n)).
+func (t *Tree[K, P]) Owns(leaf *Node[K, P]) bool {
+	return root(leaf, byKey) == t.root
+}
+
 // Validate checks all structural invariants (test hook).
-func (t *Tree[K, P]) Validate() error { return validate(t.root, true) }
+func (t *Tree[K, P]) Validate() error { return validate(t.root) }
 
 // RangeInto appends to out the leaves with lo <= key < hi, in ascending
 // key order, stopping once limit leaves have been appended (limit <= 0
@@ -256,8 +262,9 @@ func (t *Tree[K, P]) upsert(items []Item[K, P], out []*Node[K, P]) {
 
 // BatchInsertLeaves inserts pre-built leaves (sorted by key, distinct, and
 // absent from the tree). It preserves leaf identity, which the working-set
-// maps rely on to keep key-map/recency-map cross links valid while items
-// move between segments. Θ(b·log(n/b) + b) node visits.
+// maps rely on: an item's leaf goes into its segment's recency-map as well,
+// and stays the item while it moves between segments.
+// Θ(b·log(n/b) + b) node visits.
 func (t *Tree[K, P]) BatchInsertLeaves(leaves []*Node[K, P]) {
 	t.chargeBatch(len(leaves))
 	t.keys = t.keys[:0]
@@ -297,6 +304,17 @@ func (t *Tree[K, P]) BatchDeleteInto(keys []K, out []*Node[K, P]) []*Node[K, P] 
 func (t *Tree[K, P]) deleteKeys(keys []K, out []*Node[K, P]) {
 	d := deleter[K, P]{np: t.pool, keys: keys, out: out}
 	t.root = d.run(t.root, len(keys))
+}
+
+// RemoveInto deletes the given leaves of the tree (in any order) by
+// reverse indexing, as Seq.RemoveInto does, and returns them in key order,
+// in out; ranks and out are caller scratch of length len(leaves). This is
+// how a holder of direct pointers takes items out without comparing a key.
+// Θ(b log n) work.
+func (t *Tree[K, P]) RemoveInto(leaves []*Node[K, P], ranks []int, out []*Node[K, P]) []*Node[K, P] {
+	t.chargeBatch(len(leaves))
+	t.root = removeLeaves(t.pool, t.root, byKey, leaves, ranks, out)
+	return out[:len(leaves)]
 }
 
 // BatchDeleteRanks removes the leaves at the given sorted, distinct 0-based

@@ -63,7 +63,7 @@ func checkAgainstModel(t *testing.T, tr *Tree[int, string], m *model) {
 		if lf.Key != m.keys[i] || lf.Payload != m.vals[i] {
 			t.Fatalf("leaf %d = (%d,%q), want (%d,%q)", i, lf.Key, lf.Payload, m.keys[i], m.vals[i])
 		}
-		if got := Rank(lf); got != i {
+		if got := rank(lf, byKey); got != i {
 			t.Fatalf("Rank(leaf %d) = %d", i, got)
 		}
 		if got := tr.Kth(i); got != lf {
@@ -275,24 +275,20 @@ func TestBatchDeleteRanks(t *testing.T) {
 }
 
 func TestQuickSplitRank(t *testing.T) {
-	pool := NewNodePool[int, struct{}]()
-	f := func(n uint16, at uint16) bool {
+	pool := NewNodePool[int, int]()
+	f := func(n uint16, at uint16, ax axis) bool {
 		size := int(n%1000) + 1
 		cut := int(at) % (size + 1)
-		leaves := make([]*Node[int, struct{}], size)
-		for i := range leaves {
-			leaves[i] = NewLeaf(i, struct{}{})
-		}
-		root := buildLeaves(pool, leaves)
+		root := buildLeaves(pool, mint(span(0, size, 1)), ax%2)
 		l, r := splitRank(pool, root, cut)
 		if l.size() != cut || r.size() != size-cut {
 			return false
 		}
-		if validate(l, true) != nil || validate(r, true) != nil {
+		if validate(l) != nil || validate(r) != nil {
 			return false
 		}
 		back := join(pool, l, r)
-		if back.size() != size || validate(back, true) != nil {
+		if back.size() != size || validate(back) != nil {
 			return false
 		}
 		return true
