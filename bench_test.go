@@ -159,13 +159,8 @@ func BenchmarkShardedVsSingle(b *testing.B) {
 		mk   func() ConcurrentMap[int, int]
 	}{
 		{"m1", func() ConcurrentMap[int, int] { return NewM1[int, int](Options{}) }},
-		{"sharded-m1", func() ConcurrentMap[int, int] {
-			return NewSharded[int, int](ShardedOptions{Engine: EngineM1})
-		}},
+		{"sharded-m1", func() ConcurrentMap[int, int] { return NewSharded[int, int](ShardedOptions{}) }},
 		{"m2", func() ConcurrentMap[int, int] { return NewM2[int, int](Options{}) }},
-		{"sharded-m2", func() ConcurrentMap[int, int] {
-			return NewSharded[int, int](ShardedOptions{Engine: EngineM2})
-		}},
 	}
 	for _, g := range []int{1, 4, 16} {
 		for _, tc := range impls {

@@ -9,9 +9,10 @@
 //	wsbench -exp e4,e7      # run selected experiments
 //	wsbench -quick          # reduced sizes (seconds instead of minutes)
 //	wsbench -list           # list experiments
-//	wsbench -sweep          # sharding sweep: throughput vs shard count
-//	wsbench -shards 8       # shard count for e17 and -sweep (0 = GOMAXPROCS)
-//	wsbench -json           # one JSON object per row (for BENCH_*.json)
+//	wsbench -json           # one JSON object per row
+//
+// The experiments reproduce the paper's claims; how fast wsd is, end to
+// end and layer by layer, is the standing benchmark's question (bench/).
 package main
 
 import (
@@ -22,9 +23,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/experiments/e19"
-	"repro/internal/experiments/e20"
-	"repro/internal/experiments/e21"
 )
 
 type experiment struct {
@@ -49,15 +47,7 @@ var all = []experiment{
 	{"e14", "ablation: entropy sort in M1 (Section 6)", experiments.E14AblationSort},
 	{"e15", "ablation: batch-size parameter p (Sections 6/7)", experiments.E15AblationBatch},
 	{"e16", "scheduler model: Brent bound + weak priority (Sections 4, 7.2)", experiments.E16SchedulerModel},
-	{"e17", "sharded front-end throughput scaling (sharding thesis)",
-		func(s experiments.Scale) experiments.Table { return experiments.E17ShardedScaling(s, *shardsFlag) }},
-	{"e19", "cross-connection batch coalescing: conns x depth x window (group commit)", e19.CoalesceSweep},
-	{"e20", "write tail latency under concurrent cursor-paged scans (batched range reads)", e20.ScanImpact},
-	{"e21", "durability cost: WAL fsync policy vs throughput/latency (group commit)", e21.FsyncSweep},
 }
-
-// shardsFlag is read by e17 and -sweep after flag.Parse.
-var shardsFlag = flag.Int("shards", 0, "shard count for e17 and -sweep (0 = GOMAXPROCS)")
 
 // emit prints one experiment table, as JSON lines or as an aligned
 // table; it reports whether the caller should print its timing footer
@@ -78,7 +68,6 @@ func main() {
 		expFlag = flag.String("exp", "", "comma-separated experiment ids (default: all)")
 		quick   = flag.Bool("quick", false, "run at reduced scale")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		sweep   = flag.Bool("sweep", false, "run the sharding scaling sweep (throughput vs shard count) and exit")
 		jsonOut = flag.Bool("json", false, "emit one JSON object per experiment row instead of tables")
 	)
 	flag.Parse()
@@ -93,15 +82,6 @@ func main() {
 	scale := experiments.Full
 	if *quick {
 		scale = experiments.Quick
-	}
-
-	if *sweep {
-		start := time.Now()
-		table := experiments.ShardSweep(scale, *shardsFlag)
-		if emit(table, "sweep", *jsonOut) {
-			fmt.Printf("   (sweep in %.1fs)\n", time.Since(start).Seconds())
-		}
-		return
 	}
 
 	selected := map[string]bool{}

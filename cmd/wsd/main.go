@@ -11,8 +11,8 @@
 //
 // Usage:
 //
-//	wsd                          # serve on :6380, M1 engine, GOMAXPROCS shards
-//	wsd -addr :7000 -engine m2   # pipelined engine for latency
+//	wsd                          # serve on :6380, GOMAXPROCS shards
+//	wsd -addr :7000              # another listen address
 //	wsd -shards 8 -p 4           # fixed shard count and per-shard p
 //	wsd -coalesce-window 200us   # let a cut wait up to 200us for more
 //	                             # traffic, so depth-1 clients ride bigger
@@ -50,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	pws "repro"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -59,7 +58,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":6380", "TCP listen address")
 		shards    = flag.Int("shards", 0, "shard count (0 = GOMAXPROCS)")
-		engine    = flag.String("engine", "m1", "per-shard engine: m1 (batched) or m2 (pipelined)")
 		p         = flag.Int("p", 0, "per-shard processor parameter p (0 = auto)")
 		maxConns  = flag.Int("maxconns", 1024, "max concurrent connections")
 		maxPipe   = flag.Int("maxpipeline", 256, "max pipelined commands per batch")
@@ -80,20 +78,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var eng pws.Engine
-	switch *engine {
-	case "m1":
-		eng = pws.EngineM1
-	case "m2":
-		eng = pws.EngineM2
-	default:
-		fmt.Fprintf(os.Stderr, "wsd: unknown engine %q (want m1 or m2)\n", *engine)
-		os.Exit(2)
-	}
-
 	cfg := server.Config{
 		Shards:         *shards,
-		Engine:         eng,
 		P:              *p,
 		MaxConns:       *maxConns,
 		MaxPipeline:    *maxPipe,
@@ -181,7 +167,7 @@ func main() {
 	if cfg.WAL != nil {
 		mode += fmt.Sprintf(", durable fsync=%s", cfg.WAL.Policy())
 	}
-	log.Printf("wsd: serving on %s (engine=%s shards=%d, %s)", l.Addr(), srv.Engine(), srv.Shards(), mode)
+	log.Printf("wsd: serving on %s (shards=%d, %s)", l.Addr(), srv.Shards(), mode)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

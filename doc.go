@@ -28,7 +28,9 @@
 //     but the segment structure is pipelined so a cheap (recent) operation
 //     is not blocked behind an expensive one; operations on recent items
 //     complete in O((log p)² + log r) span independent of the map size.
-//   - NewSharded: a hash-sharded front-end over S per-shard M1 or M2
+//     It is exactly the paper's structure — Get, Insert, Delete and Apply;
+//     no range reads, TTLs or byte budget.
+//   - NewSharded: a hash-sharded front-end over S per-shard M1
 //     instances. Operations route by key hash, so cross-shard operations
 //     never serialize on one segment structure while each shard keeps the
 //     working-set bound for the keys it owns — the scaling layer for
@@ -41,12 +43,15 @@
 //
 // # Choosing a map
 //
-// Use NewM2 for concurrent workloads with temporal locality and latency
-// sensitivity; NewM1 when simplicity matters and operations are
-// throughput-bound; the sequential constructors for single-goroutine use
-// or as baselines. All parallel maps are drop-in concurrent ordered maps:
+// Use NewSharded for a concurrent map on more than one core, NewM1 for a
+// single engine; the sequential constructors for single-goroutine use or
+// as baselines. NewM2 is the Theorem 4 structure kept as a reproduction
+// artifact: it pays constants to cut span — 3–6x behind M1 on every
+// core.m2_* probe of the standing benchmark (bench/) — and exists for
+// experiments E6 and E7, which measure the bounds it is built for. All
+// parallel maps are drop-in concurrent ordered maps:
 //
-//	m := pws.NewM2[string, int](pws.Options{})
+//	m := pws.NewM1[string, int](pws.Options{})
 //	defer m.Close()
 //	m.Insert("k", 1)
 //	v, ok := m.Get("k")
@@ -58,7 +63,7 @@
 // stop-the-world snapshots: a range rides the engines' cut batches like
 // any Get/Insert/Delete (OpRange in the batch API), linearizes at a
 // batch boundary, and needs no quiescence — writers keep committing
-// while ranges are served. M1/M2 expose Range (one bounded page);
+// while ranges are served. M1 exposes Range (one bounded page);
 // Sharded exposes RangePage (cursor pagination: one bounded range op
 // broadcast to every shard and k-way merged) and a paging Range
 // visitor. Items remains a quiescent whole-map snapshot for draining
@@ -83,7 +88,7 @@
 // # Bounded memory and TTLs
 //
 // The working-set hierarchy doubles as a cache eviction policy. Give a
-// map a byte budget (Options.MaxBytes per engine, or
+// map a byte budget (Options.MaxBytes on an M1, or
 // ShardedOptions.MaxBytes as a global budget split across shards) and
 // when resident bytes exceed it, the coldest items — the back of the
 // deepest segment, where the structure has already pushed the

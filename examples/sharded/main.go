@@ -21,10 +21,7 @@ import (
 )
 
 func main() {
-	m := pws.NewSharded[int, string](pws.ShardedOptions{
-		Shards: 4,
-		Engine: pws.EngineM2, // pipelined per-shard engine: latency-friendly
-	})
+	m := pws.NewSharded[int, string](pws.ShardedOptions{Shards: 4})
 	defer m.Close()
 	fmt.Printf("sharded map: %d shards on GOMAXPROCS=%d\n", m.Shards(), runtime.GOMAXPROCS(0))
 

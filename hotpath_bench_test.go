@@ -101,25 +101,6 @@ func BenchmarkHotPathRangePage(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathM2RangePage is BenchmarkHotPathRangePage with M2 shard
-// engines: each page is served from the composed first-slab + epoch
-// snapshot + filter overlay view (internal/core/rangeread.go) instead of
-// waiting for the final slab to rest — the scan-mix smoke check of CI.
-func BenchmarkHotPathM2RangePage(b *testing.B) {
-	m := NewSharded[int, int](ShardedOptions{Engine: EngineM2})
-	defer m.Close()
-	for i := 0; i < 4096; i++ {
-		m.Insert(i, i)
-	}
-	var page []KV[int, int]
-	m.RangePage(0, false, 4096, 64, nil) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		page, _ = m.RangePage(i%2048, false, 4096, 64, page[:0])
-	}
-}
-
 // BenchmarkHotPathShardedApply measures a warm batch Apply through the
 // sharded front-end: one reused 64-op Get batch spanning every shard, the
 // server's submission shape without the network.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -52,5 +53,54 @@ func TestAllocsM1FreshInsert(t *testing.T) {
 	const ceiling = 1.4
 	if perInsert > ceiling {
 		t.Errorf("fresh insert: %.2f mallocs per item at batch %d, ceiling %.1f", perInsert, batch, ceiling)
+	}
+}
+
+// TestAllocsM2FinalSlabRun bounds the steady-state allocation cost of
+// operations that travel the full M2 pipeline — filter, buffered final
+// slab segment runs. M2 groups and filter entries are allocated per batch
+// by design (they outlive the interface batch), so the ceiling is per
+// operation rather than zero; what it guards is the run scratch of
+// fseg.runLocked. Skipped under -race (inflated counts).
+func TestAllocsM2FinalSlabRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts inflated under -race")
+	}
+	m := NewM2[int, int](Config{P: 4})
+	defer m.Close()
+	const n = 4096
+	for i := 0; i < n; i++ {
+		m.Insert(i, i)
+	}
+	ops := make([]Op[int, int], 64)
+	rng := rand.New(rand.NewSource(7))
+	refill := func() {
+		for i := range ops {
+			k := rng.Intn(n)
+			if i%4 == 0 {
+				ops[i] = Op[int, int]{Kind: OpInsert, Key: k, Val: k}
+			} else {
+				ops[i] = Op[int, int]{Kind: OpGet, Key: k}
+			}
+		}
+	}
+	for i := 0; i < 50; i++ { // warm scratch and pools
+		refill()
+		m.Apply(ops)
+	}
+	m.Quiesce()
+	perBatch := testing.AllocsPerRun(100, func() {
+		refill()
+		m.Apply(ops)
+		m.Quiesce()
+	})
+	perOp := perBatch / float64(len(ops))
+	t.Logf("%.2f allocs/op (%.0f/batch)", perOp, perBatch)
+	// Measured 6.2 (17 while every run also published snapshot deltas):
+	// group frames and their call slices, filter entries, tree leaf/node
+	// churn across first slab, filter and final slab; ceiling ~2x.
+	const ceiling = 13.0
+	if perOp > ceiling {
+		t.Errorf("M2 pipeline churn: %.2f allocs/op (%.0f/batch), ceiling %.1f", perOp, perBatch, ceiling)
 	}
 }

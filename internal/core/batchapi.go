@@ -180,33 +180,37 @@ func (m *M1[K, V]) ApplyAsyncMulti(batches [][]Op[K, V]) Pending[K, V] {
 // needs no quiescence and runs concurrently with any other operations,
 // linearizing at the end of its cut batch.
 func (m *M1[K, V]) Range(lo, hi K, limit int, dst []KV[K, V]) ([]KV[K, V], bool) {
-	return rangeOne[K, V](m.ApplyAsync, lo, hi, limit, dst)
-}
-
-// Range reads the first limit pairs with lo <= key < hi. See M1.Range.
-func (m *M2[K, V]) Range(lo, hi K, limit int, dst []KV[K, V]) ([]KV[K, V], bool) {
-	return rangeOne[K, V](m.ApplyAsync, lo, hi, limit, dst)
-}
-
-// rangeOne is the shared one-shot Range body: a single OpRange batch.
-func rangeOne[K cmp.Ordered, V any](
-	applyAsync func([]Op[K, V]) Pending[K, V], lo, hi K, limit int, dst []KV[K, V],
-) ([]KV[K, V], bool) {
 	req := RangeReq[K, V]{Hi: hi, Limit: limit, Out: dst}
 	ops := [1]Op[K, V]{{Kind: OpRange, Key: lo, Range: &req}}
 	var res [1]Result[V]
-	applyAsync(ops[:]).Collect(res[:])
+	m.ApplyAsync(ops[:]).Collect(res[:])
 	return req.Out, res[0].OK
 }
 
-// ApplyAsync submits a batch without waiting. See M1.ApplyAsync.
+// rejectRanges panics, in the submitter's goroutine, when ops carries an
+// OpRange: M2 is the paper's search/insert/delete structure and serves no
+// range reads (M1 does).
+func rejectRanges[K cmp.Ordered, V any](ops []Op[K, V]) {
+	for i := range ops {
+		if ops[i].Kind == OpRange {
+			panic("core: M2 does not serve OpRange")
+		}
+	}
+}
+
+// ApplyAsync submits a batch without waiting. See M1.ApplyAsync. An
+// OpRange in ops panics here, before anything is submitted.
 func (m *M2[K, V]) ApplyAsync(ops []Op[K, V]) Pending[K, V] {
+	rejectRanges(ops)
 	return applyAsync(ops, m.closed.Load(), &m.pending, &m.calls, &m.batch, m.pb.AddAll, m.act)
 }
 
 // ApplyAsyncMulti submits several op slices as one batch. See
-// M1.ApplyAsyncMulti.
+// M1.ApplyAsyncMulti; like ApplyAsync it panics on an OpRange.
 func (m *M2[K, V]) ApplyAsyncMulti(batches [][]Op[K, V]) Pending[K, V] {
+	for _, ops := range batches {
+		rejectRanges(ops)
+	}
 	return applyAsyncMulti(batches, m.closed.Load(), &m.pending, &m.calls, &m.batch, m.pb.AddAll, m.act)
 }
 

@@ -41,6 +41,7 @@ type Config struct {
 	// under budget. Evicted items vanish as if deleted; the SetOnEvict
 	// hook observes them. Zero or negative means unbounded (byte
 	// accounting still runs, so Bytes reports the footprint either way).
+	// M1 only: NewM2 panics on a positive value.
 	MaxBytes int64
 }
 

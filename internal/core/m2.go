@@ -42,11 +42,10 @@ type fentry[K cmp.Ordered, V any] struct {
 }
 
 // replay resolves all pending groups starting from the given state, moves
-// them to done, and records the resulting state. hooks are the engine's
-// per-key sidecar hooks (nil = none), fired as the replayed ops take effect.
-func (e *fentry[K, V]) replay(present bool, val V, hooks *KeyHooks[K]) (bool, V) {
+// them to done, and records the resulting state.
+func (e *fentry[K, V]) replay(present bool, val V) (bool, V) {
 	for _, g := range e.pending {
-		present, val = g.resolve(present, val, hooks)
+		present, val = g.resolve(present, val, nil)
 	}
 	e.done = append(e.done, e.pending...)
 	e.pending = nil
@@ -73,7 +72,7 @@ type filter[K cmp.Ordered, V any] struct {
 }
 
 // fseg is one final slab segment S[k] (k >= m) with its buffer, locks,
-// activation, published snapshot and run scratch.
+// activation and run scratch.
 type fseg[K cmp.Ordered, V any] struct {
 	m2  *M2[K, V]
 	k   int // global segment index
@@ -89,17 +88,8 @@ type fseg[K cmp.Ordered, V any] struct {
 
 	act *locks.Activation
 
-	// snap is the segment's published epoch snapshot (nil = empty view),
-	// read by M2.serveRanges instead of the live trees. Every access —
-	// publish and read — happens under FL[0] (snapshot.go).
-	snap atomic.Pointer[segSnap[K, V]]
-
 	// Run scratch, reused across activations (runs of one segment never
-	// overlap). The ev* lists accumulate the run's chronological net tree
-	// changes for snapshot publication: evSelf for S[k] itself, evPrev
-	// for S[k-1], evFront for S[m] — with evFront doing double duty as
-	// the prev list when S[k-1] IS S[m] (k = m+1), preserving the global
-	// chronological order of that segment's events.
+	// overlap).
 	keysSc    []K
 	foundSc   []*segLeaf[K, V]
 	fKeys     []K
@@ -110,10 +100,6 @@ type fseg[K cmp.Ordered, V any] struct {
 	onwardSc  []*group[K, V]
 	insKeysSc []K
 	insValsSc []V
-	evSelf    []snapKV[K, V]
-	evPrev    []snapKV[K, V]
-	evFront   []snapKV[K, V]
-	flatSc    []*segLeaf[K, V]
 	ms        moveScratch[K, V]
 }
 
@@ -123,6 +109,10 @@ type fseg[K cmp.Ordered, V any] struct {
 // slab operations on distinct items, and the final slab segments run as
 // independently activated processes synchronized by neighbour-locks and
 // front-locks, scheduled at high priority on a weak-priority pool.
+//
+// M2 is the paper's structure and nothing more: search, insert and delete
+// (singly or through Apply). It serves no range reads, carries no per-key
+// hooks and has no byte budget — those belong to the serving engine, M1.
 //
 // All methods are safe for concurrent use; each call blocks until the
 // engine returns its result.
@@ -149,32 +139,13 @@ type M2[K cmp.Ordered, V any] struct {
 	sortSc  []int
 	groupSc []*group[K, V]
 
-	// Range-read scratch (see rangeread.go): the batch's split-out range
-	// calls, the collector scratch, and the live-segment/snapshot lists
-	// the composed read path reuses (cleared after every serve so they
-	// pin neither removed segments nor superseded snapshots).
-	rangeCs    []*call[K, V]
-	rangeSc    rangeScratch[K, V]
-	rangeSegSc []*segment[K, V]
-	snapSc     []*segSnap[K, V]
-	ovLeafSc   []*twothree.Node[K, *fentry[K, V]]
-
 	// Interface scratch for filterAndForward (safe to reuse because
 	// enqueue copy-merges rather than aliasing fwd).
 	fwdSc      []*group[K, V]
 	fltFoundSc []*twothree.Node[K, *fentry[K, V]]
 	fltItemSc  []twothree.Item[K, *fentry[K, V]]
 
-	// Range-path instrumentation: batches of ranges served, and how many
-	// of those observed in-flight final slab work (non-empty filter or
-	// segment buffers) and proceeded anyway — the regression hook proving
-	// the snapshot path never waits for the slab to drain.
-	rangeServes atomic.Int64
-	rangeBusy   atomic.Int64
-
 	first slab[K, V] // S[0..m-1]; S[m-1] additionally under nlock0+FL[0]
-	mem   *memAcct[K, V]
-	hooks *KeyHooks[K] // per-key sidecar hooks (nil = off; see ops.go)
 
 	flt    filter[K, V]
 	fl0    *locks.Dedicated // FL[0]
@@ -192,6 +163,9 @@ type M2[K cmp.Ordered, V any] struct {
 // NewM2 creates an M2 map. Close must be called to release its scheduler
 // pool.
 func NewM2[K cmp.Ordered, V any](cfg Config) *M2[K, V] {
+	if cfg.MaxBytes > 0 {
+		panic("core: M2 has no byte budget")
+	}
 	cfg = cfg.withDefaults()
 	// m = ceil(log log 2p^2) + 1 (Section 7.1).
 	twoP2 := 2 * cfg.P * cfg.P
@@ -213,8 +187,6 @@ func NewM2[K cmp.Ordered, V any](cfg Config) *M2[K, V] {
 	m.first.cnt = cfg.Counter
 	m.first.obs = cfg.Obs
 	m.first.pool = twothree.NewNodePool[K, V]()
-	m.mem = newMemAcct[K, V](cfg.MaxBytes)
-	m.first.mem = m.mem
 	m.first.segs = make([]*segment[K, V], mSeg)
 	for k := 0; k < mSeg; k++ {
 		m.first.segs[k] = newSegment[K, V](k, cfg.Counter, m.first.pool)
@@ -268,41 +240,11 @@ func (m *M2[K, V]) do(op Op[K, V]) Result[V] {
 // Len returns the current number of items (racy snapshot).
 func (m *M2[K, V]) Len() int { return int(m.sizeA.Load()) }
 
-// Bytes returns the approximate resident bytes of the map's items
-// (keys + values + a flat per-item structural overhead).
-func (m *M2[K, V]) Bytes() int64 { return m.mem.bytes.Load() }
-
-// Evicted returns how many items the byte budget has evicted.
-func (m *M2[K, V]) Evicted() int64 { return m.mem.evicted.Load() }
-
-// SetOnEvict installs the eviction hook, called synchronously on the
-// evicting segment's run for every item the byte budget removes. Must
-// be set before operations are submitted.
-func (m *M2[K, V]) SetOnEvict(fn func(K, V)) { m.mem.onEvict = fn }
-
-// SetKeyHooks installs the per-key sidecar hooks, consulted at group
-// resolution — the engine's per-key serialization point, wherever it
-// happens: first slab pass, final slab observation, or terminal
-// resolution (see KeyHooks). Must be set before operations are
-// submitted.
-func (m *M2[K, V]) SetKeyHooks(h *KeyHooks[K]) {
-	m.hooks = h
-	m.first.hooks = h
-}
-
 // Batches returns the number of cut batches processed so far.
 func (m *M2[K, V]) Batches() int64 { return m.batches.Load() }
 
 // FilterSize returns the current filter occupancy (diagnostics).
 func (m *M2[K, V]) FilterSize() int { return int(m.flt.size.Load()) }
-
-// RangeServeStats reports how many range batches have been served and how
-// many of those observed a busy final slab (in-flight filter entries or
-// buffered groups) and were served from snapshots anyway, without waiting
-// for the slab to rest (test hook for the scan-tail regression).
-func (m *M2[K, V]) RangeServeStats() (serves, busy int64) {
-	return m.rangeServes.Load(), m.rangeBusy.Load()
-}
 
 // SchedStats returns the scheduler pool's counters.
 func (m *M2[K, V]) SchedStats() sched.Stats { return m.pool.Stats() }
@@ -339,12 +281,6 @@ func (m *M2[K, V]) interfaceRun() bool {
 	m.feedA.Store(int64(m.feed.len()))
 	m.batches.Add(1)
 
-	batch, m.rangeCs = splitRangeCalls(batch, m.rangeCs[:0])
-	if len(batch) == 0 {
-		m.finishRanges()
-		return true
-	}
-
 	keys := m.keySc[:0]
 	for _, c := range batch {
 		keys = append(keys, c.op.Key)
@@ -367,7 +303,6 @@ func (m *M2[K, V]) interfaceRun() bool {
 	}
 	if len(pending) == 0 {
 		m.sizeA.Add(int64(sizeDelta))
-		m.finishRanges()
 		return true
 	}
 
@@ -398,20 +333,7 @@ func (m *M2[K, V]) interfaceRun() bool {
 
 	m.fl0.Release()
 	m.nlock0.Release()
-	m.finishRanges()
 	return true
-}
-
-// finishRanges serves the batch's split-out range calls. Runs with no
-// locks held: serveRanges takes nlock0+FL[0] itself and composes its view
-// from the first slab trees, the published final slab snapshots and the
-// filter overlay (rangeread.go) — the final slab keeps running.
-func (m *M2[K, V]) finishRanges() {
-	if len(m.rangeCs) == 0 {
-		return
-	}
-	m.serveRanges(m.rangeCs)
-	clear(m.rangeCs)
 }
 
 // finishInFirstSlab resolves end-of-structure groups when no final slab
@@ -429,9 +351,8 @@ func (m *M2[K, V]) finishInFirstSlab(pending []*group[K, V]) {
 		}
 		tailCalls += len(g.calls)
 		var zero V
-		p, v := g.resolve(false, zero, m.hooks)
+		p, v := g.resolve(false, zero, nil)
 		if p {
-			m.mem.add(g.key, v)
 			insKeys = append(insKeys, g.key)
 			insVals = append(insVals, v)
 		}
@@ -440,12 +361,7 @@ func (m *M2[K, V]) finishInFirstSlab(pending []*group[K, V]) {
 	if len(insKeys) > 0 {
 		overflow := m.first.insertFront(insKeys, insVals, m.mSeg)
 		if overflow.len() > 0 {
-			f := m.createFseg(m.mSeg, m.nlock0)
-			f.seg.pushFront(overflow)
-			// The new S[m] was born non-empty by an interface-side tree
-			// mutation: publish its first snapshot here, under the
-			// nlock0+FL[0] the caller holds.
-			f.publishFlat()
+			m.createFseg(m.mSeg, m.nlock0).seg.pushFront(overflow)
 		}
 	}
 	m.sizeA.Add(int64(len(insKeys)))
@@ -599,19 +515,6 @@ func (f *fseg[K, V]) run() bool {
 	return false // the ready condition re-checks the buffer
 }
 
-// recordPrev appends a prev-segment (S[k-1]) tree change to the event
-// list that publishes it: evFront when the prev segment is S[m] itself
-// (pos 1, keeping that segment's events in one chronological list),
-// evPrev for deeper positions, nowhere when prev is the first slab
-// (pos 0 — the reader sees those trees live).
-func (f *fseg[K, V]) recordPrev(pos int, ev snapKV[K, V]) {
-	if pos >= 2 {
-		f.evPrev = append(f.evPrev, ev)
-	} else if pos == 1 {
-		f.evFront = append(f.evFront, ev)
-	}
-}
-
 // inRPrime reports whether key is in this run's R' (found and
 // net-present), by binary search over the run's sorted found keys.
 func (f *fseg[K, V]) inRPrime(key K) bool {
@@ -627,19 +530,14 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	// Step 3: terminal growth check.
 	m.segsMu.RLock()
 	isTerminal := m.fsegs[len(m.fsegs)-1] == f
-	var prevF, frontF *fseg[K, V]
+	// prev is S[k-1], target is S[m'] of step 4d: S[m-1] for S[m]'s own
+	// run, S[m] for every deeper segment.
+	prev, target := m.first.segs[m.mSeg-1], m.first.segs[m.mSeg-1]
 	if pos > 0 {
-		prevF = m.fsegs[pos-1] // stable: its removal would need our left lock
-		frontF = m.fsegs[0]
+		prev = m.fsegs[pos-1].seg // stable: its removal would need our left lock
+		target = m.fsegs[0].seg
 	}
 	m.segsMu.RUnlock()
-	var prev *segment[K, V]
-	if pos == 0 {
-		prev = m.first.segs[m.mSeg-1]
-	} else {
-		prev = prevF.seg
-	}
-	deepest := isTerminal // still true after a growth split: f stays the cold end until the new segment fills
 	if isTerminal && prev.size()+f.seg.size() > capOf(f.k-1)+capOf(f.k) {
 		m.createFseg(f.k+1, f.right)
 		isTerminal = false
@@ -652,9 +550,6 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	if len(A) == 0 {
 		return
 	}
-	f.evSelf = f.evSelf[:0]
-	f.evPrev = f.evPrev[:0]
-	f.evFront = f.evFront[:0]
 
 	// 4a: search for the accessed items; delete the found set R from S[k].
 	keys := f.keysSc[:0]
@@ -674,9 +569,6 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	}
 	f.fKeys, f.fGroups = fKeys, fGroups
 	mb := f.ms.removeItems(f.seg, fKeys)
-	for _, k := range fKeys {
-		f.evSelf = append(f.evSelf, snapKV[K, V]{key: k, del: true})
-	}
 
 	// 4b: front locks, descending.
 	if pos > 0 {
@@ -712,21 +604,10 @@ func (f *fseg[K, V]) runLocked(pos int) {
 			panic("core: M2 found item with no filter entry")
 		}
 		e := leaf.Payload
-		old := mb.kmLeaves[i].Payload
-		// Present observation: consult the TTL ghost hook first (see
-		// slab.pass); a past-deadline item replays as absent and its
-		// dead incarnation is removed right here, under this run's
-		// locks.
-		obsP, base := true, old
-		if m.hooks.ghost(g.key) {
-			var zero V
-			obsP, base = false, zero
-		}
-		p, v := e.replay(obsP, base, m.hooks)
+		p, v := e.replay(true, mb.kmLeaves[i].Payload)
 		f.fPresent[i] = p
 		if p {
 			// Searched/updated: belongs to R'.
-			m.mem.swap(old, v)
 			f.fVals[i] = v
 			m.flt.tree.Delete(g.key)
 			m.flt.size.Add(-1)
@@ -735,20 +616,12 @@ func (f *fseg[K, V]) runLocked(pos int) {
 			// Net deletion: tag and keep travelling; results return at the
 			// terminal segment. (Size changes are published where they
 			// happen, ahead of the completion — see interfaceRun.)
-			m.mem.sub(g.key, old)
 			g.deleted = true
 			m.sizeA.Add(-1)
 		}
 	}
 
-	// 4d: shift R' to the front of S[m'] (S[m-1] for S[m]'s own run, S[m]
-	// for every deeper segment), plus terminal resolution.
-	var target *segment[K, V]
-	if pos == 0 {
-		target = m.first.segs[m.mSeg-1]
-	} else {
-		target = frontF.seg
-	}
+	// 4d: shift R' to the front of S[m'], plus terminal resolution.
 	for i := range fGroups {
 		if f.fPresent[i] {
 			mb.kmLeaves[i].Payload = f.fVals[i]
@@ -759,14 +632,9 @@ func (f *fseg[K, V]) runLocked(pos int) {
 		return f.fPresent[i]
 	})
 	target.pushFront(kept)
-	if pos > 0 {
-		for _, lf := range kept.kmLeaves {
-			f.evFront = append(f.evFront, snapKV[K, V]{key: lf.Key, val: lf.Payload})
-		}
-	}
 
 	if isTerminal {
-		f.resolveTerminal(A, target, pos)
+		f.resolveTerminal(A, target)
 	}
 
 	// 4e: if the filter has room, reactivate the interface.
@@ -774,12 +642,9 @@ func (f *fseg[K, V]) runLocked(pos int) {
 		m.act.Activate()
 	}
 
-	// 4f is deferred past 4h for every position (not just S[m+1] as in the
-	// original protocol): the 4g/4h transfers mutate S[k-1] and S[k], and
-	// holding the front locks through them lets the run publish every
-	// affected segment's snapshot under FL[0] — which is what makes the
-	// range reader's composed view consistent (DESIGN.md, "Epoch slab
-	// snapshots").
+	// 4f: release front locks ascending — except for S[m+1], whose step
+	// 4g/4h transfers touch the contents of S[m] and therefore stay under
+	// FL[0].
 	releaseFLs := func() {
 		if pos > 0 {
 			m.segsMu.RLock()
@@ -790,15 +655,13 @@ func (f *fseg[K, V]) runLocked(pos int) {
 			f.fl.Release()
 		}
 	}
+	if pos != 1 {
+		releaseFLs()
+	}
 
 	// 4g: rearward transfer if S[k-1] exceeds capacity.
 	if ex := prev.overBy(); ex > 0 {
-		tb := f.ms.popBack(prev, ex)
-		for _, lf := range tb.kmLeaves {
-			f.recordPrev(pos, snapKV[K, V]{key: lf.Key, del: true})
-			f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, val: lf.Payload})
-		}
-		f.seg.pushFront(tb)
+		f.seg.pushFront(f.ms.popBack(prev, ex))
 	}
 	// 4h: frontward transfer bounded by the successful deletions in A.
 	dSucc := 0
@@ -810,45 +673,12 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	if under := prev.underBy(); under > 0 && dSucc > 0 {
 		x := min(under, f.seg.size(), dSucc)
 		if x > 0 {
-			tb := f.ms.popFront(f.seg, x)
-			for _, lf := range tb.kmLeaves {
-				f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, del: true})
-				f.recordPrev(pos, snapKV[K, V]{key: lf.Key, val: lf.Payload})
-			}
-			prev.pushBack(tb)
+			prev.pushBack(f.ms.popFront(f.seg, x))
 		}
 	}
-
-	// Byte-budget eviction, at the cold end only: the deepest final slab
-	// segment pops its least-recent items until back under budget. It
-	// rides this run's already-held locks and snapshot publication —
-	// eviction is just more del events in evSelf — so the budget costs
-	// no extra locking and nothing on the per-op hot path. Every insert
-	// flows through a terminal run (resolveTerminal), so eviction keeps
-	// pace with growth; the first-slab-only regime (no final slab, at
-	// most the first slab's ~couple dozen items) is the budget floor.
-	if deepest && m.mem.over() {
-		for m.mem.over() && f.seg.size() > 0 {
-			tb := f.ms.popBack(f.seg, evictChunk)
-			for _, lf := range tb.kmLeaves {
-				m.mem.evict(lf.Key, lf.Payload)
-				f.evSelf = append(f.evSelf, snapKV[K, V]{key: lf.Key, del: true})
-			}
-			m.sizeA.Add(-int64(tb.len()))
-		}
+	if pos == 1 {
+		releaseFLs()
 	}
-
-	// Publish the epoch snapshots of every final slab tree this run
-	// mutated, while the locks serializing their mutators — and excluding
-	// the range reader — are still held (snapshot.go).
-	f.publishDelta(f.evSelf)
-	if pos >= 2 {
-		prevF.publishDelta(f.evPrev)
-	}
-	if pos >= 1 {
-		frontF.publishDelta(f.evFront)
-	}
-	releaseFLs()
 
 	// 4i: pass A∖R' on to S[k+1].
 	if !isTerminal {
@@ -889,18 +719,13 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	clear(f.fGroups)
 	f.fGroups = f.fGroups[:0]
 	clear(f.fVals)
-	clear(f.evSelf)
-	clear(f.evPrev)
-	clear(f.evFront)
-	f.evSelf, f.evPrev, f.evFront = f.evSelf[:0], f.evPrev[:0], f.evFront[:0]
 }
 
 // resolveTerminal handles the terminal-segment clause of step 4d: every
 // group in A∖R' resolves against its filter entry; net-present outcomes
 // insert fresh items at the front of S[m']; all accumulated results are
-// returned and the entries leave the filter. pos >= 1 records the
-// insertions for the target segment's snapshot.
-func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V], pos int) {
+// returned and the entries leave the filter.
+func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V]) {
 	m := f.m2
 	insKeys := f.insKeysSc[:0]
 	insVals := f.insValsSc[:0]
@@ -922,9 +747,8 @@ func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V], po
 		}
 		e := leaf.Payload
 		sp, sv := e.start()
-		p, v := e.replay(sp, sv, m.hooks)
+		p, v := e.replay(sp, sv)
 		if p {
-			m.mem.add(g.key, v)
 			insKeys = append(insKeys, g.key) // a is key-sorted
 			insVals = append(insVals, v)
 			m.sizeA.Add(1)
@@ -936,11 +760,6 @@ func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V], po
 	m.cfg.Obs.RecordLookup(obs.SrcTail, f.k+1, tailCalls)
 	if len(insKeys) > 0 {
 		target.pushFront(newItems(insKeys, insVals))
-		if pos >= 1 {
-			for i, k := range insKeys {
-				f.evFront = append(f.evFront, snapKV[K, V]{key: k, val: insVals[i]})
-			}
-		}
 	}
 	f.insKeysSc = insKeys
 	clear(insVals)
@@ -982,18 +801,6 @@ func (m *M2[K, V]) CheckInvariants() error {
 		if len(f.buf) != 0 {
 			return fmt.Errorf("final slab segment %d has %d buffered groups while quiescent", f.k, len(f.buf))
 		}
-		// The published snapshot must agree with the quiescent tree: same
-		// net size and every live key visible (values are not compared — V
-		// is unconstrained).
-		snap := f.snap.Load()
-		if n := snap.netLen(); n != f.seg.size() {
-			return fmt.Errorf("final slab segment %d snapshot has %d items, tree has %d", f.k, n, f.seg.size())
-		}
-		for _, lf := range f.seg.km.Flatten() {
-			if _, ok := snap.get(lf.Key); !ok {
-				return fmt.Errorf("final slab segment %d snapshot missing key %v", f.k, lf.Key)
-			}
-		}
 		total += f.seg.size()
 	}
 	if m.flt.size.Load() != 0 || m.flt.tree.Len() != 0 {
@@ -1001,15 +808,6 @@ func (m *M2[K, V]) CheckInvariants() error {
 	}
 	if total != int(m.sizeA.Load()) {
 		return fmt.Errorf("segments sum to %d, tracked size %d", total, m.sizeA.Load())
-	}
-	bytes := m.first.recomputeBytes()
-	for _, f := range m.fsegs {
-		for _, lf := range f.seg.km.Flatten() {
-			bytes += m.mem.itemBytes(lf.Key, lf.Payload)
-		}
-	}
-	if got := m.mem.bytes.Load(); bytes != got {
-		return fmt.Errorf("accounted bytes %d, recomputed %d", got, bytes)
 	}
 	return nil
 }

@@ -29,6 +29,40 @@ func TestM2UseAfterClosePanics(t *testing.T) {
 	m.Get(1)
 }
 
+func TestM2RejectsRange(t *testing.T) {
+	m := NewM2[int, int](Config{P: 2})
+	defer m.Close()
+	m.Insert(1, 1)
+	req := RangeReq[int, int]{Hi: 10}
+	ops := []Op[int, int]{{Kind: OpGet, Key: 1}, {Kind: OpRange, Key: 0, Range: &req}}
+	for name, submit := range map[string]func(){
+		"ApplyAsync":      func() { m.ApplyAsync(ops) },
+		"ApplyAsyncMulti": func() { m.ApplyAsyncMulti([][]Op[int, int]{ops[:1], ops[1:]}) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "core: M2 does not serve OpRange" {
+					t.Fatalf("%s: recovered %v, want the OpRange panic", name, r)
+				}
+			}()
+			submit()
+		}()
+	}
+	// The rejected batches submitted nothing: the map still works and drains.
+	if v, ok := m.Get(1); !ok || v != 1 {
+		t.Fatalf("Get(1) after rejected ranges = (%d, %v)", v, ok)
+	}
+}
+
+func TestM2RejectsBudget(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "core: M2 has no byte budget" {
+			t.Fatalf("recovered %v, want the byte-budget panic", r)
+		}
+	}()
+	NewM2[int, int](Config{P: 2, MaxBytes: 1 << 20})
+}
+
 func TestSegmentRemoveAbsentPanics(t *testing.T) {
 	s := newSegment[int, int](2, nil, nil)
 	s.pushBack(newItems([]int{1, 2, 3}, []int{1, 2, 3}))

@@ -31,6 +31,7 @@ const (
 	// operation like the others — it rides the same cut batches through
 	// Apply/ApplyAsync — except that it never groups with point operations
 	// and never adjusts recencies. Results are appended to Range.Out.
+	// M1 only: submitting one to an M2 panics.
 	OpRange
 	// OpExpire arms (or clears) a key's TTL. To the engines it is a read
 	// — it observes presence and touches recency like OpGet and never
@@ -160,15 +161,15 @@ func (cp *callPool[K, V]) put(c *call[K, V]) {
 }
 
 // KeyHooks wires the sharded front-end's per-key sidecars (internal/
-// shard: the expiry table and the hot-key read front) into the engines'
-// per-key serialization point: group resolution. Neither deadlines nor
-// cached copies live in the engines — the hooks are how the sidecars'
-// state transitions are ordered exactly with the engine's, which is
-// what makes expiry linearizable and cached reads never stale. All three
-// hooks run on engine goroutines, inside the critical section that owns
-// the key, so they must be cheap and must never call back into the
-// engine. Engines with no hooks installed (nil) pay a single predictable
-// branch per resolved call.
+// shard: the expiry table and the hot-key read front) into M1's per-key
+// serialization point: group resolution. Neither deadlines nor cached
+// copies live in the engine — the hooks are how the sidecars' state
+// transitions are ordered exactly with the engine's, which is what makes
+// expiry linearizable and cached reads never stale. All three hooks run
+// on the engine goroutine, inside the critical section that owns the
+// key, so they must be cheap and must never call back into the engine.
+// An engine with no hooks installed (nil — always the case for M2, which
+// has no sidecars) pays a single predictable branch per resolved call.
 //
 // The protocol:
 //
@@ -270,25 +271,6 @@ func (g *group[K, V]) resolve(present bool, val V, hooks *KeyHooks[K]) (netPrese
 		}
 	}
 	g.resolved = true
-	return present, val
-}
-
-// peek returns the item state after the group's operations without
-// writing results or mutating the group: the read-only counterpart of
-// resolve, used by M2's range overlay to fold a filter entry's pending
-// groups into the composed snapshot view (rangeread.go). It must never
-// touch the calls' result fields — the frames are live and will be
-// resolved for real when the group's travel ends.
-func (g *group[K, V]) peek(present bool, val V) (bool, V) {
-	for _, c := range g.calls {
-		switch c.op.Kind {
-		case OpInsert:
-			val, present = c.op.Val, true
-		case OpDelete:
-			var zero V
-			val, present = zero, false
-		}
-	}
 	return present, val
 }
 

@@ -6,22 +6,11 @@ import (
 	"testing"
 )
 
-// rangerMap is the surface shared by M1 and M2 that the range tests need.
-type rangerMap interface {
-	Insert(k int, v int) (int, bool)
-	Delete(k int) (int, bool)
-	Range(lo, hi, limit int, dst []KV[int, int]) ([]KV[int, int], bool)
-	Apply(ops []Op[int, int]) []Result[int]
-	ApplyAsync(ops []Op[int, int]) Pending[int, int]
-	Close()
-}
-
-func rangeEngines(t *testing.T) map[string]rangerMap {
+// rangeEngines returns the engines that serve OpRange, by subtest name:
+// M1 alone (TestM2RejectsRange covers the other one).
+func rangeEngines(t *testing.T) map[string]*M1[int, int] {
 	t.Helper()
-	return map[string]rangerMap{
-		"m1": NewM1[int, int](Config{P: 4}),
-		"m2": NewM2[int, int](Config{P: 4}),
-	}
+	return map[string]*M1[int, int]{"m1": NewM1[int, int](Config{P: 4})}
 }
 
 func TestRangeBasic(t *testing.T) {
@@ -110,8 +99,7 @@ func TestRangeMixedBatch(t *testing.T) {
 
 // TestRangeConcurrentWrites hammers an engine with writers while another
 // goroutine pages ranges; every returned page must be sorted, in bounds
-// and value-consistent (values encode their key). Run under -race this
-// covers the M2 drain-and-read path against the final slab runs.
+// and value-consistent (values encode their key).
 func TestRangeConcurrentWrites(t *testing.T) {
 	for name, m := range rangeEngines(t) {
 		t.Run(name, func(t *testing.T) {

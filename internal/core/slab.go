@@ -23,8 +23,8 @@ type slab[K cmp.Ordered, V any] struct {
 	cnt   *metrics.Counter
 	obs   *obs.EngineObs           // depth telemetry sink (nil = off)
 	pool  *twothree.NodePool[K, V] // the engine's one free-list of routing nodes
-	mem   *memAcct[K, V]           // byte accountant (nil = off; see core.go)
-	hooks *KeyHooks[K]             // per-key sidecar hooks (nil = off; see ops.go)
+	mem   *memAcct[K, V]           // byte accountant (nil in M2; see core.go)
+	hooks *KeyHooks[K]             // per-key sidecar hooks (nil = off, always in M2; see ops.go)
 
 	keySc    []K               // groupKeys of the pending batch
 	foundSc  []*segLeaf[K, V]  // BatchGetInto result
@@ -223,11 +223,8 @@ func (s *slab[K, V]) evictColdest(n int) int {
 }
 
 // recomputeBytes returns the exact accounted byte total of every
-// resident item (test hook; quiescence required).
+// resident item (M1's test hook; quiescence required).
 func (s *slab[K, V]) recomputeBytes() int64 {
-	if s.mem == nil {
-		return 0
-	}
 	var total int64
 	for _, seg := range s.segs {
 		for _, lf := range seg.km.Flatten() {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -19,23 +18,6 @@ type cmap interface {
 	Insert(int, int) (int, bool)
 	Delete(int) (int, bool)
 	Len() int
-}
-
-// driveConcurrentAllocs is driveConcurrent plus the process-wide
-// allocation count per operation over the run (runtime.MemStats.Mallocs
-// delta) — the allocation column of the E17/sweep trajectory tables.
-// Process-wide means concurrent background activity would pollute it;
-// the experiments run one measurement at a time, so in practice it is
-// the request path's own allocation rate.
-func driveConcurrentAllocs(m cmap, accs []workload.Access[int], clients int) (time.Duration, float64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	el := driveConcurrent(m, accs, clients)
-	runtime.ReadMemStats(&after)
-	if len(accs) == 0 {
-		return el, 0
-	}
-	return el, float64(after.Mallocs-before.Mallocs) / float64(len(accs))
 }
 
 // driveConcurrent splits the access sequence round-robin across clients

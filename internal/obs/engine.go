@@ -40,18 +40,16 @@ func (s DepthSource) String() string {
 // EngineObs is one engine's depth telemetry: a histogram of the segment
 // index at which each call was answered (the live witness of the
 // O(log w) working-set property — recent keys resolve at small
-// indices), per-source call counts, and range-serving pairs-per-source
-// counters. Engines record once per resolved group (RecordLookup with
+// indices), per-source call counts, and range-serving counters.
+// Engines record once per resolved group (RecordLookup with
 // the group's call count), so the cost is a few atomic adds per group,
 // not per call. All methods are nil-receiver no-ops.
 type EngineObs struct {
 	depth   Histogram
 	sources [NumDepthSources]Histogram // per-source call counts ride Count; depth in buckets
 
-	ranges       Histogram // range calls served; pairs ride Sum
-	rangeLive    Histogram
-	rangeSnap    Histogram
-	rangeOverlay Histogram
+	ranges    Histogram // range calls served; pairs ride Sum
+	rangeLive Histogram
 }
 
 // RecordLookup records n calls answered by src at segment index depth.
@@ -64,16 +62,13 @@ func (e *EngineObs) RecordLookup(src DepthSource, depth int, n int) {
 }
 
 // RecordRange records one batch of range calls and the pairs they
-// emitted per source class (live segment trees, published snapshots,
-// filter overlay).
-func (e *EngineObs) RecordRange(calls, live, snap, overlay int) {
+// emitted from the live segment trees.
+func (e *EngineObs) RecordRange(calls, live int) {
 	if e == nil {
 		return
 	}
 	e.ranges.RecordN(int64(calls), 1)
 	e.rangeLive.RecordN(int64(live), 1)
-	e.rangeSnap.RecordN(int64(snap), 1)
-	e.rangeOverlay.RecordN(int64(overlay), 1)
 }
 
 // EngineSnap is a point-in-time copy of an EngineObs.
@@ -82,12 +77,10 @@ type EngineSnap struct {
 	Depth HistSnapshot
 	// Sources holds per-source call counts (indexed by DepthSource).
 	Sources [NumDepthSources]int64
-	// RangeBatches counts range-serving batches; RangePairs* the pairs
-	// emitted per source class across them.
-	RangeBatches      int64
-	RangePairsLive    int64
-	RangePairsSnap    int64
-	RangePairsOverlay int64
+	// RangeBatches counts range-serving batches; RangePairsLive the pairs
+	// emitted across them.
+	RangeBatches   int64
+	RangePairsLive int64
 }
 
 // Snapshot returns a point-in-time copy.
@@ -102,8 +95,6 @@ func (e *EngineObs) Snapshot() EngineSnap {
 	}
 	s.RangeBatches = e.ranges.Snapshot().Count
 	s.RangePairsLive = e.rangeLive.Snapshot().Sum
-	s.RangePairsSnap = e.rangeSnap.Snapshot().Sum
-	s.RangePairsOverlay = e.rangeOverlay.Snapshot().Sum
 	return s
 }
 
@@ -116,8 +107,6 @@ func (s EngineSnap) Merge(o EngineSnap) EngineSnap {
 	}
 	r.RangeBatches += o.RangeBatches
 	r.RangePairsLive += o.RangePairsLive
-	r.RangePairsSnap += o.RangePairsSnap
-	r.RangePairsOverlay += o.RangePairsOverlay
 	return r
 }
 

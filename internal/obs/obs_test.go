@@ -50,7 +50,7 @@ func TestNilReceivers(t *testing.T) {
 	}
 	var e *EngineObs
 	e.RecordLookup(SrcFirstSlab, 2, 10)
-	e.RecordRange(1, 2, 3, 4)
+	e.RecordRange(1, 2)
 	if s := e.Snapshot(); s.Depth.Count != 0 {
 		t.Error("nil engine obs recorded")
 	}
@@ -227,9 +227,9 @@ func TestEngineObsAttribution(t *testing.T) {
 	if s.Sources != want {
 		t.Errorf("sources = %v, want %v", s.Sources, want)
 	}
-	e.RecordRange(4, 100, 20, 3)
+	e.RecordRange(4, 100)
 	s = e.Snapshot()
-	if s.RangeBatches != 1 || s.RangePairsLive != 100 || s.RangePairsSnap != 20 || s.RangePairsOverlay != 3 {
+	if s.RangeBatches != 1 || s.RangePairsLive != 100 {
 		t.Errorf("range tallies = %+v", s)
 	}
 }

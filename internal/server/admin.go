@@ -57,12 +57,10 @@ func toStatszHist(h obs.HistSnapshot) statszHist {
 }
 
 // statszRange is the range-serving tally: batches served and pairs
-// emitted per source class.
+// emitted.
 type statszRange struct {
-	Batches      int64 `json:"batches"`
-	PairsLive    int64 `json:"pairs_live"`
-	PairsSnap    int64 `json:"pairs_snap"`
-	PairsOverlay int64 `json:"pairs_overlay"`
+	Batches   int64 `json:"batches"`
+	PairsLive int64 `json:"pairs_live"`
 }
 
 // statszWAL is the durability block of the /statsz reply: the WAL's
@@ -102,7 +100,7 @@ type statszReply struct {
 // statsz builds the /statsz reply document.
 func (s *Server) statsz() statszReply {
 	r := statszReply{
-		Engine:   s.Engine(),
+		Engine:   "m1", // the only engine; the field is part of the schema
 		Shards:   s.store.Shards(),
 		Keys:     s.store.Len(),
 		Server:   s.Stats(),
@@ -118,12 +116,7 @@ func (s *Server) statsz() statszReply {
 	for i := 0; i < obs.NumDepthSources; i++ {
 		r.DepthSources[obs.DepthSource(i).String()] = es.Sources[i]
 	}
-	r.Range = statszRange{
-		Batches:      es.RangeBatches,
-		PairsLive:    es.RangePairsLive,
-		PairsSnap:    es.RangePairsSnap,
-		PairsOverlay: es.RangePairsOverlay,
-	}
+	r.Range = statszRange{Batches: es.RangeBatches, PairsLive: es.RangePairsLive}
 	ss := s.obsm.Stages().Snapshot()
 	r.Stages = make(map[string]statszHist, obs.NumStages)
 	for i := range ss {

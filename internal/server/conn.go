@@ -31,13 +31,6 @@ type conn struct {
 	r   *wire.Reader
 	w   *wire.Writer
 
-	// cloneAllKeys makes every key (not just inserted keys/values) a
-	// private copy before it reaches the map. Set for M2 engines: M2's
-	// filter tree can retain search keys as interior separators past the
-	// pipeline, which the reader's arena reuse would corrupt. M1 engines
-	// never store a key that is not inserted, so only inserts copy.
-	cloneAllKeys bool
-
 	// batch state, reused across pipelines so a long-lived connection's
 	// steady state allocates nothing per pipeline. job is the one frame
 	// this connection ever has in the scheduler: its Ops alias c.ops for
@@ -66,7 +59,7 @@ type conn struct {
 	// resKey/mkRes defer the reservation key's stable copy to the
 	// claims that need it: mkRes (built once per connection, so the
 	// closure never allocates per op) clones resKey out of the read
-	// arena. nil when keys are already private copies (cloneAllKeys).
+	// arena.
 	resKey string
 	mkRes  func() string
 
@@ -305,7 +298,7 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 			}
 			for _, k := range cmd.Args {
 				c.noteWrite(k)
-				c.ops = append(c.ops, pws.Op[string, string]{Kind: pws.OpDelete, Key: c.key(k)})
+				c.ops = append(c.ops, pws.Op[string, string]{Kind: pws.OpDelete, Key: k})
 			}
 			c.pending = append(c.pending, pendingReply{kind: replyDel, n: len(cmd.Args)})
 			c.srv.st.dels.Add(int64(len(cmd.Args)))
@@ -417,17 +410,6 @@ func (c *conn) wantArgs(cmd wire.Command, ok bool) bool {
 	return false
 }
 
-// key prepares one search/delete key for the map: a private copy under
-// cloneAllKeys (M2 engines), the arena-backed string otherwise — search
-// keys never outlive the batch in M1, so the common GET path is
-// zero-copy end to end.
-func (c *conn) key(k string) string {
-	if c.cloneAllKeys {
-		return strings.Clone(k)
-	}
-	return k
-}
-
 // frontOp decodes one GET key: a front-cache hit appends a frontHit
 // (no op, no batch round trip — the reply comes straight from the
 // cache) and reports true; a miss appends the fallback op plus a
@@ -443,15 +425,12 @@ func (c *conn) frontOp(k string, pos int) (hit bool) {
 			c.hits = append(c.hits, frontHit{pos: pos, val: v})
 			return true
 		}
-		kk := c.key(k)
-		c.resKey = kk
-		if tk := c.srv.store.FrontReserve(kk, c.mkRes); tk.Reserved() {
+		c.resKey = k
+		if tk := c.srv.store.FrontReserve(k, c.mkRes); tk.Reserved() {
 			c.tickets = append(c.tickets, opTicket{idx: len(c.ops), tk: tk})
 		}
-		c.ops = append(c.ops, pws.Op[string, string]{Kind: pws.OpGet, Key: kk})
-		return false
 	}
-	c.ops = append(c.ops, pws.Op[string, string]{Kind: pws.OpGet, Key: c.key(k)})
+	c.ops = append(c.ops, pws.Op[string, string]{Kind: pws.OpGet, Key: k})
 	return false
 }
 

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	pws "repro"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -22,13 +21,13 @@ import (
 // openDurable opens (or reopens) the WAL in dir and builds a server
 // over it, replaying whatever the log holds. SnapshotBytes is negative
 // so checkpoints happen only when a test asks for them.
-func openDurable(t *testing.T, dir string, eng pws.Engine) (*Server, *wal.Recovery) {
+func openDurable(t *testing.T, dir string) (*Server, *wal.Recovery) {
 	t.Helper()
 	log, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncAlways, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	srv := New(Config{Shards: 4, P: 2, Engine: eng, WAL: log, SnapshotBytes: -1})
+	srv := New(Config{Shards: 4, P: 2, WAL: log, SnapshotBytes: -1})
 	if _, err := srv.Recover(rec); err != nil {
 		srv.Close()
 		t.Fatalf("Recover: %v", err)
@@ -85,36 +84,31 @@ func verify(t *testing.T, srv *Server, want map[string]string) {
 
 // TestDurableRestartRecovers is the clean-restart contract: everything
 // acked before a graceful close is present, with its latest value,
-// after reopening the same data dir — for both engines.
+// after reopening the same data dir. (The "m1" subtest level is the
+// server's engine name, kept from when the table had two rows.)
 func TestDurableRestartRecovers(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		eng  pws.Engine
-	}{{"m1", pws.EngineM1}, {"m2", pws.EngineM2}} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := tc.eng
-			dir := t.TempDir()
-			want := map[string]string{}
+	t.Run("m1", func(t *testing.T) {
+		dir := t.TempDir()
+		want := map[string]string{}
 
-			srv, _ := openDurable(t, dir, eng)
-			mutate(t, pipeClient(t, srv), want, 1, 1000)
-			verify(t, srv, want)
-			if err := srv.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
+		srv, _ := openDurable(t, dir)
+		mutate(t, pipeClient(t, srv), want, 1, 1000)
+		verify(t, srv, want)
+		if err := srv.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 
-			srv2, rec := openDurable(t, dir, eng)
-			defer srv2.Close()
-			if rec.SnapshotSeq() != 0 {
-				t.Errorf("recovery used snapshot seq %d, want none", rec.SnapshotSeq())
-			}
-			ws, _ := srv2.WALStats()
-			if ws.ReplayRecords == 0 {
-				t.Error("recovery replayed no records")
-			}
-			verify(t, srv2, want)
-		})
-	}
+		srv2, rec := openDurable(t, dir)
+		defer srv2.Close()
+		if rec.SnapshotSeq() != 0 {
+			t.Errorf("recovery used snapshot seq %d, want none", rec.SnapshotSeq())
+		}
+		ws, _ := srv2.WALStats()
+		if ws.ReplayRecords == 0 {
+			t.Error("recovery replayed no records")
+		}
+		verify(t, srv2, want)
+	})
 }
 
 // TestDurableCheckpointCompacts interleaves checkpoints with mutations
@@ -125,7 +119,7 @@ func TestDurableCheckpointCompacts(t *testing.T) {
 	dir := t.TempDir()
 	want := map[string]string{}
 
-	srv, _ := openDurable(t, dir, pws.EngineM1)
+	srv, _ := openDurable(t, dir)
 	c := pipeClient(t, srv)
 	mutate(t, c, want, 2, 900)
 	if err := srv.Checkpoint(); err != nil {
@@ -140,7 +134,7 @@ func TestDurableCheckpointCompacts(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	srv2, rec := openDurable(t, dir, pws.EngineM1)
+	srv2, rec := openDurable(t, dir)
 	if rec.SnapshotSeq() == 0 {
 		t.Error("second boot ignored the checkpoint")
 	}
@@ -155,7 +149,7 @@ func TestDurableCheckpointCompacts(t *testing.T) {
 	}
 
 	// Third boot proves the pruned directory is still self-sufficient.
-	srv3, _ := openDurable(t, dir, pws.EngineM1)
+	srv3, _ := openDurable(t, dir)
 	defer srv3.Close()
 	verify(t, srv3, want)
 }
@@ -164,7 +158,7 @@ func TestDurableCheckpointCompacts(t *testing.T) {
 // surfaces: STATS gains the wal section (appended after the frozen
 // non-durable schema), and its counters are coherent with the load.
 func TestDurableStatsSurface(t *testing.T) {
-	srv, _ := openDurable(t, t.TempDir(), pws.EngineM1)
+	srv, _ := openDurable(t, t.TempDir())
 	defer srv.Close()
 	c := pipeClient(t, srv)
 	mutate(t, c, map[string]string{}, 4, 200)

@@ -102,7 +102,7 @@ func BenchmarkHotPathServerPipe(b *testing.B) {
 // with the cross-connection coalescer merging everyone's single ops into
 // combined batches. ns/op is per GET round trip on one connection; the
 // interesting outputs are the throughput relative to the same shape
-// without coalescing (see E19 / BENCH_0004.json) and allocs/op staying
+// without coalescing (see E19 / docs/history/BENCH_0004.json) and allocs/op staying
 // within the zero-allocation discipline.
 func BenchmarkHotPathServerCoalesced(b *testing.B) {
 	const conns = 64

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	pws "repro"
 	"repro/internal/wire"
 )
 
@@ -109,71 +108,64 @@ func TestAllocsServerCoalescedRoundTrip(t *testing.T) {
 // combined batch commits (the connection waits for every segment before
 // the arena recycles). It stores values through every insert form,
 // churns the connection's arena with unrelated traffic of the same byte
-// shapes, and checks the stored data is intact — on both engines (M1
-// relies on insert-key cloning plus the engine's insert-key rebinding
-// for combined search+insert groups; M2 additionally clones search keys,
-// which its filter tree can retain as interior separators) and under
-// both cut policies.
+// shapes, and checks the stored data is intact (the server relies on
+// insert-key cloning plus the engine's insert-key rebinding for combined
+// search+insert groups) under both cut policies. (The "m1" subtest level
+// is the server's engine name, kept from when the table had two rows.)
 func TestServerNoArenaRetention(t *testing.T) {
-	for _, engine := range []struct {
-		name string
-		e    pws.Engine
-	}{{"m1", pws.EngineM1}, {"m2", pws.EngineM2}} {
-		t.Run(engine.name, func(t *testing.T) {
-			forWindows(t, func(t *testing.T, cfg Config) {
-				cfg.Engine = engine.e
-				srv := New(cfg)
-				defer srv.Close()
-				nc, err := srv.Pipe()
-				if err != nil {
+	t.Run("m1", func(t *testing.T) {
+		forWindows(t, func(t *testing.T, cfg Config) {
+			srv := New(cfg)
+			defer srv.Close()
+			nc, err := srv.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			cl := wire.NewClient(nc)
+
+			// One pipeline that combines a miss-GET and a SET of the
+			// same key in a single batch: the engine groups them, and
+			// the group's insertion must store the SET's copied key,
+			// not the GET's arena-backed one.
+			cl.Send("GET", "combined")
+			cl.Send("SET", "combined", "cv")
+			cl.Send("MSET", "mk1", "mv1", "mk2", "mv2")
+			if err := cl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := cl.Recv(); err != nil {
 					t.Fatal(err)
 				}
-				defer nc.Close()
-				cl := wire.NewClient(nc)
+			}
 
-				// One pipeline that combines a miss-GET and a SET of the
-				// same key in a single batch: the engine groups them, and
-				// the group's insertion must store the SET's copied key,
-				// not the GET's arena-backed one.
-				cl.Send("GET", "combined")
-				cl.Send("SET", "combined", "cv")
-				cl.Send("MSET", "mk1", "mv1", "mk2", "mv2")
+			// Churn the arena: same-shaped traffic overwrites the
+			// bytes the previous pipeline's strings lived in.
+			for i := 0; i < 8; i++ {
+				cl.Send("GET", "XXXXXXXX")
+				cl.Send("SET", "YYYYYYYY", "ZZ")
+				cl.Send("MSET", "AB1", "CD1", "AB2", "CD2")
 				if err := cl.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < 3; i++ {
+				for j := 0; j < 3; j++ {
 					if _, err := cl.Recv(); err != nil {
 						t.Fatal(err)
 					}
 				}
+			}
 
-				// Churn the arena: same-shaped traffic overwrites the
-				// bytes the previous pipeline's strings lived in.
-				for i := 0; i < 8; i++ {
-					cl.Send("GET", "XXXXXXXX")
-					cl.Send("SET", "YYYYYYYY", "ZZ")
-					cl.Send("MSET", "AB1", "CD1", "AB2", "CD2")
-					if err := cl.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					for j := 0; j < 3; j++ {
-						if _, err := cl.Recv(); err != nil {
-							t.Fatal(err)
-						}
-					}
+			for k, want := range map[string]string{
+				"combined": "cv", "mk1": "mv1", "mk2": "mv2",
+			} {
+				v, ok, err := cl.Get(strings.Clone(k))
+				if err != nil || !ok || v != want {
+					t.Fatalf("GET %s = (%q, %v, %v), want %q", k, v, ok, err, want)
 				}
-
-				for k, want := range map[string]string{
-					"combined": "cv", "mk1": "mv1", "mk2": "mv2",
-				} {
-					v, ok, err := cl.Get(strings.Clone(k))
-					if err != nil || !ok || v != want {
-						t.Fatalf("GET %s = (%q, %v, %v), want %q", k, v, ok, err, want)
-					}
-				}
-			})
+			}
 		})
-	}
+	})
 }
 
 // TestAllocsServerScan bounds the allocations of one 64-pair SCAN cursor

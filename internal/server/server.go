@@ -59,12 +59,10 @@ var ErrClosed = errors.New("server: closed")
 var ErrConnLimit = errors.New("server: connection limit reached")
 
 // Config configures a Server. The zero value serves a GOMAXPROCS-sharded
-// EngineM1 map with default limits.
+// map with default limits.
 type Config struct {
 	// Shards is the shard count of the underlying map (0 = GOMAXPROCS).
 	Shards int
-	// Engine selects the per-shard engine (pws.EngineM1 or pws.EngineM2).
-	Engine pws.Engine
 	// P is the per-shard processor parameter (0 = auto).
 	P int
 	// MaxConns caps concurrent connections (default 1024).
@@ -300,7 +298,6 @@ func New(cfg Config) *Server {
 		store: pws.NewSharded[string, string](pws.ShardedOptions{
 			Options:    pws.Options{P: cfg.P, Counter: work},
 			Shards:     cfg.Shards,
-			Engine:     cfg.Engine,
 			Telemetry:  true,
 			FrontCache: cfg.FrontCache,
 			MaxBytes:   cfg.MaxBytes,
@@ -384,14 +381,6 @@ func (s *Server) stages() *obs.StageSet { return s.obsm.Stages() }
 // Shards returns the shard count of the underlying map.
 func (s *Server) Shards() int { return s.store.Shards() }
 
-// Engine returns the configured per-shard engine name.
-func (s *Server) Engine() string {
-	if s.cfg.Engine == pws.EngineM2 {
-		return "m2"
-	}
-	return "m1"
-}
-
 func (s *Server) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -410,15 +399,14 @@ func (s *Server) register(nc net.Conn) (*conn, error) {
 		return nil, ErrConnLimit
 	}
 	c := &conn{
-		srv:          s,
-		nc:           nc,
-		r:            wire.NewReaderLimits(nc, s.cfg.Limits),
-		w:            wire.NewWriter(nc),
-		cloneAllKeys: s.cfg.Engine == pws.EngineM2,
-		front:        s.store.FrontEnabled(),
+		srv:   s,
+		nc:    nc,
+		r:     wire.NewReaderLimits(nc, s.cfg.Limits),
+		w:     wire.NewWriter(nc),
+		front: s.store.FrontEnabled(),
 	}
-	if c.front && !c.cloneAllKeys {
-		// M1 GET keys alias the read arena; the front must retain a
+	if c.front {
+		// GET keys alias the read arena; the front must retain a
 		// stable copy when it claims a reservation. One closure per
 		// connection keeps the per-op reserve path allocation-free.
 		c.mkRes = func() string { return strings.Clone(c.resKey) }
@@ -575,10 +563,10 @@ func (s *Server) Close() error {
 func (s *Server) statsText() string {
 	st := s.Stats()
 	base := fmt.Sprintf(
-		"engine %s\nshards %d\nkeys %d\nconns %d\ntotal_conns %d\nrejected_conns %d\n"+
+		"engine m1\nshards %d\nkeys %d\nconns %d\ntotal_conns %d\nrejected_conns %d\n"+
 			"batches %d\nops %d\nmax_batch %d\navg_batch %.2f\n"+
 			"gets %d\nsets %d\ndels %d\nexpires %d\nscans %d\nerrors %d\n",
-		s.Engine(), s.store.Shards(), s.store.Len(),
+		s.store.Shards(), s.store.Len(),
 		st.ActiveConns, st.TotalConns, st.RejectedConns,
 		st.Batches, st.Ops, st.MaxBatch, st.AvgBatch(),
 		st.Gets, st.Sets, st.Dels, st.Expires, st.Scans, st.Errors)
@@ -632,9 +620,7 @@ func (s *Server) statsTelemetry() string {
 	for i := 0; i < obs.NumDepthSources; i++ {
 		fmt.Fprintf(&b, "depth_src_%s %d\n", obs.DepthSource(i), es.Sources[i])
 	}
-	fmt.Fprintf(&b,
-		"range_batches %d\nrange_pairs_live %d\nrange_pairs_snap %d\nrange_pairs_overlay %d\n",
-		es.RangeBatches, es.RangePairsLive, es.RangePairsSnap, es.RangePairsOverlay)
+	fmt.Fprintf(&b, "range_batches %d\nrange_pairs_live %d\n", es.RangeBatches, es.RangePairsLive)
 	histoBlock(&b, "depth", es.Depth)
 	if s.work != nil {
 		ws := s.work.Snapshot()

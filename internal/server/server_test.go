@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	pws "repro"
 	"repro/internal/wire"
 )
 
@@ -502,14 +501,12 @@ func TestServerProtocolError(t *testing.T) {
 	}
 }
 
-// TestServerM2Engine drives the pipelined per-shard engine (which clones
-// all keys, exercising the other arena discipline) behind the same server
-// surface, and pins read-your-writes for LEN: after a connection's 64
-// SETs are acked, its next LEN counts all of them — every time, on any
-// core count (M2 used to publish its size after completing the calls).
-func TestServerM2Engine(t *testing.T) {
+// TestServerLenAfterAckedSets pins read-your-writes for LEN: after a
+// connection's 64 SETs are acked, its next LEN counts all of them — every
+// time, on any core count (the engine publishes its size before it
+// completes the calls that changed it).
+func TestServerLenAfterAckedSets(t *testing.T) {
 	forWindows(t, func(t *testing.T, cfg Config) {
-		cfg.Engine = pws.EngineM2
 		cfg.Shards = 2
 		s := newTestServer(t, cfg)
 		c := pipeClient(t, s)
@@ -552,7 +549,6 @@ func TestServerScanConcurrentWritesAndClose(t *testing.T) {
 	}{
 		{"window0", Config{}},
 		{"window100us", Config{CoalesceWindow: 100 * time.Microsecond, CoalesceBatch: 64}},
-		{"m2", Config{Engine: pws.EngineM2}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			const writers, scanners = 4, 2

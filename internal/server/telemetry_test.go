@@ -69,7 +69,7 @@ func TestStatsTextGolden(t *testing.T) {
 		"SECTION depth",
 		"depth_src_first_slab", "depth_src_filter", "depth_src_final_slab", "depth_src_tail",
 		"depth_src_front",
-		"range_batches", "range_pairs_live", "range_pairs_snap", "range_pairs_overlay",
+		"range_batches", "range_pairs_live",
 	}...)
 	want = append(want, histo("depth")...)
 	want = append(want, "SECTION work", "work_visits", "work_comparisons", "work_moves", "work_total")

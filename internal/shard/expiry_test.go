@@ -26,10 +26,9 @@ func newFakeClock(start int64) *fakeClock {
 
 func (c *fakeClock) fn() func() int64 { return c.now.Load }
 
-func newTTLMap(e Engine, clk *fakeClock, front int, maxBytes int64) *Map[string, string] {
+func newTTLMap(clk *fakeClock, front int, maxBytes int64) *Map[string, string] {
 	return New[string, string](Config{
 		Shards:     1,
-		Engine:     e,
 		Shard:      core.Config{P: 2},
 		FrontCache: front,
 		MaxBytes:   maxBytes,
@@ -41,58 +40,56 @@ func newTTLMap(e Engine, clk *fakeClock, front int, maxBytes int64) *Map[string,
 // absence after the deadline, re-insert clearing the TTL, and EXPIRE on
 // a missing key returning false.
 func TestExpireBasic(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			clk := newFakeClock(1000)
-			m := newTTLMap(e.eng, clk, 0, 0)
-			defer m.Close()
+	t.Run(engine, func(t *testing.T) {
+		clk := newFakeClock(1000)
+		m := newTTLMap(clk, 0, 0)
+		defer m.Close()
 
-			if m.Expire("missing", 2000) {
-				t.Fatal("EXPIRE on a missing key reported present")
-			}
-			if st := m.Mem(); st.TTLs != 0 {
-				t.Fatalf("EXPIRE on a missing key armed a TTL: %+v", st)
-			}
+		if m.Expire("missing", 2000) {
+			t.Fatal("EXPIRE on a missing key reported present")
+		}
+		if st := m.Mem(); st.TTLs != 0 {
+			t.Fatalf("EXPIRE on a missing key armed a TTL: %+v", st)
+		}
 
-			m.Insert("k", "v")
-			if !m.Expire("k", 2000) {
-				t.Fatal("EXPIRE on a present key reported missing")
-			}
-			if st := m.Mem(); st.TTLs != 1 {
-				t.Fatalf("armed TTLs = %d, want 1", st.TTLs)
-			}
-			// Before the deadline the key reads normally.
-			if v, ok := m.Get("k"); !ok || v != "v" {
-				t.Fatalf("Get before deadline = (%q, %v)", v, ok)
-			}
-			// From the deadline on it is absent, sweep or no sweep.
-			clk.now.Store(2000)
-			if _, ok := m.Get("k"); ok {
-				t.Fatal("expired key still readable")
-			}
-			if n := m.Len(); n != 0 {
-				t.Fatalf("Len after expiry = %d, want 0", n)
-			}
-			// The observing Get retired the incarnation and its entry.
-			if st := m.Mem(); st.TTLs != 0 || st.Expired != 1 {
-				t.Fatalf("after expiry: %+v, want TTLs 0 Expired 1", st)
-			}
+		m.Insert("k", "v")
+		if !m.Expire("k", 2000) {
+			t.Fatal("EXPIRE on a present key reported missing")
+		}
+		if st := m.Mem(); st.TTLs != 1 {
+			t.Fatalf("armed TTLs = %d, want 1", st.TTLs)
+		}
+		// Before the deadline the key reads normally.
+		if v, ok := m.Get("k"); !ok || v != "v" {
+			t.Fatalf("Get before deadline = (%q, %v)", v, ok)
+		}
+		// From the deadline on it is absent, sweep or no sweep.
+		clk.now.Store(2000)
+		if _, ok := m.Get("k"); ok {
+			t.Fatal("expired key still readable")
+		}
+		if n := m.Len(); n != 0 {
+			t.Fatalf("Len after expiry = %d, want 0", n)
+		}
+		// The observing Get retired the incarnation and its entry.
+		if st := m.Mem(); st.TTLs != 0 || st.Expired != 1 {
+			t.Fatalf("after expiry: %+v, want TTLs 0 Expired 1", st)
+		}
 
-			// A fresh SET carries no TTL: the insert clears any armed
-			// deadline, so the new incarnation survives the old one's
-			// deadline passing.
-			m.Insert("k2", "a")
-			m.Expire("k2", 3000)
-			m.Insert("k2", "b")
-			if st := m.Mem(); st.TTLs != 0 {
-				t.Fatalf("re-insert left a TTL armed: %+v", st)
-			}
-			clk.now.Store(5000)
-			if v, ok := m.Get("k2"); !ok || v != "b" {
-				t.Fatalf("re-inserted key expired with its old TTL: (%q, %v)", v, ok)
-			}
-		})
-	}
+		// A fresh SET carries no TTL: the insert clears any armed
+		// deadline, so the new incarnation survives the old one's
+		// deadline passing.
+		m.Insert("k2", "a")
+		m.Expire("k2", 3000)
+		m.Insert("k2", "b")
+		if st := m.Mem(); st.TTLs != 0 {
+			t.Fatalf("re-insert left a TTL armed: %+v", st)
+		}
+		clk.now.Store(5000)
+		if v, ok := m.Get("k2"); !ok || v != "b" {
+			t.Fatalf("re-inserted key expired with its old TTL: (%q, %v)", v, ok)
+		}
+	})
 }
 
 // TestExpirePastDeadline is the orphaned-entry regression: an EXPIRE
@@ -102,30 +99,28 @@ func TestExpireBasic(t *testing.T) {
 // no later observation could ever retire it), permanently deflating
 // Len once the stale deadline passed.
 func TestExpirePastDeadline(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			clk := newFakeClock(1000)
-			m := newTTLMap(e.eng, clk, 0, 0)
-			defer m.Close()
+	t.Run(engine, func(t *testing.T) {
+		clk := newFakeClock(1000)
+		m := newTTLMap(clk, 0, 0)
+		defer m.Close()
 
-			m.Insert("a", "1")
-			m.Expire("a", 5000) // future deadline armed
-			if !m.Expire("a", 500) {
-				t.Fatal("EXPIRE with a past deadline on a present key reported missing")
-			}
-			if _, ok := m.Get("a"); ok {
-				t.Fatal("key survived an already-past deadline")
-			}
-			if st := m.Mem(); st.TTLs != 0 {
-				t.Fatalf("past-deadline EXPIRE orphaned an armed entry: %+v", st)
-			}
-			m.Insert("b", "2")
-			clk.now.Store(10_000) // the orphan's deadline passes
-			if n := m.Len(); n != 1 {
-				t.Fatalf("Len = %d, want 1 (orphaned entry deflating the count)", n)
-			}
-		})
-	}
+		m.Insert("a", "1")
+		m.Expire("a", 5000) // future deadline armed
+		if !m.Expire("a", 500) {
+			t.Fatal("EXPIRE with a past deadline on a present key reported missing")
+		}
+		if _, ok := m.Get("a"); ok {
+			t.Fatal("key survived an already-past deadline")
+		}
+		if st := m.Mem(); st.TTLs != 0 {
+			t.Fatalf("past-deadline EXPIRE orphaned an armed entry: %+v", st)
+		}
+		m.Insert("b", "2")
+		clk.now.Store(10_000) // the orphan's deadline passes
+		if n := m.Len(); n != 1 {
+			t.Fatalf("Len = %d, want 1 (orphaned entry deflating the count)", n)
+		}
+	})
 }
 
 // TestLenConvergence is the LEN-vs-sweep contract: Len must exclude
@@ -133,86 +128,82 @@ func TestExpirePastDeadline(t *testing.T) {
 // commit-boundary sweep must converge the physical state (armed
 // entries, resident incarnations) to match without changing Len.
 func TestLenConvergence(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			clk := newFakeClock(1000)
-			m := newTTLMap(e.eng, clk, 0, 0)
-			defer m.Close()
+	t.Run(engine, func(t *testing.T) {
+		clk := newFakeClock(1000)
+		m := newTTLMap(clk, 0, 0)
+		defer m.Close()
 
-			const n, dying = 64, 20
-			for i := 0; i < n; i++ {
-				m.Insert(fmt.Sprintf("k%03d", i), "v")
-			}
-			for i := 0; i < dying; i++ {
-				m.Expire(fmt.Sprintf("k%03d", i), 2000)
-			}
-			if got := m.Len(); got != n {
-				t.Fatalf("Len before deadline = %d, want %d", got, n)
-			}
+		const n, dying = 64, 20
+		for i := 0; i < n; i++ {
+			m.Insert(fmt.Sprintf("k%03d", i), "v")
+		}
+		for i := 0; i < dying; i++ {
+			m.Expire(fmt.Sprintf("k%03d", i), 2000)
+		}
+		if got := m.Len(); got != n {
+			t.Fatalf("Len before deadline = %d, want %d", got, n)
+		}
 
-			// Deadline passes: Len converges immediately, before any
-			// sweep has removed a single incarnation.
-			clk.now.Store(2000)
-			if got := m.Len(); got != n-dying {
-				t.Fatalf("Len at deadline = %d, want %d", got, n-dying)
-			}
+		// Deadline passes: Len converges immediately, before any
+		// sweep has removed a single incarnation.
+		clk.now.Store(2000)
+		if got := m.Len(); got != n-dying {
+			t.Fatalf("Len at deadline = %d, want %d", got, n-dying)
+		}
 
-			// Any batch boundary triggers the sweep; afterwards the
-			// dead incarnations are physically gone.
-			m.Apply([]core.Op[string, string]{{Kind: core.OpGet, Key: "k999"}})
-			if st := m.Mem(); st.TTLs != 0 || st.Expired != dying {
-				t.Fatalf("after sweep: %+v, want TTLs 0 Expired %d", st, dying)
-			}
-			if got := m.Len(); got != n-dying {
-				t.Fatalf("Len after sweep = %d, want %d", got, n-dying)
-			}
-			m.Quiesce()
-			count := 0
-			m.Items(func(k, v string) bool { count++; return true })
-			if count != n-dying {
-				t.Fatalf("Items visited %d keys, want %d", count, n-dying)
-			}
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		// Any batch boundary triggers the sweep; afterwards the
+		// dead incarnations are physically gone.
+		m.Apply([]core.Op[string, string]{{Kind: core.OpGet, Key: "k999"}})
+		if st := m.Mem(); st.TTLs != 0 || st.Expired != dying {
+			t.Fatalf("after sweep: %+v, want TTLs 0 Expired %d", st, dying)
+		}
+		if got := m.Len(); got != n-dying {
+			t.Fatalf("Len after sweep = %d, want %d", got, n-dying)
+		}
+		m.Quiesce()
+		count := 0
+		m.Items(func(k, v string) bool { count++; return true })
+		if count != n-dying {
+			t.Fatalf("Items visited %d keys, want %d", count, n-dying)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestRangeGhostFilter: a range page served before any sweep must not
 // contain expired keys — the ghost set captured at page start filters
 // them out of the merged result.
 func TestRangeGhostFilter(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			clk := newFakeClock(1000)
-			m := New[string, string](Config{
-				Shards: 4, Engine: e.eng, Shard: core.Config{P: 2}, Clock: clk.fn(),
-			})
-			defer m.Close()
-
-			for i := 0; i < 10; i++ {
-				m.Insert(fmt.Sprintf("k%d", i), "v")
-			}
-			for _, k := range []string{"k3", "k5", "k7"} {
-				m.Expire(k, 2000)
-			}
-			clk.now.Store(2000)
-
-			page, more := m.RangePage("", false, "z", 100, nil)
-			if more {
-				t.Fatal("unexpected continuation")
-			}
-			var got []string
-			for _, ent := range page {
-				got = append(got, ent.Key)
-			}
-			want := []string{"k0", "k1", "k2", "k4", "k6", "k8", "k9"}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("range page = %v, want %v", got, want)
-			}
+	t.Run(engine, func(t *testing.T) {
+		clk := newFakeClock(1000)
+		m := New[string, string](Config{
+			Shards: 4, Shard: core.Config{P: 2}, Clock: clk.fn(),
 		})
-	}
+		defer m.Close()
+
+		for i := 0; i < 10; i++ {
+			m.Insert(fmt.Sprintf("k%d", i), "v")
+		}
+		for _, k := range []string{"k3", "k5", "k7"} {
+			m.Expire(k, 2000)
+		}
+		clk.now.Store(2000)
+
+		page, more := m.RangePage("", false, "z", 100, nil)
+		if more {
+			t.Fatal("unexpected continuation")
+		}
+		var got []string
+		for _, ent := range page {
+			got = append(got, ent.Key)
+		}
+		want := []string{"k0", "k1", "k2", "k4", "k6", "k8", "k9"}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("range page = %v, want %v", got, want)
+		}
+	})
 }
 
 // TestFrontCacheExpiry is the staleness regression for TTL: a key
@@ -220,39 +211,37 @@ func TestRangeGhostFilter(t *testing.T) {
 // deadline passes, even though expiry is engine-initiated and no write
 // ever invalidated the front entry.
 func TestFrontCacheExpiry(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			clk := newFakeClock(1000)
-			m := newTTLMap(e.eng, clk, 64, 0)
-			defer m.Close()
+	t.Run(engine, func(t *testing.T) {
+		clk := newFakeClock(1000)
+		m := newTTLMap(clk, 64, 0)
+		defer m.Close()
 
-			m.Insert("hot", "v")
-			m.Get("hot") // miss: reserves and installs into the front
-			if v, ok := m.FrontGet("hot"); !ok || v != "v" {
-				t.Fatalf("front not warmed: (%q, %v)", v, ok)
-			}
+		m.Insert("hot", "v")
+		m.Get("hot") // miss: reserves and installs into the front
+		if v, ok := m.FrontGet("hot"); !ok || v != "v" {
+			t.Fatalf("front not warmed: (%q, %v)", v, ok)
+		}
 
-			m.Expire("hot", 2000)
-			// Armed but not yet due: the front may keep serving it.
-			if v, ok := m.Get("hot"); !ok || v != "v" {
-				t.Fatalf("armed key unreadable before deadline: (%q, %v)", v, ok)
-			}
+		m.Expire("hot", 2000)
+		// Armed but not yet due: the front may keep serving it.
+		if v, ok := m.Get("hot"); !ok || v != "v" {
+			t.Fatalf("armed key unreadable before deadline: (%q, %v)", v, ok)
+		}
 
-			clk.now.Store(2000)
-			if v, ok := m.Get("hot"); ok {
-				t.Fatalf("front served an expired key: %q", v)
-			}
-			if _, ok := m.FrontGet("hot"); ok {
-				t.Fatal("front still holds the expired key")
-			}
+		clk.now.Store(2000)
+		if v, ok := m.Get("hot"); ok {
+			t.Fatalf("front served an expired key: %q", v)
+		}
+		if _, ok := m.FrontGet("hot"); ok {
+			t.Fatal("front still holds the expired key")
+		}
 
-			// A fresh incarnation reads fresh, not through stale state.
-			m.Insert("hot", "v2")
-			if v, ok := m.Get("hot"); !ok || v != "v2" {
-				t.Fatalf("re-inserted key = (%q, %v), want (v2, true)", v, ok)
-			}
-		})
-	}
+		// A fresh incarnation reads fresh, not through stale state.
+		m.Insert("hot", "v2")
+		if v, ok := m.Get("hot"); !ok || v != "v2" {
+			t.Fatalf("re-inserted key = (%q, %v), want (v2, true)", v, ok)
+		}
+	})
 }
 
 // TestFrontCacheEviction is the staleness regression for the byte
@@ -261,31 +250,29 @@ func TestFrontCacheExpiry(t *testing.T) {
 // without the engine-initiated invalidation hook the front would keep
 // serving the evicted value forever.
 func TestFrontCacheEviction(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			clk := newFakeClock(1000)
-			m := newTTLMap(e.eng, clk, 64, 4096)
-			defer m.Close()
+	t.Run(engine, func(t *testing.T) {
+		clk := newFakeClock(1000)
+		m := newTTLMap(clk, 64, 4096)
+		defer m.Close()
 
-			m.Insert("victim", "v")
-			m.Get("victim") // install into the front
-			if _, ok := m.FrontGet("victim"); !ok {
-				t.Fatal("front not warmed")
-			}
+		m.Insert("victim", "v")
+		m.Get("victim") // install into the front
+		if _, ok := m.FrontGet("victim"); !ok {
+			t.Fatal("front not warmed")
+		}
 
-			// Blow the budget with fillers, never touching the victim:
-			// it ages to the cold end and the engine evicts it.
-			for i := 0; i < 2000; i++ {
-				m.Insert(fmt.Sprintf("filler%04d", i), "xxxxxxxxxxxxxxxx")
-			}
-			if st := m.Mem(); st.Evicted == 0 {
-				t.Fatalf("budget never evicted: %+v", st)
-			}
-			if v, ok := m.Get("victim"); ok {
-				t.Fatalf("front served an evicted key: %q", v)
-			}
-		})
-	}
+		// Blow the budget with fillers, never touching the victim:
+		// it ages to the cold end and the engine evicts it.
+		for i := 0; i < 2000; i++ {
+			m.Insert(fmt.Sprintf("filler%04d", i), "xxxxxxxxxxxxxxxx")
+		}
+		if st := m.Mem(); st.Evicted == 0 {
+			t.Fatalf("budget never evicted: %+v", st)
+		}
+		if v, ok := m.Get("victim"); ok {
+			t.Fatalf("front served an evicted key: %q", v)
+		}
+	})
 }
 
 // TestPointOpSweepReclaims: the lazy sweep must also fire from the
@@ -295,34 +282,32 @@ func TestFrontCacheEviction(t *testing.T) {
 // consult, but residency, the deadline table and the heap grow until
 // each dead key happens to be re-observed).
 func TestPointOpSweepReclaims(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			clk := newFakeClock(1000)
-			m := newTTLMap(e.eng, clk, 0, 0)
-			defer m.Close()
+	t.Run(engine, func(t *testing.T) {
+		clk := newFakeClock(1000)
+		m := newTTLMap(clk, 0, 0)
+		defer m.Close()
 
-			const dying = 16
-			for i := 0; i < dying; i++ {
-				m.Insert(fmt.Sprintf("k%02d", i), "v")
-			}
-			for i := 0; i < dying; i++ {
-				m.Expire(fmt.Sprintf("k%02d", i), 2000)
-			}
-			clk.now.Store(2000)
+		const dying = 16
+		for i := 0; i < dying; i++ {
+			m.Insert(fmt.Sprintf("k%02d", i), "v")
+		}
+		for i := 0; i < dying; i++ {
+			m.Expire(fmt.Sprintf("k%02d", i), 2000)
+		}
+		clk.now.Store(2000)
 
-			// One unrelated point op per flavor; none touches a dying
-			// key, yet the boundary sweep they trigger retires them all.
-			m.Get("nope")
-			m.Insert("other", "v")
-			m.Delete("other")
-			if st := m.Mem(); st.TTLs != 0 || st.Expired != dying {
-				t.Fatalf("point ops left ghosts unswept: %+v, want TTLs 0 Expired %d", st, dying)
-			}
-			if n := m.Len(); n != 0 {
-				t.Fatalf("Len after point-op sweep = %d, want 0", n)
-			}
-		})
-	}
+		// One unrelated point op per flavor; none touches a dying
+		// key, yet the boundary sweep they trigger retires them all.
+		m.Get("nope")
+		m.Insert("other", "v")
+		m.Delete("other")
+		if st := m.Mem(); st.TTLs != 0 || st.Expired != dying {
+			t.Fatalf("point ops left ghosts unswept: %+v, want TTLs 0 Expired %d", st, dying)
+		}
+		if n := m.Len(); n != 0 {
+			t.Fatalf("Len after point-op sweep = %d, want 0", n)
+		}
+	})
 }
 
 // TestFrontCacheExpiryRetireRace hammers FrontGet across the retirement
@@ -334,53 +319,51 @@ func TestPointOpSweepReclaims(t *testing.T) {
 // clock before each probe: a hit whose pre-probe clock is at or past the
 // deadline is a definite violation.
 func TestFrontCacheExpiryRetireRace(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			clk := newFakeClock(0)
-			m := newTTLMap(e.eng, clk, 64, 0)
-			defer m.Close()
+	t.Run(engine, func(t *testing.T) {
+		clk := newFakeClock(0)
+		m := newTTLMap(clk, 64, 0)
+		defer m.Close()
 
-			const iters = 200
-			for it := 0; it < iters; it++ {
-				base := int64(it * 1000)
-				deadline := base + 500
-				clk.now.Store(base)
-				m.Insert("hot", "v")
-				m.Get("hot") // warm the front
-				m.Expire("hot", deadline)
+		const iters = 200
+		for it := 0; it < iters; it++ {
+			base := int64(it * 1000)
+			deadline := base + 500
+			clk.now.Store(base)
+			m.Insert("hot", "v")
+			m.Get("hot") // warm the front
+			m.Expire("hot", deadline)
 
-				stop := make(chan struct{})
-				done := make(chan struct{})
-				violated := make(chan int64, 1)
-				go func() {
-					defer close(done)
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						before := clk.now.Load()
-						if _, ok := m.FrontGet("hot"); ok && before >= deadline {
-							violated <- before
-							return
-						}
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			violated := make(chan int64, 1)
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}()
-
-				clk.now.Store(deadline)
-				m.Get("hot") // engine observation retires the entry
-				close(stop)
-				<-done
-				select {
-				case now := <-violated:
-					t.Fatalf("iter %d: front served a value at clock %d, deadline %d", it, now, deadline)
-				default:
+					before := clk.now.Load()
+					if _, ok := m.FrontGet("hot"); ok && before >= deadline {
+						violated <- before
+						return
+					}
 				}
-				m.Delete("hot")
+			}()
+
+			clk.now.Store(deadline)
+			m.Get("hot") // engine observation retires the entry
+			close(stop)
+			<-done
+			select {
+			case now := <-violated:
+				t.Fatalf("iter %d: front served a value at clock %d, deadline %d", it, now, deadline)
+			default:
 			}
-		})
-	}
+			m.Delete("hot")
+		}
+	})
 }
 
 // TestExpTableDueKeys exercises the sidecar's lazy heap directly:

@@ -1,7 +1,7 @@
 // Package shard implements a hash-sharded front-end over the parallel
 // working-set maps: every operation is routed by key hash to one of S
-// independent per-shard engines (each an M1 or M2 instance), so the
-// per-shard implicit batches never serialize on one segment structure.
+// independent per-shard engines (each a core.M1), so the per-shard
+// implicit batches never serialize on one segment structure.
 //
 // Sharding composes with, rather than replaces, the paper's batching: each
 // shard still combines duplicate operations and adapts to the temporal
@@ -35,22 +35,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Engine selects the per-shard working-set map implementation.
-type Engine int
-
-const (
-	// EngineM1 uses the batched map of Section 6 per shard (throughput).
-	EngineM1 Engine = iota
-	// EngineM2 uses the pipelined map of Section 7 per shard (latency).
-	EngineM2
-)
-
 // Config configures a sharded map.
 type Config struct {
 	// Shards is the shard count S. Defaults to runtime.GOMAXPROCS(0).
 	Shards int
-	// Engine selects the per-shard map implementation.
-	Engine Engine
 	// Shard configures each per-shard engine. If Shard.P is unset it
 	// defaults to max(2, GOMAXPROCS/S) so the shards divide the machine
 	// instead of each sizing its batches for the whole machine.
@@ -78,29 +66,12 @@ type Config struct {
 	Clock func() int64
 }
 
-// engineMap is the per-shard surface shared by core.M1 and core.M2.
-type engineMap[K cmp.Ordered, V any] interface {
-	ApplyInto(ops []core.Op[K, V], dst []core.Result[V]) []core.Result[V]
-	ApplyAsync(ops []core.Op[K, V]) core.Pending[K, V]
-	ApplyAsyncMulti(batches [][]core.Op[K, V]) core.Pending[K, V]
-	Items(visit func(k K, v V) bool)
-	Len() int
-	Bytes() int64
-	Evicted() int64
-	SetOnEvict(fn func(K, V))
-	SetKeyHooks(h *core.KeyHooks[K])
-	Batches() int64
-	Quiesce()
-	Close()
-	CheckInvariants() error
-}
-
 // Map is the hash-sharded concurrent ordered map. All methods are safe for
 // concurrent use; Close drains in-flight operations before releasing the
 // shards.
 type Map[K cmp.Ordered, V any] struct {
 	seed   maphash.Seed
-	shards []engineMap[K, V]
+	shards []*core.M1[K, V]
 
 	// fronts are the optional per-shard hot-key read caches (nil
 	// without Config.FrontCache). One maphash value routes both the
@@ -177,7 +148,7 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 	}
 	m := &Map[K, V]{
 		seed:     maphash.MakeSeed(),
-		shards:   make([]engineMap[K, V], s),
+		shards:   make([]*core.M1[K, V], s),
 		exp:      make([]*expTable[K], s),
 		clock:    cfg.Clock,
 		maxBytes: cfg.MaxBytes,
@@ -201,12 +172,7 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 		if m.mobs != nil {
 			sc.Obs = m.mobs.Engine(i)
 		}
-		switch cfg.Engine {
-		case EngineM2:
-			m.shards[i] = core.NewM2[K, V](sc)
-		default:
-			m.shards[i] = core.NewM1[K, V](sc)
-		}
+		m.shards[i] = core.NewM1[K, V](sc)
 		// Every sidecar transition for a key — its cached front copy and
 		// its TTL — happens inside the engine, at the key's serialization
 		// point, through these hooks and nowhere else: a write resolving
@@ -991,15 +957,9 @@ func (m *Map[K, V]) Close() {
 	m.closing.Do(func() {
 		m.closed.Store(true)
 		m.pending.Wait()
-		var wg sync.WaitGroup
 		for _, s := range m.shards {
-			wg.Add(1)
-			go func(s engineMap[K, V]) {
-				defer wg.Done()
-				s.Close()
-			}(s)
+			s.Close() // every operation has drained: nothing to wait for
 		}
-		wg.Wait()
 		for _, ch := range m.workers {
 			close(ch)
 		}
@@ -1028,7 +988,7 @@ func (m *Map[K, V]) snapshot() []Entry[K, V] {
 	var wg sync.WaitGroup
 	for i, s := range m.shards {
 		wg.Add(1)
-		go func(i int, s engineMap[K, V]) {
+		go func() {
 			defer wg.Done()
 			var l []Entry[K, V]
 			s.Items(func(k K, v V) bool {
@@ -1036,7 +996,7 @@ func (m *Map[K, V]) snapshot() []Entry[K, V] {
 				return true
 			})
 			lists[i] = l
-		}(i, s)
+		}()
 	}
 	wg.Wait()
 	merged := esort.MergeK(lists, func(a, b Entry[K, V]) bool { return a.Key < b.Key })

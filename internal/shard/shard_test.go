@@ -12,93 +12,85 @@ import (
 	"repro/internal/core"
 )
 
-func engines() []struct {
-	name string
-	eng  Engine
-} {
-	return []struct {
-		name string
-		eng  Engine
-	}{{"m1", EngineM1}, {"m2", EngineM2}}
-}
+// engine names the subtest level the table tests of this package run
+// under: the one engine the shard layer serves from, as the server's STATS
+// "engine" line prints it. (The level dates from when there were two; it
+// is kept so test ids stay comparable across that change.)
+const engine = "m1"
 
 // TestShardedAgainstReference drives a random operation sequence through a
 // sharded map and a builtin map and checks every result.
 func TestShardedAgainstReference(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			m := New[int, int](Config{Shards: 4, Engine: e.eng, Shard: core.Config{P: 2}})
-			defer m.Close()
-			rng := rand.New(rand.NewSource(3))
-			ref := map[int]int{}
-			for step := 0; step < 5000; step++ {
-				k := rng.Intn(300)
-				want, wantOK := ref[k]
-				switch rng.Intn(3) {
-				case 0:
-					old, existed := m.Insert(k, step)
-					if existed != wantOK || (existed && old != want) {
-						t.Fatalf("step %d: Insert(%d) = (%d, %v), want (%d, %v)",
-							step, k, old, existed, want, wantOK)
-					}
-					ref[k] = step
-				case 1:
-					got, ok := m.Delete(k)
-					if ok != wantOK || (ok && got != want) {
-						t.Fatalf("step %d: Delete(%d) = (%d, %v), want (%d, %v)",
-							step, k, got, ok, want, wantOK)
-					}
-					delete(ref, k)
-				default:
-					got, ok := m.Get(k)
-					if ok != wantOK || (ok && got != want) {
-						t.Fatalf("step %d: Get(%d) = (%d, %v), want (%d, %v)",
-							step, k, got, ok, want, wantOK)
-					}
+	t.Run(engine, func(t *testing.T) {
+		m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+		defer m.Close()
+		rng := rand.New(rand.NewSource(3))
+		ref := map[int]int{}
+		for step := 0; step < 5000; step++ {
+			k := rng.Intn(300)
+			want, wantOK := ref[k]
+			switch rng.Intn(3) {
+			case 0:
+				old, existed := m.Insert(k, step)
+				if existed != wantOK || (existed && old != want) {
+					t.Fatalf("step %d: Insert(%d) = (%d, %v), want (%d, %v)",
+						step, k, old, existed, want, wantOK)
+				}
+				ref[k] = step
+			case 1:
+				got, ok := m.Delete(k)
+				if ok != wantOK || (ok && got != want) {
+					t.Fatalf("step %d: Delete(%d) = (%d, %v), want (%d, %v)",
+						step, k, got, ok, want, wantOK)
+				}
+				delete(ref, k)
+			default:
+				got, ok := m.Get(k)
+				if ok != wantOK || (ok && got != want) {
+					t.Fatalf("step %d: Get(%d) = (%d, %v), want (%d, %v)",
+						step, k, got, ok, want, wantOK)
 				}
 			}
-			if m.Len() != len(ref) {
-				t.Fatalf("Len = %d, want %d", m.Len(), len(ref))
-			}
-			// M2 delivers results ahead of its structural tail work;
-			// CheckInvariants needs the engines idle.
-			m.Quiesce()
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		}
+		if m.Len() != len(ref) {
+			t.Fatalf("Len = %d, want %d", m.Len(), len(ref))
+		}
+		// The engines deliver results ahead of their structural tail
+		// work; CheckInvariants needs them idle.
+		m.Quiesce()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestShardedApply checks the sharded bulk-load path: results come back in
 // input order with sequential per-key semantics.
 func TestShardedApply(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			m := New[int, string](Config{Shards: 3, Engine: e.eng, Shard: core.Config{P: 2}})
-			defer m.Close()
-			const n = 20000
-			ops := make([]core.Op[int, string], n)
-			for i := range ops {
-				ops[i] = core.Op[int, string]{Kind: core.OpInsert, Key: i % 500, Val: "v"}
+	t.Run(engine, func(t *testing.T) {
+		m := New[int, string](Config{Shards: 3, Shard: core.Config{P: 2}})
+		defer m.Close()
+		const n = 20000
+		ops := make([]core.Op[int, string], n)
+		for i := range ops {
+			ops[i] = core.Op[int, string]{Kind: core.OpInsert, Key: i % 500, Val: "v"}
+		}
+		res := m.Apply(ops)
+		if len(res) != n {
+			t.Fatalf("got %d results", len(res))
+		}
+		// Keys repeat n/500 times; only the first insert of each key may
+		// report "absent", and per-shard input order means it must.
+		for i, r := range res {
+			wantOK := i >= 500
+			if r.OK != wantOK {
+				t.Fatalf("result %d: OK = %v, want %v", i, r.OK, wantOK)
 			}
-			res := m.Apply(ops)
-			if len(res) != n {
-				t.Fatalf("got %d results", len(res))
-			}
-			// Keys repeat n/500 times; only the first insert of each key may
-			// report "absent", and per-shard input order means it must.
-			for i, r := range res {
-				wantOK := i >= 500
-				if r.OK != wantOK {
-					t.Fatalf("result %d: OK = %v, want %v", i, r.OK, wantOK)
-				}
-			}
-			if m.Len() != 500 {
-				t.Fatalf("Len = %d, want 500", m.Len())
-			}
-		})
-	}
+		}
+		if m.Len() != 500 {
+			t.Fatalf("Len = %d, want 500", m.Len())
+		}
+	})
 }
 
 // TestShardedApplyScattered checks that applying a batch cut into
@@ -106,75 +98,73 @@ func TestShardedApply(t *testing.T) {
 // applying the concatenation through ApplyInto: same results (delivered
 // into the per-slice dsts) and same final map contents.
 func TestShardedApplyScattered(t *testing.T) {
-	for _, e := range engines() {
-		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/S=%d", e.name, shards), func(t *testing.T) {
-				mkOps := func(rng *rand.Rand, n int) []core.Op[int, int] {
-					ops := make([]core.Op[int, int], n)
-					for i := range ops {
-						k := rng.Intn(100)
-						switch rng.Intn(3) {
-						case 0:
-							ops[i] = core.Op[int, int]{Kind: core.OpInsert, Key: k, Val: rng.Intn(1000)}
-						case 1:
-							ops[i] = core.Op[int, int]{Kind: core.OpDelete, Key: k}
-						default:
-							ops[i] = core.Op[int, int]{Kind: core.OpGet, Key: k}
-						}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%s/S=%d", engine, shards), func(t *testing.T) {
+			mkOps := func(rng *rand.Rand, n int) []core.Op[int, int] {
+				ops := make([]core.Op[int, int], n)
+				for i := range ops {
+					k := rng.Intn(100)
+					switch rng.Intn(3) {
+					case 0:
+						ops[i] = core.Op[int, int]{Kind: core.OpInsert, Key: k, Val: rng.Intn(1000)}
+					case 1:
+						ops[i] = core.Op[int, int]{Kind: core.OpDelete, Key: k}
+					default:
+						ops[i] = core.Op[int, int]{Kind: core.OpGet, Key: k}
 					}
-					return ops
 				}
-				ref := New[int, int](Config{Shards: shards, Engine: e.eng, Shard: core.Config{P: 2}})
-				defer ref.Close()
-				m := New[int, int](Config{Shards: shards, Engine: e.eng, Shard: core.Config{P: 2}})
-				defer m.Close()
-				rng := rand.New(rand.NewSource(41))
-				ops := mkOps(rng, 400)
-				wantRes := ref.Apply(ops)
+				return ops
+			}
+			ref := New[int, int](Config{Shards: shards, Shard: core.Config{P: 2}})
+			defer ref.Close()
+			m := New[int, int](Config{Shards: shards, Shard: core.Config{P: 2}})
+			defer m.Close()
+			rng := rand.New(rand.NewSource(41))
+			ops := mkOps(rng, 400)
+			wantRes := ref.Apply(ops)
 
-				// Cut the same ops into ragged per-submitter batches.
-				var batches [][]core.Op[int, int]
-				var dsts [][]core.Result[int]
-				cutRng := rand.New(rand.NewSource(42))
-				for off := 0; off < len(ops); {
-					n := 1 + cutRng.Intn(9)
-					if off+n > len(ops) {
-						n = len(ops) - off
-					}
-					batches = append(batches, ops[off:off+n])
-					dsts = append(dsts, make([]core.Result[int], n))
-					off += n
+			// Cut the same ops into ragged per-submitter batches.
+			var batches [][]core.Op[int, int]
+			var dsts [][]core.Result[int]
+			cutRng := rand.New(rand.NewSource(42))
+			for off := 0; off < len(ops); {
+				n := 1 + cutRng.Intn(9)
+				if off+n > len(ops) {
+					n = len(ops) - off
 				}
-				m.ApplyScattered(batches, dsts)
+				batches = append(batches, ops[off:off+n])
+				dsts = append(dsts, make([]core.Result[int], n))
+				off += n
+			}
+			m.ApplyScattered(batches, dsts)
 
-				i := 0
-				for b, dst := range dsts {
-					for j, got := range dst {
-						if got.OK != wantRes[i].OK || got.Val != wantRes[i].Val {
-							t.Fatalf("batch %d op %d: got (%d,%v), want (%d,%v)",
-								b, j, got.Val, got.OK, wantRes[i].Val, wantRes[i].OK)
-						}
-						i++
+			i := 0
+			for b, dst := range dsts {
+				for j, got := range dst {
+					if got.OK != wantRes[i].OK || got.Val != wantRes[i].Val {
+						t.Fatalf("batch %d op %d: got (%d,%v), want (%d,%v)",
+							b, j, got.Val, got.OK, wantRes[i].Val, wantRes[i].OK)
 					}
+					i++
 				}
-				if i != len(ops) {
-					t.Fatalf("scattered results cover %d ops, want %d", i, len(ops))
+			}
+			if i != len(ops) {
+				t.Fatalf("scattered results cover %d ops, want %d", i, len(ops))
+			}
+			m.Quiesce()
+			ref.Quiesce()
+			var a, bItems []Entry[int, int]
+			ref.Items(func(k, v int) bool { a = append(a, Entry[int, int]{Key: k, Val: v}); return true })
+			m.Items(func(k, v int) bool { bItems = append(bItems, Entry[int, int]{Key: k, Val: v}); return true })
+			if len(a) != len(bItems) {
+				t.Fatalf("item counts differ: %d vs %d", len(a), len(bItems))
+			}
+			for i := range a {
+				if a[i] != bItems[i] {
+					t.Fatalf("item %d differs: %+v vs %+v", i, a[i], bItems[i])
 				}
-				m.Quiesce()
-				ref.Quiesce()
-				var a, bItems []Entry[int, int]
-				ref.Items(func(k, v int) bool { a = append(a, Entry[int, int]{Key: k, Val: v}); return true })
-				m.Items(func(k, v int) bool { bItems = append(bItems, Entry[int, int]{Key: k, Val: v}); return true })
-				if len(a) != len(bItems) {
-					t.Fatalf("item counts differ: %d vs %d", len(a), len(bItems))
-				}
-				for i := range a {
-					if a[i] != bItems[i] {
-						t.Fatalf("item %d differs: %+v vs %+v", i, a[i], bItems[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -238,46 +228,44 @@ func TestShardedRange(t *testing.T) {
 // TestShardedConcurrent hammers one sharded map from many goroutines with
 // disjoint key ranges and checks exact per-client results.
 func TestShardedConcurrent(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			m := New[int, int](Config{Shards: 4, Engine: e.eng, Shard: core.Config{P: 2}})
-			defer m.Close()
-			var wg sync.WaitGroup
-			for c := 0; c < 8; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(c)))
-					base := c * 10000
-					ref := map[int]int{}
-					for i := 0; i < 1500; i++ {
-						k := base + rng.Intn(200)
-						switch rng.Intn(3) {
-						case 0:
-							m.Insert(k, i)
-							ref[k] = i
-						case 1:
-							got, ok := m.Delete(k)
-							want, wantOK := ref[k]
-							if ok != wantOK || (ok && got != want) {
-								t.Errorf("client %d: Delete(%d) mismatch", c, k)
-								return
-							}
-							delete(ref, k)
-						default:
-							got, ok := m.Get(k)
-							want, wantOK := ref[k]
-							if ok != wantOK || (ok && got != want) {
-								t.Errorf("client %d: Get(%d) mismatch", c, k)
-								return
-							}
+	t.Run(engine, func(t *testing.T) {
+		m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+		defer m.Close()
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(c)))
+				base := c * 10000
+				ref := map[int]int{}
+				for i := 0; i < 1500; i++ {
+					k := base + rng.Intn(200)
+					switch rng.Intn(3) {
+					case 0:
+						m.Insert(k, i)
+						ref[k] = i
+					case 1:
+						got, ok := m.Delete(k)
+						want, wantOK := ref[k]
+						if ok != wantOK || (ok && got != want) {
+							t.Errorf("client %d: Delete(%d) mismatch", c, k)
+							return
+						}
+						delete(ref, k)
+					default:
+						got, ok := m.Get(k)
+						want, wantOK := ref[k]
+						if ok != wantOK || (ok && got != want) {
+							t.Errorf("client %d: Get(%d) mismatch", c, k)
+							return
 						}
 					}
-				}(c)
-			}
-			wg.Wait()
-		})
-	}
+				}
+			}(c)
+		}
+		wg.Wait()
+	})
 }
 
 // TestFrontCacheNoStaleRead is the front cache's write contract at the
@@ -349,109 +337,105 @@ func TestShardedDefaultShards(t *testing.T) {
 // of the global order, the cursor resumes exclusively, and `more` turns
 // false at the end — all without quiescing the map.
 func TestShardedRangePage(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			m := New[int, int](Config{Shards: 4, Engine: e.eng, Shard: core.Config{P: 2}})
-			defer m.Close()
-			const n = 500
-			for i := 0; i < n; i++ {
-				m.Insert(i, i*3)
-			}
-			var got []int
-			var buf []Entry[int, int]
-			cur, xlo, pages := 0, false, 0
-			for {
-				page, more := m.RangePage(cur, xlo, n, 64, buf[:0])
-				buf = page
-				for _, kv := range page {
-					if kv.Val != kv.Key*3 {
-						t.Fatalf("key %d has value %d", kv.Key, kv.Val)
-					}
-					got = append(got, kv.Key)
+	t.Run(engine, func(t *testing.T) {
+		m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+		defer m.Close()
+		const n = 500
+		for i := 0; i < n; i++ {
+			m.Insert(i, i*3)
+		}
+		var got []int
+		var buf []Entry[int, int]
+		cur, xlo, pages := 0, false, 0
+		for {
+			page, more := m.RangePage(cur, xlo, n, 64, buf[:0])
+			buf = page
+			for _, kv := range page {
+				if kv.Val != kv.Key*3 {
+					t.Fatalf("key %d has value %d", kv.Key, kv.Val)
 				}
-				pages++
-				if !more || len(page) == 0 {
-					break
-				}
-				if len(page) > 64 {
-					t.Fatalf("page of %d pairs exceeds limit", len(page))
-				}
-				cur, xlo = page[len(page)-1].Key, true
+				got = append(got, kv.Key)
 			}
-			if len(got) != n {
-				t.Fatalf("paged through %d keys in %d pages, want %d", len(got), pages, n)
+			pages++
+			if !more || len(page) == 0 {
+				break
 			}
-			for i, k := range got {
-				if k != i {
-					t.Fatalf("got[%d] = %d", i, k)
-				}
+			if len(page) > 64 {
+				t.Fatalf("page of %d pairs exceeds limit", len(page))
 			}
-			if pages < n/64 {
-				t.Fatalf("only %d pages for %d keys at limit 64", pages, n)
+			cur, xlo = page[len(page)-1].Key, true
+		}
+		if len(got) != n {
+			t.Fatalf("paged through %d keys in %d pages, want %d", len(got), pages, n)
+		}
+		for i, k := range got {
+			if k != i {
+				t.Fatalf("got[%d] = %d", i, k)
 			}
-			// A page from an empty tail: no pairs, no more.
-			page, more := m.RangePage(n, true, n+100, 10, buf[:0])
-			if len(page) != 0 || more {
-				t.Fatalf("tail page = %v (more=%v)", page, more)
-			}
-		})
-	}
+		}
+		if pages < n/64 {
+			t.Fatalf("only %d pages for %d keys at limit 64", pages, n)
+		}
+		// A page from an empty tail: no pairs, no more.
+		page, more := m.RangePage(n, true, n+100, 10, buf[:0])
+		if len(page) != 0 || more {
+			t.Fatalf("tail page = %v (more=%v)", page, more)
+		}
+	})
 }
 
 // TestShardedRangeConcurrent pages ranges while writers churn the map and
 // checks every page is sorted, in-bounds and value-consistent — the
 // no-stop-the-world property under -race.
 func TestShardedRangeConcurrent(t *testing.T) {
-	for _, e := range engines() {
-		t.Run(e.name, func(t *testing.T) {
-			m := New[int, int](Config{Shards: 4, Engine: e.eng, Shard: core.Config{P: 2}})
-			defer m.Close()
-			const universe = 1 << 10
-			iters := 2000
-			if testing.Short() {
-				iters = 200
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w)*31 + 7))
-					for i := 0; i < iters; i++ {
-						k := rng.Intn(universe)
-						if rng.Intn(4) == 0 {
-							m.Delete(k)
-						} else {
-							m.Insert(k, k*11)
-						}
-					}
-				}(w)
-			}
+	t.Run(engine, func(t *testing.T) {
+		m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+		defer m.Close()
+		const universe = 1 << 10
+		iters := 2000
+		if testing.Short() {
+			iters = 200
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
 			wg.Add(1)
-			go func() {
+			go func(w int) {
 				defer wg.Done()
-				rng := rand.New(rand.NewSource(5))
-				var buf []Entry[int, int]
-				for i := 0; i < iters/20; i++ {
-					lo := rng.Intn(universe)
-					hi := lo + rng.Intn(universe-lo) + 1
-					page, _ := m.RangePage(lo, false, hi, 32, buf[:0])
-					buf = page
-					for j, kv := range page {
-						if kv.Key < lo || kv.Key >= hi || kv.Val != kv.Key*11 {
-							t.Errorf("bad pair %+v in [%d,%d)", kv, lo, hi)
-							return
-						}
-						if j > 0 && page[j-1].Key >= kv.Key {
-							t.Errorf("unsorted page: %v", page)
-							return
-						}
+				rng := rand.New(rand.NewSource(int64(w)*31 + 7))
+				for i := 0; i < iters; i++ {
+					k := rng.Intn(universe)
+					if rng.Intn(4) == 0 {
+						m.Delete(k)
+					} else {
+						m.Insert(k, k*11)
 					}
 				}
-			}()
-			wg.Wait()
-		})
-	}
+			}(w)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(5))
+			var buf []Entry[int, int]
+			for i := 0; i < iters/20; i++ {
+				lo := rng.Intn(universe)
+				hi := lo + rng.Intn(universe-lo) + 1
+				page, _ := m.RangePage(lo, false, hi, 32, buf[:0])
+				buf = page
+				for j, kv := range page {
+					if kv.Key < lo || kv.Key >= hi || kv.Val != kv.Key*11 {
+						t.Errorf("bad pair %+v in [%d,%d)", kv, lo, hi)
+						return
+					}
+					if j > 0 && page[j-1].Key >= kv.Key {
+						t.Errorf("unsorted page: %v", page)
+						return
+					}
+				}
+			}
+		}()
+		wg.Wait()
+	})
 }
 
 // TestShardedApplyRejectsRange documents the routing contract: a range op

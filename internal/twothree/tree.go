@@ -157,8 +157,8 @@ func (t *Tree[K, P]) Flatten() []*Node[K, P] {
 
 // FlattenInto is Flatten into caller-owned scratch: all leaves in key
 // order are appended to out[:0] and the extended slice returned, so a
-// caller that flattens repeatedly (M2's snapshot publication) reuses one
-// backing array instead of allocating per flatten.
+// caller that flattens repeatedly reuses one backing array instead of
+// allocating per flatten.
 func (t *Tree[K, P]) FlattenInto(out []*Node[K, P]) []*Node[K, P] {
 	return appendLeaves(t.root, out[:0])
 }

@@ -127,21 +127,14 @@ func (m *refModel) liveWithin(k, v int, t0, t1 int64) bool {
 type rangePager func(lo int, xlo bool, hi, limit int, dst []KV[int, int]) ([]KV[int, int], bool)
 
 // pagerOf builds the range entry point for each map flavor: RangePage on
-// the sharded front-end, the engine Range method on M1/M2 (whose cursor
+// the sharded front-end, the engine Range method on M1 (whose cursor
 // form is exercised at the core layer; here lo is advanced inclusively
-// by nudging past the last key).
+// by nudging past the last key), none on M2, which serves no ranges.
 func pagerOf(m ConcurrentMap[int, int]) rangePager {
 	switch v := any(m).(type) {
 	case *Sharded[int, int]:
 		return v.RangePage
 	case *M1[int, int]:
-		return func(lo int, xlo bool, hi, limit int, dst []KV[int, int]) ([]KV[int, int], bool) {
-			if xlo {
-				lo++
-			}
-			return v.Range(lo, hi, limit, dst)
-		}
-	case *M2[int, int]:
 		return func(lo int, xlo bool, hi, limit int, dst []KV[int, int]) ([]KV[int, int], bool) {
 			if xlo {
 				lo++
@@ -468,13 +461,7 @@ func TestLinearizabilityM2(t *testing.T) {
 
 func TestLinearizabilityShardedM1(t *testing.T) {
 	runLinearizabilityTest(t, NewSharded[int, int](ShardedOptions{
-		Options: Options{P: 2}, Shards: 4, Engine: EngineM1,
-	}), false)
-}
-
-func TestLinearizabilityShardedM2(t *testing.T) {
-	runLinearizabilityTest(t, NewSharded[int, int](ShardedOptions{
-		Options: Options{P: 2}, Shards: 4, Engine: EngineM2,
+		Options: Options{P: 2}, Shards: 4,
 	}), false)
 }
 
@@ -485,13 +472,7 @@ func TestLinearizabilityShardedM2(t *testing.T) {
 // up as a history violation).
 func TestLinearizabilityFrontShardedM1(t *testing.T) {
 	runLinearizabilityTest(t, NewSharded[int, int](ShardedOptions{
-		Options: Options{P: 2}, Shards: 4, Engine: EngineM1, FrontCache: 256,
-	}), false)
-}
-
-func TestLinearizabilityFrontShardedM2(t *testing.T) {
-	runLinearizabilityTest(t, NewSharded[int, int](ShardedOptions{
-		Options: Options{P: 2}, Shards: 4, Engine: EngineM2, FrontCache: 256,
+		Options: Options{P: 2}, Shards: 4, FrontCache: 256,
 	}), false)
 }
 
@@ -504,12 +485,6 @@ func TestLinearizabilityFrontShardedM2(t *testing.T) {
 // definitely-absent assertion).
 func TestLinearizabilityExpiryShardedM1(t *testing.T) {
 	runLinearizabilityTest(t, NewSharded[int, int](ShardedOptions{
-		Options: Options{P: 2}, Shards: 4, Engine: EngineM1, FrontCache: 256,
-	}), true)
-}
-
-func TestLinearizabilityExpiryShardedM2(t *testing.T) {
-	runLinearizabilityTest(t, NewSharded[int, int](ShardedOptions{
-		Options: Options{P: 2}, Shards: 4, Engine: EngineM2, FrontCache: 256,
+		Options: Options{P: 2}, Shards: 4, FrontCache: 256,
 	}), true)
 }

@@ -1,6 +1,6 @@
 package pws
 
-// The telemetry overhead pair of BENCH_0007.json: the same warm M1 Get
+// The telemetry overhead pair of docs/history/BENCH_0007.json: the same warm M1 Get
 // with the depth-telemetry sink detached and attached. The delta is the
 // whole per-operation cost of the observability layer on the engine hot
 // path — a handful of atomic adds per resolved group — and CI's bench

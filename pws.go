@@ -59,8 +59,9 @@ const (
 	// OpRange is a bounded ordered range read [Op.Key, Op.Range.Hi): a
 	// batched operation like the others, served against a consistent
 	// snapshot at the end of its cut batch — no quiescence, no global
-	// lock. On a Sharded map use RangePage (ranges broadcast to every
-	// shard; routing one through Apply panics).
+	// lock. M1 serves it; submitting one to an M2 panics. On a Sharded map
+	// use RangePage (ranges broadcast to every shard; routing one through
+	// Apply panics).
 	OpRange = core.OpRange
 	// OpExpire arms Op.Deadline (absolute unix-nanos; 0 clears) as the
 	// key's TTL. Only meaningful on a Sharded map, which owns the expiry
@@ -123,9 +124,11 @@ type Options struct {
 	// of the working-set hierarchy, exactly the keys the paper's recency
 	// structure already keeps deepest — until back under budget. Evicted
 	// keys vanish as if deleted. 0 means unbounded (byte accounting
-	// still runs, so Bytes reports the footprint either way). On a
-	// Sharded map prefer ShardedOptions.MaxBytes, which is a global
-	// budget split across shards.
+	// still runs, so Bytes reports the footprint either way). M1 and
+	// Sharded only: the paper's M2 has no byte budget, and NewM2 panics
+	// on a positive value. On a Sharded map prefer
+	// ShardedOptions.MaxBytes, which is a global budget split across
+	// shards.
 	MaxBytes int64
 }
 
@@ -155,7 +158,10 @@ func NewM1[K cmp.Ordered, V any](o Options) *M1[K, V] {
 // M2 is the pipelined parallel working-set map (paper Section 7,
 // Theorem 4): same work bound as M1, with the span of an operation on an
 // item with recency r reduced to O((log p)² + log r), independent of the
-// map size. Safe for concurrent use.
+// map size. It is the paper's structure and nothing more — Get, Insert,
+// Delete and Apply; no range reads, TTLs or byte budget (those are M1's
+// and Sharded's) — kept as the artifact experiments E6/E7 measure. Safe
+// for concurrent use.
 type M2[K cmp.Ordered, V any] struct {
 	*core.M2[K, V]
 }
@@ -216,27 +222,14 @@ func Locked[K cmp.Ordered, V any](m Map[K, V]) Map[K, V] {
 	return baseline.NewLocked[K, V](m)
 }
 
-// Engine selects the per-shard map implementation used by NewSharded.
-type Engine = shard.Engine
-
-// Per-shard engines for ShardedOptions.Engine.
-const (
-	// EngineM1 runs an M1 (batched) map per shard: best raw throughput.
-	EngineM1 = shard.EngineM1
-	// EngineM2 runs an M2 (pipelined) map per shard: best hot-op latency.
-	EngineM2 = shard.EngineM2
-)
-
 // ShardedOptions configures NewSharded. The embedded Options configure
-// each per-shard engine; Options.P left at zero defaults to
+// each per-shard engine (an M1); Options.P left at zero defaults to
 // GOMAXPROCS/Shards (each shard gets a slice of the machine, not the whole
 // machine).
 type ShardedOptions struct {
 	Options
 	// Shards is the shard count. Defaults to runtime.GOMAXPROCS(0).
 	Shards int
-	// Engine selects the per-shard map implementation (default EngineM1).
-	Engine Engine
 	// Telemetry equips the map with a MapTelemetry bundle (one depth
 	// sink per shard, overriding Options.Obs, plus batch-stage
 	// histograms), retrievable via Sharded.Obs. Recording is alloc-free
@@ -283,7 +276,6 @@ type Sharded[K cmp.Ordered, V any] struct {
 func NewSharded[K cmp.Ordered, V any](o ShardedOptions) *Sharded[K, V] {
 	return &Sharded[K, V]{shard.New[K, V](shard.Config{
 		Shards:     o.Shards,
-		Engine:     o.Engine,
 		Shard:      o.toConfig(),
 		Telemetry:  o.Telemetry,
 		FrontCache: o.FrontCache,
