@@ -37,9 +37,10 @@ import (
 // before).
 const itemOverhead = 96
 
-// evictChunk bounds how many items one eviction round pops from the
-// coldest segment, so a budget crossing never turns one batch run into
-// an unbounded stall; the next batch boundary continues if still over.
+// evictChunk is how many items one eviction round pops from the coldest
+// segment. maybeEvict repeats the round until back under budget — "resident
+// bytes within budget" holds at every batch boundary — overshooting by less
+// than a chunk.
 const evictChunk = 256
 
 // shallowSizer returns a closure measuring one value of type T in

@@ -102,7 +102,7 @@ func (m *M0[K, V]) Insert(k K, v V) (V, bool) {
 		m.segs = append(m.segs, newSegment[K, V](len(m.segs), m.cnt, m.pool))
 		last = m.segs[len(m.segs)-1]
 	}
-	last.pushBack(newItems([]K{k}, []V{v}))
+	last.pushBack(m.ms.newItems([]K{k}, []V{v}))
 	m.size++
 	var zero V
 	return zero, false

@@ -37,11 +37,12 @@ type Config struct {
 	// MaxBytes, when positive, bounds the engine's approximate resident
 	// bytes (keys + values + itemOverhead per item): at every batch
 	// boundary the engine evicts least-recent items from its deepest
-	// segment — the cold end of the working-set hierarchy — until back
-	// under budget. Evicted items vanish as if deleted; the SetOnEvict
-	// hook observes them. Zero or negative means unbounded (byte
-	// accounting still runs, so Bytes reports the footprint either way).
-	// M1 only: NewM2 panics on a positive value.
+	// segment — the cold end of the working-set hierarchy, which a new
+	// item enters at the front (slab.insertLast) — until back under
+	// budget. Evicted items vanish as if deleted; the SetOnEvict hook
+	// observes them. Zero or negative means unbounded (byte accounting
+	// still runs, so Bytes reports the footprint either way). M1 only:
+	// NewM2 panics on a positive value.
 	MaxBytes int64
 }
 
@@ -280,7 +281,7 @@ func (m *M1[K, V]) runSegments(groups []*group[K, V]) {
 
 // finishBatch resolves the groups that reached the end of the segments:
 // unsuccessful searches, deletions (already resolved when found) and
-// insertions, which are appended at the back of the last segment.
+// insertions, which enter at the front of the last segment.
 func (m *M1[K, V]) finishBatch(pending []*group[K, V]) {
 	insKeys := m.insKeys[:0]
 	insVals := m.insVals[:0]
@@ -303,7 +304,7 @@ func (m *M1[K, V]) finishBatch(pending []*group[K, V]) {
 		for i := range insKeys {
 			m.mem.add(insKeys[i], insVals[i])
 		}
-		m.slab.insertFront(insKeys, insVals, 0)
+		m.slab.insertLast(insKeys, insVals, 0)
 		m.size += len(insKeys)
 	}
 	m.slab.trimEmpty()

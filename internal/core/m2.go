@@ -338,8 +338,8 @@ func (m *M2[K, V]) interfaceRun() bool {
 
 // finishInFirstSlab resolves end-of-structure groups when no final slab
 // exists: misses and deletions complete; insertions enter at the front of
-// the first slab (an insert is an access with recency 1), spilling the
-// slab's coldest items into a newly created S[m] if it overflows.
+// the first slab's last segment (slab.insertLast), and what S[m-1] cannot
+// hold — its coldest items — goes into a newly created S[m].
 // Caller holds nlock0 and FL[0].
 func (m *M2[K, V]) finishInFirstSlab(pending []*group[K, V]) {
 	var insKeys []K
@@ -359,8 +359,7 @@ func (m *M2[K, V]) finishInFirstSlab(pending []*group[K, V]) {
 	}
 	m.cfg.Obs.RecordLookup(obs.SrcTail, m.mSeg, tailCalls)
 	if len(insKeys) > 0 {
-		overflow := m.first.insertFront(insKeys, insVals, m.mSeg)
-		if overflow.len() > 0 {
+		if overflow := m.first.insertLast(insKeys, insVals, m.mSeg); overflow.len() > 0 {
 			m.createFseg(m.mSeg, m.nlock0).seg.pushFront(overflow)
 		}
 	}
@@ -759,7 +758,7 @@ func (f *fseg[K, V]) resolveTerminal(a []*group[K, V], target *segment[K, V]) {
 	}
 	m.cfg.Obs.RecordLookup(obs.SrcTail, f.k+1, tailCalls)
 	if len(insKeys) > 0 {
-		target.pushFront(newItems(insKeys, insVals))
+		target.pushFront(f.ms.newItems(insKeys, insVals))
 	}
 	f.insKeysSc = insKeys
 	clear(insVals)

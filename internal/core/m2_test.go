@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -209,6 +210,47 @@ func TestM2GrowShrink(t *testing.T) {
 	}
 	if v, ok := m.Get(42); !ok || v != 1 {
 		t.Fatal("reuse after emptying failed")
+	}
+}
+
+// TestM2SmallMapInsertPlacement: while M2 has no final slab, a brand-new item
+// enters at the front of the first slab's last segment, the segments before
+// it stay full and untouched, and the item S[m-1] cannot hold — its least
+// recent — is what opens S[m]. P = 2 gives m = 3: capacities 2, 4, 16.
+func TestM2SmallMapInsertPlacement(t *testing.T) {
+	m := NewM2[int, int](Config{P: 2})
+	defer m.Close()
+	check := func(want ...[]int) {
+		t.Helper()
+		m.Quiesce()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		segs := slices.Clone(m.first.segs)
+		for _, f := range m.fsegs {
+			segs = append(segs, f.seg)
+		}
+		if len(segs) != len(want) {
+			t.Fatalf("%d segments, want %d", len(segs), len(want))
+		}
+		for k, seg := range segs {
+			if got := recencyKeys(seg); !slices.Equal(got, want[k]) {
+				t.Fatalf("S[%d] = %v, want %v", k, got, want[k])
+			}
+		}
+	}
+	for i := 1; i <= 10; i++ {
+		m.Insert(i, i)
+	}
+	check([]int{3, 2}, []int{7, 6, 5, 4}, []int{10, 9, 8, 1})
+	for i := 11; i <= 22; i++ {
+		m.Insert(i, i)
+	}
+	check([]int{3, 2}, []int{7, 6, 5, 4}, []int{22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 1})
+	m.Insert(23, 23)
+	check([]int{3, 2}, []int{7, 6, 5, 4}, []int{23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8}, []int{1})
+	if m.Len() != 23 {
+		t.Fatalf("Len = %d, want 23", m.Len())
 	}
 }
 

@@ -65,21 +65,21 @@ func TestM2RejectsBudget(t *testing.T) {
 
 func TestSegmentRemoveAbsentPanics(t *testing.T) {
 	s := newSegment[int, int](2, nil, nil)
-	s.pushBack(newItems([]int{1, 2, 3}, []int{1, 2, 3}))
+	var ms moveScratch[int, int]
+	s.pushBack(ms.newItems([]int{1, 2, 3}, []int{1, 2, 3}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic removing absent key")
 		}
 	}()
-	var ms moveScratch[int, int]
 	ms.removeItems(s, []int{1, 99})
 }
 
 func TestSegmentMoveRoundTrip(t *testing.T) {
 	a := newSegment[int, int](3, nil, nil)
 	b := newSegment[int, int](3, nil, nil)
-	a.pushBack(newItems([]int{1, 2, 3, 4, 5}, []int{10, 20, 30, 40, 50}))
 	var ms moveScratch[int, int]
+	a.pushBack(ms.newItems([]int{1, 2, 3, 4, 5}, []int{10, 20, 30, 40, 50}))
 	mb := ms.popBack(a, 2) // items 4, 5 (least recent)
 	b.pushFront(mb)
 	if a.size() != 3 || b.size() != 2 {

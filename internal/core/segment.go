@@ -84,27 +84,26 @@ type moveBatch[K cmp.Ordered, V any] struct {
 
 func (mb moveBatch[K, V]) len() int { return len(mb.kmLeaves) }
 
-// newItems builds a moveBatch of brand-new items from keysSorted (sorted,
-// distinct) and the values aligned with it. The recency order is the key
-// order, so one slice is both views; it goes straight into a push, which
-// only reads it.
-func newItems[K cmp.Ordered, V any](keysSorted []K, vals []V) moveBatch[K, V] {
-	leaves := make([]*segLeaf[K, V], len(keysSorted))
-	for i, k := range keysSorted {
-		leaves[i] = twothree.NewLeaf(k, vals[i])
-	}
-	return moveBatch[K, V]{kmLeaves: leaves, recLeaves: leaves}
-}
-
-// moveScratch backs allocation-free segment removals: the moveBatch a
-// removal returns aliases the scratch and is valid until the next removal
+// moveScratch backs allocation-free segment removals and fresh batches: the
+// moveBatch one returns aliases the scratch and is valid until the next call
 // through the same scratch — every caller pushes it into its destination
-// segment before removing again. One instance per single-threaded user
+// segment before that. One instance per single-threaded user
 // (M0, the slab's engine run, each final slab segment's activation).
 type moveScratch[K cmp.Ordered, V any] struct {
 	del  []*segLeaf[K, V]
 	rank []int
 	rec  []*segLeaf[K, V]
+}
+
+// newItems builds a moveBatch of brand-new items from keysSorted (sorted,
+// distinct) and the values aligned with it. The recency order is the key
+// order, so one slice is both views.
+func (ms *moveScratch[K, V]) newItems(keysSorted []K, vals []V) moveBatch[K, V] {
+	ms.del = grow(ms.del, len(keysSorted))
+	for i, k := range keysSorted {
+		ms.del[i] = twothree.NewLeaf(k, vals[i])
+	}
+	return moveBatch[K, V]{kmLeaves: ms.del, recLeaves: ms.del}
 }
 
 // removeItems deletes the given present keys (sorted, distinct) from seg

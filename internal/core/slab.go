@@ -138,14 +138,13 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 // the front of S[i] until the prefix S[0..i-1] is exactly full or S[i] is
 // empty.
 func (s *slab[K, V]) restore(k int) {
-	if k > len(s.segs)-1 {
-		k = len(s.segs) - 1
+	k = min(k, len(s.segs)-1)
+	prefix := 0 // items in S[0..i-1]
+	for j := 0; j < k; j++ {
+		prefix += s.segs[j].size()
 	}
 	for i := k; i >= 1; i-- {
-		prefix := 0
-		for j := 0; j < i; j++ {
-			prefix += s.segs[j].size()
-		}
+		below := prefix - s.segs[i-1].size() // S[0..i-2]: this step leaves it alone
 		want := capPrefix(i - 1)
 		if prefix > want {
 			mb := s.ms.popBack(s.segs[i-1], prefix-want)
@@ -158,6 +157,7 @@ func (s *slab[K, V]) restore(k int) {
 			mb := s.ms.popFront(s.segs[i], x)
 			s.segs[i-1].pushBack(mb)
 		}
+		prefix = below
 	}
 }
 
@@ -170,29 +170,29 @@ func (s *slab[K, V]) size() int {
 	return total
 }
 
-// insertFront places brand-new items at the hierarchy's front — an
-// insertion is an access with recency 1, so a fresh key enters S[0]
-// like any other just-accessed item — and cascades each segment's
-// overflow toward the cold end, growing segments up to maxSegs
-// (0 = unbounded). Overflow past the last allowed segment is removed
-// from its back (the least-recent items) and returned for the caller
-// to place in the next structure layer. Entering at the front is what
-// keeps the eviction frontier (evictColdest, the deepest segment's
-// back) the genuinely coldest end: items reach it only by aging all
-// the way down, so a budget-saturated map sheds its stalest residents
-// instead of bouncing every new insert.
-func (s *slab[K, V]) insertFront(keysSorted []K, vals []V, maxSegs int) moveBatch[K, V] {
+// insertLast places brand-new items at the front of the last segment (the
+// deepest one holding items; S[0] in an empty slab): Section 6.1's localized
+// insertion — one segment edited, S[0..l-1] left exactly full — at the front,
+// not the paper's back, so that eviction takes them after what was there
+// (DESIGN.md "Eviction frontier"). A segment pushed over capacity pops its
+// back into the next, created when there is none, up to maxSegs segments
+// (0 = unbounded); the caller places what the last allowed one cannot hold.
+func (s *slab[K, V]) insertLast(keysSorted []K, vals []V, maxSegs int) moveBatch[K, V] {
 	if len(s.segs) == 0 {
 		s.segs = append(s.segs, newSegment[K, V](0, s.cnt, s.pool))
 	}
-	s.segs[0].pushFront(newItems(keysSorted, vals))
-	for l := 0; ; l++ {
+	l := len(s.segs) - 1
+	for l > 0 && s.segs[l].size() == 0 {
+		l--
+	}
+	s.segs[l].pushFront(s.ms.newItems(keysSorted, vals))
+	for ; ; l++ {
 		ex := s.segs[l].overBy()
 		if ex == 0 {
 			return moveBatch[K, V]{}
 		}
 		if l == len(s.segs)-1 {
-			if maxSegs > 0 && len(s.segs) == maxSegs {
+			if len(s.segs) == maxSegs {
 				return s.ms.popBack(s.segs[l], ex)
 			}
 			s.segs = append(s.segs, newSegment[K, V](l+1, s.cnt, s.pool))

@@ -14,6 +14,9 @@
 // idealized greedy scheduler with work stealing; this pool is that
 // translation: external submissions are distributed round-robin across
 // per-worker deques, owners pop LIFO, thieves steal FIFO.
+//
+// Its one user is M2 (experiments E6, E7, E9 and E15, and internal/core's
+// suite): the serving stack runs M1, which schedules nothing.
 package sched
 
 import (

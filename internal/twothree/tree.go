@@ -155,14 +155,6 @@ func (t *Tree[K, P]) Flatten() []*Node[K, P] {
 	return appendLeaves(t.root, make([]*Node[K, P], 0, t.Len()))
 }
 
-// FlattenInto is Flatten into caller-owned scratch: all leaves in key
-// order are appended to out[:0] and the extended slice returned, so a
-// caller that flattens repeatedly reuses one backing array instead of
-// allocating per flatten.
-func (t *Tree[K, P]) FlattenInto(out []*Node[K, P]) []*Node[K, P] {
-	return appendLeaves(t.root, out[:0])
-}
-
 // Owns reports whether leaf currently belongs to this tree, by walking its
 // parent chain to the root (test hook; O(log n)).
 func (t *Tree[K, P]) Owns(leaf *Node[K, P]) bool {

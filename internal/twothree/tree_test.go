@@ -351,36 +351,6 @@ func TestRangeInto(t *testing.T) {
 	}
 }
 
-func TestFlattenInto(t *testing.T) {
-	tr := New[int, string](nil)
-	if got := tr.FlattenInto(nil); len(got) != 0 {
-		t.Fatalf("empty FlattenInto = %v", got)
-	}
-	for i := 0; i < 100; i++ {
-		tr.Insert(i*7%100, "v")
-	}
-	// Reuse one scratch across calls: contents must match Flatten and the
-	// backing array must be reused once it is big enough.
-	var sc []*Node[int, string]
-	for round := 0; round < 3; round++ {
-		sc = tr.FlattenInto(sc)
-		want := tr.Flatten()
-		if len(sc) != len(want) {
-			t.Fatalf("round %d: FlattenInto len %d, Flatten len %d", round, len(sc), len(want))
-		}
-		for i := range sc {
-			if sc[i] != want[i] {
-				t.Fatalf("round %d: leaf %d differs", round, i)
-			}
-		}
-	}
-	before := cap(sc)
-	sc = tr.FlattenInto(sc)
-	if cap(sc) != before {
-		t.Fatalf("FlattenInto reallocated a big-enough scratch: cap %d -> %d", before, cap(sc))
-	}
-}
-
 func TestBatchInsertLeavesPresentKeyPanics(t *testing.T) {
 	tr := New[int, string](nil)
 	tr.BatchInsertLeaves([]*Node[int, string]{NewLeaf(1, "a"), NewLeaf(2, "b"), NewLeaf(3, "c")})
