@@ -1,6 +1,6 @@
 package pws
 
-// The hot-path benchmark suite of EXPERIMENTS.md E18: allocation and
+// The hot-path benchmark suite of E18 (docs/history/EXPERIMENTS_E18-E23.md): allocation and
 // constant-factor costs of the wire→server→shard→core request path,
 // measured end-to-end at three depths. Every benchmark reports allocs/op
 // so the allocation discipline of DESIGN.md is visible in CI:

@@ -1,13 +1,13 @@
 package pws
 
-// Allocation-regression ceilings for the hot path (EXPERIMENTS.md E18):
-// testing.AllocsPerRun bounds on the warm steady-state cost of the two
-// map-side request shapes, so a future change cannot silently reintroduce
-// per-operation garbage. The ceilings are ~2x the measured values — loose
-// enough to absorb tree-rebalancing variance (segment split/join node
-// churn is data-dependent), tight enough that losing any pooled layer
-// (call frames, batch arenas, pbuffer recycling, shard Apply scratch)
-// blows through them. The server-side ceiling lives in
+// Allocation-regression ceilings for the hot path (E18, now in
+// docs/history/EXPERIMENTS_E18-E23.md): testing.AllocsPerRun bounds on the
+// warm steady-state cost of the map-side request shapes, so a future
+// change cannot silently reintroduce per-operation garbage. Each ceiling
+// is 2 × the worst reading at GOMAXPROCS 1, 2 and 4, plus 4 — room for
+// tree-rebalancing variance (node churn is data-dependent), none for
+// losing a pooled layer (call frames, batch arenas, pbuffer recycling,
+// shard Apply scratch). The server-side ceilings live in
 // internal/server/hotpath_test.go. Skipped under -race, whose
 // instrumentation inflates counts.
 
@@ -23,9 +23,10 @@ func TestAllocsWarmM1Get(t *testing.T) {
 		m.Insert(i, i)
 	}
 	m.Get(7)
-	// Measured ~8 allocs/op (2-3 tree node churn of the front-segment
-	// promotion); was 42 before the zero-allocation work.
-	const ceiling = 20
+	// Measured 0 allocs/op at GOMAXPROCS 1/2/4 (the node pool absorbs the
+	// front-segment promotion's churn); was 42 before the zero-allocation
+	// work.
+	const ceiling = 4
 	if n := testing.AllocsPerRun(200, func() { m.Get(7) }); n > ceiling {
 		t.Errorf("warm M1 Get: %.1f allocs/op, ceiling %d", n, ceiling)
 	}
@@ -66,11 +67,12 @@ func TestAllocsRangePage(t *testing.T) {
 	var page []KV[int, int]
 	read := func() { page, _ = m.RangePage(1024, false, 4096, 64, page[:0]) }
 	read()
-	// Measured ~1 alloc per 64-pair page: the pooled range scratch, the
-	// per-shard request frames, the engines' leaf/merge scratch and the
-	// caller's page buffer are all reused, so a paging scanner puts no
-	// steady-state pressure on the GC.
-	const ceiling = 16
+	// Measured 0 allocs per 64-pair page at GOMAXPROCS 1/2/4 (1/2/4 while
+	// each shard's range took a pooled call frame): the pooled range
+	// scratch, the per-shard request frames, the engines' leaf/merge
+	// scratch and the caller's page buffer are all reused, so a paging
+	// scanner puts no steady-state pressure on the GC.
+	const ceiling = 4
 	if n := testing.AllocsPerRun(100, read); n > ceiling {
 		t.Errorf("warm 64-pair RangePage: %.1f allocs/page, ceiling %d", n, ceiling)
 	}
@@ -92,10 +94,11 @@ func TestAllocsWarmShardedApply(t *testing.T) {
 	var res []Result[int]
 	apply := func() { res = m.ApplyInto(ops, res[:0]) }
 	apply()
-	// Measured ~1250 allocs per 64-op batch (~20/op, all segment-tree
-	// node churn); was ~2340 before. The routing itself — counting-sort
-	// split, submission frames, result buffers — is allocation-free.
-	const ceiling = 2000
+	// Measured 6/8/8 allocs per 64-op batch at GOMAXPROCS 1/2/4 (7/10/12
+	// with a pooled call frame per op); was ~2340 before the node pool.
+	// The routing itself — counting-sort split, engine-owned cut frames,
+	// result buffers — is allocation-free.
+	const ceiling = 20
 	if n := testing.AllocsPerRun(50, apply); n > ceiling {
 		t.Errorf("warm sharded 64-op Apply: %.1f allocs/batch, ceiling %d", n, ceiling)
 	}

@@ -275,7 +275,16 @@ func TestCoalesceDuplicateCombining(t *testing.T) {
 	defer m.Close()
 	c := New(Config{MaxBatch: 1 << 20, MaxDelay: 2 * time.Millisecond},
 		func(batches [][]core.Op[string, string], dsts [][]core.Result[string]) {
-			m.ApplyAsyncMulti(batches).CollectScattered(dsts)
+			// One engine batch for the whole cut, as the shard layer
+			// hands it over: concatenate, apply once, scatter back.
+			var ops []core.Op[string, string]
+			for _, b := range batches {
+				ops = append(ops, b...)
+			}
+			res := m.ApplyInto(ops, nil)
+			for _, dst := range dsts {
+				res = res[copy(dst, res):]
+			}
 		})
 	defer c.Close()
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func applyOps(n int, rng *rand.Rand, keySpace int) []Op[int, int] {
@@ -99,5 +102,76 @@ func TestApplyBulkLoad(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApplyIntoCutsByFeedRule pins the cut rule ApplyInto's bit-identity
+// with the point-op path rests on: a batch is cut exactly as the feed
+// buffer would cut it had the whole batch arrived at once — numBunches()
+// bunches of P² ops, numBunches re-read as the map grows. One call of
+// 1000 fresh inserts is as many cut batches as the feed yields, and the
+// same ops applied as separate calls of exactly those cut sizes leave the
+// same charged work and the same segment recency orders.
+func TestApplyIntoCutsByFeedRule(t *testing.T) {
+	const n, p = 1000, 2
+	ops := make([]Op[int, int], n)
+	for i := range ops {
+		k := i * 617 % n // a permutation: every insert is fresh, none sorted
+		ops[i] = Op[int, int]{Kind: OpInsert, Key: k, Val: k}
+	}
+
+	// The feed's cuts: the whole batch in, numBunches() bunches out per
+	// cut, at the size the map has after the cuts before it.
+	feed := newFeedBuffer[int](p * p)
+	feed.add(make([]int, n))
+	sizer := NewM1[int, int](Config{P: p})
+	defer sizer.Close()
+	var cuts []int
+	for feed.len() > 0 {
+		c := len(feed.take(sizer.numBunches()))
+		cuts = append(cuts, c)
+		sizer.size += c
+	}
+	if len(cuts) < 10 {
+		t.Fatalf("only %d cuts: the rule is not exercised", len(cuts))
+	}
+
+	var whole, split metrics.Counter
+	one := NewM1[int, int](Config{P: p, Counter: &whole})
+	defer one.Close()
+	for i, r := range one.ApplyInto(ops, nil) {
+		if r.OK {
+			t.Fatalf("fresh insert %d reported existing", i)
+		}
+	}
+	if got := one.Batches(); got != int64(len(cuts)) {
+		t.Fatalf("one ApplyInto of %d ops ran %d cut batches, the feed cuts %d (%v)", n, got, len(cuts), cuts)
+	}
+
+	many := NewM1[int, int](Config{P: p, Counter: &split})
+	defer many.Close()
+	lo := 0
+	for _, c := range cuts {
+		many.ApplyInto(ops[lo:lo+c], nil)
+		lo += c
+	}
+	if got := many.Batches(); got != int64(len(cuts)) {
+		t.Fatalf("%d calls of one cut each ran %d cut batches", len(cuts), got)
+	}
+	if whole.Snapshot() != split.Snapshot() {
+		t.Fatalf("charged work differs: one call %+v, cut-sized calls %+v", whole.Snapshot(), split.Snapshot())
+	}
+	if len(one.slab.segs) != len(many.slab.segs) {
+		t.Fatalf("%d segments vs %d", len(one.slab.segs), len(many.slab.segs))
+	}
+	for k := range one.slab.segs {
+		if a, b := recencyKeys(one.slab.segs[k]), recencyKeys(many.slab.segs[k]); !slices.Equal(a, b) {
+			t.Fatalf("S[%d] recency order differs:\n one call %v\n cut-sized %v", k, a, b)
+		}
+	}
+	for _, m := range []*M1[int, int]{one, many} {
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

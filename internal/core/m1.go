@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/esort"
@@ -64,25 +65,33 @@ func (c Config) withDefaults() Config {
 // linearization L (Theorem 12).
 //
 // All methods are safe for concurrent use; each call blocks until the
-// engine returns its result, exactly like calling an atomic map.
+// engine returns its result, exactly like calling an atomic map. There
+// are two ways in, one engine: point operations (Do and the methods on
+// it) are the paper's crowd of callers — parallel buffer, feed buffer,
+// activation — while ApplyInto runs a caller-owned batch on the calling
+// goroutine. Both run their cut batches under eng.
 type M1[K cmp.Ordered, V any] struct {
 	cfg   Config
 	pb    *pbuffer.Buffer[*call[K, V]]
 	act   *locks.Activation
 	rec   *opRecorder[K, V]
 	calls callPool[K, V]
-	batch batchPool[K, V]
 
-	// Engine-private state: touched only inside the activation run. The
-	// arena fields are per-batch scratch reused across cut batches, so the
-	// steady-state engine loop performs (nearly) no allocation; see
-	// DESIGN.md "Allocation discipline".
+	// eng serializes the engine: the activation run and ApplyInto hold it
+	// for every cut batch.
+	eng sync.Mutex
+
+	// Engine-private state: touched only under eng. The arena fields are
+	// per-batch scratch reused across cut batches, so the steady-state
+	// engine loop performs (nearly) no allocation; see DESIGN.md
+	// "Allocation discipline".
+	cutSc   []call[K, V] // ApplyInto's call frames (no completion channel)
 	feed    *feedBuffer[*call[K, V]]
 	slab    slab[K, V]
 	mem     *memAcct[K, V]
 	size    int
 	flushSc []*call[K, V]  // pbuffer.FlushInto target
-	batchSc []*call[K, V]  // feed.takeInto target
+	batchSc []*call[K, V]  // the cut batch: feed.takeInto target, or cutSc's frames
 	keySc   []K            // processBatch key extraction
 	permSc  []int          // esort.PESortInto permutation
 	sortSc  []int          // esort.PESortInto partition scratch
@@ -123,26 +132,30 @@ func NewM1[K cmp.Ordered, V any](cfg Config) *M1[K, V] {
 
 // Get searches for key k.
 func (m *M1[K, V]) Get(k K) (V, bool) {
-	r := m.do(Op[K, V]{Kind: OpGet, Key: k})
+	r := m.Do(Op[K, V]{Kind: OpGet, Key: k})
 	return r.Val, r.OK
 }
 
 // Insert adds k with value v, or updates it if present; it returns the
 // previous value and whether the key existed.
 func (m *M1[K, V]) Insert(k K, v V) (V, bool) {
-	r := m.do(Op[K, V]{Kind: OpInsert, Key: k, Val: v})
+	r := m.Do(Op[K, V]{Kind: OpInsert, Key: k, Val: v})
 	return r.Val, r.OK
 }
 
 // Delete removes k; it returns the removed value and whether the key
 // existed.
 func (m *M1[K, V]) Delete(k K) (V, bool) {
-	r := m.do(Op[K, V]{Kind: OpDelete, Key: k})
+	r := m.Do(Op[K, V]{Kind: OpDelete, Key: k})
 	return r.Val, r.OK
 }
 
-// do submits one operation and waits for its result.
-func (m *M1[K, V]) do(op Op[K, V]) Result[V] {
+// Do submits one operation and waits for its result: the paper's
+// implicit batching (Section 6.1). The op enters the parallel buffer in a
+// pooled call frame, the activation cuts whatever concurrent callers have
+// buffered into batches through the feed, and the caller parks on its
+// frame until the engine completes it.
+func (m *M1[K, V]) Do(op Op[K, V]) Result[V] {
 	if m.closed.Load() {
 		panic("core: M1 used after Close")
 	}
@@ -201,9 +214,13 @@ func (m *M1[K, V]) Quiesce() {
 	m.act.WaitIdle()
 }
 
-// engineRun processes one cut batch. It runs under the activation
-// interface, so engine state is single-threaded.
+// engineRun cuts one batch from the point ops in the parallel buffer and
+// feed and runs it. It runs under the activation interface, which makes
+// it the buffer's single flusher, and under eng, which it shares with
+// ApplyInto.
 func (m *M1[K, V]) engineRun() bool {
+	m.eng.Lock()
+	defer m.eng.Unlock()
 	m.flushSc = m.pb.FlushInto(m.flushSc[:0])
 	m.feed.add(m.flushSc)
 	if m.feed.len() == 0 {
@@ -212,11 +229,17 @@ func (m *M1[K, V]) engineRun() bool {
 	batch := m.feed.takeInto(m.numBunches(), m.batchSc[:0])
 	m.batchSc = batch
 	m.feedA.Store(int64(m.feed.len()))
+	m.runCut(batch)
+	return true
+}
+
+// runCut processes one cut batch and finishes its boundary: eviction
+// under the byte budget, then the published counters. Caller holds eng.
+func (m *M1[K, V]) runCut(batch []*call[K, V]) {
 	m.processBatch(batch)
 	m.maybeEvict()
 	m.batches.Add(1)
 	m.sizeA.Store(int64(m.size))
-	return true
 }
 
 // maybeEvict enforces the byte budget at the batch boundary: while over,

@@ -124,7 +124,6 @@ type M2[K cmp.Ordered, V any] struct {
 	act   *locks.Activation
 	rec   *opRecorder[K, V]
 	calls callPool[K, V]
-	batch batchPool[K, V]
 
 	// Interface-private (activation-guarded) state. The scratch fields
 	// are reused across interface batches; group frames themselves are

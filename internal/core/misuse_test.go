@@ -36,8 +36,8 @@ func TestM2RejectsRange(t *testing.T) {
 	req := RangeReq[int, int]{Hi: 10}
 	ops := []Op[int, int]{{Kind: OpGet, Key: 1}, {Kind: OpRange, Key: 0, Range: &req}}
 	for name, submit := range map[string]func(){
-		"ApplyAsync":      func() { m.ApplyAsync(ops) },
-		"ApplyAsyncMulti": func() { m.ApplyAsyncMulti([][]Op[int, int]{ops[:1], ops[1:]}) },
+		"Apply":     func() { m.Apply(ops) },
+		"ApplyInto": func() { m.ApplyInto(ops[1:], make([]Result[int], 1)) },
 	} {
 		func() {
 			defer func() {

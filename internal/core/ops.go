@@ -28,8 +28,8 @@ const (
 	// OpDelete removes a key.
 	OpDelete
 	// OpRange is a bounded ordered range read [Key, Range.Hi): a batched
-	// operation like the others — it rides the same cut batches through
-	// Apply/ApplyAsync — except that it never groups with point operations
+	// operation like the others — it rides the same cut batches, through
+	// Do or ApplyInto — except that it never groups with point operations
 	// and never adjusts recencies. Results are appended to Range.Out.
 	// M1 only: submitting one to an M2 panics.
 	OpRange
@@ -119,7 +119,9 @@ type Result[V any] struct {
 // takes a frame from the pool, the engine fills res and signals done, the
 // submitter wakes, copies the result out and returns the frame. The engine
 // never touches a call after signalling it (the completion protocol of
-// DESIGN.md's allocation-discipline section).
+// DESIGN.md's allocation-discipline section). M1.ApplyInto's frames are
+// the engine's own and have no channel: their submitter is the goroutine
+// running the cut, so there is nobody to signal.
 type call[K cmp.Ordered, V any] struct {
 	op   Op[K, V]
 	res  Result[V]
@@ -132,8 +134,13 @@ func (c *call[K, V]) wait() Result[V] {
 }
 
 // complete delivers the result. Never blocks: done is buffered and each
-// recycle of the frame pairs exactly one complete with one wait.
-func (c *call[K, V]) complete() { c.done <- struct{}{} }
+// recycle of the frame pairs exactly one complete with one wait. A nil
+// done (an ApplyInto frame) is a no-op.
+func (c *call[K, V]) complete() {
+	if c.done != nil {
+		c.done <- struct{}{}
+	}
+}
 
 // callPool recycles call frames (and their completion channels) for one
 // engine. Frames may be recycled by any submitting goroutine, hence

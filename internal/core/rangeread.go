@@ -3,12 +3,13 @@ package core
 import "cmp"
 
 // Batched range reads (M1 only; an OpRange submitted to an M2 panics in
-// the submitter, see M2.ApplyAsync). OpRange operations travel through the
-// same parallel buffer, feed buffer and cut batches as point operations,
-// but they never group with them: processBatch splits them out of the
-// batch before key grouping, runs the point operations as before, and then
-// serves every range of the batch after the batch's own effects have been
-// applied, so a range linearizes at the end of its cut batch.
+// the submitter, see M2.ApplyInto). OpRange operations ride the same cut
+// batches as point operations — cut by the feed from Do's parallel
+// buffer, or by ApplyInto from the caller's batch — but they never group
+// with them: processBatch splits them out of the batch before key
+// grouping, runs the point operations as before, and then serves every
+// range of the batch after the batch's own effects have been applied, so
+// a range linearizes at the end of its cut batch.
 //
 // The engine run owns the whole slab, and at the batch boundary every item
 // lives in exactly one key-map, so a range is a bounded k-way merge of

@@ -1,7 +1,6 @@
-// Package experiments implements the reproduction experiments E1–E17 of
-// EXPERIMENTS.md: one function per claim (theorem bound, lemma property,
-// analytical comparison, or — e17 — the sharding thesis), each returning a
-// printable table. The cmd/wsbench binary prints them; the root bench
+// Package experiments implements the reproduction experiments E1–E16 of
+// EXPERIMENTS.md: one function per claim (theorem bound, lemma property or
+// analytical comparison), each returning a printable table. The cmd/wsbench binary prints them; the root bench
 // suite runs scaled-down versions under testing.B.
 package experiments
 

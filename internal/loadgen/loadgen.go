@@ -184,7 +184,7 @@ type Report struct {
 	// P50..Max are the point-op (GET/SET) latency percentiles; with
 	// Config.ScanFrac set, scan pages are excluded here and reported in
 	// the Scan* fields instead, so write/read tail latency under scan
-	// load is directly visible (EXPERIMENTS.md E20).
+	// load is directly visible (E20 in docs/history/EXPERIMENTS_E18-E23.md).
 	P50 time.Duration `json:"p50_ns"`
 	P95 time.Duration `json:"p95_ns"`
 	P99 time.Duration `json:"p99_ns"`

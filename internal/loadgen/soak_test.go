@@ -8,7 +8,8 @@ package loadgen
 // run, and the working-set hierarchy must earn its keep: the skewed
 // workload's GET hit ratio beats uniform's because hot keys are
 // re-promoted away from the eviction frontier. CI runs this as the
-// bounded-memory smoke; experiment E23 is the full-length version.
+// bounded-memory smoke; E23 in docs/history/EXPERIMENTS_E18-E23.md is the
+// full-length version.
 
 import (
 	"testing"

@@ -18,11 +18,11 @@ const (
 	// StageWindowWait is the coalescer's open-window time: from the
 	// first job entering an empty queue to the cut (per batch).
 	StageWindowWait
-	// StageFanout is the shard map splitting a combined batch and
-	// submitting the per-shard sub-batches (counting-sort + submit).
+	// StageFanout is the shard map splitting a combined batch into
+	// per-shard sub-batches (the counting sort).
 	StageFanout
-	// StageApply is the engine-apply wait: from the last sub-batch
-	// submitted to the last result collected.
+	// StageApply is the engine apply: from the first sub-batch handed
+	// to a shard worker to the last sub-batch's results.
 	StageApply
 	// StageReply is rendering a batch's replies into the write buffer.
 	StageReply

@@ -67,8 +67,8 @@ func New[T any](p int) *Buffer[T] {
 // after the unlock let a flush take (and subtract) an operation before
 // its adder had added it: Len under-reported, the engine's ready
 // condition read "empty" over a non-empty buffer and went idle, and an
-// operation whose activation was deferred to a later Collect could wait
-// forever.
+// operation whose own Activate had lost the race to the running engine —
+// and so relied on that engine's final ready re-check — waited forever.
 func (b *Buffer[T]) Add(x T) {
 	s := &b.shards[rand.IntN(len(b.shards))]
 	s.mu.Lock()
@@ -78,8 +78,8 @@ func (b *Buffer[T]) Add(x T) {
 }
 
 // AddAll buffers a sequence of operations atomically into one sub-buffer,
-// preserving their relative order through the next flush. Used by the
-// batch-submission API, where one client's operations on the same key must
+// preserving their relative order through the next flush. Used by M2's
+// batch submission, where one client's operations on the same key must
 // keep program order.
 func (b *Buffer[T]) AddAll(xs []T) {
 	if len(xs) == 0 {

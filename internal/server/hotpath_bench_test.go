@@ -1,7 +1,8 @@
 package server
 
 // The pipelined-server member of the hot-path benchmark suite (see the
-// root package's hotpath_bench_test.go and EXPERIMENTS.md E18); it lives
+// root package's hotpath_bench_test.go and E18 in
+// docs/history/EXPERIMENTS_E18-E23.md); it lives
 // here because internal/server cannot be imported from the root package's
 // tests (import cycle).
 
@@ -102,7 +103,8 @@ func BenchmarkHotPathServerPipe(b *testing.B) {
 // with the cross-connection coalescer merging everyone's single ops into
 // combined batches. ns/op is per GET round trip on one connection; the
 // interesting outputs are the throughput relative to the same shape
-// without coalescing (see E19 / docs/history/BENCH_0004.json) and allocs/op staying
+// without coalescing (E19 in docs/history/EXPERIMENTS_E18-E23.md,
+// raw rows in docs/history/BENCH_0004.json) and allocs/op staying
 // within the zero-allocation discipline.
 func BenchmarkHotPathServerCoalesced(b *testing.B) {
 	const conns = 64
@@ -172,7 +174,8 @@ func BenchmarkHotPathServerCoalesced(b *testing.B) {
 // over Server.Pipe: wire decode, the broadcast batched range read, and
 // the 2·count+1-frame reply encode/decode. ns/op is per 64-pair page
 // round trip; concurrent writers are deliberately absent so the number
-// is the scan path itself (E20 measures the interference story).
+// is the scan path itself (E20 in docs/history/EXPERIMENTS_E18-E23.md has the
+// interference story).
 func BenchmarkHotPathServerScan(b *testing.B) {
 	srv := New(Config{})
 	defer srv.Close()

@@ -1,8 +1,9 @@
 package server
 
-// The server-side allocation ceiling and the aliasing-safety tests of the
-// zero-copy reader path (EXPERIMENTS.md E18, DESIGN.md "Allocation
-// discipline").
+// The server-side allocation ceilings and the aliasing-safety tests of the
+// zero-copy reader path (E18 in docs/history/EXPERIMENTS_E18-E23.md,
+// DESIGN.md "Allocation discipline"). Each ceiling is 2 × the worst
+// reading at GOMAXPROCS 1, 2 and 4, plus 4.
 
 import (
 	"fmt"
@@ -53,10 +54,9 @@ func TestAllocsServerPipeRoundTrip(t *testing.T) {
 		}
 	}
 	pipeline() // warm both codecs and the batch path
-	// Measured ~100 allocs per depth-8 pipeline, about half of it
-	// client-side reply decoding and segment-tree node churn; was ~430
-	// before the zero-allocation work.
-	const ceiling = 250
+	// Measured 0 allocs per depth-8 pipeline at GOMAXPROCS 1/2/4, client
+	// decoding included; was ~430 before the zero-allocation work.
+	const ceiling = 4
 	if n := testing.AllocsPerRun(50, pipeline); n > ceiling {
 		t.Errorf("depth-%d pipelined round trip: %.1f allocs, ceiling %d", depth, n, ceiling)
 	}
@@ -93,10 +93,10 @@ func TestAllocsServerCoalescedRoundTrip(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		roundTrip() // warm codecs, the job frame, coalescer scratch
 	}
-	// Measured ~40 allocs per depth-1 round trip, about half client-side
-	// reply decoding and segment-tree node churn (see the node free-list
-	// notes in DESIGN.md "Allocation discipline").
-	const ceiling = 120
+	// Measured 0 allocs per depth-1 round trip at GOMAXPROCS 1/2/4, client
+	// decoding and segment-tree node churn included (see the node
+	// free-list notes in DESIGN.md "Allocation discipline").
+	const ceiling = 4
 	if n := testing.AllocsPerRun(50, roundTrip); n > ceiling {
 		t.Errorf("coalesced depth-1 round trip: %.1f allocs, ceiling %d", n, ceiling)
 	}
@@ -198,10 +198,11 @@ func TestAllocsServerScan(t *testing.T) {
 		}
 	}
 	page() // warm codecs, range scratch pools, page buffer
-	// Measured ~5 allocs per 64-pair page (cursor token, reply frame
-	// headers); the broadcast + merge + page buffer machinery is fully
-	// pooled. The ceiling is loose to absorb decoder variance.
-	const ceiling = 100
+	// Measured 4 allocs per 64-pair page at GOMAXPROCS 1/2/4 (5/6/8 while
+	// each shard's range took a pooled call frame): cursor token and
+	// reply frame headers; the broadcast + merge + page buffer machinery
+	// is fully pooled.
+	const ceiling = 12
 	if n := testing.AllocsPerRun(50, page); n > ceiling {
 		t.Errorf("64-pair SCAN page: %.1f allocs, ceiling %d", n, ceiling)
 	}

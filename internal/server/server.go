@@ -25,8 +25,8 @@
 // by the map's batched range path: each page is one bounded range op
 // broadcast through the engines' normal cut batches, so scans no longer
 // stop the world — no Quiesce, no lock excluding batch Applies, and
-// write tail latency stays flat under concurrent scan load (see
-// EXPERIMENTS.md E20). Close still quiesces, but only to shut down.
+// write tail latency stays flat under concurrent scan load (see E20 in
+// docs/history/EXPERIMENTS_E18-E23.md). Close still quiesces, but only to shut down.
 //
 // The server also closes gracefully:
 // Close stops accepting, unblocks idle connections, lets in-flight

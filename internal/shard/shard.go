@@ -90,11 +90,11 @@ type Map[K cmp.Ordered, V any] struct {
 	mobs   *obs.MapObs
 	stages *obs.StageSet
 
-	// workers are the persistent per-shard collectors behind Apply: one
-	// long-lived goroutine per shard that drives the shard's engine and
-	// collects its sub-batch results, replacing the goroutine-per-shard
-	// spawn of each Apply call. Jobs are plain struct sends, so the
-	// multi-shard fan-out costs channel operations, not goroutine churn.
+	// workers are the persistent per-shard goroutines behind fork: each
+	// runs the sub-batches handed to it through its shard's
+	// M1.ApplyInto. Persistent rather than spawned per call because the
+	// tree kernels grow a fresh goroutine's stack on every cut (DESIGN.md
+	// "Two entry points, one engine"); a job is a plain struct send.
 	workers  []chan applyJob[K, V]
 	scratch  sync.Pool // *applyScratch[K, V]
 	scratchR sync.Pool // *rangeScratch[K, V]
@@ -104,12 +104,11 @@ type Map[K cmp.Ordered, V any] struct {
 	closing sync.Once
 }
 
-// applyJob asks shard worker s to collect one submitted sub-batch into
-// dst and tick wg.
+// applyJob asks a shard worker to apply ops into res and tick wg.
 type applyJob[K cmp.Ordered, V any] struct {
-	pend core.Pending[K, V]
-	dst  []core.Result[V]
-	wg   *sync.WaitGroup
+	ops []core.Op[K, V]
+	res []core.Result[V]
+	wg  *sync.WaitGroup
 }
 
 // applyScratch is the pooled per-Apply working memory: the two-pass
@@ -123,7 +122,6 @@ type applyScratch[K cmp.Ordered, V any] struct {
 	pos     []int            // op i's slot in the shard-ordered layout
 	subOps  []core.Op[K, V]  // ops regrouped contiguously by shard
 	subRes  []core.Result[V] // results in the same layout
-	pend    []core.Pending[K, V]
 	wg      sync.WaitGroup
 }
 
@@ -240,12 +238,19 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 		m.workers[i] = ch
 		go func() {
 			for job := range ch {
-				job.pend.Collect(job.dst)
+				m.shards[i].ApplyInto(job.ops, job.res)
 				job.wg.Done()
 			}
 		}()
 	}
 	return m
+}
+
+// fork applies ops into res on shard s's worker, ticking wg when done.
+// The caller runs its own last sub-batch inline and then waits on wg.
+func (m *Map[K, V]) fork(s int, ops []core.Op[K, V], res []core.Result[V], wg *sync.WaitGroup) {
+	wg.Add(1)
+	m.workers[s] <- applyJob[K, V]{ops: ops, res: res, wg: wg}
 }
 
 // Obs returns the map's telemetry bundle (nil unless Config.Telemetry
@@ -364,7 +369,8 @@ func (m *Map[K, V]) frontDrop(k K) {
 }
 
 // commitBoundary is the shard layer's share of a batch commit, run once
-// per ApplyScattered call after collect. The whole boundary, in order:
+// per ApplyScattered call after collect and once per point op after its
+// engine returns. The whole boundary, in order:
 //
 //  1. collect — the engines apply every op. As each write, expire or
 //     ghost observation resolves at its key's serialization point the
@@ -395,9 +401,9 @@ func (m *Map[K, V]) commitBoundary() {
 // absent, so the get neither revives recency nor returns a value). A
 // write racing the sweep serializes with the observation either way:
 // if it resolves first it clears the deadline and the get degrades to
-// a harmless read of the fresh value. Runs at every batch commit
-// boundary — point ops are one-op batches, so a library workload that
-// never batches still reclaims expired keys; the common no-TTL and
+// a harmless read of the fresh value. Runs at every commit boundary —
+// point ops end in one too, so a library workload that never batches
+// still reclaims expired keys; the common no-TTL and
 // nothing-due cases pay S atomic loads, no clock read and no
 // allocation, keeping the due-key work itself off the per-op hot path.
 // Concurrent sweeps are safe: dueKeys hands out disjoint key sets and
@@ -438,14 +444,15 @@ func (m *Map[K, V]) enter() {
 	}
 }
 
-// applyOne runs one operation as a one-op batch: ApplyScattered is the
-// only way into the engines, so point ops share the batch path's commit
-// boundary instead of restating it.
+// applyOne runs one point operation through its shard's M1.Do — the
+// paper's implicit batching, so concurrent library callers still share
+// cut batches — and then the same commit boundary as a batch.
 func (m *Map[K, V]) applyOne(op core.Op[K, V]) core.Result[V] {
-	ops := [1]core.Op[K, V]{op}
-	var res [1]core.Result[V]
-	m.ApplyInto(ops[:], res[:])
-	return res[0]
+	m.enter()
+	defer m.pending.Done()
+	r := m.shards[m.shardOf(op.Key)].Do(op)
+	m.commitBoundary()
+	return r
 }
 
 // Get searches for key k. With the front cache enabled the hot path is
@@ -528,7 +535,6 @@ type rangeScratch[K cmp.Ordered, V any] struct {
 	ops  []core.Op[K, V]
 	reqs []core.RangeReq[K, V]
 	res  []core.Result[V]
-	pend []core.Pending[K, V]
 	cur  []int
 	wg   sync.WaitGroup
 }
@@ -633,7 +639,6 @@ func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 	sc.ops = grow(sc.ops, s)
 	sc.reqs = grow(sc.reqs, s)
 	sc.res = grow(sc.res, s)
-	sc.pend = grow(sc.pend, s)
 	sc.cur = grow(sc.cur, s)
 	for i := range m.shards {
 		req := &sc.reqs[i]
@@ -641,18 +646,13 @@ func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 		req.Out = req.Out[:0]
 		sc.ops[i] = core.Op[K, V]{Kind: core.OpRange, Key: lo, Range: req}
 	}
-	for i := range m.shards {
-		sc.pend[i] = m.shards[i].ApplyAsync(sc.ops[i : i+1])
-	}
-	// Collect through the persistent per-shard workers (all but the last,
-	// which this goroutine takes), as ApplyScattered does: the first
-	// Collect activates each engine, so the shards serve their pages
-	// concurrently.
+	// The shards serve their pages concurrently, as ApplyScattered's
+	// sub-batches: every shard but the last through its worker, the last
+	// on this goroutine.
 	for i := 0; i < s-1; i++ {
-		sc.wg.Add(1)
-		m.workers[i] <- applyJob[K, V]{pend: sc.pend[i], dst: sc.res[i : i+1], wg: &sc.wg}
+		m.fork(i, sc.ops[i:i+1], sc.res[i:i+1], &sc.wg)
 	}
-	sc.pend[s-1].Collect(sc.res[s-1 : s])
+	m.shards[s-1].ApplyInto(sc.ops[s-1:s], sc.res[s-1:s])
 	sc.wg.Wait()
 
 	// Bounded k-way merge of the per-shard pages. Keys are globally
@@ -704,16 +704,16 @@ func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 // batch — exactly as if they had been appended into a single ApplyInto
 // call — writing each batch's results into the aligned dsts slice, which
 // must satisfy len(dsts) == len(batches) and len(dsts[b]) ==
-// len(batches[b]). Neither the ops nor the results are ever copied into a
-// combined buffer: the counting-sort split walks the batches in place and
-// the final scatter delivers straight into each submitter's slice. This is
+// len(batches[b]). The ops are never concatenated: the counting-sort
+// split walks the batches in place into per-shard sub-batches, and the
+// final scatter delivers straight into each submitter's slice. This is
 // the map half of cross-connection group commit (internal/coalesce): the
 // per-shard sub-batches still combine duplicates across submitters,
-// because the shard engines see one batch.
+// because each shard engine sees one batch.
 //
-// It is the only way into the engines for point operations: Apply and
-// ApplyInto are its one-batch case, Get/Insert/Delete/Expire its one-op
-// case, so every operation ends in the same commitBoundary.
+// Apply and ApplyInto are its one-batch case; Get/Insert/Delete/Expire
+// take the engines' point-op path (applyOne). Every operation ends in
+// the same commitBoundary.
 func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Result[V]) {
 	m.enter()
 	defer m.pending.Done()
@@ -728,31 +728,22 @@ func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Resu
 	m.commitBoundary()
 }
 
-// collect is ApplyScattered's split → submit → collect → scatter: when it
-// returns every op is applied and its result delivered.
+// collect is ApplyScattered's split → apply → scatter: when it returns
+// every op is applied and its result delivered.
 //
 // The split is a two-pass counting sort into pooled scratch: pass one
 // routes every op and counts per shard, pass two lays the ops out
-// contiguously by shard. A combined batch that lands entirely in one
-// shard is submitted as-is and collected on the calling goroutine — no
-// regrouping, no handoff. Multi-shard batches are submitted shard by
-// shard (cheap, non-blocking) and collected by the persistent per-shard
-// workers, the caller taking the last sub-batch itself.
+// contiguously by shard in subOps. Every non-empty sub-batch but the last
+// is forked to its shard's worker, the caller applies the last itself,
+// and the results are scattered from subRes. One shard, or a batch that
+// lands in one shard, is the same code with nothing forked.
 func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], total int) {
 	// Stage timing is per batch (two clock reads when enabled), recorded
-	// as fanout (split + submit) and apply (submit to last result).
+	// as fanout (the split) and apply (first fork to last result).
 	var t0 int64
 	if m.stages != nil {
 		t0 = obs.Now()
 	}
-	if len(m.shards) == 1 {
-		pend := m.shards[0].ApplyAsyncMulti(batches)
-		tApply := m.markFanout(t0)
-		pend.CollectScattered(dsts)
-		m.stages.RecordSince(obs.StageApply, tApply)
-		return
-	}
-
 	sc, _ := m.scratch.Get().(*applyScratch[K, V])
 	if sc == nil {
 		sc = &applyScratch[K, V]{}
@@ -765,7 +756,7 @@ func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], 
 	sc.shardOf = grow(sc.shardOf, total)
 	sc.counts = grow(sc.counts, len(m.shards))
 	clear(sc.counts)
-	single := int32(-1)
+	last := 0 // highest shard index with ops
 	i := 0
 	for _, ops := range batches {
 		for _, op := range ops {
@@ -775,27 +766,12 @@ func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], 
 				// range entry point.
 				panic("shard: OpRange submitted through Apply; use RangePage")
 			}
-			s := int32(m.shardOf(op.Key))
-			sc.shardOf[i] = s
+			s := m.shardOf(op.Key)
+			sc.shardOf[i] = int32(s)
 			sc.counts[s]++
-			single = s
+			last = max(last, s)
 			i++
 		}
-	}
-	nonEmpty := 0
-	for _, c := range sc.counts {
-		if c > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty == 1 {
-		// Single-shard fast path: submission order is already sub-batch
-		// order, so the engine can take the batches as they are.
-		pend := m.shards[single].ApplyAsyncMulti(batches)
-		tApply := m.markFanout(t0)
-		pend.CollectScattered(dsts)
-		m.stages.RecordSince(obs.StageApply, tApply)
-		return
 	}
 
 	// Pass two: contiguous by-shard layout via prefix offsets, walking the
@@ -810,7 +786,7 @@ func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], 
 	sc.subOps = grow(sc.subOps, total)
 	sc.subRes = grow(sc.subRes, total)
 	sc.pos = grow(sc.pos, total)
-	cursor := sc.counts // reuse as per-shard fill cursor
+	cursor := sc.counts // reuse as per-shard fill cursor; ends as sub-batch ends
 	copy(cursor, sc.starts)
 	i = 0
 	for _, ops := range batches {
@@ -823,27 +799,14 @@ func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], 
 		}
 	}
 
-	sc.pend = grow(sc.pend, len(m.shards))
-	last := -1
-	for s := range m.shards {
-		lo, hi := sc.starts[s], cursor[s]
-		if lo == hi {
-			sc.pend[s] = core.Pending[K, V]{}
-			continue
-		}
-		sc.pend[s] = m.shards[s].ApplyAsync(sc.subOps[lo:hi])
-		last = s
-	}
 	tApply := m.markFanout(t0)
-	for s := range m.shards {
-		lo, hi := sc.starts[s], cursor[s]
-		if lo == hi || s == last {
-			continue
+	for s := range last {
+		if lo, hi := sc.starts[s], cursor[s]; lo < hi {
+			m.fork(s, sc.subOps[lo:hi], sc.subRes[lo:hi], &sc.wg)
 		}
-		sc.wg.Add(1)
-		m.workers[s] <- applyJob[K, V]{pend: sc.pend[s], dst: sc.subRes[lo:hi], wg: &sc.wg}
 	}
-	sc.pend[last].Collect(sc.subRes[sc.starts[last]:cursor[last]])
+	lo, hi := sc.starts[last], cursor[last]
+	m.shards[last].ApplyInto(sc.subOps[lo:hi], sc.subRes[lo:hi])
 	sc.wg.Wait()
 	m.stages.RecordSince(obs.StageApply, tApply)
 

@@ -11,7 +11,8 @@ import (
 // takes one for every node that overflows, while the recency sequences
 // still split and rejoin their spines at every pop and push —
 // and that churn is almost all of the engines' residual steady-state
-// allocation (EXPERIMENTS.md E18). A pool turns it into reuse.
+// allocation (E18 in docs/history/EXPERIMENTS_E18-E23.md). A pool turns it into
+// reuse.
 //
 // Only routing nodes are pooled, which the types enforce: leaves are
 // identity — the maps hold direct pointers to them across segment moves

@@ -1,7 +1,9 @@
 package pws
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,8 +14,10 @@ import (
 // Concurrent linearizability-style property test: many goroutines hammer
 // one map with a randomized Get/Insert/Delete mix over a shared key space,
 // and every single result is cross-checked against a mutex-guarded
-// reference model. A scanner goroutine additionally pages Range reads and
-// checks every returned pair against the model's per-key history.
+// reference model. Batch workers submit the same mix as multi-key Apply/
+// ApplyInto calls beside them, so a map's two entry paths race on one
+// engine. A scanner goroutine additionally pages Range reads and checks
+// every returned pair against the model's per-key history.
 //
 // The reference is striped per key: an operation holds its key's stripe
 // lock across (map op + model op), so same-key operations are serialized
@@ -122,6 +126,67 @@ func (m *refModel) liveWithin(k, v int, t0, t1 int64) bool {
 	return false
 }
 
+// pointOp turns a draw from [0, 5) into the worker mix: 2/5 insert, 1/5
+// delete, 2/5 get.
+func pointOp(draw, k, v int) Op[int, int] {
+	switch draw {
+	case 0, 1:
+		return Op[int, int]{Kind: OpInsert, Key: k, Val: v}
+	case 2:
+		return Op[int, int]{Kind: OpDelete, Key: k}
+	}
+	return Op[int, int]{Kind: OpGet, Key: k}
+}
+
+// doPoint runs op through the map's point methods.
+func doPoint(m ConcurrentMap[int, int], op Op[int, int]) (r Result[int]) {
+	switch op.Kind {
+	case OpInsert:
+		r.Val, r.OK = m.Insert(op.Key, op.Val)
+	case OpDelete:
+		r.Val, r.OK = m.Delete(op.Key)
+	default:
+		r.Val, r.OK = m.Get(op.Key)
+	}
+	return r
+}
+
+// settle checks the result r of a get, insert or delete against want, the
+// key's state before the op, classified over the call's wall-clock window
+// [t0, t1], and records a write as the key's new entry stamped [pre, post]
+// (an insert clears any armed TTL: the new entry has none). It returns a
+// description of the violation, or "". Caller holds the stripe.
+func (m *refModel) settle(op Op[int, int], want histEntry, r Result[int], t0, t1, pre, post int64) string {
+	var msg string
+	switch want.classify(t0, t1) {
+	case +1:
+		if !r.OK || r.Val != want.val {
+			msg = fmt.Sprintf("= (%d, %v), model (%d, %v)", r.Val, r.OK, want.val, want.ok)
+		}
+	case -1:
+		if r.OK {
+			msg = fmt.Sprintf("= (%d, true), model absent (expired or deleted)", r.Val)
+		}
+	default:
+		if r.OK && r.Val != want.val {
+			msg = fmt.Sprintf("= stale %d, model (%d, %v)", r.Val, want.val, want.ok)
+		}
+	}
+	switch op.Kind {
+	case OpInsert:
+		m.record(op.Key, histEntry{val: op.Val, ok: true, start: pre, end: post})
+	case OpDelete:
+		m.record(op.Key, histEntry{ok: false, start: pre, end: post})
+	}
+	return msg
+}
+
+// batcher is the batch surface M1, M2 and Sharded share.
+type batcher interface {
+	Apply(ops []Op[int, int]) []Result[int]
+	ApplyInto(ops []Op[int, int], dst []Result[int]) []Result[int]
+}
+
 // rangePager is one cursor page read: [lo, hi) exclusive-lo when xlo,
 // at most limit pairs into dst, reporting (page, more).
 type rangePager func(lo int, xlo bool, hi, limit int, dst []KV[int, int]) ([]KV[int, int], bool)
@@ -158,8 +223,9 @@ func runLinearizabilityTest(t *testing.T, m ConcurrentMap[int, int], expiry bool
 	defer m.Close()
 
 	const (
-		numKeys = 128
-		workers = 8
+		numKeys      = 128
+		workers      = 8
+		batchWorkers = 2
 	)
 	opsPer := 4000
 	if testing.Short() {
@@ -200,54 +266,17 @@ func runLinearizabilityTest(t *testing.T, m ConcurrentMap[int, int], expiry bool
 				v := w*1_000_000 + i // unique per (worker, step)
 				model.stripes[k].Lock()
 				want := model.current(k)
-				switch rng.Intn(mix) {
-				case 0, 1: // insert
+				switch d := rng.Intn(mix); d {
+				default: // insert, delete or get
+					op := pointOp(d, k, v)
 					t0 := clk()
 					pre := model.clock.Add(1)
-					old, existed := m.Insert(k, v)
+					r := doPoint(m, op)
 					post := model.clock.Add(1)
 					t1 := clk()
-					switch want.classify(t0, t1) {
-					case +1:
-						if !existed || old != want.val {
-							fail("worker %d: Insert(%d) = (%d, %v), model (%d, %v)",
-								w, k, old, existed, want.val, want.ok)
-						}
-					case -1:
-						if existed {
-							fail("worker %d: Insert(%d) found (%d, true), model absent", w, k, old)
-						}
-					default:
-						if existed && old != want.val {
-							fail("worker %d: Insert(%d) found stale value %d, model (%d, %v)",
-								w, k, old, want.val, want.ok)
-						}
+					if msg := model.settle(op, want, r, t0, t1, pre, post); msg != "" {
+						fail("worker %d: %v(%d) %s", w, op.Kind, k, msg)
 					}
-					// An insert clears any armed TTL: the new entry has none.
-					model.record(k, histEntry{val: v, ok: true, start: pre, end: post})
-				case 2: // delete
-					t0 := clk()
-					pre := model.clock.Add(1)
-					got, ok := m.Delete(k)
-					post := model.clock.Add(1)
-					t1 := clk()
-					switch want.classify(t0, t1) {
-					case +1:
-						if !ok || got != want.val {
-							fail("worker %d: Delete(%d) = (%d, %v), model (%d, %v)",
-								w, k, got, ok, want.val, want.ok)
-						}
-					case -1:
-						if ok {
-							fail("worker %d: Delete(%d) removed (%d, true), model absent", w, k, got)
-						}
-					default:
-						if ok && got != want.val {
-							fail("worker %d: Delete(%d) removed stale value %d, model (%d, %v)",
-								w, k, got, want.val, want.ok)
-						}
-					}
-					model.record(k, histEntry{ok: false, start: pre, end: post})
 				case 5: // expire (only in the expiry mix)
 					// Half the arms use an already-past deadline — a lazy
 					// delete whose reads must miss immediately — and half a
@@ -292,30 +321,62 @@ func runLinearizabilityTest(t *testing.T, m ConcurrentMap[int, int], expiry bool
 						// either way it reads absent from here on.
 						model.record(k, histEntry{ok: false, start: pre, end: post})
 					}
-				default: // get
-					t0 := clk()
-					got, ok := m.Get(k)
-					t1 := clk()
-					switch want.classify(t0, t1) {
-					case +1:
-						if !ok || got != want.val {
-							fail("worker %d: Get(%d) = (%d, %v), model (%d, %v)",
-								w, k, got, ok, want.val, want.ok)
-						}
-					case -1:
-						if ok {
-							fail("worker %d: Get(%d) = (%d, true), model absent (expired or deleted)", w, k, got)
-						}
-					default:
-						if ok && got != want.val {
-							fail("worker %d: Get(%d) = stale %d, model (%d, %v)",
-								w, k, got, want.val, want.ok)
-						}
-					}
 				}
 				model.stripes[k].Unlock()
 			}
 		}(w)
+	}
+
+	// Batch workers: each step submits 2–8 ops on distinct keys as one
+	// Apply or ApplyInto — M1's mutex path and the shard workers, racing
+	// the point workers' Do/activation path on the same engines. A batch
+	// holds all its keys' stripes (taken in key order), so every op is
+	// checked exactly like a point op, against its key's history over the
+	// batch's call window.
+	if b, ok := any(m).(batcher); ok {
+		for w := workers; w < workers+batchWorkers; w++ {
+			writersWg.Add(1)
+			go func(w int) {
+				defer writersWg.Done()
+				rng := rand.New(rand.NewSource(int64(w) * 7919))
+				var (
+					keys  []int
+					ops   []Op[int, int]
+					wants []histEntry
+					res   []Result[int]
+				)
+				for i := 0; i < opsPer/4; i++ {
+					keys = keys[:0]
+					for n := 2 + rng.Intn(7); len(keys) < n; {
+						if k := rng.Intn(numKeys); !slices.Contains(keys, k) {
+							keys = append(keys, k)
+						}
+					}
+					slices.Sort(keys)
+					ops, wants = ops[:0], wants[:0]
+					for j, k := range keys {
+						model.stripes[k].Lock()
+						wants = append(wants, model.current(k))
+						ops = append(ops, pointOp(rng.Intn(5), k, w*1_000_000+i*8+j))
+					}
+					t0 := clk()
+					pre := model.clock.Add(1)
+					if i%2 == 0 {
+						res = b.Apply(ops)
+					} else {
+						res = b.ApplyInto(ops, res)
+					}
+					post := model.clock.Add(1)
+					t1 := clk()
+					for j, op := range ops {
+						if msg := model.settle(op, wants[j], res[j], t0, t1, pre, post); msg != "" {
+							fail("batch worker %d: %v(%d) in a batch of %d %s", w, op.Kind, op.Key, len(ops), msg)
+						}
+						model.stripes[op.Key].Unlock()
+					}
+				}
+			}(w)
+		}
 	}
 
 	// Scanner: pages Range reads concurrently with the writers and checks

@@ -51,7 +51,7 @@ func TestAllocsInstrumentedM1Get(t *testing.T) {
 		m.Insert(i, i)
 	}
 	m.Get(7)
-	const ceiling = 20 // same as the uninstrumented ceiling
+	const ceiling = 4 // same as the uninstrumented ceiling; measured 0 at GOMAXPROCS 1/2/4
 	if n := testing.AllocsPerRun(200, func() { m.Get(7) }); n > ceiling {
 		t.Errorf("instrumented warm M1 Get: %.1f allocs/op, ceiling %d", n, ceiling)
 	}

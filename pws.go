@@ -146,6 +146,12 @@ func (o Options) toConfig() core.Config {
 // M1 is the simple batched parallel working-set map (paper Section 6,
 // Theorem 3). Its total work over any concurrent operation sequence is
 // O(W_L + e_L log p) for some linearization L. Safe for concurrent use.
+//
+// It has two ways in. Get, Insert, Delete, Range and Do are the paper's
+// implicit batching: concurrent callers' operations are buffered and cut
+// into batches by the engine. Apply and ApplyInto take a batch the caller
+// already has and run it on the calling goroutine, cut by the same rule,
+// with no per-operation frame or wait.
 type M1[K cmp.Ordered, V any] struct {
 	*core.M1[K, V]
 }
