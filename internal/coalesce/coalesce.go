@@ -16,6 +16,19 @@
 // batch's application (or, with MaxDelay set, during the current window)
 // rides the next combined batch.
 //
+// # Who a cut waits for
+//
+// With a window, a cut waits for the submitters the previous cut just
+// released, not for a number of operations: each cut stamps the jobs it
+// takes, and the next one fires as soon as three quarters of them are
+// back — resubmitted, or reported by Skip when a submitter has nothing
+// to commit this round or is gone. Submitters the previous cut did not
+// carry ride whatever cut they land in but are never waited for, and a
+// cold coalescer, having released nobody yet, waits out its first
+// window. Counting submitters rather than operations is what lets a lone
+// client with one-op jobs, or two clients with uneven job sizes, share
+// cuts without a window wait on every one.
+//
 // # Ordering and fairness
 //
 // Jobs commit in strict submission (FIFO) order, and every cut takes the
@@ -40,6 +53,7 @@ package coalesce
 
 import (
 	"cmp"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,12 +96,12 @@ type Config struct {
 	// what queued while the previous one was being applied.
 	//
 	// A positive MaxDelay is a bound, not a fixed wait: the commit loop
-	// also cuts as soon as the queue has refilled to (three quarters of)
-	// the previous cut's size. At saturation — every client resubmitting as soon as
-	// its last batch commits — consecutive cuts therefore chain with no
-	// window wait at all, and throughput is set by batch application
-	// time, not by MaxDelay; the full window is only ever waited out when
-	// traffic is ramping down past its previous scale.
+	// also cuts as soon as three quarters of the jobs the previous cut
+	// released are back (resubmitted, or reported by Skip). The full
+	// window is waited out only by a cold coalescer's first cut, or when
+	// more than a quarter of the last cut's submitters went quiet without
+	// a Skip — and then once, since the cut that follows waits only for
+	// the submitters it carried.
 	MaxDelay time.Duration
 	// Stages, when non-nil, receives batch-lifecycle timings: each job's
 	// Submit-to-cut wait (StageQueueWait) and each batch's open-window
@@ -108,14 +122,16 @@ func (c Config) withDefaults() Config {
 // Stats is a snapshot of the Coalescer's counters.
 type Stats struct {
 	// Batches is the number of combined batches committed; Ops the total
-	// operations they carried; MaxBatch the largest single combined batch.
+	// operations they carried; MaxBatch the largest single combined batch;
+	// Jobs the jobs they carried, so Jobs/Batches is submitters per cut.
 	// The JSON form is part of the server's /statsz schema.
 	Batches  int64 `json:"batches"`
 	Ops      int64 `json:"ops"`
 	MaxBatch int64 `json:"max_batch"`
+	Jobs     int64 `json:"jobs"`
 	// SizeCuts, WindowCuts and DrainCuts split Batches by what triggered
-	// the cut: nothing left to wait for (the MaxBatch threshold, the
-	// adaptive refill-to-previous-size trigger, or MaxDelay zero, where
+	// the cut: nothing left to wait for (the MaxBatch threshold, three
+	// quarters of the previous cut's jobs back, or MaxDelay zero, where
 	// every cut is immediate), the MaxDelay window expiring, or the Close
 	// drain.
 	SizeCuts   int64 `json:"size_cuts"`
@@ -150,6 +166,10 @@ type Job[K cmp.Ordered, V any] struct {
 	// submitAt is the Submit timestamp (obs.Now), set only when the
 	// coalescer traces stages; commit turns it into the queue-wait.
 	submitAt int64
+	// cut is the sequence number of the last cut that carried the job,
+	// zeroed once the job is counted back (see Coalescer.rejoin). Guarded
+	// by the coalescer's mu.
+	cut uint64
 }
 
 // Wait blocks until the job's combined batch has been applied and Res is
@@ -168,22 +188,17 @@ type Coalescer[K cmp.Ordered, V any] struct {
 	nops    int
 	firstAt time.Time // submission time of jobs[0]
 	closing bool
+	// seq numbers the cuts; back counts the jobs of cut seq that have
+	// returned since, and the next cut is due once back reaches due
+	// (three quarters of that cut's jobs; unreachable before the first
+	// cut, so a cold coalescer waits out its window).
+	seq  uint64
+	back int
+	due  int
 
 	kick chan struct{} // wakes the commit loop; cap 1, lossy
 	done chan struct{}
 	once sync.Once
-
-	// lastCut is the op count of the previous cut, driving the adaptive
-	// refill trigger (see Config.MaxDelay). Commit-loop private; starts
-	// at MaxBatch so a cold coalescer waits the full window while it
-	// learns the traffic's scale.
-	lastCut int
-	// wakeAt is the current cut threshold in ops, published by the
-	// commit loop so Submit can kick it the moment the queue crosses the
-	// refill (or size) trigger — without this, a submission that
-	// completes the batch while the loop sleeps on the window timer
-	// would wait out the whole window anyway.
-	wakeAt atomic.Int64
 
 	// commit-loop private scratch (only the loop touches these).
 	timer   *time.Timer
@@ -191,7 +206,7 @@ type Coalescer[K cmp.Ordered, V any] struct {
 	dsts    [][]core.Result[V]
 
 	st struct {
-		batches, ops, maxBatch          atomic.Int64
+		batches, ops, maxBatch, jobs    atomic.Int64
 		sizeCuts, windowCuts, drainCuts atomic.Int64
 		absorbed                        atomic.Int64
 	}
@@ -206,9 +221,8 @@ func New[K cmp.Ordered, V any](cfg Config, apply Applier[K, V]) *Coalescer[K, V]
 		kick:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
 		timer: time.NewTimer(time.Hour),
+		due:   math.MaxInt,
 	}
-	c.lastCut = c.cfg.MaxBatch
-	c.wakeAt.Store(int64(c.cfg.MaxBatch))
 	if !c.timer.Stop() {
 		<-c.timer.C
 	}
@@ -222,6 +236,7 @@ func (c *Coalescer[K, V]) Stats() Stats {
 		Batches:    c.st.batches.Load(),
 		Ops:        c.st.ops.Load(),
 		MaxBatch:   c.st.maxBatch.Load(),
+		Jobs:       c.st.jobs.Load(),
 		SizeCuts:   c.st.sizeCuts.Load(),
 		WindowCuts: c.st.windowCuts.Load(),
 		DrainCuts:  c.st.drainCuts.Load(),
@@ -264,13 +279,50 @@ func (c *Coalescer[K, V]) Submit(j *Job[K, V]) {
 	if wasEmpty {
 		c.firstAt = time.Now()
 	}
-	wake := wasEmpty || c.nops >= int(c.wakeAt.Load())
+	// Kick the loop when the cut may be due: it sleeps on the window
+	// timer otherwise, and a submission that completes the cut would
+	// wait out the whole window anyway.
+	wake := c.rejoin(j) || wasEmpty || c.nops >= c.cfg.MaxBatch
 	c.mu.Unlock()
 	if wake {
-		select {
-		case c.kick <- struct{}{}:
-		default:
-		}
+		c.wake()
+	}
+}
+
+// Skip reports that j's submitter is back without anything to commit —
+// its round was answered without a Submit, or it is going away — so a
+// cut waiting for the jobs the previous cut released stops waiting for
+// this one. It is a no-op without a window, for a job the latest cut did
+// not carry, and after the job has already been counted back; it is safe
+// after Close.
+func (c *Coalescer[K, V]) Skip(j *Job[K, V]) {
+	if c.cfg.MaxDelay == 0 {
+		return
+	}
+	c.mu.Lock()
+	wake := c.rejoin(j) && len(c.jobs) > 0
+	c.mu.Unlock()
+	if wake {
+		c.wake()
+	}
+}
+
+// rejoin counts j back if the latest cut carried it, and reports whether
+// that completes the quorum the next cut waits for. Caller holds mu.
+func (c *Coalescer[K, V]) rejoin(j *Job[K, V]) bool {
+	if j.cut != c.seq {
+		return false
+	}
+	j.cut = 0
+	c.back++
+	return c.back == c.due
+}
+
+// wake kicks the commit loop without blocking.
+func (c *Coalescer[K, V]) wake() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -283,10 +335,7 @@ func (c *Coalescer[K, V]) Close() {
 		c.mu.Lock()
 		c.closing = true
 		c.mu.Unlock()
-		select {
-		case c.kick <- struct{}{}:
-		default:
-		}
+		c.wake()
 	})
 	<-c.done
 }
@@ -317,28 +366,19 @@ func (c *Coalescer[K, V]) run() {
 			<-c.kick
 			c.mu.Lock()
 		}
-		// Wait out the residual window; the size triggers or Close cut
-		// early. refill is the adaptive trigger: once the queue holds
-		// three quarters of the previous cut (the margin tolerates a few
-		// straggling resubmitters), more waiting is unlikely to grow the
-		// batch — at saturation this chains cuts back to back, so the
-		// window never sits on the critical path. Re-arming a fresh wait
-		// after every wake keeps the policy exact under spurious kicks.
-		refill := c.lastCut - c.lastCut/4
-		if refill < 2 {
-			refill = 2
-		}
-		if refill > c.cfg.MaxBatch {
-			refill = c.cfg.MaxBatch
-		}
-		c.wakeAt.Store(int64(refill))
+		// Wait out the residual window; MaxBatch, the return of the
+		// previous cut's submitters, or Close cut early. The quorum is
+		// three quarters of them: the margin tolerates a straggler
+		// without letting one missing submitter cost every cut a window.
+		// Re-arming a fresh wait after every wake keeps the policy exact
+		// under spurious kicks.
 		cause := cutWindow
 		for {
 			if c.closing {
 				cause = cutDrain
 				break
 			}
-			if c.cfg.MaxDelay == 0 || c.nops >= c.cfg.MaxBatch || c.nops >= refill {
+			if c.cfg.MaxDelay == 0 || c.nops >= c.cfg.MaxBatch || c.back >= c.due {
 				cause = cutSize
 				break
 			}
@@ -363,18 +403,23 @@ func (c *Coalescer[K, V]) run() {
 			c.mu.Lock()
 		}
 		// Cut the whole queue: batches stay contiguous prefixes of the
-		// submission order.
+		// submission order. Stamping the jobs opens the next cut's wait
+		// for them.
 		jobs := c.jobs
 		nops := c.nops
 		if c.cfg.Stages != nil {
 			c.cfg.Stages.Record(obs.StageWindowWait, int64(time.Since(c.firstAt)))
 		}
+		c.seq++
+		for _, j := range jobs {
+			j.cut = c.seq
+		}
+		c.back, c.due = 0, len(jobs)-len(jobs)/4
 		c.jobs = c.free[:0]
 		c.free = jobs
 		c.nops = 0
 		c.mu.Unlock()
 
-		c.lastCut = nops
 		c.commit(jobs, nops, cause)
 	}
 }
@@ -402,6 +447,7 @@ func (c *Coalescer[K, V]) commit(jobs []*Job[K, V], nops int, cause cutCause) {
 	// after Wait finds its own batch in them.
 	c.st.batches.Add(1)
 	c.st.ops.Add(int64(nops))
+	c.st.jobs.Add(int64(len(jobs)))
 	for {
 		cur := c.st.maxBatch.Load()
 		if int64(nops) <= cur || c.st.maxBatch.CompareAndSwap(cur, int64(nops)) {

@@ -147,49 +147,180 @@ func TestCoalesceCutPolicy(t *testing.T) {
 	}
 }
 
-// TestCoalesceRefillTrigger checks the adaptive trigger end to end: after
-// a window-bounded cut establishes the traffic's scale, a queue refilling
-// to three quarters of that scale must commit immediately — including the
-// Submit-side wake-up. Without the wake, the submission that crosses the
-// threshold while the commit loop sleeps on the window timer would wait
-// out the whole window anyway.
+// insertJob returns a one-op job writing key.
+func insertJob(key string) *Job[string, string] {
+	return &Job[string, string]{Ops: []core.Op[string, string]{{Kind: core.OpInsert, Key: key, Val: "v"}}}
+}
+
+// submitAll submits jobs in order and waits for all of them.
+func submitAll(c *Coalescer[string, string], jobs ...*Job[string, string]) {
+	for _, j := range jobs {
+		c.Submit(j)
+	}
+	for _, j := range jobs {
+		j.Wait()
+	}
+}
+
+// TestCoalesceRefillTrigger checks the returning-submitters trigger end to
+// end: after a window-bounded cut carries eight jobs, the next cut must
+// commit as soon as six of them (three quarters) are resubmitted —
+// including the Submit-side wake-up. Without the wake, the submission that
+// completes the quorum while the commit loop sleeps on the window timer
+// would wait out the whole window anyway.
 func TestCoalesceRefillTrigger(t *testing.T) {
 	const window = 300 * time.Millisecond
 	c, _ := newMapCoalescer(t, Config{MaxBatch: 1 << 20, MaxDelay: window}, 1)
 
-	// Wave 1: eight single-op jobs land well inside the window and commit
-	// as one window-bounded cut, teaching the coalescer lastCut = 8.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			j := &Job[string, string]{Ops: []core.Op[string, string]{
-				{Kind: core.OpInsert, Key: fmt.Sprintf("w%d", i), Val: "v"}}}
-			c.Submit(j)
-			j.Wait()
-		}(i)
+	// Wave 1: eight single-op jobs land well inside the cold window and
+	// commit as one window-bounded cut.
+	jobs := make([]*Job[string, string], 8)
+	for i := range jobs {
+		jobs[i] = insertJob(fmt.Sprintf("w%d", i))
 	}
-	wg.Wait()
-	if st := c.Stats(); st.WindowCuts == 0 {
-		t.Fatalf("wave 1 did not establish scale via a window cut: %+v", st)
+	submitAll(c, jobs...)
+	if st := c.Stats(); st.WindowCuts != 1 || st.Jobs != 8 {
+		t.Fatalf("wave 1 was not one window-bounded cut of 8 jobs: %+v", st)
 	}
 
-	// Wave 2: a six-op job crosses the refill threshold (3/4 of 8) the
-	// moment it is submitted; it must commit far inside the window.
-	j := &Job[string, string]{}
-	for i := 0; i < 6; i++ {
-		j.Ops = append(j.Ops, core.Op[string, string]{
-			Kind: core.OpInsert, Key: fmt.Sprintf("r%d", i), Val: "v"})
-	}
+	// Wave 2: six of the eight come back, one goroutine each, so the
+	// commit loop is already asleep on the window when the quorum lands;
+	// they must commit far inside the window.
 	start := time.Now()
-	c.Submit(j)
-	j.Wait()
-	if el := time.Since(start); el > window/2 {
-		t.Errorf("refill-triggered cut took %v; the window (%v) leaked onto the critical path", el, window)
+	var wg sync.WaitGroup
+	for _, j := range jobs[:6] {
+		wg.Add(1)
+		go func(j *Job[string, string]) {
+			defer wg.Done()
+			submitAll(c, j)
+		}(j)
 	}
-	if st := c.Stats(); st.SizeCuts == 0 {
-		t.Errorf("refill cut not recorded as a size cut: %+v", st)
+	wg.Wait()
+	if el := time.Since(start); el > window/2 {
+		t.Errorf("quorum-triggered cut took %v; the window (%v) leaked onto the critical path", el, window)
+	}
+	if st := c.Stats(); st.WindowCuts != 1 || st.Jobs != 14 {
+		t.Errorf("wave 2 waited out a window or lost a job: %+v", st)
+	}
+}
+
+// TestCoalesceLoneSubmitter checks the shape the ops-counting trigger got
+// wrong: one submitter sending one-op jobs back to back. Only the cold
+// coalescer's first cut waits out the window; every later cut fires the
+// moment the one job it waits for comes back.
+func TestCoalesceLoneSubmitter(t *testing.T) {
+	const n = 200
+	c, _ := newMapCoalescer(t, Config{MaxBatch: 1 << 20, MaxDelay: 20 * time.Millisecond}, 2)
+	j := insertJob("k")
+	for i := 0; i < n; i++ {
+		submitAll(c, j)
+	}
+	st := c.Stats()
+	if st.Batches != n || st.WindowCuts != 1 || st.SizeCuts != n-1 {
+		t.Errorf("%d lone jobs: %+v, want %d batches and only the first a window cut", n, st, n)
+	}
+}
+
+// TestCoalesceUnevenSubmittersConverge runs two free-running submitters
+// whose jobs differ eightfold in size. Counting operations, the small
+// job's cut never reached three quarters of the big one's and waited out
+// the window; counting submitters, both ride the cold window's cut, every
+// later cut waits for both, and none waits out the window. The window is
+// wide so that a submitter the scheduler leaves unscheduled for a few
+// milliseconds is still waited for: one that stays out longer than the
+// window is taken for gone, and the other then cuts alone.
+func TestCoalesceUnevenSubmittersConverge(t *testing.T) {
+	const rounds = 100
+	c, _ := newMapCoalescer(t, Config{MaxBatch: 1 << 20, MaxDelay: 50 * time.Millisecond}, 2)
+	var wg sync.WaitGroup
+	for id, size := range []int{1, 8} {
+		j := &Job[string, string]{}
+		for i := 0; i < size; i++ {
+			j.Ops = append(j.Ops, core.Op[string, string]{
+				Kind: core.OpInsert, Key: fmt.Sprintf("s%d-%d", id, i), Val: "v"})
+		}
+		wg.Add(1)
+		go func(j *Job[string, string]) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				submitAll(c, j)
+			}
+		}(j)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.WindowCuts > 2 || st.Batches > rounds+rounds/10 {
+		t.Errorf("uneven submitters did not converge to shared cuts: %+v (avg %.2f jobs/cut)",
+			st, float64(st.Jobs)/float64(st.Batches))
+	}
+	t.Logf("%+v", st)
+}
+
+// TestCoalesceSkipReleasesCut checks that Skip stands in for a job that
+// will not be resubmitted: with two jobs released, one resubmission alone
+// is short of the quorum and waits, and the other's Skip fires the cut.
+func TestCoalesceSkipReleasesCut(t *testing.T) {
+	const window = 10 * time.Second
+	// MaxBatch 2 cuts the two one-op jobs at once, skipping the cold window.
+	c, _ := newMapCoalescer(t, Config{MaxBatch: 2, MaxDelay: window}, 1)
+	a, b := insertJob("a"), insertJob("b")
+	submitAll(c, a, b)
+
+	start := time.Now()
+	c.Submit(a)
+	time.Sleep(20 * time.Millisecond) // the loop is now asleep on the window
+	if st := c.Stats(); st.Batches != 1 {
+		t.Fatalf("a cut fired with half its quorum back: %+v", st)
+	}
+	c.Skip(b)
+	a.Wait()
+	if el := time.Since(start); el > window/2 {
+		t.Errorf("Skip did not release the waiting cut: it took %v", el)
+	}
+	if st := c.Stats(); st.WindowCuts != 0 || st.Batches != 2 {
+		t.Errorf("want two size cuts and no window cut: %+v", st)
+	}
+}
+
+// TestCoalesceVanishedSubmitter checks that a submitter which goes quiet
+// without a Skip costs one window, not one per cut: the cut after the one
+// that carried it waits only for the submitters still present.
+func TestCoalesceVanishedSubmitter(t *testing.T) {
+	const rounds = 10
+	c, _ := newMapCoalescer(t, Config{MaxBatch: 2, MaxDelay: 20 * time.Millisecond}, 1)
+	a, b := insertJob("a"), insertJob("b")
+	submitAll(c, a, b) // one size cut; b never comes back
+	for r := 0; r < rounds; r++ {
+		submitAll(c, a)
+	}
+	if st := c.Stats(); st.WindowCuts != 1 || st.SizeCuts != rounds {
+		t.Errorf("a vanished submitter cost %d windows, want 1: %+v", st.WindowCuts, st)
+	}
+}
+
+// TestCoalesceNewSubmitterRides checks that a submitter the previous cut
+// did not carry rides the next cut without counting toward it: with a and
+// c released, a newcomer b queued beside a does not fire the cut; it
+// fires when c is back too, and carries all three.
+func TestCoalesceNewSubmitterRides(t *testing.T) {
+	// a has one op and c two, so MaxBatch 3 cuts them at once, skipping
+	// the cold window, while b and a alone stay below it.
+	c, _ := newMapCoalescer(t, Config{MaxBatch: 3, MaxDelay: 10 * time.Second}, 1)
+	a, cc, b := insertJob("a"), insertJob("c"), insertJob("b")
+	cc.Ops = append(cc.Ops, core.Op[string, string]{Kind: core.OpInsert, Key: "c2", Val: "v"})
+	submitAll(c, a, cc)
+
+	c.Submit(b)
+	c.Submit(a)
+	time.Sleep(20 * time.Millisecond)
+	if st := c.Stats(); st.Batches != 1 {
+		t.Fatalf("the newcomer counted toward the quorum: %+v", st)
+	}
+	submitAll(c, cc)
+	b.Wait()
+	a.Wait()
+	if st := c.Stats(); st.Batches != 2 || st.Jobs != 5 || st.WindowCuts != 0 {
+		t.Errorf("newcomer did not ride one cut with a and c: %+v", st)
 	}
 }
 

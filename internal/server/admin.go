@@ -192,6 +192,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounter("wsd_coalesce_window_cuts_total", cs.WindowCuts)
 	writeCounter("wsd_coalesce_drain_cuts_total", cs.DrainCuts)
 	writeCounter("wsd_coalesce_absorbed_total", cs.Absorbed)
+	writeCounter("wsd_coalesce_jobs_total", cs.Jobs)
 	if fs, ok := s.Front(); ok {
 		writeGauge("wsd_front_entries", fs.Entries)
 		writeCounter("wsd_front_hits_total", fs.Hits)

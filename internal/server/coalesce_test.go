@@ -108,16 +108,32 @@ func TestServerCoalescedExactReplies(t *testing.T) {
 // TestServerCoalescedDuplicateAcrossConns checks that simultaneous
 // same-key traffic from different connections rides one combined batch
 // (cross-connection duplicate combining) and that both connections still
-// get exact replies.
+// get exact replies. The front cache is off: it would answer all but the
+// first GETs of the hot key, leaving no batch to combine.
+//
+// The coalescer waits only for the connections its last cut answered, and
+// for each of them at most one window, so the test sets up both sides of
+// that rule: both connections' first commands ride the cold window's cut,
+// and the window is wide enough that a client the OS leaves unscheduled
+// for a few milliseconds (the race detector on an overcommitted machine)
+// is still waited for. At 1ms, or with one client's first command a
+// round behind, the other runs its GETs alone until it finishes.
 func TestServerCoalescedDuplicateAcrossConns(t *testing.T) {
 	const rounds = 100
-	s := newTestServer(t, Config{CoalesceWindow: time.Millisecond, CoalesceBatch: 1 << 20})
+	s := newTestServer(t, Config{CoalesceWindow: 50 * time.Millisecond, CoalesceBatch: 1 << 20, FrontCache: -1})
 	a := pipeClient(t, s)
 	b := pipeClient(t, s)
-	if err := a.Set("hot", "v0"); err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
+	set := func(c *wire.Client, k string) {
+		defer wg.Done()
+		if err := c.Set(k, "v0"); err != nil {
+			t.Errorf("SET %s: %v", k, err)
+		}
+	}
+	wg.Add(2)
+	go set(a, "hot")
+	go set(b, "warm")
+	wg.Wait()
 	get := func(c *wire.Client) {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
@@ -133,7 +149,7 @@ func TestServerCoalescedDuplicateAcrossConns(t *testing.T) {
 	go get(b)
 	wg.Wait()
 	st := s.Stats()
-	// 201 ops total; with two closed-loop clients inside a 1ms window the
+	// 202 ops total; with two closed-loop clients inside the window the
 	// two sides' GETs overwhelmingly share batches.
 	if st.Batches > st.Ops*3/4 {
 		t.Errorf("same-key gets from two conns did not coalesce: %d batches for %d ops",

@@ -35,12 +35,14 @@ type conn struct {
 	// steady state allocates nothing per pipeline. job is the one frame
 	// this connection ever has in the scheduler: its Ops alias c.ops for
 	// the duration of a segment's commit and its Res is the result
-	// buffer, grown by Submit and kept across segments.
-	cmds    []wire.Command
-	ops     []pws.Op[string, string]
-	job     coalesce.Job[string, string]
-	pending []pendingReply
-	scanBuf []pws.KV[string, string] // SCAN page buffer, reused across pages
+	// buffer, grown by Submit and kept across segments. submitted reports
+	// whether the current pipeline submitted it at all.
+	cmds      []wire.Command
+	ops       []pws.Op[string, string]
+	job       coalesce.Job[string, string]
+	submitted bool
+	pending   []pendingReply
+	scanBuf   []pws.KV[string, string] // SCAN page buffer, reused across pages
 
 	// Front-cache state (zero/unused when the store has no front).
 	// hits are the GETs of the current batch segment answered straight
@@ -162,14 +164,24 @@ const (
 // the deadline error and the connection ends silently. A frame cut in
 // half by the deadline simply ends the connection; its bytes were never
 // fully accepted, so no reply is owed.
+//
+// The coalescer waits for the connections its last cut answered, so a
+// pipeline that reaches it with no job, and the connection's end, are
+// reported with Skip: otherwise the next cut would wait out its window
+// for a job that is not coming.
 func (c *conn) serve() {
+	defer c.srv.co.Skip(&c.job)
 	for {
 		firstErr, drainErr := c.readPipeline()
 		if firstErr != nil {
 			c.finish(firstErr)
 			return
 		}
+		c.submitted = false
 		quit := c.process(c.cmds)
+		if !c.submitted {
+			c.srv.co.Skip(&c.job)
+		}
 		if drainErr != nil {
 			c.finish(drainErr)
 			return
@@ -481,6 +493,7 @@ func (c *conn) flushBatch() {
 	s := c.srv
 	if len(c.ops) > 0 {
 		c.job.Ops = c.ops
+		c.submitted = true
 		s.co.Submit(&c.job)
 		c.job.Wait()
 		installTickets(c.tickets, c.job.Res)

@@ -76,16 +76,18 @@ type Config struct {
 	// Limits are the wire-protocol frame limits.
 	Limits wire.Limits
 	// CoalesceWindow bounds the latency the group-commit scheduler may
-	// add to grow a combined batch: a cut fires when CoalesceBatch
-	// operations are pending or the oldest has waited CoalesceWindow,
-	// whichever comes first. Zero means no added latency — the commit
-	// loop cuts as soon as it is free, and combined batches form only
-	// from what queued during the previous cut's application. A window
-	// is what turns a fleet of unpipelined (depth-1) clients back into
-	// the paper's parallel batches when the server is otherwise idle
-	// between arrivals; see DESIGN.md "Cross-connection batch
-	// coalescing". It is a wait bound, not a mode: every operation takes
-	// the same path at any value.
+	// add to grow a combined batch: a cut fires when three quarters of
+	// the connections the previous cut answered are back (with their
+	// next job, or with a pipeline that needed none), when CoalesceBatch
+	// operations are pending, or when the oldest has waited
+	// CoalesceWindow, whichever comes first. Zero means no added
+	// latency — the commit loop cuts as soon as it is free, and combined
+	// batches form only from what queued during the previous cut's
+	// application. A window is what turns a fleet of unpipelined
+	// (depth-1) clients back into the paper's parallel batches when the
+	// server is otherwise idle between arrivals; see DESIGN.md
+	// "Cross-connection batch coalescing". It is a wait bound, not a
+	// mode: every operation takes the same path at any value.
 	CoalesceWindow time.Duration
 	// CoalesceBatch is the scheduler's size trigger in operations
 	// (default 1024).
@@ -572,8 +574,8 @@ func (s *Server) statsText() string {
 		st.Gets, st.Sets, st.Dels, st.Expires, st.Scans, st.Errors)
 	cs := s.CoalesceStats()
 	base += fmt.Sprintf(
-		"coalesce_window %s\ncoalesce_size_cuts %d\ncoalesce_window_cuts %d\ncoalesce_drain_cuts %d\ncoalesce_absorbed %d\n",
-		s.cfg.CoalesceWindow, cs.SizeCuts, cs.WindowCuts, cs.DrainCuts, cs.Absorbed)
+		"coalesce_window %s\ncoalesce_size_cuts %d\ncoalesce_window_cuts %d\ncoalesce_drain_cuts %d\ncoalesce_absorbed %d\ncoalesce_jobs %d\n",
+		s.cfg.CoalesceWindow, cs.SizeCuts, cs.WindowCuts, cs.DrainCuts, cs.Absorbed, cs.Jobs)
 	return base + s.statsMemory() + s.statsWAL() + s.statsFront() + s.statsTelemetry()
 }
 

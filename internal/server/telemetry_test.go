@@ -52,7 +52,7 @@ func TestStatsTextGolden(t *testing.T) {
 		"batches", "ops", "max_batch", "avg_batch",
 		"gets", "sets", "dels", "expires", "scans", "errors",
 		"coalesce_window", "coalesce_size_cuts", "coalesce_window_cuts", "coalesce_drain_cuts",
-		"coalesce_absorbed",
+		"coalesce_absorbed", "coalesce_jobs",
 	}
 	want = append(want,
 		"SECTION memory",
