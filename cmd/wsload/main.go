@@ -35,7 +35,8 @@
 // Pipeline depth is the interesting knob: the server drains each
 // connection's pipelined requests into one batch Apply, so deeper
 // pipelines mean fewer, larger batches (see the server's STATS:
-// avg_batch) — the network realization of the paper's batching.
+// server_ops / server_batches) — the network realization of the
+// paper's batching.
 //
 // The default pacing is a closed loop, which under-reports latency when
 // the server queues (coordinated omission: a slow reply also delays the

@@ -116,8 +116,9 @@
 // paper's batch economics to unpipelined fleets (each client one
 // request at a time). SCAN is a cursor-paged range read
 // served by the batched range path, so scans never stall writers. The
-// front cache is on by default server-side (-front-cache, SECTION
-// front in STATS, hit ratio via wsload -statsz).
+// front cache is on by default server-side (-front-cache; front_hits
+// and front_misses in STATS, front.* in /statsz, wsd_front_* in
+// /metrics; hit ratio via wsload -statsz).
 // cmd/wsload is the matching load generator (closed-loop pipelines,
 // open-loop fixed-rate with -rate for coordinated-omission-free
 // latency, mixed scan workloads with -scan-frac); see README.md.

@@ -124,24 +124,23 @@ type Stats struct {
 	// Batches is the number of combined batches committed; Ops the total
 	// operations they carried; MaxBatch the largest single combined batch;
 	// Jobs the jobs they carried, so Jobs/Batches is submitters per cut.
-	// The JSON form is part of the server's /statsz schema.
-	Batches  int64 `json:"batches"`
-	Ops      int64 `json:"ops"`
-	MaxBatch int64 `json:"max_batch"`
-	Jobs     int64 `json:"jobs"`
+	Batches  int64
+	Ops      int64
+	MaxBatch int64
+	Jobs     int64
 	// SizeCuts, WindowCuts and DrainCuts split Batches by what triggered
 	// the cut: nothing left to wait for (the MaxBatch threshold, three
 	// quarters of the previous cut's jobs back, or MaxDelay zero, where
 	// every cut is immediate), the MaxDelay window expiring, or the Close
 	// drain.
-	SizeCuts   int64 `json:"size_cuts"`
-	WindowCuts int64 `json:"window_cuts"`
-	DrainCuts  int64 `json:"drain_cuts"`
+	SizeCuts   int64
+	WindowCuts int64
+	DrainCuts  int64
 	// Absorbed counts operations answered before they reached the
 	// window at all (the server's hot-key front cache); they appear in
 	// no combined batch, so AvgBatch stays an honest measure of the
 	// batches that did form.
-	Absorbed int64 `json:"absorbed"`
+	Absorbed int64
 }
 
 // AvgBatch returns the mean operations per committed combined batch.

@@ -32,7 +32,7 @@ import (
 // routing node per ~10.7 leaves (twothree's node layout) — against 182 and
 // 102 when the recency-map had a leaf of its own, 240 and 160 with 64-byte
 // 2-3 routing nodes, and 431 and 351 when leaves and routing nodes shared
-// one 104-byte node type. A server's RSS runs at about 1.3 x mem_bytes
+// one 104-byte node type. A server's RSS runs at about 1.3 x memory_bytes
 // (uniform_mix: 112 MiB over 84.5 MiB accounted; 1.5 x, 1.8 x and 3.8 x
 // before).
 const itemOverhead = 96

@@ -86,30 +86,29 @@ type slot[K comparable, V any] struct {
 	p   atomic.Pointer[entry[K, V]]
 }
 
-// Stats is a snapshot of a cache's counters. The JSON form is part of
-// the server's /statsz schema.
+// Stats is a snapshot of a cache's counters.
 type Stats struct {
 	// Entries is the configured capacity in slots.
-	Entries int64 `json:"entries"`
+	Entries int64
 	// Hits and Misses count Get outcomes; Conflicts counts Gets that
 	// saw the version word move under them and fell back after one
 	// retry (they also count as misses).
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Conflicts int64 `json:"conflicts"`
+	Hits      int64
+	Misses    int64
+	Conflicts int64
 	// Reserves counts placed reservations; Installs the fallback values
 	// published through them; InstallDrops the installs refused by the
 	// version guard (an invalidation or slot reuse won the race).
-	Reserves     int64 `json:"reserves"`
-	Installs     int64 `json:"installs"`
-	InstallDrops int64 `json:"install_drops"`
+	Reserves     int64
+	Installs     int64
+	InstallDrops int64
 	// Invalidates counts slots cleared by writes, expiries and evictions;
 	// Evictions counts valid entries overwritten by reservations.
-	Invalidates int64 `json:"invalidates"`
-	Evictions   int64 `json:"evictions"`
+	Invalidates int64
+	Evictions   int64
 	// HitNS is the cached-GET latency histogram (nanoseconds per
 	// front-answered Get, measured inside Get).
-	HitNS obs.HistSnapshot `json:"-"`
+	HitNS obs.HistSnapshot
 }
 
 // Merge folds o into s (associative; used to merge per-shard stats).

@@ -34,7 +34,6 @@ func (h StatszHist) Snapshot() obs.HistSnapshot {
 // the merged working-set depth histogram with its per-source split, and
 // the batch-stage histograms (nanoseconds).
 type Statsz struct {
-	Engine       string                `json:"engine"`
 	Shards       int                   `json:"shards"`
 	Keys         int                   `json:"keys"`
 	Memory       StatszMem             `json:"memory"`

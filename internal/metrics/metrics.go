@@ -80,12 +80,11 @@ func (c *Counter) Reset() {
 	c.moves.Store(0)
 }
 
-// Snapshot is an immutable copy of a Counter's values. The JSON form is
-// part of the server's /statsz schema.
+// Snapshot is an immutable copy of a Counter's values.
 type Snapshot struct {
-	Work        int64 `json:"visits"`
-	Comparisons int64 `json:"comparisons"`
-	Moves       int64 `json:"moves"`
+	Work        int64
+	Comparisons int64
+	Moves       int64
 }
 
 // Snapshot returns the current values.

@@ -1,7 +1,7 @@
 // Package obs is the always-on observability layer: lock-free,
-// mergeable log-bucketed histograms, a monotonic-clock stage timer, and
-// the depth/stage telemetry bundles the engines and the server thread
-// through the stack.
+// mergeable log-bucketed histograms, a monotonic-clock stage timer, the
+// depth/stage telemetry bundles the engines and the server thread
+// through the stack, and the Registry every stats surface renders.
 //
 // The design constraint is the hot path: recording must cost a handful
 // of atomic adds, allocate nothing, and — like metrics.Counter — be a

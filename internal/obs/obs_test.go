@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -261,10 +263,11 @@ func TestWritePromShape(t *testing.T) {
 	h.RecordN(3, 5)
 	h.RecordN(100, 2)
 	var b strings.Builder
-	h.Snapshot().WriteProm(&b, "x", "", 1)
+	h.Snapshot().WriteProm(&b, "x", 1)
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE x histogram\n",
+		`x_bucket{le="3"} 5` + "\n",
 		`x_bucket{le="+Inf"} 7` + "\n",
 		"x_sum 215\n",
 		"x_count 7\n",
@@ -273,11 +276,77 @@ func TestWritePromShape(t *testing.T) {
 			t.Errorf("prom output missing %q:\n%s", want, out)
 		}
 	}
-	var lb strings.Builder
-	h.Snapshot().WriteProm(&lb, "y", `stage="parse"`, 1e-9)
-	if !strings.Contains(lb.String(), `y_bucket{stage="parse",le=`) {
-		t.Errorf("labeled prom output malformed:\n%s", lb.String())
+	var sb strings.Builder
+	h.Snapshot().WriteProm(&sb, "y", 1e-9)
+	if !strings.Contains(sb.String(), `y_bucket{le="4e-09"} 5`) {
+		t.Errorf("scaled prom output malformed:\n%s", sb.String())
 	}
+}
+
+// TestRegistryOneLinePerValue is the registry's contract: a value
+// registered once, in one line, appears on all three surfaces under
+// the names Names derives from its path, and each kind renders as its
+// surface expects.
+func TestRegistryOneLinePerValue(t *testing.T) {
+	r := NewRegistry("t")
+	var n atomic.Int64
+	r.Gauge("keys", func() int64 { return 7 })
+	r.Info("cfg.mode", func() string { return "fast" })
+	var h Histogram
+	h.Record(1500)
+	r.HistNS("lat.op_ns", h.Snapshot)
+	r.Counter("cfg.extra_hits", n.Load) // the one line a new counter costs
+	n.Add(3)
+
+	text := r.Text()
+	wantText := "keys 7\nSECTION cfg\ncfg_mode fast\n" +
+		"SECTION lat\nSECTION histo lat_op_ns\nlat_op_ns_count 1\n"
+	if !strings.HasPrefix(text, wantText) || !strings.HasSuffix(text, "SECTION cfg\ncfg_extra_hits 3\n") {
+		t.Errorf("Text:\n%s", text)
+	}
+
+	raw, err := json.Marshal(r.Statsz())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Keys int64
+		Cfg  struct {
+			Mode      string
+			ExtraHits int64 `json:"extra_hits"`
+		}
+		Lat struct {
+			OpNS struct{ Count, Max int64 } `json:"op_ns"`
+		}
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Keys != 7 || doc.Cfg.Mode != "fast" || doc.Cfg.ExtraHits != 3 ||
+		doc.Lat.OpNS.Count != 1 || doc.Lat.OpNS.Max != 1500 {
+		t.Errorf("Statsz = %s", raw)
+	}
+
+	var prom strings.Builder
+	r.WriteProm(&prom)
+	for _, want := range []string{
+		"# TYPE t_keys gauge\nt_keys 7\n",
+		"# TYPE t_cfg_mode gauge\nt_cfg_mode{value=\"fast\"} 1\n",
+		"# TYPE t_lat_op_seconds histogram\n",
+		"t_lat_op_seconds_count 1\n",
+		"# TYPE t_cfg_extra_hits_total counter\nt_cfg_extra_hits_total 3\n",
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("WriteProm missing %q:\n%s", want, prom.String())
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("registering a path twice did not panic")
+		}
+	}()
+	r.Gauge("keys", n.Load)
 }
 
 // TestStageSet checks stage recording and naming.

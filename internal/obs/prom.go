@@ -45,14 +45,9 @@ func FromBuckets(count, sum, max int64, buckets []int64) HistSnapshot {
 }
 
 // WriteProm writes the snapshot in Prometheus text exposition format as
-// a cumulative histogram named name. labels ("" or `key="v",...`) are
-// spliced into every series; scale multiplies values on the way out
-// (1e-9 turns nanoseconds into seconds, the Prometheus base unit).
-func (s HistSnapshot) WriteProm(w io.Writer, name, labels string, scale float64) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
+// a cumulative histogram named name; scale multiplies values on the way
+// out (1e-9 turns nanoseconds into seconds, the Prometheus base unit).
+func (s HistSnapshot) WriteProm(w io.Writer, name string, scale float64) {
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	cum := int64(0)
 	hi := s.highBucket()
@@ -66,13 +61,9 @@ func (s HistSnapshot) WriteProm(w io.Writer, name, labels string, scale float64)
 			bound = BucketHi(i) - 1
 		}
 		le := strconv.FormatFloat(bound, 'g', -1, 64)
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, cum)
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count)
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, suffix, float64(s.Sum)*scale)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, s.Count)
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
+	fmt.Fprintf(w, "%s_sum %g\n", name, float64(s.Sum)*scale)
+	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
 }

@@ -1,137 +1,133 @@
-// Admin endpoint: an HTTP mux exposing the server's telemetry for
-// scraping and profiling, served on a separate listener from the wire
-// protocol (wsd -admin). Three surfaces over the same snapshots that
-// back STATS:
+// Stats surfaces. Every number the server exposes is registered once,
+// in registerStats, by its /statsz path; the STATS reply, /statsz and
+// /metrics are three renderings of that one obs.Registry, and
+// obs.Names derives each surface's name from the path:
 //
-//   - /metrics  — Prometheus text exposition: the merged working-set
-//     depth histogram, per-source resolution counters, the batch-stage
-//     duration histograms (in seconds), and the server's scalar
-//     counters.
+//	/statsz   {"coalesce": {"window_cuts": 12}}
+//	STATS     SECTION coalesce / coalesce_window_cuts 12
+//	/metrics  wsd_coalesce_window_cuts_total 12
+//
+// The admin endpoint is an HTTP mux served on a separate listener from
+// the wire protocol (wsd -admin):
+//
+//   - /metrics  — Prometheus text exposition; nanosecond histograms in
+//     seconds.
 //   - /statsz   — JSON with full (trimmed) histogram buckets, so a
 //     client can reconstruct snapshots with obs.FromBuckets, diff two
 //     scrapes with HistSnapshot.Sub, and quantile the interval — this
 //     is how wsload reports server-side percentiles per run.
 //   - /debug/pprof/* — the standard Go profiles.
 //
-// Reading telemetry never locks the data path: every histogram read is
-// an atomic snapshot.
+// Every value is an atomic load or an atomic histogram snapshot, with
+// one exception: wal.Log.Stats reads the sequence number under the
+// log's mutex, so each wal value may wait out an fsync in flight.
 package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
 
-	pws "repro"
-	"repro/internal/coalesce"
-	"repro/internal/frontcache"
-	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/wal"
 )
 
-// statszHist is one histogram in the /statsz reply: scalar summary plus
-// the trimmed bucket counts (log-bucketed, bucket i covers
-// [2^(i-1), 2^i)) from which obs.FromBuckets reconstructs the snapshot.
-type statszHist struct {
-	Count   int64   `json:"count"`
-	Sum     int64   `json:"sum"`
-	Max     int64   `json:"max"`
-	P50     float64 `json:"p50"`
-	P95     float64 `json:"p95"`
-	P99     float64 `json:"p99"`
-	Buckets []int64 `json:"buckets,omitempty"`
-}
+// registerStats builds the server's stats table. Blocks register in
+// surface order, each block's histograms after its scalars; work, wal
+// and front exist only when configured. avg_batch and a work total are
+// not registered: readers divide ops by batches, or sum the parts.
+func (s *Server) registerStats() *obs.Registry {
+	r := obs.NewRegistry("wsd")
+	r.Gauge("shards", func() int64 { return int64(s.store.Shards()) })
+	r.Gauge("keys", func() int64 { return int64(s.store.Len()) })
 
-func toStatszHist(h obs.HistSnapshot) statszHist {
-	return statszHist{
-		Count:   h.Count,
-		Sum:     h.Sum,
-		Max:     h.Max,
-		P50:     h.Quantile(0.50),
-		P95:     h.Quantile(0.95),
-		P99:     h.Quantile(0.99),
-		Buckets: h.TrimmedBuckets(),
-	}
-}
+	st := &s.st
+	r.Gauge("server.conns", st.activeConns.Load)
+	r.Counter("server.total_conns", st.totalConns.Load)
+	r.Counter("server.rejected_conns", st.rejectedConns.Load)
+	r.Counter("server.batches", st.batches.Load)
+	r.Counter("server.ops", st.ops.Load)
+	r.Gauge("server.max_batch", st.maxBatch.Load)
+	r.Counter("server.gets", st.gets.Load)
+	r.Counter("server.sets", st.sets.Load)
+	r.Counter("server.dels", st.dels.Load)
+	r.Counter("server.expires", st.expires.Load)
+	r.Counter("server.scans", st.scans.Load)
+	r.Counter("server.errors", st.errors.Load)
 
-// statszRange is the range-serving tally: batches served and pairs
-// emitted.
-type statszRange struct {
-	Batches   int64 `json:"batches"`
-	PairsLive int64 `json:"pairs_live"`
-}
+	// Byte accounting always runs, so memory is always present;
+	// max_bytes 0 means unbounded.
+	r.Gauge("memory.max_bytes", func() int64 { return s.Mem().MaxBytes })
+	r.Gauge("memory.bytes", func() int64 { return s.Mem().Bytes })
+	r.Counter("memory.evicted", func() int64 { return s.Mem().Evicted })
+	r.Counter("memory.expired", func() int64 { return s.Mem().Expired })
+	r.Gauge("memory.ttls", func() int64 { return s.Mem().TTLs })
 
-// statszWAL is the durability block of the /statsz reply: the WAL's
-// scalar counters plus the fsync-duration and replay-batch-size
-// histograms (nanoseconds and records respectively).
-type statszWAL struct {
-	wal.Stats
-	Fsync       statszHist `json:"fsync"`
-	ReplayBatch statszHist `json:"replay_batch"`
-}
+	r.Info("coalesce.window", s.cfg.CoalesceWindow.String)
+	r.Counter("coalesce.batches", func() int64 { return s.CoalesceStats().Batches })
+	r.Counter("coalesce.ops", func() int64 { return s.CoalesceStats().Ops })
+	r.Gauge("coalesce.max_batch", func() int64 { return s.CoalesceStats().MaxBatch })
+	r.Counter("coalesce.jobs", func() int64 { return s.CoalesceStats().Jobs })
+	r.Counter("coalesce.size_cuts", func() int64 { return s.CoalesceStats().SizeCuts })
+	r.Counter("coalesce.window_cuts", func() int64 { return s.CoalesceStats().WindowCuts })
+	r.Counter("coalesce.drain_cuts", func() int64 { return s.CoalesceStats().DrainCuts })
+	r.Counter("coalesce.absorbed", func() int64 { return s.CoalesceStats().Absorbed })
 
-// statszFront is the hot-key front cache block of the /statsz reply:
-// the merged per-shard counters plus the cached-GET latency histogram
-// (nanoseconds). Absent when the front cache is disabled.
-type statszFront struct {
-	frontcache.Stats
-	HitNS statszHist `json:"hit_ns"`
-}
+	depth := s.obsm.DepthSnapshot
+	r.Counter("range.batches", func() int64 { return depth().RangeBatches })
+	r.Counter("range.pairs_live", func() int64 { return depth().RangePairsLive })
+	// A server's engines are M1s: a lookup resolves at a segment, at the
+	// tail, or in the front. M2's filter and final_slab sources would
+	// read zero here forever.
+	for _, src := range []obs.DepthSource{obs.SrcFirstSlab, obs.SrcTail, obs.SrcFront} {
+		r.Counter("depth_sources."+src.String(), func() int64 { return depth().Sources[src] })
+	}
+	r.Hist("depth", func() obs.HistSnapshot { return depth().Depth })
 
-// statszReply is the /statsz JSON document.
-type statszReply struct {
-	Engine       string                `json:"engine"`
-	Shards       int                   `json:"shards"`
-	Keys         int                   `json:"keys"`
-	Server       Stats                 `json:"server"`
-	Memory       pws.MemStats          `json:"memory"`
-	Coalesce     coalesce.Stats        `json:"coalesce"`
-	Front        *statszFront          `json:"front,omitempty"`
-	Depth        statszHist            `json:"depth"`
-	DepthSources map[string]int64      `json:"depth_sources"`
-	Range        statszRange           `json:"range"`
-	Stages       map[string]statszHist `json:"stages"`
-	Work         *metrics.Snapshot     `json:"work,omitempty"`
-	WAL          *statszWAL            `json:"wal,omitempty"`
-}
+	for i := range obs.NumStages {
+		r.HistNS("stages."+obs.Stage(i).String(), func() obs.HistSnapshot { return s.stages().Snapshot()[i] })
+	}
 
-// statsz builds the /statsz reply document.
-func (s *Server) statsz() statszReply {
-	r := statszReply{
-		Engine:   "m1", // the only engine; the field is part of the schema
-		Shards:   s.store.Shards(),
-		Keys:     s.store.Len(),
-		Server:   s.Stats(),
-		Memory:   s.store.Mem(),
-		Coalesce: s.CoalesceStats(),
+	if w := s.work; w != nil {
+		r.Counter("work.visits", w.Work)
+		r.Counter("work.comparisons", w.Comparisons)
+		r.Counter("work.moves", w.Moves)
 	}
-	if fs, ok := s.Front(); ok {
-		r.Front = &statszFront{Stats: fs, HitNS: toStatszHist(fs.HitNS)}
+
+	if l := s.wal; l != nil {
+		r.Info("wal.policy", func() string { return l.Stats().Policy })
+		r.Gauge("wal.seq", func() int64 { return int64(l.Stats().Seq) })
+		r.Gauge("wal.snap_seq", func() int64 { return int64(l.Stats().SnapSeq) })
+		r.Counter("wal.batches", func() int64 { return l.Stats().Batches })
+		r.Counter("wal.records", func() int64 { return l.Stats().Records })
+		r.Counter("wal.bytes", func() int64 { return l.Stats().Bytes })
+		r.Counter("wal.syncs", func() int64 { return l.Stats().Syncs })
+		r.Counter("wal.sync_errors", func() int64 { return l.Stats().SyncErrors })
+		r.Counter("wal.rotations", func() int64 { return l.Stats().Rotations })
+		r.Counter("wal.snapshots", func() int64 { return l.Stats().Snapshots })
+		r.Gauge("wal.snapshot_pairs", func() int64 { return l.Stats().SnapshotPairs })
+		r.Gauge("wal.snapshot_bytes", func() int64 { return l.Stats().SnapshotBytes })
+		r.Gauge("wal.last_snapshot_ns", func() int64 { return l.Stats().LastSnapshotNs })
+		r.Gauge("wal.bytes_since_snapshot", func() int64 { return l.Stats().SinceSnapshot })
+		r.Counter("wal.torn_tails", func() int64 { return l.Stats().TornTails })
+		r.Counter("wal.replay_batches", func() int64 { return l.Stats().ReplayBatches })
+		r.Counter("wal.replay_records", func() int64 { return l.Stats().ReplayRecords })
+		r.Counter("wal.replay_snapshot_pairs", func() int64 { return l.Stats().ReplaySnapPairs })
+		r.HistNS("wal.fsync", l.FsyncHist)
+		r.Hist("wal.replay_batch", l.ReplayHist)
 	}
-	es := s.obsm.DepthSnapshot()
-	r.Depth = toStatszHist(es.Depth)
-	r.DepthSources = make(map[string]int64, obs.NumDepthSources)
-	for i := 0; i < obs.NumDepthSources; i++ {
-		r.DepthSources[obs.DepthSource(i).String()] = es.Sources[i]
-	}
-	r.Range = statszRange{Batches: es.RangeBatches, PairsLive: es.RangePairsLive}
-	ss := s.obsm.Stages().Snapshot()
-	r.Stages = make(map[string]statszHist, obs.NumStages)
-	for i := range ss {
-		r.Stages[obs.Stage(i).String()] = toStatszHist(ss[i])
-	}
-	if s.work != nil {
-		ws := s.work.Snapshot()
-		r.Work = &ws
-	}
-	if ws, ok := s.WALStats(); ok {
-		r.WAL = &statszWAL{
-			Stats:       ws,
-			Fsync:       toStatszHist(s.wal.FsyncHist()),
-			ReplayBatch: toStatszHist(s.wal.ReplayHist()),
-		}
+
+	if s.store.FrontEnabled() {
+		fs := s.store.FrontStats
+		r.Gauge("front.entries", func() int64 { return fs().Entries })
+		r.Counter("front.hits", func() int64 { return fs().Hits })
+		r.Counter("front.misses", func() int64 { return fs().Misses })
+		r.Counter("front.conflicts", func() int64 { return fs().Conflicts })
+		r.Counter("front.reserves", func() int64 { return fs().Reserves })
+		r.Counter("front.installs", func() int64 { return fs().Installs })
+		r.Counter("front.install_drops", func() int64 { return fs().InstallDrops })
+		r.Counter("front.invalidates", func() int64 { return fs().Invalidates })
+		r.Counter("front.evictions", func() int64 { return fs().Evictions })
+		r.HistNS("front.hit_ns", func() obs.HistSnapshot { return fs().HitNS })
 	}
 	return r
 }
@@ -142,104 +138,20 @@ func (s *Server) statsz() statszReply {
 // operations network, not the client-facing address.
 func (s *Server) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.serveMetrics)
-	mux.HandleFunc("/statsz", s.serveStatsz)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		s.stats.WriteProm(w)
+	})
+	mux.HandleFunc("/statsz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(s.stats.Statsz())
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-func (s *Server) serveStatsz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.statsz())
-}
-
-func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	st := s.Stats()
-	scalar := func(name, typ string, v int64) {
-		fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, typ, name, v)
-	}
-	writeGauge := func(name string, v int64) { scalar(name, "gauge", v) }
-	writeCounter := func(name string, v int64) { scalar(name, "counter", v) }
-	writeGauge("wsd_keys", int64(s.store.Len()))
-	writeGauge("wsd_shards", int64(s.store.Shards()))
-	writeGauge("wsd_conns", st.ActiveConns)
-	writeCounter("wsd_conns_total", st.TotalConns)
-	writeCounter("wsd_conns_rejected_total", st.RejectedConns)
-	writeCounter("wsd_batches_total", st.Batches)
-	writeCounter("wsd_ops_total", st.Ops)
-	writeGauge("wsd_batch_max", st.MaxBatch)
-	writeCounter("wsd_gets_total", st.Gets)
-	writeCounter("wsd_sets_total", st.Sets)
-	writeCounter("wsd_dels_total", st.Dels)
-	writeCounter("wsd_expires_total", st.Expires)
-	writeCounter("wsd_scans_total", st.Scans)
-	writeCounter("wsd_errors_total", st.Errors)
-	ms := s.store.Mem()
-	writeGauge("wsd_mem_max_bytes", ms.MaxBytes)
-	writeGauge("wsd_mem_bytes", ms.Bytes)
-	writeGauge("wsd_mem_ttls", ms.TTLs)
-	writeCounter("wsd_evicted_total", ms.Evicted)
-	writeCounter("wsd_expired_total", ms.Expired)
-	cs := s.CoalesceStats()
-	writeCounter("wsd_coalesce_size_cuts_total", cs.SizeCuts)
-	writeCounter("wsd_coalesce_window_cuts_total", cs.WindowCuts)
-	writeCounter("wsd_coalesce_drain_cuts_total", cs.DrainCuts)
-	writeCounter("wsd_coalesce_absorbed_total", cs.Absorbed)
-	writeCounter("wsd_coalesce_jobs_total", cs.Jobs)
-	if fs, ok := s.Front(); ok {
-		writeGauge("wsd_front_entries", fs.Entries)
-		writeCounter("wsd_front_hits_total", fs.Hits)
-		writeCounter("wsd_front_misses_total", fs.Misses)
-		writeCounter("wsd_front_conflicts_total", fs.Conflicts)
-		writeCounter("wsd_front_reserves_total", fs.Reserves)
-		writeCounter("wsd_front_installs_total", fs.Installs)
-		writeCounter("wsd_front_install_drops_total", fs.InstallDrops)
-		writeCounter("wsd_front_invalidates_total", fs.Invalidates)
-		writeCounter("wsd_front_evictions_total", fs.Evictions)
-		// Hit latency is nanoseconds; 1e-9 emits Prometheus base seconds.
-		fs.HitNS.WriteProm(w, "wsd_front_hit_seconds", "", 1e-9)
-	}
-	if s.work != nil {
-		ws := s.work.Snapshot()
-		writeCounter("wsd_work_visits_total", ws.Work)
-		writeCounter("wsd_work_comparisons_total", ws.Comparisons)
-		writeCounter("wsd_work_moves_total", ws.Moves)
-	}
-	es := s.obsm.DepthSnapshot()
-	// The depth histogram's unit is a segment index, already integral:
-	// scale 1 keeps the bucket bounds exact.
-	es.Depth.WriteProm(w, "wsd_lookup_depth", "", 1)
-	fmt.Fprintf(w, "# TYPE wsd_lookup_source_total counter\n")
-	for i := 0; i < obs.NumDepthSources; i++ {
-		fmt.Fprintf(w, "wsd_lookup_source_total{source=%q} %d\n",
-			obs.DepthSource(i).String(), es.Sources[i])
-	}
-	ss := s.obsm.Stages().Snapshot()
-	for i := range ss {
-		// Stage durations are nanoseconds; 1e-9 emits Prometheus base
-		// seconds.
-		ss[i].WriteProm(w, "wsd_stage_"+obs.Stage(i).String()+"_seconds", "", 1e-9)
-	}
-	if ws, ok := s.WALStats(); ok {
-		writeGauge("wsd_wal_seq", int64(ws.Seq))
-		writeGauge("wsd_wal_snap_seq", int64(ws.SnapSeq))
-		writeCounter("wsd_wal_batches_total", ws.Batches)
-		writeCounter("wsd_wal_records_total", ws.Records)
-		writeCounter("wsd_wal_bytes_total", ws.Bytes)
-		writeCounter("wsd_wal_syncs_total", ws.Syncs)
-		writeCounter("wsd_wal_sync_errors_total", ws.SyncErrors)
-		writeCounter("wsd_wal_rotations_total", ws.Rotations)
-		writeCounter("wsd_wal_snapshots_total", ws.Snapshots)
-		writeCounter("wsd_wal_torn_tails_total", ws.TornTails)
-		writeCounter("wsd_wal_replay_batches_total", ws.ReplayBatches)
-		writeCounter("wsd_wal_replay_records_total", ws.ReplayRecords)
-		s.wal.FsyncHist().WriteProm(w, "wsd_wal_fsync_seconds", "", 1e-9)
-	}
 }

@@ -392,7 +392,7 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 			c.w.WriteSimple("PONG")
 		case "STATS":
 			c.flushBatch()
-			c.w.WriteBulk(c.srv.statsText())
+			c.w.WriteBulk(c.srv.stats.Text())
 		case "SCAN":
 			c.flushBatch()
 			c.scan(cmd)

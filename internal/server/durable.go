@@ -218,23 +218,3 @@ func (s *Server) WALStats() (wal.Stats, bool) {
 	}
 	return s.wal.Stats(), true
 }
-
-// statsWAL renders the STATS wal section (present only in durable
-// mode, so the non-durable STATS schema is unchanged).
-func (s *Server) statsWAL() string {
-	if s.wal == nil {
-		return ""
-	}
-	st := s.wal.Stats()
-	var b strings.Builder
-	fmt.Fprintf(&b, "SECTION wal\nwal_policy %s\nwal_seq %d\nwal_snap_seq %d\n"+
-		"wal_batches %d\nwal_records %d\nwal_bytes %d\nwal_syncs %d\nwal_sync_errors %d\n"+
-		"wal_rotations %d\nwal_snapshots %d\nwal_torn_tails %d\n"+
-		"wal_replay_batches %d\nwal_replay_records %d\n",
-		st.Policy, st.Seq, st.SnapSeq,
-		st.Batches, st.Records, st.Bytes, st.Syncs, st.SyncErrors,
-		st.Rotations, st.Snapshots, st.TornTails,
-		st.ReplayBatches, st.ReplayRecords)
-	histoBlock(&b, "wal_fsync", s.wal.FsyncHist())
-	return b.String()
-}

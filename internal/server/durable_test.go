@@ -155,8 +155,8 @@ func TestDurableCheckpointCompacts(t *testing.T) {
 }
 
 // TestDurableStatsSurface pins the durable additions to the telemetry
-// surfaces: STATS gains the wal section (appended after the frozen
-// non-durable schema), and its counters are coherent with the load.
+// surfaces: STATS gains the wal section, and its counters are coherent
+// with the load.
 func TestDurableStatsSurface(t *testing.T) {
 	srv, _ := openDurable(t, t.TempDir())
 	defer srv.Close()

@@ -36,7 +36,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -175,24 +174,23 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	// ActiveConns and TotalConns count current and lifetime connections;
 	// RejectedConns counts connections turned away at the MaxConns limit.
-	// The JSON form is part of the /statsz schema.
-	ActiveConns   int64 `json:"conns"`
-	TotalConns    int64 `json:"total_conns"`
-	RejectedConns int64 `json:"rejected_conns"`
+	ActiveConns   int64
+	TotalConns    int64
+	RejectedConns int64
 	// Batches is the number of batch Applies submitted; Ops the total
 	// map operations in them; MaxBatch the largest single batch.
-	Batches  int64 `json:"batches"`
-	Ops      int64 `json:"ops"`
-	MaxBatch int64 `json:"max_batch"`
+	Batches  int64
+	Ops      int64
+	MaxBatch int64
 	// Per-op counters (MGET counts toward Gets, MSET toward Sets, and
 	// EXPIRE/SETEX toward Expires — SETEX also counts one Set).
-	Gets    int64 `json:"gets"`
-	Sets    int64 `json:"sets"`
-	Dels    int64 `json:"dels"`
-	Expires int64 `json:"expires"`
-	Scans   int64 `json:"scans"`
+	Gets    int64
+	Sets    int64
+	Dels    int64
+	Expires int64
+	Scans   int64
 	// Errors counts error replies written (bad arity, unknown commands).
-	Errors int64 `json:"errors"`
+	Errors int64
 }
 
 // AvgBatch returns the mean operations per submitted batch.
@@ -265,6 +263,8 @@ type Server struct {
 	obsm *pws.MapTelemetry
 	// work is the structural-work counter, nil unless Config.WorkCounter.
 	work *pws.WorkCounter
+	// stats is the one table STATS, /statsz and /metrics render (admin.go).
+	stats *obs.Registry
 
 	// Durability plumbing, nil/empty unless Config.WAL is set: the log,
 	// the applier's record scratch (touched only by the coalescer's
@@ -345,6 +345,7 @@ func New(cfg Config) *Server {
 		s.snapDone = make(chan struct{})
 		go s.snapshotLoop()
 	}
+	s.stats = s.registerStats()
 	return s
 }
 
@@ -559,91 +560,4 @@ func (s *Server) Close() error {
 	})
 	<-s.closedCh
 	return nil
-}
-
-// statsText renders the STATS reply body: one "name value" per line.
-func (s *Server) statsText() string {
-	st := s.Stats()
-	base := fmt.Sprintf(
-		"engine m1\nshards %d\nkeys %d\nconns %d\ntotal_conns %d\nrejected_conns %d\n"+
-			"batches %d\nops %d\nmax_batch %d\navg_batch %.2f\n"+
-			"gets %d\nsets %d\ndels %d\nexpires %d\nscans %d\nerrors %d\n",
-		s.store.Shards(), s.store.Len(),
-		st.ActiveConns, st.TotalConns, st.RejectedConns,
-		st.Batches, st.Ops, st.MaxBatch, st.AvgBatch(),
-		st.Gets, st.Sets, st.Dels, st.Expires, st.Scans, st.Errors)
-	cs := s.CoalesceStats()
-	base += fmt.Sprintf(
-		"coalesce_window %s\ncoalesce_size_cuts %d\ncoalesce_window_cuts %d\ncoalesce_drain_cuts %d\ncoalesce_absorbed %d\ncoalesce_jobs %d\n",
-		s.cfg.CoalesceWindow, cs.SizeCuts, cs.WindowCuts, cs.DrainCuts, cs.Absorbed, cs.Jobs)
-	return base + s.statsMemory() + s.statsWAL() + s.statsFront() + s.statsTelemetry()
-}
-
-// statsMemory renders the bounded-memory/TTL section. Byte accounting
-// is always on, so the section is always present — mem_max_bytes 0
-// means unbounded. Key names are frozen by TestStatsTextGolden.
-func (s *Server) statsMemory() string {
-	ms := s.store.Mem()
-	return fmt.Sprintf(
-		"SECTION memory\nmem_max_bytes %d\nmem_bytes %d\nmem_evicted %d\nmem_expired %d\nmem_ttls %d\n",
-		ms.MaxBytes, ms.Bytes, ms.Evicted, ms.Expired, ms.TTLs)
-}
-
-// statsFront renders the hot-key front-cache section, empty when the
-// front is disabled. Key names are frozen by TestStatsTextGolden.
-func (s *Server) statsFront() string {
-	fs, ok := s.Front()
-	if !ok {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b,
-		"SECTION front\nfront_entries %d\nfront_hits %d\nfront_misses %d\nfront_conflicts %d\n"+
-			"front_reserves %d\nfront_installs %d\nfront_install_drops %d\nfront_invalidates %d\nfront_evictions %d\n",
-		fs.Entries, fs.Hits, fs.Misses, fs.Conflicts,
-		fs.Reserves, fs.Installs, fs.InstallDrops, fs.Invalidates, fs.Evictions)
-	histoBlock(&b, "front_hit_ns", fs.HitNS)
-	return b.String()
-}
-
-// statsTelemetry renders the STATS telemetry sections: the merged
-// working-set depth histogram with its per-source split and range
-// tallies, the optional structural-work counters, and one histo block
-// per batch stage. Key names and section order are frozen by
-// TestStatsTextGolden.
-func (s *Server) statsTelemetry() string {
-	mo := s.obsm
-	if mo == nil {
-		return ""
-	}
-	var b strings.Builder
-	es := mo.DepthSnapshot()
-	b.WriteString("SECTION depth\n")
-	for i := 0; i < obs.NumDepthSources; i++ {
-		fmt.Fprintf(&b, "depth_src_%s %d\n", obs.DepthSource(i), es.Sources[i])
-	}
-	fmt.Fprintf(&b, "range_batches %d\nrange_pairs_live %d\n", es.RangeBatches, es.RangePairsLive)
-	histoBlock(&b, "depth", es.Depth)
-	if s.work != nil {
-		ws := s.work.Snapshot()
-		fmt.Fprintf(&b, "SECTION work\nwork_visits %d\nwork_comparisons %d\nwork_moves %d\nwork_total %d\n",
-			ws.Work, ws.Comparisons, ws.Moves, ws.Total())
-	}
-	b.WriteString("SECTION stages\n")
-	ss := mo.Stages().Snapshot()
-	for i := range ss {
-		histoBlock(&b, "stage_"+obs.Stage(i).String(), ss[i])
-	}
-	return b.String()
-}
-
-// histoBlock writes one "SECTION histo <name>" block: count, quantiles
-// (linear-interpolated within the covering power-of-two bucket) and max,
-// in the histogram's native unit — segment index for depth, nanoseconds
-// for stages.
-func histoBlock(b *strings.Builder, name string, h obs.HistSnapshot) {
-	fmt.Fprintf(b, "SECTION histo %s\n%s_count %d\n%s_p50 %.2f\n%s_p95 %.2f\n%s_p99 %.2f\n%s_max %d\n",
-		name, name, h.Count,
-		name, h.Quantile(0.5), name, h.Quantile(0.95), name, h.Quantile(0.99),
-		name, h.Max)
 }

@@ -134,7 +134,7 @@ func testServerCommands(t *testing.T, cfg Config) {
 	}
 	// STATS.
 	r, err = c.Do("STATS")
-	if err != nil || r.Kind != wire.BulkReply || !strings.Contains(r.Str, "batches ") ||
+	if err != nil || r.Kind != wire.BulkReply || !strings.Contains(r.Str, "server_batches ") ||
 		!strings.Contains(r.Str, "coalesce_window ") {
 		t.Fatalf("STATS: %+v, %v", r, err)
 	}

@@ -1,7 +1,8 @@
 package server
 
-// Tests of the observability layer's server surface: the frozen STATS
-// key schema, the admin endpoint (/metrics, /statsz, /debug/pprof), the
+// Tests of the observability layer's server surface: the one stats
+// schema across STATS, /statsz and /metrics, the /statsz paths the
+// standing benchmark decodes, the admin endpoint (/debug/pprof too), the
 // paper-facing depth acceptance check (zipf resolves strictly shallower
 // than uniform), and the alloc ceiling of the instrumented pipeline.
 
@@ -12,11 +13,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/loadgen"
+	"repro/internal/obs"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -36,107 +41,284 @@ func statsKeys(body string) []string {
 	return keys
 }
 
-// TestStatsTextGolden freezes the STATS reply schema. The values vary
-// run to run (timings, counters) but the key names, their order and the
-// section structure are an interface clients scrape — changing any of
-// them is a breaking change and must update this golden deliberately.
-func TestStatsTextGolden(t *testing.T) {
-	histo := func(name string) []string {
-		return []string{
-			"SECTION histo " + name,
-			name + "_count", name + "_p50", name + "_p95", name + "_p99", name + "_max",
+// adminGet fetches one admin endpoint's body.
+func adminGet(t *testing.T, srv *Server, path string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.AdminHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: %d", path, rec.Code)
+	}
+	return rec.Body.Bytes()
+}
+
+// statszLeaves walks a /statsz document into its leaf paths, true for
+// a histogram (an object carrying p50), which is one leaf.
+func statszLeaves(prefix string, doc map[string]any, out map[string]bool) {
+	for k, v := range doc {
+		path := prefix + k
+		obj, ok := v.(map[string]any)
+		switch {
+		case !ok:
+			out[path] = false
+		case obj["p50"] != nil:
+			out[path] = true
+		default:
+			statszLeaves(path+".", obj, out)
 		}
 	}
-	want := []string{
-		"engine", "shards", "keys", "conns", "total_conns", "rejected_conns",
-		"batches", "ops", "max_batch", "avg_batch",
-		"gets", "sets", "dels", "expires", "scans", "errors",
-		"coalesce_window", "coalesce_size_cuts", "coalesce_window_cuts", "coalesce_drain_cuts",
-		"coalesce_absorbed", "coalesce_jobs",
-	}
-	want = append(want,
-		"SECTION memory",
-		"mem_max_bytes", "mem_bytes", "mem_evicted", "mem_expired", "mem_ttls",
-	)
-	want = append(want,
-		"SECTION front",
-		"front_entries", "front_hits", "front_misses", "front_conflicts",
-		"front_reserves", "front_installs", "front_install_drops",
-		"front_invalidates", "front_evictions",
-	)
-	want = append(want, histo("front_hit_ns")...)
-	want = append(want, []string{
-		"SECTION depth",
-		"depth_src_first_slab", "depth_src_filter", "depth_src_final_slab", "depth_src_tail",
-		"depth_src_front",
-		"range_batches", "range_pairs_live",
-	}...)
-	want = append(want, histo("depth")...)
-	want = append(want, "SECTION work", "work_visits", "work_comparisons", "work_moves", "work_total")
-	want = append(want, "SECTION stages")
-	for _, st := range []string{"parse", "queue_wait", "window_wait", "fanout", "apply", "reply", "fsync"} {
-		want = append(want, histo("stage_"+st)...)
-	}
+}
 
-	srv := New(Config{CoalesceWindow: 50 * time.Microsecond, WorkCounter: true})
-	defer srv.Close()
-	nc, err := srv.Pipe()
-	if err != nil {
-		t.Fatal(err)
+// checkSurfaces holds the three stats surfaces of srv to one schema:
+// every /statsz leaf has exactly one STATS key and one /metrics family
+// under obs.Names, and no surface carries a name the others lack. It
+// returns the /statsz leaves and the STATS body.
+func checkSurfaces(t *testing.T, srv *Server) (map[string]bool, string) {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(adminGet(t, srv, "/statsz"), &doc); err != nil {
+		t.Fatalf("/statsz not valid JSON: %v", err)
 	}
-	defer nc.Close()
-	cl := wire.NewClient(nc)
-	if err := cl.Set("k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cl.Do("STATS")
+	leaves := map[string]bool{}
+	statszLeaves("", doc, leaves)
+
+	rep, err := pipeClient(t, srv).Do("STATS")
 	if err != nil || rep.Kind != wire.BulkReply {
 		t.Fatalf("STATS = %+v, %v", rep, err)
 	}
-	got := statsKeys(rep.Str)
-	if len(got) != len(want) {
-		t.Fatalf("STATS schema has %d keys, want %d:\ngot  %v\nwant %v",
-			len(got), len(want), got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("STATS key %d = %q, want %q", i, got[i], want[i])
+	stats := map[string]bool{} // key -> is a histogram
+	lines := strings.Split(strings.TrimSuffix(rep.Str, "\n"), "\n")
+	for i := 0; i < len(lines); i++ {
+		if h, ok := strings.CutPrefix(lines[i], "SECTION histo "); ok {
+			stats[h] = true
+			for j, q := range []string{"count", "p50", "p95", "p99", "max"} {
+				if i+1+j >= len(lines) || !strings.HasPrefix(lines[i+1+j], h+"_"+q+" ") {
+					t.Fatalf("STATS histo %s: line %d is not %s_%s", h, j, h, q)
+				}
+			}
+			i += 5
+		} else if !strings.HasPrefix(lines[i], "SECTION ") {
+			stats[strings.Fields(lines[i])[0]] = false
 		}
 	}
 
-	// The default server (no window, no work counter) drops exactly the
-	// work section: the coalesce block is part of the one schema.
-	srv2 := New(Config{})
-	defer srv2.Close()
-	got2 := statsKeys(srv2.statsText())
-	var want2 []string
-	for _, k := range want {
-		if k == "SECTION work" || strings.HasPrefix(k, "work_") {
-			continue
+	families := map[string]string{} // Prometheus name -> TYPE
+	for _, line := range strings.Split(string(adminGet(t, srv, "/metrics")), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			families[f[2]] = f[3]
 		}
-		want2 = append(want2, k)
-	}
-	if fmt.Sprint(got2) != fmt.Sprint(want2) {
-		t.Errorf("default server STATS schema:\ngot  %v\nwant %v", got2, want2)
 	}
 
-	// Disabling the front cache drops exactly its section; everything
-	// else (including depth_src_front, which is part of the frozen
-	// source enum) stays.
-	srv3 := New(Config{FrontCache: -1})
-	defer srv3.Close()
-	got3 := statsKeys(srv3.statsText())
-	var want3 []string
-	for _, k := range want2 {
-		switch {
-		case k == "SECTION front", strings.HasPrefix(k, "front_"),
-			strings.HasPrefix(k, "SECTION histo front_"):
-			continue
+	scalarKinds := map[obs.Kind]string{obs.Counter: "counter", obs.Gauge: "gauge", obs.Info: "gauge"}
+	histKinds := map[obs.Kind]string{obs.Hist: "histogram", obs.HistNS: "histogram"}
+	seenKey, seenProm := map[string]string{}, map[string]bool{}
+	for path, hist := range leaves {
+		key, _ := obs.Names("wsd", path, obs.Gauge)
+		if other, dup := seenKey[key]; dup {
+			t.Errorf("/statsz %s and %s share the STATS key %s", path, other, key)
 		}
-		want3 = append(want3, k)
+		seenKey[key] = path
+		if isHist, ok := stats[key]; !ok || isHist != hist {
+			t.Errorf("/statsz %s (histogram %v): STATS key %s missing or of another kind", path, hist, key)
+		}
+		kinds := scalarKinds
+		if hist {
+			kinds = histKinds
+		}
+		match := map[string]bool{}
+		for k, typ := range kinds {
+			if _, prom := obs.Names("wsd", path, k); families[prom] == typ {
+				match[prom] = true
+			}
+		}
+		if len(match) != 1 {
+			t.Errorf("/statsz %s: %d /metrics families under the naming rule, want 1", path, len(match))
+		}
+		for prom := range match {
+			seenProm[prom] = true
+		}
 	}
-	if fmt.Sprint(got3) != fmt.Sprint(want3) {
-		t.Errorf("front-disabled STATS schema:\ngot  %v\nwant %v", got3, want3)
+	for key := range stats {
+		if _, ok := seenKey[key]; !ok {
+			t.Errorf("STATS key %s has no /statsz leaf", key)
+		}
+	}
+	for prom := range families {
+		if !seenProm[prom] {
+			t.Errorf("/metrics family %s has no /statsz leaf", prom)
+		}
+	}
+	return leaves, rep.Str
+}
+
+// TestStatsTextGolden holds the stats schema on four servers (default,
+// front off, work counter, and WAL + work counter + front, the full
+// configuration): the three surfaces agree name for name (checkSurfaces),
+// the optional blocks appear exactly when configured, and the full
+// configuration's STATS keys, their order and sections match
+// testdata/stats_keys.golden. Values vary run to run; the names are an
+// interface clients scrape, so changing one must update the golden
+// deliberately.
+func TestStatsTextGolden(t *testing.T) {
+	full := func(t *testing.T) *Server {
+		log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncNever, Logf: t.Logf})
+		if err != nil {
+			t.Fatalf("wal.Open: %v", err)
+		}
+		return newTestServer(t, Config{WAL: log, SnapshotBytes: -1, WorkCounter: true})
+	}
+	for _, tc := range []struct {
+		name   string
+		srv    func(t *testing.T) *Server
+		blocks string // the optional blocks present, in order
+	}{
+		{"default", func(t *testing.T) *Server { return newTestServer(t, Config{}) }, "front"},
+		{"front_off", func(t *testing.T) *Server { return newTestServer(t, Config{FrontCache: -1}) }, ""},
+		{"work", func(t *testing.T) *Server { return newTestServer(t, Config{WorkCounter: true}) }, "work front"},
+		{"full", full, "work wal front"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := tc.srv(t)
+			if err := pipeClient(t, srv).Set("k", "v"); err != nil {
+				t.Fatal(err)
+			}
+			leaves, body := checkSurfaces(t, srv)
+			var blocks []string
+			for _, b := range []string{"work", "wal", "front"} {
+				for path := range leaves {
+					if strings.HasPrefix(path, b+".") {
+						blocks = append(blocks, b)
+						break
+					}
+				}
+			}
+			if got := strings.Join(blocks, " "); got != tc.blocks {
+				t.Errorf("optional blocks = %q, want %q", got, tc.blocks)
+			}
+			if tc.name != "full" {
+				return
+			}
+			want, err := os.ReadFile("testdata/stats_keys.golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := strings.Join(statsKeys(body), "\n") + "\n"
+			if got != string(want) {
+				t.Errorf("STATS keys differ from testdata/stats_keys.golden; got:\n%s", got)
+			}
+		})
+	}
+}
+
+// benchStatsz copies bench/trace.go's statsz type: the part of /statsz
+// the standing benchmark's traced pass decodes (loadgen.Statsz plus the
+// server, coalesce, range and wal blocks). bench/ is its own module and
+// changes on its own schedule, so this copy is what holds the server to
+// the paths it reads.
+type benchStatsz struct {
+	loadgen.Statsz
+	Server struct {
+		Batches int64 `json:"batches"`
+		Ops     int64 `json:"ops"`
+		Gets    int64 `json:"gets"`
+		Sets    int64 `json:"sets"`
+		Scans   int64 `json:"scans"`
+	} `json:"server"`
+	Coalesce *struct {
+		Batches int64 `json:"batches"`
+		Ops     int64 `json:"ops"`
+	} `json:"coalesce"`
+	Range struct {
+		PairsLive int64 `json:"pairs_live"`
+	} `json:"range"`
+	WAL *struct {
+		Bytes int64 `json:"bytes"`
+		Syncs int64 `json:"syncs"`
+	} `json:"wal"`
+}
+
+// TestStatszBenchCompat drives SET/GET/SCAN/SETEX traffic through a
+// WAL-backed, work-counting, front-cached server under a byte budget
+// and a fake TTL clock, then decodes /statsz as bench does: every field
+// bench reads must be present and non-zero.
+func TestStatszBenchCompat(t *testing.T) {
+	log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncAlways, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	var now atomic.Int64
+	now.Store(time.Now().UnixNano())
+	srv := newTestServer(t, Config{WAL: log, SnapshotBytes: -1, WorkCounter: true,
+		MaxBytes: 16 << 10, Clock: now.Load})
+	c := pipeClient(t, srv)
+	val := strings.Repeat("v", 50)
+	for i := 0; i < 300; i++ { // well past the budget: evictions
+		if err := c.Set(fmt.Sprintf("k%03d", i), val); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			for range 3 { // before any eviction: a miss, then front hits
+				if _, _, err := c.Get("k000"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if r, err := c.Do("SCAN", "k", "l", "100"); err != nil || r.Kind != wire.ArrayReply {
+		t.Fatalf("SCAN = %+v, %v", r, err)
+	}
+	// Empty the map, so no eviction takes the TTL keys below.
+	for i := 0; i < 300; i++ {
+		if _, err := c.Del(fmt.Sprintf("k%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, kv := range [][2]string{{"short", "1"}, {"long", "100000"}} {
+		if r, err := c.Do("SETEX", kv[0], kv[1], "v"); err != nil || r.Kind == wire.ErrorReply {
+			t.Fatalf("SETEX %s = %+v, %v", kv[0], r, err)
+		}
+	}
+	now.Add(int64(5 * time.Second))
+	if err := c.Set("after", "v"); err != nil { // the commit boundary sweeps "short"
+		t.Fatal(err)
+	}
+
+	var sz benchStatsz
+	if err := json.Unmarshal(adminGet(t, srv, "/statsz"), &sz); err != nil {
+		t.Fatalf("/statsz: %v", err)
+	}
+	m := sz.Memory
+	for name, v := range map[string]int64{
+		"server.batches": sz.Server.Batches, "server.ops": sz.Server.Ops,
+		"server.gets": sz.Server.Gets, "server.sets": sz.Server.Sets, "server.scans": sz.Server.Scans,
+		"range.pairs_live": sz.Range.PairsLive,
+		"memory.max_bytes": m.MaxBytes, "memory.bytes": m.Bytes, "memory.evicted": m.Evicted,
+		"memory.expired": m.Expired, "memory.ttls": m.TTLs,
+		"depth.count": sz.Depth.Count,
+	} {
+		if v == 0 {
+			t.Errorf("/statsz %s = 0", name)
+		}
+	}
+	if sz.Coalesce == nil || sz.Coalesce.Batches == 0 || sz.Coalesce.Ops == 0 {
+		t.Errorf("/statsz coalesce = %+v", sz.Coalesce)
+	}
+	if sz.WAL == nil || sz.WAL.Bytes == 0 || sz.WAL.Syncs == 0 {
+		t.Errorf("/statsz wal = %+v", sz.WAL)
+	}
+	// bench reads work as Total(). No engine records comparisons or moves
+	// yet (metrics.Counter's AddComparisons/AddMoves have no callers), so
+	// visits carry it.
+	if w := sz.Work; w == nil || w.Visits == 0 {
+		t.Errorf("/statsz work = %+v", w)
+	}
+	if f := sz.Front; f == nil || f.Hits == 0 || f.Misses == 0 {
+		t.Errorf("/statsz front = %+v", f)
+	}
+	for i := range obs.NumStages {
+		if st := obs.Stage(i).String(); sz.Stages[st].Count == 0 {
+			t.Errorf("/statsz stages.%s recorded nothing", st)
+		}
 	}
 }
 
@@ -178,18 +360,18 @@ func TestServerAdminEndpoint(t *testing.T) {
 	}
 	metrics := string(body)
 	for _, want := range []string{
-		"# TYPE wsd_lookup_depth histogram",
-		`wsd_lookup_depth_bucket{le="+Inf"}`,
-		`wsd_lookup_source_total{source="first_slab"}`,
-		"wsd_stage_apply_seconds_count",
-		"wsd_ops_total",
+		"# TYPE wsd_depth histogram",
+		`wsd_depth_bucket{le="+Inf"}`,
+		"wsd_depth_sources_first_slab_total",
+		"wsd_stages_apply_seconds_count",
+		"wsd_server_ops_total",
 		"wsd_work_visits_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	if strings.Contains(metrics, "wsd_lookup_depth_count 0\n") {
+	if strings.Contains(metrics, "wsd_depth_count 0\n") {
 		t.Error("/metrics depth histogram empty after zipf burst")
 	}
 
@@ -197,7 +379,7 @@ func TestServerAdminEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/statsz: %v", err)
 	}
-	if sz.Engine != "m1" || sz.Shards != srv.Shards() || sz.Keys == 0 {
+	if sz.Shards != srv.Shards() || sz.Keys == 0 {
 		t.Errorf("/statsz header = %+v", sz)
 	}
 	if sz.Depth.Count == 0 {

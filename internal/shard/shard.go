@@ -855,13 +855,12 @@ func (m *Map[K, V]) Len() int {
 }
 
 // MemStats is the bounded-memory health snapshot of a sharded map.
-// The JSON form is part of the wsd /statsz schema.
 type MemStats struct {
-	MaxBytes int64 `json:"max_bytes"` // configured global budget (0 = unbounded)
-	Bytes    int64 `json:"bytes"`     // approximate resident bytes, summed across shards
-	Evicted  int64 `json:"evicted"`   // items evicted by the byte budget (lifetime)
-	Expired  int64 `json:"expired"`   // items removed by TTL sweeps (lifetime)
-	TTLs     int64 `json:"ttls"`      // currently armed TTLs
+	MaxBytes int64 // configured global budget (0 = unbounded)
+	Bytes    int64 // approximate resident bytes, summed across shards
+	Evicted  int64 // items evicted by the byte budget (lifetime)
+	Expired  int64 // items removed by TTL sweeps (lifetime)
+	TTLs     int64 // currently armed TTLs
 }
 
 // Mem returns the bounded-memory health snapshot (racy, like Len).

@@ -13,9 +13,9 @@ import (
 )
 
 // engine names the subtest level the table tests of this package run
-// under: the one engine the shard layer serves from, as the server's STATS
-// "engine" line prints it. (The level dates from when there were two; it
-// is kept so test ids stay comparable across that change.)
+// under: the one engine the shard layer serves from. (The level dates
+// from when there were two; it is kept so test ids stay comparable
+// across that change.)
 const engine = "m1"
 
 // TestShardedAgainstReference drives a random operation sequence through a

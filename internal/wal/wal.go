@@ -400,24 +400,24 @@ func (l *Log) ReplayHist() obs.HistSnapshot { return l.replayBatchLen.Snapshot()
 
 // Stats is a point-in-time scalar summary for STATS / /statsz.
 type Stats struct {
-	Policy          string `json:"policy"`
-	Seq             uint64 `json:"seq"`
-	SnapSeq         uint64 `json:"snap_seq"`
-	Batches         int64  `json:"batches"`
-	Records         int64  `json:"records"`
-	Bytes           int64  `json:"bytes"`
-	Syncs           int64  `json:"syncs"`
-	SyncErrors      int64  `json:"sync_errors"`
-	Rotations       int64  `json:"rotations"`
-	Snapshots       int64  `json:"snapshots"`
-	SnapshotPairs   int64  `json:"snapshot_pairs"`
-	SnapshotBytes   int64  `json:"snapshot_bytes"`
-	LastSnapshotNs  int64  `json:"last_snapshot_ns"`
-	SinceSnapshot   int64  `json:"bytes_since_snapshot"`
-	TornTails       int64  `json:"torn_tails"`
-	ReplayBatches   int64  `json:"replay_batches"`
-	ReplayRecords   int64  `json:"replay_records"`
-	ReplaySnapPairs int64  `json:"replay_snapshot_pairs"`
+	Policy          string
+	Seq             uint64
+	SnapSeq         uint64
+	Batches         int64
+	Records         int64
+	Bytes           int64
+	Syncs           int64
+	SyncErrors      int64
+	Rotations       int64
+	Snapshots       int64
+	SnapshotPairs   int64
+	SnapshotBytes   int64
+	LastSnapshotNs  int64
+	SinceSnapshot   int64
+	TornTails       int64
+	ReplayBatches   int64
+	ReplayRecords   int64
+	ReplaySnapPairs int64
 }
 
 // Stats returns the current counters.
