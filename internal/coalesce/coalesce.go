@@ -136,11 +136,6 @@ type Stats struct {
 	SizeCuts   int64
 	WindowCuts int64
 	DrainCuts  int64
-	// Absorbed counts operations answered before they reached the
-	// window at all (the server's hot-key front cache); they appear in
-	// no combined batch, so AvgBatch stays an honest measure of the
-	// batches that did form.
-	Absorbed int64
 }
 
 // AvgBatch returns the mean operations per committed combined batch.
@@ -207,7 +202,6 @@ type Coalescer[K cmp.Ordered, V any] struct {
 	st struct {
 		batches, ops, maxBatch, jobs    atomic.Int64
 		sizeCuts, windowCuts, drainCuts atomic.Int64
-		absorbed                        atomic.Int64
 	}
 }
 
@@ -239,14 +233,8 @@ func (c *Coalescer[K, V]) Stats() Stats {
 		SizeCuts:   c.st.sizeCuts.Load(),
 		WindowCuts: c.st.windowCuts.Load(),
 		DrainCuts:  c.st.drainCuts.Load(),
-		Absorbed:   c.st.absorbed.Load(),
 	}
 }
-
-// Absorb records n operations answered ahead of the window (a front-
-// cache hit on the submission path): they never become jobs, so this
-// is the only trace they leave in the coalescer's accounting.
-func (c *Coalescer[K, V]) Absorb(n int) { c.st.absorbed.Add(int64(n)) }
 
 // grow returns s[:n], reallocating when the capacity is short.
 func grow[T any](s []T, n int) []T {

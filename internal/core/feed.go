@@ -1,21 +1,17 @@
 package core
 
-// feedBuffer is the engines' feed buffer (Section 6.1): a queue of bunches,
-// each holding up to bunchCap operations; input batches are cut so that the
-// first piece tops up the last bunch and the rest append as new bunches.
-// Only the engine's activation run touches it, so it needs no locking; the
-// engines expose its size through an atomic for their ready conditions.
+// feedBuffer is the engines' feed buffer (Section 6.1): a FIFO of
+// operations cut into bunches of bunchCap. Input tops up the last bunch
+// before starting a new one, so every bunch but the last is full and a
+// cut of c bunches is simply the first min(len, c·bunchCap) operations.
+// Only the engine's activation run touches it, so it needs no locking;
+// the engines expose its size through an atomic for their ready
+// conditions.
 type feedBuffer[T any] struct {
-	bunches  [][]T
-	head     int
-	total    int
+	q        []T
+	head     int // q[head:] is buffered
 	bunchCap int
-	free     [][]T // spent bunch storage, recycled by add
 }
-
-// maxFree bounds the recycled-bunch list so a one-off burst does not pin
-// its peak footprint forever.
-const maxFree = 64
 
 func newFeedBuffer[T any](bunchCap int) *feedBuffer[T] {
 	if bunchCap < 1 {
@@ -24,73 +20,40 @@ func newFeedBuffer[T any](bunchCap int) *feedBuffer[T] {
 	return &feedBuffer[T]{bunchCap: bunchCap}
 }
 
-func (f *feedBuffer[T]) len() int { return f.total }
+func (f *feedBuffer[T]) len() int { return len(f.q) - f.head }
 
-// newBunch returns an empty bunch, recycling a spent one when available.
-func (f *feedBuffer[T]) newBunch() []T {
-	if n := len(f.free); n > 0 {
-		b := f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-		return b[:0]
-	}
-	return make([]T, 0, f.bunchCap)
-}
-
-// add cuts input into the bunch queue.
+// add appends input, first sliding the buffered tail down to the front
+// once the taken prefix is at least as long as it, so the queue reuses
+// its storage and each slide copies no more than was taken since the
+// last one.
 func (f *feedBuffer[T]) add(input []T) {
-	f.total += len(input)
-	for len(input) > 0 {
-		if f.head == len(f.bunches) {
-			f.bunches = append(f.bunches, f.newBunch())
-		}
-		last := &f.bunches[len(f.bunches)-1]
-		room := f.bunchCap - len(*last)
-		if room == 0 {
-			f.bunches = append(f.bunches, f.newBunch())
-			continue
-		}
-		take := room
-		if take > len(input) {
-			take = len(input)
-		}
-		*last = append(*last, input[:take]...)
-		input = input[take:]
+	if f.head > 0 && f.head >= f.len() {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
 	}
+	f.q = append(f.q, input...)
 }
 
 // take is takeInto with fresh storage (nil when nothing is buffered).
 func (f *feedBuffer[T]) take(c int) []T { return f.takeInto(c, nil) }
 
 // takeInto removes up to c bunches from the head of the queue and appends
-// their concatenation (the cut batch) to dst — pass engine scratch with
-// length 0 to reuse its backing array. Spent bunches go to the free list.
+// them (the cut batch) to dst — pass engine scratch with length 0 to
+// reuse its backing array.
 func (f *feedBuffer[T]) takeInto(c int, dst []T) []T {
-	n := 0
-	end := f.head
-	for i := 0; i < c && end < len(f.bunches); i++ {
-		n += len(f.bunches[end])
-		end++
+	n := f.len()
+	if c <= n/f.bunchCap {
+		n = c * f.bunchCap
 	}
-	if n == 0 {
+	if n <= 0 {
 		return dst
 	}
-	for ; f.head < end; f.head++ {
-		b := f.bunches[f.head]
-		dst = append(dst, b...)
-		f.bunches[f.head] = nil
-		if len(f.free) < maxFree {
-			clear(b)
-			f.free = append(f.free, b[:0])
-		}
+	cut := f.q[f.head : f.head+n]
+	dst = append(dst, cut...)
+	clear(cut)
+	if f.head += n; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
 	}
-	if f.head == len(f.bunches) {
-		f.bunches = f.bunches[:0]
-		f.head = 0
-	} else if f.head > 64 && f.head*2 > len(f.bunches) {
-		f.bunches = append(f.bunches[:0], f.bunches[f.head:]...)
-		f.head = 0
-	}
-	f.total -= n
 	return dst
 }

@@ -3,34 +3,38 @@
 // table with a bounded probe window, answering GETs for recently-read
 // keys in nanoseconds instead of a full batch round trip.
 //
-// # Version protocol
+// # Read protocol
 //
-// Each slot carries a version/sequence word (verlib-style seqlock) next
-// to an atomic pointer to an immutable key/value entry. Readers are
-// wait-free: load the version, load the entry, reload the version; an
-// odd version or a changed version means a writer interleaved — retry
-// once, then fall back to the batch path (Get never blocks and never
-// spins unboundedly). The entry pointer is atomic and entries are
-// immutable, so a reader can never observe a torn key/value pair; the
-// version validation additionally pins the read to a moment when no
-// writer was active, which is what the install guard below builds on.
+// Each slot is one atomic pointer to an immutable key/value entry
+// (verlib's "immutable nodes behind a versioned pointer", with the
+// pointer as its own version). A reader loads the pointer and compares
+// the key: one atomic load per probe slot, no retry, nothing written
+// but the hit/miss counter. Entries are never mutated after publication,
+// so a reader can never observe a torn key/value pair.
 //
-// Writers (install, invalidate) take the slot's seqlock: CAS the version
-// from even to odd, swing the pointer, store version+2. The critical
-// section is two atomic stores, so invalidators spin only momentarily.
+// # Pointer identity is the version
+//
+// Every write stores either nil or a freshly allocated entry, so a
+// pointer names exactly one state of its slot: a slot that still holds
+// the pointer a writer loaded has not been written since. The address
+// cannot come back while anyone holds it (the garbage collector does not
+// reuse live memory), which rules out ABA. Every writer is therefore one
+// CAS from the pointer it saw: Reserve claims a victim slot, Install
+// publishes behind its reservation, Invalidate clears a slot holding
+// the key. A lost CAS means another writer got there first.
 //
 // # Population and the install guard
 //
 // Population is read-triggered: a reader that misses calls Reserve
 // before falling back to the batch path, which claims a slot with a
-// pending (invalid) entry for the key and captures the slot version.
-// When the fallback result arrives, Ticket.Install publishes it — but
-// only if the slot version is still exactly the reservation version
-// (one CAS). Any intervening writer — an invalidation for a batch that
-// wrote the key, or another reservation that recycled the slot — has
-// bumped the version, so a stale value can never be installed over a
-// newer committed write. The reservation existing *before* the fallback
-// op is submitted is what makes invalidation airtight: if the fallback
+// pending (invalid) entry for the key. When the fallback result
+// arrives, Ticket.Install publishes it — but only if the slot still
+// holds that pending entry (one CAS). Any intervening writer — an
+// invalidation for a batch that wrote the key, or another reservation
+// that recycled the slot, even for the same key — has replaced the
+// pointer, so a stale value can never be installed over a newer
+// committed write. The reservation existing *before* the fallback op
+// is submitted is what makes invalidation airtight: if the fallback
 // read resolved before a write to the key, the reservation predates
 // that write's invalidation, which finds and kills it.
 //
@@ -49,12 +53,7 @@
 // See DESIGN.md "Hot-key front cache".
 package frontcache
 
-import (
-	"runtime"
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
+import "sync/atomic"
 
 // probeWindow is the bounded linear-probe length: a key lives in one of
 // the probeWindow slots starting at its hash bucket. Small keeps both
@@ -69,36 +68,25 @@ const probeWindow = 4
 const evictEvery = 8
 
 // entry is an immutable published key/value (valid) or a reservation
-// placeholder (!valid). Entries are never mutated after publication;
-// writers swing the slot pointer to a fresh entry instead.
+// placeholder (!valid). Entries are never mutated after publication and
+// never stored twice; writers swing the slot pointer to a fresh entry
+// (or nil) instead.
 type entry[K comparable, V any] struct {
 	key   K
 	val   V
 	valid bool
 }
 
-// slot is one hash-table slot: the seqlock version word (even = stable,
-// odd = writer in critical section) and the entry pointer. Every
-// pointer swing happens inside a version lock cycle, so an unchanged
-// version implies an unchanged pointer — the install guard's invariant.
-type slot[K comparable, V any] struct {
-	ver atomic.Uint64
-	p   atomic.Pointer[entry[K, V]]
-}
-
 // Stats is a snapshot of a cache's counters.
 type Stats struct {
 	// Entries is the configured capacity in slots.
 	Entries int64
-	// Hits and Misses count Get outcomes; Conflicts counts Gets that
-	// saw the version word move under them and fell back after one
-	// retry (they also count as misses).
-	Hits      int64
-	Misses    int64
-	Conflicts int64
+	// Hits and Misses count Get outcomes.
+	Hits   int64
+	Misses int64
 	// Reserves counts placed reservations; Installs the fallback values
 	// published through them; InstallDrops the installs refused by the
-	// version guard (an invalidation or slot reuse won the race).
+	// pointer guard (an invalidation or slot reuse won the race).
 	Reserves     int64
 	Installs     int64
 	InstallDrops int64
@@ -106,9 +94,6 @@ type Stats struct {
 	// Evictions counts valid entries overwritten by reservations.
 	Invalidates int64
 	Evictions   int64
-	// HitNS is the cached-GET latency histogram (nanoseconds per
-	// front-answered Get, measured inside Get).
-	HitNS obs.HistSnapshot
 }
 
 // Merge folds o into s (associative; used to merge per-shard stats).
@@ -116,13 +101,11 @@ func (s Stats) Merge(o Stats) Stats {
 	s.Entries += o.Entries
 	s.Hits += o.Hits
 	s.Misses += o.Misses
-	s.Conflicts += o.Conflicts
 	s.Reserves += o.Reserves
 	s.Installs += o.Installs
 	s.InstallDrops += o.InstallDrops
 	s.Invalidates += o.Invalidates
 	s.Evictions += o.Evictions
-	s.HitNS = s.HitNS.Merge(o.HitNS)
 	return s
 }
 
@@ -141,14 +124,13 @@ func (s Stats) HitRatio() float64 {
 // whose key strings alias reusable buffers must pass a stable copy.
 type Cache[K comparable, V any] struct {
 	mask  uint64
-	slots []slot[K, V]
+	slots []atomic.Pointer[entry[K, V]]
 
 	rot atomic.Uint64 // reservation counter driving the eviction rate limit
 
-	hits, misses, conflicts       atomic.Int64
+	hits, misses                  atomic.Int64
 	reserves, installs, instDrops atomic.Int64
 	invalidates, evictions        atomic.Int64
-	hitNS                         obs.Histogram
 }
 
 // New creates a cache with at least entries slots (rounded up to a
@@ -158,7 +140,7 @@ func New[K comparable, V any](entries int) *Cache[K, V] {
 	for n < entries {
 		n <<= 1
 	}
-	return &Cache[K, V]{mask: uint64(n - 1), slots: make([]slot[K, V], n)}
+	return &Cache[K, V]{mask: uint64(n - 1), slots: make([]atomic.Pointer[entry[K, V]], n)}
 }
 
 // Entries returns the slot capacity.
@@ -174,32 +156,13 @@ func (c *Cache[K, V]) bucket(h uint64) uint64 {
 	return h & c.mask
 }
 
-// Get answers k from the front if a stable published entry holds it.
-// Wait-free: at most one validation retry per slot, then miss.
+// Get answers k from the front if a published entry holds it. Wait-free:
+// one atomic load per probe slot.
 func (c *Cache[K, V]) Get(h uint64, k K) (V, bool) {
-	t0 := obs.Now()
 	idx := c.bucket(h)
 	for i := uint64(0); i < probeWindow; i++ {
-		s := &c.slots[(idx+i)&c.mask]
-		for attempt := 0; attempt < 2; attempt++ {
-			v1 := s.ver.Load()
-			e := s.p.Load()
-			if e == nil || e.key != k || !e.valid {
-				break // not here (or still pending): next slot
-			}
-			if v1&1 == 1 || s.ver.Load() != v1 {
-				// A writer moved the version under us. One retry, then
-				// fall back to the batch path rather than spin.
-				if attempt == 1 {
-					c.conflicts.Add(1)
-					c.misses.Add(1)
-					var zero V
-					return zero, false
-				}
-				continue
-			}
+		if e := c.slots[(idx+i)&c.mask].Load(); e != nil && e.valid && e.key == k {
 			c.hits.Add(1)
-			c.hitNS.Record(obs.Now() - t0)
 			return e.val, true
 		}
 	}
@@ -213,9 +176,8 @@ func (c *Cache[K, V]) Get(h uint64, k K) (V, bool) {
 // when it declines to reserve.
 type Ticket[K comparable, V any] struct {
 	c *Cache[K, V]
-	s *slot[K, V]
-	e *entry[K, V] // the pending entry; its key is the retained stable copy
-	v uint64       // slot version at reservation time: the install guard
+	s *atomic.Pointer[entry[K, V]]
+	e *entry[K, V] // the pending entry: the install guard, and the retained key
 }
 
 // Reserve claims a slot for k ahead of a fallback read, so a write's
@@ -226,43 +188,41 @@ type Ticket[K comparable, V any] struct {
 // no, or when it loses a slot race — population is opportunistic.
 //
 // The reservation retains its key until the slot recycles. mk, when
-// non-nil, is called to materialize that retained key — exactly once,
-// and only when a new slot is actually claimed — so a caller whose k
-// aliases a reusable buffer (the server's read arena) can defer the
-// stable copy to the claims that need it instead of cloning on every
-// miss. nil mk retains k itself.
+// non-nil, is called to materialize that retained key — only once a
+// victim slot has been picked, just before the claiming CAS — so a
+// caller whose k aliases a reusable buffer (the server's read arena)
+// can defer the stable copy to the claims that need it instead of
+// cloning on every miss. A claim lost to a concurrent writer wastes
+// that one copy. nil mk retains k itself.
 func (c *Cache[K, V]) Reserve(h uint64, k K, mk func() K) Ticket[K, V] {
 	idx := c.bucket(h)
-	var victim *slot[K, V]
+	var victim *atomic.Pointer[entry[K, V]]
+	var old *entry[K, V]
 	rank := 0 // 1 = valid other key (rate-limited), 2 = stale pending, 3 = empty
 	for i := uint64(0); i < probeWindow; i++ {
 		s := &c.slots[(idx+i)&c.mask]
-		e := s.p.Load()
+		e := s.Load()
 		switch {
 		case e == nil:
 			if rank < 3 {
-				victim, rank = s, 3
+				victim, old, rank = s, e, 3
 			}
 		case e.key == k:
 			if e.valid {
 				return Ticket[K, V]{} // already cached; the next Get hits
 			}
 			// A concurrent reader reserved k first: share the pending
-			// entry. Whichever install's version CAS wins publishes;
-			// the other drops (both values come from fallback reads
-			// with live reservations, so either is fresh).
-			v := s.ver.Load()
-			if v&1 == 1 || s.p.Load() != e {
-				return Ticket[K, V]{}
-			}
-			return Ticket[K, V]{c: c, s: s, e: e, v: v}
+			// entry. Whichever install's CAS wins publishes; the other
+			// drops (both values come from fallback reads with live
+			// reservations, so either is fresh).
+			return Ticket[K, V]{c: c, s: s, e: e}
 		case !e.valid:
 			if rank < 2 {
-				victim, rank = s, 2
+				victim, old, rank = s, e, 2
 			}
 		default:
 			if rank < 1 {
-				victim, rank = s, 1
+				victim, old, rank = s, e, 1
 			}
 		}
 	}
@@ -272,21 +232,18 @@ func (c *Cache[K, V]) Reserve(h uint64, k K, mk func() K) Ticket[K, V] {
 	if rank == 1 && c.rot.Add(1)%evictEvery != 0 {
 		return Ticket[K, V]{} // don't let cold misses churn hot entries
 	}
-	v := victim.ver.Load()
-	if v&1 == 1 || !victim.ver.CompareAndSwap(v, v+1) {
-		return Ticket[K, V]{} // slot busy; skip rather than contend
-	}
-	if rank == 1 {
-		c.evictions.Add(1)
-	}
 	if mk != nil {
 		k = mk()
 	}
 	e := &entry[K, V]{key: k}
-	victim.p.Store(e)
-	victim.ver.Store(v + 2)
+	if !victim.CompareAndSwap(old, e) {
+		return Ticket[K, V]{} // slot moved since the scan; skip rather than contend
+	}
+	if rank == 1 {
+		c.evictions.Add(1)
+	}
 	c.reserves.Add(1)
-	return Ticket[K, V]{c: c, s: victim, e: e, v: v + 2}
+	return Ticket[K, V]{c: c, s: victim, e: e}
 }
 
 // Reserved reports whether the ticket carries a live reservation (a
@@ -295,27 +252,25 @@ func (t Ticket[K, V]) Reserved() bool { return t.s != nil }
 
 // Install publishes the fallback result behind a reservation: the value
 // when the key was present (ok), or clears the placeholder when it was
-// absent. The single version CAS is the staleness guard: if anything
-// touched the slot since Reserve — an Invalidate for this key, or
-// another reservation recycling the slot — the install is
-// dropped. It reports whether a value was published.
+// absent. The single CAS from the pending entry is the staleness guard:
+// if anything wrote the slot since Reserve — an Invalidate for this key,
+// or another reservation recycling the slot — the install is dropped.
+// It reports whether a value was published.
 func (t Ticket[K, V]) Install(val V, ok bool) bool {
 	if t.s == nil {
 		return false
 	}
-	if !t.s.ver.CompareAndSwap(t.v, t.v+1) {
-		t.c.instDrops.Add(1)
-		return false
-	}
+	var e *entry[K, V]
 	if ok {
 		// The published key is the reservation's retained copy, not a
 		// caller argument: shared tickets install under the original
 		// reserver's stable key.
-		t.s.p.Store(&entry[K, V]{key: t.e.key, val: val, valid: true})
-	} else {
-		t.s.p.Store(nil)
+		e = &entry[K, V]{key: t.e.key, val: val, valid: true}
 	}
-	t.s.ver.Store(t.v + 2)
+	if !t.s.CompareAndSwap(t.e, e) {
+		t.c.instDrops.Add(1)
+		return false
+	}
 	if ok {
 		t.c.installs.Add(1)
 	}
@@ -323,35 +278,23 @@ func (t Ticket[K, V]) Install(val V, ok bool) bool {
 }
 
 // Invalidate clears every slot in k's probe window that holds k —
-// published or pending — bumping each slot's version so in-flight
-// installs for k are dropped. Called from the engine's per-key resolve
-// hooks (see "The write contract" above). Unlike Get it must not skip: it spins
-// (briefly — writer critical sections are two stores) until each
-// matching slot is cleared.
+// published or pending — so in-flight installs for k are dropped.
+// Called from the engine's per-key resolve hooks (see "The write
+// contract" above). Unlike Get it must not skip: a lost CAS means the
+// slot moved, and the new pointer is checked again.
 func (c *Cache[K, V]) Invalidate(h uint64, k K) {
 	idx := c.bucket(h)
 	for i := uint64(0); i < probeWindow; i++ {
 		s := &c.slots[(idx+i)&c.mask]
-		for spins := 0; ; spins++ {
-			e := s.p.Load()
+		for {
+			e := s.Load()
 			if e == nil || e.key != k {
 				break
 			}
-			v := s.ver.Load()
-			if v&1 == 1 || !s.ver.CompareAndSwap(v, v+1) {
-				if spins%64 == 63 {
-					runtime.Gosched()
-				}
-				continue
-			}
-			// Re-check under the lock: the pointer may have moved between
-			// the load and the CAS (a full writer cycle fits in between).
-			if e2 := s.p.Load(); e2 != nil && e2.key == k {
-				s.p.Store(nil)
+			if s.CompareAndSwap(e, nil) {
 				c.invalidates.Add(1)
+				break
 			}
-			s.ver.Store(v + 2)
-			break
 		}
 	}
 }
@@ -365,12 +308,10 @@ func (c *Cache[K, V]) Stats() Stats {
 		Entries:      int64(len(c.slots)),
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
-		Conflicts:    c.conflicts.Load(),
 		Reserves:     c.reserves.Load(),
 		Installs:     c.installs.Load(),
 		InstallDrops: c.instDrops.Load(),
 		Invalidates:  c.invalidates.Load(),
 		Evictions:    c.evictions.Load(),
-		HitNS:        c.hitNS.Snapshot(),
 	}
 }

@@ -48,16 +48,14 @@ type Statsz struct {
 // when the server runs with the front cache enabled). The counters are
 // cumulative; diff two scrapes for a per-run hit ratio.
 type StatszFront struct {
-	Entries      int64      `json:"entries"`
-	Hits         int64      `json:"hits"`
-	Misses       int64      `json:"misses"`
-	Conflicts    int64      `json:"conflicts"`
-	Reserves     int64      `json:"reserves"`
-	Installs     int64      `json:"installs"`
-	InstallDrops int64      `json:"install_drops"`
-	Invalidates  int64      `json:"invalidates"`
-	Evictions    int64      `json:"evictions"`
-	HitNS        StatszHist `json:"hit_ns"`
+	Entries      int64 `json:"entries"`
+	Hits         int64 `json:"hits"`
+	Misses       int64 `json:"misses"`
+	Reserves     int64 `json:"reserves"`
+	Installs     int64 `json:"installs"`
+	InstallDrops int64 `json:"install_drops"`
+	Invalidates  int64 `json:"invalidates"`
+	Evictions    int64 `json:"evictions"`
 }
 
 // StatszMem mirrors the bounded-memory/TTL block: the resident-byte
@@ -150,13 +148,8 @@ func (s Statsz) Summary(prev Statsz) string {
 		}
 		hits, misses := s.Front.Hits-ph, s.Front.Misses-pm
 		if lookups := hits + misses; lookups > 0 {
-			hitNS := s.Front.HitNS.Snapshot()
-			if prev.Front != nil {
-				hitNS = hitNS.Sub(prev.Front.HitNS.Snapshot())
-			}
-			fmt.Fprintf(&b, "\nserver front: hit=%.1f%% (%d/%d)  hit p50=%s p99=%s",
-				100*float64(hits)/float64(lookups), hits, lookups,
-				roundDur(hitNS.Quantile(0.50)), roundDur(hitNS.Quantile(0.99)))
+			fmt.Fprintf(&b, "\nserver front: hit=%.1f%% (%d/%d)",
+				100*float64(hits)/float64(lookups), hits, lookups)
 		}
 	}
 	// The memory line appears whenever the run is bounded or touched

@@ -18,9 +18,8 @@
 //     is how wsload reports server-side percentiles per run.
 //   - /debug/pprof/* — the standard Go profiles.
 //
-// Every value is an atomic load or an atomic histogram snapshot, with
-// one exception: wal.Log.Stats reads the sequence number under the
-// log's mutex, so each wal value may wait out an fsync in flight.
+// Every value is an atomic load or an atomic histogram snapshot: a
+// render takes no lock, so it never waits out an fsync in flight.
 package server
 
 import (
@@ -44,9 +43,9 @@ func (s *Server) registerStats() *obs.Registry {
 	r.Gauge("server.conns", st.activeConns.Load)
 	r.Counter("server.total_conns", st.totalConns.Load)
 	r.Counter("server.rejected_conns", st.rejectedConns.Load)
-	r.Counter("server.batches", st.batches.Load)
-	r.Counter("server.ops", st.ops.Load)
-	r.Gauge("server.max_batch", st.maxBatch.Load)
+	r.Counter("server.batches", func() int64 { return s.CoalesceStats().Batches })
+	r.Counter("server.ops", func() int64 { return s.CoalesceStats().Ops })
+	r.Gauge("server.max_batch", func() int64 { return s.CoalesceStats().MaxBatch })
 	r.Counter("server.gets", st.gets.Load)
 	r.Counter("server.sets", st.sets.Load)
 	r.Counter("server.dels", st.dels.Load)
@@ -70,7 +69,6 @@ func (s *Server) registerStats() *obs.Registry {
 	r.Counter("coalesce.size_cuts", func() int64 { return s.CoalesceStats().SizeCuts })
 	r.Counter("coalesce.window_cuts", func() int64 { return s.CoalesceStats().WindowCuts })
 	r.Counter("coalesce.drain_cuts", func() int64 { return s.CoalesceStats().DrainCuts })
-	r.Counter("coalesce.absorbed", func() int64 { return s.CoalesceStats().Absorbed })
 
 	depth := s.obsm.DepthSnapshot
 	r.Counter("range.batches", func() int64 { return depth().RangeBatches })
@@ -121,13 +119,11 @@ func (s *Server) registerStats() *obs.Registry {
 		r.Gauge("front.entries", func() int64 { return fs().Entries })
 		r.Counter("front.hits", func() int64 { return fs().Hits })
 		r.Counter("front.misses", func() int64 { return fs().Misses })
-		r.Counter("front.conflicts", func() int64 { return fs().Conflicts })
 		r.Counter("front.reserves", func() int64 { return fs().Reserves })
 		r.Counter("front.installs", func() int64 { return fs().Installs })
 		r.Counter("front.install_drops", func() int64 { return fs().InstallDrops })
 		r.Counter("front.invalidates", func() int64 { return fs().Invalidates })
 		r.Counter("front.evictions", func() int64 { return fs().Evictions })
-		r.HistNS("front.hit_ns", func() obs.HistSnapshot { return fs().HitNS })
 	}
 	return r
 }

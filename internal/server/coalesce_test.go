@@ -89,20 +89,20 @@ func TestServerCoalescedExactReplies(t *testing.T) {
 		t.Error(err)
 	}
 	st := s.Stats()
-	// Front-cache hits are absorbed before the window and appear in no
-	// combined batch; batch ops plus absorbed must account for every
+	// Front-cache hits are answered before the window and appear in no
+	// combined batch; batch ops plus front hits must account for every
 	// command exactly.
-	cs := s.CoalesceStats()
-	if st.Ops+cs.Absorbed != conns*rounds {
-		t.Errorf("ops+absorbed = %d+%d, want %d", st.Ops, cs.Absorbed, conns*rounds)
+	fs, _ := s.Front()
+	if st.Ops+fs.Hits != conns*rounds {
+		t.Errorf("ops+front hits = %d+%d, want %d", st.Ops, fs.Hits, conns*rounds)
 	}
 	// Depth-1 traffic from 8 concurrent conns must have coalesced: far
 	// fewer map batches than ops.
 	if st.Batches >= st.Ops {
 		t.Errorf("no cross-connection coalescing: %d batches for %d ops", st.Batches, st.Ops)
 	}
-	t.Logf("coalesced: %d ops in %d batches (avg %.1f, max %d), %d absorbed",
-		st.Ops, st.Batches, st.AvgBatch(), st.MaxBatch, cs.Absorbed)
+	t.Logf("coalesced: %d ops in %d batches (avg %.1f, max %d), %d front hits",
+		st.Ops, st.Batches, st.AvgBatch(), st.MaxBatch, fs.Hits)
 }
 
 // TestServerCoalescedDuplicateAcrossConns checks that simultaneous

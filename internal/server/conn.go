@@ -289,7 +289,6 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 			c.srv.st.gets.Add(1)
 			if hit := c.frontOp(cmd.Args[0], 0); hit {
 				c.pending = append(c.pending, pendingReply{kind: replyGet, n: 1, hits: 1})
-				c.srv.co.Absorb(1)
 				continue
 			}
 			c.pending = append(c.pending, pendingReply{kind: replyGet, n: 1})
@@ -326,9 +325,6 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 			}
 			c.pending = append(c.pending, pendingReply{kind: replyMGet, n: len(cmd.Args), hits: nhits})
 			c.srv.st.gets.Add(int64(len(cmd.Args)))
-			if nhits > 0 {
-				c.srv.co.Absorb(nhits)
-			}
 		case "EXPIRE":
 			if !c.wantArgs(cmd, len(cmd.Args) == 2) {
 				continue
@@ -471,7 +467,7 @@ func (c *conn) wroteKey(k string) bool {
 
 // installTickets publishes a segment's results into the front cache
 // through the reservations placed at decode time. Runs after the
-// batch's results are released; each install's version guard drops it
+// batch's results are released; each install's pointer guard drops it
 // if a write that resolved after the reservation already dropped (or a
 // later reservation recycled) the slot.
 func installTickets(tickets []opTicket, res []pws.Result[string]) {

@@ -169,16 +169,17 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats is a snapshot of the server's counters. Batches/Ops are the
-// server-submitted batch Applies and the operations they carried, so
-// Ops/Batches is the realized pipeline batching factor.
+// combined batches applied to the map and the operations they carried,
+// so Ops/Batches is the realized batching factor.
 type Stats struct {
 	// ActiveConns and TotalConns count current and lifetime connections;
 	// RejectedConns counts connections turned away at the MaxConns limit.
 	ActiveConns   int64
 	TotalConns    int64
 	RejectedConns int64
-	// Batches is the number of batch Applies submitted; Ops the total
-	// map operations in them; MaxBatch the largest single batch.
+	// Batches is the number of combined batches applied; Ops the total
+	// map operations in them; MaxBatch the largest single batch. They are
+	// the coalescer's cut counts: every map batch is one of its cuts.
 	Batches  int64
 	Ops      int64
 	MaxBatch int64
@@ -201,48 +202,18 @@ func (s Stats) AvgBatch() float64 {
 	return float64(s.Ops) / float64(s.Batches)
 }
 
-// counters is the live, atomically updated form of Stats.
+// counters is the live, atomically updated form of Stats, less the
+// batch counts the coalescer keeps.
 type counters struct {
 	activeConns   atomic.Int64
 	totalConns    atomic.Int64
 	rejectedConns atomic.Int64
-	batches       atomic.Int64
-	ops           atomic.Int64
-	maxBatch      atomic.Int64
 	gets          atomic.Int64
 	sets          atomic.Int64
 	dels          atomic.Int64
 	expires       atomic.Int64
 	scans         atomic.Int64
 	errors        atomic.Int64
-}
-
-func (c *counters) recordBatch(n int) {
-	c.batches.Add(1)
-	c.ops.Add(int64(n))
-	for {
-		cur := c.maxBatch.Load()
-		if int64(n) <= cur || c.maxBatch.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		ActiveConns:   c.activeConns.Load(),
-		TotalConns:    c.totalConns.Load(),
-		RejectedConns: c.rejectedConns.Load(),
-		Batches:       c.batches.Load(),
-		Ops:           c.ops.Load(),
-		MaxBatch:      c.maxBatch.Load(),
-		Gets:          c.gets.Load(),
-		Sets:          c.sets.Load(),
-		Dels:          c.dels.Load(),
-		Expires:       c.expires.Load(),
-		Scans:         c.scans.Load(),
-		Errors:        c.errors.Load(),
-	}
 }
 
 // Server is a wsd instance: a listener front-end over one sharded
@@ -316,9 +287,9 @@ func New(cfg Config) *Server {
 		s.walHi = walHiSentinel(cfg.Limits)
 	}
 	// The applier is the single point where client operations touch the
-	// map; it feeds the server's batch counters. SCAN needs no exclusion
-	// here: range reads are batch ops themselves, so combined commits and
-	// scan pages interleave freely on the map.
+	// map. SCAN needs no exclusion here: range reads are batch ops
+	// themselves, so combined commits and scan pages interleave freely on
+	// the map.
 	//
 	// In durable mode the applier is also the WAL commit hook: the
 	// combined batch is applied, then logged (and fsynced per policy), all
@@ -330,12 +301,7 @@ func New(cfg Config) *Server {
 		MaxDelay: cfg.CoalesceWindow,
 		Stages:   s.obsm.Stages(),
 	}, func(batches [][]pws.Op[string, string], dsts [][]pws.Result[string]) {
-		n := 0
-		for _, b := range batches {
-			n += len(b)
-		}
 		s.store.ApplyScattered(batches, dsts)
-		s.st.recordBatch(n)
 		if s.wal != nil {
 			s.appendWAL(batches)
 		}
@@ -353,7 +319,23 @@ func New(cfg Config) *Server {
 func (s *Server) CoalesceStats() coalesce.Stats { return s.co.Stats() }
 
 // Stats returns a snapshot of the server counters.
-func (s *Server) Stats() Stats { return s.st.snapshot() }
+func (s *Server) Stats() Stats {
+	c, cs := &s.st, s.co.Stats()
+	return Stats{
+		ActiveConns:   c.activeConns.Load(),
+		TotalConns:    c.totalConns.Load(),
+		RejectedConns: c.rejectedConns.Load(),
+		Batches:       cs.Batches,
+		Ops:           cs.Ops,
+		MaxBatch:      cs.MaxBatch,
+		Gets:          c.gets.Load(),
+		Sets:          c.sets.Load(),
+		Dels:          c.dels.Load(),
+		Expires:       c.expires.Load(),
+		Scans:         c.scans.Load(),
+		Errors:        c.errors.Load(),
+	}
+}
 
 // Front reports whether the hot-key read front is enabled, and returns
 // its counters (merged across shards) when it is. Front hits are GETs

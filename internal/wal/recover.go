@@ -132,7 +132,7 @@ func Open(opt Options) (*Log, *Recovery, error) {
 
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
-	l.seq = nextSeq
+	l.seq.Store(nextSeq)
 	l.size = size
 	l.snapSeq.Store(snapSeq)
 	if opt.Policy == SyncInterval {

@@ -53,7 +53,7 @@ func (l *Log) Snapshot(stream func(emit func(rec Record) error) error) error {
 		l.mu.Unlock()
 		return err
 	}
-	cut := l.seq
+	cut := l.seq.Load()
 	l.mu.Unlock()
 
 	t0 := obs.Now()
@@ -149,7 +149,7 @@ func (l *Log) Snapshot(stream func(emit func(rec Record) error) error) error {
 func (l *Log) segBytesSince(cut uint64) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.seq == cut {
+	if l.seq.Load() == cut {
 		return l.size - fileHdrLen
 	}
 	return 0

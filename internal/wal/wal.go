@@ -144,13 +144,15 @@ type Log struct {
 	mu    sync.Mutex
 	f     *os.File // active segment
 	w     *bufio.Writer
-	seq   uint64 // active segment sequence number
 	size  int64  // active segment size including header
 	dirty bool   // bytes written since the last fsync
 	enc   []byte // frame scratch, reused across appends
 	err   error  // first unrecoverable write error, sticky
 
 	closed atomic.Bool
+	// seq is the active segment's sequence number: written under mu,
+	// read without it (Seq, Stats).
+	seq atomic.Uint64
 
 	snapMu    sync.Mutex // serializes Snapshot calls
 	snapSeq   atomic.Uint64
@@ -281,8 +283,7 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	l.dirty = false
-	l.seq++
-	f, size, err := createSegment(l.opt.Dir, l.seq)
+	f, size, err := createSegment(l.opt.Dir, l.seq.Add(1))
 	if err != nil {
 		return err
 	}
@@ -376,12 +377,9 @@ func (l *Log) Policy() Policy { return l.opt.Policy }
 // Dir returns the data directory.
 func (l *Log) Dir() string { return l.opt.Dir }
 
-// Seq returns the active segment's sequence number.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
+// Seq returns the active segment's sequence number without taking the
+// log's mutex, so a stats read never waits out an fsync.
+func (l *Log) Seq() uint64 { return l.seq.Load() }
 
 // SnapSeq returns the newest durable checkpoint's sequence number
 // (0 if none).

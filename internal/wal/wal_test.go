@@ -338,3 +338,23 @@ func TestParsePolicy(t *testing.T) {
 		t.Fatal("ParsePolicy accepted junk")
 	}
 }
+
+// TestStatsTakesNoLock pins that a stats read never queues behind the
+// log's mutex, which AppendBatch holds across an fsync: the STATS reply
+// and /statsz call Stats once per wal value.
+func TestStatsTakesNoLock(t *testing.T) {
+	l, _ := testOpen(t, t.TempDir(), Options{})
+	defer l.Close()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	done := make(chan Stats, 1)
+	go func() { done <- l.Stats() }()
+	select {
+	case st := <-done:
+		if st.Seq != l.seq.Load() || st.Seq == 0 {
+			t.Fatalf("Stats().Seq = %d, want the active segment %d", st.Seq, l.seq.Load())
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Stats blocked on the log's mutex")
+	}
+}

@@ -528,7 +528,7 @@ func TestLinearizabilityShardedM1(t *testing.T) {
 
 // The front-cache variants run the same history checker with a small
 // hot-key read cache ahead of the batch pipeline, so cached Gets, the
-// commit-boundary invalidation sweep, and the install version guard are
+// commit-boundary invalidation sweep, and the install pointer guard are
 // all exercised against the sequential model (a stale cached read shows
 // up as a history violation).
 func TestLinearizabilityFrontShardedM1(t *testing.T) {
