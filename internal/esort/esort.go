@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"repro/internal/iacono"
@@ -49,6 +50,9 @@ const (
 // seqCutoff is the subproblem size below which PESort falls back to a
 // stable comparison sort.
 const seqCutoff = 64
+
+// insertionMax is the run length below which stableSort insertion-sorts.
+const insertionMax = 12
 
 // parCutoff is the subproblem size above which partitioning and recursion
 // run in parallel.
@@ -190,7 +194,7 @@ func qsort[K cmp.Ordered](keys []K, idx, scratch []int, strat PivotStrategy) {
 	for {
 		n := len(idx)
 		if n <= seqCutoff {
-			sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+			stableSort(keys, idx, scratch)
 			return
 		}
 		pivot := pickPivot(keys, idx, strat)
@@ -213,6 +217,47 @@ func qsort[K cmp.Ordered](keys []K, idx, scratch []int, strat PivotStrategy) {
 			idx, scratch = left, ls
 		}
 	}
+}
+
+// stableSort stably sorts idx (positions into keys) by key without
+// allocating: insertion sort up to insertionMax, above it a merge sort
+// that merges through scratch (at least len(idx) long).
+func stableSort[K cmp.Ordered](keys []K, idx, scratch []int) {
+	n := len(idx)
+	if n <= insertionMax {
+		for i := 1; i < n; i++ {
+			x := idx[i]
+			j := i
+			for ; j > 0 && keys[x] < keys[idx[j-1]]; j-- {
+				idx[j] = idx[j-1]
+			}
+			idx[j] = x
+		}
+		return
+	}
+	mid := n / 2
+	stableSort(keys, idx[:mid], scratch)
+	stableSort(keys, idx[mid:], scratch)
+	if !(keys[idx[mid]] < keys[idx[mid-1]]) {
+		return // the halves are already in order
+	}
+	// Merge the left half (moved to scratch) with the right half in
+	// place: the write position never passes the right half's read
+	// position, and ties take the left element.
+	left := scratch[:mid]
+	copy(left, idx[:mid])
+	i, j, k := 0, mid, 0
+	for i < mid && j < n {
+		if keys[idx[j]] < keys[left[i]] {
+			idx[k] = idx[j]
+			j++
+		} else {
+			idx[k] = left[i]
+			i++
+		}
+		k++
+	}
+	copy(idx[k:], left[i:])
 }
 
 // partition3 stably partitions idx around pivot into (< pivot), (== pivot),
@@ -338,43 +383,37 @@ func PPivot[K cmp.Ordered](keys []K, idx []int) K {
 			medians[b] = quickselect(buf, (len(buf)-1)/2)
 		}
 	})
-	sort.Slice(medians, func(a, b int) bool { return medians[a] < medians[b] })
+	slices.Sort(medians)
 	return medians[(len(medians)-1)/2]
 }
 
 // quickselect returns the element of rank r (0-based) in buf, reordering
-// buf. Expected linear time.
+// buf in place. Expected linear time.
 func quickselect[K cmp.Ordered](buf []K, r int) K {
 	for len(buf) > 1 {
 		p := buf[rand.IntN(len(buf))]
-		lo, eq := 0, 0
-		for _, v := range buf {
-			if v < p {
-				lo++
-			} else if v == p {
-				eq++
+		// Three-way partition: buf[:lt] < p, buf[lt:gt] == p, buf[gt:] > p.
+		lt, i, gt := 0, 0, len(buf)
+		for i < gt {
+			switch v := buf[i]; {
+			case v < p:
+				buf[lt], buf[i] = v, buf[lt]
+				lt++
+				i++
+			case p < v:
+				gt--
+				buf[i], buf[gt] = buf[gt], v
+			default:
+				i++
 			}
 		}
 		switch {
-		case r < lo:
-			out := make([]K, 0, lo)
-			for _, v := range buf {
-				if v < p {
-					out = append(out, v)
-				}
-			}
-			buf = out
-		case r < lo+eq:
+		case r < lt:
+			buf = buf[:lt]
+		case r < gt:
 			return p
 		default:
-			out := make([]K, 0, len(buf)-lo-eq)
-			for _, v := range buf {
-				if v > p {
-					out = append(out, v)
-				}
-			}
-			r -= lo + eq
-			buf = out
+			buf, r = buf[gt:], r-gt
 		}
 	}
 	return buf[0]

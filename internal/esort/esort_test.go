@@ -257,3 +257,29 @@ func TestPESortAdversarialShapes(t *testing.T) {
 		_ = name
 	}
 }
+
+// TestAllocsPESortInto pins that sorting a cut batch of up to seqCutoff
+// keys into the caller's scratch allocates nothing: the base case is a
+// merge sort through that scratch, not sort.SliceStable's reflect
+// swapper and closure (2 allocations per call before).
+func TestAllocsPESortInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{2, 13, 40, seqCutoff} {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = string(rune('a' + rng.Intn(8)))
+		}
+		perm, scratch := PESortInto(keys, MedianOfMedians, nil, nil)
+		allocs := testing.AllocsPerRun(100, func() {
+			perm, scratch = PESortInto(keys, MedianOfMedians, perm, scratch)
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d: %.1f allocations per PESortInto, want 0", n, allocs)
+		}
+		if !sort.SliceIsSorted(perm, func(a, b int) bool {
+			return keys[perm[a]] < keys[perm[b]] || keys[perm[a]] == keys[perm[b]] && perm[a] < perm[b]
+		}) {
+			t.Errorf("n=%d: permutation not stably sorted: %v", n, perm)
+		}
+	}
+}

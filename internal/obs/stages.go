@@ -22,15 +22,19 @@ const (
 	// per-shard sub-batches (the counting sort).
 	StageFanout
 	// StageApply is the engine apply: from the first sub-batch handed
-	// to a shard worker to the last sub-batch's results.
+	// to a shard worker to the last sub-batch's results. On a durable
+	// server it also covers the cut's fsync, which runs beside the
+	// apply, when the fsync is the slower of the two.
 	StageApply
 	// StageReply is rendering a batch's replies into the write buffer.
 	StageReply
-	// StageFsync is the durability hook: encoding the combined batch
-	// into the WAL and, under fsync=always, the fsync itself — between
-	// apply and reply, so an acked write is on disk. Appended after
-	// StageReply so earlier stage indices stay stable; zero-count when
-	// the server runs without a WAL.
+	// StageFsync is the durability hook's sync: under fsync=always the
+	// flush, zero-fill and fsync of the cut's WAL frame, which was
+	// written before the apply and syncs while the shards apply it —
+	// before the reply, so an acked write is on disk. It overlaps
+	// StageApply, so stage shares can sum past 1 on a durable server.
+	// Appended after StageReply so earlier stage indices stay stable;
+	// zero-count when the server runs without a WAL.
 	StageFsync
 
 	// NumStages is the number of lifecycle stages.

@@ -12,23 +12,24 @@ import (
 )
 
 // Durability. With Config.WAL set the server logs every committed
-// mutation through the group-commit scheduler's single commit loop:
-// the applier applies a combined batch to the map, then appends the
-// batch's inserts/deletes as ONE WAL frame and (under fsync=always)
-// fsyncs — all before the batch's jobs are released, so no reply is
-// written until the batch is durable. One fsync per coalescer cut is
-// the whole cost model: the same window that amortizes tree work over
-// a combined batch amortizes the disk write.
+// mutation through the group-commit scheduler's single commit loop. Per
+// cut, the applier writes the batch's inserts/deletes/expires as ONE
+// WAL frame, hands every shard sub-batch to its worker, fsyncs (under
+// fsync=always) on the commit goroutine while the shards apply, and
+// waits for both — all before the batch's jobs are released, so no
+// reply is written until its frame is durable. One fsync per coalescer
+// cut is the whole cost model: the same window that amortizes tree
+// work over a combined batch amortizes the disk write, and the write
+// hides behind the apply instead of following it.
 //
-// The apply-BEFORE-append order is load-bearing for snapshots. The
-// WAL's fuzzy checkpoint rotates to a fresh segment and then streams
-// the live map (cursor-paged RangePage, no quiesce); because every
-// record in older segments was applied to the map before the rotation,
-// the scan observes it (or a newer value for the same key), so
-// checkpoint + ordered replay of segments >= the checkpoint seq
-// converges to the logged state by last-writer-wins. The price is the
-// usual group-commit window: a crash between apply and fsync loses
-// only mutations whose replies were never written.
+// Log-first costs one ordering rule. The WAL's fuzzy checkpoint rotates
+// to a fresh segment and then streams the live map (cursor-paged
+// RangePage, no quiesce); it is correct only if every record in older
+// segments was in the map before the rotation. The WAL holds its cut
+// open from WriteBatch to EndBatch and Snapshot's rotation waits for it,
+// so the applier closes the cut only after the apply. It also means an
+// op that panics an engine is logged before the panic, and recovery
+// replays it: a crash loop where the apply-first order restarted clean.
 //
 // The scheduler's single commit loop is what gives the WAL a total
 // append order that matches the map's linearization order: every
@@ -60,12 +61,56 @@ func walHiSentinel(l wire.Limits) string {
 	return strings.Repeat("\xff", mb+1)
 }
 
-// appendWAL logs one committed combined batch. It runs on the
-// coalescer's commit goroutine, synchronously between the map apply
-// and the batch's jobs being released — delete keys may alias read
-// arenas, which is safe exactly because the frame encoding copies them
-// before any job ack lets an arena recycle.
-func (s *Server) appendWAL(batches [][]pws.Op[string, string]) {
+// applyDurable is a WAL-backed server's applier. It runs on the
+// coalescer's commit goroutine: write the cut's frame, apply the batch
+// with the frame's sync as the overlap work, close the WAL's cut, and
+// return — only then are the batch's jobs released. A read-only cut
+// logs nothing and takes the memory-mode path.
+func (s *Server) applyDurable(batches [][]pws.Op[string, string], dsts [][]pws.Result[string]) {
+	recs := s.walRecords(batches)
+	if len(recs) == 0 {
+		s.store.ApplyScattered(batches, dsts)
+		return
+	}
+	err := s.wal.WriteBatch(recs)
+	// Drop the arena-aliased key references now that the frame is
+	// encoded; the batches' arenas recycle after the jobs ack.
+	clear(recs)
+	if err != nil {
+		// Fail-stop: the log refuses the batch, and replies for it would
+		// be written if the cut went on. Acking writes the log cannot
+		// hold violates the durability contract under every policy, so a
+		// broken WAL ends the process.
+		panic(fmt.Sprintf("server: wal write failed, cannot ack non-durable batch: %v", err))
+	}
+	if s.cutHook != nil {
+		s.cutHook()
+	}
+	var serr error
+	s.store.ApplyScatteredWith(batches, dsts, func() { serr = s.syncWAL() })
+	s.wal.EndBatch()
+	if serr != nil {
+		panic(fmt.Sprintf("server: wal sync failed, cannot ack non-durable batch: %v", serr))
+	}
+}
+
+// syncWAL is a durable cut's overlap work: the frame's sync, timed as
+// the fsync stage, run while the shards apply the cut.
+func (s *Server) syncWAL() error {
+	var t0 int64
+	st := s.stages()
+	if st != nil {
+		t0 = obs.Now()
+	}
+	err := s.wal.SyncBatch()
+	st.RecordSince(obs.StageFsync, t0)
+	return err
+}
+
+// walRecords encodes a cut's mutations as WAL records into the
+// applier's scratch. Keys and values alias read arenas until the frame
+// is written.
+func (s *Server) walRecords(batches [][]pws.Op[string, string]) []wal.Record {
 	recs := s.walRecs[:0]
 	for _, b := range batches {
 		for i := range b {
@@ -83,26 +128,7 @@ func (s *Server) appendWAL(batches [][]pws.Op[string, string]) {
 		}
 	}
 	s.walRecs = recs
-	if len(recs) == 0 {
-		return // read-only batch: nothing to make durable
-	}
-	var t0 int64
-	st := s.stages()
-	if st != nil {
-		t0 = obs.Now()
-	}
-	err := s.wal.AppendBatch(recs)
-	st.RecordSince(obs.StageFsync, t0)
-	// Drop the arena-aliased key references now that the frame is
-	// encoded; the batches' arenas recycle after the jobs ack.
-	clear(recs)
-	if err != nil {
-		// Fail-stop: the batch is applied in memory but may not be on
-		// disk, and replies for it are about to be written. Acking
-		// writes the log cannot hold violates the durability contract
-		// under every policy, so a broken WAL ends the process.
-		panic(fmt.Sprintf("server: wal append failed, cannot ack non-durable batch: %v", err))
-	}
+	return recs
 }
 
 // Recover bulk-loads a WAL recovery stream into the map, chunking the

@@ -10,7 +10,10 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -307,5 +310,87 @@ func TestIdleTimeoutReapsOnlyIdle(t *testing.T) {
 			t.Fatalf("active connection died: %+v, %v", r, err)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestCheckpointWaitsForOpenCut is the oracle for the one ordering rule
+// log-first commit adds: a checkpoint may not rotate between a cut's
+// frame write and the end of its apply. One cut is held after its frame
+// is written and before its shards apply it; a checkpoint is started;
+// the cut is let go and acks; a crash image of the data directory must
+// recover the acked write. Were the rotation allowed, the checkpoint's
+// scan would miss the write, and the segment holding its frame would be
+// pruned behind the checkpoint.
+func TestCheckpointWaitsForOpenCut(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := openDurable(t, dir)
+	defer srv.Close()
+	c := pipeClient(t, srv)
+	want := map[string]string{}
+	mutate(t, c, want, 5, 300)
+
+	written, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv.cutHook = func() {
+		once.Do(func() {
+			close(written)
+			<-resume
+		})
+	}
+	acked := make(chan error, 1)
+	go func() { acked <- c.Set("late", "acked") }()
+	<-written
+
+	seq := srv.wal.Seq()
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- srv.Checkpoint() }()
+	// The rule keeps the segment where it is while the cut is held. A
+	// rotation would show within the wait; the checkpoint then runs to
+	// the end before the cut goes on, as a fuzzy scan may.
+	rotated := false
+	for deadline := time.Now().Add(200 * time.Millisecond); !rotated && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		rotated = srv.wal.Seq() != seq
+	}
+	if rotated {
+		t.Error("the checkpoint rotated while a cut was between its frame write and its apply")
+		if err := <-ckpt; err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+	}
+	close(resume)
+	if err := <-acked; err != nil {
+		t.Fatalf("SET late: %v", err)
+	}
+	if !rotated {
+		if err := <-ckpt; err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+	}
+	want["late"] = "acked"
+
+	// Every acked frame is fsynced: a copy of the directory now is what
+	// a SIGKILL would leave.
+	crash := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crash, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv2, rec := openDurable(t, crash)
+	defer srv2.Close()
+	if rec.SnapshotSeq() == 0 {
+		t.Fatal("recovery did not start from the checkpoint")
+	}
+	verify(t, srv2, want)
+	if v, ok, err := pipeClient(t, srv2).Get("late"); err != nil || !ok || v != "acked" {
+		t.Fatalf("acked write after recovery: GET late = (%q, %v, %v)", v, ok, err)
 	}
 }

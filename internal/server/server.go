@@ -246,6 +246,9 @@ type Server struct {
 	walHi    string
 	snapStop chan struct{}
 	snapDone chan struct{}
+	// cutHook, when a test sets it, runs on the commit goroutine between
+	// a durable cut's frame write and its apply.
+	cutHook func()
 
 	mu        sync.Mutex
 	conns     map[*conn]struct{}
@@ -282,30 +285,27 @@ func New(cfg Config) *Server {
 		closedCh:  make(chan struct{}),
 	}
 	s.obsm = s.store.Obs()
-	if cfg.WAL != nil {
-		s.wal = cfg.WAL
-		s.walHi = walHiSentinel(cfg.Limits)
-	}
 	// The applier is the single point where client operations touch the
 	// map. SCAN needs no exclusion here: range reads are batch ops
 	// themselves, so combined commits and scan pages interleave freely on
 	// the map.
 	//
 	// In durable mode the applier is also the WAL commit hook: the
-	// combined batch is applied, then logged (and fsynced per policy), all
-	// before this callback returns and the coalescer releases the batch's
-	// jobs — so replies wait on durability. Apply-before-append is what
-	// makes fuzzy checkpoints correct (see durable.go).
+	// combined batch's frame is written, then applied while it is fsynced
+	// (per policy), all before the applier returns and the coalescer
+	// releases the batch's jobs — so replies wait on durability (see
+	// durable.go).
+	apply := s.store.ApplyScattered
+	if cfg.WAL != nil {
+		s.wal = cfg.WAL
+		s.walHi = walHiSentinel(cfg.Limits)
+		apply = s.applyDurable
+	}
 	s.co = coalesce.New(coalesce.Config{
 		MaxBatch: cfg.CoalesceBatch,
 		MaxDelay: cfg.CoalesceWindow,
 		Stages:   s.obsm.Stages(),
-	}, func(batches [][]pws.Op[string, string], dsts [][]pws.Result[string]) {
-		s.store.ApplyScattered(batches, dsts)
-		if s.wal != nil {
-			s.appendWAL(batches)
-		}
-	})
+	}, apply)
 	if s.wal != nil && cfg.SnapshotBytes > 0 {
 		s.snapStop = make(chan struct{})
 		s.snapDone = make(chan struct{})

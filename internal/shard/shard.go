@@ -381,8 +381,10 @@ func (m *Map[K, V]) frontDrop(k K) {
 //     contradict.
 //  2. sweep — here: lazily retire due TTLs (reclamation only; an expired
 //     key already reads as absent).
-//  3. durable hook — ApplyScattered returns to the server's applier,
-//     which appends the batch to the WAL and syncs per policy.
+//  3. durable hook — the server's applier wrote the batch's WAL frame
+//     before collect and synced it during collect, as the work it
+//     passed to ApplyScatteredWith; it closes the WAL's cut when
+//     ApplyScatteredWith returns.
 //  4. release — the coalescer releases the batch's waiters; replies are
 //     written.
 //
@@ -715,6 +717,15 @@ func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 // take the engines' point-op path (applyOne). Every operation ends in
 // the same commitBoundary.
 func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Result[V]) {
+	m.ApplyScatteredWith(batches, dsts, nil)
+}
+
+// ApplyScatteredWith is ApplyScattered with work to overlap: every
+// sub-batch goes to its shard's worker, and work runs on the calling
+// goroutine while they apply (the durable server's fsync). It returns
+// once both are done. A nil work is ApplyScattered, where the caller
+// applies the last sub-batch itself.
+func (m *Map[K, V]) ApplyScatteredWith(batches [][]core.Op[K, V], dsts [][]core.Result[V], work func()) {
 	m.enter()
 	defer m.pending.Done()
 	total := 0
@@ -722,22 +733,26 @@ func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Resu
 		total += len(ops)
 	}
 	if total == 0 {
+		if work != nil {
+			work()
+		}
 		return
 	}
-	m.collect(batches, dsts, total)
+	m.collect(batches, dsts, total, work)
 	m.commitBoundary()
 }
 
-// collect is ApplyScattered's split → apply → scatter: when it returns
-// every op is applied and its result delivered.
+// collect is ApplyScatteredWith's split → apply → scatter: when it
+// returns every op is applied, its result delivered, and work done.
 //
 // The split is a two-pass counting sort into pooled scratch: pass one
 // routes every op and counts per shard, pass two lays the ops out
 // contiguously by shard in subOps. Every non-empty sub-batch but the last
 // is forked to its shard's worker, the caller applies the last itself,
-// and the results are scattered from subRes. One shard, or a batch that
+// and the results are scattered from subRes. With work, the last is
+// forked too and the caller runs work instead. One shard, or a batch that
 // lands in one shard, is the same code with nothing forked.
-func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], total int) {
+func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], total int, work func()) {
 	// Stage timing is per batch (two clock reads when enabled), recorded
 	// as fanout (the split) and apply (first fork to last result).
 	var t0 int64
@@ -800,13 +815,21 @@ func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], 
 	}
 
 	tApply := m.markFanout(t0)
-	for s := range last {
+	forked := last
+	if work != nil {
+		forked = last + 1
+	}
+	for s := range forked {
 		if lo, hi := sc.starts[s], cursor[s]; lo < hi {
 			m.fork(s, sc.subOps[lo:hi], sc.subRes[lo:hi], &sc.wg)
 		}
 	}
-	lo, hi := sc.starts[last], cursor[last]
-	m.shards[last].ApplyInto(sc.subOps[lo:hi], sc.subRes[lo:hi])
+	if work != nil {
+		work()
+	} else {
+		lo, hi := sc.starts[last], cursor[last]
+		m.shards[last].ApplyInto(sc.subOps[lo:hi], sc.subRes[lo:hi])
+	}
 	sc.wg.Wait()
 	m.stages.RecordSince(obs.StageApply, tApply)
 

@@ -71,8 +71,8 @@ func IsTorn(err error) bool { return errors.Is(err, errTorn) }
 
 // appendFrame encodes recs as one frame onto dst. An empty recs slice
 // encodes a valid zero-record frame — segments never contain one
-// (AppendBatch drops empty batches), which lets snapshots use it as an
-// explicit end-of-checkpoint terminator.
+// (WriteBatch writes none for an empty batch), which lets snapshots use
+// it as an explicit end-of-checkpoint terminator.
 func appendFrame(dst []byte, recs []Record) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -182,20 +182,25 @@ func newFrameScanner(r io.Reader, off int64) *frameScanner {
 }
 
 // next returns the records of the next frame and the offset at which
-// the frame starts. io.EOF means a clean end exactly at a frame
-// boundary; an errTorn-wrapped error means the stream is invalid from
-// the returned offset onward.
+// the frame starts. io.EOF means a clean end at a frame boundary: the
+// end of the stream, or an all-zero remainder (a segment is zero-filled
+// ahead of its writer, and no frame starts with a zero header). An
+// errTorn-wrapped error means the stream is invalid from the returned
+// offset onward.
 func (s *frameScanner) next() ([]Record, int64, error) {
 	start := s.off
 	var hdr [frameHdrLen]byte
-	if _, err := io.ReadFull(s.br, hdr[:]); err != nil {
-		if err == io.EOF {
+	if n, err := io.ReadFull(s.br, hdr[:]); err != nil {
+		if err == io.EOF || (err == io.ErrUnexpectedEOF && allZero(hdr[:n])) {
 			return nil, start, io.EOF
 		}
 		if err == io.ErrUnexpectedEOF {
 			return nil, start, fmt.Errorf("%w: short frame header", errTorn)
 		}
 		return nil, start, err
+	}
+	if allZero(hdr[:]) {
+		return nil, start, s.zeroTail()
 	}
 	plen := binary.LittleEndian.Uint32(hdr[:4])
 	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
@@ -222,4 +227,31 @@ func (s *frameScanner) next() ([]Record, int64, error) {
 	}
 	s.off = start + frameHdrLen + int64(plen)
 	return recs, start, nil
+}
+
+// zeroTail reads the rest of the stream after a zero frame header:
+// io.EOF if it is all zeros, torn if any byte is not.
+func (s *frameScanner) zeroTail() error {
+	if cap(s.buf) < 4096 {
+		s.buf = make([]byte, 4096)
+	}
+	buf := s.buf[:cap(s.buf)]
+	for {
+		n, err := s.br.Read(buf)
+		if !allZero(buf[:n]) {
+			return fmt.Errorf("%w: non-zero bytes after a zero frame header", errTorn)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

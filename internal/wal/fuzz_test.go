@@ -16,6 +16,8 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(appendFrame(nil, []Record{{Key: "k", Del: true}, {Key: "", Val: ""}}))
 	f.Add(appendFrame(appendFrame(nil, nil), []Record{{Key: "a", Val: "b"}}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	// A frame and then the zero fill a crash leaves past it.
+	f.Add(append(appendFrame(nil, []Record{{Key: "k", Val: "v"}}), make([]byte, 64)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 1. Arbitrary bytes through the scanner: every returned frame

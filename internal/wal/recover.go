@@ -119,7 +119,8 @@ func Open(opt Options) (*Log, *Recovery, error) {
 	if snapSeq+1 > nextSeq {
 		nextSeq = snapSeq + 1
 	}
-	f, size, err := createSegment(opt.Dir, nextSeq)
+	fill := l.firstFill()
+	f, err := createSegment(opt.Dir, nextSeq, fill)
 	if err != nil {
 		dir.Close()
 		return nil, nil, err
@@ -133,7 +134,8 @@ func Open(opt Options) (*Log, *Recovery, error) {
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
 	l.seq.Store(nextSeq)
-	l.size = size
+	l.size = fileHdrLen
+	l.filled = max(fileHdrLen, fill)
 	l.snapSeq.Store(snapSeq)
 	if opt.Policy == SyncInterval {
 		l.stopSync = make(chan struct{})
@@ -187,13 +189,19 @@ func checkHeader(f *os.File, magic string, seq uint64) error {
 // repairTail scans the newest segment and truncates everything after
 // the last good frame boundary. A file whose header itself is torn is
 // reset to a valid empty segment (the header write raced the crash).
-// Returns whether a torn tail was found and repaired.
+// An all-zero remainder is the writer's zero-fill, not damage: it is
+// cut off without a warning, so the segment, sealed from now on, ends
+// at its last frame. Returns whether a torn tail was found and repaired.
 func repairTail(path string, seq uint64, logf func(string, ...any)) (bool, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return false, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return false, err
+	}
 
 	good := int64(fileHdrLen)
 	herr := checkHeader(f, segMagic, seq)
@@ -206,7 +214,10 @@ func repairTail(path string, seq uint64, logf func(string, ...any)) (bool, error
 		for {
 			_, _, err := sc.next()
 			if err == io.EOF {
-				return false, nil // clean tail, nothing to repair
+				if sc.off == st.Size() {
+					return false, nil // clean tail, nothing to repair
+				}
+				return false, truncateSync(f, sc.off) // clean zero tail
 			}
 			if err != nil {
 				scanErr = err
@@ -222,15 +233,8 @@ func repairTail(path string, seq uint64, logf func(string, ...any)) (bool, error
 		good = 0
 	}
 
-	st, err := f.Stat()
-	if err != nil {
-		return false, err
-	}
 	logf("wal: %s: torn tail at offset %d (%v): truncating %d bytes",
 		filepath.Base(path), good, scanErr, st.Size()-good)
-	if err := f.Truncate(good); err != nil {
-		return false, err
-	}
 	if good == 0 {
 		// Rewrite the header so the file stays a valid (empty) segment
 		// and the sequence chain keeps no gaps.
@@ -240,11 +244,17 @@ func repairTail(path string, seq uint64, logf func(string, ...any)) (bool, error
 		if _, err := f.WriteAt(hdr[:], 0); err != nil {
 			return false, err
 		}
+		good = fileHdrLen
 	}
-	if err := f.Sync(); err != nil {
-		return false, err
+	return true, truncateSync(f, good)
+}
+
+// truncateSync cuts f to size bytes and fsyncs it.
+func truncateSync(f *os.File, size int64) error {
+	if err := f.Truncate(size); err != nil {
+		return err
 	}
-	return true, nil
+	return f.Sync()
 }
 
 // validateSnapshot fully scans a checkpoint: header, every frame's

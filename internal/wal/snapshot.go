@@ -25,11 +25,12 @@ const snapChunk = 512
 // Sequence: rotate to a fresh segment whose seq S becomes the
 // checkpoint's identity, scan the map into snap-<S>.ckpt.tmp, fsync,
 // rename into place, fsync the directory, then delete segments and
-// checkpoints older than S. The fuzzy scan is safe because the caller
-// applies mutations to the map BEFORE appending them: every record in
-// a segment < S was visible to the scan (or overwritten by a record
-// >= S that replays after it), so checkpoint + replay of segments >= S
-// reproduces the log's full prefix.
+// checkpoints older than S. The fuzzy scan is safe because the
+// rotation waits for an open cut (WriteBatch → EndBatch): every record
+// in a segment < S had reached the map before the scan began, so the
+// scan saw it (or a record >= S overwrote it, which replays after it),
+// and checkpoint + replay of segments >= S reproduces the log's full
+// prefix.
 //
 // The terminator frame (zero records) is the completion witness: a
 // checkpoint missing it — crash mid-write, even though renames are
@@ -38,23 +39,10 @@ func (l *Log) Snapshot(stream func(emit func(rec Record) error) error) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
 
-	l.mu.Lock()
-	if l.closed.Load() {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
+	cut, err := l.rotateForSnapshot()
+	if err != nil {
 		return err
 	}
-	if err := l.rotateLocked(); err != nil {
-		err = l.fail(err)
-		l.mu.Unlock()
-		return err
-	}
-	cut := l.seq.Load()
-	l.mu.Unlock()
 
 	t0 := obs.Now()
 	final := filepath.Join(l.opt.Dir, ckptName(cut))
@@ -141,6 +129,26 @@ func (l *Log) Snapshot(stream func(emit func(rec Record) error) error) error {
 	l.lastSnapNs.Store(obs.Since(t0))
 	l.prune(cut)
 	return nil
+}
+
+// rotateForSnapshot seals the active segment for a checkpoint and
+// returns the new segment's seq. It takes cutMu first, so it never runs
+// while a cut's frame is written and its batch not yet applied.
+func (l *Log) rotateForSnapshot() (uint64, error) {
+	l.cutMu.Lock()
+	defer l.cutMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed.Load() {
+		return 0, ErrClosed
+	}
+	if l.err != nil {
+		return 0, l.err
+	}
+	if err := l.rotateLocked(); err != nil {
+		return 0, l.fail(err)
+	}
+	return l.seq.Load(), nil
 }
 
 // segBytesSince approximates the log bytes appended at or after the

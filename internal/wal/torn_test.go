@@ -13,13 +13,19 @@ import (
 // batches, then truncate the segment at every byte offset inside the
 // last frame and separately flip every byte of it. Recovery must yield
 // exactly the prefix of fully-committed batches — never an error,
-// never a phantom or partial batch.
+// never a phantom or partial batch — and warn exactly when it counts a
+// torn tail. The padded variants do the same to the segment as a crash
+// leaves it under fsync=always: zero-filled past its last frame, where
+// a cut anywhere in the zeros is a clean end and a non-zero byte is
+// torn.
 func TestTornTailEveryOffset(t *testing.T) {
 	const nBatches = 8
 
-	// Build the reference segment once.
+	// Build the reference segment once, copying it before Close as well:
+	// the copy still carries the zero fill (SegmentBytes caps it).
+	const padTo = 640
 	srcDir := t.TempDir()
-	l, _ := testOpen(t, srcDir, Options{Policy: SyncNever})
+	l, _ := testOpen(t, srcDir, Options{Policy: SyncAlways, SegmentBytes: padTo})
 	batches := make([][]Record, nBatches)
 	for i := range batches {
 		batches[i] = []Record{
@@ -31,16 +37,25 @@ func TestTornTailEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
 	segs, _, err := scanDir(Options{Dir: srcDir})
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want exactly 1 segment, got %v (%v)", segs, err)
 	}
+	padded, err := os.ReadFile(filepath.Join(srcDir, segName(segs[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	seg, err := os.ReadFile(filepath.Join(srcDir, segName(segs[0])))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(padded) != padTo || !bytes.Equal(padded[:len(seg)], seg) ||
+		!bytes.Equal(padded[len(seg):], make([]byte, padTo-len(seg))) {
+		t.Fatalf("live segment is not the closed one (%d bytes) zero-filled to %d: %d bytes",
+			len(seg), padTo, len(padded))
 	}
 
 	// Frame boundaries, via the same scanner recovery uses.
@@ -82,13 +97,16 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, segName(segs[0])), mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(Options{Dir: dir, Logf: func(string, ...any) {}})
+		// Recovery does not depend on the policy; SyncNever spares each
+		// Open the new segment's zero fill.
+		warned := false
+		l, rec, err := Open(Options{Dir: dir, Policy: SyncNever, Logf: func(string, ...any) { warned = true }})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		defer l.Close()
-		if torn := l.Stats().TornTails > 0; torn != wantTorn {
-			t.Fatalf("torn=%v, want %v", torn, wantTorn)
+		if torn := l.Stats().TornTails > 0; torn != wantTorn || warned != wantTorn {
+			t.Fatalf("torn=%v warned=%v, want %v", torn, warned, wantTorn)
 		}
 		got := map[string]string{}
 		if err := rec.Replay(func(recs []Record) error {
@@ -149,6 +167,36 @@ func TestTornTailEveryOffset(t *testing.T) {
 		mut := bytes.Clone(seg)
 		mut[mid] ^= 0xff
 		check(t, mut, 3, true)
+	})
+
+	t.Run("padded-truncate", func(t *testing.T) {
+		// Inside the last frame a cut loses it, as without the fill; from
+		// the frame's end on, every cut leaves an all-zero remainder,
+		// which is a clean end keeping every batch.
+		lastStart, end := offsets[nBatches-1], offsets[nBatches]
+		for cut := lastStart; cut <= int64(len(padded)); cut++ {
+			if cut < end {
+				check(t, padded[:cut], nBatches-1, cut != lastStart)
+			} else {
+				check(t, padded[:cut], nBatches, false)
+			}
+		}
+	})
+
+	t.Run("padded-corrupt", func(t *testing.T) {
+		// A flipped byte in the last frame loses it; one in the zero fill
+		// is torn (a non-zero header, or non-zero bytes after a zero
+		// header) but keeps every frame before it.
+		end := offsets[nBatches]
+		for off := offsets[nBatches-1]; off < int64(len(padded)); off++ {
+			mut := bytes.Clone(padded)
+			mut[off] ^= 0xff
+			want := nBatches
+			if off < end {
+				want = nBatches - 1
+			}
+			check(t, mut, want, true)
+		}
 	})
 
 	t.Run("torn-header", func(t *testing.T) {

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -356,5 +359,137 @@ func TestStatsTakesNoLock(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("Stats blocked on the log's mutex")
+	}
+}
+
+// TestZeroFillBounds pins the zero fill's footprint: under fsync=always
+// the active segment is zero-filled ahead of its last frame but never
+// more than zeroStep past it, and a sealed segment, like a cleanly
+// closed log's, ends exactly at its last frame.
+func TestZeroFillBounds(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := testOpen(t, dir, Options{Policy: SyncAlways, SegmentBytes: 3 * zeroStep / 2})
+	val := strings.Repeat("z", 4000)
+	padded := false
+	for i := 0; i < 1000; i++ {
+		if err := l.AppendBatch([]Record{{Key: fmt.Sprintf("k%04d", i), Val: val}}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := l.f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pad := st.Size() - l.size; pad < 0 || pad > zeroStep {
+			t.Fatalf("append %d: active segment is %d bytes past its last frame", i, pad)
+		} else if pad > 0 {
+			padded = true
+		}
+	}
+	if !padded {
+		t.Fatal("the active segment was never zero-filled")
+	}
+	if l.Stats().Rotations == 0 {
+		t.Fatal("no segment was sealed")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _, err := scanDir(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sq := range segs {
+		b, err := os.ReadFile(filepath.Join(dir, segName(sq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := newFrameScanner(bytes.NewReader(b[fileHdrLen:]), fileHdrLen)
+		for {
+			if _, _, err := sc.next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("%s: %v", segName(sq), err)
+			}
+		}
+		if sc.off != int64(len(b)) {
+			t.Errorf("%s: %d bytes, frames end at %d", segName(sq), len(b), sc.off)
+		}
+	}
+}
+
+// TestSyncFaultIsSticky injects a failing fsync and a failing zero fill
+// into a cut: SyncBatch reports it, and the log refuses every later
+// append, so no frame can land behind the failed one.
+func TestSyncFaultIsSticky(t *testing.T) {
+	for _, op := range []string{"sync", "fill"} {
+		t.Run(op, func(t *testing.T) {
+			l, _ := testOpen(t, t.TempDir(), Options{Policy: SyncAlways})
+			injected := errors.New("injected " + op + " error")
+			SetFault(l, func(o string) error {
+				if o == op {
+					return injected
+				}
+				return nil
+			})
+			// A frame that leaves less than zeroLow of the first fill makes
+			// this cut's sync fill ahead.
+			big := strings.Repeat("v", zeroStep-zeroLow/2)
+			if err := l.WriteBatch([]Record{{Key: "k", Val: big}}); err != nil {
+				t.Fatalf("WriteBatch: %v", err)
+			}
+			err := l.SyncBatch()
+			l.EndBatch()
+			if err != injected {
+				t.Fatalf("SyncBatch = %v, want the injected error", err)
+			}
+			if err := l.AppendBatch([]Record{{Key: "k2", Val: "v"}}); err != injected {
+				t.Fatalf("append after a failed %s = %v, want the sticky error", op, err)
+			}
+			if err := l.WriteBatch([]Record{{Key: "k3", Val: "v"}}); err != injected {
+				t.Fatalf("WriteBatch after a failed %s = %v, want the sticky error", op, err)
+			}
+			// A refused WriteBatch leaves no cut open: a checkpoint does
+			// not block on it, and fails on the sticky error instead.
+			if err := l.Snapshot(func(func(Record) error) error { return nil }); err != injected {
+				t.Fatalf("Snapshot after a failed %s = %v, want the sticky error", op, err)
+			}
+			if st := l.Stats(); st.Batches != 1 || st.SyncErrors == 0 {
+				t.Fatalf("stats after a failed %s: %+v", op, st)
+			}
+			if err := l.Close(); err != injected {
+				t.Fatalf("Close = %v, want the sticky error", err)
+			}
+		})
+	}
+}
+
+// TestSnapshotWaitsForOpenCut is the rotation rule at the log: a
+// checkpoint started while a cut is open rotates only after EndBatch.
+func TestSnapshotWaitsForOpenCut(t *testing.T) {
+	l, _ := testOpen(t, t.TempDir(), Options{Policy: SyncAlways})
+	defer l.Close()
+	if err := l.WriteBatch([]Record{{Key: "k", Val: "v"}}); err != nil {
+		t.Fatal(err)
+	}
+	seq := l.Seq()
+	done := make(chan error, 1)
+	go func() { done <- l.Snapshot(func(func(Record) error) error { return nil }) }()
+	if err := l.SyncBatch(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Snapshot finished (%v) across an open cut", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if l.Seq() != seq {
+		t.Fatal("Snapshot rotated across an open cut")
+	}
+	l.EndBatch()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if l.Seq() == seq || l.SnapSeq() != l.Seq() {
+		t.Fatalf("after EndBatch: seq %d, snapshot seq %d", l.Seq(), l.SnapSeq())
 	}
 }
