@@ -64,8 +64,8 @@ import (
 
 // Applier applies the concatenation of batches as one combined batch,
 // delivering each batch's results into the aligned dsts slice (the
-// contract of shard.Map.ApplyScattered, which is the intended
-// implementation; tests substitute their own).
+// contract of shard.Map.ApplyScattered, which the server's appliers
+// call; tests substitute their own).
 //
 // The applier is also the cut-commit seam: the commit loop releases a
 // cut's waiters (Job.Wait returns) only AFTER the applier has returned

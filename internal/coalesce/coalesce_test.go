@@ -16,12 +16,20 @@ import (
 func newMapCoalescer(t *testing.T, cfg Config, shards int) (*Coalescer[string, string], *shard.Map[string, string]) {
 	t.Helper()
 	m := shard.New[string, string](shard.Config{Shards: shards, Shard: core.Config{P: 2}})
-	c := New(cfg, m.ApplyScattered)
+	c := New(cfg, mapApplier(m))
 	t.Cleanup(func() {
 		c.Close()
 		m.Close()
 	})
 	return c, m
+}
+
+// mapApplier is m's ApplyScattered with no overlap work, the applier a
+// memory-mode server hands the coalescer.
+func mapApplier(m *shard.Map[string, string]) Applier[string, string] {
+	return func(batches [][]core.Op[string, string], dsts [][]core.Result[string]) {
+		m.ApplyScattered(batches, dsts, nil)
+	}
 }
 
 // TestCoalesceExactResults drives many concurrent submitters over disjoint
@@ -372,7 +380,7 @@ func TestCoalesceNoWindow(t *testing.T) {
 func TestCoalesceCloseDrains(t *testing.T) {
 	m := shard.New[string, string](shard.Config{Shards: 2, Shard: core.Config{P: 2}})
 	defer m.Close()
-	c := New(Config{MaxBatch: 1 << 20, MaxDelay: 10 * time.Second}, m.ApplyScattered)
+	c := New(Config{MaxBatch: 1 << 20, MaxDelay: 10 * time.Second}, mapApplier(m))
 	j := &Job[string, string]{Ops: []core.Op[string, string]{{Kind: core.OpInsert, Key: "k", Val: "v"}}}
 	c.Submit(j)
 	start := time.Now()

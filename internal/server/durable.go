@@ -14,10 +14,12 @@ import (
 // Durability. With Config.WAL set the server logs every committed
 // mutation through the group-commit scheduler's single commit loop. Per
 // cut, the applier writes the batch's inserts/deletes/expires as ONE
-// WAL frame, hands every shard sub-batch to its worker, fsyncs (under
-// fsync=always) on the commit goroutine while the shards apply, and
-// waits for both — all before the batch's jobs are released, so no
-// reply is written until its frame is durable. One fsync per coalescer
+// WAL frame, then applies the batch with the frame's sync (an fsync
+// under fsync=always) as ApplyScattered's work: the shard workers apply
+// while the commit goroutine syncs, and the commit goroutine applies
+// any sub-batch no worker has started once the sync returns. All of it
+// happens before the batch's jobs are released, so no reply is written
+// until its frame is durable. One fsync per coalescer
 // cut is the whole cost model: the same window that amortizes tree
 // work over a combined batch amortizes the disk write, and the write
 // hides behind the apply instead of following it.
@@ -65,11 +67,11 @@ func walHiSentinel(l wire.Limits) string {
 // coalescer's commit goroutine: write the cut's frame, apply the batch
 // with the frame's sync as the overlap work, close the WAL's cut, and
 // return — only then are the batch's jobs released. A read-only cut
-// logs nothing and takes the memory-mode path.
+// logs nothing and has nothing to sync.
 func (s *Server) applyDurable(batches [][]pws.Op[string, string], dsts [][]pws.Result[string]) {
 	recs := s.walRecords(batches)
 	if len(recs) == 0 {
-		s.store.ApplyScattered(batches, dsts)
+		s.store.ApplyScattered(batches, dsts, nil)
 		return
 	}
 	err := s.wal.WriteBatch(recs)
@@ -87,7 +89,7 @@ func (s *Server) applyDurable(batches [][]pws.Op[string, string], dsts [][]pws.R
 		s.cutHook()
 	}
 	var serr error
-	s.store.ApplyScatteredWith(batches, dsts, func() { serr = s.syncWAL() })
+	s.store.ApplyScattered(batches, dsts, func() { serr = s.syncWAL() })
 	s.wal.EndBatch()
 	if serr != nil {
 		panic(fmt.Sprintf("server: wal sync failed, cannot ack non-durable batch: %v", serr))

@@ -295,7 +295,9 @@ func New(cfg Config) *Server {
 	// (per policy), all before the applier returns and the coalescer
 	// releases the batch's jobs — so replies wait on durability (see
 	// durable.go).
-	apply := s.store.ApplyScattered
+	apply := func(batches [][]pws.Op[string, string], dsts [][]pws.Result[string]) {
+		s.store.ApplyScattered(batches, dsts, nil)
+	}
 	if cfg.WAL != nil {
 		s.wal = cfg.WAL
 		s.walHi = walHiSentinel(cfg.Limits)

@@ -90,12 +90,11 @@ type Map[K cmp.Ordered, V any] struct {
 	mobs   *obs.MapObs
 	stages *obs.StageSet
 
-	// workers are the persistent per-shard goroutines behind fork: each
-	// runs the sub-batches handed to it through its shard's
-	// M1.ApplyInto. Persistent rather than spawned per call because the
-	// tree kernels grow a fresh goroutine's stack on every cut (DESIGN.md
-	// "Two entry points, one engine"); a job is a plain struct send.
-	workers  []chan applyJob[K, V]
+	// slots and wake feed fanout's persistent per-shard workers (a
+	// goroutine spawned per call would regrow its stack on every cut;
+	// DESIGN.md "Two entry points, one engine").
+	slots    []atomic.Pointer[task[K, V]]
+	wake     []chan struct{}
 	scratch  sync.Pool // *applyScratch[K, V]
 	scratchR sync.Pool // *rangeScratch[K, V]
 
@@ -104,11 +103,17 @@ type Map[K cmp.Ordered, V any] struct {
 	closing sync.Once
 }
 
-// applyJob asks a shard worker to apply ops into res and tick wg.
-type applyJob[K cmp.Ordered, V any] struct {
+// task is one shard's sub-batch in a fanout; whichever of the caller and
+// the shard's worker claims it applies it and ticks wg, exactly once.
+type task[K cmp.Ordered, V any] struct {
 	ops []core.Op[K, V]
 	res []core.Result[V]
 	wg  *sync.WaitGroup
+}
+
+func (t *task[K, V]) run(e *core.M1[K, V]) {
+	e.ApplyInto(t.ops, t.res)
+	t.wg.Done()
 }
 
 // applyScratch is the pooled per-Apply working memory: the two-pass
@@ -122,6 +127,7 @@ type applyScratch[K cmp.Ordered, V any] struct {
 	pos     []int            // op i's slot in the shard-ordered layout
 	subOps  []core.Op[K, V]  // ops regrouped contiguously by shard
 	subRes  []core.Result[V] // results in the same layout
+	tasks   []task[K, V]     // per-shard windows of subOps/subRes
 	wg      sync.WaitGroup
 }
 
@@ -232,25 +238,54 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 			},
 		})
 	}
-	m.workers = make([]chan applyJob[K, V], s)
-	for i := range m.workers {
-		ch := make(chan applyJob[K, V], 4)
-		m.workers[i] = ch
+	m.slots = make([]atomic.Pointer[task[K, V]], s)
+	m.wake = make([]chan struct{}, s)
+	for i := range m.wake {
+		wake := make(chan struct{}, 1)
+		m.wake[i] = wake
 		go func() {
-			for job := range ch {
-				m.shards[i].ApplyInto(job.ops, job.res)
-				job.wg.Done()
+			for range wake {
+				if t := m.slots[i].Swap(nil); t != nil {
+					t.run(m.shards[i])
+				}
 			}
 		}()
 	}
 	return m
 }
 
-// fork applies ops into res on shard s's worker, ticking wg when done.
-// The caller runs its own last sub-batch inline and then waits on wg.
-func (m *Map[K, V]) fork(s int, ops []core.Op[K, V], res []core.Result[V], wg *sync.WaitGroup) {
-	wg.Add(1)
-	m.workers[s] <- applyJob[K, V]{ops: ops, res: res, wg: wg}
+// fanout applies each non-empty tasks[s] on shard s while work (if any)
+// runs, and returns when all of it is done. It posts every task in its
+// shard's slot and wakes that worker, runs work, then takes back and
+// applies here each task no worker has swapped out: wg.Wait waits only
+// for tasks a worker started. A slot busy with another caller's task
+// means its worker is behind, so the task is applied here at once.
+func (m *Map[K, V]) fanout(tasks []task[K, V], wg *sync.WaitGroup, work func()) {
+	for s := range tasks {
+		t := &tasks[s]
+		if len(t.ops) == 0 {
+			continue
+		}
+		t.wg = wg
+		wg.Add(1)
+		if !m.slots[s].CompareAndSwap(nil, t) {
+			t.run(m.shards[s])
+			continue
+		}
+		select {
+		case m.wake[s] <- struct{}{}:
+		default: // a wake is already pending; the worker swaps this task out too
+		}
+	}
+	if work != nil {
+		work()
+	}
+	for s := range tasks {
+		if t := &tasks[s]; m.slots[s].CompareAndSwap(t, nil) {
+			t.run(m.shards[s])
+		}
+	}
+	wg.Wait()
 }
 
 // Obs returns the map's telemetry bundle (nil unless Config.Telemetry
@@ -382,9 +417,9 @@ func (m *Map[K, V]) frontDrop(k K) {
 //  2. sweep — here: lazily retire due TTLs (reclamation only; an expired
 //     key already reads as absent).
 //  3. durable hook — the server's applier wrote the batch's WAL frame
-//     before collect and synced it during collect, as the work it
-//     passed to ApplyScatteredWith; it closes the WAL's cut when
-//     ApplyScatteredWith returns.
+//     before collect and passed its sync as ApplyScattered's work,
+//     which runs while the shards apply; it closes the WAL's cut when
+//     ApplyScattered returns.
 //  4. release — the coalescer releases the batch's waiters; replies are
 //     written.
 //
@@ -523,7 +558,7 @@ func (m *Map[K, V]) ApplyInto(ops []core.Op[K, V], dst []core.Result[V]) []core.
 		batches = [1][]core.Op[K, V]{ops}
 		dsts    = [1][]core.Result[V]{dst}
 	)
-	m.ApplyScattered(batches[:], dsts[:])
+	m.ApplyScattered(batches[:], dsts[:], nil)
 	return dst
 }
 
@@ -534,11 +569,12 @@ func (m *Map[K, V]) ApplyInto(ops []core.Op[K, V], dst []core.Result[V]) []core.
 // DESIGN.md). Pooled because any number of connections may page
 // concurrently.
 type rangeScratch[K cmp.Ordered, V any] struct {
-	ops  []core.Op[K, V]
-	reqs []core.RangeReq[K, V]
-	res  []core.Result[V]
-	cur  []int
-	wg   sync.WaitGroup
+	ops   []core.Op[K, V]
+	reqs  []core.RangeReq[K, V]
+	res   []core.Result[V]
+	cur   []int
+	tasks []task[K, V]
+	wg    sync.WaitGroup
 }
 
 // RangePage reads one cursor page of the ordered range [lo, hi): the
@@ -642,20 +678,15 @@ func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 	sc.reqs = grow(sc.reqs, s)
 	sc.res = grow(sc.res, s)
 	sc.cur = grow(sc.cur, s)
+	sc.tasks = grow(sc.tasks, s)
 	for i := range m.shards {
 		req := &sc.reqs[i]
 		req.Hi, req.Limit, req.XLo = hi, limit, xlo
 		req.Out = req.Out[:0]
 		sc.ops[i] = core.Op[K, V]{Kind: core.OpRange, Key: lo, Range: req}
+		sc.tasks[i] = task[K, V]{ops: sc.ops[i : i+1], res: sc.res[i : i+1]}
 	}
-	// The shards serve their pages concurrently, as ApplyScattered's
-	// sub-batches: every shard but the last through its worker, the last
-	// on this goroutine.
-	for i := 0; i < s-1; i++ {
-		m.fork(i, sc.ops[i:i+1], sc.res[i:i+1], &sc.wg)
-	}
-	m.shards[s-1].ApplyInto(sc.ops[s-1:s], sc.res[s-1:s])
-	sc.wg.Wait()
+	m.fanout(sc.tasks, &sc.wg, nil)
 
 	// Bounded k-way merge of the per-shard pages. Keys are globally
 	// distinct (each lives in exactly one shard), so a plain min-pick
@@ -713,19 +744,11 @@ func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 // per-shard sub-batches still combine duplicates across submitters,
 // because each shard engine sees one batch.
 //
-// Apply and ApplyInto are its one-batch case; Get/Insert/Delete/Expire
-// take the engines' point-op path (applyOne). Every operation ends in
-// the same commitBoundary.
-func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Result[V]) {
-	m.ApplyScatteredWith(batches, dsts, nil)
-}
-
-// ApplyScatteredWith is ApplyScattered with work to overlap: every
-// sub-batch goes to its shard's worker, and work runs on the calling
-// goroutine while they apply (the durable server's fsync). It returns
-// once both are done. A nil work is ApplyScattered, where the caller
-// applies the last sub-batch itself.
-func (m *Map[K, V]) ApplyScatteredWith(batches [][]core.Op[K, V], dsts [][]core.Result[V], work func()) {
+// A non-nil work (the durable server's WAL sync) runs once on the caller
+// while the shards apply. Apply and ApplyInto are the one-batch case
+// with no work; Get/Insert/Delete/Expire take the engines' point-op
+// path (applyOne). Every operation ends in the same commitBoundary.
+func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Result[V], work func()) {
 	m.enter()
 	defer m.pending.Done()
 	total := 0
@@ -742,19 +765,16 @@ func (m *Map[K, V]) ApplyScatteredWith(batches [][]core.Op[K, V], dsts [][]core.
 	m.commitBoundary()
 }
 
-// collect is ApplyScatteredWith's split → apply → scatter: when it
-// returns every op is applied, its result delivered, and work done.
+// collect is ApplyScattered's split → apply → scatter: when it returns
+// every op is applied, its result delivered, and work done.
 //
 // The split is a two-pass counting sort into pooled scratch: pass one
 // routes every op and counts per shard, pass two lays the ops out
-// contiguously by shard in subOps. Every non-empty sub-batch but the last
-// is forked to its shard's worker, the caller applies the last itself,
-// and the results are scattered from subRes. With work, the last is
-// forked too and the caller runs work instead. One shard, or a batch that
-// lands in one shard, is the same code with nothing forked.
+// contiguously by shard in subOps. One fanout applies each shard's
+// window while work runs; results are scattered from subRes.
 func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], total int, work func()) {
 	// Stage timing is per batch (two clock reads when enabled), recorded
-	// as fanout (the split) and apply (first fork to last result).
+	// as fanout (the split) and apply (the fanout call).
 	var t0 int64
 	if m.stages != nil {
 		t0 = obs.Now()
@@ -766,12 +786,12 @@ func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], 
 	defer func() {
 		clear(sc.subOps)
 		clear(sc.subRes)
+		clear(sc.tasks)
 		m.scratch.Put(sc)
 	}()
 	sc.shardOf = grow(sc.shardOf, total)
 	sc.counts = grow(sc.counts, len(m.shards))
 	clear(sc.counts)
-	last := 0 // highest shard index with ops
 	i := 0
 	for _, ops := range batches {
 		for _, op := range ops {
@@ -784,7 +804,6 @@ func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], 
 			s := m.shardOf(op.Key)
 			sc.shardOf[i] = int32(s)
 			sc.counts[s]++
-			last = max(last, s)
 			i++
 		}
 	}
@@ -815,22 +834,11 @@ func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], 
 	}
 
 	tApply := m.markFanout(t0)
-	forked := last
-	if work != nil {
-		forked = last + 1
+	sc.tasks = grow(sc.tasks, len(m.shards))
+	for s, lo := range sc.starts {
+		sc.tasks[s] = task[K, V]{ops: sc.subOps[lo:cursor[s]], res: sc.subRes[lo:cursor[s]]}
 	}
-	for s := range forked {
-		if lo, hi := sc.starts[s], cursor[s]; lo < hi {
-			m.fork(s, sc.subOps[lo:hi], sc.subRes[lo:hi], &sc.wg)
-		}
-	}
-	if work != nil {
-		work()
-	} else {
-		lo, hi := sc.starts[last], cursor[last]
-		m.shards[last].ApplyInto(sc.subOps[lo:hi], sc.subRes[lo:hi])
-	}
-	sc.wg.Wait()
+	m.fanout(sc.tasks, &sc.wg, work)
 	m.stages.RecordSince(obs.StageApply, tApply)
 
 	// Scatter: results return to each submitter's own slice.
@@ -945,7 +953,7 @@ func (m *Map[K, V]) Close() {
 		for _, s := range m.shards {
 			s.Close() // every operation has drained: nothing to wait for
 		}
-		for _, ch := range m.workers {
+		for _, ch := range m.wake {
 			close(ch)
 		}
 	})
@@ -970,20 +978,12 @@ type Entry[K cmp.Ordered, V any] = core.KV[K, V]
 // them into one globally ordered slice.
 func (m *Map[K, V]) snapshot() []Entry[K, V] {
 	lists := make([][]Entry[K, V], len(m.shards))
-	var wg sync.WaitGroup
 	for i, s := range m.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var l []Entry[K, V]
-			s.Items(func(k K, v V) bool {
-				l = append(l, Entry[K, V]{Key: k, Val: v})
-				return true
-			})
-			lists[i] = l
-		}()
+		s.Items(func(k K, v V) bool {
+			lists[i] = append(lists[i], Entry[K, V]{Key: k, Val: v})
+			return true
+		})
 	}
-	wg.Wait()
 	merged := esort.MergeK(lists, func(a, b Entry[K, V]) bool { return a.Key < b.Key })
 	if m.ttlAny() {
 		now := m.now()

@@ -136,7 +136,7 @@ func TestShardedApplyScattered(t *testing.T) {
 				dsts = append(dsts, make([]core.Result[int], n))
 				off += n
 			}
-			m.ApplyScattered(batches, dsts)
+			m.ApplyScattered(batches, dsts, nil)
 
 			i := 0
 			for b, dst := range dsts {
