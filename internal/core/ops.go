@@ -172,9 +172,10 @@ func (cp *callPool[K, V]) put(c *call[K, V]) {
 // serialization point: group resolution. Neither deadlines nor cached
 // copies live in the engine — the hooks are how the sidecars' state
 // transitions are ordered exactly with the engine's, which is what makes
-// expiry linearizable and cached reads never stale. All three hooks run
+// expiry linearizable and cached reads never stale. All four hooks run
 // on the engine goroutine, inside the critical section that owns the
-// key, so they must be cheap and must never call back into the engine.
+// key (Dead: the engine's whole slab), so they must be cheap and must
+// never call back into the engine.
 // An engine with no hooks installed (nil — always the case for M2, which
 // has no sidecars) pays a single predictable branch per resolved call.
 //
@@ -200,10 +201,17 @@ func (cp *callPool[K, V]) put(c *call[K, V]) {
 //     the deadline was already past, in which case the engine treats
 //     the op as an immediate delete (Redis EXPIRE with a non-positive
 //     TTL) instead of arming a dead-on-arrival entry.
+//   - Dead is the ordered reads' consult, called once per range op where
+//     the range linearizes, and once per Items walk. It returns nil when
+//     no key can be expired, else a predicate fixed at one clock reading
+//     that reports whether a resident key is past its deadline; the
+//     reader skips those keys and retires nothing. It agrees with Ghost
+//     because the table changes only through the hooks, in the engine.
 type KeyHooks[K cmp.Ordered] struct {
 	Ghost func(k K) bool
 	Wrote func(k K)
 	Arm   func(k K, deadline int64) bool
+	Dead  func() func(k K) bool
 }
 
 // ghost is the nil-safe Ghost consult used at the present-observation
@@ -212,6 +220,15 @@ type KeyHooks[K cmp.Ordered] struct {
 // from "absent".
 func (h *KeyHooks[K]) ghost(k K) bool {
 	return h != nil && h.Ghost(k)
+}
+
+// dead is the nil-safe Dead consult of the ordered reads: nil means
+// every resident key is live.
+func (h *KeyHooks[K]) dead() func(K) bool {
+	if h == nil {
+		return nil
+	}
+	return h.Dead()
 }
 
 // group is the paper's group-operation (Section 6.1, footnote 7): all

@@ -6,55 +6,26 @@ import "cmp"
 // are distributed across segments, each holding a key-sorted 2-3 tree, so
 // ordered iteration merges the per-segment orders.
 
-// kvPair is one item of an ordered snapshot.
-type kvPair[K cmp.Ordered, V any] struct {
-	key K
-	val V
-}
-
-// orderedItems merges the key-sorted contents of the given segments.
-// Segment sizes grow doubly exponentially, so merging smallest-first is
-// linear in the total size.
-func orderedItems[K cmp.Ordered, V any](segs []*segment[K, V]) []kvPair[K, V] {
-	var merged []kvPair[K, V]
-	for _, s := range segs {
-		leaves := s.km.Flatten()
-		level := make([]kvPair[K, V], len(leaves))
-		for i, lf := range leaves {
-			level[i] = kvPair[K, V]{key: lf.Key, val: lf.Payload}
-		}
-		merged = mergeKV(merged, level)
-	}
-	return merged
-}
-
-func mergeKV[K cmp.Ordered, V any](a, b []kvPair[K, V]) []kvPair[K, V] {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]kvPair[K, V], 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].key < a[i].key {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
+// orderedItems merges the key-sorted contents of the given segments,
+// leaving out the keys dead (nil: none) reports.
+func orderedItems[K cmp.Ordered, V any](segs []*segment[K, V], dead func(K) bool) []KV[K, V] {
+	runs := make([][]KV[K, V], len(segs))
+	for i, s := range segs {
+		for _, lf := range s.km.Flatten() {
+			if dead == nil || !dead(lf.Key) {
+				runs[i] = append(runs[i], KV[K, V]{Key: lf.Key, Val: lf.Payload})
+			}
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	out, _ := MergePage(runs, 0, nil)
+	return out
 }
 
 // Each visits every item in ascending key order without adjusting
 // recencies. O(n).
 func (m *M0[K, V]) Each(f func(k K, v V) bool) {
-	for _, kv := range orderedItems(m.segs) {
-		if !f(kv.key, kv.val) {
+	for _, kv := range orderedItems(m.segs, nil) {
+		if !f(kv.Key, kv.Val) {
 			return
 		}
 	}
@@ -87,13 +58,13 @@ func edgeOf[K cmp.Ordered, V any](segs []*segment[K, V], max bool) (K, V, bool) 
 	return bestK, bestV, found
 }
 
-// Items returns an ordered snapshot of the map's contents. Like
-// CheckInvariants, it is only valid while the map is quiescent (no
-// operations in flight); it exists for draining, debugging and tests, not
-// as a concurrent query. O(n).
+// Items returns an ordered snapshot of the map's live contents (keys the
+// Dead hook reports are left out). Like CheckInvariants, it is only valid
+// while the map is quiescent (no operations in flight); it exists for
+// draining, debugging and tests, not as a concurrent query. O(n).
 func (m *M1[K, V]) Items(visit func(k K, v V) bool) {
-	for _, kv := range orderedItems(m.slab.segs) {
-		if !visit(kv.key, kv.val) {
+	for _, kv := range orderedItems(m.slab.segs, m.slab.hooks.dead()) {
+		if !visit(kv.Key, kv.Val) {
 			return
 		}
 	}
@@ -108,8 +79,8 @@ func (m *M2[K, V]) Items(visit func(k K, v V) bool) {
 		segs = append(segs, f.seg)
 	}
 	m.segsMu.RUnlock()
-	for _, kv := range orderedItems(segs) {
-		if !visit(kv.key, kv.val) {
+	for _, kv := range orderedItems(segs, nil) {
+		if !visit(kv.Key, kv.Val) {
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -59,6 +60,75 @@ func TestRangeBasic(t *testing.T) {
 				t.Fatalf("post-delete range = %v", page)
 			}
 		})
+	}
+}
+
+// TestRangeDeadHook: with a Dead hook installed, range pages and Items
+// leave out the keys it reports, a page that reports more is full even
+// where dead keys crowd a segment's collection, and the hook is consulted
+// once per range op.
+func TestRangeDeadHook(t *testing.T) {
+	m := NewM1[int, int](Config{P: 2})
+	defer m.Close()
+	calls, on := 0, false
+	m.SetKeyHooks(&KeyHooks[int]{
+		Ghost: func(int) bool { return false },
+		Wrote: func(int) {},
+		Arm:   func(int, int64) bool { return false },
+		Dead: func() func(int) bool {
+			calls++ // under the engine mutex
+			if !on {
+				return nil
+			}
+			return func(k int) bool { return k%3 != 0 }
+		},
+	})
+	for i := range 300 {
+		m.Insert(i, i)
+	}
+	for i := 0; i < 300; i += 7 {
+		m.Get(i) // spread the keys over several segments
+	}
+	if m.slab.segs[1].km.Len() == 0 {
+		t.Fatal("the keys sit in one segment; the test needs several")
+	}
+	for _, dead := range []bool{false, true} {
+		on = dead
+		var want, got []int
+		for i := range 300 {
+			if !dead || i%3 == 0 {
+				want = append(want, i)
+			}
+		}
+		calls = 0
+		pages := 0
+		req := RangeReq[int, int]{Hi: 300, Limit: 7}
+		lo := 0
+		for ; ; pages++ {
+			req.Out = req.Out[:0]
+			r := m.Apply([]Op[int, int]{{Kind: OpRange, Key: lo, Range: &req}})[0]
+			for _, kv := range req.Out {
+				got = append(got, kv.Key)
+			}
+			if r.OK && len(req.Out) != 7 {
+				t.Fatalf("dead=%v page %d: %d pairs with more", dead, pages, len(req.Out))
+			}
+			if !r.OK || len(req.Out) == 0 {
+				break
+			}
+			lo, req.XLo = req.Out[len(req.Out)-1].Key, true
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("dead=%v: paged %v, want %v", dead, got, want)
+		}
+		if calls != pages+1 {
+			t.Fatalf("dead=%v: Dead consulted %d times for %d range ops", dead, calls, pages+1)
+		}
+		got = got[:0]
+		m.Items(func(k, _ int) bool { got = append(got, k); return true })
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("dead=%v: Items %v, want %v", dead, got, want)
+		}
 	}
 }
 

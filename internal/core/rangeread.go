@@ -16,15 +16,13 @@ import "cmp"
 // per-segment RangeInto collections over the live trees.
 
 // rangeScratch is the per-engine scratch behind serveRanges: the
-// per-segment leaf collection, the concatenated per-segment sorted runs,
-// their boundaries and the merge cursors, all reused across batches so
-// steady-state range serving allocates nothing beyond growing the
-// caller's Out buffers.
+// per-segment leaf collection and the concatenated per-segment sorted
+// runs, all reused across batches so steady-state range serving allocates
+// nothing beyond growing the caller's Out buffers.
 type rangeScratch[K cmp.Ordered, V any] struct {
 	leaves []*segLeaf[K, V]
 	kvs    []KV[K, V]
-	offs   []int
-	cur    []int
+	runs   [][]KV[K, V] // per-segment windows of kvs
 }
 
 // splitRangeCalls partitions a cut batch in place: point calls are
@@ -45,24 +43,34 @@ func splitRangeCalls[K cmp.Ordered, V any](batch, ranges []*call[K, V]) (points,
 
 // serveRanges executes every range call of the batch against the live
 // segments and completes the calls. It runs at the very end of the engine
-// batch, against the slab the batch just finished mutating.
+// batch, against the slab the batch just finished mutating, and asks the
+// Dead hook once per call which keys read as expired at that point.
 func (m *M1[K, V]) serveRanges(calls []*call[K, V]) {
 	sc := &m.rangeSc
 	pairs := 0
 	for _, c := range calls {
-		pairs += serveOneRange(m.slab.segs, sc, c)
+		pairs += serveOneRange(m.slab.segs, sc, c, m.slab.hooks.dead())
 		c.complete()
 	}
 	m.cfg.Obs.RecordRange(len(calls), pairs)
 	// The runs hold key/value copies; don't pin them past the batch.
-	clear(sc.kvs)
-	sc.kvs = sc.kvs[:0]
+	clear(sc.kvs[:cap(sc.kvs)])
+	clear(sc.runs)
 }
 
-// serveOneRange fills one call's RangeReq.Out with the first Limit pairs
-// of [lo, hi) (lo exclusive under XLo) and sets the call's Result.OK to
-// the truncation verdict. It returns the number of pairs emitted.
-func serveOneRange[K cmp.Ordered, V any](segs []*segment[K, V], sc *rangeScratch[K, V], c *call[K, V]) int {
+// serveOneRange fills one call's RangeReq.Out with the first Limit live
+// pairs of [lo, hi) (lo exclusive under XLo; dead, if non-nil, names the
+// expired keys) and sets the call's Result.OK to the truncation verdict.
+// It returns the number of pairs emitted.
+//
+// Every segment contributes up to Limit live pairs, which is what makes
+// the merge exact: each of the globally smallest Limit live keys has
+// fewer than Limit live predecessors, so in particular fewer than Limit
+// within its own segment — it is always collected. A segment that filled
+// its share may hold more, so the verdict is then "more" and the merged
+// page is full; a false positive costs the caller one empty follow-up
+// page, never a missed item.
+func serveOneRange[K cmp.Ordered, V any](segs []*segment[K, V], sc *rangeScratch[K, V], c *call[K, V], dead func(K) bool) int {
 	req := c.op.Range
 	c.res = Result[V]{}
 	if req == nil {
@@ -72,72 +80,83 @@ func serveOneRange[K cmp.Ordered, V any](segs []*segment[K, V], sc *rangeScratch
 	if hi <= lo {
 		return 0
 	}
-	// Collect up to bound in-range pairs from every segment. Taking the
-	// per-segment bound (rather than sharing one running limit) is what
-	// makes the merge exact: each of the globally smallest `limit` keys
-	// has fewer than `limit` predecessors, so in particular fewer than
-	// `limit` within its own segment — it is always collected. Under XLo
-	// one collected pair may be lo itself and is skipped below, hence the
-	// +1.
-	bound := limit
-	if limit > 0 && req.XLo {
-		bound = limit + 1
-	}
-	sc.kvs = sc.kvs[:0]
-	sc.offs = sc.offs[:0]
-	sc.cur = sc.cur[:0]
+	sc.kvs, sc.runs = sc.kvs[:0], sc.runs[:0]
 	anyFull := false
 	for _, seg := range segs {
 		start := len(sc.kvs)
-		sc.offs = append(sc.offs, start)
-		sc.cur = append(sc.cur, start)
+		full := sc.collectLive(seg, lo, hi, req.XLo, limit, dead)
+		anyFull = anyFull || full
+		// A later append may move kvs; the window keeps the old array.
+		sc.runs = append(sc.runs, sc.kvs[start:])
+	}
+	clear(sc.leaves[:cap(sc.leaves)]) // don't pin leaves past the batch
+	n0 := len(req.Out)
+	var more bool
+	req.Out, more = MergePage(sc.runs, limit, req.Out)
+	c.res = Result[V]{OK: more || anyFull}
+	return len(req.Out) - n0
+}
+
+// collectLive appends to sc.kvs up to limit (<= 0: all) pairs of seg in
+// [lo, hi), skipping lo itself under xlo and every key dead reports, and
+// reports whether it stopped at limit. Skipped keys take RangeInto
+// slots, so a full collection that fell short reads on from its last key,
+// exclusive.
+func (sc *rangeScratch[K, V]) collectLive(seg *segment[K, V], lo, hi K, xlo bool, limit int, dead func(K) bool) (full bool) {
+	start := len(sc.kvs)
+	for {
+		bound := 0
+		if limit > 0 {
+			bound = limit - (len(sc.kvs) - start)
+			if xlo {
+				bound++ // lo itself may take a slot
+			}
+		}
 		sc.leaves = seg.km.RangeInto(lo, hi, bound, sc.leaves[:0])
 		for _, lf := range sc.leaves {
-			sc.kvs = append(sc.kvs, KV[K, V]{Key: lf.Key, Val: lf.Payload})
-		}
-		if bound > 0 && len(sc.kvs)-start == bound {
-			// The segment may hold further in-range items beyond its
-			// collection: a conservative "more" verdict (a false positive
-			// costs the caller one empty follow-up page, never a missed
-			// item).
-			anyFull = true
-		}
-	}
-	sc.offs = append(sc.offs, len(sc.kvs))
-	sc.leaves = sc.leaves[:cap(sc.leaves)]
-	clear(sc.leaves) // don't pin leaves past the batch
-	sc.leaves = sc.leaves[:0]
-
-	// Bounded k-way merge; keys are globally distinct across segments at a
-	// batch boundary, so a plain min-pick suffices.
-	out := req.Out
-	n0 := len(out)
-	truncated := false
-	for {
-		best := -1
-		for i := range sc.cur {
-			if sc.cur[i] == sc.offs[i+1] {
+			if limit > 0 && len(sc.kvs)-start == limit {
+				return true
+			}
+			if (xlo && lf.Key == lo) || (dead != nil && dead(lf.Key)) {
 				continue
 			}
-			if best < 0 || sc.kvs[sc.cur[i]].Key < sc.kvs[sc.cur[best]].Key {
+			sc.kvs = append(sc.kvs, KV[K, V]{Key: lf.Key, Val: lf.Payload})
+		}
+		if bound == 0 || len(sc.leaves) < bound {
+			return false // nothing further in range
+		}
+		if len(sc.kvs)-start == limit {
+			return true
+		}
+		lo, xlo = sc.leaves[len(sc.leaves)-1].Key, true
+	}
+}
+
+// MergePage appends to dst the first limit pairs (limit <= 0: all) of the
+// union of the key-sorted runs, in ascending key order, and reports
+// whether pairs remain past the page. Keys must be distinct across runs —
+// segments of one engine, or shards of one map. It is the one k-way merge
+// of ordered reads: engine range pages, Items snapshots and the sharded
+// map's pages and snapshots. The runs are consumed (each is resliced past
+// what the page took). O(page · len(runs)).
+func MergePage[K cmp.Ordered, V any](runs [][]KV[K, V], limit int, dst []KV[K, V]) (out []KV[K, V], more bool) {
+	for n := 0; limit <= 0 || n < limit; n++ {
+		best := -1
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || r[0].Key < runs[best][0].Key) {
 				best = i
 			}
 		}
 		if best < 0 {
-			break
+			return dst, false
 		}
-		kv := sc.kvs[sc.cur[best]]
-		sc.cur[best]++
-		if req.XLo && kv.Key == lo {
-			continue
-		}
-		if limit > 0 && len(out)-n0 >= limit {
-			truncated = true
-			break
-		}
-		out = append(out, kv)
+		dst = append(dst, runs[best][0])
+		runs[best] = runs[best][1:]
 	}
-	req.Out = out
-	c.res = Result[V]{OK: truncated || anyFull}
-	return len(out) - n0
+	for _, r := range runs {
+		if len(r) > 0 {
+			return dst, true
+		}
+	}
+	return dst, false
 }

@@ -120,38 +120,6 @@ func Merge[E any](a, b []E, less func(x, y E) bool) []E {
 	return append(out, b[j:]...)
 }
 
-// MergeK merges k sorted slices into one by a balanced tournament of
-// pairwise Merges, preferring earlier slices on ties. O(n·log k) work for n
-// total elements; the two tournament halves merge in parallel when the
-// input is large. It is the k-way merge behind cross-shard ordered
-// iteration.
-func MergeK[E any](lists [][]E, less func(x, y E) bool) []E {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	case 2:
-		return Merge(lists[0], lists[1], less)
-	}
-	mid := len(lists) / 2
-	var left, right []E
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total >= parCutoff {
-		parallel.Do(
-			func() { left = MergeK(lists[:mid], less) },
-			func() { right = MergeK(lists[mid:], less) },
-		)
-	} else {
-		left = MergeK(lists[:mid], less)
-		right = MergeK(lists[mid:], less)
-	}
-	return Merge(left, right, less)
-}
-
 // PESort is the parallel entropy sort: a stable quicksort with
 // quartile-guaranteed pivots. It returns the stable sorting permutation of
 // keys. O(n·H + n) work and polylogarithmic span.

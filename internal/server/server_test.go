@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -654,5 +655,81 @@ func TestServerScanConcurrentWritesAndClose(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestServerScanTTL covers SETEX and EXPIRE against GET and SCAN over the
+// wire, on an injected clock: once the deadlines pass, a SCAN cursor
+// chain visits exactly the live keys, in full pages, and GET of an
+// expired key is nil — also after it was warmed into the front cache.
+func TestServerScanTTL(t *testing.T) {
+	var now atomic.Int64
+	now.Store(time.Now().UnixNano())
+	c := pipeClient(t, newTestServer(t, Config{Clock: now.Load}))
+	var live []string
+	for i := range 60 {
+		k := fmt.Sprintf("s%03d", i)
+		if err := c.Set(k, "v"+k); err != nil {
+			t.Fatal(err)
+		}
+		var r wire.Reply
+		var err error
+		switch i % 4 {
+		case 0:
+			live = append(live, k)
+			continue
+		case 1:
+			r, err = c.Do("SETEX", k, "10", "w"+k)
+		case 2:
+			r, err = c.Do("EXPIRE", k, "10")
+		case 3:
+			live = append(live, k) // a far deadline: still live below
+			r, err = c.Do("EXPIRE", k, "1000")
+		}
+		if err != nil || r.Kind == wire.ErrorReply {
+			t.Fatalf("TTL on %s: %+v, %v", k, r, err)
+		}
+	}
+	for range 3 { // a miss, then front hits
+		if v, ok, err := c.Get("s001"); err != nil || !ok || v != "ws001" {
+			t.Fatalf("GET s001 before its deadline = (%q, %v, %v)", v, ok, err)
+		}
+	}
+	now.Add(20 * int64(time.Second))
+
+	var got []string
+	cursor := ""
+	for pages := 0; ; pages++ {
+		if pages > len(live) {
+			t.Fatal("SCAN chain did not terminate")
+		}
+		args := []string{"SCAN", "s", "t", "5"}
+		if cursor != "" {
+			args = append(args, cursor)
+		}
+		r, err := c.Do(args...)
+		if err != nil || r.Kind != wire.ArrayReply {
+			t.Fatalf("SCAN: %+v, %v", r, err)
+		}
+		for i := 1; i < len(r.Elems); i += 2 {
+			got = append(got, r.Elems[i].Str)
+		}
+		cursor = r.Elems[0].Str
+		if cursor == "" {
+			break
+		}
+		if n := (len(r.Elems) - 1) / 2; n != 5 {
+			t.Fatalf("SCAN page with a cursor carries %d pairs, want 5", n)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(live) {
+		t.Fatalf("SCAN chain visited %v, want %v", got, live)
+	}
+	// After the scan: the GETs' commit boundaries sweep the expired keys,
+	// which the pages above must have left out before any sweep ran.
+	for _, k := range []string{"s001", "s002", "s005"} {
+		if v, ok, err := c.Get(k); err != nil || ok {
+			t.Fatalf("GET %s after its deadline = (%q, %v, %v), want nil", k, v, ok, err)
+		}
 	}
 }

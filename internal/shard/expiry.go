@@ -11,17 +11,19 @@
 // and retiring (the ghost consult when an engine
 // observes a present item past its deadline, which simultaneously
 // deletes the dead incarnation through the engine's normal delete
-// machinery). Nothing outside an engine ever mutates an entry's
-// liveness decision for a resident key; shard-level code only *reads*
-// the table (front-cache deadline checks, Len's ghost subtraction,
-// range ghost filtering, checkpoint streaming).
+// machinery). The engines' ordered reads consult it too (the Dead
+// hook), skipping expired keys without retiring them. Nothing outside
+// an engine ever mutates an entry's liveness decision for a resident
+// key; shard-level code only *reads* the table (front-cache deadline
+// checks, Len's subtraction of expired keys, checkpoint streaming).
 //
 // The semantics are the usual cache contract:
 //
 //   - Reads treat an expired key as absent immediately ("expired is a
 //     miss even before the sweep"): the engine's own resolution flips
-//     the observation via the ghost consult, and the front cache's hit
-//     path re-checks the deadline.
+//     the observation via the ghost consult, its range reads and Items
+//     skip the key via the Dead consult, and the front cache's hit path
+//     re-checks the deadline.
 //   - The sweep is lazy and non-destructive: at batch commit
 //     boundaries it collects due keys (dueKeys) and submits one plain
 //     engine Get batch per shard — the get makes the engine *observe*
@@ -48,7 +50,9 @@ const sweepMax = 1024
 
 // expEntry is one heap entry: a deadline and the key it was armed for.
 // Entries go stale when the key's TTL is cleared or re-armed (lazy
-// deletion); the sweep re-validates against the live table.
+// deletion); the sweep re-validates against the live table, and arm
+// rebuilds the heap from the table once stale entries outnumber live
+// ones, so the heap stays within 2·armed+64 entries.
 type expEntry[K comparable] struct {
 	dl  int64
 	key K
@@ -74,7 +78,8 @@ func (h *expHeap[K]) Pop() any {
 // engine-driven hooks (arm/clear/ghost, inside the engine's per-key
 // critical section — each a map operation, never blocking on anything),
 // the boundary sweep's dueKeys, and the shard-level readers (front-
-// cache deadline checks, Len, range ghost capture, checkpoint stream).
+// cache deadline checks, Len, checkpoint stream) and the engines' Dead
+// consult.
 // Lock order is strictly engine locks -> table mutex; no table-holding
 // path ever calls into an engine.
 type expTable[K comparable] struct {
@@ -114,6 +119,18 @@ func (t *expTable[K]) arm(k K, dl int64) {
 	}
 	t.dl[k] = dl
 	heap.Push(&t.h, expEntry[K]{dl: dl, key: k})
+	if len(t.h) > 2*len(t.dl)+64 {
+		// Mostly stale (re-armed or cleared keys): rebuild from the table.
+		// Amortized O(1) per arm — at least len(dl)+64 arms since the
+		// last rebuild pay for this one's O(len(dl)).
+		h := t.h[:0]
+		for k, dl := range t.dl {
+			h = append(h, expEntry[K]{dl: dl, key: k})
+		}
+		clear(t.h[len(h):])
+		t.h = h
+		heap.Init(&t.h)
+	}
 	t.publishNext()
 	t.mu.Unlock()
 }
@@ -176,7 +193,10 @@ func (t *expTable[K]) expired(k K, now int64) bool {
 // the get degrades to a harmless read). Popping the heap entries is
 // what stops the same key from being re-collected while its sweep get
 // is in flight. Stale heap entries (cleared or re-armed TTLs) are
-// discarded for free.
+// discarded for free. A heap rebuild (arm) restores the entries of every
+// armed key, so it can re-collect a key whose sweep get is still in
+// flight; that costs one redundant get, since ghost retirement happens
+// exactly once.
 func (t *expTable[K]) dueKeys(now int64, max int, dst []K) []K {
 	if nd := t.nextDue.Load(); nd == 0 || nd > now {
 		return dst
@@ -196,9 +216,9 @@ func (t *expTable[K]) dueKeys(now int64, max int, dst []K) []K {
 	return dst
 }
 
-// expiredCount counts armed keys already past now — the unswept ghosts
-// Len() must not report. O(armed TTLs in this shard); only walked when
-// TTLs are in use.
+// expiredCount counts armed keys already past now — the expired but
+// unswept keys Len() must not report. O(armed TTLs in this shard); only
+// walked when TTLs are in use.
 func (t *expTable[K]) expiredCount(now int64) int {
 	if t.n.Load() == 0 {
 		return 0

@@ -2,7 +2,8 @@ package shard
 
 // Tests for per-key TTL and the bounded-memory byte budget at the shard
 // layer: engine-ordered expiry transitions, the lazy commit-boundary
-// sweep, Len/Items convergence, range ghost filtering, and — the
+// sweep, Len/Items convergence, expired keys left out of range pages,
+// and — the
 // regression this file exists for — front-cache invalidation on
 // engine-initiated removal (expiry and eviction), which bypasses the
 // write path the front's normal invalidation sweep watches.
@@ -173,9 +174,54 @@ func TestLenConvergence(t *testing.T) {
 }
 
 // TestRangeGhostFilter: a range page served before any sweep must not
-// contain expired keys — the ghost set captured at page start filters
-// them out of the merged result.
+// contain expired keys — each engine leaves them out where its range
+// linearizes — and paging past them still returns full pages.
 func TestRangeGhostFilter(t *testing.T) {
+	t.Run("paged", func(t *testing.T) {
+		clk := newFakeClock(1000)
+		m := New[string, string](Config{
+			Shards: 4, Shard: core.Config{P: 2}, Clock: clk.fn(),
+		})
+		defer m.Close()
+
+		var want []string
+		for i := range 200 {
+			k := fmt.Sprintf("k%03d", i)
+			m.Insert(k, "v")
+			if i%4 != 0 {
+				m.Expire(k, 2000)
+			} else {
+				want = append(want, k)
+			}
+		}
+		clk.now.Store(2000)
+
+		var got []string
+		short := 0
+		cur, xlo := "", false
+		for pages := 0; ; pages++ {
+			if pages > 200 {
+				t.Fatal("paging did not terminate")
+			}
+			page, more := m.RangePage(cur, xlo, "z", 7, nil)
+			for _, ent := range page {
+				got = append(got, ent.Key)
+			}
+			if more && len(page) != 7 {
+				short++
+			}
+			if !more || len(page) == 0 {
+				break
+			}
+			cur, xlo = page[len(page)-1].Key, true
+		}
+		if short > 0 {
+			t.Fatalf("%d pages came back short", short)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("paged range = %v, want %v", got, want)
+		}
+	})
 	t.Run(engine, func(t *testing.T) {
 		clk := newFakeClock(1000)
 		m := New[string, string](Config{
@@ -302,7 +348,7 @@ func TestPointOpSweepReclaims(t *testing.T) {
 		m.Insert("other", "v")
 		m.Delete("other")
 		if st := m.Mem(); st.TTLs != 0 || st.Expired != dying {
-			t.Fatalf("point ops left ghosts unswept: %+v, want TTLs 0 Expired %d", st, dying)
+			t.Fatalf("point ops left expired keys unswept: %+v, want TTLs 0 Expired %d", st, dying)
 		}
 		if n := m.Len(); n != 0 {
 			t.Fatalf("Len after point-op sweep = %d, want 0", n)
@@ -404,5 +450,17 @@ func TestExpTableDueKeys(t *testing.T) {
 	}
 	if n := tb.n.Load(); n != 1 {
 		t.Fatalf("armed count = %d, want 1", n)
+	}
+
+	// Re-arming one key with a far deadline leaves a stale heap entry per
+	// arm; the heap must not grow with them.
+	for i := range 100000 {
+		tb.arm("r", int64(1_000_000+i))
+	}
+	if n, h := tb.n.Load(), len(tb.h); h > 2*int(n)+64 {
+		t.Fatalf("after 100000 re-arms: armed=%d heap=%d, want heap <= 2*armed+64", n, h)
+	}
+	if keys := tb.dueKeys(2_000_000, 10, nil); fmt.Sprint(keys) != "[b r]" {
+		t.Fatalf("dueKeys after rebuilds = %v, want [b r]", keys)
 	}
 }

@@ -15,9 +15,10 @@
 // query: keys hash across shards, so a range [lo, hi) cannot be narrowed
 // to a shard subset — instead one bounded OpRange is broadcast to every
 // shard (riding each engine's normal cut batches, no quiescence and no
-// map-wide lock) and the per-shard pages are k-way merged and paginated
-// by cursor (RangePage). Items remains a quiescent whole-map snapshot
-// merged with esort.MergeK.
+// map-wide lock), each engine leaves out its expired keys where the range
+// linearizes, and the per-shard pages are merged by core.MergePage and
+// paginated by cursor (RangePage). Items remains a quiescent whole-map
+// snapshot merged the same way.
 package shard
 
 import (
@@ -29,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/esort"
 	"repro/internal/frontcache"
 	"repro/internal/locks"
 	"repro/internal/obs"
@@ -182,7 +182,8 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 		// point, through these hooks and nowhere else: a write resolving
 		// (Wrote), an OpExpire resolving (Arm), an engine observing a
 		// resident item past its deadline (Ghost), and the engine evicting
-		// a key under its byte budget (SetOnEvict). Each runs before the
+		// a key under its byte budget (SetOnEvict). Dead only reads the
+		// table, for the engine's ordered reads. Each runs before the
 		// batch that caused it releases any result, so the front can never
 		// outlive the engine's copy and no reader can observe a new value
 		// and then a cached old one.
@@ -235,6 +236,13 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 				}
 				t.arm(k, deadline)
 				return false
+			},
+			Dead: func() func(K) bool {
+				if t.n.Load() == 0 {
+					return nil
+				}
+				now := m.now()
+				return func(k K) bool { return t.expired(k, now) }
 			},
 		})
 	}
@@ -383,9 +391,6 @@ func (m *Map[K, V]) ttlAny() bool {
 	}
 	return false
 }
-
-// expOf returns the expiry table of the shard owning k.
-func (m *Map[K, V]) expOf(k K) *expTable[K] { return m.exp[m.shardOf(k)] }
 
 // frontDrop is the single front invalidation path. Its only callers are
 // the engine hooks installed in New — a write resolving, a ghost
@@ -563,108 +568,42 @@ func (m *Map[K, V]) ApplyInto(ops []core.Op[K, V], dst []core.Result[V]) []core.
 }
 
 // rangeScratch is the pooled per-RangePage working memory: one op, one
-// request frame and one result slot per shard, plus the merge cursors.
-// The request frames keep their Out capacity across pages, so a paging
-// caller's steady state allocates nothing (the allocation discipline of
-// DESIGN.md). Pooled because any number of connections may page
-// concurrently.
+// request frame, one result slot and one merge run per shard. The request
+// frames keep their Out capacity across pages, so a paging caller's steady
+// state allocates nothing (the allocation discipline of DESIGN.md). Pooled
+// because any number of connections may page concurrently.
 type rangeScratch[K cmp.Ordered, V any] struct {
 	ops   []core.Op[K, V]
 	reqs  []core.RangeReq[K, V]
 	res   []core.Result[V]
-	cur   []int
+	runs  [][]Entry[K, V]
 	tasks []task[K, V]
 	wg    sync.WaitGroup
 }
 
 // RangePage reads one cursor page of the ordered range [lo, hi): the
-// first limit pairs in ascending key order, appended to dst (grown as
-// needed and returned). With xlo set the lower bound is exclusive — pass
-// the last key of the previous page to resume after it. more reports
+// first limit live pairs in ascending key order, appended to dst (grown
+// as needed and returned). With xlo set the lower bound is exclusive —
+// pass the last key of the previous page to resume after it. more reports
 // whether further matching items may remain (the cue to issue the next
-// page; an occasional false positive costs one empty page, never a
-// missed item). limit <= 0 means no bound (single unbounded page).
+// page; an occasional false positive costs one empty page, never a missed
+// item), and a page that reports more holds limit pairs. limit <= 0 means
+// no bound (single unbounded page).
 //
 // The page is served by broadcasting one bounded OpRange to every shard
-// — hash sharding spreads any key range across all of them — and k-way
-// merging the per-shard pages. Each shard's range is an ordinary batched
-// operation riding its engine's cut batches, so RangePage runs
-// concurrently with any other operations: no quiescence, no map-wide
-// lock, no stalled writers. Each per-shard page is a consistent snapshot
-// of its shard (the op linearizes at the end of a cut batch); the merged
-// page composes the per-shard snapshots, which is linearizable per
-// returned pair, and successive cursor pages likewise each read live
-// state.
-//
-// Expired-but-unswept keys are filtered out. The filter is a ghost set
-// pre-captured BEFORE the range is submitted: every armed key in
-// [lo, hi) whose deadline has already passed. Pre-capture (rather than
-// checking the table after the fetch) is what makes the filter sound
-// against racing writes: if the merged page carries a dead value, the
-// range linearized before the racing write that would have cleared the
-// key's table entry, so the entry was still armed — and already past —
-// when the capture ran, and the pair is dropped. Conversely a key in
-// the set was genuinely expired at capture time, which lies inside the
-// call's window, so omitting it is linearizable even if a concurrent
-// write revived it. Keys armed after the capture cannot be past-
-// deadline (an already-past EXPIRE deletes instead of arming), so no
-// second look at the table is needed. A page may come back shorter
-// than limit with more set (cursor callers resume and re-filter —
-// never a missed live item), and a page whose raw contents were all
-// ghosts is retried internally past the raw cursor, so callers never
-// see an empty page with more=true while live items remain.
+// — hash sharding spreads any key range across all of them — and merging
+// the per-shard pages with core.MergePage. Each shard's range is an
+// ordinary batched operation riding its engine's cut batches, so
+// RangePage runs concurrently with any other operations: no quiescence,
+// no map-wide lock, no stalled writers. Each per-shard page is a
+// consistent snapshot of its shard (the op linearizes at the end of a cut
+// batch, and the engine leaves out expired-but-unswept keys there, through
+// the Dead hook); the merged page composes the per-shard snapshots, which
+// is linearizable per returned pair, and successive cursor pages likewise
+// each read live state. Taking limit pairs from every shard keeps the
+// merge exact: each of the globally smallest limit keys is among its own
+// shard's smallest limit.
 func (m *Map[K, V]) RangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]) (page []Entry[K, V], more bool) {
-	if !m.ttlAny() {
-		return m.rangePage(lo, xlo, hi, limit, dst)
-	}
-	now := m.now()
-	var ghosts map[K]struct{}
-	for _, t := range m.exp {
-		if t.n.Load() == 0 {
-			continue
-		}
-		t.entries(func(k K, dl int64) {
-			if dl <= now && k < hi && (k > lo || (k == lo && !xlo)) {
-				if ghosts == nil {
-					ghosts = make(map[K]struct{})
-				}
-				ghosts[k] = struct{}{}
-			}
-		})
-	}
-	if ghosts == nil {
-		return m.rangePage(lo, xlo, hi, limit, dst)
-	}
-	n0 := len(dst)
-	cur, xcur := lo, xlo
-	for {
-		before := len(dst)
-		dst, more = m.rangePage(cur, xcur, hi, limit, dst)
-		raw := len(dst) - before
-		var rawLast K
-		if raw > 0 {
-			rawLast = dst[len(dst)-1].Key
-		}
-		w := before
-		for i := before; i < len(dst); i++ {
-			if _, dead := ghosts[dst[i].Key]; !dead {
-				dst[w] = dst[i]
-				w++
-			}
-		}
-		dst = dst[:w]
-		if len(dst) > n0 || !more || raw == 0 {
-			return dst, more
-		}
-		// Everything fetched was a ghost; resume past the raw cursor so
-		// the caller never turns a ghost-only page into early EOF.
-		cur, xcur = rawLast, true
-	}
-}
-
-// rangePage is RangePage without the expiry filter: one broadcast, one
-// k-way merge.
-func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]) (page []Entry[K, V], more bool) {
 	m.enter()
 	defer m.pending.Done()
 
@@ -677,7 +616,7 @@ func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 	sc.ops = grow(sc.ops, s)
 	sc.reqs = grow(sc.reqs, s)
 	sc.res = grow(sc.res, s)
-	sc.cur = grow(sc.cur, s)
+	sc.runs = grow(sc.runs, s)
 	sc.tasks = grow(sc.tasks, s)
 	for i := range m.shards {
 		req := &sc.reqs[i]
@@ -688,49 +627,23 @@ func (m *Map[K, V]) rangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 	}
 	m.fanout(sc.tasks, &sc.wg, nil)
 
-	// Bounded k-way merge of the per-shard pages. Keys are globally
-	// distinct (each lives in exactly one shard), so a plain min-pick
-	// suffices. Taking limit from every shard keeps the merge exact: each
-	// of the globally smallest limit keys is among its own shard's
-	// smallest limit.
-	for i := range sc.cur {
-		sc.cur[i] = 0
-		if sc.res[i].OK {
-			more = true
-		}
+	for i := range sc.runs {
+		sc.runs[i] = sc.reqs[i].Out
+		more = more || sc.res[i].OK
 	}
-	n0 := len(dst)
-	for {
-		best := -1
-		for i := range sc.cur {
-			if sc.cur[i] == len(sc.reqs[i].Out) {
-				continue
-			}
-			if best < 0 || sc.reqs[i].Out[sc.cur[i]].Key < sc.reqs[best].Out[sc.cur[best]].Key {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if limit > 0 && len(dst)-n0 >= limit {
-			more = true
-			break
-		}
-		dst = append(dst, sc.reqs[best].Out[sc.cur[best]])
-		sc.cur[best]++
-	}
+	dst, merged := core.MergePage(sc.runs, limit, dst)
 	// Scrub the pooled frames before they go back: keep Out's capacity,
 	// drop every key/value reference — including the lo/hi bounds in the
 	// op and request, which may alias a server connection's read arena
 	// and must not stay reachable from the pool.
+	clear(sc.runs)
 	for i := range m.shards {
 		out := sc.reqs[i].Out
 		clear(out)
 		sc.reqs[i] = core.RangeReq[K, V]{Out: out[:0]}
 		sc.ops[i] = core.Op[K, V]{}
 	}
-	return dst, more
+	return dst, more || merged
 }
 
 // ApplyScattered applies the concatenation of batches as one combined
@@ -974,7 +887,7 @@ func (m *Map[K, V]) CheckInvariants() error {
 // per-shard range pages merge without conversion).
 type Entry[K cmp.Ordered, V any] = core.KV[K, V]
 
-// snapshot collects every shard's key-sorted contents and k-way merges
+// snapshot collects every shard's key-sorted live contents and merges
 // them into one globally ordered slice.
 func (m *Map[K, V]) snapshot() []Entry[K, V] {
 	lists := make([][]Entry[K, V], len(m.shards))
@@ -984,18 +897,7 @@ func (m *Map[K, V]) snapshot() []Entry[K, V] {
 			return true
 		})
 	}
-	merged := esort.MergeK(lists, func(a, b Entry[K, V]) bool { return a.Key < b.Key })
-	if m.ttlAny() {
-		now := m.now()
-		w := 0
-		for _, e := range merged {
-			if !m.expOf(e.Key).expired(e.Key, now) {
-				merged[w] = e
-				w++
-			}
-		}
-		merged = merged[:w]
-	}
+	merged, _ := core.MergePage(lists, 0, nil)
 	return merged
 }
 
