@@ -6,15 +6,20 @@
 // server's only path to the map — the paper's single batching interface
 // in front of the structure.
 //
-// This is what turns depth-1 traffic — a fleet of unpipelined clients,
-// each contributing one operation at a time — back into the paper's
-// size-p batches: with a single connection's pipeline window as the only
-// batch boundary, unpipelined clients degenerate to batch size 1 and lose
-// duplicate combining and working-set adaptivity entirely. The Coalescer
-// restores the batch across connections, the way group commit amortizes
-// fsync in a write-ahead log: whoever arrives during the previous
-// batch's application (or, with MaxDelay set, during the current window)
-// rides the next combined batch.
+// There is no scheduler goroutine. A submitter whose Wait finds its job
+// queued and no cut running leads: it cuts the queue, applies the cut
+// and releases the other jobs, then hands the lead to the oldest job
+// whose owner is blocked in Wait (flat combining). A submitter alone on
+// an idle coalescer therefore runs its cut on its own goroutine and is
+// never woken.
+//
+// This turns depth-1 traffic — unpipelined clients, one operation each
+// at a time, which alone would degenerate to batch size 1 and lose
+// duplicate combining and working-set adaptivity — back into the paper's
+// size-p batches, the way group commit amortizes fsync in a write-ahead
+// log: whoever arrives during the previous batch's application (or, with
+// MaxDelay set, during the current window) rides the next combined
+// batch.
 //
 // # Who a cut waits for
 //
@@ -31,24 +36,21 @@
 //
 // # Ordering and fairness
 //
-// Jobs commit in strict submission (FIFO) order, and every cut takes the
-// whole queue: a combined batch is a contiguous prefix of the submission
-// order, batches are applied one at a time by a single commit loop, and
-// no job can be overtaken. That gives two guarantees for free: per-
-// connection operation order is preserved whenever each connection
-// submits its jobs in order, and no submitter can starve — the oldest
-// waiting job bounds every cut via MaxDelay. Parallelism is not lost to
-// the single loop: one combined batch fans out across every shard of the
-// sharded map and the per-shard engines' internal parallelism, which is
-// exactly where the paper says the parallelism should come from.
+// Jobs commit in strict submission (FIFO) order: every cut takes the
+// whole queue, so a combined batch is a contiguous prefix of the
+// submission order, and there is at most one leader, so batches are
+// applied one at a time and no job can be overtaken. Per-connection
+// operation order is preserved, and no submitter can starve — the oldest
+// waiting job bounds every cut via MaxDelay. Parallelism comes from
+// below: one combined batch fans out across every shard of the sharded
+// map and the per-shard engines, where the paper puts it.
 //
 // # Backpressure
 //
-// The queue is bounded by construction rather than by a limit of its
-// own: every submitter blocks in Job.Wait until its batch commits, so at
-// most one job per connection is in flight and the queue never holds
-// more than MaxConns jobs. A slow apply therefore slows admission — the
-// closed loop is the backpressure.
+// The queue is bounded by construction: every submitter blocks in
+// Job.Wait until its batch commits, so at most one job per connection is
+// in flight. A slow apply slows admission — the closed loop is the
+// backpressure.
 package coalesce
 
 import (
@@ -67,16 +69,13 @@ import (
 // contract of shard.Map.ApplyScattered, which the server's appliers
 // call; tests substitute their own).
 //
-// The applier is also the cut-commit seam: the commit loop releases a
-// cut's waiters (Job.Wait returns) only AFTER the applier has returned
-// for that cut. Anything the applier does synchronously — applying to
-// the map, appending the batch to a write-ahead log, fsyncing —
-// therefore happens strictly before any of the batch's replies can be
-// written, which is exactly the hook the server's durable mode plugs
-// into (one WAL append + fsync per cut, before the ack). Cuts are
-// applied one at a time by a single loop, so applier invocations are
-// totally ordered: a sequential log written from inside the applier
-// matches the map's linearization order.
+// The applier is also the cut-commit seam: a cut's waiters are released
+// (Job.Wait returns) only AFTER the applier has returned for that cut, so
+// anything it does synchronously — apply, WAL append, fsync — happens
+// strictly before any of the batch's replies can be written: the hook
+// durable mode plugs into. The applier runs on the cut's leader, one cut
+// at a time, so its invocations are totally ordered: a sequential log
+// written from inside it matches the map's linearization order.
 type Applier[K cmp.Ordered, V any] func(batches [][]core.Op[K, V], dsts [][]core.Result[V])
 
 // Config configures a Coalescer. The zero value gets the defaults noted.
@@ -91,17 +90,14 @@ type Config struct {
 	// It bounds the latency cost of coalescing: an operation arriving
 	// into an empty queue waits at most MaxDelay plus one batch
 	// application before its results are delivered. Zero (or negative)
-	// means no added latency: the commit loop cuts as soon as it is free,
-	// the window timer is never armed, and a combined batch is exactly
-	// what queued while the previous one was being applied.
+	// means no added latency: a leader cuts as soon as it leads, the
+	// window timer is never armed, and a combined batch is exactly what
+	// queued while the previous one was being applied.
 	//
-	// A positive MaxDelay is a bound, not a fixed wait: the commit loop
-	// also cuts as soon as three quarters of the jobs the previous cut
-	// released are back (resubmitted, or reported by Skip). The full
-	// window is waited out only by a cold coalescer's first cut, or when
-	// more than a quarter of the last cut's submitters went quiet without
-	// a Skip — and then once, since the cut that follows waits only for
-	// the submitters it carried.
+	// A positive MaxDelay is a bound, not a fixed wait: the leader also
+	// cuts as soon as three quarters of the jobs the previous cut
+	// released are back ("Who a cut waits for" above), so a full window
+	// is waited out only cold, or once after submitters go quiet.
 	MaxDelay time.Duration
 	// Stages, when non-nil, receives batch-lifecycle timings: each job's
 	// Submit-to-cut wait (StageQueueWait) and each batch's open-window
@@ -124,15 +120,16 @@ type Stats struct {
 	// Batches is the number of combined batches committed; Ops the total
 	// operations they carried; MaxBatch the largest single combined batch;
 	// Jobs the jobs they carried, so Jobs/Batches is submitters per cut.
+	// Handoffs counts the cuts whose leader had to be woken for them: the
+	// lead passed to a job that queued behind a running cut.
 	Batches  int64
 	Ops      int64
 	MaxBatch int64
 	Jobs     int64
-	// SizeCuts, WindowCuts and DrainCuts split Batches by what triggered
-	// the cut: nothing left to wait for (the MaxBatch threshold, three
-	// quarters of the previous cut's jobs back, or MaxDelay zero, where
-	// every cut is immediate), the MaxDelay window expiring, or the Close
-	// drain.
+	Handoffs int64
+	// SizeCuts, WindowCuts and DrainCuts split Batches by trigger:
+	// nothing left to wait for (MaxBatch reached, the quorum back, or
+	// MaxDelay zero), the window expiring, or the Close drain.
 	SizeCuts   int64
 	WindowCuts int64
 	DrainCuts  int64
@@ -149,26 +146,48 @@ func (s Stats) AvgBatch() float64 {
 // Job is one submitter's contribution to a combined batch: a slice of
 // operations and the slice its results come back in. Submit enqueues the
 // job; Wait blocks until its batch has been applied, after which Res
-// holds one result per op, aligned with Ops. A Job may be reused (and its
-// slices recycled) after Wait returns; Wait may be called from several
-// goroutines, all of which are released by the commit.
+// holds one result per op, aligned with Ops. Every Submit is followed by
+// exactly one Wait, which may run a cut; a Job may be reused (and its
+// slices recycled) after Wait returns.
 type Job[K cmp.Ordered, V any] struct {
 	Ops []core.Op[K, V]
 	Res []core.Result[V]
-	wg  sync.WaitGroup
 
-	// submitAt is the Submit timestamp (obs.Now), set only when the
-	// coalescer traces stages; commit turns it into the queue-wait.
+	c *Coalescer[K, V]
+	// sig (capacity 1, made by the first Submit) carries the job's one
+	// wake-up per Submit: its cut is done, or lead is set and the next
+	// cut is the job's to run. queued (not yet cut), waiting (its owner
+	// blocks on sig) and lead are guarded by the coalescer's mu.
+	sig                   chan struct{}
+	queued, waiting, lead bool
+
+	// submitAt is the Submit timestamp (obs.Now), set only when stages
+	// are traced. cut is the sequence number of the last cut that carried
+	// the job, zeroed once it is counted back (Coalescer.rejoin; mu).
 	submitAt int64
-	// cut is the sequence number of the last cut that carried the job,
-	// zeroed once the job is counted back (see Coalescer.rejoin). Guarded
-	// by the coalescer's mu.
-	cut uint64
+	cut      uint64
 }
 
 // Wait blocks until the job's combined batch has been applied and Res is
-// filled.
-func (j *Job[K, V]) Wait() { j.wg.Wait() }
+// filled. A job still queued with no cut running, or handed the lead,
+// runs the cut that carries it here.
+func (j *Job[K, V]) Wait() {
+	c := j.c
+	c.mu.Lock()
+	if j.queued && !c.leading {
+		c.leading = true
+		c.lead(j)
+		return
+	}
+	j.waiting = true
+	c.mu.Unlock()
+	<-j.sig
+	if j.lead {
+		c.mu.Lock()
+		j.lead = false
+		c.lead(j)
+	}
+}
 
 // Coalescer is the group-commit scheduler. Create with New, submit with
 // Submit, stop with Close.
@@ -182,6 +201,10 @@ type Coalescer[K cmp.Ordered, V any] struct {
 	nops    int
 	firstAt time.Time // submission time of jobs[0]
 	closing bool
+	// leading is set while a cut runs, from the Wait that claims the
+	// lead (or the hand-off that passes it) until a cut finds no owner
+	// waiting in the queue.
+	leading bool
 	// seq numbers the cuts; back counts the jobs of cut seq that have
 	// returned since, and the next cut is due once back reaches due
 	// (three quarters of that cut's jobs; unreachable before the first
@@ -190,36 +213,30 @@ type Coalescer[K cmp.Ordered, V any] struct {
 	back int
 	due  int
 
-	kick chan struct{} // wakes the commit loop; cap 1, lossy
-	done chan struct{}
-	once sync.Once
+	kick chan struct{} // wakes a leader waiting out its window; cap 1, lossy
 
-	// commit-loop private scratch (only the loop touches these).
+	// leader-private scratch (only the job holding the lead touches these).
 	timer   *time.Timer
 	batches [][]core.Op[K, V]
 	dsts    [][]core.Result[V]
 
 	st struct {
-		batches, ops, maxBatch, jobs    atomic.Int64
-		sizeCuts, windowCuts, drainCuts atomic.Int64
+		batches, ops, maxBatch, jobs, handoffs atomic.Int64
+		cuts                                   [3]atomic.Int64 // by cutCause
 	}
 }
 
-// New creates a Coalescer applying combined batches through apply and
-// starts its commit loop. Close it after use.
+// New creates a Coalescer applying combined batches through apply.
+// Close it after use.
 func New[K cmp.Ordered, V any](cfg Config, apply Applier[K, V]) *Coalescer[K, V] {
 	c := &Coalescer[K, V]{
 		cfg:   cfg.withDefaults(),
 		apply: apply,
 		kick:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
 		timer: time.NewTimer(time.Hour),
 		due:   math.MaxInt,
 	}
-	if !c.timer.Stop() {
-		<-c.timer.C
-	}
-	go c.run()
+	c.timer.Stop()
 	return c
 }
 
@@ -230,9 +247,10 @@ func (c *Coalescer[K, V]) Stats() Stats {
 		Ops:        c.st.ops.Load(),
 		MaxBatch:   c.st.maxBatch.Load(),
 		Jobs:       c.st.jobs.Load(),
-		SizeCuts:   c.st.sizeCuts.Load(),
-		WindowCuts: c.st.windowCuts.Load(),
-		DrainCuts:  c.st.drainCuts.Load(),
+		Handoffs:   c.st.handoffs.Load(),
+		SizeCuts:   c.st.cuts[cutSize].Load(),
+		WindowCuts: c.st.cuts[cutWindow].Load(),
+		DrainCuts:  c.st.cuts[cutDrain].Load(),
 	}
 }
 
@@ -249,27 +267,28 @@ func grow[T any](s []T, n int) []T {
 // one submitter are committed in their submission order (the queue is
 // FIFO and cuts are whole prefixes). Panics if the Coalescer is closed.
 func (c *Coalescer[K, V]) Submit(j *Job[K, V]) {
-	j.wg.Add(1)
+	if j.sig == nil {
+		j.sig = make(chan struct{}, 1)
+	}
 	if c.cfg.Stages != nil {
 		j.submitAt = obs.Now()
 	}
 	c.mu.Lock()
 	if c.closing {
 		c.mu.Unlock()
-		j.wg.Done()
 		panic("coalesce: Submit after Close")
 	}
+	j.c, j.queued, j.waiting = c, true, false
 	j.Res = grow(j.Res, len(j.Ops))
-	wasEmpty := len(c.jobs) == 0
-	c.jobs = append(c.jobs, j)
-	c.nops += len(j.Ops)
-	if wasEmpty {
+	if len(c.jobs) == 0 {
 		c.firstAt = time.Now()
 	}
-	// Kick the loop when the cut may be due: it sleeps on the window
+	c.jobs = append(c.jobs, j)
+	c.nops += len(j.Ops)
+	// Kick the leader when the cut may be due: it sleeps on the window
 	// timer otherwise, and a submission that completes the cut would
 	// wait out the whole window anyway.
-	wake := c.rejoin(j) || wasEmpty || c.nops >= c.cfg.MaxBatch
+	wake := c.rejoin(j) || c.nops >= c.cfg.MaxBatch
 	c.mu.Unlock()
 	if wake {
 		c.wake()
@@ -305,7 +324,7 @@ func (c *Coalescer[K, V]) rejoin(j *Job[K, V]) bool {
 	return c.back == c.due
 }
 
-// wake kicks the commit loop without blocking.
+// wake kicks a leader waiting out its window, without blocking.
 func (c *Coalescer[K, V]) wake() {
 	select {
 	case c.kick <- struct{}{}:
@@ -313,18 +332,15 @@ func (c *Coalescer[K, V]) wake() {
 	}
 }
 
-// Close stops the commit loop after draining: every job already submitted
-// is committed immediately (no residual window wait) before Close
-// returns. Safe to call repeatedly and concurrently; Submit after Close
-// panics.
+// Close stops admission and preempts any open window: every job already
+// submitted is cut at once, by the running cut's leader or at the latest
+// in its own Wait. Close neither runs nor waits for a cut. Safe to call
+// repeatedly and concurrently; Submit after Close panics.
 func (c *Coalescer[K, V]) Close() {
-	c.once.Do(func() {
-		c.mu.Lock()
-		c.closing = true
-		c.mu.Unlock()
-		c.wake()
-	})
-	<-c.done
+	c.mu.Lock()
+	c.closing = true
+	c.mu.Unlock()
+	c.wake()
 }
 
 // cutCause records why a cut fired, for the Stats split.
@@ -336,85 +352,82 @@ const (
 	cutDrain
 )
 
-// run is the commit loop: wait for work, wait out the window (unless
-// there is none, or the size trigger or Close preempts it), cut the whole
-// queue, apply it as one combined batch, release the waiters, repeat.
-func (c *Coalescer[K, V]) run() {
-	defer close(c.done)
+// lead runs one cut on the goroutine of j, a queued job holding the
+// lead, entered with mu held: wait out the window (unless there is none,
+// or the size trigger, the quorum or Close preempts it), cut the whole
+// queue, apply it as one combined batch, release the other jobs, and
+// pass the lead to the oldest job whose owner waits, if any.
+func (c *Coalescer[K, V]) lead(j *Job[K, V]) {
+	// The quorum (three quarters of the submitters the previous cut
+	// released) tolerates a straggler without letting one missing
+	// submitter cost every cut a window. Re-arming a fresh wait after
+	// every wake keeps the policy exact under spurious kicks.
+	cause := cutWindow
 	for {
-		// Wait for work or shutdown.
-		c.mu.Lock()
-		for len(c.jobs) == 0 {
-			if c.closing {
-				c.mu.Unlock()
-				return
-			}
-			c.mu.Unlock()
-			<-c.kick
-			c.mu.Lock()
+		if c.closing {
+			cause = cutDrain
+			break
 		}
-		// Wait out the residual window; MaxBatch, the return of the
-		// previous cut's submitters, or Close cut early. The quorum is
-		// three quarters of them: the margin tolerates a straggler
-		// without letting one missing submitter cost every cut a window.
-		// Re-arming a fresh wait after every wake keeps the policy exact
-		// under spurious kicks.
-		cause := cutWindow
-		for {
-			if c.closing {
-				cause = cutDrain
-				break
-			}
-			if c.cfg.MaxDelay == 0 || c.nops >= c.cfg.MaxBatch || c.back >= c.due {
-				cause = cutSize
-				break
-			}
-			wait := c.cfg.MaxDelay - time.Since(c.firstAt)
-			if wait <= 0 {
-				break
-			}
-			c.mu.Unlock()
-			// The timer is owned by this goroutine: stop-and-drain before
-			// Reset is race-free here.
-			if !c.timer.Stop() {
-				select {
-				case <-c.timer.C:
-				default:
-				}
-			}
-			c.timer.Reset(wait)
-			select {
-			case <-c.kick:
-			case <-c.timer.C:
-			}
-			c.mu.Lock()
+		if c.cfg.MaxDelay == 0 || c.nops >= c.cfg.MaxBatch || c.back >= c.due {
+			cause = cutSize
+			break
 		}
-		// Cut the whole queue: batches stay contiguous prefixes of the
-		// submission order. Stamping the jobs opens the next cut's wait
-		// for them.
-		jobs := c.jobs
-		nops := c.nops
-		if c.cfg.Stages != nil {
-			c.cfg.Stages.Record(obs.StageWindowWait, int64(time.Since(c.firstAt)))
+		wait := c.cfg.MaxDelay - time.Since(c.firstAt)
+		if wait <= 0 {
+			break
 		}
-		c.seq++
-		for _, j := range jobs {
-			j.cut = c.seq
-		}
-		c.back, c.due = 0, len(jobs)-len(jobs)/4
-		c.jobs = c.free[:0]
-		c.free = jobs
-		c.nops = 0
 		c.mu.Unlock()
+		c.timer.Reset(wait) // only the leader touches the timer; Reset drops a stale tick
+		select {
+		case <-c.kick:
+		case <-c.timer.C:
+		}
+		c.mu.Lock()
+	}
+	// Cut the whole queue (a prefix of the submission order); stamping
+	// the jobs opens the next cut's wait for them.
+	jobs, nops := c.jobs, c.nops
+	if c.cfg.Stages != nil {
+		c.cfg.Stages.Record(obs.StageWindowWait, int64(time.Since(c.firstAt)))
+	}
+	c.seq++
+	for _, o := range jobs {
+		o.cut, o.queued, o.waiting = c.seq, false, false
+	}
+	c.back, c.due = 0, len(jobs)-len(jobs)/4
+	c.jobs, c.free, c.nops = c.free[:0], jobs, 0
+	c.mu.Unlock()
 
-		c.commit(jobs, nops, cause)
+	c.commit(jobs, nops, cause)
+	for i, o := range jobs {
+		if o != j {
+			o.sig <- struct{}{}
+		}
+		jobs[i] = nil // the cut queue becomes the next append target: drop refs
+	}
+
+	// Hand the lead to the oldest job whose owner blocks in Wait; one
+	// that has not reached Wait yet claims the lead there.
+	var next *Job[K, V]
+	c.mu.Lock()
+	for _, o := range c.jobs {
+		if o.waiting {
+			next, o.lead = o, true
+			break
+		}
+	}
+	c.leading = next != nil
+	c.mu.Unlock()
+	if next != nil {
+		c.st.handoffs.Add(1)
+		next.sig <- struct{}{}
 	}
 }
 
-// commit applies one cut as a single combined batch and releases its
-// submitters. The release strictly follows the applier's return — the
-// Applier contract durable mode depends on (no reply before the cut
-// is applied and logged).
+// commit applies one cut as a single combined batch and counts it. The
+// caller releases the cut's jobs only after commit returns — the Applier
+// contract durable mode depends on (no reply before the cut is applied
+// and logged).
 func (c *Coalescer[K, V]) commit(jobs []*Job[K, V], nops int, cause cutCause) {
 	if st := c.cfg.Stages; st != nil {
 		cutAt := obs.Now()
@@ -429,6 +442,8 @@ func (c *Coalescer[K, V]) commit(jobs []*Job[K, V], nops int, cause cutCause) {
 		c.dsts[i] = j.Res
 	}
 	c.apply(c.batches[:len(jobs)], c.dsts[:len(jobs)])
+	clear(c.batches[:len(jobs)])
+	clear(c.dsts[:len(jobs)])
 
 	// Count the cut before releasing it, so a submitter that reads Stats
 	// after Wait finds its own batch in them.
@@ -441,19 +456,5 @@ func (c *Coalescer[K, V]) commit(jobs []*Job[K, V], nops int, cause cutCause) {
 			break
 		}
 	}
-	switch cause {
-	case cutSize:
-		c.st.sizeCuts.Add(1)
-	case cutWindow:
-		c.st.windowCuts.Add(1)
-	default:
-		c.st.drainCuts.Add(1)
-	}
-
-	for i, j := range jobs {
-		j.wg.Done()
-		jobs[i] = nil // the cut queue becomes the next append target: drop refs
-	}
-	clear(c.batches[:len(jobs)])
-	clear(c.dsts[:len(jobs)])
+	c.st.cuts[cause].Add(1)
 }

@@ -2,6 +2,8 @@ package coalesce
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -518,5 +520,150 @@ func TestCoalesceReleaseAfterApply(t *testing.T) {
 	}
 	if applied.Load() != waiters*50 {
 		t.Fatalf("applied %d ops, want %d", applied.Load(), waiters*50)
+	}
+}
+
+// TestCoalesceLeaderHandoff is the oracle for submitter-led cuts: 8
+// submitters with random job sizes (1–64 ops on 48 shared keys) and
+// random Skips run 2,000 rounds each on a 2-shard map, without a window
+// and with one. The applier replays every cut, in the order cuts run,
+// against a sequential model and records which job each batch was. Every
+// job must be committed exactly once, a submitter's jobs in submission
+// order, with the model's results delivered to its own Res; applier calls
+// must never overlap; Stats().Jobs must count the jobs submitted; and no
+// Wait may exceed a 10 s watchdog, which dumps every goroutine.
+func TestCoalesceLeaderHandoff(t *testing.T) {
+	const (
+		submitters = 8
+		rounds     = 2000
+		keys       = 48
+		watchdog   = 10 * time.Second
+	)
+	for _, window := range []time.Duration{0, 200 * time.Microsecond} {
+		t.Run(fmt.Sprintf("window%v", window), func(t *testing.T) {
+			m := shard.New[int, int](shard.Config{Shards: 2, Shard: core.Config{P: 2}})
+			defer m.Close()
+			// An op's Val tags its job: (submitter*rounds + round)*64 + op.
+			var (
+				model    = map[int]int{}
+				want     [submitters][]core.Result[int]
+				last     [submitters]int // last committed round + 1
+				inApply  atomic.Bool
+				failures atomic.Int64
+			)
+			fail := func(format string, args ...any) {
+				failures.Add(1)
+				t.Errorf(format, args...)
+			}
+			c := New(Config{MaxBatch: 256, MaxDelay: window},
+				func(batches [][]core.Op[int, int], dsts [][]core.Result[int]) {
+					if inApply.Swap(true) {
+						fail("applier invoked while another cut was applying")
+					}
+					defer inApply.Store(false)
+					m.ApplyScattered(batches, dsts, nil)
+					for b, ops := range batches {
+						tag := ops[0].Val / 64
+						s, r := tag/rounds, tag%rounds
+						if r+1 <= last[s] {
+							fail("submitter %d round %d committed after its round %d", s, r, last[s]-1)
+						}
+						last[s] = r + 1
+						want[s] = want[s][:0]
+						for i, op := range ops {
+							v, ok := model[op.Key]
+							switch op.Kind {
+							case core.OpInsert:
+								model[op.Key] = op.Val
+							case core.OpDelete:
+								delete(model, op.Key)
+							}
+							exp := core.Result[int]{Val: v, OK: ok}
+							want[s] = append(want[s], exp)
+							if dsts[b][i] != exp {
+								fail("submitter %d round %d op %d: map gave %+v, model %+v", s, r, i, dsts[b][i], exp)
+							}
+						}
+					}
+				})
+			defer c.Close()
+
+			var waitingSince [submitters]atomic.Int64
+			stop := make(chan struct{})
+			var dog sync.WaitGroup
+			dog.Add(1)
+			go func() {
+				defer dog.Done()
+				tick := time.NewTicker(50 * time.Millisecond)
+				defer tick.Stop()
+				for {
+					select {
+					case <-stop:
+						return
+					case <-tick.C:
+					}
+					for s := range waitingSince {
+						if since := waitingSince[s].Load(); since != 0 && time.Since(time.Unix(0, since)) > watchdog {
+							buf := make([]byte, 1<<20)
+							buf = buf[:runtime.Stack(buf, true)]
+							panic(fmt.Sprintf("submitter %d blocked in Wait past %v\n%s", s, watchdog, buf))
+						}
+					}
+				}
+			}()
+
+			var wg sync.WaitGroup
+			var submitted atomic.Int64
+			for s := range submitters {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(s) + 1))
+					j := &Job[int, int]{Ops: make([]core.Op[int, int], 0, 64)}
+					for r := range rounds {
+						if rng.Intn(4) == 0 {
+							c.Skip(j)
+							continue
+						}
+						j.Ops = j.Ops[:0]
+						for i := range 1 + rng.Intn(64) {
+							op := core.Op[int, int]{Kind: core.OpGet, Key: rng.Intn(keys), Val: (s*rounds+r)*64 + i}
+							switch rng.Intn(3) {
+							case 0:
+								op.Kind = core.OpInsert
+							case 1:
+								op.Kind = core.OpDelete
+							}
+							j.Ops = append(j.Ops, op)
+						}
+						submitted.Add(1)
+						waitingSince[s].Store(time.Now().UnixNano())
+						c.Submit(j)
+						j.Wait()
+						waitingSince[s].Store(0)
+						if last[s] != r+1 {
+							fail("submitter %d round %d: Wait returned before its cut committed", s, r)
+							return
+						}
+						for i, got := range j.Res {
+							if got != want[s][i] {
+								fail("submitter %d round %d op %d: got %+v, want %+v", s, r, i, got, want[s][i])
+								return
+							}
+						}
+						if failures.Load() > 0 {
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(stop)
+			dog.Wait()
+			if st := c.Stats(); st.Jobs != submitted.Load() {
+				t.Errorf("Stats().Jobs = %d, want the %d jobs submitted", st.Jobs, submitted.Load())
+			}
+			t.Logf("window %v: %+v", window, c.Stats())
+		})
 	}
 }

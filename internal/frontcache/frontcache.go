@@ -77,6 +77,15 @@ type entry[K comparable, V any] struct {
 	valid bool
 }
 
+// reservation is a pending entry and the valid twin its install
+// publishes, allocated as one object: a fill costs one allocation, not
+// two. The twin is written only by the reserver that allocated it, once,
+// before the CAS that publishes it, and its address differs from the
+// pending entry's, so pointer identity still names each state.
+type reservation[K comparable, V any] struct {
+	pending, twin entry[K, V]
+}
+
 // Stats is a snapshot of a cache's counters.
 type Stats struct {
 	// Entries is the configured capacity in slots.
@@ -178,6 +187,9 @@ type Ticket[K comparable, V any] struct {
 	c *Cache[K, V]
 	s *atomic.Pointer[entry[K, V]]
 	e *entry[K, V] // the pending entry: the install guard, and the retained key
+	// twin is the pending entry's valid twin, nil on a ticket that shares
+	// another reserver's pending entry (its install allocates its own).
+	twin *entry[K, V]
 }
 
 // Reserve claims a slot for k ahead of a fallback read, so a write's
@@ -235,15 +247,15 @@ func (c *Cache[K, V]) Reserve(h uint64, k K, mk func() K) Ticket[K, V] {
 	if mk != nil {
 		k = mk()
 	}
-	e := &entry[K, V]{key: k}
-	if !victim.CompareAndSwap(old, e) {
+	r := &reservation[K, V]{pending: entry[K, V]{key: k}}
+	if !victim.CompareAndSwap(old, &r.pending) {
 		return Ticket[K, V]{} // slot moved since the scan; skip rather than contend
 	}
 	if rank == 1 {
 		c.evictions.Add(1)
 	}
 	c.reserves.Add(1)
-	return Ticket[K, V]{c: c, s: victim, e: e}
+	return Ticket[K, V]{c: c, s: victim, e: &r.pending, twin: &r.twin}
 }
 
 // Reserved reports whether the ticket carries a live reservation (a
@@ -255,7 +267,8 @@ func (t Ticket[K, V]) Reserved() bool { return t.s != nil }
 // absent. The single CAS from the pending entry is the staleness guard:
 // if anything wrote the slot since Reserve — an Invalidate for this key,
 // or another reservation recycling the slot — the install is dropped.
-// It reports whether a value was published.
+// It reports whether a value was published. Install a ticket at most
+// once.
 func (t Ticket[K, V]) Install(val V, ok bool) bool {
 	if t.s == nil {
 		return false
@@ -264,8 +277,12 @@ func (t Ticket[K, V]) Install(val V, ok bool) bool {
 	if ok {
 		// The published key is the reservation's retained copy, not a
 		// caller argument: shared tickets install under the original
-		// reserver's stable key.
-		e = &entry[K, V]{key: t.e.key, val: val, valid: true}
+		// reserver's stable key. The reserver fills its unpublished twin;
+		// a sharer must not touch it and allocates its own entry.
+		if e = t.twin; e == nil {
+			e = new(entry[K, V])
+		}
+		*e = entry[K, V]{key: t.e.key, val: val, valid: true}
 	}
 	if !t.s.CompareAndSwap(t.e, e) {
 		t.c.instDrops.Add(1)

@@ -2,6 +2,7 @@ package frontcache
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,6 +114,57 @@ func TestFrontCacheSharedPending(t *testing.T) {
 	}
 	if v, ok := c.Get(h, 2); !ok || v != "a" {
 		t.Fatalf("Get = %q, %v; want first install's value", v, ok)
+	}
+}
+
+// TestFrontCacheSharerInstallsOwnEntry checks that a ticket sharing
+// another reserver's pending entry publishes an entry of its own: when
+// the sharer installs first, the reserver's losing install (which fills
+// its unpublished twin) must not change the published value.
+func TestFrontCacheSharerInstallsOwnEntry(t *testing.T) {
+	c := New[uint64, string](64)
+	h := testHash(3)
+	t1 := c.Reserve(h, 3, nil)
+	t2 := c.Reserve(h, 3, nil)
+	if t1.twin == nil || t2.twin != nil {
+		t.Fatal("only the reserver that allocated the pending entry may own its twin")
+	}
+	if !t2.Install("b", true) {
+		t.Fatal("sharer's Install failed")
+	}
+	if t1.Install("a", true) {
+		t.Fatal("reserver's Install won after the sharer published")
+	}
+	if v, ok := c.Get(h, 3); !ok || v != "b" {
+		t.Fatalf("Get = %q, %v; want the sharer's value", v, ok)
+	}
+}
+
+// TestAllocsFrontCacheFill pins the cost of a front fill, the path every
+// GET miss of the server takes: a miss, a reservation whose retained key
+// is cloned out of a reusable buffer, and an install. The clone and the
+// reservation (pending entry and valid twin in one object) are the two
+// allocations; the install allocates nothing.
+func TestAllocsFrontCacheFill(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts inflated under -race")
+	}
+	c := New[string, string](64)
+	k := "front-fill-key"
+	h := testHash(uint64(len(k)))
+	mk := func() string { return strings.Clone(k) }
+	fill := func() {
+		if _, ok := c.Get(h, k); ok {
+			t.Fatal("hit before the fill")
+		}
+		if !c.Reserve(h, k, mk).Install("v", true) {
+			t.Fatal("install dropped")
+		}
+		c.Invalidate(h, k)
+	}
+	const ceiling = 2
+	if n := testing.AllocsPerRun(100, fill); n > ceiling {
+		t.Errorf("front fill: %.1f allocs, ceiling %d", n, ceiling)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestLoadgenWorkloads(t *testing.T) {
 // TestLoadgenPipelineBatching is the acceptance check that a pipelined
 // load run submits measurably fewer, larger batches than an unpipelined
 // one, asserted via server batch stats. An unpipelined run is not one
-// batch per op: every connection feeds the one commit loop, so depth-1
+// batch per op: every connection feeds the one coalescer, so depth-1
 // commands of different connections that arrive together share a cut.
 // What is promised is that a cut never holds two commands of one
 // unpipelined connection.

@@ -69,6 +69,10 @@ func (s *Server) registerStats() *obs.Registry {
 	r.Counter("coalesce.size_cuts", func() int64 { return s.CoalesceStats().SizeCuts })
 	r.Counter("coalesce.window_cuts", func() int64 { return s.CoalesceStats().WindowCuts })
 	r.Counter("coalesce.drain_cuts", func() int64 { return s.CoalesceStats().DrainCuts })
+	r.Counter("coalesce.handoffs", func() int64 { return s.CoalesceStats().Handoffs })
+
+	r.Counter("shard.fanout_caller", func() int64 { c, _ := s.store.FanoutStats(); return c })
+	r.Counter("shard.fanout_worker", func() int64 { _, w := s.store.FanoutStats(); return w })
 
 	depth := s.obsm.DepthSnapshot
 	r.Counter("range.batches", func() int64 { return depth().RangeBatches })

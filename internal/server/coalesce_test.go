@@ -207,3 +207,34 @@ func TestServerDeadWriter(t *testing.T) {
 		t.Fatalf("dead connection still registered: ActiveConns = %d", n)
 	}
 }
+
+// TestServerCoalescedLoneClientNoHandoffs pins the uncontended cut: a
+// lone depth-1 client's every command is cut by its own connection
+// goroutine, which finds no cut running, and touches one shard, whose
+// sub-batch that goroutine applies without waking a worker. So no cut
+// needs a leader woken and no sub-batch reaches a shard worker.
+func TestServerCoalescedLoneClientNoHandoffs(t *testing.T) {
+	const rounds = 500
+	forWindows(t, func(t *testing.T, cfg Config) {
+		s := newTestServer(t, cfg)
+		cl := pipeClient(t, s)
+		for i := range rounds {
+			k := fmt.Sprintf("k%03d", i%97)
+			if err := cl.Set(k, "v"); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok, err := cl.Get(k); err != nil || !ok || v != "v" {
+				t.Fatalf("GET %s = (%q, %v, %v)", k, v, ok, err)
+			}
+		}
+		st := s.CoalesceStats()
+		caller, worker := s.store.FanoutStats()
+		if st.Handoffs != 0 || worker != 0 {
+			t.Errorf("lone client: %d hand-offs over %d cuts, %d sub-batches on a worker; want 0 and 0",
+				st.Handoffs, st.Batches, worker)
+		}
+		if caller < rounds {
+			t.Errorf("lone client: %d sub-batches applied by the caller, want at least the %d SETs", caller, rounds)
+		}
+	})
+}

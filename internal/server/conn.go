@@ -24,7 +24,8 @@ import (
 // job to the server's group-commit scheduler (internal/coalesce), waited
 // for, and rendered in place — so reply order is command order by
 // construction, and every map operation of every connection reaches the
-// map through the scheduler's single commit loop.
+// map through the scheduler's cuts, one at a time, each run by whichever
+// connection leads it.
 type conn struct {
 	srv *Server
 	nc  net.Conn

@@ -12,12 +12,13 @@ import (
 )
 
 // Durability. With Config.WAL set the server logs every committed
-// mutation through the group-commit scheduler's single commit loop. Per
-// cut, the applier writes the batch's inserts/deletes/expires as ONE
-// WAL frame, then applies the batch with the frame's sync (an fsync
-// under fsync=always) as ApplyScattered's work: the shard workers apply
-// while the commit goroutine syncs, and the commit goroutine applies
-// any sub-batch no worker has started once the sync returns. All of it
+// mutation through the group-commit scheduler's cuts. Per cut, the
+// applier — on the cut's leader, the connection goroutine that runs it —
+// writes the batch's inserts/deletes/expires as ONE WAL frame, then
+// applies the batch with the frame's sync (an fsync under fsync=always)
+// as ApplyScattered's work: the shard workers apply while the leader
+// syncs, and the leader applies any sub-batch no worker has started once
+// the sync returns. All of it
 // happens before the batch's jobs are released, so no reply is written
 // until its frame is durable. One fsync per coalescer
 // cut is the whole cost model: the same window that amortizes tree
@@ -33,10 +34,10 @@ import (
 // op that panics an engine is logged before the panic, and recovery
 // replays it: a crash loop where the apply-first order restarted clean.
 //
-// The scheduler's single commit loop is what gives the WAL a total
+// The scheduler's one leader at a time is what gives the WAL a total
 // append order that matches the map's linearization order: every
-// client mutation reaches the map through it, so the applier sees the
-// cuts one at a time, in commit order.
+// client mutation reaches the map through a cut, so the applier sees
+// the cuts one at a time, in commit order.
 
 // DefaultDurableWindow is the coalescing window a WAL-backed server
 // gets when Config.CoalesceWindow is left zero: with an fsync on every
@@ -63,8 +64,8 @@ func walHiSentinel(l wire.Limits) string {
 	return strings.Repeat("\xff", mb+1)
 }
 
-// applyDurable is a WAL-backed server's applier. It runs on the
-// coalescer's commit goroutine: write the cut's frame, apply the batch
+// applyDurable is a WAL-backed server's applier. It runs on the cut's
+// leader: write the cut's frame, apply the batch
 // with the frame's sync as the overlap work, close the WAL's cut, and
 // return — only then are the batch's jobs released. A read-only cut
 // logs nothing and has nothing to sync.
@@ -83,7 +84,7 @@ func (s *Server) applyDurable(batches [][]pws.Op[string, string], dsts [][]pws.R
 		// be written if the cut went on. Acking writes the log cannot
 		// hold violates the durability contract under every policy, so a
 		// broken WAL ends the process.
-		panic(fmt.Sprintf("server: wal write failed, cannot ack non-durable batch: %v", err))
+		failStop(fmt.Sprintf("server: wal write failed, cannot ack non-durable batch: %v", err))
 	}
 	if s.cutHook != nil {
 		s.cutHook()
@@ -92,8 +93,19 @@ func (s *Server) applyDurable(batches [][]pws.Op[string, string], dsts [][]pws.R
 	s.store.ApplyScattered(batches, dsts, func() { serr = s.syncWAL() })
 	s.wal.EndBatch()
 	if serr != nil {
-		panic(fmt.Sprintf("server: wal sync failed, cannot ack non-durable batch: %v", serr))
+		failStop(fmt.Sprintf("server: wal sync failed, cannot ack non-durable batch: %v", serr))
 	}
+}
+
+// failStop ends the process over a cut that cannot be made durable. The
+// applier runs on the cut's leader, a connection goroutine, and a panic
+// there would first unwind that connection's deferred cleanup, which
+// closes its socket: the client would read an orderly EOF before the
+// process died. So the panic is raised on a goroutine of its own while
+// the leader blocks, and nothing of the failed cut runs after the failure.
+func failStop(msg string) {
+	go func() { panic(msg) }()
+	select {}
 }
 
 // syncWAL is a durable cut's overlap work: the frame's sync, timed as

@@ -4,8 +4,9 @@
 // write path from socket to engine: each connection goroutine drains
 // every pipelined request already on the wire into one []pws.Op and
 // submits it as one job to the server's group-commit scheduler
-// (internal/coalesce), whose single commit loop cuts whatever all
-// connections have queued into one combined batch Apply — the paper's
+// (internal/coalesce). The connection that finds no cut running leads:
+// it cuts whatever all connections have queued into one combined batch
+// Apply on its own goroutine, one cut at a time — the paper's
 // one batching interface in front of the structure (the parallel
 // buffer, App. A.1). Duplicate combining and working-set adaptivity
 // therefore survive the network hop both within a connection's pipeline
@@ -13,9 +14,9 @@
 // clients rides multi-op batches too.
 //
 // Config.CoalesceWindow only bounds how long a cut may wait for more
-// traffic; it selects no code. Zero (the default) adds no latency — the
-// commit loop cuts as soon as it is free, so batches form only from
-// what queued while the previous cut was being applied. See DESIGN.md
+// traffic; it selects no code. Zero (the default) adds no latency — a
+// leader cuts at once, so batches form only from what queued while the
+// previous cut was being applied. See DESIGN.md
 // "Cross-connection batch coalescing".
 //
 // The server speaks the internal/wire protocol (GET/SET/DEL/MGET/MSET/
@@ -80,7 +81,7 @@ type Config struct {
 	// next job, or with a pipeline that needed none), when CoalesceBatch
 	// operations are pending, or when the oldest has waited
 	// CoalesceWindow, whichever comes first. Zero means no added
-	// latency — the commit loop cuts as soon as it is free, and combined
+	// latency — the leading connection cuts at once, and combined
 	// batches form only from what queued during the previous cut's
 	// application. A window is what turns a fleet of unpipelined
 	// (depth-1) clients back into the paper's parallel batches when the
@@ -101,8 +102,8 @@ type Config struct {
 	// appended (and, per the log's fsync policy, synced) before its
 	// replies are written, and the background snapshotter checkpoints
 	// the map through the log. The server takes ownership: Close closes
-	// the log. The scheduler's single commit loop is what gives the log
-	// a total order matching the map's linearization; with a WAL a zero
+	// the log. The scheduler's one-cut-at-a-time leader is what gives
+	// the log a total order matching the map's linearization; with a WAL a zero
 	// CoalesceWindow defaults to DefaultDurableWindow, so each fsync is
 	// amortized over a window's worth of traffic (see durable.go).
 	WAL *wal.Log
@@ -238,16 +239,16 @@ type Server struct {
 	stats *obs.Registry
 
 	// Durability plumbing, nil/empty unless Config.WAL is set: the log,
-	// the applier's record scratch (touched only by the coalescer's
-	// single commit goroutine), the snapshot scan's upper-bound key, and
+	// the applier's record scratch (touched only by the cut's leader,
+	// one cut at a time), the snapshot scan's upper-bound key, and
 	// the background snapshotter's lifecycle channels (see durable.go).
 	wal      *wal.Log
 	walRecs  []wal.Record
 	walHi    string
 	snapStop chan struct{}
 	snapDone chan struct{}
-	// cutHook, when a test sets it, runs on the commit goroutine between
-	// a durable cut's frame write and its apply.
+	// cutHook, when a test sets it, runs on the cut's leader between a
+	// durable cut's frame write and its apply.
 	cutHook func()
 
 	mu        sync.Mutex

@@ -164,3 +164,41 @@ func TestFanoutRacingCallers(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestFanoutCallerKeepsOneSubBatch pins the caller's share of the claim
+// rule: without work the caller applies its first sub-batch itself, so a
+// batch on one shard never reaches a worker. With work every sub-batch is
+// posted, and either way each is counted once, by whoever applied it.
+func TestFanoutCallerKeepsOneSubBatch(t *testing.T) {
+	const single = 500
+	m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+	defer m.Close()
+	for i := range single {
+		m.ApplyInto([]core.Op[int, int]{{Kind: core.OpInsert, Key: i, Val: i}}, nil)
+	}
+	caller, worker := m.FanoutStats()
+	if caller != single || worker != 0 {
+		t.Fatalf("%d one-shard batches: %d sub-batches on the caller, %d on a worker; want %d and 0",
+			single, caller, worker, single)
+	}
+	rng := rand.New(rand.NewSource(7))
+	subs := 0
+	for round := range 200 {
+		ops := make([]core.Op[int, int], 1+rng.Intn(16))
+		shards := map[int]bool{}
+		for i := range ops {
+			ops[i] = core.Op[int, int]{Kind: core.OpGet, Key: rng.Intn(1000)}
+			shards[m.shardOf(ops[i].Key)] = true
+		}
+		subs += len(shards)
+		var work func()
+		if round%2 == 0 {
+			work = func() {}
+		}
+		m.ApplyScattered([][]core.Op[int, int]{ops}, [][]core.Result[int]{make([]core.Result[int], len(ops))}, work)
+	}
+	c, w := m.FanoutStats()
+	if got := (c - caller) + (w - worker); got != int64(subs) {
+		t.Errorf("%d sub-batches applied, %d counted (caller %d, worker %d)", subs, got, c-caller, w-worker)
+	}
+}

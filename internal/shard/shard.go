@@ -97,6 +97,9 @@ type Map[K cmp.Ordered, V any] struct {
 	wake     []chan struct{}
 	scratch  sync.Pool // *applyScratch[K, V]
 	scratchR sync.Pool // *rangeScratch[K, V]
+	// byCaller and byWorker count the sub-batches fanout applied on the
+	// calling goroutine and on a shard worker (FanoutStats).
+	byCaller, byWorker atomic.Int64
 
 	pending locks.WaitCounter
 	closed  atomic.Bool
@@ -254,6 +257,7 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 		go func() {
 			for range wake {
 				if t := m.slots[i].Swap(nil); t != nil {
+					m.byWorker.Add(1)
 					t.run(m.shards[i])
 				}
 			}
@@ -263,21 +267,31 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 }
 
 // fanout applies each non-empty tasks[s] on shard s while work (if any)
-// runs, and returns when all of it is done. It posts every task in its
-// shard's slot and wakes that worker, runs work, then takes back and
-// applies here each task no worker has swapped out: wg.Wait waits only
-// for tasks a worker started. A slot busy with another caller's task
-// means its worker is behind, so the task is applied here at once.
+// runs, and returns when all of it is done. With no work, the caller
+// keeps the first non-empty task for itself and applies it once the rest
+// are posted; with work (the durable fsync), every task is posted. A
+// posted task sits in its shard's slot and that worker is woken; after
+// its own task or work, the caller takes back and applies here each
+// task no worker has swapped out, so wg.Wait waits only for tasks a
+// worker started. A slot busy with another caller's task means its
+// worker is behind, so the task is applied here at once. Without work,
+// a batch that touches one shard thus wakes no worker.
 func (m *Map[K, V]) fanout(tasks []task[K, V], wg *sync.WaitGroup, work func()) {
+	own, byCaller := -1, int64(0)
 	for s := range tasks {
 		t := &tasks[s]
 		if len(t.ops) == 0 {
+			continue
+		}
+		if work == nil && own < 0 {
+			own = s
 			continue
 		}
 		t.wg = wg
 		wg.Add(1)
 		if !m.slots[s].CompareAndSwap(nil, t) {
 			t.run(m.shards[s])
+			byCaller++
 			continue
 		}
 		select {
@@ -285,15 +299,28 @@ func (m *Map[K, V]) fanout(tasks []task[K, V], wg *sync.WaitGroup, work func()) 
 		default: // a wake is already pending; the worker swaps this task out too
 		}
 	}
-	if work != nil {
+	if own >= 0 {
+		m.shards[own].ApplyInto(tasks[own].ops, tasks[own].res)
+		byCaller++
+	} else if work != nil {
 		work()
 	}
 	for s := range tasks {
 		if t := &tasks[s]; m.slots[s].CompareAndSwap(t, nil) {
 			t.run(m.shards[s])
+			byCaller++
 		}
 	}
 	wg.Wait()
+	if byCaller > 0 {
+		m.byCaller.Add(byCaller)
+	}
+}
+
+// FanoutStats reports how many shard sub-batches were applied by the
+// goroutine that submitted them (caller) and by a shard worker (worker).
+func (m *Map[K, V]) FanoutStats() (caller, worker int64) {
+	return m.byCaller.Load(), m.byWorker.Load()
 }
 
 // Obs returns the map's telemetry bundle (nil unless Config.Telemetry
