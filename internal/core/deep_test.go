@@ -1,0 +1,273 @@
+package core
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/metrics"
+)
+
+// deepM1 is an M1 holding n keys k%08d of the even indices, preloaded in
+// ascending batches of 128 at P = 2: S[0..4] full and the rest in S[5]
+// once n passes capPrefix(4) = 65,814.
+func deepM1(n int, cnt *metrics.Counter) *M1[string, string] {
+	m := NewM1[string, string](Config{P: 2, Counter: cnt})
+	ops := make([]Op[string, string], 0, 128)
+	var res []Result[string]
+	for i := 0; i < n; i++ {
+		ops = append(ops, Op[string, string]{Kind: OpInsert, Key: fmt.Sprintf("k%08d", 2*i), Val: "v"})
+		if len(ops) == cap(ops) || i == n-1 {
+			res = m.ApplyInto(ops, res)
+			ops = ops[:0]
+		}
+	}
+	m.Quiesce()
+	return m
+}
+
+// uniformGets returns batches of b GETs of keys drawn uniformly from the n
+// keys deepM1 loads.
+func uniformGets(n, b, batches int, seed int64) [][]Op[string, string] {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]Op[string, string], batches)
+	for j := range out {
+		out[j] = make([]Op[string, string], b)
+		for i := range out[j] {
+			out[j][i] = Op[string, string]{Kind: OpGet, Key: fmt.Sprintf("k%08d", 2*rng.Intn(n))}
+		}
+	}
+	return out
+}
+
+// TestM1DeepWorkPerOp bounds the structural work of a uniform GET in an M1
+// of 2^18 keys, where three in four items are in S[5]: 4,096 GETs in
+// batches of 16. Measured 76.1 with S[4] and S[5] sharing one key-map (one
+// descent and an ownership walk find an S[5] item, and its moves to S[4]
+// and back touch only recency-maps), against 128.7 when each had its own.
+func TestM1DeepWorkPerOp(t *testing.T) {
+	const n, b = 1 << 18, 16
+	var cnt metrics.Counter
+	m := deepM1(n, &cnt)
+	defer m.Close()
+	gets := uniformGets(n, b, 4096/b, 7)
+	before := cnt.Total()
+	var res []Result[string]
+	for _, ops := range gets {
+		res = m.ApplyInto(ops, res)
+		for i, r := range res {
+			if !r.OK {
+				t.Fatalf("%s not found", ops[i].Key)
+			}
+		}
+	}
+	perOp := float64(cnt.Total()-before) / 4096
+	t.Logf("%.1f work per uniform GET at n = %d, b = %d", perOp, n, b)
+	const ceiling = 90
+	if perOp > ceiling {
+		t.Errorf("uniform GET: %.1f work per op, ceiling %d", perOp, ceiling)
+	}
+}
+
+// BenchmarkM1DeepGet is a uniform GET in an M1 of 2^18 keys, three in four
+// of them in S[5] (string keys, as the server has), in batches of b. Every
+// batch is drawn afresh: a cycled set of batches would keep its few keys in
+// S[4] and measure S[4] hits.
+func BenchmarkM1DeepGet(b *testing.B) {
+	const n = 1 << 18
+	for _, size := range []int{16, 64} {
+		b.Run(fmt.Sprintf("b=%d", size), func(b *testing.B) {
+			m := deepM1(n, nil)
+			defer m.Close()
+			gets := uniformGets(n, size, b.N, 3)
+			var res []Result[string]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, ops := range gets {
+				res = m.ApplyInto(ops, res)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/item")
+		})
+	}
+}
+
+// TestM1DeepKeyMapModel drives an M1 whose items reach S[5], so that S[4]
+// and S[5] share a key-map, with random batches of get, insert and delete
+// over hot and uniform keys, and checks every result, range pages, Items and
+// the key-map edges against a model. It shrinks the map below S[5] and grows
+// it back, and its budget variant evicts out of S[5]: each eviction must
+// take a resident key, once, and the accounted bytes must stay exact.
+// P = 16 makes a cut batch 512 operations here, so every Apply is one.
+func TestM1DeepKeyMapModel(t *testing.T) {
+	const universe, preload = 90_000, 72_000
+	for _, tc := range []struct {
+		name   string
+		budget int64 // in items, 0 = none
+	}{
+		{"unbounded", 0},
+		{"budget", 70_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			itemBytes := int64(8+8) + itemOverhead
+			m := NewM1[int, int](Config{P: 16, MaxBytes: tc.budget * itemBytes})
+			defer m.Close()
+			model := map[int]int{}
+			var evicted []int
+			m.SetOnEvict(func(k, v int) { evicted = append(evicted, k) })
+			rng := rand.New(rand.NewSource(36))
+			var res []Result[int]
+			apply := func(ops []Op[int, int]) {
+				t.Helper()
+				res = m.ApplyInto(ops, res)
+				for i, op := range ops {
+					old, ok := model[op.Key]
+					if res[i].OK != ok || (ok && op.Kind != OpInsert && res[i].Val != old) {
+						t.Fatalf("%v %d: got (%d, %v), model (%d, %v)", op.Kind, op.Key, res[i].Val, res[i].OK, old, ok)
+					}
+					switch op.Kind {
+					case OpInsert:
+						model[op.Key] = op.Val
+					case OpDelete:
+						delete(model, op.Key)
+					}
+				}
+				for _, k := range evicted {
+					if _, ok := model[k]; !ok {
+						t.Fatalf("evicted %d, which is not resident (or was evicted twice)", k)
+					}
+					delete(model, k)
+				}
+				evicted = evicted[:0]
+			}
+			check := func(full bool) {
+				t.Helper()
+				m.Quiesce()
+				if m.Len() != len(model) {
+					t.Fatalf("%d items, model has %d", m.Len(), len(model))
+				}
+				if got, want := m.Bytes(), int64(len(model))*itemBytes; got != want {
+					t.Fatalf("%d bytes accounted, model has %d", got, want)
+				}
+				lo := rng.Intn(universe)
+				hi, limit := lo+rng.Intn(1000), rng.Intn(100)
+				page, more := m.Range(lo, hi, limit, nil)
+				var want []KV[int, int]
+				for k := lo; k < hi; k++ {
+					if v, ok := model[k]; ok {
+						want = append(want, KV[int, int]{Key: k, Val: v})
+					}
+				}
+				if limit > 0 && len(want) > limit {
+					want = want[:limit]
+					if !more {
+						t.Fatalf("Range(%d, %d, %d) reports no more past a full page", lo, hi, limit)
+					}
+				}
+				if !slices.Equal(page, want) {
+					t.Fatalf("Range(%d, %d, %d) = %v, want %v", lo, hi, limit, page, want)
+				}
+				for _, e := range []struct {
+					max       bool
+					from, dir int
+				}{{false, 0, 1}, {true, universe - 1, -1}} {
+					wk := e.from
+					for _, ok := model[wk]; !ok; _, ok = model[wk] {
+						wk += e.dir
+					}
+					if k, v, ok := edgeOf(m.slab.segs, e.max); !ok || k != wk || v != model[wk] {
+						t.Fatalf("edge (max %v) = %d, %d, %v, want %d", e.max, k, v, ok, wk)
+					}
+				}
+				if !full {
+					return
+				}
+				var items []int
+				m.Items(func(k, v int) bool {
+					if v != model[k] {
+						t.Fatalf("Items: %d = %d, model %d", k, v, model[k])
+					}
+					items = append(items, k)
+					return true
+				})
+				if keys := slices.Sorted(maps.Keys(model)); !slices.Equal(items, keys) {
+					t.Fatalf("Items holds %d keys, model %d, or out of order", len(items), len(keys))
+				}
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			segs := func(want int) {
+				t.Helper()
+				check(true)
+				if len(m.slab.segs) != want {
+					t.Fatalf("%d items in %d segments, want %d", m.Len(), len(m.slab.segs), want)
+				}
+			}
+			// rounds runs mixed batches; insert:delete of 4:1 keeps about
+			// four in five keys of the universe resident.
+			rounds := func(n int) {
+				for r := 1; r <= n; r++ {
+					ops := make([]Op[int, int], 1+rng.Intn(128))
+					hot := rng.Intn(universe)
+					for i := range ops {
+						k := rng.Intn(universe)
+						if rng.Intn(3) == 0 {
+							k = (hot + rng.Intn(64)) % universe
+						}
+						ops[i] = Op[int, int]{Kind: OpGet, Key: k}
+						switch x := rng.Intn(10); {
+						case x < 4:
+							ops[i].Kind, ops[i].Val = OpInsert, rng.Int()
+						case x < 5:
+							ops[i].Kind = OpDelete
+						}
+					}
+					apply(ops)
+					check(r%150 == 0)
+				}
+			}
+			for i := 0; i < preload; i += 256 {
+				ops := make([]Op[int, int], 0, 256)
+				for k := i; k < min(i+256, preload); k++ {
+					ops = append(ops, Op[int, int]{Kind: OpInsert, Key: k * universe / preload, Val: k})
+				}
+				apply(ops)
+			}
+			segs(6)
+			rounds(300)
+			segs(6)
+			// Shrink below S[5]: delete resident keys down to 60,000.
+			for len(model) > 60_000 {
+				ops := make([]Op[int, int], 0, 256)
+				for k := range model {
+					if len(ops) == cap(ops) || len(model)-len(ops) == 60_000 {
+						break
+					}
+					ops = append(ops, Op[int, int]{Kind: OpDelete, Key: k})
+				}
+				apply(ops)
+			}
+			segs(5)
+			rounds(150)
+			// Grow back past S[4]'s fill: 12,000 fresh keys.
+			for k, n := 0, 0; n < preload-60_000; {
+				ops := make([]Op[int, int], 0, 256)
+				for ; len(ops) < cap(ops) && n+len(ops) < preload-60_000; k = (k + 7919) % universe {
+					if _, ok := model[k]; !ok {
+						ops = append(ops, Op[int, int]{Kind: OpInsert, Key: k, Val: k})
+					}
+				}
+				apply(ops)
+				n += len(ops)
+			}
+			segs(6)
+			rounds(300)
+			segs(6)
+			if tc.budget > 0 && m.Evicted() == 0 {
+				t.Fatal("the budget never evicted: the case tests nothing")
+			}
+		})
+	}
+}

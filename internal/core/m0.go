@@ -67,7 +67,7 @@ func (m *M0[K, V]) promote(i int, k K) {
 	}
 	m.segs[tgt].pushFront(mb)
 	if i > 0 {
-		shift := m.ms.popBack(m.segs[i-1], 1)
+		shift := m.ms.popBack(m.segs[i-1], 1, false)
 		m.segs[i].pushFront(shift)
 	}
 }
@@ -124,7 +124,7 @@ func (m *M0[K, V]) Delete(k K) (V, bool) {
 		if next.size() == 0 {
 			break
 		}
-		mb := m.ms.popFront(next, 1)
+		mb := m.ms.popFront(next, 1, false)
 		m.segs[j].pushBack(mb)
 	}
 	for len(m.segs) > 0 && m.segs[len(m.segs)-1].size() == 0 {
@@ -136,11 +136,11 @@ func (m *M0[K, V]) Delete(k K) (V, bool) {
 // CheckInvariants verifies segment structure, capacity fullness (all full
 // except the last) and size accounting (test hook).
 func (m *M0[K, V]) CheckInvariants() error {
+	if err := checkSegs(m.segs); err != nil {
+		return err
+	}
 	total := 0
 	for i, s := range m.segs {
-		if err := s.checkInvariants(); err != nil {
-			return fmt.Errorf("segment %d: %w", i, err)
-		}
 		if s.cap != capOf(i) {
 			return fmt.Errorf("segment %d capacity %d, want %d", i, s.cap, capOf(i))
 		}

@@ -121,6 +121,7 @@ func NewM1[K cmp.Ordered, V any](cfg Config) *M1[K, V] {
 	m.slab.cnt = cfg.Counter
 	m.slab.obs = cfg.Obs
 	m.slab.pool = twothree.NewNodePool[K, V]()
+	m.slab.deep = true
 	m.mem = newMemAcct[K, V](cfg.MaxBytes)
 	m.slab.mem = m.mem
 	m.act = locks.NewActivation(

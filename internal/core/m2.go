@@ -659,7 +659,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 
 	// 4g: rearward transfer if S[k-1] exceeds capacity.
 	if ex := prev.overBy(); ex > 0 {
-		f.seg.pushFront(f.ms.popBack(prev, ex))
+		f.seg.pushFront(f.ms.popBack(prev, ex, false))
 	}
 	// 4h: frontward transfer bounded by the successful deletions in A.
 	dSucc := 0
@@ -671,7 +671,7 @@ func (f *fseg[K, V]) runLocked(pos int) {
 	if under := prev.underBy(); under > 0 && dSucc > 0 {
 		x := min(under, f.seg.size(), dSucc)
 		if x > 0 {
-			prev.pushBack(f.ms.popFront(f.seg, x))
+			prev.pushBack(f.ms.popFront(f.seg, x, false))
 		}
 	}
 	if pos == 1 {
@@ -783,7 +783,7 @@ func (m *M2[K, V]) CheckInvariants() error {
 		}
 	}
 	for i, f := range m.fsegs {
-		if err := f.seg.checkInvariants(); err != nil {
+		if err := checkSegs([]*segment[K, V]{f.seg}); err != nil {
 			return fmt.Errorf("final slab segment %d: %w", f.k, err)
 		}
 		if f.k != m.mSeg+i {

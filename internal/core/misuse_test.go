@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Failure-injection tests: the engines and substrates must fail loudly on
 // contract violations rather than corrupting state.
@@ -80,15 +83,15 @@ func TestSegmentMoveRoundTrip(t *testing.T) {
 	b := newSegment[int, int](3, nil, nil)
 	var ms moveScratch[int, int]
 	a.pushBack(ms.newItems([]int{1, 2, 3, 4, 5}, []int{10, 20, 30, 40, 50}))
-	mb := ms.popBack(a, 2) // items 4, 5 (least recent)
+	mb := ms.popBack(a, 2, false) // items 4, 5 (least recent)
 	b.pushFront(mb)
 	if a.size() != 3 || b.size() != 2 {
 		t.Fatalf("sizes %d, %d", a.size(), b.size())
 	}
-	if err := a.checkInvariants(); err != nil {
+	if err := checkSegs([]*segment[int, int]{a}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.checkInvariants(); err != nil {
+	if err := checkSegs([]*segment[int, int]{b}); err != nil {
 		t.Fatal(err)
 	}
 	// Values travel with the items.
@@ -97,11 +100,11 @@ func TestSegmentMoveRoundTrip(t *testing.T) {
 		t.Fatal("value lost in transit")
 	}
 	// And back again.
-	a.pushBack(ms.popFront(b, 2))
+	a.pushBack(ms.popFront(b, 2, false))
 	if a.size() != 5 || b.size() != 0 {
 		t.Fatalf("sizes after return %d, %d", a.size(), b.size())
 	}
-	if err := a.checkInvariants(); err != nil {
+	if err := checkSegs([]*segment[int, int]{a}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,6 +118,11 @@ func TestCapOf(t *testing.T) {
 	}
 	if capOf(6) != 1<<62 || capOf(10) != 1<<62 {
 		t.Fatal("capOf should saturate beyond segment 5")
+	}
+	// A tree holds at most 2^31-1 leaves: S[deepKM] fits in one and the next
+	// segment does not, so that one is the last there is.
+	if capOf(deepKM) > math.MaxInt32 || capOf(deepKM+1) <= math.MaxInt32 {
+		t.Fatalf("deepKM = %d is not the last segment a tree can hold", deepKM)
 	}
 	if capPrefix(2) != 2+4+16 {
 		t.Fatalf("capPrefix(2) = %d", capPrefix(2))

@@ -9,7 +9,9 @@
 // All three store items in a sequence of segments S[0..l], where segment
 // S[k] has capacity 2^(2^k); the r most recently accessed items live in the
 // first O(log log r) segments, which is what makes an access with recency r
-// cost O(1 + log r) work.
+// cost O(1 + log r) work. A segment is a recency-map, which says what it
+// holds, and a key-map over the same leaves; M1's S[4] and S[5] share one
+// key-map (deepKM), so an item found in either costs one descent.
 package core
 
 import (
@@ -246,6 +248,9 @@ type group[K cmp.Ordered, V any] struct {
 	// group keeps travelling through later segments to drive the capacity
 	// restoration (Sections 6.1, 7.1) before its results are returned.
 	deleted bool
+	// leaf is the group's item when a shared key-map found it in a deeper
+	// segment than the one searching it (slab.lookup), until that one's pass.
+	leaf *segLeaf[K, V]
 }
 
 // resolve replays the group's operations against the observed item state
@@ -334,7 +339,7 @@ func (a *groupArena[K, V]) get(key K) *group[K, V] {
 		a.used++
 		g.key = key
 		g.calls = g.calls[:0]
-		g.resolved, g.deleted = false, false
+		g.resolved, g.deleted, g.leaf = false, false, nil
 		return g
 	}
 	g := &group[K, V]{key: key}

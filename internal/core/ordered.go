@@ -3,19 +3,22 @@ package core
 import "cmp"
 
 // Ordered queries. The working-set maps are ordered dictionaries: items
-// are distributed across segments, each holding a key-sorted 2-3 tree, so
-// ordered iteration merges the per-segment orders.
+// are distributed across key-maps — one per segment, except that M1's
+// segments from S[deepKM] on share one — each a key-sorted search tree, so
+// ordered iteration merges the per-key-map orders.
 
-// orderedItems merges the key-sorted contents of the given segments,
-// leaving out the keys dead (nil: none) reports.
+// orderedItems merges the key-sorted contents of the given segments'
+// key-maps, leaving out the keys dead (nil: none) reports.
 func orderedItems[K cmp.Ordered, V any](segs []*segment[K, V], dead func(K) bool) []KV[K, V] {
-	runs := make([][]KV[K, V], len(segs))
-	for i, s := range segs {
-		for _, lf := range s.km.Flatten() {
+	var runs [][]KV[K, V]
+	for km := range keyMaps(segs) {
+		var run []KV[K, V]
+		for _, lf := range km.Flatten() {
 			if dead == nil || !dead(lf.Key) {
-				runs[i] = append(runs[i], KV[K, V]{Key: lf.Key, Val: lf.Payload})
+				run = append(run, KV[K, V]{Key: lf.Key, Val: lf.Payload})
 			}
 		}
+		runs = append(runs, run)
 	}
 	out, _ := MergePage(runs, 0, nil)
 	return out
@@ -41,12 +44,12 @@ func edgeOf[K cmp.Ordered, V any](segs []*segment[K, V], max bool) (K, V, bool) 
 	var bestK K
 	var bestV V
 	found := false
-	for _, s := range segs {
+	for km := range keyMaps(segs) {
 		var leaf *segLeaf[K, V]
 		if max {
-			leaf = s.km.Max()
+			leaf = km.Max()
 		} else {
-			leaf = s.km.Min()
+			leaf = km.Min()
 		}
 		if leaf == nil {
 			continue

@@ -75,12 +75,19 @@ func (o *placeOracle) apply(ops []Op[string, string]) {
 	}
 	deleted := map[string]bool{} // found, and absent after its group: still travels
 	for k := 0; k < len(o.segs) && len(byKey) > 0; k++ {
-		var moved, stay []string
-		for _, key := range o.segs[k] {
+		var moved []string
+		stay, copied := o.segs[k], false // stay is S[k] itself until a key leaves it
+		for i, key := range o.segs[k] {
 			g, ok := byKey[key]
 			if !ok || deleted[key] {
-				stay = append(stay, key)
+				if copied {
+					stay = append(stay, key)
+				}
 				continue
+			}
+			if !copied {
+				stay = append(make([]string, 0, len(o.segs[k])), o.segs[k][:i]...)
+				copied = true
 			}
 			old := o.vals[key]
 			if present, v := replay(g, true, old); present {
@@ -146,7 +153,7 @@ func (o *placeOracle) apply(ops []Op[string, string]) {
 
 // recencyKeys returns a segment's keys, most recent first.
 func recencyKeys[K cmp.Ordered, V any](seg *segment[K, V]) []K {
-	var out []K
+	out := make([]K, 0, seg.size())
 	for _, lf := range seg.rec.Flatten() {
 		out = append(out, lf.Key)
 	}
@@ -157,15 +164,20 @@ func recencyKeys[K cmp.Ordered, V any](seg *segment[K, V]) []K {
 // of get/insert/delete and compares, after every batch, each segment's
 // recency order, the accounted bytes and the eviction sequence with the
 // oracle's. P = 16 makes a bunch 256 operations, so every Apply below is
-// exactly one cut batch.
+// exactly one cut batch. The deep case first inserts 70,000 keys, 256 a
+// batch, so that S[5] exists and shares S[4]'s key-map; its steps cost
+// O(n) each in the oracle, so it takes fewer.
 func TestPlacementMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		keys     int
 		maxItems int64 // budget in items of the longest value, 0 = none
+		preload  int   // keys inserted first, in ascending batches of 256
+		steps    int
 	}{
-		{"unbounded", 700, 0},
-		{"budget", 4000, 1500},
+		{"unbounded", 700, 0, 0, 400},
+		{"budget", 4000, 1500, 0, 400},
+		{"deep", 72000, 0, 70000, 150},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			maxBytes := tc.maxItems * oracleBytes("k0000", "vvvvvvvvvvvv")
@@ -176,7 +188,18 @@ func TestPlacementMatchesOracle(t *testing.T) {
 			m.SetOnEvict(func(k, _ string) { got = append(got, k) })
 			rng := rand.New(rand.NewSource(22))
 			var res []Result[string]
-			for step := 0; step < 400; step++ {
+			for i := 0; i < tc.preload; i += 256 {
+				ops := make([]Op[string, string], 0, 256)
+				for k := i; k < min(i+256, tc.preload); k++ {
+					ops = append(ops, Op[string, string]{Kind: OpInsert, Key: fmt.Sprintf("k%04d", k), Val: "v"})
+				}
+				res = m.ApplyInto(ops, res)
+				o.apply(ops)
+			}
+			if tc.preload > capPrefix(4) && len(m.slab.segs) != 6 {
+				t.Fatalf("%d keys in %d segments, want 6", tc.preload, len(m.slab.segs))
+			}
+			for step := 0; step < tc.steps; step++ {
 				ops := make([]Op[string, string], 1+rng.Intn(256))
 				hot := rng.Intn(tc.keys) // a window of keys that repeat within the batch
 				for i := range ops {
@@ -338,26 +361,32 @@ func TestFreshBurstKeepsPromotedItems(t *testing.T) {
 // TestFreshKeyClimbsOneSegmentPerAccess: the first read after a fresh insert
 // finds the key in the last segment, S[l], and each later one a segment
 // higher — the O(log n) the paper charges the insert, paid by the reads.
+// From S[5] the first read finds the key in the key-map S[5] shares with
+// S[4], and the depth is still S[5]'s: the segment whose recency-map holds
+// the key.
 func TestFreshKeyClimbsOneSegmentPerAccess(t *testing.T) {
-	eo := &obs.EngineObs{}
-	m := NewM1[string, string](Config{P: 16, Obs: eo})
-	defer m.Close()
-	for i := 0; i < 5000; i += 250 {
-		m.Apply(freshOps(i, 250))
-	}
-	m.Insert("new", "v")
-	m.Quiesce()
-	l := len(m.slab.segs) - 1
-	if l != 4 {
-		t.Fatalf("5001 items in %d segments, want 5", l+1)
-	}
-	for _, want := range []int64{4, 3, 2, 1, 0, 0} {
-		before := eo.Snapshot().Depth.Sum
-		if _, ok := m.Get("new"); !ok {
-			t.Fatal("fresh key not found")
-		}
-		if got := eo.Snapshot().Depth.Sum - before; got != want {
-			t.Fatalf("read answered at depth %d, want %d", got, want)
-		}
+	for _, tc := range []struct{ items, last int }{{5000, 4}, {70000, 5}} {
+		t.Run(fmt.Sprint(tc.items), func(t *testing.T) {
+			eo := &obs.EngineObs{}
+			m := NewM1[string, string](Config{P: 16, Obs: eo})
+			defer m.Close()
+			for i := 0; i < tc.items; i += 250 {
+				m.Apply(freshOps(i, 250))
+			}
+			m.Insert("new", "v")
+			m.Quiesce()
+			if l := len(m.slab.segs) - 1; l != tc.last {
+				t.Fatalf("%d items in %d segments, want %d", tc.items+1, l+1, tc.last+1)
+			}
+			for want := int64(tc.last); want >= -1; want-- {
+				before := eo.Snapshot().Depth.Sum
+				if _, ok := m.Get("new"); !ok {
+					t.Fatal("fresh key not found")
+				}
+				if got := eo.Snapshot().Depth.Sum - before; got != max(want, 0) {
+					t.Fatalf("read answered at depth %d, want %d", got, max(want, 0))
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "cmp"
+import (
+	"cmp"
+
+	"repro/internal/twothree"
+)
 
 // Batched range reads (M1 only; an OpRange submitted to an M2 panics in
 // the submitter, see M2.ApplyInto). OpRange operations ride the same cut
@@ -13,16 +17,17 @@ import "cmp"
 //
 // The engine run owns the whole slab, and at the batch boundary every item
 // lives in exactly one key-map, so a range is a bounded k-way merge of
-// per-segment RangeInto collections over the live trees.
+// per-key-map RangeInto collections over the live trees (keyMaps: M1's
+// deep segments share one, which is collected once).
 
 // rangeScratch is the per-engine scratch behind serveRanges: the
-// per-segment leaf collection and the concatenated per-segment sorted
+// per-key-map leaf collection and the concatenated per-key-map sorted
 // runs, all reused across batches so steady-state range serving allocates
 // nothing beyond growing the caller's Out buffers.
 type rangeScratch[K cmp.Ordered, V any] struct {
 	leaves []*segLeaf[K, V]
 	kvs    []KV[K, V]
-	runs   [][]KV[K, V] // per-segment windows of kvs
+	runs   [][]KV[K, V] // per-key-map windows of kvs
 }
 
 // splitRangeCalls partitions a cut batch in place: point calls are
@@ -63,10 +68,10 @@ func (m *M1[K, V]) serveRanges(calls []*call[K, V]) {
 // expired keys) and sets the call's Result.OK to the truncation verdict.
 // It returns the number of pairs emitted.
 //
-// Every segment contributes up to Limit live pairs, which is what makes
+// Every key-map contributes up to Limit live pairs, which is what makes
 // the merge exact: each of the globally smallest Limit live keys has
 // fewer than Limit live predecessors, so in particular fewer than Limit
-// within its own segment — it is always collected. A segment that filled
+// within its own key-map — it is always collected. A key-map that filled
 // its share may hold more, so the verdict is then "more" and the merged
 // page is full; a false positive costs the caller one empty follow-up
 // page, never a missed item.
@@ -82,9 +87,9 @@ func serveOneRange[K cmp.Ordered, V any](segs []*segment[K, V], sc *rangeScratch
 	}
 	sc.kvs, sc.runs = sc.kvs[:0], sc.runs[:0]
 	anyFull := false
-	for _, seg := range segs {
+	for km := range keyMaps(segs) {
 		start := len(sc.kvs)
-		full := sc.collectLive(seg, lo, hi, req.XLo, limit, dead)
+		full := sc.collectLive(km, lo, hi, req.XLo, limit, dead)
 		anyFull = anyFull || full
 		// A later append may move kvs; the window keeps the old array.
 		sc.runs = append(sc.runs, sc.kvs[start:])
@@ -97,12 +102,12 @@ func serveOneRange[K cmp.Ordered, V any](segs []*segment[K, V], sc *rangeScratch
 	return len(req.Out) - n0
 }
 
-// collectLive appends to sc.kvs up to limit (<= 0: all) pairs of seg in
+// collectLive appends to sc.kvs up to limit (<= 0: all) pairs of km in
 // [lo, hi), skipping lo itself under xlo and every key dead reports, and
 // reports whether it stopped at limit. Skipped keys take RangeInto
 // slots, so a full collection that fell short reads on from its last key,
 // exclusive.
-func (sc *rangeScratch[K, V]) collectLive(seg *segment[K, V], lo, hi K, xlo bool, limit int, dead func(K) bool) (full bool) {
+func (sc *rangeScratch[K, V]) collectLive(km *twothree.Tree[K, V], lo, hi K, xlo bool, limit int, dead func(K) bool) (full bool) {
 	start := len(sc.kvs)
 	for {
 		bound := 0
@@ -112,7 +117,7 @@ func (sc *rangeScratch[K, V]) collectLive(seg *segment[K, V], lo, hi K, xlo bool
 				bound++ // lo itself may take a slot
 			}
 		}
-		sc.leaves = seg.km.RangeInto(lo, hi, bound, sc.leaves[:0])
+		sc.leaves = km.RangeInto(lo, hi, bound, sc.leaves[:0])
 		for _, lf := range sc.leaves {
 			if limit > 0 && len(sc.kvs)-start == limit {
 				return true

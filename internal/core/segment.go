@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"iter"
 
 	"repro/internal/metrics"
 	"repro/internal/twothree"
@@ -15,7 +16,9 @@ import (
 type segLeaf[K cmp.Ordered, V any] = twothree.Node[K, V]
 
 // capOf returns segment S[k]'s capacity 2^(2^k), saturating for k >= 6
-// (2^64 overflows; no laptop-scale experiment reaches segment 6).
+// (2^64 overflows). No map reaches segment 6: a tree holds at most 2^31-1
+// leaves, so S[5] is the last segment there is room for, and in M1 it
+// shares one key-map with S[4] (deepKM).
 func capOf(k int) int {
 	if k >= 6 {
 		return 1 << 62
@@ -36,8 +39,20 @@ func capPrefix(k int) int {
 	return total
 }
 
-// segment is one working-set segment: a key-map and a recency-map over the
-// same leaves, each tree with routing nodes of its own.
+// deepKM is the segment from which on M1's segments share one key-map.
+// Capacities square, so S[4] holds 2^16 items and S[5] 2^32, more than the
+// 2^31-1 leaves a tree can hold: S[5] is the last segment, and one key-map
+// over S[4] and S[5] has fewer than 2^31 leaves, a descent of under 31
+// binary levels against 16 for S[4]'s own — within a factor 2 of the
+// paper's per-segment bound for an S[4] hit, and one descent instead of two
+// for an S[5] hit. The segments sharing a key-map keep a recency-map each,
+// which alone says which of them an item is in.
+const deepKM = 4
+
+// segment is one working-set segment: a recency-map, which defines the
+// segment's items, and a key-map over the same leaves, each tree with
+// routing nodes of its own. In M1 the key-map of S[deepKM] is also that of
+// every deeper segment, and holds their leaves as well.
 type segment[K cmp.Ordered, V any] struct {
 	km  *twothree.Tree[K, V]
 	rec *twothree.Seq[K, V]
@@ -56,7 +71,7 @@ func newSegment[K cmp.Ordered, V any](k int, cnt *metrics.Counter, np *twothree.
 	}
 }
 
-func (s *segment[K, V]) size() int { return s.km.Len() }
+func (s *segment[K, V]) size() int { return s.rec.Len() }
 
 // overBy returns how many items the segment holds beyond its capacity
 // (0 if within capacity).
@@ -77,12 +92,14 @@ func (s *segment[K, V]) underBy() int {
 
 // moveBatch is a set of items in transit between segments: the same
 // leaves twice, in key order and in recency order (most recent first).
+// kmLeaves is nil when the items never left the key-map, on a move between
+// two segments that share one.
 type moveBatch[K cmp.Ordered, V any] struct {
 	kmLeaves  []*segLeaf[K, V]
 	recLeaves []*segLeaf[K, V]
 }
 
-func (mb moveBatch[K, V]) len() int { return len(mb.kmLeaves) }
+func (mb moveBatch[K, V]) len() int { return len(mb.recLeaves) }
 
 // moveScratch backs allocation-free segment removals and fresh batches: the
 // moveBatch one returns aliases the scratch and is valid until the next call
@@ -126,27 +143,47 @@ func (ms *moveScratch[K, V]) removeItems(seg *segment[K, V], keys []K) moveBatch
 	return moveBatch[K, V]{kmLeaves: kmLeaves, recLeaves: recLeaves}
 }
 
-// popBack removes the x least recent items of seg (x is clamped to the
-// segment size) and returns them in recency order.
-func (ms *moveScratch[K, V]) popBack(seg *segment[K, V], x int) moveBatch[K, V] {
-	ms.rec = seg.rec.PopBack(x, grow(ms.rec, min(x, seg.size())))
-	return ms.deleteByRecLeaves(seg)
+// removeRec takes the given leaves of seg (key-sorted) out of its
+// recency-map only: the items stay in the key-map it shares with the
+// segment they are bound for. kmLeaves aliases leaves.
+func (ms *moveScratch[K, V]) removeRec(seg *segment[K, V], leaves []*segLeaf[K, V]) moveBatch[K, V] {
+	ms.rank = grow(ms.rank, len(leaves))
+	ms.rec = grow(ms.rec, len(leaves))
+	return moveBatch[K, V]{kmLeaves: leaves, recLeaves: seg.rec.RemoveInto(leaves, ms.rank, ms.rec)}
 }
 
-// popFront removes the x most recent items of seg.
-func (ms *moveScratch[K, V]) popFront(seg *segment[K, V], x int) moveBatch[K, V] {
+// popBack removes the x least recent items of seg (x is clamped to the
+// segment size) and returns them in recency order. Under keepKM they stay
+// in seg's key-map, which must be that of the segment they are bound for.
+func (ms *moveScratch[K, V]) popBack(seg *segment[K, V], x int, keepKM bool) moveBatch[K, V] {
+	ms.rec = seg.rec.PopBack(x, grow(ms.rec, min(x, seg.size())))
+	return ms.deleteByRecLeaves(seg, keepKM)
+}
+
+// popFront removes the x most recent items of seg, as popBack does.
+func (ms *moveScratch[K, V]) popFront(seg *segment[K, V], x int, keepKM bool) moveBatch[K, V] {
 	ms.rec = seg.rec.PopFront(x, grow(ms.rec, min(x, seg.size())))
-	return ms.deleteByRecLeaves(seg)
+	return ms.deleteByRecLeaves(seg, keepKM)
 }
 
 // deleteByRecLeaves finishes a pop: ms.rec has left seg's recency-map, and
-// the same leaves now leave its key-map, found by their up-pointers and not
-// by their keys (BenchmarkSegmentPop: 11-14 % less time per popped item than
-// sorting the keys and deleting by key, at b = 16, 64 and 256).
-func (ms *moveScratch[K, V]) deleteByRecLeaves(seg *segment[K, V]) moveBatch[K, V] {
-	ms.rank = grow(ms.rank, len(ms.rec))
-	ms.del = grow(ms.del, len(ms.rec))
-	return moveBatch[K, V]{kmLeaves: seg.km.RemoveInto(ms.rec, ms.rank, ms.del), recLeaves: ms.rec}
+// unless keepKM the same leaves now leave its key-map, found by their
+// up-pointers and not by their keys (BenchmarkSegmentPop: 11-14 % less time
+// per popped item than sorting the keys and deleting by key, at b = 16, 64
+// and 256).
+func (ms *moveScratch[K, V]) deleteByRecLeaves(seg *segment[K, V], keepKM bool) moveBatch[K, V] {
+	if keepKM {
+		return moveBatch[K, V]{recLeaves: ms.rec}
+	}
+	return moveBatch[K, V]{kmLeaves: ms.removeKM(seg, ms.rec), recLeaves: ms.rec}
+}
+
+// removeKM takes leaves of seg (in any order) out of its key-map by their
+// up-pointers and returns them in key order, in ms.del.
+func (ms *moveScratch[K, V]) removeKM(seg *segment[K, V], leaves []*segLeaf[K, V]) []*segLeaf[K, V] {
+	ms.rank = grow(ms.rank, len(leaves))
+	ms.del = grow(ms.del, len(leaves))
+	return seg.km.RemoveInto(leaves, ms.rank, ms.del)
 }
 
 // pushFront inserts the batch at the most recent end of the segment.
@@ -154,7 +191,9 @@ func (s *segment[K, V]) pushFront(mb moveBatch[K, V]) {
 	if mb.len() == 0 {
 		return
 	}
-	s.km.BatchInsertLeaves(mb.kmLeaves)
+	if mb.kmLeaves != nil {
+		s.km.BatchInsertLeaves(mb.kmLeaves)
+	}
 	s.rec.PushFrontLeaves(mb.recLeaves)
 }
 
@@ -163,7 +202,9 @@ func (s *segment[K, V]) pushBack(mb moveBatch[K, V]) {
 	if mb.len() == 0 {
 		return
 	}
-	s.km.BatchInsertLeaves(mb.kmLeaves)
+	if mb.kmLeaves != nil {
+		s.km.BatchInsertLeaves(mb.kmLeaves)
+	}
 	s.rec.PushBackLeaves(mb.recLeaves)
 }
 
@@ -192,22 +233,55 @@ func (mb moveBatch[K, V]) keepOnly(keepIdx func(int) bool, keepKey func(K) bool)
 	return kept
 }
 
-// checkInvariants validates the segment's internal consistency (test
-// hook): tree invariants, and that both trees own every leaf of either.
-func (s *segment[K, V]) checkInvariants() error {
-	if err := s.km.Validate(); err != nil {
-		return fmt.Errorf("key-map: %w", err)
+// keyMaps yields each distinct key-map of segs once, in segment order, with
+// the run of segments sharing it (M1's from deepKM on; one segment
+// elsewhere). Every walk over the key-maps goes through it: a shared one
+// visited per segment would hand MergePage a run twice.
+func keyMaps[K cmp.Ordered, V any](segs []*segment[K, V]) iter.Seq2[*twothree.Tree[K, V], []*segment[K, V]] {
+	return func(yield func(*twothree.Tree[K, V], []*segment[K, V]) bool) {
+		for i := 0; i < len(segs); {
+			j := i + 1
+			for j < len(segs) && segs[j].km == segs[i].km {
+				j++
+			}
+			if !yield(segs[i].km, segs[i:j]) {
+				return
+			}
+			i = j
+		}
 	}
-	if err := s.rec.Validate(); err != nil {
-		return fmt.Errorf("recency-map: %w", err)
-	}
-	if s.km.Len() != s.rec.Len() {
-		return fmt.Errorf("key-map size %d != recency-map size %d", s.km.Len(), s.rec.Len())
-	}
-	// Equal sizes and every leaf of the one in the other: the same leaf set.
-	for _, lf := range s.km.Flatten() {
-		if !s.km.Owns(lf) || !s.rec.Owns(lf) {
-			return fmt.Errorf("leaf %v is not owned by both trees of this segment", lf.Key)
+}
+
+// checkSegs validates the segments' trees (test hook): tree invariants, and
+// that every leaf of a key-map is in exactly one recency-map of the run
+// sharing it, whose sizes add up to the key-map's.
+func checkSegs[K cmp.Ordered, V any](segs []*segment[K, V]) error {
+	for km, run := range keyMaps(segs) {
+		if err := km.Validate(); err != nil {
+			return fmt.Errorf("key-map: %w", err)
+		}
+		total := 0
+		for _, s := range run {
+			if err := s.rec.Validate(); err != nil {
+				return fmt.Errorf("recency-map: %w", err)
+			}
+			total += s.rec.Len()
+		}
+		if km.Len() != total {
+			return fmt.Errorf("key-map size %d != recency-map sizes %d", km.Len(), total)
+		}
+		// Equal sizes and every leaf of the one in one of the others: the
+		// same leaf set, split among the recency-maps.
+		for _, lf := range km.Flatten() {
+			owners := 0
+			for _, s := range run {
+				if s.rec.Owns(lf) {
+					owners++
+				}
+			}
+			if !km.Owns(lf) || owners != 1 {
+				return fmt.Errorf("leaf %v is in %d of the %d recency-maps sharing its key-map", lf.Key, owners, len(run))
+			}
 		}
 	}
 	return nil

@@ -33,7 +33,7 @@ func BenchmarkSegmentPop(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				seg.pushFront(ms.popBack(seg, size))
+				seg.pushFront(ms.popBack(seg, size, false))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/item")
 		})

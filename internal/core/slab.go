@@ -25,11 +25,14 @@ type slab[K cmp.Ordered, V any] struct {
 	pool  *twothree.NodePool[K, V] // the engine's one free-list of routing nodes
 	mem   *memAcct[K, V]           // byte accountant (nil in M2; see core.go)
 	hooks *KeyHooks[K]             // per-key sidecar hooks (nil = off, always in M2; see ops.go)
+	deep  bool                     // S[deepKM] on share one key-map (M1; see deepKM)
 
 	keySc    []K               // groupKeys of the pending batch
-	foundSc  []*segLeaf[K, V]  // BatchGetInto result
+	foundSc  []*segLeaf[K, V]  // lookup result
 	fKeys    []K               // keys of found groups (sorted subset)
 	fGroups  []*group[K, V]    // groups of found keys, aligned with fKeys
+	fLeaves  []*segLeaf[K, V]  // leaves of found keys, aligned with fKeys
+	deadSc   []*segLeaf[K, V]  // leaves of found groups that deleted their item
 	fPresent []bool            // net-present after resolve, aligned with fKeys
 	finished []*group[K, V]    // groups completed this pass
 	ms       moveScratch[K, V] // segment removal scratch
@@ -51,23 +54,19 @@ func grow[T any](s []T, n int) []T {
 // pending is compacted in place; the returned slice aliases it.
 func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], sizeDelta int) {
 	seg := s.segs[k]
-	keys := s.keySc[:0]
-	for _, g := range pending {
-		keys = append(keys, g.key)
-	}
-	s.keySc = keys
-	s.foundSc = grow(s.foundSc, len(keys))
-	found := seg.km.BatchGetInto(keys, s.foundSc)
+	found := s.lookup(k, pending)
 
 	fKeys := s.fKeys[:0]
 	fGroups := s.fGroups[:0]
+	fLeaves := s.fLeaves[:0]
 	for i, lf := range found {
 		if lf != nil {
-			fKeys = append(fKeys, keys[i])
+			fKeys = append(fKeys, pending[i].key)
 			fGroups = append(fGroups, pending[i])
+			fLeaves = append(fLeaves, lf)
 		}
 	}
-	s.fKeys, s.fGroups = fKeys, fGroups
+	s.fKeys, s.fGroups, s.fLeaves = fKeys, fGroups, fLeaves
 	if len(fKeys) > 0 {
 		if s.obs != nil {
 			n := 0
@@ -76,9 +75,17 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 			}
 			s.obs.RecordLookup(obs.SrcFirstSlab, k, n)
 		}
-		mb := s.ms.removeItems(seg, fKeys)
+		tgt := max(k-1, 0)
+		// Bound for a segment of the same key-map, the items stay in it.
+		keepKM := s.segs[tgt].km == seg.km
+		var mb moveBatch[K, V]
+		if keepKM {
+			mb = s.ms.removeRec(seg, fLeaves)
+		} else {
+			mb = s.ms.removeItems(seg, fKeys)
+		}
 		s.fPresent = grow(s.fPresent, len(fGroups))
-		finished := s.finished[:0]
+		finished, dead := s.finished[:0], s.deadSc[:0]
 		for i, g := range fGroups {
 			old := mb.kmLeaves[i].Payload
 			// Present observation: consult the TTL ghost hook first. A
@@ -104,9 +111,14 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 				}
 				g.deleted = true
 				sizeDelta--
+				dead = append(dead, mb.kmLeaves[i])
 			}
 		}
-		s.finished = finished
+		if keepKM && len(dead) > 0 { // deleted, they leave the key-map the rest stay in
+			s.ms.removeKM(seg, dead)
+		}
+		clear(dead)
+		s.finished, s.deadSc = finished, dead
 		// Keep exactly the net-present items. kmLeaves are aligned with
 		// fKeys; recLeaves (recency order) locate their verdict by binary
 		// search over the sorted fKeys.
@@ -114,9 +126,8 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 			i := sort.Search(len(fKeys), func(j int) bool { return fKeys[j] >= key })
 			return s.fPresent[i]
 		})
-		tgt := k - 1
-		if tgt < 0 {
-			tgt = 0
+		if keepKM {
+			kept.kmLeaves = nil
 		}
 		s.segs[tgt].pushFront(kept)
 		completeAll(finished)
@@ -130,7 +141,40 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 			w++
 		}
 	}
+	clear(fLeaves)
 	return pending[:w], sizeDelta
+}
+
+// lookup returns, aligned with pending, the leaves of their keys that S[k]
+// holds (nil where none). Segments sharing a key-map search it once, at the
+// first of them: a leaf found there that a deeper segment holds, by its
+// recency-map, stays on its group for that segment's pass, which searches
+// nothing. When S[k] is the last segment of its key-map, every leaf found
+// is its own, and no recency-map is walked.
+func (s *slab[K, V]) lookup(k int, pending []*group[K, V]) []*segLeaf[K, V] {
+	seg := s.segs[k]
+	found := grow(s.foundSc, len(pending))
+	s.foundSc = found
+	if k > 0 && s.segs[k-1].km == seg.km {
+		for i, g := range pending {
+			found[i], g.leaf = g.leaf, nil
+		}
+	} else {
+		keys := s.keySc[:0]
+		for _, g := range pending {
+			keys = append(keys, g.key)
+		}
+		s.keySc = keys
+		seg.km.BatchGetInto(keys, found)
+	}
+	if k+1 < len(s.segs) && s.segs[k+1].km == seg.km {
+		for i, lf := range found {
+			if lf != nil && !seg.rec.Owns(lf) {
+				pending[i].leaf, found[i] = lf, nil
+			}
+		}
+	}
+	return found
 }
 
 // restore re-establishes the capacity invariant for segments S[0..k-1]:
@@ -146,15 +190,16 @@ func (s *slab[K, V]) restore(k int) {
 	for i := k; i >= 1; i-- {
 		below := prefix - s.segs[i-1].size() // S[0..i-2]: this step leaves it alone
 		want := capPrefix(i - 1)
+		keepKM := s.segs[i-1].km == s.segs[i].km
 		if prefix > want {
-			mb := s.ms.popBack(s.segs[i-1], prefix-want)
+			mb := s.ms.popBack(s.segs[i-1], prefix-want, keepKM)
 			s.segs[i].pushFront(mb)
 		} else if prefix < want && s.segs[i].size() > 0 {
 			x := want - prefix
 			if sz := s.segs[i].size(); x > sz {
 				x = sz
 			}
-			mb := s.ms.popFront(s.segs[i], x)
+			mb := s.ms.popFront(s.segs[i], x, keepKM)
 			s.segs[i-1].pushBack(mb)
 		}
 		prefix = below
@@ -193,11 +238,15 @@ func (s *slab[K, V]) insertLast(keysSorted []K, vals []V, maxSegs int) moveBatch
 		}
 		if l == len(s.segs)-1 {
 			if len(s.segs) == maxSegs {
-				return s.ms.popBack(s.segs[l], ex)
+				return s.ms.popBack(s.segs[l], ex, false)
 			}
-			s.segs = append(s.segs, newSegment[K, V](l+1, s.cnt, s.pool))
+			next := newSegment[K, V](l+1, s.cnt, s.pool)
+			if s.deep && l+1 > deepKM {
+				next.km = s.segs[deepKM].km
+			}
+			s.segs = append(s.segs, next)
 		}
-		s.segs[l+1].pushFront(s.ms.popBack(s.segs[l], ex))
+		s.segs[l+1].pushFront(s.ms.popBack(s.segs[l], ex, s.segs[l].km == s.segs[l+1].km))
 	}
 }
 
@@ -214,7 +263,7 @@ func (s *slab[K, V]) evictColdest(n int) int {
 	if sz := s.segs[l].size(); n > sz {
 		n = sz
 	}
-	mb := s.ms.popBack(s.segs[l], n)
+	mb := s.ms.popBack(s.segs[l], n, false)
 	for _, lf := range mb.kmLeaves {
 		s.mem.evict(lf.Key, lf.Payload)
 	}
@@ -226,8 +275,8 @@ func (s *slab[K, V]) evictColdest(n int) int {
 // resident item (M1's test hook; quiescence required).
 func (s *slab[K, V]) recomputeBytes() int64 {
 	var total int64
-	for _, seg := range s.segs {
-		for _, lf := range seg.km.Flatten() {
+	for km := range keyMaps(s.segs) {
+		for _, lf := range km.Flatten() {
 			total += s.mem.itemBytes(lf.Key, lf.Payload)
 		}
 	}
@@ -244,9 +293,12 @@ func (s *slab[K, V]) trimEmpty() {
 // checkInvariants validates every segment plus the full-except-last
 // capacity invariant (test hook; quiescence required).
 func (s *slab[K, V]) checkInvariants(exact bool) error {
+	if err := checkSegs(s.segs); err != nil {
+		return err
+	}
 	for i, seg := range s.segs {
-		if err := seg.checkInvariants(); err != nil {
-			return fmt.Errorf("segment %d: %w", i, err)
+		if s.deep && i > deepKM && seg.km != s.segs[deepKM].km {
+			return fmt.Errorf("segment %d has a key-map of its own", i)
 		}
 		if exact && i < len(s.segs)-1 && seg.size() != seg.cap {
 			return fmt.Errorf("non-terminal segment %d has size %d, capacity %d", i, seg.size(), seg.cap)

@@ -133,8 +133,11 @@ func (s *Seq[K, P]) Flatten() []*Node[K, P] {
 }
 
 // Owns reports whether leaf currently belongs to this sequence, by walking
-// its parent chain to the root (test hook; O(log n)).
+// its parent chain to the root. leaf must belong to some Seq. O(log n),
+// charged as one descent: it is how segments sharing a key-map tell which
+// of them holds a leaf found in it.
 func (s *Seq[K, P]) Owns(leaf *Node[K, P]) bool {
+	s.charge(1)
 	return root(leaf, byRank) == s.root
 }
 
