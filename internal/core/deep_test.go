@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/metrics"
@@ -71,6 +73,47 @@ func TestM1DeepWorkPerOp(t *testing.T) {
 	}
 }
 
+// TestM1S4HitWorkPerOp bounds the structural work of a GET that hits S[4]:
+// 30,000 keys of an M1 of 2^17, read uniformly until they have left S[5]
+// for S[0..4] (S[4] holds 2^16), in batches of 16. An S[4] hit searches
+// the four search slices and makes one descent of the key-map every
+// segment shares; its promotion to S[3], and restore's move of S[3]'s back
+// to S[4], touch recency-maps and S[3]'s slice only. Measured 82.9, against
+// 102.8 when S[0..3] had a key-map each and a move to or from S[3] deleted
+// from one and inserted into another.
+func TestM1S4HitWorkPerOp(t *testing.T) {
+	if raceEnabled {
+		// One goroutine and a count: the detector has nothing to check, and
+		// its 600,000 warm-up GETs take half a minute under it.
+		t.Skip("single-goroutine count ceiling; run without -race")
+	}
+	const n, hot, b = 1 << 17, 30_000, 16
+	var cnt metrics.Counter
+	m := deepM1(n, &cnt)
+	defer m.Close()
+	var res []Result[string]
+	for round := range 20 {
+		for _, ops := range uniformGets(hot, b, hot/b, int64(round)) {
+			res = m.ApplyInto(ops, res)
+		}
+	}
+	before := cnt.Total()
+	for _, ops := range uniformGets(hot, b, 4096/b, 99) {
+		res = m.ApplyInto(ops, res)
+		for i, r := range res {
+			if !r.OK {
+				t.Fatalf("%s not found", ops[i].Key)
+			}
+		}
+	}
+	perOp := float64(cnt.Total()-before) / 4096
+	t.Logf("%.1f work per S[4] hit at n = %d, b = %d", perOp, n, b)
+	const ceiling = 90
+	if perOp > ceiling {
+		t.Errorf("S[4] hit: %.1f work per op, ceiling %d", perOp, ceiling)
+	}
+}
+
 // BenchmarkM1DeepGet is a uniform GET in an M1 of 2^18 keys, three in four
 // of them in S[5] (string keys, as the server has), in batches of b. Every
 // batch is drawn afresh: a cycled set of batches would keep its few keys in
@@ -93,13 +136,85 @@ func BenchmarkM1DeepGet(b *testing.B) {
 	}
 }
 
+// BenchmarkM1ZipfShardGet models one shard's engine traffic on the
+// standing benchmark's zipf_read, in batches of 24: zipf(0.99) ranks over
+// 2^18 keys, spread over the key space by the odd multiplier bench's key
+// generator uses, of which the shard keeps the keys that hash to it (about
+// 2^17, preloaded in ascending order). 85 % of the draws of the 6,000
+// hottest ranks are left out, as the front cache's hits, and 5 % of the
+// rest are SETs.
+func BenchmarkM1ZipfShardGet(b *testing.B) {
+	const universe, size, hotRanks = 1 << 18, 24, 6000
+	inShard := func(i int) bool { return uint64(i)*0x9E3779B97F4A7C15>>63 == 0 }
+	keys := make([]string, universe)
+	m := NewM1[string, string](Config{P: 2})
+	defer m.Close()
+	var ops []Op[string, string]
+	var res []Result[string]
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%08d", i)
+		if inShard(i) {
+			ops = append(ops, Op[string, string]{Kind: OpInsert, Key: keys[i], Val: "v"})
+		}
+		if len(ops) == 128 || i == universe-1 {
+			res = m.ApplyInto(ops, res)
+			ops = ops[:0]
+		}
+	}
+	cdf := make([]float64, universe)
+	sum := 0.0
+	for i := range cdf {
+		sum += math.Pow(float64(i+1), -0.99)
+		cdf[i] = sum
+	}
+	rng := rand.New(rand.NewSource(5))
+	// stream returns n operations, each a key index, -1-i for a SET of key i.
+	stream := func(n int) []int32 {
+		out := make([]int32, 0, n)
+		for len(out) < n {
+			rank := min(sort.SearchFloat64s(cdf, rng.Float64()*sum), universe-1)
+			i := rank * 0x9E3779B1 & (universe - 1)
+			if !inShard(i) || (rank < hotRanks && rng.Float64() < 0.85) {
+				continue
+			}
+			if rng.Intn(20) == 0 {
+				i = -1 - i
+			}
+			out = append(out, int32(i))
+		}
+		return out
+	}
+	run := func(s []int32) {
+		ops = ops[:size]
+		for ; len(s) >= size; s = s[size:] {
+			for x, e := range s[:size] {
+				if e < 0 {
+					ops[x] = Op[string, string]{Kind: OpInsert, Key: keys[-1-e], Val: "v"}
+				} else {
+					ops[x] = Op[string, string]{Kind: OpGet, Key: keys[e]}
+				}
+			}
+			res = m.ApplyInto(ops, res)
+		}
+	}
+	run(stream(1 << 16))
+	s := stream(b.N * size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(s)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/item")
+}
+
 // TestM1DeepKeyMapModel drives an M1 whose items reach S[5], so that S[4]
-// and S[5] share a key-map, with random batches of get, insert and delete
-// over hot and uniform keys, and checks every result, range pages, Items and
-// the key-map edges against a model. It shrinks the map below S[5] and grows
-// it back, and its budget variant evicts out of S[5]: each eviction must
-// take a resident key, once, and the accounted bytes must stay exact.
-// P = 16 makes a cut batch 512 operations here, so every Apply is one.
+// and S[5] are both found through the key-map every segment shares, with
+// random batches of get, insert and delete over hot and uniform keys, and
+// checks every result, range pages, Items and the key-map edges against a
+// model. It shrinks the map below S[5] and grows it back, then shrinks it
+// below S[deepKM], where only the search slices are searched. Its budget
+// variant evicts out of S[5], and its tiny one out of a last segment below
+// S[deepKM], from a search slice: each eviction must take a resident key,
+// once, and the accounted bytes must stay exact. P = 16 makes a cut batch
+// 512 operations here, so every Apply is one.
 func TestM1DeepKeyMapModel(t *testing.T) {
 	const universe, preload = 90_000, 72_000
 	for _, tc := range []struct {
@@ -108,6 +223,7 @@ func TestM1DeepKeyMapModel(t *testing.T) {
 	}{
 		{"unbounded", 0},
 		{"budget", 70_000},
+		{"tiny", 200},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			itemBytes := int64(8+8) + itemOverhead
@@ -205,16 +321,16 @@ func TestM1DeepKeyMapModel(t *testing.T) {
 					t.Fatalf("%d items in %d segments, want %d", m.Len(), len(m.slab.segs), want)
 				}
 			}
-			// rounds runs mixed batches; insert:delete of 4:1 keeps about
-			// four in five keys of the universe resident.
-			rounds := func(n int) {
+			// rounds runs mixed batches over keys below u; insert:delete of
+			// 4:1 keeps about four in five of them resident.
+			rounds := func(n, u int) {
 				for r := 1; r <= n; r++ {
 					ops := make([]Op[int, int], 1+rng.Intn(128))
-					hot := rng.Intn(universe)
+					hot := rng.Intn(u)
 					for i := range ops {
-						k := rng.Intn(universe)
+						k := rng.Intn(u)
 						if rng.Intn(3) == 0 {
-							k = (hot + rng.Intn(64)) % universe
+							k = (hot + rng.Intn(64)) % u
 						}
 						ops[i] = Op[int, int]{Kind: OpGet, Key: k}
 						switch x := rng.Intn(10); {
@@ -235,22 +351,36 @@ func TestM1DeepKeyMapModel(t *testing.T) {
 				}
 				apply(ops)
 			}
-			segs(6)
-			rounds(300)
-			segs(6)
-			// Shrink below S[5]: delete resident keys down to 60,000.
-			for len(model) > 60_000 {
-				ops := make([]Op[int, int], 0, 256)
-				for k := range model {
-					if len(ops) == cap(ops) || len(model)-len(ops) == 60_000 {
-						break
-					}
-					ops = append(ops, Op[int, int]{Kind: OpDelete, Key: k})
+			if tc.budget > 0 && tc.budget < int64(capPrefix(deepKM-1)) {
+				// All but the last few hundred keys were evicted.
+				check(true)
+				rounds(300, universe)
+				check(true)
+				if l := len(m.slab.segs) - 1; l >= deepKM || m.Evicted() == 0 {
+					t.Fatalf("last segment S[%d] after %d evictions: nothing evicted from a search slice", l, m.Evicted())
 				}
-				apply(ops)
+				return
 			}
+			segs(6)
+			rounds(300, universe)
+			segs(6)
+			// shrinkTo deletes resident keys down to n.
+			shrinkTo := func(n int) {
+				for len(model) > n {
+					ops := make([]Op[int, int], 0, 256)
+					for k := range model {
+						if len(ops) == cap(ops) || len(model)-len(ops) == n {
+							break
+						}
+						ops = append(ops, Op[int, int]{Kind: OpDelete, Key: k})
+					}
+					apply(ops)
+				}
+			}
+			// Shrink below S[5].
+			shrinkTo(60_000)
 			segs(5)
-			rounds(150)
+			rounds(150, universe)
 			// Grow back past S[4]'s fill: 12,000 fresh keys.
 			for k, n := 0, 0; n < preload-60_000; {
 				ops := make([]Op[int, int], 0, 256)
@@ -263,11 +393,49 @@ func TestM1DeepKeyMapModel(t *testing.T) {
 				n += len(ops)
 			}
 			segs(6)
-			rounds(300)
+			rounds(300, universe)
 			segs(6)
 			if tc.budget > 0 && m.Evicted() == 0 {
 				t.Fatal("the budget never evicted: the case tests nothing")
 			}
+			// Shrink below S[deepKM], and keep there: 100 keys left and
+			// at most 160 more, all under 160 of the universe's.
+			shrinkTo(100)
+			rounds(150, 160)
+			check(true)
+			if len(m.slab.segs) > deepKM {
+				t.Fatalf("%d items in %d segments, want at most %d", m.Len(), len(m.slab.segs), deepKM)
+			}
 		})
+	}
+}
+
+// TestEvictFromSearchSlice: eviction from a last segment below S[deepKM]
+// takes the leaves out of its search slice as well as its recency-map and
+// the key-map. A budget's eviction round pops evictChunk items, S[3]'s
+// capacity, so it empties such a segment, which is then dropped with its
+// slice; this test pops fewer, as a smaller round would.
+func TestEvictFromSearchSlice(t *testing.T) {
+	m := NewM1[int, int](Config{P: 2})
+	defer m.Close()
+	for i := range 100 {
+		m.Insert(i, i)
+	}
+	m.Quiesce()
+	if l := len(m.slab.segs) - 1; l >= deepKM {
+		t.Fatalf("100 items reach S[%d]", l)
+	}
+	var evicted []int
+	m.SetOnEvict(func(k, _ int) { evicted = append(evicted, k) })
+	if n := m.slab.evictColdest(10); n != 10 || len(evicted) != 10 {
+		t.Fatalf("evicted %d (hook saw %d), want 10", n, len(evicted))
+	}
+	if err := m.slab.checkInvariants(true); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range evicted {
+		if _, ok := m.slab.segs[0].km.Get(k); ok {
+			t.Fatalf("evicted %d is still in the key-map", k)
+		}
 	}
 }

@@ -10,8 +10,10 @@
 // S[k] has capacity 2^(2^k); the r most recently accessed items live in the
 // first O(log log r) segments, which is what makes an access with recency r
 // cost O(1 + log r) work. A segment is a recency-map, which says what it
-// holds, and a key-map over the same leaves; M1's S[4] and S[5] share one
-// key-map (deepKM), so an item found in either costs one descent.
+// holds, and a key-map over the same leaves. In M1 every segment shares one
+// key-map, which S[0..3] do not search: each keeps a key-sorted slice of
+// its own leaves (deepKM), so an item found in S[4] or S[5] costs one
+// descent, and a move between segments no key-map edit.
 package core
 
 import (
@@ -248,8 +250,8 @@ type group[K cmp.Ordered, V any] struct {
 	// group keeps travelling through later segments to drive the capacity
 	// restoration (Sections 6.1, 7.1) before its results are returned.
 	deleted bool
-	// leaf is the group's item when a shared key-map found it in a deeper
-	// segment than the one searching it (slab.lookup), until that one's pass.
+	// leaf is the group's item when M1's key-map, searched at S[deepKM],
+	// found it in a deeper segment (slab.lookup), until that one's pass.
 	leaf *segLeaf[K, V]
 }
 

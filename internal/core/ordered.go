@@ -4,8 +4,8 @@ import "cmp"
 
 // Ordered queries. The working-set maps are ordered dictionaries: items
 // are distributed across key-maps — one per segment, except that M1's
-// segments from S[deepKM] on share one — each a key-sorted search tree, so
-// ordered iteration merges the per-key-map orders.
+// segments all share one — each a key-sorted search tree, so ordered
+// iteration merges the per-key-map orders (one run in M1).
 
 // orderedItems merges the key-sorted contents of the given segments'
 // key-maps, leaving out the keys dead (nil: none) reports.

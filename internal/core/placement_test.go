@@ -25,6 +25,13 @@ type placeOracle struct {
 
 func oracleBytes(k, v string) int64 { return int64(len(k)+len(v)) + itemOverhead }
 
+// holds reports whether seg holds key k: found in its key-map, which in M1
+// every segment shares, and owned by its recency-map.
+func holds[K cmp.Ordered, V any](seg *segment[K, V], k K) bool {
+	lf, ok := seg.km.Get(k)
+	return ok && seg.rec.Owns(lf)
+}
+
 // replay runs one key's operations in arrival order from the given state.
 func replay(ops []Op[string, string], present bool, val string) (bool, string) {
 	for _, op := range ops {
@@ -337,7 +344,7 @@ func TestFreshBurstKeepsPromotedItems(t *testing.T) {
 	m.Quiesce()
 	l := len(m.slab.segs) - 1
 	for _, op := range gets {
-		if _, ok := m.slab.segs[l].km.Get(op.Key); ok {
+		if holds(m.slab.segs[l], op.Key) {
 			t.Fatalf("%s is in the last segment after two reads", op.Key)
 		}
 	}

@@ -16,9 +16,9 @@ import (
 // a range linearizes at the end of its cut batch.
 //
 // The engine run owns the whole slab, and at the batch boundary every item
-// lives in exactly one key-map, so a range is a bounded k-way merge of
-// per-key-map RangeInto collections over the live trees (keyMaps: M1's
-// deep segments share one, which is collected once).
+// lives in exactly one key-map, so a range is a bounded merge of
+// per-key-map RangeInto collections over the live trees (keyMaps). M1's
+// segments all share one key-map, so an M1 range collects one run.
 
 // rangeScratch is the per-engine scratch behind serveRanges: the
 // per-key-map leaf collection and the concatenated per-key-map sorted

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"iter"
+	"math/bits"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/twothree"
@@ -17,8 +19,8 @@ type segLeaf[K cmp.Ordered, V any] = twothree.Node[K, V]
 
 // capOf returns segment S[k]'s capacity 2^(2^k), saturating for k >= 6
 // (2^64 overflows). No map reaches segment 6: a tree holds at most 2^31-1
-// leaves, so S[5] is the last segment there is room for, and in M1 it
-// shares one key-map with S[4] (deepKM).
+// leaves, so S[5] is the last segment there is room for. In M1 every
+// segment is on one key-map, and S[deepKM] is the first to search it.
 func capOf(k int) int {
 	if k >= 6 {
 		return 1 << 62
@@ -39,23 +41,26 @@ func capPrefix(k int) int {
 	return total
 }
 
-// deepKM is the segment from which on M1's segments share one key-map.
-// Capacities square, so S[4] holds 2^16 items and S[5] 2^32, more than the
-// 2^31-1 leaves a tree can hold: S[5] is the last segment, and one key-map
-// over S[4] and S[5] has fewer than 2^31 leaves, a descent of under 31
-// binary levels against 16 for S[4]'s own — within a factor 2 of the
-// paper's per-segment bound for an S[4] hit, and one descent instead of two
-// for an S[5] hit. The segments sharing a key-map keep a recency-map each,
-// which alone says which of them an item is in.
+// deepKM is the first of M1's segments found through the key-map, which
+// in M1 is one tree over every segment's leaves. S[0..deepKM-1] hold at
+// most 2+4+16+256 = 278 items and search a key-sorted slice of their own
+// leaves (keySlice), so an S[k < deepKM] hit costs the paper's
+// Σ_{i≤k} log|S_i|. An S[4] or S[5] hit costs those 15 plus one descent of
+// under 31 binary levels, against the paper's 31 and 63: within a factor 2.
+// Every segment keeps its own recency-map, which alone says which of them
+// an item is in, so a move between segments touches recency-maps and
+// slices, never the key-map.
 const deepKM = 4
 
 // segment is one working-set segment: a recency-map, which defines the
-// segment's items, and a key-map over the same leaves, each tree with
-// routing nodes of its own. In M1 the key-map of S[deepKM] is also that of
-// every deeper segment, and holds their leaves as well.
+// segment's items, and a key-map holding the same leaves, each tree with
+// routing nodes of its own. In M1 the key-map is S[0]'s, shared by every
+// segment and holding all their leaves, and S[0..deepKM-1] have a search
+// slice (sl, nil elsewhere).
 type segment[K cmp.Ordered, V any] struct {
 	km  *twothree.Tree[K, V]
 	rec *twothree.Seq[K, V]
+	sl  *keySlice[K, V]
 	cap int
 }
 
@@ -92,11 +97,13 @@ func (s *segment[K, V]) underBy() int {
 
 // moveBatch is a set of items in transit between segments: the same
 // leaves twice, in key order and in recency order (most recent first).
-// kmLeaves is nil when the items never left the key-map, on a move between
-// two segments that share one.
+// inKM marks items that never left the key-map, on a move between two
+// segments that share one; kmLeaves is then nil unless the key order was
+// at hand.
 type moveBatch[K cmp.Ordered, V any] struct {
 	kmLeaves  []*segLeaf[K, V]
 	recLeaves []*segLeaf[K, V]
+	inKM      bool
 }
 
 func (mb moveBatch[K, V]) len() int { return len(mb.recLeaves) }
@@ -144,12 +151,15 @@ func (ms *moveScratch[K, V]) removeItems(seg *segment[K, V], keys []K) moveBatch
 }
 
 // removeRec takes the given leaves of seg (key-sorted) out of its
-// recency-map only: the items stay in the key-map it shares with the
-// segment they are bound for. kmLeaves aliases leaves.
+// recency-map and search slice: the items stay in the key-map it shares
+// with the segment they are bound for. kmLeaves aliases leaves.
 func (ms *moveScratch[K, V]) removeRec(seg *segment[K, V], leaves []*segLeaf[K, V]) moveBatch[K, V] {
+	if seg.sl != nil {
+		seg.sl.drop(leaves, true)
+	}
 	ms.rank = grow(ms.rank, len(leaves))
 	ms.rec = grow(ms.rec, len(leaves))
-	return moveBatch[K, V]{kmLeaves: leaves, recLeaves: seg.rec.RemoveInto(leaves, ms.rank, ms.rec)}
+	return moveBatch[K, V]{kmLeaves: leaves, recLeaves: seg.rec.RemoveInto(leaves, ms.rank, ms.rec), inKM: true}
 }
 
 // popBack removes the x least recent items of seg (x is clamped to the
@@ -166,14 +176,17 @@ func (ms *moveScratch[K, V]) popFront(seg *segment[K, V], x int, keepKM bool) mo
 	return ms.deleteByRecLeaves(seg, keepKM)
 }
 
-// deleteByRecLeaves finishes a pop: ms.rec has left seg's recency-map, and
-// unless keepKM the same leaves now leave its key-map, found by their
-// up-pointers and not by their keys (BenchmarkSegmentPop: 11-14 % less time
-// per popped item than sorting the keys and deleting by key, at b = 16, 64
-// and 256).
+// deleteByRecLeaves finishes a pop: ms.rec has left seg's recency-map and
+// leaves its search slice, and unless keepKM the same leaves now leave its
+// key-map, found by their up-pointers and not by their keys
+// (BenchmarkSegmentPop: 11-14 % less time per popped item than sorting the
+// keys and deleting by key, at b = 16, 64 and 256).
 func (ms *moveScratch[K, V]) deleteByRecLeaves(seg *segment[K, V], keepKM bool) moveBatch[K, V] {
+	if seg.sl != nil {
+		seg.sl.drop(ms.rec, false)
+	}
 	if keepKM {
-		return moveBatch[K, V]{recLeaves: ms.rec}
+		return moveBatch[K, V]{recLeaves: ms.rec, inKM: true}
 	}
 	return moveBatch[K, V]{kmLeaves: ms.removeKM(seg, ms.rec), recLeaves: ms.rec}
 }
@@ -191,9 +204,7 @@ func (s *segment[K, V]) pushFront(mb moveBatch[K, V]) {
 	if mb.len() == 0 {
 		return
 	}
-	if mb.kmLeaves != nil {
-		s.km.BatchInsertLeaves(mb.kmLeaves)
-	}
+	s.addKeyed(mb)
 	s.rec.PushFrontLeaves(mb.recLeaves)
 }
 
@@ -202,10 +213,23 @@ func (s *segment[K, V]) pushBack(mb moveBatch[K, V]) {
 	if mb.len() == 0 {
 		return
 	}
-	if mb.kmLeaves != nil {
+	s.addKeyed(mb)
+	s.rec.PushBackLeaves(mb.recLeaves)
+}
+
+// addKeyed puts the batch in the segment's key-map, unless it never left
+// it, and in its search slice.
+func (s *segment[K, V]) addKeyed(mb moveBatch[K, V]) {
+	if !mb.inKM {
 		s.km.BatchInsertLeaves(mb.kmLeaves)
 	}
-	s.rec.PushBackLeaves(mb.recLeaves)
+	if s.sl != nil {
+		if mb.kmLeaves != nil {
+			s.sl.add(mb.kmLeaves, true)
+		} else {
+			s.sl.add(mb.recLeaves, false)
+		}
+	}
 }
 
 // keepOnly compacts mb in place, keeping of the view in key order the
@@ -221,7 +245,7 @@ func (mb moveBatch[K, V]) keepOnly(keepIdx func(int) bool, keepKey func(K) bool)
 			w++
 		}
 	}
-	kept := moveBatch[K, V]{kmLeaves: mb.kmLeaves[:w]}
+	kept := moveBatch[K, V]{kmLeaves: mb.kmLeaves[:w], inKM: mb.inKM}
 	w = 0
 	for _, lf := range mb.recLeaves {
 		if keepKey(lf.Key) {
@@ -234,9 +258,9 @@ func (mb moveBatch[K, V]) keepOnly(keepIdx func(int) bool, keepKey func(K) bool)
 }
 
 // keyMaps yields each distinct key-map of segs once, in segment order, with
-// the run of segments sharing it (M1's from deepKM on; one segment
-// elsewhere). Every walk over the key-maps goes through it: a shared one
-// visited per segment would hand MergePage a run twice.
+// the run of segments sharing it (all of M1's; one segment elsewhere).
+// Every walk over the key-maps goes through it: a shared one visited per
+// segment would hand MergePage a run twice.
 func keyMaps[K cmp.Ordered, V any](segs []*segment[K, V]) iter.Seq2[*twothree.Tree[K, V], []*segment[K, V]] {
 	return func(yield func(*twothree.Tree[K, V], []*segment[K, V]) bool) {
 		for i := 0; i < len(segs); {
@@ -285,4 +309,130 @@ func checkSegs[K cmp.Ordered, V any](segs []*segment[K, V]) error {
 		}
 	}
 	return nil
+}
+
+// keySlice is a search slice: a segment's leaves in key order, which M1's
+// S[0..deepKM-1] search instead of the key-map they share. Searches,
+// inserts and removals are charged what a tree of the slice's length would
+// cost, ⌈log2(len+1)⌉+1 per key; the shifts of merging and compacting, of
+// at most the slice's length, are not modelled. spare is the merge target,
+// swapped with leaves, so neither allocates once both have grown to the
+// segment's capacity.
+type keySlice[K cmp.Ordered, V any] struct {
+	leaves, spare []*segLeaf[K, V]
+	cnt           *metrics.Counter
+}
+
+func (ks *keySlice[K, V]) charge(keys int) {
+	if ks.cnt != nil {
+		ks.cnt.Add(int64(keys) * int64(bits.Len(uint(len(ks.leaves)))+1))
+	}
+}
+
+func byKey[K cmp.Ordered, V any](a, b *segLeaf[K, V]) int { return cmp.Compare(a.Key, b.Key) }
+
+// lowerBound returns the first index from lo on whose key is not below k.
+func (ks *keySlice[K, V]) lowerBound(lo int, k K) int {
+	hi := len(ks.leaves)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ks.leaves[m].Key < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// getInto sets out[i] to the leaf of keys[i] (sorted, distinct), nil where
+// the slice has none: a merge walk when the batch is at least as long as
+// the slice, else a binary search per key over the suffix past the last
+// key's place. Either stops at the slice's maximum.
+func (ks *keySlice[K, V]) getInto(keys []K, out []*segLeaf[K, V]) {
+	ks.charge(len(keys))
+	lv := ks.leaves
+	if len(lv) == 0 {
+		clear(out)
+		return
+	}
+	maxKey, walk, j := lv[len(lv)-1].Key, len(keys) >= len(lv), 0
+	for i, k := range keys {
+		if k > maxKey {
+			clear(out[i:])
+			return
+		}
+		if walk {
+			for lv[j].Key < k { // stops at maxKey at the latest
+				j++
+			}
+		} else {
+			j = ks.lowerBound(j, k)
+		}
+		if lv[j].Key == k {
+			out[i] = lv[j]
+		} else {
+			out[i] = nil
+		}
+	}
+}
+
+// add merges leaves, none of them in the slice, into it: key-sorted when
+// sorted is set, else in any order.
+func (ks *keySlice[K, V]) add(leaves []*segLeaf[K, V], sorted bool) {
+	ks.charge(len(leaves))
+	n := len(ks.leaves)
+	ks.leaves = append(ks.leaves, leaves...)
+	a, b := ks.leaves[:n], ks.leaves[n:]
+	if !sorted {
+		slices.SortFunc(b, byKey)
+	}
+	if n == 0 || a[n-1].Key < b[0].Key {
+		return
+	}
+	out := grow(ks.spare, len(ks.leaves))
+	i, j := 0, 0
+	for w := range out {
+		if j == len(b) || (i < n && a[i].Key < b[j].Key) {
+			out[w] = a[i]
+			i++
+		} else {
+			out[w] = b[j]
+			j++
+		}
+	}
+	clear(ks.leaves) // don't pin leaves that leave the slice later
+	ks.leaves, ks.spare = out, ks.leaves[:0]
+}
+
+// drop removes leaves, all of them in the slice: key-sorted when sorted is
+// set, else in any order. Panics on a leaf the slice does not hold.
+func (ks *keySlice[K, V]) drop(leaves []*segLeaf[K, V], sorted bool) {
+	if len(leaves) == 0 {
+		return
+	}
+	ks.charge(len(leaves))
+	if !sorted {
+		ks.spare = append(ks.spare[:0], leaves...)
+		slices.SortFunc(ks.spare, byKey)
+		leaves = ks.spare
+	}
+	w := ks.lowerBound(0, leaves[0].Key)
+	j := 0
+	for _, lf := range ks.leaves[w:] {
+		if j < len(leaves) && lf == leaves[j] {
+			j++
+		} else {
+			ks.leaves[w] = lf
+			w++
+		}
+	}
+	if j < len(leaves) {
+		panic(fmt.Sprintf("core: keySlice.drop: leaf %v absent", leaves[j].Key))
+	}
+	clear(ks.leaves[w:])
+	ks.leaves = ks.leaves[:w]
+	if !sorted {
+		clear(ks.spare)
+	}
 }

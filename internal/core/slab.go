@@ -25,7 +25,7 @@ type slab[K cmp.Ordered, V any] struct {
 	pool  *twothree.NodePool[K, V] // the engine's one free-list of routing nodes
 	mem   *memAcct[K, V]           // byte accountant (nil in M2; see core.go)
 	hooks *KeyHooks[K]             // per-key sidecar hooks (nil = off, always in M2; see ops.go)
-	deep  bool                     // S[deepKM] on share one key-map (M1; see deepKM)
+	deep  bool                     // one key-map, and search slices on S[0..deepKM-1] (M1; see deepKM)
 
 	keySc    []K               // groupKeys of the pending batch
 	foundSc  []*segLeaf[K, V]  // lookup result
@@ -126,9 +126,6 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 			i := sort.Search(len(fKeys), func(j int) bool { return fKeys[j] >= key })
 			return s.fPresent[i]
 		})
-		if keepKM {
-			kept.kmLeaves = nil
-		}
 		s.segs[tgt].pushFront(kept)
 		completeAll(finished)
 	}
@@ -146,16 +143,18 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 }
 
 // lookup returns, aligned with pending, the leaves of their keys that S[k]
-// holds (nil where none). Segments sharing a key-map search it once, at the
-// first of them: a leaf found there that a deeper segment holds, by its
-// recency-map, stays on its group for that segment's pass, which searches
-// nothing. When S[k] is the last segment of its key-map, every leaf found
-// is its own, and no recency-map is walked.
+// holds (nil where none). A segment with a search slice searches that
+// alone. Segments sharing a key-map search it once, at the first of them
+// without a slice: the pending keys are in none of the segments before it,
+// and a leaf found there that a deeper segment holds, by its recency-map,
+// stays on its group for that segment's pass, which searches nothing. When
+// S[k] is the last segment of its key-map, every leaf found is its own, and
+// no recency-map is walked.
 func (s *slab[K, V]) lookup(k int, pending []*group[K, V]) []*segLeaf[K, V] {
 	seg := s.segs[k]
 	found := grow(s.foundSc, len(pending))
 	s.foundSc = found
-	if k > 0 && s.segs[k-1].km == seg.km {
+	if k > 0 && s.segs[k-1].km == seg.km && s.segs[k-1].sl == nil {
 		for i, g := range pending {
 			found[i], g.leaf = g.leaf, nil
 		}
@@ -165,6 +164,10 @@ func (s *slab[K, V]) lookup(k int, pending []*group[K, V]) []*segLeaf[K, V] {
 			keys = append(keys, g.key)
 		}
 		s.keySc = keys
+		if seg.sl != nil {
+			seg.sl.getInto(keys, found)
+			return found
+		}
 		seg.km.BatchGetInto(keys, found)
 	}
 	if k+1 < len(s.segs) && s.segs[k+1].km == seg.km {
@@ -224,7 +227,7 @@ func (s *slab[K, V]) size() int {
 // (0 = unbounded); the caller places what the last allowed one cannot hold.
 func (s *slab[K, V]) insertLast(keysSorted []K, vals []V, maxSegs int) moveBatch[K, V] {
 	if len(s.segs) == 0 {
-		s.segs = append(s.segs, newSegment[K, V](0, s.cnt, s.pool))
+		s.segs = append(s.segs, s.newSeg(0))
 	}
 	l := len(s.segs) - 1
 	for l > 0 && s.segs[l].size() == 0 {
@@ -240,14 +243,25 @@ func (s *slab[K, V]) insertLast(keysSorted []K, vals []V, maxSegs int) moveBatch
 			if len(s.segs) == maxSegs {
 				return s.ms.popBack(s.segs[l], ex, false)
 			}
-			next := newSegment[K, V](l+1, s.cnt, s.pool)
-			if s.deep && l+1 > deepKM {
-				next.km = s.segs[deepKM].km
-			}
-			s.segs = append(s.segs, next)
+			s.segs = append(s.segs, s.newSeg(l+1))
 		}
 		s.segs[l+1].pushFront(s.ms.popBack(s.segs[l], ex, s.segs[l].km == s.segs[l+1].km))
 	}
+}
+
+// newSeg makes the slab's segment S[k]: in M1 on S[0]'s key-map, and with
+// a search slice below S[deepKM].
+func (s *slab[K, V]) newSeg(k int) *segment[K, V] {
+	seg := newSegment[K, V](k, s.cnt, s.pool)
+	if s.deep {
+		if k > 0 {
+			seg.km = s.segs[0].km
+		}
+		if k < deepKM {
+			seg.sl = &keySlice[K, V]{cnt: s.cnt}
+		}
+	}
+	return seg
 }
 
 // evictColdest pops up to n of the least-recent items from the deepest
@@ -291,14 +305,33 @@ func (s *slab[K, V]) trimEmpty() {
 }
 
 // checkInvariants validates every segment plus the full-except-last
-// capacity invariant (test hook; quiescence required).
+// capacity invariant (test hook; quiescence required). In M1 every segment
+// is on S[0]'s key-map, and each of S[0..deepKM-1] has a strictly
+// key-sorted search slice holding exactly its recency-map's leaves.
 func (s *slab[K, V]) checkInvariants(exact bool) error {
 	if err := checkSegs(s.segs); err != nil {
 		return err
 	}
 	for i, seg := range s.segs {
-		if s.deep && i > deepKM && seg.km != s.segs[deepKM].km {
+		if s.deep && seg.km != s.segs[0].km {
 			return fmt.Errorf("segment %d has a key-map of its own", i)
+		}
+		if (s.deep && i < deepKM) != (seg.sl != nil) {
+			return fmt.Errorf("segment %d: search slice %v, want %v", i, seg.sl != nil, s.deep && i < deepKM)
+		}
+		if seg.sl != nil {
+			lv := seg.sl.leaves
+			if len(lv) != seg.size() {
+				return fmt.Errorf("segment %d: search slice holds %d leaves, recency-map %d", i, len(lv), seg.size())
+			}
+			for j, lf := range lv {
+				if j > 0 && lv[j-1].Key >= lf.Key {
+					return fmt.Errorf("segment %d: search slice out of order at %d (%v, %v)", i, j, lv[j-1].Key, lf.Key)
+				}
+				if !seg.rec.Owns(lf) {
+					return fmt.Errorf("segment %d: search slice holds %v, which its recency-map does not", i, lf.Key)
+				}
+			}
 		}
 		if exact && i < len(s.segs)-1 && seg.size() != seg.cap {
 			return fmt.Errorf("non-terminal segment %d has size %d, capacity %d", i, seg.size(), seg.cap)

@@ -69,20 +69,18 @@ type StatszMem struct {
 	TTLs     int64 `json:"ttls"`
 }
 
-// StatszWork mirrors the optional structural-work counters (present
-// when the server runs with -work-counter).
+// StatszWork mirrors the optional structural-work counter (present when
+// the server runs with -work-counter).
 type StatszWork struct {
-	Visits      int64 `json:"visits"`
-	Comparisons int64 `json:"comparisons"`
-	Moves       int64 `json:"moves"`
+	Visits int64 `json:"visits"`
 }
 
-// Total sums the work components.
+// Total returns the structural work: the node visits.
 func (w *StatszWork) Total() int64 {
 	if w == nil {
 		return 0
 	}
-	return w.Visits + w.Comparisons + w.Moves
+	return w.Visits
 }
 
 // ScrapeStatsz fetches and decodes url (a wsd admin /statsz endpoint).

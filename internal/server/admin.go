@@ -91,8 +91,6 @@ func (s *Server) registerStats() *obs.Registry {
 
 	if w := s.work; w != nil {
 		r.Counter("work.visits", w.Work)
-		r.Counter("work.comparisons", w.Comparisons)
-		r.Counter("work.moves", w.Moves)
 	}
 
 	if l := s.wal; l != nil {

@@ -93,10 +93,9 @@ type Config struct {
 	// (default 1024).
 	CoalesceBatch int
 	// WorkCounter attaches a structural-work counter (pointer-machine
-	// units: node visits, comparisons, item moves) to the map, surfaced
-	// in STATS and /statsz. Off by default — unlike the depth/stage
-	// telemetry it adds atomic traffic proportional to structural work,
-	// not to batches.
+	// node visits) to the map, surfaced in STATS and /statsz. Off by
+	// default — unlike the depth/stage telemetry it adds atomic traffic
+	// proportional to structural work, not to batches.
 	WorkCounter bool
 	// WAL, when set, makes the server durable: every committed batch is
 	// appended (and, per the log's fsync policy, synced) before its

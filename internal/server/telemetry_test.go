@@ -306,9 +306,7 @@ func TestStatszBenchCompat(t *testing.T) {
 	if sz.WAL == nil || sz.WAL.Bytes == 0 || sz.WAL.Syncs == 0 {
 		t.Errorf("/statsz wal = %+v", sz.WAL)
 	}
-	// bench reads work as Total(). No engine records comparisons or moves
-	// yet (metrics.Counter's AddComparisons/AddMoves have no callers), so
-	// visits carry it.
+	// bench reads work as Total(), which is the visits.
 	if w := sz.Work; w == nil || w.Visits == 0 {
 		t.Errorf("/statsz work = %+v", w)
 	}

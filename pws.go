@@ -84,8 +84,8 @@ const (
 )
 
 // WorkCounter accumulates the structural work performed by a map, in
-// pointer-machine units (node visits, comparisons, item moves). Attach one
-// via Options.Counter to measure work bounds; see EXPERIMENTS.md.
+// pointer-machine node visits. Attach one via Options.Counter to measure
+// work bounds; see EXPERIMENTS.md.
 type WorkCounter = metrics.Counter
 
 // EngineTelemetry is one engine's depth-telemetry sink: a lock-free
