@@ -80,10 +80,15 @@
 // released (a reader that has seen a write never then sees an older
 // cached value, and a write acked in batch N is never shadowed by a
 // cached read in batch N+1).
-// The cache is populated from batch results via version-guarded
-// reservations, so a stale value can never be installed over a newer
-// write. Misses and uniform workloads pay one failed probe and proceed
-// down the normal engine path unchanged.
+// The cache is filled at the same serialization point: the engine read
+// that finds a key resident stages its value in the key's front slot,
+// where a later write's drop kills it, and the value becomes readable
+// once the read's batch has committed (on a durable server, once its
+// WAL sync has returned). Fills and drops of a key are thus ordered like
+// the ops that cause them: a stale value is never published over a
+// newer write, and no value is served before it is durable. Misses and
+// uniform workloads pay one failed probe and proceed down the normal
+// engine path, which fills what it finds.
 //
 // # Bounded memory and TTLs
 //

@@ -34,8 +34,8 @@ func BenchmarkHotPathM1Get(b *testing.B) {
 // three operating points. hit: a warm cached key, the sub-microsecond
 // zero-alloc fast path the zipf acceptance criterion targets. miss: a
 // key outside the cached set on a front-enabled map, i.e. the full
-// engine path plus the consult/reserve overhead — the price uniform
-// workloads pay. contended: every processor hammering the same cached
+// engine path plus the failed consult — the price uniform workloads
+// pay. contended: every processor hammering the same cached
 // key, which exercises the read-side scalability of the version-word
 // protocol (readers never write shared memory on a hit).
 func BenchmarkHotPathFrontCacheGet(b *testing.B) {
@@ -60,9 +60,9 @@ func BenchmarkHotPathFrontCacheGet(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		m := newWarm()
 		defer m.Close()
-		// Absent keys are never cached (an absent install clears the
-		// reservation instead of publishing), so every iteration is a
-		// steady-state miss: consult + reserve + engine + install.
+		// Absent keys are never cached (the engine fills only keys its
+		// read finds), so every iteration is a steady-state miss:
+		// consult + engine.
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -188,7 +188,7 @@ func (m *M1[K, V]) SetOnEvict(fn func(K, V)) { m.mem.onEvict = fn }
 // SetKeyHooks installs the per-key sidecar hooks, consulted at group
 // resolution — the engine's per-key serialization point (see KeyHooks).
 // Must be set before operations are submitted.
-func (m *M1[K, V]) SetKeyHooks(h *KeyHooks[K]) { m.slab.hooks = h }
+func (m *M1[K, V]) SetKeyHooks(h *KeyHooks[K, V]) { m.slab.hooks = h }
 
 // Batches returns the number of cut batches processed so far.
 func (m *M1[K, V]) Batches() int64 { return m.batches.Load() }

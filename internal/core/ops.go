@@ -176,7 +176,7 @@ func (cp *callPool[K, V]) put(c *call[K, V]) {
 // serialization point: group resolution. Neither deadlines nor cached
 // copies live in the engine — the hooks are how the sidecars' state
 // transitions are ordered exactly with the engine's, which is what makes
-// expiry linearizable and cached reads never stale. All four hooks run
+// expiry linearizable and cached reads never stale. All five hooks run
 // on the engine goroutine, inside the critical section that owns the
 // key (Dead: the engine's whole slab), so they must be cheap and must
 // never call back into the engine.
@@ -200,6 +200,12 @@ func (cp *callPool[K, V]) put(c *call[K, V]) {
 //     reader can see the new value and then a cached old one) and its
 //     deadline (a fresh SET carries no TTL, and a DEL removes deadline
 //     and key together).
+//   - Read fires once a group that carries an OpGet and found its item
+//     resident resolves net-present, after every Wrote of the group:
+//     k is the resident item's key (map-owned, so a sidecar may retain
+//     it) and v the group's final value. It is where the front stages
+//     its one fill (published once the batch commits), so fills and
+//     drops of a key are ordered by the engine like their ops.
 //   - Arm fires as an OpExpire resolves against a present item,
 //     setting the absolute deadline (0 clears it). It returns whether
 //     the deadline was already past, in which case the engine treats
@@ -211,9 +217,10 @@ func (cp *callPool[K, V]) put(c *call[K, V]) {
 //     that reports whether a resident key is past its deadline; the
 //     reader skips those keys and retires nothing. It agrees with Ghost
 //     because the table changes only through the hooks, in the engine.
-type KeyHooks[K cmp.Ordered] struct {
+type KeyHooks[K cmp.Ordered, V any] struct {
 	Ghost func(k K) bool
 	Wrote func(k K)
+	Read  func(k K, v V)
 	Arm   func(k K, deadline int64) bool
 	Dead  func() func(k K) bool
 }
@@ -222,13 +229,27 @@ type KeyHooks[K cmp.Ordered] struct {
 // sites: true means the observed incarnation is past its deadline (and
 // its table entry has been retired), so the observer replays the group
 // from "absent".
-func (h *KeyHooks[K]) ghost(k K) bool {
+func (h *KeyHooks[K, V]) ghost(k K) bool {
 	return h != nil && h.Ghost(k)
+}
+
+// read fires Read for a resolved, net-present group g that carries an
+// OpGet, with its resident item's key k and final value v (nil-safe).
+func (h *KeyHooks[K, V]) read(g *group[K, V], k K, v V) {
+	if h == nil {
+		return
+	}
+	for _, c := range g.calls {
+		if c.op.Kind == OpGet {
+			h.Read(k, v)
+			return
+		}
+	}
 }
 
 // dead is the nil-safe Dead consult of the ordered reads: nil means
 // every resident key is live.
-func (h *KeyHooks[K]) dead() func(K) bool {
+func (h *KeyHooks[K, V]) dead() func(K) bool {
 	if h == nil {
 		return nil
 	}
@@ -272,7 +293,7 @@ type group[K cmp.Ordered, V any] struct {
 // sidecar state transitions are ordered exactly with the engine's; see
 // KeyHooks for the protocol. A caller at a present-observation site
 // must consult hooks.ghost first and pass the (possibly flipped) state.
-func (g *group[K, V]) resolve(present bool, val V, hooks *KeyHooks[K]) (netPresent bool, netVal V) {
+func (g *group[K, V]) resolve(present bool, val V, hooks *KeyHooks[K, V]) (netPresent bool, netVal V) {
 	for _, c := range g.calls {
 		switch c.op.Kind {
 		case OpGet:

@@ -71,9 +71,10 @@ func TestRangeDeadHook(t *testing.T) {
 	m := NewM1[int, int](Config{P: 2})
 	defer m.Close()
 	calls, on := 0, false
-	m.SetKeyHooks(&KeyHooks[int]{
+	m.SetKeyHooks(&KeyHooks[int, int]{
 		Ghost: func(int) bool { return false },
 		Wrote: func(int) {},
+		Read:  func(int, int) {},
 		Arm:   func(int, int64) bool { return false },
 		Dead: func() func(int) bool {
 			calls++ // under the engine mutex

@@ -24,7 +24,7 @@ type slab[K cmp.Ordered, V any] struct {
 	obs   *obs.EngineObs           // depth telemetry sink (nil = off)
 	pool  *twothree.NodePool[K, V] // the engine's one free-list of routing nodes
 	mem   *memAcct[K, V]           // byte accountant (nil in M2; see core.go)
-	hooks *KeyHooks[K]             // per-key sidecar hooks (nil = off, always in M2; see ops.go)
+	hooks *KeyHooks[K, V]          // per-key sidecar hooks (nil = off, always in M2; see ops.go)
 	deep  bool                     // one key-map, and search slices on S[0..deepKM-1] (M1; see deepKM)
 
 	keySc    []K               // groupKeys of the pending batch
@@ -104,6 +104,7 @@ func (s *slab[K, V]) pass(k int, pending []*group[K, V]) (next []*group[K, V], s
 					s.mem.swap(old, v)
 				}
 				mb.kmLeaves[i].Payload = v
+				s.hooks.read(g, mb.kmLeaves[i].Key, v)
 				finished = append(finished, g)
 			} else {
 				if s.mem != nil {

@@ -19,24 +19,21 @@
 // the pointer a writer loaded has not been written since. The address
 // cannot come back while anyone holds it (the garbage collector does not
 // reuse live memory), which rules out ABA. Every writer is therefore one
-// CAS from the pointer it saw: Reserve claims a victim slot, Install
-// publishes behind its reservation, Invalidate clears a slot holding
-// the key. A lost CAS means another writer got there first.
+// CAS from the pointer it saw: Reserve and Stage claim a victim slot,
+// Install and Publish publish behind the reservation, Invalidate clears
+// a slot holding the key. A lost CAS means another writer got there first.
 //
 // # Population and the install guard
 //
-// Population is read-triggered: a reader that misses calls Reserve
-// before falling back to the batch path, which claims a slot with a
-// pending (invalid) entry for the key. When the fallback result
-// arrives, Ticket.Install publishes it — but only if the slot still
-// holds that pending entry (one CAS). Any intervening writer — an
-// invalidation for a batch that wrote the key, or another reservation
-// that recycled the slot, even for the same key — has replaced the
-// pointer, so a stale value can never be installed over a newer
-// committed write. The reservation existing *before* the fallback op
-// is submitted is what makes invalidation airtight: if the fallback
-// read resolved before a write to the key, the reservation predates
-// that write's invalidation, which finds and kills it.
+// Population is read-triggered. Its owner (shard.Map) stages at the
+// read's engine serialization point, where its writes invalidate: Stage
+// claims a slot with a pending (invalid) entry whose valid twin holds
+// the value read. Once the read's batch is committed, Publish swaps the
+// twin in — but only if the slot still holds that pending entry (one
+// CAS). Any intervening writer — an invalidation for the key, or another
+// reservation that recycled the slot — has replaced the pointer, and the
+// value is never published. Reserve and Ticket.Install are the same two
+// steps for a caller that learns the value only after reserving.
 //
 // # The write contract
 //
@@ -48,8 +45,8 @@
 // batch's results are collected, say) is NOT safe, however tempting
 // "clearing commutes" sounds: a concurrent reader's engine read can
 // return the new value while the old one is still cached for its next
-// Get. Invalidation-only (rather than refresh-in-place) keeps the engine
-// hook trivial; a hot key lost to a write re-installs on its next miss.
+// Get. A write invalidates rather than refreshes; a hot key lost to a
+// write fills again on its next engine read.
 // See DESIGN.md "Hot-key front cache".
 package frontcache
 
@@ -72,15 +69,16 @@ const evictEvery = 8
 // never stored twice; writers swing the slot pointer to a fresh entry
 // (or nil) instead.
 type entry[K comparable, V any] struct {
-	key   K
-	val   V
-	valid bool
+	key    K
+	val    V
+	valid  bool
+	staged *entry[K, V] // a Stage's pending entry only: the valid twin Publish swaps in
 }
 
 // reservation is a pending entry and the valid twin its install
 // publishes, allocated as one object: a fill costs one allocation, not
-// two. The twin is written only by the reserver that allocated it, once,
-// before the CAS that publishes it, and its address differs from the
+// two. The twin is written only by the reserver that allocated it, and
+// only before the CAS that publishes it, and its address differs from the
 // pending entry's, so pointer identity still names each state.
 type reservation[K comparable, V any] struct {
 	pending, twin entry[K, V]
@@ -93,9 +91,9 @@ type Stats struct {
 	// Hits and Misses count Get outcomes.
 	Hits   int64
 	Misses int64
-	// Reserves counts placed reservations; Installs the fallback values
-	// published through them; InstallDrops the installs refused by the
-	// pointer guard (an invalidation or slot reuse won the race).
+	// Reserves counts placed reservations (Reserve, Stage); Installs the
+	// values published through them (Install, Publish); InstallDrops the
+	// Installs refused by the pointer guard (a write or slot reuse won).
 	Reserves     int64
 	Installs     int64
 	InstallDrops int64
@@ -129,8 +127,8 @@ func (s Stats) HitRatio() float64 {
 // Cache is one fixed-size lock-free read front. All methods are safe
 // for concurrent use. The zero value is not usable; create with New.
 // Callers pass the key's hash explicitly (the sharded map already has
-// one per op), and Reserve retains its key inside the cache — callers
-// whose key strings alias reusable buffers must pass a stable copy.
+// one per op), and a reservation retains its key inside the cache —
+// callers whose key strings alias reusable buffers must pass a stable copy.
 type Cache[K comparable, V any] struct {
 	mask  uint64
 	slots []atomic.Pointer[entry[K, V]]
@@ -184,29 +182,51 @@ func (c *Cache[K, V]) Get(h uint64, k K) (V, bool) {
 // is valid and inert (Install on it is a no-op) — Reserve returns it
 // when it declines to reserve.
 type Ticket[K comparable, V any] struct {
-	c *Cache[K, V]
-	s *atomic.Pointer[entry[K, V]]
-	e *entry[K, V] // the pending entry: the install guard, and the retained key
-	// twin is the pending entry's valid twin, nil on a ticket that shares
-	// another reserver's pending entry (its install allocates its own).
-	twin *entry[K, V]
+	c    *Cache[K, V]
+	s    *atomic.Pointer[entry[K, V]]
+	e    *entry[K, V] // the pending entry: the install guard, and the retained key
+	twin *entry[K, V] // the pending entry's valid twin, which Install publishes
 }
 
-// Reserve claims a slot for k ahead of a fallback read, so a write's
-// Invalidate can find (and kill) the in-flight population if k is
-// written before the fallback value installs.
-// It declines (zero Ticket) when k is already published, when the
-// window is full of other live keys and the eviction rate limit says
-// no, or when it loses a slot race — population is opportunistic.
+// Reserve claims a slot for k, so an Invalidate of k between the
+// reservation and its install kills the install.
+// It declines (zero Ticket) when k is already published or pending,
+// when the window is full of other live keys and the eviction rate
+// limit says no, or when it loses a slot race — population is
+// opportunistic.
 //
 // The reservation retains its key until the slot recycles. mk, when
 // non-nil, is called to materialize that retained key — only once a
 // victim slot has been picked, just before the claiming CAS — so a
-// caller whose k aliases a reusable buffer (the server's read arena)
-// can defer the stable copy to the claims that need it instead of
-// cloning on every miss. A claim lost to a concurrent writer wastes
-// that one copy. nil mk retains k itself.
+// caller whose k aliases a reusable buffer can defer the stable copy to
+// the claims that need it instead of cloning on every miss. A claim
+// lost to a concurrent writer wastes that one copy. nil mk retains k
+// itself.
 func (c *Cache[K, V]) Reserve(h uint64, k K, mk func() K) Ticket[K, V] {
+	var zero V
+	return c.reserve(h, k, mk, zero, false)
+}
+
+// Stage is Reserve with the value known: the pending entry's twin
+// already holds v, for Publish to swap in. k is retained.
+func (c *Cache[K, V]) Stage(h uint64, k K, v V) { c.reserve(h, k, nil, v, true) }
+
+// Publish publishes the value staged for k, if a Stage's pending entry
+// for k is still in place; otherwise it does nothing.
+func (c *Cache[K, V]) Publish(h uint64, k K) {
+	idx := c.bucket(h)
+	for i := uint64(0); i < probeWindow; i++ {
+		s := &c.slots[(idx+i)&c.mask]
+		if e := s.Load(); e != nil && e.staged != nil && e.key == k && s.CompareAndSwap(e, e.staged) {
+			c.installs.Add(1)
+			return
+		}
+	}
+}
+
+// reserve is Reserve and Stage; with staged set, the twin holds v before
+// the claiming CAS publishes the pending entry that points to it.
+func (c *Cache[K, V]) reserve(h uint64, k K, mk func() K, v V, staged bool) Ticket[K, V] {
 	idx := c.bucket(h)
 	var victim *atomic.Pointer[entry[K, V]]
 	var old *entry[K, V]
@@ -220,14 +240,7 @@ func (c *Cache[K, V]) Reserve(h uint64, k K, mk func() K) Ticket[K, V] {
 				victim, old, rank = s, e, 3
 			}
 		case e.key == k:
-			if e.valid {
-				return Ticket[K, V]{} // already cached; the next Get hits
-			}
-			// A concurrent reader reserved k first: share the pending
-			// entry. Whichever install's CAS wins publishes; the other
-			// drops (both values come from fallback reads with live
-			// reservations, so either is fresh).
-			return Ticket[K, V]{c: c, s: s, e: e}
+			return Ticket[K, V]{} // already cached, or another fill of k is in flight
 		case !e.valid:
 			if rank < 2 {
 				victim, old, rank = s, e, 2
@@ -247,7 +260,10 @@ func (c *Cache[K, V]) Reserve(h uint64, k K, mk func() K) Ticket[K, V] {
 	if mk != nil {
 		k = mk()
 	}
-	r := &reservation[K, V]{pending: entry[K, V]{key: k}}
+	r := &reservation[K, V]{pending: entry[K, V]{key: k}, twin: entry[K, V]{key: k, val: v, valid: true}}
+	if staged {
+		r.pending.staged = &r.twin
+	}
 	if !victim.CompareAndSwap(old, &r.pending) {
 		return Ticket[K, V]{} // slot moved since the scan; skip rather than contend
 	}
@@ -258,14 +274,10 @@ func (c *Cache[K, V]) Reserve(h uint64, k K, mk func() K) Ticket[K, V] {
 	return Ticket[K, V]{c: c, s: victim, e: &r.pending, twin: &r.twin}
 }
 
-// Reserved reports whether the ticket carries a live reservation (a
-// zero Ticket, or a declined Reserve, does not).
-func (t Ticket[K, V]) Reserved() bool { return t.s != nil }
-
-// Install publishes the fallback result behind a reservation: the value
-// when the key was present (ok), or clears the placeholder when it was
-// absent. The single CAS from the pending entry is the staleness guard:
-// if anything wrote the slot since Reserve — an Invalidate for this key,
+// Install publishes a value behind a reservation: the value when the
+// key was present (ok), or clears the placeholder when it was absent.
+// The single CAS from the pending entry is the staleness guard: if
+// anything wrote the slot since Reserve — an Invalidate for this key,
 // or another reservation recycling the slot — the install is dropped.
 // It reports whether a value was published. Install a ticket at most
 // once.
@@ -276,12 +288,8 @@ func (t Ticket[K, V]) Install(val V, ok bool) bool {
 	var e *entry[K, V]
 	if ok {
 		// The published key is the reservation's retained copy, not a
-		// caller argument: shared tickets install under the original
-		// reserver's stable key. The reserver fills its unpublished twin;
-		// a sharer must not touch it and allocates its own entry.
-		if e = t.twin; e == nil {
-			e = new(entry[K, V])
-		}
+		// caller argument; the twin is unpublished until this CAS.
+		e = t.twin
 		*e = entry[K, V]{key: t.e.key, val: val, valid: true}
 	}
 	if !t.s.CompareAndSwap(t.e, e) {

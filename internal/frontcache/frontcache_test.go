@@ -28,9 +28,13 @@ func TestFrontCacheBasic(t *testing.T) {
 	if tk.s == nil {
 		t.Fatal("Reserve declined on empty cache")
 	}
-	// Pending reservations must not answer reads.
+	// Pending reservations must not answer reads, and a second
+	// reservation of a pending key declines.
 	if _, ok := c.Get(h, 7); ok {
 		t.Fatal("hit on pending reservation")
+	}
+	if tk2 := c.Reserve(h, 7, nil); tk2.s != nil {
+		t.Fatal("Reserve claimed a slot for a key with a fill in flight")
 	}
 	if !tk.Install("seven", true) {
 		t.Fatal("Install failed with no interference")
@@ -81,7 +85,7 @@ func TestFrontCacheInstallDroppedAfterInvalidate(t *testing.T) {
 	t1 := c.Reserve(h, 1, nil)
 	c.Invalidate(h, 1)
 	t2 := c.Reserve(h, 1, nil)
-	if !t1.Reserved() || !t2.Reserved() {
+	if t1.s == nil || t2.s == nil {
 		t.Fatal("Reserve declined")
 	}
 	if t1.Install("stale", true) {
@@ -95,56 +99,12 @@ func TestFrontCacheInstallDroppedAfterInvalidate(t *testing.T) {
 	}
 }
 
-func TestFrontCacheSharedPending(t *testing.T) {
-	c := New[uint64, string](64)
-	h := testHash(2)
-	t1 := c.Reserve(h, 2, nil)
-	t2 := c.Reserve(h, 2, nil)
-	if t1.s == nil || t2.s == nil {
-		t.Fatal("Reserve declined")
-	}
-	if t1.s != t2.s || t1.e != t2.e {
-		t.Fatal("concurrent reservations for one key did not share the slot")
-	}
-	if !t1.Install("a", true) {
-		t.Fatal("first Install failed")
-	}
-	if t2.Install("b", true) {
-		t.Fatal("second Install won after the first published")
-	}
-	if v, ok := c.Get(h, 2); !ok || v != "a" {
-		t.Fatalf("Get = %q, %v; want first install's value", v, ok)
-	}
-}
-
-// TestFrontCacheSharerInstallsOwnEntry checks that a ticket sharing
-// another reserver's pending entry publishes an entry of its own: when
-// the sharer installs first, the reserver's losing install (which fills
-// its unpublished twin) must not change the published value.
-func TestFrontCacheSharerInstallsOwnEntry(t *testing.T) {
-	c := New[uint64, string](64)
-	h := testHash(3)
-	t1 := c.Reserve(h, 3, nil)
-	t2 := c.Reserve(h, 3, nil)
-	if t1.twin == nil || t2.twin != nil {
-		t.Fatal("only the reserver that allocated the pending entry may own its twin")
-	}
-	if !t2.Install("b", true) {
-		t.Fatal("sharer's Install failed")
-	}
-	if t1.Install("a", true) {
-		t.Fatal("reserver's Install won after the sharer published")
-	}
-	if v, ok := c.Get(h, 3); !ok || v != "b" {
-		t.Fatalf("Get = %q, %v; want the sharer's value", v, ok)
-	}
-}
-
-// TestAllocsFrontCacheFill pins the cost of a front fill, the path every
-// GET miss of the server takes: a miss, a reservation whose retained key
-// is cloned out of a reusable buffer, and an install. The clone and the
-// reservation (pending entry and valid twin in one object) are the two
-// allocations; the install allocates nothing.
+// TestAllocsFrontCacheFill pins the cost of a fill through Reserve's mk:
+// a miss, a reservation whose retained key is cloned out of a reusable
+// buffer, and an install. The clone and the reservation (pending entry
+// and valid twin in one object) are the two allocations; the install
+// allocates nothing. The shard layer fills through Stage and Publish
+// (TestAllocsFrontCacheStage).
 func TestAllocsFrontCacheFill(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflated under -race")
@@ -165,6 +125,77 @@ func TestAllocsFrontCacheFill(t *testing.T) {
 	const ceiling = 2
 	if n := testing.AllocsPerRun(100, fill); n > ceiling {
 		t.Errorf("front fill: %.1f allocs, ceiling %d", n, ceiling)
+	}
+}
+
+// TestFrontCacheStagePublish checks the two steps of a fill: a staged
+// value is invisible until Publish, a second Stage of a pending or
+// published key declines, and an Invalidate between the steps kills the
+// staged value, so its Publish publishes nothing.
+func TestFrontCacheStagePublish(t *testing.T) {
+	c := New[uint64, string](64)
+	h := testHash(5)
+	c.Stage(h, 5, "five")
+	if _, ok := c.Get(h, 5); ok {
+		t.Fatal("hit on a staged, unpublished value")
+	}
+	c.Stage(h, 5, "other")
+	c.Publish(h, 5)
+	if v, ok := c.Get(h, 5); !ok || v != "five" {
+		t.Fatalf("Get after Publish = %q, %v; want the first staged value", v, ok)
+	}
+	c.Stage(h, 5, "again")
+	c.Publish(h, 5)
+	if v, ok := c.Get(h, 5); !ok || v != "five" {
+		t.Fatalf("Get = %q, %v; a Stage of a published key must decline", v, ok)
+	}
+
+	c.Invalidate(h, 5)
+	c.Stage(h, 5, "stale")
+	c.Invalidate(h, 5)
+	c.Publish(h, 5)
+	if v, ok := c.Get(h, 5); ok {
+		t.Fatalf("Get = %q after the staged value was invalidated; want a miss", v)
+	}
+	// A Reserve's pending entry carries no staged value: Publish leaves
+	// it to its ticket.
+	tk := c.Reserve(h, 5, nil)
+	c.Publish(h, 5)
+	if _, ok := c.Get(h, 5); ok {
+		t.Fatal("Publish published a reservation without a staged value")
+	}
+	if !tk.Install("ticket", true) {
+		t.Fatal("install behind the reservation dropped")
+	}
+	if st := c.Stats(); st.Reserves != 3 || st.Installs != 2 {
+		t.Fatalf("stats = %+v, want 3 reserves and 2 installs", st)
+	}
+}
+
+// TestAllocsFrontCacheStage pins the cost of the shard layer's fill: a
+// miss, a staged value (pending entry and valid twin in one object) and
+// its publication. The key is the caller's own, so nothing is copied.
+func TestAllocsFrontCacheStage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts inflated under -race")
+	}
+	c := New[string, string](64)
+	k := "front-stage-key"
+	h := testHash(uint64(len(k)))
+	fill := func() {
+		if _, ok := c.Get(h, k); ok {
+			t.Fatal("hit before the fill")
+		}
+		c.Stage(h, k, "v")
+		c.Publish(h, k)
+		if _, ok := c.Get(h, k); !ok {
+			t.Fatal("miss after the fill")
+		}
+		c.Invalidate(h, k)
+	}
+	const ceiling = 1
+	if n := testing.AllocsPerRun(100, fill); n > ceiling {
+		t.Errorf("front stage and publish: %.1f allocs, ceiling %d", n, ceiling)
 	}
 }
 
@@ -242,10 +273,12 @@ func fuzzCheck(t *testing.T, c *Cache[uint64, uint64], mirror map[uint64]uint64,
 func FuzzFrontCache(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 0, 0, 1, 3, 1})
 	f.Add([]byte{1, 0, 3, 0, 2, 0, 0, 0})             // reserve, write, install-stale
-	f.Add([]byte{1, 5, 1, 5, 2, 0, 2, 0, 0, 5})       // shared pending, both install
+	f.Add([]byte{1, 5, 1, 5, 2, 0, 2, 0, 0, 5})       // re-reserve of a pending key declines; install
 	f.Add([]byte{3, 2, 3, 2, 3, 2, 0, 2, 1, 2, 2, 0}) // repeated writes
 	// The recycled slot: reserve, write, re-reserve, install both.
 	f.Add([]byte{3, 3, 1, 3, 3, 3, 1, 3, 2, 0, 2, 0, 0, 3})
+	f.Add([]byte{3, 4, 4, 4, 0, 4, 5, 4, 0, 4})             // stage, read (pending), publish, read
+	f.Add([]byte{3, 6, 4, 6, 3, 6, 5, 6, 4, 6, 5, 6, 0, 6}) // a write kills a staged value; restage
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const numKeys = 8 // small space over a tiny cache: collisions guaranteed
 		c := New[uint64, uint64](16)
@@ -253,7 +286,7 @@ func FuzzFrontCache(f *testing.F) {
 		var pending []fuzzPending
 		var seq uint64
 		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%4, uint64(data[i+1])%numKeys
+			op, arg := data[i]%6, uint64(data[i+1])%numKeys
 			k := arg
 			switch op {
 			case 0: // read
@@ -280,6 +313,14 @@ func FuzzFrontCache(f *testing.F) {
 					mirror[k] = seq
 				}
 				c.Invalidate(testHash(k), k)
+				fuzzCheck(t, c, mirror, k)
+			case 4: // an engine read finds k resident: stage its value
+				if val, ok := mirror[k]; ok {
+					c.Stage(testHash(k), k, val)
+				}
+				fuzzCheck(t, c, mirror, k)
+			case 5: // the read's batch commits: publish what is staged
+				c.Publish(testHash(k), k)
 				fuzzCheck(t, c, mirror, k)
 			}
 		}
@@ -332,8 +373,9 @@ func TestFrontCacheConcurrent(t *testing.T) {
 						return
 					}
 				} else {
-					// Fallback population, exactly the server's protocol:
-					// reserve, read the engine, install.
+					// Fallback population: reserve, read the engine,
+					// install. The shard layer fills back to back inside
+					// the engine; the gap here is the harder case.
 					tk := c.Reserve(testHash(k), k, nil)
 					seq := engine[k].Load()
 					tk.Install(checkedVal{seq, seq * 31}, true)

@@ -12,7 +12,6 @@ import (
 
 	pws "repro"
 	"repro/internal/coalesce"
-	"repro/internal/frontcache"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -48,23 +47,16 @@ type conn struct {
 	// Front-cache state (zero/unused when the store has no front).
 	// hits are the GETs of the current batch segment answered straight
 	// from the hot-key front — they consume no op and no result slot,
-	// and renderReplies interleaves them back by position. tickets are
-	// the population reservations placed for GET misses, aligned to ops
-	// by index, installed once the segment's results arrive. writeKeys
-	// are the keys written earlier in the CURRENT pipeline: a later GET
-	// of such a key must not consult the front, because its batch may
-	// not have committed yet and program order within a pipeline must
-	// see the write (arena-aliased; reset each pipeline).
+	// and renderReplies interleaves them back by position. A GET that
+	// misses becomes an ordinary op; the engine fills the front when
+	// its read finds the key, so the connection holds no fill state.
+	// writeKeys are the keys written earlier in the CURRENT pipeline: a
+	// later GET of such a key must not consult the front, because its
+	// batch may not have committed yet and program order within a
+	// pipeline must see the write (arena-aliased; reset each pipeline).
 	front     bool
 	hits      []frontHit
-	tickets   []opTicket
 	writeKeys []string
-	// resKey/mkRes defer the reservation key's stable copy to the
-	// claims that need it: mkRes (built once per connection, so the
-	// closure never allocates per op) clones resKey out of the read
-	// arena.
-	resKey string
-	mkRes  func() string
 
 	// dlMu serializes read-deadline writers: the connection goroutine's
 	// idle-timeout arming/disarming and Close's shutdown grace. Once
@@ -134,13 +126,6 @@ type pendingReply struct {
 type frontHit struct {
 	pos int
 	val string
-}
-
-// opTicket pairs a front-cache population reservation with the index of
-// its fallback GET in the segment's ops (and so in its results).
-type opTicket struct {
-	idx int
-	tk  frontcache.Ticket[string, string]
 }
 
 type replyKind uint8
@@ -277,7 +262,6 @@ func (c *conn) process(cmds []wire.Command) (quit bool) {
 	c.pending = c.pending[:0]
 	if c.front {
 		c.hits = c.hits[:0]
-		c.tickets = c.tickets[:0]
 		clear(c.writeKeys)
 		c.writeKeys = c.writeKeys[:0]
 	}
@@ -421,22 +405,16 @@ func (c *conn) wantArgs(cmd wire.Command, ok bool) bool {
 
 // frontOp decodes one GET key: a front-cache hit appends a frontHit
 // (no op, no batch round trip — the reply comes straight from the
-// cache) and reports true; a miss appends the fallback op plus a
-// population reservation and reports false. Keys this pipeline already
-// wrote skip the front entirely — their write may sit in an
-// uncommitted batch, and program order within a pipeline must observe
-// it — and place no reservation (the write's own front drop would kill
-// the install anyway). pos is the key's position within its command, for
-// reply interleaving.
+// cache) and reports true; a miss appends the GET op and reports false.
+// Keys this pipeline already wrote skip the front entirely — their
+// write may sit in an uncommitted batch, and program order within a
+// pipeline must observe it. pos is the key's position within its
+// command, for reply interleaving.
 func (c *conn) frontOp(k string, pos int) (hit bool) {
 	if c.front && !c.wroteKey(k) {
 		if v, ok := c.srv.store.FrontGet(k); ok {
 			c.hits = append(c.hits, frontHit{pos: pos, val: v})
 			return true
-		}
-		c.resKey = k
-		if tk := c.srv.store.FrontReserve(k, c.mkRes); tk.Reserved() {
-			c.tickets = append(c.tickets, opTicket{idx: len(c.ops), tk: tk})
 		}
 	}
 	c.ops = append(c.ops, pws.Op[string, string]{Kind: pws.OpGet, Key: k})
@@ -466,21 +444,9 @@ func (c *conn) wroteKey(k string) bool {
 	return false
 }
 
-// installTickets publishes a segment's results into the front cache
-// through the reservations placed at decode time. Runs after the
-// batch's results are released; each install's pointer guard drops it
-// if a write that resolved after the reservation already dropped (or a
-// later reservation recycled) the slot.
-func installTickets(tickets []opTicket, res []pws.Result[string]) {
-	for _, t := range tickets {
-		t.tk.Install(res[t.idx].Val, res[t.idx].OK)
-	}
-}
-
 // flushBatch cuts the accumulated segment: it submits the operations as
 // one job to the group-commit scheduler, waits for the combined batch
-// that carries them to commit (applied, and logged when durable),
-// installs the segment's front-cache reservations from the results, and
+// that carries them to commit (applied, and logged when durable), and
 // renders the replies in place. A segment that is all front-cache hits
 // has replies owed but nothing to commit, so it skips the scheduler.
 func (c *conn) flushBatch() {
@@ -493,7 +459,6 @@ func (c *conn) flushBatch() {
 		c.submitted = true
 		s.co.Submit(&c.job)
 		c.job.Wait()
-		installTickets(c.tickets, c.job.Res)
 	}
 	var t0 int64
 	st := s.stages()
@@ -507,8 +472,6 @@ func (c *conn) flushBatch() {
 	if c.front {
 		clear(c.hits)
 		c.hits = c.hits[:0]
-		clear(c.tickets)
-		c.tickets = c.tickets[:0]
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 // as ApplyScattered's work: the shard workers apply while the leader
 // syncs, and the leader applies any sub-batch no worker has started once
 // the sync returns. All of it
-// happens before the batch's jobs are released, so no reply is written
-// until its frame is durable. One fsync per coalescer
+// happens before the batch's jobs are released and its front fills are
+// published, so neither a reply nor the front shows a write before its
+// frame is durable. One fsync per coalescer
 // cut is the whole cost model: the same window that amortizes tree
 // work over a combined batch amortizes the disk write, and the write
 // hides behind the apply instead of following it.
@@ -86,15 +87,16 @@ func (s *Server) applyDurable(batches [][]pws.Op[string, string], dsts [][]pws.R
 		// broken WAL ends the process.
 		failStop(fmt.Sprintf("server: wal write failed, cannot ack non-durable batch: %v", err))
 	}
-	if s.cutHook != nil {
-		s.cutHook()
-	}
-	var serr error
-	s.store.ApplyScattered(batches, dsts, func() { serr = s.syncWAL() })
+	// Fail-stop inside the work: no front fill of a non-durable cut is published.
+	s.store.ApplyScattered(batches, dsts, func() {
+		if s.cutHook != nil {
+			s.cutHook()
+		}
+		if err := s.syncWAL(); err != nil {
+			failStop(fmt.Sprintf("server: wal sync failed, cannot ack non-durable batch: %v", err))
+		}
+	})
 	s.wal.EndBatch()
-	if serr != nil {
-		failStop(fmt.Sprintf("server: wal sync failed, cannot ack non-durable batch: %v", serr))
-	}
 }
 
 // failStop ends the process over a cut that cannot be made durable. The

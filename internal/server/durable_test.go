@@ -316,11 +316,11 @@ func TestIdleTimeoutReapsOnlyIdle(t *testing.T) {
 // TestCheckpointWaitsForOpenCut is the oracle for the one ordering rule
 // log-first commit adds: a checkpoint may not rotate between a cut's
 // frame write and the end of its apply. One cut is held after its frame
-// is written and before its shards apply it; a checkpoint is started;
-// the cut is let go and acks; a crash image of the data directory must
-// recover the acked write. Were the rotation allowed, the checkpoint's
-// scan would miss the write, and the segment holding its frame would be
-// pruned behind the checkpoint.
+// is written, as its sync begins while its shards apply it; a
+// checkpoint is started; the cut is let go and acks; a crash image of
+// the data directory must recover the acked write. Were the rotation
+// allowed, the checkpoint's scan could miss the write, and the segment
+// holding its frame would be pruned behind the checkpoint.
 func TestCheckpointWaitsForOpenCut(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := openDurable(t, dir)
@@ -392,5 +392,86 @@ func TestCheckpointWaitsForOpenCut(t *testing.T) {
 	verify(t, srv2, want)
 	if v, ok, err := pipeClient(t, srv2).Get("late"); err != nil || !ok || v != "acked" {
 		t.Fatalf("acked write after recovery: GET late = (%q, %v, %v)", v, ok, err)
+	}
+}
+
+// TestDurableFrontFillWaitsForSync checks that the front never serves a
+// value before the WAL sync that makes it durable has returned. FrontGet
+// answers a GET without a cut, so a value it serves has reached a client
+// as surely as an acked reply: were the sync to fail, or the machine to
+// crash, recovery would not have it. One pipeline writes k and then
+// reads it back, with enough other writes between them that the shard's
+// engine splits the sub-batch into several engine batches: the read
+// finds the new value resident in a later engine batch than the write,
+// in a group that writes nothing. The cut's sync is held until the
+// shard has applied the whole cut; the front must not hold the new value
+// then, and holds it once the sync has returned.
+func TestDurableFrontFillWaitsForSync(t *testing.T) {
+	log, rec, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncAlways, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	srv := New(Config{Shards: 1, P: 2, FrontCache: 64, WAL: log, SnapshotBytes: -1})
+	defer srv.Close()
+	if _, err := srv.Recover(rec); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	c := pipeClient(t, srv)
+	if err := c.Set("k", "old"); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := c.Get("k"); err != nil || !ok || v != "old" {
+		t.Fatalf("GET k = (%q, %v, %v)", v, ok, err)
+	}
+	if v, ok := srv.store.FrontGet("k"); !ok || v != "old" {
+		t.Fatalf("FrontGet(k) = (%q, %v) after a GET of k; want a hit on old", v, ok)
+	}
+
+	syncing, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv.cutHook = func() {
+		once.Do(func() {
+			close(syncing)
+			<-resume
+		})
+	}
+	cmds := [][]string{{"SET", "k", "new"}}
+	for i := 0; i < 8; i++ {
+		cmds = append(cmds, []string{"SET", fmt.Sprintf("f%d", i), "x"})
+	}
+	cmds = append(cmds, []string{"GET", "k"}, []string{"SET", "z", "x"})
+	for _, args := range cmds {
+		if err := c.Send(args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	<-syncing
+	// The shard applies the cut while its leader syncs; z is the cut's
+	// last op, so once z is counted the read of k has resolved.
+	for deadline := time.Now().Add(5 * time.Second); srv.store.Len() < 10; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(resume)
+			t.Fatalf("the cut was not applied while its sync was held: %d keys", srv.store.Len())
+		}
+	}
+	v, ok := srv.store.FrontGet("k")
+	close(resume)
+	if ok {
+		t.Errorf("FrontGet(k) = %q while the SET of k was not yet durable; want a miss", v)
+	}
+	for i, args := range cmds {
+		rep, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if args[0] == "GET" && (rep.Kind != wire.BulkReply || rep.Str != "new") {
+			t.Fatalf("reply %d: GET k = %+v, want new", i, rep)
+		}
+	}
+	if v, ok := srv.store.FrontGet("k"); !ok || v != "new" {
+		t.Fatalf("FrontGet(k) = (%q, %v) after the cut was acked; want a hit on new", v, ok)
 	}
 }

@@ -38,7 +38,6 @@ package server
 import (
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,8 +245,8 @@ type Server struct {
 	walHi    string
 	snapStop chan struct{}
 	snapDone chan struct{}
-	// cutHook, when a test sets it, runs on the cut's leader between a
-	// durable cut's frame write and its apply.
+	// cutHook, when a test sets it, runs on the cut's leader as a
+	// durable cut's sync begins, while the shards apply the cut.
 	cutHook func()
 
 	mu        sync.Mutex
@@ -391,12 +390,6 @@ func (s *Server) register(nc net.Conn) (*conn, error) {
 		r:     wire.NewReaderLimits(nc, s.cfg.Limits),
 		w:     wire.NewWriter(nc),
 		front: s.store.FrontEnabled(),
-	}
-	if c.front {
-		// GET keys alias the read arena; the front must retain a
-		// stable copy when it claims a reservation. One closure per
-		// connection keeps the per-op reserve path allocation-free.
-		c.mkRes = func() string { return strings.Clone(c.resKey) }
 	}
 	s.conns[c] = struct{}{}
 	s.wg.Add(1)

@@ -49,10 +49,11 @@ type Config struct {
 	Telemetry bool
 	// FrontCache, when positive, equips each shard with a lock-free
 	// hot-key read front of that many entries (internal/frontcache):
-	// Get consults it before the engine, and every write drops its key
-	// from the front as it resolves inside the engine (core.KeyHooks
-	// Wrote — the key's serialization point, before any result of the
-	// batch is released). 0 disables the front.
+	// Get consults it before the engine. The front is filled and
+	// dropped only inside the engine, at the key's serialization point
+	// (core.KeyHooks): a GET that finds its key resident fills it (Read),
+	// and every write drops it (Wrote), before any result of the batch
+	// is released. 0 disables the front.
 	FrontCache int
 	// MaxBytes, when positive, bounds the map's approximate resident
 	// bytes (keys + values + per-item structural overhead): the budget
@@ -182,27 +183,30 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 		m.shards[i] = core.NewM1[K, V](sc)
 		// Every sidecar transition for a key — its cached front copy and
 		// its TTL — happens inside the engine, at the key's serialization
-		// point, through these hooks and nowhere else: a write resolving
+		// point, through these hooks and nowhere else: a GET finding the
+		// key resident (Read, the front's one fill), a write resolving
 		// (Wrote), an OpExpire resolving (Arm), an engine observing a
 		// resident item past its deadline (Ghost), and the engine evicting
 		// a key under its byte budget (SetOnEvict). Dead only reads the
 		// table, for the engine's ordered reads. Each runs before the
-		// batch that caused it releases any result, so the front can never
-		// outlive the engine's copy and no reader can observe a new value
-		// and then a cached old one.
+		// batch that caused it releases any result, so fills and drops of
+		// a key are ordered like the ops that cause them: the front can
+		// never outlive the engine's copy and no reader can observe a new
+		// value and then a cached old one.
 		//
-		// Every hook drops the key's front slot FIRST and only then touches
-		// the expiry table. FrontGet consults the table before probing the
-		// front, so this order closes the retirement race: a reader that
-		// misses the entry is guaranteed to also miss the slot. (frontDrop
-		// is idempotent; the hooks own the key, so the check-then-remove
-		// pairs below cannot interleave with another mutation of it.)
+		// Every dropping hook drops the key's front slot FIRST and only
+		// then touches the expiry table. FrontGet consults the table
+		// before probing the front, so this order closes the retirement
+		// race: a reader that misses the entry is guaranteed to also miss
+		// the slot. (frontDrop is idempotent; the hooks own the key, so
+		// the check-then-remove pairs below cannot interleave with
+		// another mutation of it.)
 		t := m.exp[i]
 		m.shards[i].SetOnEvict(func(k K, _ V) {
 			m.frontDrop(k)
 			t.clear(k)
 		})
-		m.shards[i].SetKeyHooks(&core.KeyHooks[K]{
+		m.shards[i].SetKeyHooks(&core.KeyHooks[K, V]{
 			Ghost: func(k K) bool {
 				// Armed-count gate first: with no TTLs in the shard
 				// the per-observation cost is one atomic load, no
@@ -225,6 +229,7 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 				m.frontDrop(k)
 				t.clear(k)
 			},
+			Read: m.frontStage,
 			Arm: func(k K, deadline int64) bool {
 				if deadline != 0 && deadline <= m.now() {
 					// Already past: the engine deletes the key in the
@@ -370,26 +375,6 @@ func (m *Map[K, V]) FrontGet(k K) (V, bool) {
 	return v, ok
 }
 
-// FrontReserve places a population reservation for k ahead of a
-// fallback read through the batch pipeline; install the batch's result
-// through the returned ticket once it is released. The reservation
-// MUST be placed before the fallback op is submitted — that ordering
-// is what lets a write's in-engine front drop kill any install whose
-// value the write overwrote: a fallback read that resolved before the
-// write reserved before the write's drop. The front retains the
-// reservation's key until the slot recycles: callers whose k aliases a
-// reusable buffer (the server's read arena) pass mk to materialize a
-// stable copy — called only when a slot is actually claimed — while
-// callers who own k pass nil. Returns an inert zero ticket when the
-// front is disabled or declines.
-func (m *Map[K, V]) FrontReserve(k K, mk func() K) frontcache.Ticket[K, V] {
-	if m.fronts == nil {
-		return frontcache.Ticket[K, V]{}
-	}
-	h := maphash.Comparable(m.seed, k)
-	return m.fronts[h%uint64(len(m.shards))].Reserve(h, k, mk)
-}
-
 // FrontStats returns the front's counters merged across shards (zero
 // when disabled).
 func (m *Map[K, V]) FrontStats() frontcache.Stats {
@@ -424,9 +409,8 @@ func (m *Map[K, V]) ttlAny() bool {
 // retiring, an already-past EXPIRE, a budget eviction — so every removal
 // or overwrite drops the key's front slot at the key's engine
 // serialization point, and the front can never keep serving a value the
-// engines no longer hold. Invalidate-only (no refresh-in-place): a
-// refresh would have to publish from inside the engine's critical
-// section; a dropped hot key re-installs on its next miss.
+// engines no longer hold. A write drops rather than refreshes: a
+// dropped hot key fills again on its next engine read.
 func (m *Map[K, V]) frontDrop(k K) {
 	if m.fronts == nil {
 		return
@@ -435,25 +419,50 @@ func (m *Map[K, V]) frontDrop(k K) {
 	m.fronts[h%uint64(len(m.shards))].Invalidate(h, k)
 }
 
+// frontStage is the engine's Read hook, the first step of the single
+// front population path: a GET found k resident with value v (k is the
+// engine's own copy, so the front may retain it). It runs where the
+// shard's writes drop k, so a staged value stays the engine's until
+// frontPublish makes it readable.
+func (m *Map[K, V]) frontStage(k K, v V) {
+	if m.fronts == nil {
+		return
+	}
+	h := maphash.Comparable(m.seed, k)
+	m.fronts[h%uint64(len(m.shards))].Stage(h, k, v)
+}
+
+// frontPublish is the fill's second step, run for each GET a batch
+// answered present once the batch's work (a WAL sync) has returned: the
+// front must not serve a value before the write that made it is durable.
+func (m *Map[K, V]) frontPublish(k K) {
+	if m.fronts == nil {
+		return
+	}
+	h := maphash.Comparable(m.seed, k)
+	m.fronts[h%uint64(len(m.shards))].Publish(h, k)
+}
+
 // commitBoundary is the shard layer's share of a batch commit, run once
 // per ApplyScattered call after collect and once per point op after its
 // engine returns. The whole boundary, in order:
 //
 //  1. collect — the engines apply every op. As each write, expire or
 //     ghost observation resolves at its key's serialization point the
-//     core.KeyHooks drop the key's front slot and settle its TTL; budget
-//     eviction at the engine's batch end does the same through
-//     SetOnEvict. When collect returns, every result sits in its
-//     submitter's slice and no sidecar holds state the engines
-//     contradict.
-//  2. sweep — here: lazily retire due TTLs (reclamation only; an expired
+//     core.KeyHooks drop the key's front slot and settle its TTL, and
+//     a GET that finds its key resident stages a front fill; budget
+//     eviction at the engine's batch end drops through SetOnEvict. A
+//     durable server's applier wrote the batch's WAL frame before
+//     collect and passed its sync as ApplyScattered's work, which runs
+//     while the shards apply and stops the process if it fails.
+//  2. publish — once the work has returned, collect's scatter (applyOne
+//     for a point op) publishes the fills of present GETs. Every result
+//     sits in its submitter's slice, the batch is durable, and no
+//     sidecar holds state the engines contradict.
+//  3. sweep — here: lazily retire due TTLs (reclamation only; an expired
 //     key already reads as absent).
-//  3. durable hook — the server's applier wrote the batch's WAL frame
-//     before collect and passed its sync as ApplyScattered's work,
-//     which runs while the shards apply; it closes the WAL's cut when
-//     ApplyScattered returns.
-//  4. release — the coalescer releases the batch's waiters; replies are
-//     written.
+//  4. release — the server's applier closes the WAL's cut, and the
+//     coalescer releases the batch's waiters; replies are written.
 //
 // Nothing here depends on which ops the batch carried.
 func (m *Map[K, V]) commitBoundary() {
@@ -520,23 +529,21 @@ func (m *Map[K, V]) applyOne(op core.Op[K, V]) core.Result[V] {
 	m.enter()
 	defer m.pending.Done()
 	r := m.shards[m.shardOf(op.Key)].Do(op)
+	if op.Kind == core.OpGet && r.OK {
+		m.frontPublish(op.Key)
+	}
 	m.commitBoundary()
 	return r
 }
 
 // Get searches for key k. With the front cache enabled the hot path is
-// a lock-free front probe; misses fall through to the engine and
-// install the result behind a reservation placed before the engine
-// read (so a write resolving in between drops the in-flight population
-// rather than racing it). Get callers pass ordinary Go strings/values
-// they own — the front may retain k.
+// a lock-free front probe; a miss falls through to the engine, whose
+// read fills the front when it finds k (frontStage, frontPublish).
 func (m *Map[K, V]) Get(k K) (V, bool) {
 	if v, ok := m.FrontGet(k); ok {
 		return v, true
 	}
-	t := m.FrontReserve(k, nil)
 	r := m.applyOne(core.Op[K, V]{Kind: core.OpGet, Key: k})
-	t.Install(r.Val, r.OK)
 	return r.Val, r.OK
 }
 
@@ -781,13 +788,17 @@ func (m *Map[K, V]) collect(batches [][]core.Op[K, V], dsts [][]core.Result[V], 
 	m.fanout(sc.tasks, &sc.wg, work)
 	m.stages.RecordSince(obs.StageApply, tApply)
 
-	// Scatter: results return to each submitter's own slice.
+	// Scatter results to each submitter's slice; work is done, so present
+	// GETs publish their fills.
 	i = 0
 	for b, ops := range batches {
 		dst := dsts[b]
 		for j := range ops {
 			dst[j] = sc.subRes[sc.pos[i]]
 			i++
+			if ops[j].Kind == core.OpGet && dst[j].OK {
+				m.frontPublish(ops[j].Key)
+			}
 		}
 	}
 }

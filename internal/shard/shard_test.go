@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -320,6 +321,95 @@ func TestFrontCacheNoStaleRead(t *testing.T) {
 	wg.Wait()
 	if fs := m.FrontStats(); fs.Hits == 0 || fs.Invalidates == 0 {
 		t.Errorf("front idle during the run: %+v (want hits and invalidates)", fs)
+	}
+}
+
+// TestFrontFillAtRead checks where the front is filled: inside the
+// engine, by a GET that finds its key resident, with the value the
+// key's batch leaves; never by a write-only batch or by a GET of an
+// absent key, which reserves no slot.
+func TestFrontFillAtRead(t *testing.T) {
+	m := New[string, string](Config{Shards: 2, FrontCache: 64})
+	defer m.Close()
+	get := func(k string) core.Op[string, string] {
+		return core.Op[string, string]{Kind: core.OpGet, Key: k}
+	}
+	set := func(k, v string) core.Op[string, string] {
+		return core.Op[string, string]{Kind: core.OpInsert, Key: k, Val: v}
+	}
+
+	m.ApplyInto([]core.Op[string, string]{set("a", "1"), set("b", "2")}, nil)
+	if fs := m.FrontStats(); fs.Reserves != 0 || fs.Installs != 0 {
+		t.Fatalf("a write-only batch filled the front: %+v", fs)
+	}
+	if v, ok := m.FrontGet("a"); ok {
+		t.Fatalf("FrontGet(a) = %q after a write-only batch", v)
+	}
+
+	if r := m.ApplyInto([]core.Op[string, string]{get("a")}, nil); !r[0].OK || r[0].Val != "1" {
+		t.Fatalf("GET a = %+v", r[0])
+	}
+	if v, ok := m.FrontGet("a"); !ok || v != "1" {
+		t.Fatalf("FrontGet(a) = %q, %v after an engine GET of a; want a hit on 1", v, ok)
+	}
+
+	m.ApplyInto([]core.Op[string, string]{get("b"), set("b", "3")}, nil)
+	if v, ok := m.FrontGet("b"); ok && v != "3" {
+		t.Fatalf("FrontGet(b) = %q after GET b, SET b 3 in one batch; want 3 or a miss", v)
+	}
+
+	before := m.FrontStats().Reserves
+	if v, ok := m.Get("absent"); ok {
+		t.Fatalf("Get(absent) = %q", v)
+	}
+	if r := m.ApplyInto([]core.Op[string, string]{get("absent too")}, nil); r[0].OK {
+		t.Fatalf("GET of an absent key = %+v", r[0])
+	}
+	if n := m.FrontStats().Reserves; n != before {
+		t.Fatalf("GETs of absent keys placed %d reservations, want 0", n-before)
+	}
+}
+
+// TestFrontFillAfterWork checks when a fill becomes readable: only once
+// the batch's overlap work has returned, never while it runs, even for a
+// GET that the engine resolved in a later engine batch than the write
+// whose value it read. A durable server's work is its WAL sync, and the
+// front answers reads that take no batch.
+func TestFrontFillAfterWork(t *testing.T) {
+	cfg := Config{Shards: 1, FrontCache: 64}
+	cfg.Shard.P = 2
+	m := New[string, string](cfg)
+	defer m.Close()
+	// Many ops after the SET, so the engine's batch size splits the
+	// sub-batch and the GET reads the SET's value from the tree.
+	ops := []core.Op[string, string]{{Kind: core.OpInsert, Key: "k", Val: "v"}}
+	for i := 0; i < 16; i++ {
+		ops = append(ops, core.Op[string, string]{Kind: core.OpInsert, Key: fmt.Sprintf("f%d", i), Val: "x"})
+	}
+	ops = append(ops,
+		core.Op[string, string]{Kind: core.OpGet, Key: "k"},
+		core.Op[string, string]{Kind: core.OpInsert, Key: "z", Val: "x"})
+	dst := make([]core.Result[string], len(ops))
+	var during []string
+	m.ApplyScattered([][]core.Op[string, string]{ops}, [][]core.Result[string]{dst}, func() {
+		for deadline := time.Now().Add(5 * time.Second); m.Len() < 18; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				during = append(during, "the batch was not applied while its work ran")
+				return
+			}
+		}
+		if v, ok := m.FrontGet("k"); ok {
+			during = append(during, fmt.Sprintf("FrontGet(k) = %q while the batch's work ran; want a miss", v))
+		}
+	})
+	for _, e := range during {
+		t.Error(e)
+	}
+	if r := dst[len(ops)-2]; !r.OK || r.Val != "v" {
+		t.Fatalf("GET k = %+v", r)
+	}
+	if v, ok := m.FrontGet("k"); !ok || v != "v" {
+		t.Fatalf("FrontGet(k) = (%q, %v) after the batch; want a hit on v", v, ok)
 	}
 }
 
