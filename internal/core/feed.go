@@ -35,9 +35,6 @@ func (f *feedBuffer[T]) add(input []T) {
 	f.q = append(f.q, input...)
 }
 
-// take is takeInto with fresh storage (nil when nothing is buffered).
-func (f *feedBuffer[T]) take(c int) []T { return f.takeInto(c, nil) }
-
 // takeInto removes up to c bunches from the head of the queue and appends
 // them (the cut batch) to dst — pass engine scratch with length 0 to
 // reuse its backing array.

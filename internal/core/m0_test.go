@@ -66,9 +66,9 @@ func TestM0WorkingSetProperty(t *testing.T) {
 		for i := 1; i < r; i++ {
 			m.Get(i)
 		}
-		before := cnt.Work()
+		before := cnt.Total()
 		m.Get(0)
-		return cnt.Work() - before
+		return cnt.Total() - before
 	}
 	// Repeated access to the same item must be O(1)-ish (top segments).
 	cHot := costOfRecency(1)

@@ -399,16 +399,6 @@ func buildGroups[K cmp.Ordered, V any](batch []*call[K, V], perm []int, out []*g
 	return out
 }
 
-// groupKeys returns the (sorted, distinct) keys of a key-sorted group
-// batch.
-func groupKeys[K cmp.Ordered, V any](groups []*group[K, V]) []K {
-	keys := make([]K, len(groups))
-	for i, g := range groups {
-		keys[i] = g.key
-	}
-	return keys
-}
-
 // opRecorder optionally records the linearization the engine induces (the
 // order in which operations take effect), for the working-set-bound
 // experiments.

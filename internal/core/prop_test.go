@@ -139,19 +139,19 @@ func TestFeedBuffer(t *testing.T) {
 		t.Fatalf("len = %d", f.len())
 	}
 	// First bunch has exactly 4 (bunch cap).
-	got := f.take(1)
+	got := f.takeInto(1, nil)
 	if len(got) != 4 || got[0] != 1 || got[3] != 4 {
 		t.Fatalf("take(1) = %v", got)
 	}
 	// Taking more bunches than exist drains the buffer.
-	got = f.take(10)
+	got = f.takeInto(10, nil)
 	if len(got) != 5 || got[0] != 5 || got[4] != 9 {
 		t.Fatalf("take(10) = %v", got)
 	}
 	if f.len() != 0 {
 		t.Fatalf("len = %d after drain", f.len())
 	}
-	if f.take(1) != nil {
+	if f.takeInto(1, nil) != nil {
 		t.Fatal("take on empty returned data")
 	}
 }
@@ -173,7 +173,7 @@ func TestFeedBufferQuickOrderPreserved(t *testing.T) {
 		}
 		var got []int
 		for fb.len() > 0 {
-			got = append(got, fb.take(1)...)
+			got = append(got, fb.takeInto(1, nil)...)
 		}
 		if len(got) != len(want) {
 			return false

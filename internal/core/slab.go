@@ -27,7 +27,7 @@ type slab[K cmp.Ordered, V any] struct {
 	hooks *KeyHooks[K, V]          // per-key sidecar hooks (nil = off, always in M2; see ops.go)
 	deep  bool                     // one key-map, and search slices on S[0..deepKM-1] (M1; see deepKM)
 
-	keySc    []K               // groupKeys of the pending batch
+	keySc    []K               // keys of the pending batch's groups
 	foundSc  []*segLeaf[K, V]  // lookup result
 	fKeys    []K               // keys of found groups (sorted subset)
 	fGroups  []*group[K, V]    // groups of found keys, aligned with fKeys

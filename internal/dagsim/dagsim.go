@@ -36,13 +36,6 @@ type Node struct {
 	execStep int // step at which the node executed (during a run)
 }
 
-// Class returns the node's scheduling class.
-func (n *Node) Class() Class { return n.class }
-
-// ExecStep returns the 1-based step at which the node executed in the
-// most recent run (0 if never executed).
-func (n *Node) ExecStep() int { return n.execStep }
-
 // DAG is a program DAG under construction or execution.
 type DAG struct {
 	nodes []*Node

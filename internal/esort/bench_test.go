@@ -33,14 +33,6 @@ func BenchmarkPESortHighEntropy(b *testing.B) {
 	}
 }
 
-func BenchmarkPESortRandomPivot(b *testing.B) {
-	keys := benchInput(1<<16, 1<<16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PESort(keys, RandomQuartile)
-	}
-}
-
 func BenchmarkESortLowEntropy(b *testing.B) {
 	keys := benchInput(1<<14, 8)
 	b.ResetTimer()

@@ -36,10 +36,6 @@ const (
 	// log-k-sized blocks, sorted, middle taken. Guarantees a pivot in the
 	// middle two quartiles.
 	MedianOfMedians PivotStrategy = iota
-	// RandomQuartile retries uniform random pivots until one falls in the
-	// middle two quartiles (the paper's Remark after Lemma 34; O(1)
-	// expected retries).
-	RandomQuartile
 	// StdStable bypasses the entropy sort and uses a Θ(b log b) stable
 	// comparison sort. It exists for the ablation experiment (E14): it
 	// voids the paper's work bound on duplicate-heavy batches and
@@ -152,36 +148,36 @@ func PESortInto[K cmp.Ordered](keys []K, strat PivotStrategy, idx, scratch []int
 		scratch = make([]int, n)
 	}
 	scratch = scratch[:n]
-	qsort(keys, idx, scratch, strat)
+	qsort(keys, idx, scratch)
 	return idx, scratch
 }
 
 // quick stably sorts idx (positions into keys) by key, using scratch of the
 // same length for partitioning.
-func qsort[K cmp.Ordered](keys []K, idx, scratch []int, strat PivotStrategy) {
+func qsort[K cmp.Ordered](keys []K, idx, scratch []int) {
 	for {
 		n := len(idx)
 		if n <= seqCutoff {
 			stableSort(keys, idx, scratch)
 			return
 		}
-		pivot := pickPivot(keys, idx, strat)
+		pivot := PPivot(keys, idx)
 		lo, hi := partition3(keys, idx, scratch, pivot)
 		left, right := idx[:lo], idx[hi:]
 		ls, rs := scratch[:lo], scratch[hi:]
 		if n >= parCutoff {
 			parallel.Do(
-				func() { qsort(keys, left, ls, strat) },
-				func() { qsort(keys, right, rs, strat) },
+				func() { qsort(keys, left, ls) },
+				func() { qsort(keys, right, rs) },
 			)
 			return
 		}
 		// Sequentially recurse into the smaller side, loop on the larger.
 		if len(left) < len(right) {
-			qsort(keys, left, ls, strat)
+			qsort(keys, left, ls)
 			idx, scratch = right, rs
 		} else {
-			qsort(keys, right, rs, strat)
+			qsort(keys, right, rs)
 			idx, scratch = left, ls
 		}
 	}
@@ -318,13 +314,6 @@ func partition3[K cmp.Ordered](keys []K, idx, scratch []int, pivot K) (lo, hi in
 	return tot[0], tot[0] + tot[1]
 }
 
-func pickPivot[K cmp.Ordered](keys []K, idx []int, strat PivotStrategy) K {
-	if strat == RandomQuartile {
-		return randomQuartilePivot(keys, idx)
-	}
-	return PPivot(keys, idx)
-}
-
 // PPivot is the parallel pivot algorithm of Lemma 34: split the input into
 // blocks of size ~log k, take each block's median (linear-time selection),
 // sort the medians, and return their median. The result is guaranteed to
@@ -385,28 +374,6 @@ func quickselect[K cmp.Ordered](buf []K, r int) K {
 		}
 	}
 	return buf[0]
-}
-
-// randomQuartilePivot retries random pivots until one lands in the middle
-// two quartiles (verified by a counting pass). Expected O(1) retries.
-func randomQuartilePivot[K cmp.Ordered](keys []K, idx []int) K {
-	k := len(idx)
-	for {
-		p := keys[idx[rand.IntN(k)]]
-		below, atOrBelow := 0, 0
-		for _, i := range idx {
-			if keys[i] < p {
-				below++
-			}
-			if keys[i] <= p {
-				atOrBelow++
-			}
-		}
-		// p's rank range [below, atOrBelow) must intersect [k/4, 3k/4].
-		if atOrBelow > k/4 && below <= 3*k/4 {
-			return p
-		}
-	}
 }
 
 // Runs groups a sorted permutation into runs of equal keys. Each run lists

@@ -52,7 +52,7 @@ func TestESortSortsStably(t *testing.T) {
 
 func TestPESortSortsStably(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, strat := range []PivotStrategy{MedianOfMedians, RandomQuartile} {
+	for _, strat := range []PivotStrategy{MedianOfMedians, StdStable} {
 		for _, n := range []int{0, 1, 2, 63, 64, 65, 1000, 20000} {
 			for _, u := range []int{1, 3, 50, 1 << 20} {
 				keys := genKeys(rng, n, u)

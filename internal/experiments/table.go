@@ -98,7 +98,6 @@ func (t Table) JSONRows(id string) []string {
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func d(v int) string      { return fmt.Sprintf("%d", v) }
-func d64(v int64) string  { return fmt.Sprintf("%d", v) }
 
 // Scale shrinks experiment sizes for quick runs (benchmarks) versus the
 // full tables printed by cmd/wsbench.

@@ -116,14 +116,6 @@ func (s Stats) Merge(o Stats) Stats {
 	return s
 }
 
-// HitRatio returns hits / (hits + misses), 0 when idle.
-func (s Stats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // Cache is one fixed-size lock-free read front. All methods are safe
 // for concurrent use. The zero value is not usable; create with New.
 // Callers pass the key's hash explicitly (the sharded map already has
@@ -149,9 +141,6 @@ func New[K comparable, V any](entries int) *Cache[K, V] {
 	}
 	return &Cache[K, V]{mask: uint64(n - 1), slots: make([]atomic.Pointer[entry[K, V]], n)}
 }
-
-// Entries returns the slot capacity.
-func (c *Cache[K, V]) Entries() int { return len(c.slots) }
 
 // bucket mixes h into a slot index. The sharded map derives both the
 // shard and the bucket from one maphash value; the multiply-xor spread

@@ -103,9 +103,6 @@ func levelCap(i int) int {
 // Len returns the number of items.
 func (m *Map[K, V]) Len() int { return m.size }
 
-// Levels returns the number of trees currently in the sequence.
-func (m *Map[K, V]) Levels() int { return len(m.levels) }
-
 func (m *Map[K, V]) newLevel() *level[K, V] {
 	lv := &level[K, V]{
 		keys: twothree.New[K, *entry[K, V]](m.cnt),
@@ -177,16 +174,6 @@ func (m *Map[K, V]) Get(k K) (V, bool) {
 		return zero, false
 	}
 	m.promote(i, e)
-	return e.val, true
-}
-
-// Peek searches for k without adjusting recency (diagnostic hook).
-func (m *Map[K, V]) Peek(k K) (V, bool) {
-	_, e := m.find(k)
-	if e == nil {
-		var zero V
-		return zero, false
-	}
 	return e.val, true
 }
 

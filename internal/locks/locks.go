@@ -1,7 +1,6 @@
 // Package locks implements the synchronization mechanisms of the paper's
-// Appendix A.4 in Go: the non-blocking lock (Definition 35), the activation
-// interface (Definition 36) and the dedicated lock with keys
-// (Definition 37).
+// Appendix A.4 in Go: the activation interface (Definition 36) and the
+// dedicated lock with keys (Definition 37).
 //
 // The paper's QRMW pointer machine supports test-and-set and fetch-and-add;
 // both map directly onto sync/atomic. Suspended threads — continuations in
@@ -14,23 +13,6 @@ import (
 	"sync/atomic"
 )
 
-// NonBlocking is the paper's non-blocking lock (try-lock): acquisitions are
-// serialized but never block. The zero value is an unlocked lock.
-type NonBlocking struct {
-	held atomic.Bool
-}
-
-// TryLock attempts to acquire the lock; it returns true on success and
-// false if the lock is currently held.
-func (l *NonBlocking) TryLock() bool { return l.held.CompareAndSwap(false, true) }
-
-// Unlock releases the lock. Calling Unlock on an unheld lock is a bug.
-func (l *NonBlocking) Unlock() {
-	if !l.held.CompareAndSwap(true, false) {
-		panic("locks: Unlock of unheld NonBlocking lock")
-	}
-}
-
 // Activation guards a process P with condition C per Definition 36:
 // Activate starts P iff it is not already running and C holds. Any actor
 // that makes C true must call Activate. The run function reports whether it
@@ -38,9 +20,9 @@ func (l *NonBlocking) Unlock() {
 //
 // Unlike the paper's pseudo-code, Activate re-checks the condition after
 // releasing the activity flag; in the paper's model the race between a
-// condition becoming true and a concurrent failed TryLock is excluded by
-// construction of its callers, while in Go the re-check closes the lost
-// wake-up window for arbitrary callers.
+// condition becoming true and a concurrent failed acquisition of the flag
+// is excluded by construction of its callers, while in Go the re-check
+// closes the lost wake-up window for arbitrary callers.
 type Activation struct {
 	active atomic.Bool
 	cond   func() bool
@@ -138,10 +120,6 @@ func (a *Activation) step() {
 	}
 }
 
-// Running reports whether the guarded process is currently executing
-// (test and diagnostics hook; inherently racy).
-func (a *Activation) Running() bool { return a.active.Load() }
-
 // Dedicated is the paper's dedicated lock with keys [0..k): a blocking lock
 // where simultaneous acquisitions must use distinct keys. A thread
 // acquiring with key i is guaranteed to obtain the lock after at most O(k)
@@ -195,13 +173,4 @@ func (d *Dedicated) Release() {
 		}
 		runtime.Gosched()
 	}
-}
-
-// TryAcquire obtains the lock with key i only if it is free.
-func (d *Dedicated) TryAcquire(i int) bool {
-	if d.count.CompareAndSwap(0, 1) {
-		d.last.Store(int64(i))
-		return true
-	}
-	return false
 }

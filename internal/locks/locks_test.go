@@ -7,46 +7,6 @@ import (
 	"time"
 )
 
-func TestNonBlockingMutualExclusion(t *testing.T) {
-	var l NonBlocking
-	var held atomic.Int32
-	var acquired atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10000; i++ {
-				if l.TryLock() {
-					if held.Add(1) != 1 {
-						t.Error("two holders")
-					}
-					acquired.Add(1)
-					held.Add(-1)
-					l.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if acquired.Load() == 0 {
-		t.Fatal("no acquisitions succeeded")
-	}
-	if !l.TryLock() {
-		t.Fatal("lock should be free at the end")
-	}
-}
-
-func TestNonBlockingUnlockUnheldPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var l NonBlocking
-	l.Unlock()
-}
-
 func TestActivationRunsWhenReady(t *testing.T) {
 	var ready atomic.Bool
 	var runs atomic.Int64
@@ -165,21 +125,6 @@ func TestDedicatedMutualExclusionAndFairness(t *testing.T) {
 			t.Fatalf("key %d acquired %d times", k, perKey[k])
 		}
 	}
-}
-
-func TestDedicatedTryAcquire(t *testing.T) {
-	d := NewDedicated(2)
-	if !d.TryAcquire(0) {
-		t.Fatal("TryAcquire on free lock failed")
-	}
-	if d.TryAcquire(1) {
-		t.Fatal("TryAcquire on held lock succeeded")
-	}
-	d.Release()
-	if !d.TryAcquire(1) {
-		t.Fatal("TryAcquire after release failed")
-	}
-	d.Release()
 }
 
 func TestDedicatedBoundedBypass(t *testing.T) {

@@ -46,9 +46,6 @@ func (w *WaitCounter) Done() {
 	}
 }
 
-// Load returns the current count (racy snapshot).
-func (w *WaitCounter) Load() int64 { return w.n.Load() }
-
 // Wait blocks until the count is zero. A count that is already zero
 // returns immediately. Multiple concurrent waiters are allowed; each
 // wakes on any transition to zero (the usual drain contract: callers

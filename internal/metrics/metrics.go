@@ -21,17 +21,14 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Work returns the accumulated structural work.
-func (c *Counter) Work() int64 {
+// Total returns the accumulated work: the "effective work" proxy used
+// throughout EXPERIMENTS.md.
+func (c *Counter) Total() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.work.Load()
 }
-
-// Total returns the accumulated work: the "effective work" proxy used
-// throughout EXPERIMENTS.md.
-func (c *Counter) Total() int64 { return c.Work() }
 
 // Reset zeroes the counter.
 func (c *Counter) Reset() {
@@ -39,17 +36,3 @@ func (c *Counter) Reset() {
 		c.work.Store(0)
 	}
 }
-
-// Snapshot is an immutable copy of a Counter's values.
-type Snapshot struct {
-	Work int64
-}
-
-// Snapshot returns the current values.
-func (c *Counter) Snapshot() Snapshot { return Snapshot{Work: c.Work()} }
-
-// Total returns the sum of all snapshot fields.
-func (s Snapshot) Total() int64 { return s.Work }
-
-// Sub returns the component-wise difference s - o.
-func (s Snapshot) Sub(o Snapshot) Snapshot { return Snapshot{Work: s.Work - o.Work} }

@@ -117,9 +117,6 @@ func New(p int) *Pool {
 	return pool
 }
 
-// Workers returns the number of workers.
-func (p *Pool) Workers() int { return len(p.workers) }
-
 // Submit schedules t at the given priority. Safe for concurrent use,
 // including from inside running tasks. Submitting after Close panics.
 func (p *Pool) Submit(t Task, pri Priority) {

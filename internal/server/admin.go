@@ -90,7 +90,7 @@ func (s *Server) registerStats() *obs.Registry {
 	}
 
 	if w := s.work; w != nil {
-		r.Counter("work.visits", w.Work)
+		r.Counter("work.visits", w.Total)
 	}
 
 	if l := s.wal; l != nil {

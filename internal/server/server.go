@@ -358,9 +358,6 @@ func (s *Server) Mem() pws.MemStats { return s.store.Mem() }
 // Obs returns the map's telemetry bundle (depth and stage histograms).
 func (s *Server) Obs() *pws.MapTelemetry { return s.obsm }
 
-// Work returns the structural-work counter, nil unless Config.WorkCounter.
-func (s *Server) Work() *pws.WorkCounter { return s.work }
-
 // stages returns the batch-stage histogram set; nil-safe to record on.
 func (s *Server) stages() *obs.StageSet { return s.obsm.Stages() }
 

@@ -89,12 +89,12 @@ func TestSplayTemporalLocalityCheap(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		tr.Get(rng.Intn(8)) // hot set of 8
 	}
-	hotWork := cnt.Work()
+	hotWork := cnt.Total()
 	cnt.Reset()
 	for i := 0; i < ops; i++ {
 		tr.Get(rng.Intn(n))
 	}
-	uniWork := cnt.Work()
+	uniWork := cnt.Total()
 	if hotWork*3 > uniWork {
 		t.Fatalf("hot work %d not much cheaper than uniform %d", hotWork, uniWork)
 	}

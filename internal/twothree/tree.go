@@ -51,9 +51,6 @@ func NewPooled[K cmp.Ordered, P any](cnt *metrics.Counter, pool *NodePool[K, P])
 // Len returns the number of items.
 func (t *Tree[K, P]) Len() int { return t.root.size() }
 
-// Height returns the height of the tree (-1 when empty).
-func (t *Tree[K, P]) Height() int { return int(t.root.height()) }
-
 func (t *Tree[K, P]) chargePerOp(ops int) {
 	if t.cnt != nil {
 		t.cnt.Add(int64(ops) * int64(t.root.height()+2))

@@ -312,9 +312,6 @@ type Recovery struct {
 // (0 if recovery starts from an empty/WAL-only state).
 func (r *Recovery) SnapshotSeq() uint64 { return r.snapSeq }
 
-// Segments returns how many log segments Replay will walk.
-func (r *Recovery) Segments() int { return len(r.segs) }
-
 // Replay streams the recovered state in commit order, calling apply
 // once per frame: first the checkpoint's pairs (as set-record chunks),
 // then every logged batch at or after the checkpoint. Records may

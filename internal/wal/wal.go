@@ -415,20 +415,6 @@ func (l *Log) trimLocked() error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment (used by tests and by
-// graceful shutdown paths that want durability under SyncNever).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed.Load() {
-		return ErrClosed
-	}
-	if err := l.syncLocked(); err != nil {
-		return l.fail(err)
-	}
-	return nil
-}
-
 // rotateLocked seals the active segment (flush + truncate to its last
 // frame + fsync + close) and opens the next one. Sealing always syncs
 // regardless of policy, so every frame in a sealed segment is durable,
@@ -543,9 +529,6 @@ func (l *Log) Close() error {
 
 // Policy returns the configured fsync policy.
 func (l *Log) Policy() Policy { return l.opt.Policy }
-
-// Dir returns the data directory.
-func (l *Log) Dir() string { return l.opt.Dir }
 
 // Seq returns the active segment's sequence number without taking the
 // log's mutex, so a stats read never waits out an fsync.

@@ -28,11 +28,6 @@ func NewClient(rw io.ReadWriter) *Client {
 	return &Client{r: NewReader(rw), w: NewWriter(rw)}
 }
 
-// NewClientLimits is NewClient with explicit protocol limits.
-func NewClientLimits(rw io.ReadWriter, lim Limits) *Client {
-	return &Client{r: NewReaderLimits(rw, lim), w: NewWriter(rw)}
-}
-
 // Send buffers one command without flushing (pipelining).
 func (c *Client) Send(args ...string) error { return c.w.WriteCommand(args...) }
 

@@ -94,9 +94,6 @@ func NewRankTracker[K comparable](n int) *RankTracker[K] {
 	}
 }
 
-// Size returns the current simulated map size.
-func (rt *RankTracker[K]) Size() int { return rt.size }
-
 // Apply processes one operation and returns its access rank.
 func (rt *RankTracker[K]) Apply(a Access[K]) int {
 	rt.clock++

@@ -74,14 +74,9 @@ const (
 // PivotStrategy selects how the parallel entropy sort picks pivots.
 type PivotStrategy = esort.PivotStrategy
 
-// Pivot strategies for Options.Pivot.
-const (
-	// MedianOfMedians is the deterministic parallel pivot of Lemma 34.
-	MedianOfMedians = esort.MedianOfMedians
-	// RandomQuartile retries random pivots until one falls in the middle
-	// quartiles (the paper's practical recommendation).
-	RandomQuartile = esort.RandomQuartile
-)
+// MedianOfMedians is the deterministic parallel pivot of Lemma 34, the
+// default value of Options.Pivot.
+const MedianOfMedians = esort.MedianOfMedians
 
 // WorkCounter accumulates the structural work performed by a map, in
 // pointer-machine node visits. Attach one via Options.Counter to measure
