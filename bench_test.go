@@ -107,7 +107,7 @@ func BenchmarkM2Get_Hot(b *testing.B)  { benchConcMap(b, NewM2[int, int](Options
 func BenchmarkM2Get_Zipf(b *testing.B) { benchConcMap(b, NewM2[int, int](Options{}), "zipf") }
 
 func BenchmarkBatchedTreeGet_Zipf(b *testing.B) {
-	benchConcMap(b, NewBatchedTree[int, int](Options{}), "zipf")
+	benchConcMap(b, NewBatchedTree[int, int](0, nil), "zipf")
 }
 
 // --- Sharded vs single-instance throughput across goroutine counts ---

@@ -38,8 +38,9 @@
 //   - NewM0: the amortized sequential working-set map of Section 5.
 //   - NewIacono: Iacono's classic working-set structure.
 //   - NewSplay: a splay tree (amortized self-adjusting baseline).
-//   - NewBatchedTree: a batched, non-adaptive parallel 2-3 tree map (the
-//     paper's comparison baseline).
+//   - NewBatchedTree(p, cnt): a batched, non-adaptive parallel 2-3 tree
+//     map (the paper's comparison baseline), with p buffer slots and an
+//     optional work counter.
 //
 // # Choosing a map
 //

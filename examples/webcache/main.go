@@ -73,7 +73,7 @@ func main() {
 			return pws.NewM2[int, int](pws.Options{Counter: c})
 		}, sessions, keys)
 		bt := run(func(c *pws.WorkCounter) pws.ConcurrentMap[int, int] {
-			return pws.NewBatchedTree[int, int](pws.Options{Counter: c})
+			return pws.NewBatchedTree[int, int](0, c)
 		}, sessions, keys)
 		fmt.Printf("%12d %16.1f %16.1f %16.1f\n", sessions, m1, m2, bt)
 	}

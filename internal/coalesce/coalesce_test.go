@@ -17,7 +17,7 @@ import (
 // newMapCoalescer builds a Coalescer over a real sharded map.
 func newMapCoalescer(t *testing.T, cfg Config, shards int) (*Coalescer[string, string], *shard.Map[string, string]) {
 	t.Helper()
-	m := shard.New[string, string](shard.Config{Shards: shards, Shard: core.Config{P: 2}})
+	m := shard.New[string, string](shard.Config{Shards: shards, P: 2})
 	c := New(cfg, mapApplier(m))
 	t.Cleanup(func() {
 		c.Close()
@@ -380,7 +380,7 @@ func TestCoalesceNoWindow(t *testing.T) {
 // TestCoalesceCloseDrains checks that Close commits jobs still waiting in
 // an open window immediately, and that Submit after Close panics.
 func TestCoalesceCloseDrains(t *testing.T) {
-	m := shard.New[string, string](shard.Config{Shards: 2, Shard: core.Config{P: 2}})
+	m := shard.New[string, string](shard.Config{Shards: 2, P: 2})
 	defer m.Close()
 	c := New(Config{MaxBatch: 1 << 20, MaxDelay: 10 * time.Second}, mapApplier(m))
 	j := &Job[string, string]{Ops: []core.Op[string, string]{{Kind: core.OpInsert, Key: "k", Val: "v"}}}
@@ -541,7 +541,7 @@ func TestCoalesceLeaderHandoff(t *testing.T) {
 	)
 	for _, window := range []time.Duration{0, 200 * time.Microsecond} {
 		t.Run(fmt.Sprintf("window%v", window), func(t *testing.T) {
-			m := shard.New[int, int](shard.Config{Shards: 2, Shard: core.Config{P: 2}})
+			m := shard.New[int, int](shard.Config{Shards: 2, P: 2})
 			defer m.Close()
 			// An op's Val tags its job: (submitter*rounds + round)*64 + op.
 			var (

@@ -50,7 +50,7 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrClosed is returned by Serve, ListenAndServe and Pipe after Close.
+// ErrClosed is returned by Serve and Pipe after Close.
 var ErrClosed = errors.New("server: closed")
 
 // ErrConnLimit is returned by Pipe when MaxConns is reached; over TCP
@@ -216,8 +216,8 @@ type counters struct {
 }
 
 // Server is a wsd instance: a listener front-end over one sharded
-// working-set map. Create with New, serve with Serve/ListenAndServe/
-// ServeConn/Pipe, stop with Close.
+// working-set map. Create with New, serve with Serve/ServeConn/Pipe, stop
+// with Close.
 type Server struct {
 	cfg   Config
 	store *pws.Sharded[string, string]
@@ -271,7 +271,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		store: pws.NewSharded[string, string](pws.ShardedOptions{
-			Options:    pws.Options{P: cfg.P, Counter: work},
+			P:          cfg.P,
+			Counter:    work,
 			Shards:     cfg.Shards,
 			Telemetry:  true,
 			FrontCache: cfg.FrontCache,
@@ -468,15 +469,6 @@ func (s *Server) Serve(l net.Listener) error {
 		}
 		go s.ServeConn(nc)
 	}
-}
-
-// ListenAndServe listens on the TCP address addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Close shuts the server down gracefully: it stops accepting, unblocks

@@ -30,7 +30,7 @@ func (c *fakeClock) fn() func() int64 { return c.now.Load }
 func newTTLMap(clk *fakeClock, front int, maxBytes int64) *Map[string, string] {
 	return New[string, string](Config{
 		Shards:     1,
-		Shard:      core.Config{P: 2},
+		P:          2,
 		FrontCache: front,
 		MaxBytes:   maxBytes,
 		Clock:      clk.fn(),
@@ -180,7 +180,7 @@ func TestRangeGhostFilter(t *testing.T) {
 	t.Run("paged", func(t *testing.T) {
 		clk := newFakeClock(1000)
 		m := New[string, string](Config{
-			Shards: 4, Shard: core.Config{P: 2}, Clock: clk.fn(),
+			Shards: 4, P: 2, Clock: clk.fn(),
 		})
 		defer m.Close()
 
@@ -225,7 +225,7 @@ func TestRangeGhostFilter(t *testing.T) {
 	t.Run(engine, func(t *testing.T) {
 		clk := newFakeClock(1000)
 		m := New[string, string](Config{
-			Shards: 4, Shard: core.Config{P: 2}, Clock: clk.fn(),
+			Shards: 4, P: 2, Clock: clk.fn(),
 		})
 		defer m.Close()
 

@@ -92,7 +92,7 @@ func checkScattered(dsts [][]core.Result[int], want []core.Result[int]) error {
 // back every sub-batch no worker started. Results equal a sequential
 // model's, and work runs exactly once per call, an empty one included.
 func TestFanoutWithoutWorkers(t *testing.T) {
-	m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+	m := New[int, int](Config{Shards: 4, P: 2})
 	defer m.Close()
 	stopWorkers(m)
 	md := model{}
@@ -128,7 +128,7 @@ func TestFanoutWithoutWorkers(t *testing.T) {
 // the slot and apply their own at once. Each caller owns its keys, so
 // its results and pages must equal its own sequential model's.
 func TestFanoutRacingCallers(t *testing.T) {
-	m := New[int, int](Config{Shards: 2, Shard: core.Config{P: 2}})
+	m := New[int, int](Config{Shards: 2, P: 2})
 	defer m.Close()
 	var wg sync.WaitGroup
 	for g := range 8 {
@@ -171,7 +171,7 @@ func TestFanoutRacingCallers(t *testing.T) {
 // posted, and either way each is counted once, by whoever applied it.
 func TestFanoutCallerKeepsOneSubBatch(t *testing.T) {
 	const single = 500
-	m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+	m := New[int, int](Config{Shards: 4, P: 2})
 	defer m.Close()
 	for i := range single {
 		m.ApplyInto([]core.Op[int, int]{{Kind: core.OpInsert, Key: i, Val: i}}, nil)

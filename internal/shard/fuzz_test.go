@@ -36,7 +36,7 @@ func FuzzRangePage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, ops []byte, start byte, xlo bool, limit uint8) {
 		clk := newFakeClock(1000)
-		m := New[string, string](Config{Shards: 4, Shard: core.Config{P: 2}, Clock: clk.fn()})
+		m := New[string, string](Config{Shards: 4, P: 2, Clock: clk.fn()})
 		defer m.Close()
 
 		type item struct {

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // Shutdown and misuse tests, mirroring internal/core/misuse_test.go: the
@@ -15,7 +13,7 @@ import (
 
 func TestShardedUseAfterClosePanics(t *testing.T) {
 	t.Run(engine, func(t *testing.T) {
-		m := New[int, int](Config{Shards: 2, Shard: core.Config{P: 2}})
+		m := New[int, int](Config{Shards: 2, P: 2})
 		m.Insert(1, 1)
 		m.Close()
 		defer func() {
@@ -31,7 +29,7 @@ func TestShardedUseAfterClosePanics(t *testing.T) {
 // concurrent Closes all return, and none panics.
 func TestShardedDoubleClose(t *testing.T) {
 	t.Run(engine, func(t *testing.T) {
-		m := New[int, int](Config{Shards: 2, Shard: core.Config{P: 2}})
+		m := New[int, int](Config{Shards: 2, P: 2})
 		m.Insert(1, 1)
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
@@ -52,7 +50,7 @@ func TestShardedDoubleClose(t *testing.T) {
 // violation — never deadlock, corrupt state, or return garbage.
 func TestShardedCloseRacesOperations(t *testing.T) {
 	t.Run(engine, func(t *testing.T) {
-		m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+		m := New[int, int](Config{Shards: 4, P: 2})
 		const clients = 8
 		var completed, panicked atomic.Int64
 		var wg sync.WaitGroup

@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/frontcache"
 	"repro/internal/locks"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -39,13 +40,16 @@ import (
 type Config struct {
 	// Shards is the shard count S. Defaults to runtime.GOMAXPROCS(0).
 	Shards int
-	// Shard configures each per-shard engine. If Shard.P is unset it
-	// defaults to max(2, GOMAXPROCS/S) so the shards divide the machine
+	// P is each shard engine's processor-count parameter (core.Config.P).
+	// Defaults to max(2, GOMAXPROCS/S) so the shards divide the machine
 	// instead of each sizing its batches for the whole machine.
-	Shard core.Config
+	P int
+	// Counter, when non-nil, accumulates every shard engine's structural
+	// work.
+	Counter *metrics.Counter
 	// Telemetry, when set, equips the map with an obs.MapObs: one depth
-	// sink per shard (overriding Shard.Obs) plus the fanout/apply stage
-	// histograms, retrievable via Map.Obs.
+	// sink per shard plus the fanout/apply stage histograms, retrievable
+	// via Map.Obs.
 	Telemetry bool
 	// FrontCache, when positive, equips each shard with a lock-free
 	// hot-key read front of that many entries (internal/frontcache):
@@ -141,18 +145,12 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 	if s < 1 {
 		s = runtime.GOMAXPROCS(0)
 	}
-	sub := cfg.Shard
+	sub := core.Config{P: cfg.P, Counter: cfg.Counter}
 	if sub.P < 1 {
-		sub.P = runtime.GOMAXPROCS(0) / s
-		if sub.P < 2 {
-			sub.P = 2
-		}
+		sub.P = max(runtime.GOMAXPROCS(0)/s, 2)
 	}
 	if cfg.MaxBytes > 0 {
-		sub.MaxBytes = cfg.MaxBytes / int64(s)
-		if sub.MaxBytes < 1 {
-			sub.MaxBytes = 1
-		}
+		sub.MaxBytes = max(cfg.MaxBytes/int64(s), 1)
 	}
 	m := &Map[K, V]{
 		seed:     maphash.MakeSeed(),
@@ -176,11 +174,10 @@ func New[K cmp.Ordered, V any](cfg Config) *Map[K, V] {
 	}
 	for i := range m.shards {
 		m.exp[i] = newExpTable[K]()
-		sc := sub
 		if m.mobs != nil {
-			sc.Obs = m.mobs.Engine(i)
+			sub.Obs = m.mobs.Engine(i)
 		}
-		m.shards[i] = core.NewM1[K, V](sc)
+		m.shards[i] = core.NewM1[K, V](sub)
 		// Every sidecar transition for a key — its cached front copy and
 		// its TTL — happens inside the engine, at the key's serialization
 		// point, through these hooks and nowhere else: a GET finding the
@@ -443,32 +440,6 @@ func (m *Map[K, V]) frontPublish(k K) {
 	m.fronts[h%uint64(len(m.shards))].Publish(h, k)
 }
 
-// commitBoundary is the shard layer's share of a batch commit, run once
-// per ApplyScattered call after collect and once per point op after its
-// engine returns. The whole boundary, in order:
-//
-//  1. collect — the engines apply every op. As each write, expire or
-//     ghost observation resolves at its key's serialization point the
-//     core.KeyHooks drop the key's front slot and settle its TTL, and
-//     a GET that finds its key resident stages a front fill; budget
-//     eviction at the engine's batch end drops through SetOnEvict. A
-//     durable server's applier wrote the batch's WAL frame before
-//     collect and passed its sync as ApplyScattered's work, which runs
-//     while the shards apply and stops the process if it fails.
-//  2. publish — once the work has returned, collect's scatter (applyOne
-//     for a point op) publishes the fills of present GETs. Every result
-//     sits in its submitter's slice, the batch is durable, and no
-//     sidecar holds state the engines contradict.
-//  3. sweep — here: lazily retire due TTLs (reclamation only; an expired
-//     key already reads as absent).
-//  4. release — the server's applier closes the WAL's cut, and the
-//     coalescer releases the batch's waiters; replies are written.
-//
-// Nothing here depends on which ops the batch carried.
-func (m *Map[K, V]) commitBoundary() {
-	m.sweep()
-}
-
 // sweep resolves due TTLs lazily: for each shard with deadlines at or
 // before now, collect up to sweepMax due keys (dueKeys — the table
 // entries stay in place) and submit them as one plain engine Get
@@ -532,7 +503,7 @@ func (m *Map[K, V]) applyOne(op core.Op[K, V]) core.Result[V] {
 	if op.Kind == core.OpGet && r.OK {
 		m.frontPublish(op.Key)
 	}
-	m.commitBoundary()
+	m.sweep()
 	return r
 }
 
@@ -694,7 +665,27 @@ func (m *Map[K, V]) RangePage(lo K, xlo bool, hi K, limit int, dst []Entry[K, V]
 // A non-nil work (the durable server's WAL sync) runs once on the caller
 // while the shards apply. Apply and ApplyInto are the one-batch case
 // with no work; Get/Insert/Delete/Expire take the engines' point-op
-// path (applyOne). Every operation ends in the same commitBoundary.
+// path (applyOne), which ends in the same commit boundary. The whole
+// boundary, in order:
+//
+//  1. collect — the engines apply every op. As each write, expire or
+//     ghost observation resolves at its key's serialization point the
+//     core.KeyHooks drop the key's front slot and settle its TTL, and
+//     a GET that finds its key resident stages a front fill; budget
+//     eviction at the engine's batch end drops through SetOnEvict. A
+//     durable server's applier wrote the batch's WAL frame before
+//     collect and passed its sync as work, which runs while the shards
+//     apply and stops the process if it fails.
+//  2. publish — once the work has returned, collect's scatter (applyOne
+//     for a point op) publishes the fills of present GETs. Every result
+//     sits in its submitter's slice, the batch is durable, and no
+//     sidecar holds state the engines contradict.
+//  3. sweep — lazily retire due TTLs (reclamation only; an expired key
+//     already reads as absent).
+//  4. release — the server's applier closes the WAL's cut, and the
+//     coalescer releases the batch's waiters; replies are written.
+//
+// Nothing in the boundary depends on which ops the batch carried.
 func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Result[V], work func()) {
 	m.enter()
 	defer m.pending.Done()
@@ -709,7 +700,7 @@ func (m *Map[K, V]) ApplyScattered(batches [][]core.Op[K, V], dsts [][]core.Resu
 		return
 	}
 	m.collect(batches, dsts, total, work)
-	m.commitBoundary()
+	m.sweep()
 }
 
 // collect is ApplyScattered's split → apply → scatter: when it returns

@@ -23,7 +23,7 @@ const engine = "m1"
 // sharded map and a builtin map and checks every result.
 func TestShardedAgainstReference(t *testing.T) {
 	t.Run(engine, func(t *testing.T) {
-		m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+		m := New[int, int](Config{Shards: 4, P: 2})
 		defer m.Close()
 		rng := rand.New(rand.NewSource(3))
 		ref := map[int]int{}
@@ -69,7 +69,7 @@ func TestShardedAgainstReference(t *testing.T) {
 // input order with sequential per-key semantics.
 func TestShardedApply(t *testing.T) {
 	t.Run(engine, func(t *testing.T) {
-		m := New[int, string](Config{Shards: 3, Shard: core.Config{P: 2}})
+		m := New[int, string](Config{Shards: 3, P: 2})
 		defer m.Close()
 		const n = 20000
 		ops := make([]core.Op[int, string], n)
@@ -116,9 +116,9 @@ func TestShardedApplyScattered(t *testing.T) {
 				}
 				return ops
 			}
-			ref := New[int, int](Config{Shards: shards, Shard: core.Config{P: 2}})
+			ref := New[int, int](Config{Shards: shards, P: 2})
 			defer ref.Close()
-			m := New[int, int](Config{Shards: shards, Shard: core.Config{P: 2}})
+			m := New[int, int](Config{Shards: shards, P: 2})
 			defer m.Close()
 			rng := rand.New(rand.NewSource(41))
 			ops := mkOps(rng, 400)
@@ -171,7 +171,7 @@ func TestShardedApplyScattered(t *testing.T) {
 
 // TestShardedItemsOrdered checks the cross-shard k-way merged iteration.
 func TestShardedItemsOrdered(t *testing.T) {
-	m := New[int, int](Config{Shards: 5, Shard: core.Config{P: 2}})
+	m := New[int, int](Config{Shards: 5, P: 2})
 	defer m.Close()
 	rng := rand.New(rand.NewSource(4))
 	ref := map[int]int{}
@@ -198,7 +198,7 @@ func TestShardedItemsOrdered(t *testing.T) {
 
 // TestShardedRange checks the half-open range scan and early termination.
 func TestShardedRange(t *testing.T) {
-	m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+	m := New[int, int](Config{Shards: 4, P: 2})
 	defer m.Close()
 	for i := 0; i < 1000; i++ {
 		m.Insert(i, i*10)
@@ -230,7 +230,7 @@ func TestShardedRange(t *testing.T) {
 // disjoint key ranges and checks exact per-client results.
 func TestShardedConcurrent(t *testing.T) {
 	t.Run(engine, func(t *testing.T) {
-		m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+		m := New[int, int](Config{Shards: 4, P: 2})
 		defer m.Close()
 		var wg sync.WaitGroup
 		for c := 0; c < 8; c++ {
@@ -376,9 +376,7 @@ func TestFrontFillAtRead(t *testing.T) {
 // whose value it read. A durable server's work is its WAL sync, and the
 // front answers reads that take no batch.
 func TestFrontFillAfterWork(t *testing.T) {
-	cfg := Config{Shards: 1, FrontCache: 64}
-	cfg.Shard.P = 2
-	m := New[string, string](cfg)
+	m := New[string, string](Config{Shards: 1, P: 2, FrontCache: 64})
 	defer m.Close()
 	// Many ops after the SET, so the engine's batch size splits the
 	// sub-batch and the GET reads the SET's value from the tree.
@@ -428,7 +426,7 @@ func TestShardedDefaultShards(t *testing.T) {
 // false at the end — all without quiescing the map.
 func TestShardedRangePage(t *testing.T) {
 	t.Run(engine, func(t *testing.T) {
-		m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+		m := New[int, int](Config{Shards: 4, P: 2})
 		defer m.Close()
 		const n = 500
 		for i := 0; i < n; i++ {
@@ -479,7 +477,7 @@ func TestShardedRangePage(t *testing.T) {
 // no-stop-the-world property under -race.
 func TestShardedRangeConcurrent(t *testing.T) {
 	t.Run(engine, func(t *testing.T) {
-		m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+		m := New[int, int](Config{Shards: 4, P: 2})
 		defer m.Close()
 		const universe = 1 << 10
 		iters := 2000
@@ -531,7 +529,7 @@ func TestShardedRangeConcurrent(t *testing.T) {
 // TestShardedApplyRejectsRange documents the routing contract: a range op
 // cannot ride the point-op Apply path on a multi-shard map.
 func TestShardedApplyRejectsRange(t *testing.T) {
-	m := New[int, int](Config{Shards: 4, Shard: core.Config{P: 2}})
+	m := New[int, int](Config{Shards: 4, P: 2})
 	defer m.Close()
 	defer func() {
 		if recover() == nil {

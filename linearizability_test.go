@@ -522,7 +522,7 @@ func TestLinearizabilityM2(t *testing.T) {
 
 func TestLinearizabilityShardedM1(t *testing.T) {
 	runLinearizabilityTest(t, NewSharded[int, int](ShardedOptions{
-		Options: Options{P: 2}, Shards: 4,
+		P: 2, Shards: 4,
 	}), false)
 }
 
@@ -533,7 +533,7 @@ func TestLinearizabilityShardedM1(t *testing.T) {
 // up as a history violation).
 func TestLinearizabilityFrontShardedM1(t *testing.T) {
 	runLinearizabilityTest(t, NewSharded[int, int](ShardedOptions{
-		Options: Options{P: 2}, Shards: 4, FrontCache: 256,
+		P: 2, Shards: 4, FrontCache: 256,
 	}), false)
 }
 
@@ -546,6 +546,6 @@ func TestLinearizabilityFrontShardedM1(t *testing.T) {
 // definitely-absent assertion).
 func TestLinearizabilityExpiryShardedM1(t *testing.T) {
 	runLinearizabilityTest(t, NewSharded[int, int](ShardedOptions{
-		Options: Options{P: 2}, Shards: 4, FrontCache: 256,
+		P: 2, Shards: 4, FrontCache: 256,
 	}), true)
 }

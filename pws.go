@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/esort"
 	"repro/internal/iacono"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -71,13 +70,6 @@ const (
 	OpExpire = core.OpExpire
 )
 
-// PivotStrategy selects how the parallel entropy sort picks pivots.
-type PivotStrategy = esort.PivotStrategy
-
-// MedianOfMedians is the deterministic parallel pivot of Lemma 34, the
-// default value of Options.Pivot.
-const MedianOfMedians = esort.MedianOfMedians
-
 // WorkCounter accumulates the structural work performed by a map, in
 // pointer-machine node visits. Attach one via Options.Counter to measure
 // work bounds; see EXPERIMENTS.md.
@@ -101,13 +93,9 @@ type Options struct {
 	// bunches of p² operations, and M2 sizes its first slab and filter as
 	// functions of p. Defaults to runtime.GOMAXPROCS(0).
 	P int
-	// Pivot selects the entropy-sort pivot strategy.
-	Pivot PivotStrategy
 	// Counter, when non-nil, accumulates the map's structural work.
 	Counter *WorkCounter
-	// Obs, when non-nil, receives the engine's depth telemetry. For a
-	// sharded map prefer ShardedOptions.Telemetry, which creates one
-	// sink per shard.
+	// Obs, when non-nil, receives the engine's depth telemetry.
 	Obs *EngineTelemetry
 	// RecordLinearization makes the engine record the operation order it
 	// induces, retrievable via the map's DrainLinearization method, so the
@@ -119,18 +107,15 @@ type Options struct {
 	// of the working-set hierarchy, exactly the keys the paper's recency
 	// structure already keeps deepest — until back under budget. Evicted
 	// keys vanish as if deleted. 0 means unbounded (byte accounting
-	// still runs, so Bytes reports the footprint either way). M1 and
-	// Sharded only: the paper's M2 has no byte budget, and NewM2 panics
-	// on a positive value. On a Sharded map prefer
-	// ShardedOptions.MaxBytes, which is a global budget split across
-	// shards.
+	// still runs, so Bytes reports the footprint either way). M1 only:
+	// the paper's M2 has no byte budget, and NewM2 panics on a positive
+	// value.
 	MaxBytes int64
 }
 
 func (o Options) toConfig() core.Config {
 	return core.Config{
 		P:                   o.P,
-		Pivot:               o.Pivot,
 		Counter:             o.Counter,
 		Obs:                 o.Obs,
 		RecordLinearization: o.RecordLinearization,
@@ -212,9 +197,11 @@ type BatchedTree[K cmp.Ordered, V any] struct {
 	*baseline.BatchedTree[K, V]
 }
 
-// NewBatchedTree creates a batched 2-3 tree map. Close it after use.
-func NewBatchedTree[K cmp.Ordered, V any](o Options) *BatchedTree[K, V] {
-	return &BatchedTree[K, V]{baseline.NewBatchedTree[K, V](o.P, o.Counter)}
+// NewBatchedTree creates a batched 2-3 tree map with p buffer slots for
+// pending operations (p < 1 defaults to runtime.GOMAXPROCS(0)). cnt may be
+// nil. Close it after use.
+func NewBatchedTree[K cmp.Ordered, V any](p int, cnt *WorkCounter) *BatchedTree[K, V] {
+	return &BatchedTree[K, V]{baseline.NewBatchedTree[K, V](p, cnt)}
 }
 
 // Locked wraps any sequential Map behind a global mutex, producing a
@@ -223,18 +210,21 @@ func Locked[K cmp.Ordered, V any](m Map[K, V]) Map[K, V] {
 	return baseline.NewLocked[K, V](m)
 }
 
-// ShardedOptions configures NewSharded. The embedded Options configure
-// each per-shard engine (an M1); Options.P left at zero defaults to
-// GOMAXPROCS/Shards (each shard gets a slice of the machine, not the whole
-// machine).
+// ShardedOptions configures NewSharded. Each shard's engine is an M1.
 type ShardedOptions struct {
-	Options
+	// P is each shard engine's processor-count parameter p (see
+	// Options.P). Defaults to max(2, GOMAXPROCS/Shards): each shard gets
+	// a slice of the machine, not the whole machine.
+	P int
+	// Counter, when non-nil, accumulates the structural work of every
+	// shard's engine.
+	Counter *WorkCounter
 	// Shards is the shard count. Defaults to runtime.GOMAXPROCS(0).
 	Shards int
 	// Telemetry equips the map with a MapTelemetry bundle (one depth
-	// sink per shard, overriding Options.Obs, plus batch-stage
-	// histograms), retrievable via Sharded.Obs. Recording is alloc-free
-	// and costs a few atomic adds per resolved group.
+	// sink per shard plus batch-stage histograms), retrievable via
+	// Sharded.Obs. Recording is alloc-free and costs a few atomic adds
+	// per resolved group.
 	Telemetry bool
 	// FrontCache, when positive, puts a lock-free hot-key read front of
 	// that many entries ahead of each shard (internal/frontcache): Get
@@ -247,8 +237,8 @@ type ShardedOptions struct {
 	FrontCache int
 	// MaxBytes, when positive, is the map's global byte budget: split
 	// evenly across shards, enforced at batch boundaries by evicting
-	// each shard's least-recent items (see Options.MaxBytes). Overrides
-	// any per-engine Options.MaxBytes. 0 means unbounded.
+	// each shard's least-recent items (see Options.MaxBytes). 0 means
+	// unbounded.
 	MaxBytes int64
 	// Clock supplies the TTL clock as absolute unix-nanos (tests inject
 	// a fake). Defaults to time.Now().UnixNano.
@@ -277,7 +267,8 @@ type Sharded[K cmp.Ordered, V any] struct {
 func NewSharded[K cmp.Ordered, V any](o ShardedOptions) *Sharded[K, V] {
 	return &Sharded[K, V]{shard.New[K, V](shard.Config{
 		Shards:     o.Shards,
-		Shard:      o.toConfig(),
+		P:          o.P,
+		Counter:    o.Counter,
 		Telemetry:  o.Telemetry,
 		FrontCache: o.FrontCache,
 		MaxBytes:   o.MaxBytes,

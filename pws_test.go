@@ -64,7 +64,7 @@ func TestConcurrentMapsAgree(t *testing.T) {
 	}{
 		{"m1", func() ConcurrentMap[int, int] { return NewM1[int, int](Options{P: 4}) }},
 		{"m2", func() ConcurrentMap[int, int] { return NewM2[int, int](Options{P: 4}) }},
-		{"batched-tree", func() ConcurrentMap[int, int] { return NewBatchedTree[int, int](Options{P: 4}) }},
+		{"batched-tree", func() ConcurrentMap[int, int] { return NewBatchedTree[int, int](4, nil) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.mk()
@@ -151,5 +151,31 @@ func TestLockedAdapter(t *testing.T) {
 	wg.Wait()
 	if m.Len() != 2000 {
 		t.Fatalf("Len = %d", m.Len())
+	}
+}
+
+// TestShardedByteBudget checks the library byte budget through the public
+// API: ShardedOptions.MaxBytes is the map's one budget, reported back by
+// Mem and enforced across the shards, and every key it evicts is counted.
+func TestShardedByteBudget(t *testing.T) {
+	const budget, n = 256 << 10, 20000
+	m := NewSharded[int, int](ShardedOptions{Shards: 4, MaxBytes: budget})
+	defer m.Close()
+	for k := 0; k < n; k++ {
+		m.Insert(k, k)
+	}
+	m.Quiesce()
+	st := m.Mem()
+	if st.MaxBytes != budget {
+		t.Errorf("Mem().MaxBytes = %d, want %d", st.MaxBytes, budget)
+	}
+	if st.Bytes > st.MaxBytes {
+		t.Errorf("Mem().Bytes = %d over the %d budget", st.Bytes, st.MaxBytes)
+	}
+	if st.Evicted == 0 {
+		t.Errorf("nothing evicted after %d distinct inserts under a %d-byte budget", n, budget)
+	}
+	if got := int64(m.Len()) + st.Evicted; got != n {
+		t.Errorf("Len %d + Evicted %d = %d, want %d", m.Len(), st.Evicted, got, n)
 	}
 }
