@@ -27,7 +27,8 @@
 //	                             # EXPIRE/SETEX per-key TTLs work either way)
 //	wsd -data-dir /var/lib/wsd   # durable: group-commit WAL + snapshots;
 //	                             # restart recovers every acked write
-//	                             # (-fsync always|interval|never)
+//	                             # (-fsync always; -fsync never syncs only
+//	                             # at segment seals, snapshots and exit)
 //	wsd -admin :6381             # admin HTTP endpoint: Prometheus /metrics,
 //	                             # JSON /statsz (depth and batch-stage
 //	                             # histograms), /debug/pprof. A bare port
@@ -70,8 +71,7 @@ func main() {
 		adminOpen = flag.Bool("admin-expose", false, "allow the unauthenticated admin endpoint on a non-loopback address")
 		workCnt   = flag.Bool("work-counter", false, "count structural work (pointer-machine units) in STATS and /statsz")
 		dataDir   = flag.String("data-dir", "", "durability directory (WAL segments + snapshots); empty = in-memory only")
-		fsync     = flag.String("fsync", "always", "WAL fsync policy: always (per group-commit cut), interval, or never")
-		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period for -fsync interval")
+		fsync     = flag.String("fsync", "always", "WAL fsync policy: always (per group-commit cut) or never (only at segment seals, snapshots and exit)")
 		segBytes  = flag.Int64("segment-bytes", 64<<20, "WAL segment rotation size")
 		snapBytes = flag.Int64("snapshot-bytes", 64<<20, "checkpoint once the WAL grows this much past the last snapshot (negative = never)")
 		idleTO    = flag.Duration("idle-timeout", 0, "close connections idle longer than this (0 = never)")
@@ -95,17 +95,17 @@ func main() {
 		cfg.FrontCache = -1
 	}
 
+	// Parsed with or without -data-dir, so a bad policy fails at start-up.
+	policy, err := wal.ParsePolicy(*fsync)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wsd: %v\n", err)
+		os.Exit(2)
+	}
 	var rec *wal.Recovery
 	if *dataDir != "" {
-		policy, err := wal.ParsePolicy(*fsync)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wsd: %v\n", err)
-			os.Exit(2)
-		}
 		cfg.WAL, rec, err = wal.Open(wal.Options{
 			Dir:          *dataDir,
 			Policy:       policy,
-			SyncEvery:    *fsyncIvl,
 			SegmentBytes: *segBytes,
 		})
 		if err != nil {

@@ -1,7 +1,8 @@
 // Wsload is a closed-loop load generator for wsd: N connections each
 // drive a pipeline of depth D of mixed GET/SET (and optionally SCAN)
 // requests drawn from the internal/workload generators, and report
-// throughput and latency percentiles per workload.
+// throughput and latency percentiles per workload. Each connection
+// dials once; a dropped connection fails the run.
 //
 // Usage:
 //
@@ -9,20 +10,15 @@
 //	wsload -addr host:6380 -conns 32 -depth 64
 //	wsload -workloads uniform,zipf -n 1000000
 //	wsload -depth 1                         # unpipelined baseline
-//	wsload -rate 50000                      # open-loop fixed-rate mode (no
-//	                                        # coordinated omission; see below)
 //	wsload -scan-frac 0.1 -scan-count 100   # mixed scan workload: 10% of
 //	                                        # commands read one cursor page
 //	                                        # (scan latency reported apart)
-//	wsload -retry 10s -op-timeout 5s        # ride through server restarts:
-//	                                        # dial failures back off (capped,
-//	                                        # jittered) and dropped batches
-//	                                        # are reissued on a fresh conn
 //	wsload -chaos -chaos-bin ./wsd -chaos-dir /tmp/chaos
 //	                                        # durability audit: spawn wsd over
-//	                                        # a data dir, SIGKILL it mid-load,
-//	                                        # restart, verify every acked
-//	                                        # write survived (exit 1 on any
+//	                                        # a data dir with -fsync always,
+//	                                        # SIGKILL it mid-load, restart,
+//	                                        # verify every acked write
+//	                                        # survived (exit 1 on any
 //	                                        # violation)
 //	wsload -json                            # one JSON object per workload
 //	wsload -statsz http://127.0.0.1:6381/statsz
@@ -38,12 +34,11 @@
 // server_ops / server_batches) — the network realization of the
 // paper's batching.
 //
-// The default pacing is a closed loop, which under-reports latency when
-// the server queues (coordinated omission: a slow reply also delays the
-// next request). -rate N switches to an open loop that issues N ops/s on
-// a fixed schedule and measures every reply against its scheduled send
-// time — the right way to read the latency cost of wsd's
-// -coalesce-window.
+// A closed loop under-reports latency when the server queues
+// (coordinated omission: a slow reply also delays the next request). To
+// read the latency cost of wsd's -coalesce-window, use -statsz: the
+// server-side queue_wait and window_wait stage percentiles time the
+// wait on the server, with no client sleep in them.
 package main
 
 import (
@@ -62,7 +57,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:6380", "wsd server address")
 		conns     = flag.Int("conns", 8, "concurrent connections")
 		depth     = flag.Int("depth", 16, "pipeline depth per connection (1 = no pipelining)")
-		rate      = flag.Float64("rate", 0, "open-loop fixed rate in ops/s across all connections (0 = closed loop)")
 		n         = flag.Int("n", 200_000, "total operations per workload")
 		workloads = flag.String("workloads", "zipf,working-set", "comma-separated workloads: uniform, zipf, working-set")
 		universe  = flag.Int("universe", 1<<16, "key-space size")
@@ -78,16 +72,13 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generator seed")
 		jsonOut   = flag.Bool("json", false, "emit one JSON object per workload")
 		statsz    = flag.String("statsz", "", "admin /statsz URL to scrape between runs (server-side percentiles)")
-		retry     = flag.Duration("retry", 0, "reconnect budget: redial with capped jittered backoff and reissue dropped batches for up to this long (0 = fail fast)")
-		opTimeout = flag.Duration("op-timeout", 0, "per-batch operation deadline (0 = none)")
 
-		chaos      = flag.Bool("chaos", false, "run the kill/restart durability audit instead of a load run")
-		chaosBin   = flag.String("chaos-bin", "", "wsd binary to spawn for -chaos")
-		chaosDir   = flag.String("chaos-dir", "", "data directory for -chaos (the spawned server's -data-dir)")
-		chaosKill  = flag.Int("chaos-kill", 0, "SIGKILL once this many ops are acked (0 = a third of the budget)")
-		chaosFsync = flag.String("chaos-fsync", "always", "fsync policy for the spawned server")
-		chaosTTL   = flag.Int("chaos-ttl", 0, "short-TTL keys planted for the expiry-resurrection audit (0 = default 64, negative = off)")
-		chaosMaxB  = flag.Int64("chaos-max-bytes", 0, "run the spawned server bounded (-max-bytes): acked SETs may evict, audit relaxes accordingly")
+		chaos     = flag.Bool("chaos", false, "run the kill/restart durability audit instead of a load run")
+		chaosBin  = flag.String("chaos-bin", "", "wsd binary to spawn for -chaos")
+		chaosDir  = flag.String("chaos-dir", "", "data directory for -chaos (the spawned server's -data-dir)")
+		chaosKill = flag.Int("chaos-kill", 0, "SIGKILL once this many ops are acked (0 = a third of the budget)")
+		chaosTTL  = flag.Int("chaos-ttl", 0, "short-TTL keys planted for the expiry-resurrection audit (0 = default 64, negative = off)")
+		chaosMaxB = flag.Int64("chaos-max-bytes", 0, "run the spawned server bounded (-max-bytes): acked SETs may evict, audit relaxes accordingly")
 	)
 	flag.Parse()
 
@@ -96,7 +87,6 @@ func main() {
 			ServerBin:  *chaosBin,
 			DataDir:    *chaosDir,
 			Addr:       *addr,
-			Fsync:      *chaosFsync,
 			Conns:      *conns,
 			OpsPerConn: *n / max(*conns, 1),
 			Depth:      *depth,
@@ -143,7 +133,6 @@ func main() {
 		cfg := loadgen.Config{
 			Conns:       *conns,
 			Depth:       *depth,
-			Rate:        *rate,
 			Ops:         *n,
 			Workload:    loadgen.Workload(w),
 			Universe:    *universe,
@@ -157,8 +146,6 @@ func main() {
 			TTLSeconds:  *ttlSec,
 			Preload:     *preload,
 			Seed:        *seed,
-			Retry:       *retry,
-			OpTimeout:   *opTimeout,
 		}
 		// With scraping on, preload runs before the baseline scrape so the
 		// reported server-side interval covers only the measured ops.

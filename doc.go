@@ -126,8 +126,8 @@
 // and front_misses in STATS, front.* in /statsz, wsd_front_* in
 // /metrics; hit ratio via wsload -statsz).
 // cmd/wsload is the matching load generator (closed-loop pipelines,
-// open-loop fixed-rate with -rate for coordinated-omission-free
-// latency, mixed scan workloads with -scan-frac); see README.md.
+// mixed scan workloads with -scan-frac, server-side stage percentiles
+// with -statsz); see README.md.
 //
 // See EXPERIMENTS.md for the measured reproduction of every bound in the
 // paper, and DESIGN.md for the system inventory.

@@ -51,9 +51,6 @@ type ChaosConfig struct {
 	DataDir string
 	// Addr is the address the server listens on (host:port). Required.
 	Addr string
-	// Fsync is the -fsync policy (default "always" — the policy the
-	// acked-writes-survive guarantee holds under).
-	Fsync string
 	// SnapshotBytes is passed to -snapshot-bytes (default 256 KiB, small
 	// enough that the run exercises checkpoints and pruning too).
 	SnapshotBytes int64
@@ -87,9 +84,6 @@ type ChaosConfig struct {
 func (c ChaosConfig) withDefaults() (ChaosConfig, error) {
 	if c.ServerBin == "" || c.DataDir == "" || c.Addr == "" {
 		return c, fmt.Errorf("loadgen: chaos: ServerBin, DataDir and Addr are required")
-	}
-	if c.Fsync == "" {
-		c.Fsync = "always"
 	}
 	if c.SnapshotBytes == 0 {
 		c.SnapshotBytes = 256 << 10
@@ -180,7 +174,7 @@ func (p *chaosProc) start() error {
 	args := []string{
 		"-addr", p.cfg.Addr,
 		"-data-dir", p.cfg.DataDir,
-		"-fsync", p.cfg.Fsync,
+		"-fsync", "always", // the one policy under which an acked write survives SIGKILL
 		"-snapshot-bytes", strconv.FormatInt(p.cfg.SnapshotBytes, 10),
 	}
 	if p.cfg.MaxBytes > 0 {

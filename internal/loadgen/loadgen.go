@@ -5,20 +5,16 @@
 // function), so the same loop drives a TCP server and an in-process
 // net.Pipe server in tests.
 //
-// Two pacing modes exist. The default closed loop has each connection
-// drive a pipeline of depth D, issuing its next batch only after the
-// previous one's replies — throughput-oriented, but latency under load
-// suffers coordinated omission (a slow reply delays the next request,
-// hiding the queueing the server caused). The open-loop mode
-// (Config.Rate > 0) instead fires requests on a fixed schedule and
-// measures each reply against its *scheduled* send time, so the latency
-// a coalescing window or an overloaded server adds is fully visible.
+// The loop is closed: each connection drives a pipeline of depth D,
+// issuing its next batch only after the previous one's replies, as a
+// thread of the paper's model makes a call and waits for it. A closed
+// loop does not see the queueing a slow reply causes (coordinated
+// omission); the server-side queue_wait and window_wait stage
+// percentiles (wsload -statsz) time that on the server instead.
 package loadgen
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -97,26 +93,6 @@ type Config struct {
 	Preload bool
 	// Seed seeds the generators (default 1).
 	Seed int64
-	// Retry, when positive, is the reconnect budget: dial failures back
-	// off exponentially (capped, with jitter; see retry.go) for up to
-	// this long instead of failing the run, and a connection dropped
-	// mid-run is redialed with the interrupted batch reissued. A batch
-	// reissue can double-apply SETs/DELs — fine for load generation;
-	// the chaos harness does its own exactly-once accounting on top.
-	Retry time.Duration
-	// OpTimeout, when positive, bounds each pipelined batch (all sends,
-	// the flush, and all replies) with a connection deadline, so a
-	// wedged or killed server surfaces as an error — which Retry then
-	// turns into a reconnect — instead of a worker hung forever.
-	OpTimeout time.Duration
-	// Rate, when positive, switches to open-loop pacing: the connections
-	// together issue Rate operations per second on a fixed schedule
-	// (unpipelined, spread evenly across connections with staggered
-	// starts), and each operation's latency is measured from its
-	// scheduled send time — so queueing delay the server or a coalescing
-	// window introduces is not masked by the client's own backoff
-	// (no coordinated omission). Depth is ignored in this mode.
-	Rate float64
 }
 
 func (c Config) withDefaults() Config {
@@ -171,12 +147,9 @@ func (c Config) withDefaults() Config {
 
 // Report is the outcome of one load run.
 type Report struct {
-	Workload Workload `json:"workload"`
-	Conns    int      `json:"conns"`
-	Depth    int      `json:"depth"`
-	// Rate is the open-loop target in ops/s (0 for closed-loop runs);
-	// OpsPerSec is what was actually achieved.
-	Rate      float64       `json:"rate,omitempty"`
+	Workload  Workload      `json:"workload"`
+	Conns     int           `json:"conns"`
+	Depth     int           `json:"depth"`
 	Ops       int           `json:"ops"`
 	Errors    int           `json:"errors"`
 	Duration  time.Duration `json:"duration_ns"`
@@ -199,8 +172,6 @@ type Report struct {
 	Scans   int           `json:"scans,omitempty"`
 	ScanP50 time.Duration `json:"scan_p50_ns,omitempty"`
 	ScanP99 time.Duration `json:"scan_p99_ns,omitempty"`
-	// Reconnects counts mid-run redials (only with Config.Retry set).
-	Reconnects int `json:"reconnects,omitempty"`
 	// GoMaxProcs and GoVersion pin the run's environment so archived
 	// report rows (BENCH_*.json) stay comparable across machines and
 	// toolchains.
@@ -210,12 +181,8 @@ type Report struct {
 
 // String renders the report as one aligned line.
 func (r Report) String() string {
-	pacing := fmt.Sprintf("depth=%-3d", r.Depth)
-	if r.Rate > 0 {
-		pacing = fmt.Sprintf("rate=%-8.0f", r.Rate)
-	}
-	line := fmt.Sprintf("%-12s conns=%-3d %s ops=%-8d err=%-3d %10.0f ops/s  p50=%-9s p99=%-9s max=%s",
-		r.Workload, r.Conns, pacing, r.Ops, r.Errors,
+	line := fmt.Sprintf("%-12s conns=%-3d depth=%-3d ops=%-8d err=%-3d %10.0f ops/s  p50=%-9s p99=%-9s max=%s",
+		r.Workload, r.Conns, r.Depth, r.Ops, r.Errors,
 		r.OpsPerSec, r.P50, r.P99, r.Max)
 	if r.Gets > 0 {
 		line += fmt.Sprintf("  hit=%.1f%%", 100*r.HitRatio())
@@ -259,7 +226,7 @@ func genKeys(cfg Config, seed int64, n int) ([]int, error) {
 // Config.Preload is set; examples share it for their own warm-up.
 func Preload(cfg Config, dial func() (net.Conn, error)) error {
 	cfg = cfg.withDefaults()
-	nc, err := dialRetry(dial, cfg.Retry, rand.New(rand.NewSource(cfg.Seed^0x51a7)))
+	nc, err := dial()
 	if err != nil {
 		return err
 	}
@@ -296,22 +263,19 @@ func Preload(cfg Config, dial func() (net.Conn, error)) error {
 // connResult is one connection's measurements: point-op and scan
 // latencies separately (see Report.P50).
 type connResult struct {
-	lats       []time.Duration
-	scanLats   []time.Duration
-	gets       int
-	hits       int
-	errs       int
-	reconnects int
-	err        error
+	lats     []time.Duration
+	scanLats []time.Duration
+	gets     int
+	hits     int
+	errs     int
+	err      error
 }
 
-// Run executes one load run against whatever dial connects to. In the
-// default closed loop, latency is measured per operation as time from
-// pipeline submission to that operation's reply (so with depth D it
-// includes queueing behind the up-to-D-1 requests ahead of it, as a
-// closed-loop client experiences it). With Config.Rate set, the run is
-// open-loop: requests fire on a fixed schedule and latency is measured
-// from each operation's scheduled send time (no coordinated omission).
+// Run executes one load run against whatever dial connects to. Latency
+// is measured per operation as time from pipeline submission to that
+// operation's reply, so with depth D it includes queueing behind the
+// up-to-D-1 requests ahead of it, as a closed-loop client experiences
+// it.
 func Run(cfg Config, dial func() (net.Conn, error)) (Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Preload {
@@ -330,23 +294,14 @@ func Run(cfg Config, dial func() (net.Conn, error)) (Report, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			seed := cfg.Seed + int64(i)*7919
-			if cfg.Rate > 0 {
-				// Per-connection interval so the fleet sums to Rate;
-				// staggered starts spread the global schedule evenly.
-				interval := time.Duration(float64(cfg.Conns) / cfg.Rate * float64(time.Second))
-				offset := time.Duration(float64(i) / cfg.Rate * float64(time.Second))
-				results[i] = runConnRate(cfg, seed, perConn, interval, offset, dial)
-			} else {
-				results[i] = runConn(cfg, seed, perConn, dial)
-			}
+			results[i] = runConn(cfg, cfg.Seed+int64(i)*7919, perConn, dial)
 		}(i)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
 	var all, scans []time.Duration
-	errs, reconnects := 0, 0
+	errs, gets, hits := 0, 0, 0
 	for _, r := range results {
 		if r.err != nil {
 			return Report{}, r.err
@@ -354,10 +309,6 @@ func Run(cfg Config, dial func() (net.Conn, error)) (Report, error) {
 		all = append(all, r.lats...)
 		scans = append(scans, r.scanLats...)
 		errs += r.errs
-		reconnects += r.reconnects
-	}
-	gets, hits := 0, 0
-	for _, r := range results {
 		gets += r.gets
 		hits += r.hits
 	}
@@ -367,15 +318,13 @@ func Run(cfg Config, dial func() (net.Conn, error)) (Report, error) {
 	rep := Report{
 		Workload:   cfg.Workload,
 		Conns:      cfg.Conns,
-		Depth:      reportDepth(cfg),
-		Rate:       cfg.Rate,
+		Depth:      cfg.Depth,
 		Ops:        total,
 		Errors:     errs,
 		Duration:   wall,
 		Gets:       gets,
 		GetHits:    hits,
 		Scans:      len(scans),
-		Reconnects: reconnects,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 	}
@@ -400,16 +349,7 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// reportDepth is the pipeline depth a report should carry: the open-loop
-// mode is unpipelined by construction.
-func reportDepth(cfg Config) int {
-	if cfg.Rate > 0 {
-		return 1
-	}
-	return cfg.Depth
-}
-
-// opKind is one scheduled command's kind.
+// opKind is one command's kind.
 type opKind uint8
 
 const (
@@ -421,8 +361,7 @@ const (
 
 // planOps draws each operation's kind up front (scan by ScanFrac, then
 // GET/SET by GetFrac, with TTLFrac of the writes upgraded to SETEX), so
-// paced senders and their reply readers agree on which latencies are
-// scans without sharing an RNG.
+// the reply loop knows which latencies are scans.
 func planOps(cfg Config, rng *rand.Rand, n int) []opKind {
 	kinds := make([]opKind, n)
 	for i := range kinds {
@@ -455,125 +394,38 @@ func sendOp(cl *wire.Client, cfg Config, kind opKind, k int) error {
 	}
 }
 
-// runConnRate drives one open-loop connection: a sender goroutine fires
-// one request at each scheduled instant (start+offset, then every
-// interval) regardless of replies, while this goroutine reads replies in
-// order and measures each against its scheduled send time. A sender that
-// falls behind still charges the delay to the operation — that is the
-// point: no coordinated omission.
-func runConnRate(cfg Config, seed int64, n int, interval, offset time.Duration, dial func() (net.Conn, error)) connResult {
-	keys, err := genKeys(cfg, seed, n)
-	if err != nil {
-		return connResult{err: err}
-	}
-	rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
-	// Open-loop runs retry only the initial dial: a mid-run reconnect
-	// would have to replay the fixed schedule's backlog, distorting the
-	// very latencies the mode exists to keep honest.
-	nc, err := dialRetry(dial, cfg.Retry, rng)
-	if err != nil {
-		return connResult{err: err}
-	}
-	defer nc.Close()
-	cl := wire.NewClient(nc)
-	kinds := planOps(cfg, rng, len(keys))
-	res := connResult{lats: make([]time.Duration, 0, n)}
-	start := time.Now().Add(offset)
-	schedule := func(i int) time.Time { return start.Add(time.Duration(i) * interval) }
-
-	var sendErr error
-	senderDone := make(chan struct{})
-	go func() {
-		// Sender half: wire.Client's writer state is independent of its
-		// reader state, so pacing writes here while the main goroutine
-		// decodes replies is race-free. On error the connection is closed
-		// to unblock the reply reader.
-		defer close(senderDone)
-		for i, k := range keys {
-			if d := time.Until(schedule(i)); d > 0 {
-				time.Sleep(d)
-			}
-			sendErr = sendOp(cl, cfg, kinds[i], k)
-			if sendErr == nil {
-				sendErr = cl.Flush()
-			}
-			if sendErr != nil {
-				nc.Close()
-				return
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		rep, err := cl.Recv()
-		if err != nil {
-			// Close before joining the sender: it may have most of the
-			// schedule still ahead of it, and the closed connection makes
-			// its next send fail instead of letting a broken run linger
-			// for the full schedule. Report the genuine failure: when the
-			// sender died first, this read error is just the close it
-			// performed, so surface sendErr instead.
-			nc.Close()
-			<-senderDone
-			if sendErr != nil && (errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe)) {
-				err = sendErr
-			}
-			res.err = err
-			return res
-		}
-		if rep.IsError() {
-			res.errs++
-		} else if kinds[i] == opGet {
-			res.gets++
-			if rep.Kind != wire.NilReply {
-				res.hits++
-			}
-		}
-		if kinds[i] == opScan {
-			res.scanLats = append(res.scanLats, time.Since(schedule(i)))
-		} else {
-			res.lats = append(res.lats, time.Since(schedule(i)))
-		}
-	}
-	<-senderDone
-	cl.Do("QUIT")
-	return res
-}
-
 // runConn drives one connection: write Depth requests, flush, read
-// Depth replies, repeat. With Config.Retry set, a batch that fails is
-// reissued over a fresh (backoff-dialed) connection instead of ending
-// the run; its latencies then include the outage, as a real client's
-// would.
+// Depth replies, repeat. An error ends the connection and fails the
+// run.
 func runConn(cfg Config, seed int64, n int, dial func() (net.Conn, error)) connResult {
 	keys, err := genKeys(cfg, seed, n)
 	if err != nil {
 		return connResult{err: err}
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
-	nc, err := dialRetry(dial, cfg.Retry, rng)
+	nc, err := dial()
 	if err != nil {
 		return connResult{err: err}
 	}
-	defer func() { nc.Close() }()
+	defer nc.Close()
 	cl := wire.NewClient(nc)
-	kinds := planOps(cfg, rng, len(keys))
+	kinds := planOps(cfg, rand.New(rand.NewSource(seed^0x9e3779b9)), len(keys))
 	res := connResult{lats: make([]time.Duration, 0, n)}
-
-	// batch issues keys[off:end] once; any error aborts mid-batch.
-	batch := func(off, end int, t0 time.Time) error {
-		armOpDeadline(nc, cfg)
-		for i, k := range keys[off:end] {
-			if err := sendOp(cl, cfg, kinds[off+i], k); err != nil {
-				return err
+	for off := 0; off < len(keys); off += cfg.Depth {
+		end := min(off+cfg.Depth, len(keys))
+		t0 := time.Now()
+		for i := off; i < end; i++ {
+			if res.err = sendOp(cl, cfg, kinds[i], keys[i]); res.err != nil {
+				return res
 			}
 		}
-		if err := cl.Flush(); err != nil {
-			return err
+		if res.err = cl.Flush(); res.err != nil {
+			return res
 		}
 		for i := off; i < end; i++ {
 			rep, err := cl.Recv()
 			if err != nil {
-				return err
+				res.err = err
+				return res
 			}
 			if rep.IsError() {
 				res.errs++
@@ -589,43 +441,7 @@ func runConn(cfg Config, seed int64, n int, dial func() (net.Conn, error)) connR
 				res.lats = append(res.lats, time.Since(t0))
 			}
 		}
-		return nil
 	}
-
-	for off := 0; off < len(keys); off += cfg.Depth {
-		end := off + cfg.Depth
-		if end > len(keys) {
-			end = len(keys)
-		}
-		t0 := time.Now()
-		retries := 0
-		for {
-			lats, scanLats := len(res.lats), len(res.scanLats)
-			gets, hits := res.gets, res.hits
-			err := batch(off, end, t0)
-			if err == nil {
-				break
-			}
-			if cfg.Retry <= 0 || retries >= chunkRetryCap {
-				res.err = err
-				return res
-			}
-			// Drop the partial batch's latencies and reissue the whole
-			// batch over a fresh connection; replies already consumed are
-			// measured again — the reissue is the measurement.
-			res.lats, res.scanLats = res.lats[:lats], res.scanLats[:scanLats]
-			res.gets, res.hits = gets, hits
-			retries++
-			res.reconnects++
-			nc.Close()
-			if nc, err = dialRetry(dial, cfg.Retry, rng); err != nil {
-				res.err = err
-				return res
-			}
-			cl = wire.NewClient(nc)
-		}
-	}
-	armOpDeadline(nc, cfg)
 	cl.Do("QUIT")
 	return res
 }

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/server"
 )
@@ -104,76 +103,6 @@ func TestLoadgenPipelineBatching(t *testing.T) {
 	}
 	t.Logf("depth 16: %d batches (avg %.1f); depth 1: %d batches (avg %.1f)",
 		stP.Batches, stP.AvgBatch(), stU.Batches, stU.AvgBatch())
-}
-
-// TestLoadgenOpenLoop checks the fixed-rate mode: all ops are issued and
-// answered, the achieved rate tracks the schedule (the run cannot finish
-// much faster than ops/rate — a closed loop would), and latencies are
-// measured against the schedule.
-func TestLoadgenOpenLoop(t *testing.T) {
-	s := server.New(server.Config{Shards: 2, P: 2})
-	defer s.Close()
-	const (
-		ops  = 2000
-		rate = 20000.0
-	)
-	start := time.Now()
-	rep, err := Run(Config{
-		Conns:    4,
-		Ops:      ops,
-		Rate:     rate,
-		Workload: Zipf,
-		Universe: 512,
-		Seed:     13,
-	}, dialer(t, s))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	wall := time.Since(start)
-	if rep.Ops != ops || rep.Errors != 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if rep.Rate != rate || rep.Depth != 1 {
-		t.Errorf("rate/depth misreported: %+v", rep)
-	}
-	// The schedule spans ops/rate = 100ms; an open loop cannot beat it.
-	if minWall := time.Duration(float64(ops) / rate * float64(time.Second)); wall < minWall*8/10 {
-		t.Errorf("run finished in %v, faster than the %v schedule — not open-loop paced", wall, minWall)
-	}
-	if rep.P50 <= 0 || rep.P99 < rep.P50 {
-		t.Errorf("percentiles out of order: %+v", rep)
-	}
-	t.Log(rep.String())
-}
-
-// TestLoadgenOpenLoopCoalesced drives the open-loop generator at a
-// coalescing server: depth-1 traffic from many connections must still
-// form multi-op combined batches, and every reply must come back.
-func TestLoadgenOpenLoopCoalesced(t *testing.T) {
-	s := server.New(server.Config{
-		Shards: 2, P: 2,
-		CoalesceWindow: 300 * time.Microsecond,
-	})
-	defer s.Close()
-	rep, err := Run(Config{
-		Conns:    8,
-		Ops:      4000,
-		Rate:     40000,
-		Workload: WorkingSet,
-		Universe: 512,
-		Seed:     17,
-	}, dialer(t, s))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if rep.Ops != 4000 || rep.Errors != 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	st := s.Stats()
-	if st.AvgBatch() < 1.5 {
-		t.Errorf("open-loop depth-1 traffic did not coalesce: avg batch %.2f", st.AvgBatch())
-	}
-	t.Logf("%s; server: %d ops in %d batches (avg %.1f)", rep, st.Ops, st.Batches, st.AvgBatch())
 }
 
 // TestLoadgenTCP runs the same loop over a real TCP listener, end to

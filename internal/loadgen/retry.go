@@ -1,12 +1,10 @@
 package loadgen
 
-// Connection retry: with Config.Retry set, dials back off exponentially
-// (with full jitter, capped) instead of failing the run, and the closed
-// loop rides through a dropped connection by redialing and reissuing
-// the interrupted batch. This is what lets a load run span a server
-// restart — the chaos harness kills wsd mid-run and the workers simply
-// reconnect when it comes back — and what keeps a fleet of wsload
-// processes from stampeding a just-restarted server in lockstep.
+// Dial retry for the chaos harness: its workers ride through a server
+// SIGKILL and restart by redialing with capped exponential backoff and
+// full jitter, so a fleet of reconnecting workers does not stampede the
+// just-restarted server in lockstep. The load loop (Run, Preload) dials
+// once and fails fast.
 
 import (
 	"fmt"
@@ -20,19 +18,14 @@ const (
 	backoffBase = 10 * time.Millisecond
 	// backoffCap bounds the exponential growth.
 	backoffCap = time.Second
-	// chunkRetryCap bounds consecutive reissues of one batch over fresh
-	// connections, so a server that accepts dials but errors every
-	// command fails the run instead of looping forever.
-	chunkRetryCap = 16
 )
 
 // dialRetry dials, retrying failures with capped exponential backoff
-// and full jitter until the budget elapses. A zero budget means one
-// attempt (plain dial).
+// and full jitter until the budget elapses.
 func dialRetry(dial func() (net.Conn, error), budget time.Duration, rng *rand.Rand) (net.Conn, error) {
 	nc, err := dial()
-	if err == nil || budget <= 0 {
-		return nc, err
+	if err == nil {
+		return nc, nil
 	}
 	deadline := time.Now().Add(budget)
 	delay := backoffBase
@@ -49,14 +42,5 @@ func dialRetry(dial func() (net.Conn, error), budget time.Duration, rng *rand.Ra
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("loadgen: dial retry budget %s exhausted: %w", budget, err)
 		}
-	}
-}
-
-// armOpDeadline applies the per-batch operation timeout, if configured:
-// every send/flush/recv of the batch must land within it, so a wedged
-// server surfaces as an error instead of a hung worker.
-func armOpDeadline(nc net.Conn, cfg Config) {
-	if cfg.OpTimeout > 0 {
-		nc.SetDeadline(time.Now().Add(cfg.OpTimeout))
 	}
 }

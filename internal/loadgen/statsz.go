@@ -48,14 +48,13 @@ type Statsz struct {
 // when the server runs with the front cache enabled). The counters are
 // cumulative; diff two scrapes for a per-run hit ratio.
 type StatszFront struct {
-	Entries      int64 `json:"entries"`
-	Hits         int64 `json:"hits"`
-	Misses       int64 `json:"misses"`
-	Reserves     int64 `json:"reserves"`
-	Installs     int64 `json:"installs"`
-	InstallDrops int64 `json:"install_drops"`
-	Invalidates  int64 `json:"invalidates"`
-	Evictions    int64 `json:"evictions"`
+	Entries     int64 `json:"entries"`
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	Reserves    int64 `json:"reserves"`
+	Installs    int64 `json:"installs"`
+	Invalidates int64 `json:"invalidates"`
+	Evictions   int64 `json:"evictions"`
 }
 
 // StatszMem mirrors the bounded-memory/TTL block: the resident-byte

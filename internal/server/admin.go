@@ -123,7 +123,6 @@ func (s *Server) registerStats() *obs.Registry {
 		r.Counter("front.misses", func() int64 { return fs().Misses })
 		r.Counter("front.reserves", func() int64 { return fs().Reserves })
 		r.Counter("front.installs", func() int64 { return fs().Installs })
-		r.Counter("front.install_drops", func() int64 { return fs().InstallDrops })
 		r.Counter("front.invalidates", func() int64 { return fs().Invalidates })
 		r.Counter("front.evictions", func() int64 { return fs().Evictions })
 	}

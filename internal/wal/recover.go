@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Open opens (or creates) the log in opt.Dir and plans recovery. It
@@ -35,9 +34,6 @@ func Open(opt Options) (*Log, *Recovery, error) {
 	}
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = 64 << 20
-	}
-	if opt.SyncEvery <= 0 {
-		opt.SyncEvery = 100 * time.Millisecond
 	}
 	if opt.Logf == nil {
 		opt.Logf = defaultLogf
@@ -137,11 +133,6 @@ func Open(opt Options) (*Log, *Recovery, error) {
 	l.size = fileHdrLen
 	l.filled = max(fileHdrLen, fill)
 	l.snapSeq.Store(snapSeq)
-	if opt.Policy == SyncInterval {
-		l.stopSync = make(chan struct{})
-		l.syncDone = make(chan struct{})
-		go l.syncLoop()
-	}
 	rec := &Recovery{log: l, snapPath: snapPath, snapSeq: snapSeq, segs: replay}
 	return l, rec, nil
 }

@@ -38,7 +38,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -50,11 +49,9 @@ const (
 	// SyncAlways fsyncs once per cut (SyncBatch, or AppendBatch): an
 	// acked write is on disk. The group-commit default.
 	SyncAlways Policy = iota
-	// SyncInterval fsyncs on a background ticker (Options.SyncEvery):
-	// bounded data loss, near-in-memory latency.
-	SyncInterval
-	// SyncNever leaves flushing to the OS page cache (and to segment
-	// seals, snapshots and Close, which always sync).
+	// SyncNever syncs only at segment seals, snapshots and Close. Frames
+	// wait in the log's write buffer until then, so a crash loses every
+	// write since the last of them.
 	SyncNever
 )
 
@@ -62,25 +59,21 @@ func (p Policy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// ParsePolicy parses the -fsync flag values always|interval|never.
+// ParsePolicy parses the -fsync flag values always|never.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always or never)", s)
 }
 
 // Options configures Open.
@@ -89,13 +82,11 @@ type Options struct {
 	Dir string
 	// Policy is the fsync policy (default SyncAlways).
 	Policy Policy
-	// SyncEvery is the SyncInterval ticker period (default 100ms).
-	SyncEvery time.Duration
 	// SegmentBytes rotates the active segment once its frames grow past
 	// this size (default 64 MiB).
 	SegmentBytes int64
-	// Logf receives recovery warnings (torn tails, skipped snapshots)
-	// and background-sync errors. Defaults to the standard logger.
+	// Logf receives recovery warnings (torn tails and skipped
+	// snapshots). Defaults to the standard logger.
 	Logf func(format string, args ...any)
 }
 
@@ -160,8 +151,9 @@ var zeroBuf [64 << 10]byte
 
 // Log is an open write-ahead log. WriteBatch/SyncBatch/EndBatch and
 // AppendBatch are for one writer at a time (the server's single commit
-// loop); Snapshot and the background interval syncer may run
-// concurrently with them.
+// loop); Snapshot may run concurrently with them. The Log starts no
+// goroutine: a frame becomes durable only in the writer's SyncBatch, a
+// segment seal, a Snapshot's rotation or Close.
 type Log struct {
 	opt Options
 	dir *os.File
@@ -193,9 +185,6 @@ type Log struct {
 	snapMu    sync.Mutex // serializes Snapshot calls
 	snapSeq   atomic.Uint64
 	sinceSnap atomic.Int64
-
-	stopSync chan struct{}
-	syncDone chan struct{}
 
 	batches    atomic.Int64
 	records    atomic.Int64
@@ -475,28 +464,6 @@ func createSegment(dir string, seq uint64, fill int64) (*os.File, error) {
 	return f, nil
 }
 
-// syncLoop is the SyncInterval background ticker.
-func (l *Log) syncLoop() {
-	defer close(l.syncDone)
-	t := time.NewTicker(l.opt.SyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stopSync:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed.Load() && l.err == nil {
-				if err := l.syncLocked(); err != nil {
-					l.fail(err)
-					l.opt.Logf("wal: interval fsync: %v", err)
-				}
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
 // Close flushes, truncates the active segment to its last frame, fsyncs
 // and closes the log. After a clean Close the entire log is durable
 // regardless of policy. Concurrent Snapshot calls must have finished
@@ -504,10 +471,6 @@ func (l *Log) syncLoop() {
 func (l *Log) Close() error {
 	if !l.closed.CompareAndSwap(false, true) {
 		return nil
-	}
-	if l.stopSync != nil {
-		close(l.stopSync)
-		<-l.syncDone
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
