@@ -218,6 +218,7 @@ func TestM1WorkTracksWSBound(t *testing.T) {
 			accs[i] = workload.Access[int]{Kind: workload.AccessKind(op.Kind), Key: op.Key}
 		}
 		ratios[name] = float64(cnt.Total()) / workload.WSBound(accs)
+		t.Logf("%s: work/W_L ratio %.2f", name, ratios[name])
 		m.Close()
 	}
 	for name, r := range ratios {
