@@ -26,13 +26,14 @@ import (
 // -max-bytes at a tenth of the preload — so it stays put when the layout
 // changes, or every hit ratio moves with no change in behaviour. What an
 // item really costs, measured by TestBytesPerItem with the server's 9-byte
-// keys and 64-byte values: 158 live heap bytes, of which 80 are the key and
-// value in their size classes and 78 are structure — one 48-byte leaf
-// threaded by both trees of the segment, and in each tree a 160-byte
-// routing node per ~10.7 leaves (twothree's node layout) — against 182 and
-// 102 when the recency-map had a leaf of its own, 240 and 160 with 64-byte
-// 2-3 routing nodes, and 431 and 351 when leaves and routing nodes shared
-// one 104-byte node type. A server's RSS runs at about 1.3 x memory_bytes
+// keys and 64-byte values: 160 live heap bytes, of which 80 are the key and
+// value in their size classes and 80 are structure — one 64-byte leaf that
+// is the key-map's leaf and the recency list's link, and a 160-byte
+// key-map routing node per ~10.7 leaves (twothree's node layout) — against
+// 156 and 76 when the recency-map was a tree over a 48-byte leaf, 182 and
+// 102 when it had a leaf of its own, 240 and 160 with 64-byte 2-3 routing
+// nodes, and 431 and 351 when leaves and routing nodes shared one 104-byte
+// node type. A server's RSS runs at about 1.3 x memory_bytes
 // (uniform_mix: 112 MiB over 84.5 MiB accounted; 1.5 x, 1.8 x and 3.8 x
 // before).
 const itemOverhead = 96

@@ -12,9 +12,9 @@ import (
 )
 
 // segLeaf is a resident item: one heap object holding the key and the
-// value, and a leaf of both trees of the segment it is in — the key-map
-// through one of its two up-pointers, the recency-map through the other.
-// A direct pointer to it is the paper's cross pointer in both directions.
+// value, a leaf of the segment's key-map through its up-pointer and a link
+// of its recency-map through its prev and next. A direct pointer to it is
+// the paper's cross pointer in both directions.
 type segLeaf[K cmp.Ordered, V any] = twothree.Node[K, V]
 
 // capOf returns segment S[k]'s capacity 2^(2^k), saturating for k >= 6
@@ -53,10 +53,9 @@ func capPrefix(k int) int {
 const deepKM = 4
 
 // segment is one working-set segment: a recency-map, which defines the
-// segment's items, and a key-map holding the same leaves, each tree with
-// routing nodes of its own. In M1 the key-map is S[0]'s, shared by every
-// segment and holding all their leaves, and S[0..deepKM-1] have a search
-// slice (sl, nil elsewhere).
+// segment's items, and a key-map holding the same leaves. In M1 the
+// key-map is S[0]'s, shared by every segment and holding all their leaves,
+// and S[0..deepKM-1] have a search slice (sl, nil elsewhere).
 type segment[K cmp.Ordered, V any] struct {
 	km  *twothree.Tree[K, V]
 	rec *twothree.Seq[K, V]
@@ -64,14 +63,15 @@ type segment[K cmp.Ordered, V any] struct {
 	cap int
 }
 
-// newSegment makes segment S[k]. np is the engine's one free-list of routing
-// nodes, shared by both trees of every segment: the nodes a shrinking tree
-// drops immediately feed the one growing next to it — which is the common
-// case, since restore moves items between neighbours every batch.
+// newSegment makes segment S[k], whose recency-map is tagged k. np is the
+// engine's one free-list of routing nodes, shared by the key-maps of every
+// segment: the nodes a shrinking key-map drops immediately feed the one
+// growing next to it — which is the common case, since restore moves items
+// between neighbours every batch.
 func newSegment[K cmp.Ordered, V any](k int, cnt *metrics.Counter, np *twothree.NodePool[K, V]) *segment[K, V] {
 	return &segment[K, V]{
 		km:  twothree.NewPooled(cnt, np),
-		rec: twothree.NewSeqPooled(cnt, np),
+		rec: twothree.NewSeq[K, V](k, cnt),
 		cap: capOf(k),
 	}
 }
@@ -115,7 +115,7 @@ func (mb moveBatch[K, V]) len() int { return len(mb.recLeaves) }
 // (M0, the slab's engine run, each final slab segment's activation).
 type moveScratch[K cmp.Ordered, V any] struct {
 	del  []*segLeaf[K, V]
-	rank []int
+	rank []int // the key-map's reverse indexing (removeKM)
 	rec  []*segLeaf[K, V]
 }
 
@@ -144,9 +144,8 @@ func (ms *moveScratch[K, V]) removeItems(seg *segment[K, V], keys []K) moveBatch
 			panic(fmt.Sprintf("core: removeItems: key %v absent", keys[i]))
 		}
 	}
-	ms.rank = grow(ms.rank, len(kmLeaves))
 	ms.rec = grow(ms.rec, len(kmLeaves))
-	recLeaves := seg.rec.RemoveInto(kmLeaves, ms.rank, ms.rec)
+	recLeaves := seg.rec.RemoveInto(kmLeaves, ms.rec)
 	return moveBatch[K, V]{kmLeaves: kmLeaves, recLeaves: recLeaves}
 }
 
@@ -157,9 +156,8 @@ func (ms *moveScratch[K, V]) removeRec(seg *segment[K, V], leaves []*segLeaf[K, 
 	if seg.sl != nil {
 		seg.sl.drop(leaves, true)
 	}
-	ms.rank = grow(ms.rank, len(leaves))
 	ms.rec = grow(ms.rec, len(leaves))
-	return moveBatch[K, V]{kmLeaves: leaves, recLeaves: seg.rec.RemoveInto(leaves, ms.rank, ms.rec), inKM: true}
+	return moveBatch[K, V]{kmLeaves: leaves, recLeaves: seg.rec.RemoveInto(leaves, ms.rec), inKM: true}
 }
 
 // popBack removes the x least recent items of seg (x is clamped to the

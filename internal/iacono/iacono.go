@@ -10,8 +10,9 @@
 // paper), and it is a sequential baseline for the working-set experiments.
 //
 // Each tree pairs a key-ordered 2-3 tree with a doubly-linked recency list
-// (a strictly cheaper stand-in for the recency balanced tree; DESIGN.md
-// substitution 7).
+// (a strictly cheaper stand-in for the recency balanced tree, as the
+// working-set maps' segments have too; DESIGN.md "Paper fidelity:
+// recency-maps are lists").
 package iacono
 
 import (

@@ -176,8 +176,8 @@ func (s *inserter[K, P]) pushNew(up *inner[K, P], a, z int) {
 		if s.items != nil {
 			s.lv[i] = NewLeaf(s.items[i].Key, s.items[i].Payload)
 		}
-		s.lv[i].up[byKey] = up
-		s.stack = append(s.stack, leafRef(s.lv[i], byKey))
+		s.lv[i].up = up
+		s.stack = append(s.stack, leafRef(s.lv[i]))
 	}
 }
 
@@ -193,7 +193,7 @@ func (s *inserter[K, P]) place(up *inner[K, P], e *Node[K, P], a, z int) {
 		s.lv[z] = e
 	}
 	s.pushNew(up, a, z)
-	s.stack = append(s.stack, leafRef(e, byKey))
+	s.stack = append(s.stack, leafRef(e))
 }
 
 // adopt points the routing nodes on the stack from at on at n: the new

@@ -93,16 +93,6 @@ func BenchmarkRankWalk(b *testing.B) {
 	leaves := tr.BatchGet(keys[:4096])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rank(leaves[i%len(leaves)], byKey)
-	}
-}
-
-func BenchmarkSeqTransfer(b *testing.B) {
-	s := NewSeq[int, int](nil)
-	s.PushBackLeaves(mint(span(0, 1<<14, 1)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		moved := s.PopBack(64, nil)
-		s.PushFrontLeaves(moved)
+		rank(leaves[i%len(leaves)])
 	}
 }

@@ -66,7 +66,7 @@ func hang[K cmp.Ordered, P any](np *NodePool[K, P], a *inner[K, P], b ref[K, P],
 	}
 	// a is full: b becomes the only child of a new node, which then takes
 	// half of a's.
-	y := np.get(a.h, a.ax)
+	y := np.get(a.h)
 	y.setKids([]ref[K, P]{b})
 	a.setSize(int(a.size) + size - b.size()) // a's end child took what of b is not in y
 	return balance(np, a, y, s)
@@ -105,49 +105,4 @@ func balance[K cmp.Ordered, P any](np *NodePool[K, P], a, b *inner[K, P], s side
 		pour(l, r, keep-l.nc, left)
 	}
 	return b
-}
-
-// splitRank splits t so that l holds the first i leaves and r the rest.
-// t is consumed: a node the split passes through is left with its children
-// on one side of the cut, a new node takes those on the other, and each is
-// joined, once, with what the cut left of the child between them.
-// O(log n).
-func splitRank[K cmp.Ordered, P any](np *NodePool[K, P], t ref[K, P], i int) (l, r ref[K, P]) {
-	if t.empty() || i <= 0 {
-		return l, t.detach()
-	}
-	if i >= t.size() {
-		return t.detach(), r
-	}
-	// t is a routing node (a leaf has size 1 and was handled above).
-	n := t.node()
-	ci, i := n.locate(i)
-	c := n.kid(ci)
-	// n keeps the children before c, m takes those after it; c is the last
-	// of n's until it is dropped.
-	m := np.get(n.h, n.ax)
-	m.maxKey = n.maxKey
-	pour(n, m, n.nc-ci-1, right)
-	n.nc--
-	n.child[ci] = nil
-	n.size -= int32(c.size())
-	if ci > 0 {
-		n.maxKey = n.kid(ci - 1).maxKey()
-	}
-	l, r = splitRank(np, c, i)
-	return join(np, bundle(np, n), l), join(np, r, bundle(np, m))
-}
-
-// bundle returns the children of n as a tree: n itself if it has two or
-// more, and otherwise (n recycled) its only child or nothing.
-func bundle[K cmp.Ordered, P any](np *NodePool[K, P], n *inner[K, P]) ref[K, P] {
-	if n.nc >= 2 {
-		return innerRef(n).detach()
-	}
-	c := ref[K, P]{}
-	if n.nc == 1 {
-		c = n.kid(0)
-	}
-	np.put(n)
-	return c
 }

@@ -12,29 +12,28 @@ import (
 
 // TestNodeSizes pins the node shapes for the server's types (string keys
 // and values): a field added to Node or inner costs every resident item. The
-// item is one 48-byte leaf for both trees of its segment — value, key and an
-// up-pointer for each — and the routing node is the 160-byte size class
-// exactly, ten bytes per child slot. The second up-pointer is there whether
-// a second tree uses it or not: a plain Node[int, int] is 32 bytes, not 24.
+// item is one 64-byte leaf, the size class exactly, for both maps of its
+// segment — value, key, the key-map's up-pointer, and the recency list's
+// two links and packed tag and stamp — and the routing node is the 160-byte
+// size class exactly, ten bytes per child slot.
 func TestNodeSizes(t *testing.T) {
-	if n := reflect.TypeFor[Node[string, string]]().Size(); n != 48 {
-		t.Errorf("segment item is %d bytes, want 48", n)
+	if n := reflect.TypeFor[Node[string, string]]().Size(); n != 64 {
+		t.Errorf("segment item is %d bytes, want 64", n)
 	}
 	if n := reflect.TypeFor[inner[string, string]]().Size(); n != 10*maxKids {
 		t.Errorf("routing node is %d bytes, want %d", n, 10*maxKids)
 	}
-	if n := reflect.TypeFor[Node[int, int]]().Size(); n != 32 {
-		t.Errorf("Node[int, int] is %d bytes, want 32", n)
+	if n := reflect.TypeFor[Node[int, int]]().Size(); n != 48 {
+		t.Errorf("Node[int, int] is %d bytes, want 48", n)
 	}
 }
 
-// TestValidateRejects breaks, one at a time, the invariants validate is the
-// oracle of in every model test below: the strict minimum below the root
-// and two at it, no child pointer past the count, exact cached size and
-// maximum, one axis, parent pointers — a leaf's on the tree's own axis. A
-// stale pointer on the other axis is not the tree's business: the same
-// leaves validate as a Tree whatever their up[byRank] and as a Seq whatever
-// their up[byKey].
+// TestValidateRejects breaks, one at a time, the invariants the validators
+// are the oracle of in every model test below. A Tree: the strict minimum
+// below the root and two at it, no child pointer past the count, exact
+// cached size and maximum, parent pointers of routing nodes and leaves. A
+// Seq: links that agree both ways and end at the back, the count, the tag,
+// and stamps increasing from front to back within the range of the ends.
 func TestValidateRejects(t *testing.T) {
 	// maxKids+1 leaves: a root over two nodes, of minKids+1 and minKids.
 	build := func() (*Tree[int, int], *inner[int, int]) {
@@ -44,16 +43,15 @@ func TestValidateRejects(t *testing.T) {
 		return m.tr, m.tr.root.node().kid(1).node()
 	}
 	for name, breakIt := range map[string]func(root, low *inner[int, int]){
-		"thin":     func(_, low *inner[int, int]) { low.nc--; low.size--; low.child[low.nc] = nil; low.maxKey-- },
-		"wide":     func(_, low *inner[int, int]) { low.nc = maxKids + 1 },
-		"lone":     func(root, _ *inner[int, int]) { root.nc = 1 },
-		"trailing": func(_, low *inner[int, int]) { low.child[maxKids-1] = low.child[0] },
-		"size":     func(_, low *inner[int, int]) { low.size++ },
-		"rootsize": func(root, _ *inner[int, int]) { root.size-- },
-		"maxKey":   func(_, low *inner[int, int]) { low.maxKey++ },
-		"parent":   func(root, low *inner[int, int]) { low.parent = low },
-		"axis":     func(_, low *inner[int, int]) { low.ax = byRank },
-		"ownAxis":  func(root, low *inner[int, int]) { low.kid(0).leaf().up[byKey] = root },
+		"thin":       func(_, low *inner[int, int]) { low.nc--; low.size--; low.child[low.nc] = nil; low.maxKey-- },
+		"wide":       func(_, low *inner[int, int]) { low.nc = maxKids + 1 },
+		"lone":       func(root, _ *inner[int, int]) { root.nc = 1 },
+		"trailing":   func(_, low *inner[int, int]) { low.child[maxKids-1] = low.child[0] },
+		"size":       func(_, low *inner[int, int]) { low.size++ },
+		"rootsize":   func(root, _ *inner[int, int]) { root.size-- },
+		"maxKey":     func(_, low *inner[int, int]) { low.maxKey++ },
+		"parent":     func(root, low *inner[int, int]) { low.parent = low },
+		"leafParent": func(root, low *inner[int, int]) { low.kid(0).leaf().up = root },
 	} {
 		tr, low := build()
 		if low.nc != minKids {
@@ -65,30 +63,27 @@ func TestValidateRejects(t *testing.T) {
 		}
 	}
 
-	tr, low := build()
-	leaves := tr.Flatten()
-	for _, lf := range leaves {
-		lf.up[byRank] = low
-	}
-	if err := tr.Validate(); err != nil {
-		t.Errorf("stale up[byRank]: the Tree does not validate: %v", err)
-	}
-	s := NewSeq[int, int](nil)
-	s.PushBackLeaves(leaves)
-	for _, lf := range leaves {
-		lf.up[byKey] = low
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("stale up[byKey]: the Seq does not validate: %v", err)
-	}
-	leaves[0].up[byRank] = low
-	if err := s.Validate(); err == nil {
-		t.Errorf("stale up[byRank]: validate accepts the broken Seq")
-	}
-	s.root.node().maxKey = 1
-	leaves[0].up[byRank] = s.root.node().kid(0).node()
-	if err := s.Validate(); err == nil {
-		t.Errorf("validate accepts a Seq node with a maxKey")
+	for name, breakIt := range map[string]func(s *Seq[int, int], lv []*leaf){
+		"prev":  func(_ *Seq[int, int], lv []*leaf) { lv[2].prev = lv[0] },
+		"next":  func(_ *Seq[int, int], lv []*leaf) { lv[1].next = lv[3] },
+		"cycle": func(_ *Seq[int, int], lv []*leaf) { lv[4].next = lv[0] },
+		"len":   func(s *Seq[int, int], _ []*leaf) { s.n++ },
+		"tail":  func(s *Seq[int, int], lv []*leaf) { s.tail = lv[3] },
+		"tag":   func(_ *Seq[int, int], lv []*leaf) { lv[2].pos += 1 << stampBits },
+		"order": func(_ *Seq[int, int], lv []*leaf) { lv[1].pos, lv[2].pos = lv[2].pos, lv[1].pos },
+		"front": func(s *Seq[int, int], _ []*leaf) { s.front++ },
+		"back":  func(s *Seq[int, int], _ []*leaf) { s.back-- },
+	} {
+		s, lv := NewSeq[int, int](0, nil), mint(span(0, 5, 1))
+		s.PushBackLeaves(lv[2:])
+		s.PushFrontLeaves(lv[:2])
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: the Seq before it is broken: %v", name, err)
+		}
+		breakIt(s, lv)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: validate accepts the broken Seq", name)
+		}
 	}
 }
 
@@ -125,10 +120,9 @@ func TestSizeCap(t *testing.T) {
 //
 // With seq set the model is a segment: the tree's leaves are at the same
 // time those of a Seq, which every leaf enters (at either end, in turn) when
-// it enters the tree and leaves, reverse-indexed, when it leaves the tree;
-// rec is the order the Seq must have them in. The kernels of one axis then
-// run over leaves the other tree's routing nodes point at and whose other
-// up-pointer is live, and check validates both.
+// it enters the tree and leaves, by direct pointer, when it leaves the tree;
+// rec is the order the Seq must have them in. The tree's kernels then run
+// over leaves that are linked into a list, and check validates both.
 type treeModel struct {
 	t      *testing.T
 	tr     *Tree[int, int]
@@ -148,7 +142,7 @@ func newTreeModel(t *testing.T, withSeq bool) *treeModel {
 		valOf:  map[int]int{},
 	}
 	if withSeq {
-		m.seq = NewSeqPooled(nil, m.tr.pool)
+		m.seq = NewSeq[int, int](0, nil)
 	}
 	return m
 }
@@ -176,8 +170,8 @@ func (m *treeModel) enter(leaves []*leaf) {
 	}
 }
 
-// leave takes leaves the tree has dropped out of the Seq by reverse
-// indexing, which must hand them back in recency order.
+// leave takes leaves the tree has dropped out of the Seq by direct pointer,
+// which must hand them back in recency order.
 func (m *treeModel) leave(leaves []*leaf) {
 	m.t.Helper()
 	if m.seq == nil || len(leaves) == 0 {
@@ -198,7 +192,7 @@ func (m *treeModel) leave(leaves []*leaf) {
 			rest = append(rest, lf)
 		}
 	}
-	if got := m.seq.RemoveInto(leaves, make([]int, len(leaves)), make([]*leaf, len(leaves))); !slices.Equal(got, gone) {
+	if got := m.seq.RemoveInto(leaves, make([]*leaf, len(leaves))); !slices.Equal(got, gone) {
 		m.t.Fatalf("RemoveInto of %d leaves did not return them in recency order", len(leaves))
 	}
 	m.rec = rest
@@ -319,7 +313,7 @@ func (m *treeModel) check() {
 	}
 	for _, lf := range flat {
 		if !m.tr.Owns(lf) || !m.seq.Owns(lf) {
-			m.t.Fatalf("the leaf of %d is not owned by both trees", lf.Key)
+			m.t.Fatalf("the leaf of %d is not owned by both the tree and the Seq", lf.Key)
 		}
 	}
 }
@@ -365,7 +359,7 @@ func TestModelTree(t *testing.T) {
 			}
 		case 4: // Rank and Kth
 			for i, k := range m.keys {
-				if r := rank(m.leafOf[k], byKey); r != i {
+				if r := rank(m.leafOf[k]); r != i {
 					t.Fatalf("step %d: Rank(%d) = %d, want %d", step, k, r, i)
 				}
 				if tr.Kth(i) != m.leafOf[k] {
@@ -479,14 +473,14 @@ func TestModelTreeShapes(t *testing.T) {
 		for _, i := range starts {
 			ends := uniq([]int{i + 1, i + 2, i + a - 1, i + a, i + a + 1, i + b - 1, i + b, i + b + 1, i + a*b, i + b*b - 1, i + b*b, i + b*b + 1, n - 1, n}, i+1, n)
 			for _, j := range ends {
-				for _, byRank := range []bool{false, true} {
+				for _, ranked := range []bool{false, true} {
 					for _, complement := range []bool{false, true} {
 						ranks := span(i, j, 1)
 						if complement {
 							ranks = append(span(0, i, 1), span(j, n, 1)...)
 						}
 						m := build(n)
-						if byRank {
+						if ranked {
 							m.dropRanks(ranks)
 						} else {
 							keys := make([]int, len(ranks))
@@ -496,7 +490,7 @@ func TestModelTreeShapes(t *testing.T) {
 							m.drop(keys)
 						}
 						if len(m.keys) != n-len(ranks) {
-							t.Fatalf("n=%d [%d,%d) rank=%v complement=%v: %d keys left", n, i, j, byRank, complement, len(m.keys))
+							t.Fatalf("n=%d [%d,%d) rank=%v complement=%v: %d keys left", n, i, j, ranked, complement, len(m.keys))
 						}
 						m.check()
 					}
@@ -525,24 +519,24 @@ func TestModelTreeShapes(t *testing.T) {
 	}
 }
 
-// seqModel is a Seq beside its reference, a slice of its leaves in recency
-// order, and a Tree that holds the same leaves by key, as a segment's
-// key-map does: whatever the Seq does to a leaf, the tree's routing nodes
-// point at it and its up[byKey] is live. A leaf enters the tree when it is
-// made and leaves it in retire, once the Seq has lost it for good, so a pop
-// and a push of the same leaves run with the tree untouched around them.
+// seqModel is two Seqs beside their reference, a slice of each one's
+// leaves in recency order, and a Tree that holds the leaves of both by
+// key, as the key-map M1's segments share does: whatever a Seq does to a
+// leaf, the tree's routing nodes point at it and its up-pointer is live. A
+// leaf enters the tree when it is made and leaves it in retire, once the
+// Seqs have lost it for good, so a pop and a push of the same leaves, to
+// the same Seq or the other, run with the tree untouched around them.
 type seqModel struct {
 	t     *testing.T
-	s     *Seq[int, int]
+	s     [2]*Seq[int, int]
 	tr    *Tree[int, int]
-	model []*leaf
+	model [2][]*leaf
 	held  []*leaf // popped, and not yet pushed again or retired: the tree's alone
 	next  int     // keys are distinct and increasing: a new batch is sorted
 }
 
 func newSeqModel(t *testing.T) *seqModel {
-	pool := NewNodePool[int, int]()
-	return &seqModel{t: t, s: NewSeqPooled(nil, pool), tr: NewPooled(nil, pool)}
+	return &seqModel{t: t, s: [2]*Seq[int, int]{NewSeq[int, int](0, nil), NewSeq[int, int](1, nil)}, tr: NewPooled(nil, NewNodePool[int, int]())}
 }
 
 // fresh makes n leaves, which the tree takes at once and the caller pushes.
@@ -553,42 +547,62 @@ func (m *seqModel) fresh(n int) []*leaf {
 	return leaves
 }
 
-func (m *seqModel) pushFront(leaves []*leaf) {
-	m.s.PushFrontLeaves(leaves)
-	m.model, m.held = append(slices.Clone(leaves), m.model...), nil
+func (m *seqModel) pushFront(i int, leaves []*leaf) {
+	m.s[i].PushFrontLeaves(leaves)
+	m.model[i], m.held = append(slices.Clone(leaves), m.model[i]...), nil
 }
 
-func (m *seqModel) pushBack(leaves []*leaf) {
-	m.s.PushBackLeaves(leaves)
-	m.model, m.held = append(m.model, leaves...), nil
+func (m *seqModel) pushBack(i int, leaves []*leaf) {
+	m.s[i].PushBackLeaves(leaves)
+	m.model[i], m.held = append(m.model[i], leaves...), nil
 }
 
-// popFront pops n leaves, or all there are, and returns a copy of them.
-func (m *seqModel) popFront(what string, n int, scratch []*leaf) []*leaf {
+// popFront pops n leaves of Seq i, or all there are, and returns a copy of
+// them.
+func (m *seqModel) popFront(i, n int, scratch []*leaf) []*leaf {
 	m.t.Helper()
-	c := min(n, len(m.model))
-	got := m.s.PopFront(n, scratch)
-	m.same(what, got, m.model[:c])
-	m.model, m.held = slices.Clone(m.model[c:]), slices.Clone(got)
+	c := min(n, len(m.model[i]))
+	got := m.s[i].PopFront(n, scratch)
+	m.same("PopFront", got, m.model[i][:c])
+	m.model[i], m.held = slices.Clone(m.model[i][c:]), slices.Clone(got)
 	return m.held
 }
 
-func (m *seqModel) popBack(what string, n int, scratch []*leaf) []*leaf {
+func (m *seqModel) popBack(i, n int, scratch []*leaf) []*leaf {
 	m.t.Helper()
-	c := len(m.model) - min(n, len(m.model))
-	got := m.s.PopBack(n, scratch)
-	m.same(what, got, m.model[c:])
-	m.model, m.held = m.model[:c], slices.Clone(got)
+	c := len(m.model[i]) - min(n, len(m.model[i]))
+	got := m.s[i].PopBack(n, scratch)
+	m.same("PopBack", got, m.model[i][c:])
+	m.model[i], m.held = m.model[i][:c], slices.Clone(got)
 	return m.held
 }
 
-// retire takes leaves that are in the Seq no more out of the tree. The tree
-// must be whole before — the Seq's kernels ran over its leaves — and give
-// back these very leaves.
+// remove takes the leaves of Seq i at the sorted positions pick out of it,
+// handing them over in the order rng shuffles them to, and retires them.
+func (m *seqModel) remove(rng *rand.Rand, i int, pick []int) {
+	m.t.Helper()
+	var gone, rest []*leaf
+	for j, lf := range m.model[i] {
+		if _, found := slices.BinarySearch(pick, j); found {
+			gone = append(gone, lf)
+		} else {
+			rest = append(rest, lf)
+		}
+	}
+	shuffled := slices.Clone(gone)
+	rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+	m.same("RemoveInto", m.s[i].RemoveInto(shuffled, make([]*leaf, len(gone))), gone)
+	m.model[i] = rest
+	m.retire(gone)
+}
+
+// retire takes leaves that are in no Seq any more out of the tree. The tree
+// must be whole before — the Seqs ran over its leaves — and give back these
+// very leaves.
 func (m *seqModel) retire(leaves []*leaf) {
 	m.t.Helper()
 	if err := m.tr.Validate(); err != nil {
-		m.t.Fatalf("the tree, after the Seq lost %d of its leaves: %v", len(leaves), err)
+		m.t.Fatalf("the tree, after the Seqs lost %d of its leaves: %v", len(leaves), err)
 	}
 	byKey := slices.Clone(leaves)
 	slices.SortFunc(byKey, func(a, b *leaf) int { return a.Key - b.Key })
@@ -607,168 +621,140 @@ func (m *seqModel) same(what string, got, want []*leaf) {
 	}
 }
 
-// check validates both trees and compares each with the model: the Seq
-// leaf by leaf in recency order, the tree in key order.
+// check compares each Seq with its model — a walk from the front and one
+// from the back, leaf by leaf, Len, stamps strictly increasing from front
+// to back, each leaf owned by its Seq and not by the other, and a held leaf
+// by neither — and the tree with the leaves of all three, in key order.
 func (m *seqModel) check(what string) {
 	m.t.Helper()
-	if err := m.s.Validate(); err != nil {
-		m.t.Fatalf("%s: %v", what, err)
+	for i, s := range m.s {
+		if err := s.Validate(); err != nil {
+			m.t.Fatalf("%s: Seq %d: %v", what, i, err)
+		}
+		var fwd, bwd []*leaf
+		for lf := s.head; lf != nil; lf = lf.next {
+			if len(fwd) > 0 && lf.pos&stampMask <= fwd[len(fwd)-1].pos&stampMask {
+				m.t.Fatalf("%s: Seq %d: stamp of leaf %d is not above the one before", what, i, len(fwd))
+			}
+			fwd = append(fwd, lf)
+		}
+		for lf := s.tail; lf != nil; lf = lf.prev {
+			bwd = append(bwd, lf)
+		}
+		slices.Reverse(bwd)
+		m.same(fmt.Sprintf("%s: Seq %d from the front", what, i), fwd, m.model[i])
+		m.same(fmt.Sprintf("%s: Seq %d from the back", what, i), bwd, m.model[i])
+		m.same(fmt.Sprintf("%s: Seq %d's Flatten", what, i), s.Flatten(), m.model[i])
+		if s.Len() != len(m.model[i]) {
+			m.t.Fatalf("%s: Seq %d: Len %d, model %d", what, i, s.Len(), len(m.model[i]))
+		}
+		for _, lf := range m.model[i] {
+			if !s.Owns(lf) || m.s[1-i].Owns(lf) {
+				m.t.Fatalf("%s: leaf %d of Seq %d is owned by Seq 0: %v, Seq 1: %v", what, lf.Key, i, m.s[0].Owns(lf), m.s[1].Owns(lf))
+			}
+		}
 	}
-	if m.s.Len() != len(m.model) {
-		m.t.Fatalf("%s: Len %d, model %d", what, m.s.Len(), len(m.model))
+	for _, lf := range m.held {
+		if m.s[0].Owns(lf) || m.s[1].Owns(lf) {
+			m.t.Fatalf("%s: popped leaf %d is still owned", what, lf.Key)
+		}
 	}
-	m.same(what+": Flatten", m.s.Flatten(), m.model)
 	if err := m.tr.Validate(); err != nil {
 		m.t.Fatalf("%s: the tree over the same leaves: %v", what, err)
 	}
-	byKey := append(slices.Clone(m.model), m.held...)
+	byKey := slices.Concat(m.model[0], m.model[1], m.held)
 	slices.SortFunc(byKey, func(a, b *leaf) int { return a.Key - b.Key })
 	m.same(what+": the tree's Flatten", m.tr.Flatten(), byKey)
 }
 
-// TestModelSeq is TestModelTree for the recency sequence: pushes, pops
-// and reverse-indexed removals against a slice of leaves in recency
-// order, with the same share of steps on sequences of 0, 1 and 2 items,
-// every leaf in a Tree as well for as long as it is in the Seq.
+// TestModelSeq is TestModelTree for the recency sequence: pushes, pops,
+// transfers between two sequences and removals by direct pointer against a
+// slice of leaves in recency order for each, with the same share of steps
+// on sequences of 0, 1 and 2 items, every leaf in a Tree as well for as
+// long as it is in a Seq.
 func TestModelSeq(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := newSeqModel(t)
-	s := m.s
-	// remove takes the model's leaves at the sorted positions pick out of
-	// the sequence, handing them over in random order.
-	remove := func(pick []int) {
-		var gone, rest []*leaf
-		for i, lf := range m.model {
-			if _, found := slices.BinarySearch(pick, i); found {
-				gone = append(gone, lf)
-			} else {
-				rest = append(rest, lf)
-			}
-		}
-		shuffled := slices.Clone(gone)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		m.same("RemoveInto", s.RemoveInto(shuffled, make([]int, len(gone)), make([]*leaf, len(gone))), gone)
-		m.model = rest
-		m.retire(gone)
-	}
 	var scratch []*leaf
 	for step := 0; step < 3000; step++ {
-		if step%3 == 0 && len(m.model) > 2 {
+		i := rng.Intn(2) // the Seq this step works on; 1-i is the other
+		if step%3 == 0 && len(m.model[i]) > 2 {
 			keep := rng.Intn(3)
-			cut := len(m.model) - keep
+			n := len(m.model[i])
 			switch rng.Intn(4) {
 			case 0:
-				m.retire(m.popBack("PopBack", cut, scratch))
+				m.retire(m.popBack(i, n-keep, scratch))
 			case 1:
-				m.retire(m.popFront("PopFront", cut, scratch))
-			case 2: // a run by rank: both ends, or everything, when keep is 0
-				remove(span(keep/2, len(m.model)-(keep+1)/2, 1))
-			default: // all but the middle: rank deletes at both ends at once
-				mid := len(m.model) / 2
-				remove(append(span(0, mid-keep/2, 1), span(mid+(keep+1)/2, len(m.model), 1)...))
+				m.retire(m.popFront(i, n-keep, scratch))
+			case 2: // a run: both ends, or everything, when keep is 0
+				m.remove(rng, i, span(keep/2, n-(keep+1)/2, 1))
+			default: // all but the middle: both ends at once
+				mid := n / 2
+				m.remove(rng, i, append(span(0, mid-keep/2, 1), span(mid+(keep+1)/2, n, 1)...))
 			}
 		}
 		switch op := rng.Intn(7); op {
 		case 0:
-			m.pushFront(m.fresh(rng.Intn(20)))
+			m.pushFront(i, m.fresh(rng.Intn(20)))
 		case 1:
-			m.pushBack(m.fresh(rng.Intn(20)))
+			m.pushBack(i, m.fresh(rng.Intn(20)))
 		case 2, 3: // pop, and sometimes push the same leaves back at the other end
-			n := rng.Intn(len(m.model) + 3) // may exceed the length: pops clamp
+			n := rng.Intn(len(m.model[i]) + 3) // may exceed the length: pops clamp
 			again := rng.Intn(2) == 0
-			switch popped := m.popFront("PopFront", n, nil); {
+			switch popped := m.popFront(i, n, nil); {
 			case op == 3:
-				m.pushFront(popped) // undo, to pop at the back
-				if popped = m.popBack("PopBack", n, nil); again {
-					m.pushFront(popped)
+				m.pushFront(i, popped) // undo, to pop at the back
+				if popped = m.popBack(i, n, nil); again {
+					m.pushFront(i, popped)
 				} else {
 					m.retire(popped)
 				}
 			case again:
-				m.pushBack(popped)
+				m.pushBack(i, popped)
 			default:
 				m.retire(popped)
 			}
 		case 4: // remove a random subset
 			var pick []int
-			for i := range m.model {
+			for j := range m.model[i] {
 				if rng.Intn(3) == 0 {
-					pick = append(pick, i)
+					pick = append(pick, j)
 				}
 			}
-			remove(pick)
-		case 5: // RankOf, Kth, Owns
-			for i, lf := range m.model {
-				if r := s.RankOf(lf); r != i {
-					t.Fatalf("step %d: RankOf = %d, want %d", step, r, i)
-				}
-				if s.Kth(i) != lf {
-					t.Fatalf("step %d: Kth(%d) is another leaf", step, i)
-				}
-				if !s.Owns(lf) || !m.tr.Owns(lf) {
-					t.Fatalf("step %d: leaf %d is not owned by both trees", step, i)
-				}
-			}
-			if s.Kth(-1) != nil || s.Kth(len(m.model)) != nil {
-				t.Fatalf("step %d: Kth out of range returned a leaf", step)
+			m.remove(rng, i, pick)
+		case 5: // a transfer, as restore makes: one Seq's back to the other's front, or its front to the other's back
+			n := rng.Intn(len(m.model[i]) + 3)
+			if rng.Intn(2) == 0 {
+				m.pushFront(1-i, m.popBack(i, n, scratch))
+			} else {
+				m.pushBack(1-i, m.popFront(i, n, scratch))
 			}
 		case 6: // a leaf of the tree alone, or of neither, belongs to no sequence
 			lone := m.fresh(1)
-			if s.Owns(lone[0]) || s.Owns(NewLeaf(-1, 0)) {
-				t.Fatalf("step %d: sequence owns a leaf it was not pushed", step)
+			if m.s[0].Owns(lone[0]) || m.s[1].Owns(lone[0]) || m.s[i].Owns(NewLeaf(-1, 0)) {
+				t.Fatalf("step %d: a sequence owns a leaf it was not pushed", step)
 			}
 			m.retire(lone)
 		}
 		m.check(fmt.Sprintf("step %d", step))
 	}
-	m.retire(m.popFront("PopFront", len(m.model), nil))
-
-	// Ends of every shape. With a = minKids and b = maxKids, a run of 2..a-1
-	// leaves is a tree whose root is thin at height 1, of 2b..(a-1)·b at
-	// height 2, and of b+1 or b²+1 one whose root has two children: pushed at
-	// either end of a sequence of one, two and three levels each is hung
-	// under that spine — merged into the spine's node of its height, sharing
-	// children with it, or as a child of the node above, splitting nodes on
-	// the way up when they are full — or, higher than the sequence, takes the
-	// sequence under its own spine. Then the three-level sequence is split at
-	// every rank from both ends and put together again.
-	const a, b = minKids, maxKids
-	sizes := []int{1, 2, a - 1, a, b, b + 1, 2 * b, (a-1)*b - 1, (a - 1) * b, a * b, b * b, b*b + 1}
-	for _, n := range []int{0, 1, b, b + 1, b * b, b*b + 1, b*b*b + 1} {
-		for _, k := range sizes {
-			for _, front := range []bool{true, false} {
-				m.pushBack(m.fresh(n))
-				// Full nodes first, then nodes at the minimum, down the spine.
-				for _, pre := range []int{0, 1, a*b + a} {
-					if pre < len(m.model) {
-						if front {
-							m.retire(m.popFront("PopFront", pre, nil))
-						} else {
-							m.retire(m.popBack("PopBack", pre, nil))
-						}
-					}
-					m.check(fmt.Sprintf("pop before push of %d at %d", k, n))
-					if front {
-						m.pushFront(m.fresh(k))
-					} else {
-						m.pushBack(m.fresh(k))
-					}
-					m.check(fmt.Sprintf("push of %d at %d", k, n))
-				}
-				m.retire(m.popBack("PopBack", len(m.model), nil))
-			}
-		}
+	for i := range m.s {
+		m.retire(m.popFront(i, len(m.model[i]), nil))
 	}
-	const n = b*b + a*b + 1 // three levels: a root of two, over a full node and one of a+1
-	m.pushBack(m.fresh(n))
+
+	// Every cut of a sequence of n from either end, put back: the ends of
+	// the list, and each pop and push that empties or refills it, meet every
+	// count from none to all.
+	const n = 40
+	m.pushBack(0, m.fresh(n))
 	for i := 0; i <= n; i++ {
-		front := m.popFront("PopFront", i, scratch)
+		front := m.popFront(0, i, scratch)
 		m.check(fmt.Sprintf("PopFront(%d) of %d", i, n))
-		m.pushFront(front)
+		m.pushFront(0, front)
 		m.check(fmt.Sprintf("PushFrontLeaves of %d at %d", i, n))
-		back := m.popBack("PopBack", n-i, scratch)
+		back := m.popBack(0, n-i, scratch)
 		m.check(fmt.Sprintf("PopBack(%d) of %d", n-i, n))
-		m.pushBack(back)
+		m.pushBack(0, back)
 		m.check(fmt.Sprintf("PushBackLeaves of %d at %d", n-i, n))
 	}
 }
@@ -778,10 +764,10 @@ func TestModelSeq(t *testing.T) {
 // and the goroutines repair neighbouring subtrees at once (CI runs this
 // under -race at GOMAXPROCS 1, 2 and 4), and checks the result leaf by
 // leaf. The models are segments: every leaf the tree takes a Seq takes too,
-// and every batch the tree drops leaves the Seq through the forking rank
-// deleter, so the goroutines of one axis write up-pointers in the leaves the
-// other tree hangs on. The tree of 40·batchGrain leaves built in one batch is a root of
-// four over full nodes; in 16way every batch leaves out the keys of one
+// and every batch the tree drops leaves the Seq by direct pointer, so the
+// goroutines write up-pointers in leaves whose list links the Seq reads and
+// writes next. The tree of 40·batchGrain leaves built in one batch is a
+// root of four over full nodes; in 16way every batch leaves out the keys of one
 // child of the first of them, so a node with maxKids children forks with
 // one child that has no share.
 func TestForkedKernels(t *testing.T) {

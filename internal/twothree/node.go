@@ -1,10 +1,11 @@
 // Package twothree implements the batched parallel search tree of the
-// paper's Appendix A.2, plus the recency sequence used for every segment's
-// recency-map. The appendix picks the 2-3 tree of Paul, Vishkin and Wagener;
-// nothing in the paper's bounds needs fan-out 3, only height O(log n) and a
-// batch descent of Θ(b·log(n/b) + b) visits, and this package keeps both on
-// an (a,b)-tree with a = minKids = 8 and b = maxKids = 16. The package name
-// and path are the 2-3 tree's because bench/probes.go imports them.
+// paper's Appendix A.2, and the recency sequence that every segment's
+// recency-map is. The appendix picks the 2-3 tree of Paul, Vishkin and
+// Wagener; nothing in the paper's bounds needs fan-out 3, only height
+// O(log n) and a batch descent of Θ(b·log(n/b) + b) visits, and this package
+// keeps both on an (a,b)-tree with a = minKids = 8 and b = maxKids = 16. The
+// package name and path are the 2-3 tree's because bench/probes.go imports
+// them.
 //
 // Trees are leaf-based: all items live in leaves; routing nodes have
 // minKids..maxKids children (the root: 2..maxKids) and carry the subtree
@@ -53,28 +54,26 @@
 // again while it has batchGrain keys and more than one child to give them
 // to, up to maxKids ways (each insert branch building its list on a stack
 // of its own). The span is O(log b · log n), against the pipelined
-// O(log b + log n) of Paul-Vishkin-Wagener, with every work bound intact. join and splitRank (joinsplit.go) serve the recency
-// sequence, which only ever changes at its two ends, on the same hang.
+// O(log b + log n) of Paul-Vishkin-Wagener, with every work bound intact.
 //
 // Node layout. Leaves and routing nodes are two struct types, so neither
-// pays for the other's fields. There is one leaf type, Node — the key, the
-// payload and two up-pointers — and it can be a leaf of two trees at once,
-// one on each axis: a Tree threads its leaves through up[byKey], a Seq
-// through up[byRank], so a working-set segment's key-map and recency-map are
-// two sets of routing nodes over one set of leaves, 48 bytes an item with a
-// string key and value. A tree reads and writes the up-pointer of its own
-// axis only — it knows which from the ax field of its routing nodes and of
-// every ref — and a Seq never reads a key: the maxKey of its nodes stays
-// zero. A routing node (inner) is a parent pointer, maxKids child
-// references, the child count, height, axis, subtree size and subtree
-// maximum — 160 bytes with a string key, ten per child slot.
+// pays for the other's fields. There is one leaf type, Node, and it is an
+// item of both maps of a working-set segment at once: the key-map, a Tree,
+// threads it through its one up-pointer, and the recency-map, a Seq (seq.go),
+// is an intrusive doubly-linked list through its prev and next, with pos
+// holding the Seq's tag and the leaf's stamp in it. A Tree never reads the
+// list fields and a Seq never reads the key or the up-pointer; the leaf is
+// 64 bytes with a string key and value, the size class exactly. A routing
+// node (inner) is a parent pointer, maxKids child references, the child
+// count, height, subtree size and subtree maximum — 160 bytes with a string
+// key, ten per child slot; only Trees have them.
 // A routing node's children are all leaves or all routing nodes, and its
 // height says which: h == 1 ⇒ the children are leaves, h > 1 ⇒ they are
 // routing nodes. Child references are therefore untyped single-word
 // pointers (unsafe.Pointer) cast on the parent's height — an interface
 // would spend a second word per child on a type the height already gives.
 // Every such cast is in this file; the rest of the package works on ref,
-// a (pointer, height, axis) handle, and never sees an untyped pointer.
+// a (pointer, height) handle, and never sees an untyped pointer.
 package twothree
 
 import (
@@ -94,25 +93,17 @@ const (
 	minKids = maxKids / 2
 )
 
-// An axis is one of the two orders a leaf can be threaded in at once: a
-// Tree's, by key, and a Seq's, by rank.
-type axis uint8
-
-const (
-	byKey axis = iota
-	byRank
-)
-
 // Node is a tree leaf: one item's key and payload. Leaves are stable:
 // once created, a leaf is identified by its pointer for as long as the item
 // is in the tree ("direct pointers" in the paper), even as batch operations
 // restructure the routing nodes above it. A leaf may be in one Tree and in
-// one Seq at the same time; what either does to it leaves the other's
-// up-pointer and order alone.
+// one Seq at the same time; neither reads or writes the other's fields.
 type Node[K cmp.Ordered, P any] struct {
-	Payload P
-	Key     K
-	up      [2]*inner[K, P] // the leaf's parent on each axis; stale on an axis the leaf is in no tree of
+	Payload    P
+	Key        K
+	up         *inner[K, P] // the leaf's parent in its Tree; stale when it is in none
+	prev, next *Node[K, P]  // its neighbours in its Seq, towards the front and the back
+	pos        uint64       // its Seq's tag and its stamp there (seq.go); 0 in no Seq
 }
 
 // inner is a routing node: nc children, all of height h-1. size is 32 bits
@@ -125,7 +116,6 @@ type inner[K cmp.Ordered, P any] struct {
 	size   int32                   // number of leaves in the subtree
 	h      int16                   // height above the leaf level, >= 1; fixed at creation
 	nc     int8                    // number of children
-	ax     axis                    // which up-pointer of the leaves below is this tree's; fixed at creation
 }
 
 // A side is an end of a node's children.
@@ -137,21 +127,19 @@ const (
 )
 
 // ref is a reference to a subtree: empty, a leaf (h == 0) or a routing node
-// (h >= 1), on the axis of the tree it is part of. It lives in tree roots,
-// locals and arguments only; nodes store the bare pointer and recover h and
-// ax from their own.
+// (h >= 1). It lives in tree roots, locals and arguments only; nodes store
+// the bare pointer and recover h from their own.
 type ref[K cmp.Ordered, P any] struct {
-	p  unsafe.Pointer
-	h  int16 // height of the node p points at; 0 when p is nil
-	ax axis
+	p unsafe.Pointer
+	h int16 // height of the node p points at; 0 when p is nil
 }
 
-func leafRef[K cmp.Ordered, P any](n *Node[K, P], ax axis) ref[K, P] {
-	return ref[K, P]{p: unsafe.Pointer(n), ax: ax}
+func leafRef[K cmp.Ordered, P any](n *Node[K, P]) ref[K, P] {
+	return ref[K, P]{p: unsafe.Pointer(n)}
 }
 
 func innerRef[K cmp.Ordered, P any](n *inner[K, P]) ref[K, P] {
-	return ref[K, P]{p: unsafe.Pointer(n), h: n.h, ax: n.ax}
+	return ref[K, P]{p: unsafe.Pointer(n), h: n.h}
 }
 
 func (r ref[K, P]) empty() bool { return r.p == nil }
@@ -184,23 +172,18 @@ func (r ref[K, P]) height() int16 {
 	return r.h
 }
 
-// maxKey returns the maximum key under a non-empty r; the zero key by
-// rank, where keys are in no order and are not read.
-func (r ref[K, P]) maxKey() (k K) {
-	switch {
-	case r.ax != byKey:
-	case r.h == 0:
-		k = r.leaf().Key
-	default:
-		k = r.node().maxKey
+// maxKey returns the maximum key under a non-empty r.
+func (r ref[K, P]) maxKey() K {
+	if r.h == 0 {
+		return r.leaf().Key
 	}
-	return k
+	return r.node().maxKey
 }
 
 // parent returns the parent pointer of a non-empty r.
 func (r ref[K, P]) parent() *inner[K, P] {
 	if r.h == 0 {
-		return r.leaf().up[r.ax]
+		return r.leaf().up
 	}
 	return r.node().parent
 }
@@ -211,7 +194,7 @@ func (r ref[K, P]) setParent(up *inner[K, P]) {
 	switch {
 	case r.p == nil:
 	case r.h == 0:
-		r.leaf().up[r.ax] = up
+		r.leaf().up = up
 	default:
 		r.node().parent = up
 	}
@@ -233,7 +216,7 @@ func (r ref[K, P]) whole(h int16) bool {
 
 // kid returns n's i'th child.
 func (n *inner[K, P]) kid(i int8) ref[K, P] {
-	return ref[K, P]{p: n.child[i], h: n.h - 1, ax: n.ax}
+	return ref[K, P]{p: n.child[i], h: n.h - 1}
 }
 
 // edge returns n's first or last child.
@@ -370,9 +353,8 @@ func NewLeaf[K cmp.Ordered, P any](k K, p P) *Node[K, P] {
 // place.
 func refresh[K cmp.Ordered, P any](n *inner[K, P]) {
 	if n.h == 1 {
-		ax := n.ax
 		for i := int8(0); i < n.nc; i++ {
-			(*Node[K, P])(n.child[i]).up[ax] = n
+			(*Node[K, P])(n.child[i]).up = n
 		}
 		n.size = int32(n.nc)
 	} else {
@@ -389,19 +371,18 @@ func refresh[K cmp.Ordered, P any](n *inner[K, P]) {
 
 // mk2 makes a routing node over a and b, which must have equal heights.
 func mk2[K cmp.Ordered, P any](np *NodePool[K, P], a, b ref[K, P]) *inner[K, P] {
-	n := np.get(a.h+1, a.ax)
+	n := np.get(a.h + 1)
 	n.setKids([]ref[K, P]{a, b})
 	return n
 }
 
-// rank returns the number of leaves strictly before leaf in the
-// left-to-right order of the tree it is in on axis ax, by walking parent
-// pointers and summing the sizes of left siblings. O(log n). leaf must
-// currently belong to such a tree.
-func rank[K cmp.Ordered, P any](leaf *Node[K, P], ax axis) int {
+// rank returns the number of leaves strictly before leaf in the key order
+// of the tree it is in, by walking parent pointers and summing the sizes of
+// left siblings. O(log n). leaf must currently belong to a tree.
+func rank[K cmp.Ordered, P any](leaf *Node[K, P]) int {
 	r := 0
 	cur := unsafe.Pointer(leaf)
-	for p := leaf.up[ax]; p != nil; cur, p = unsafe.Pointer(p), p.parent {
+	for p := leaf.up; p != nil; cur, p = unsafe.Pointer(p), p.parent {
 		for i := int8(0); p.child[i] != cur; i++ {
 			r += p.kid(i).size()
 		}
@@ -409,11 +390,11 @@ func rank[K cmp.Ordered, P any](leaf *Node[K, P], ax axis) int {
 	return r
 }
 
-// root returns the root of the tree leaf currently belongs to on axis ax.
-func root[K cmp.Ordered, P any](leaf *Node[K, P], ax axis) ref[K, P] {
-	p := leaf.up[ax]
+// root returns the root of the tree leaf currently belongs to.
+func root[K cmp.Ordered, P any](leaf *Node[K, P]) ref[K, P] {
+	p := leaf.up
 	if p == nil {
-		return leafRef(leaf, ax)
+		return leafRef(leaf)
 	}
 	for p.parent != nil {
 		p = p.parent
@@ -436,26 +417,6 @@ func appendLeaves[K cmp.Ordered, P any](r ref[K, P], out []*Node[K, P]) []*Node[
 	return out
 }
 
-// appendLeavesFree is appendLeaves for a subtree being dismantled: the
-// routing nodes are recycled into the pool as the walk leaves them
-// behind. The extracted leaves keep their identity (their stale parent
-// pointers on the subtree's axis are overwritten on the next insertion,
-// exactly as with the non-freeing walk).
-func appendLeavesFree[K cmp.Ordered, P any](np *NodePool[K, P], r ref[K, P], out []*Node[K, P]) []*Node[K, P] {
-	if r.empty() {
-		return out
-	}
-	if r.isLeaf() {
-		return append(out, r.leaf())
-	}
-	n := r.node()
-	for i := int8(0); i < n.nc; i++ {
-		out = appendLeavesFree(np, n.kid(i), out)
-	}
-	np.put(n)
-	return out
-}
-
 // take is how many of rem >= 2 same-height subtrees the next routing node
 // built over them gets: maxKids while that leaves minKids for the next, all
 // that fit in one node, and otherwise half, so that the last two nodes share
@@ -475,13 +436,13 @@ func take(rem int) int {
 // many it made. The first is first unless that is nil (a node rebuilt in
 // place keeps its identity); the rest come from the pool.
 func group[K cmp.Ordered, P any](np *NodePool[K, P], first *inner[K, P], kids []ref[K, P]) int {
-	h, ax := kids[0].h+1, kids[0].ax
+	h := kids[0].h + 1
 	w := 0
 	for i := 0; i < len(kids); w++ {
 		n := first
 		first = nil
 		if n == nil {
-			n = np.get(h, ax)
+			n = np.get(h)
 		}
 		g := take(len(kids) - i)
 		n.setKids(kids[i : i+g])
@@ -491,52 +452,11 @@ func group[K cmp.Ordered, P any](np *NodePool[K, P], first *inner[K, P], kids []
 	return w
 }
 
-// buildStack is how many first-level routing nodes buildLeaves keeps on its
-// own stack; longer runs of leaves allocate one level buffer.
-const buildStack = 16
-
-// buildLeaves constructs a balanced tree over the given leaves (in order)
-// on axis ax and returns its root (empty for an empty slice). O(b) work. Each level is
-// grouped left to right as group does it; a level is written over the front
-// of the previous one, which it can never overtake, so one buffer of a
-// sixteenth of the leaf count serves every level.
-func buildLeaves[K cmp.Ordered, P any](np *NodePool[K, P], leaves []*Node[K, P], ax axis) ref[K, P] {
-	switch len(leaves) {
-	case 0:
-		return ref[K, P]{}
-	case 1:
-		return leafRef(leaves[0], ax).detach()
-	}
-	var stack [buildStack]ref[K, P]
-	level := stack[:0]
-	if need := len(leaves)/maxKids + 1; need > buildStack {
-		level = make([]ref[K, P], 0, need)
-	}
-	for i := 0; i < len(leaves); {
-		n := np.get(1, ax)
-		g := take(len(leaves) - i)
-		for j, lf := range leaves[i : i+g] {
-			n.child[j] = unsafe.Pointer(lf)
-		}
-		n.nc = int8(g)
-		refresh(n)
-		level = append(level, innerRef(n))
-		i += g
-	}
-	for len(level) > 1 {
-		level = level[:group(np, nil, level)]
-	}
-	return level[0]
-}
-
 // validate checks structural invariants below r: uniform leaf depth,
 // minKids..maxKids children below the root and 2..maxKids at it, no child
-// pointer past the count, one axis throughout, size and maxKey caching (by
-// rank: no maxKey), and parent pointers — of the leaves, the one on r's axis
-// and not the other. By key it additionally checks that leaf keys are
-// strictly increasing.
+// pointer past the count, size and maxKey caching, parent pointers, and
+// strictly increasing leaf keys.
 func validate[K cmp.Ordered, P any](r ref[K, P]) error {
-	ordered := r.ax == byKey
 	if r.empty() {
 		return nil
 	}
@@ -549,10 +469,10 @@ func validate[K cmp.Ordered, P any](r ref[K, P]) error {
 	walk = func(r ref[K, P], up *inner[K, P]) error {
 		if r.isLeaf() {
 			lf := r.leaf()
-			if lf.up[r.ax] != up {
+			if lf.up != up {
 				return fmt.Errorf("leaf %v has wrong parent", lf.Key)
 			}
-			if ordered && prev != nil && cmp.Compare(*prev, lf.Key) >= 0 {
+			if prev != nil && cmp.Compare(*prev, lf.Key) >= 0 {
 				return fmt.Errorf("keys out of order: %v before %v", *prev, lf.Key)
 			}
 			k := lf.Key
@@ -563,8 +483,8 @@ func validate[K cmp.Ordered, P any](r ref[K, P]) error {
 		if n.parent != up {
 			return fmt.Errorf("node of height %d has wrong parent", n.h)
 		}
-		if n.h != r.h || n.ax != r.ax {
-			return fmt.Errorf("node of height %d, axis %d reached as height %d, axis %d", n.h, n.ax, r.h, r.ax)
+		if n.h != r.h {
+			return fmt.Errorf("node of height %d reached as height %d", n.h, r.h)
 		}
 		least := int8(minKids)
 		if up == nil {

@@ -5,21 +5,19 @@ import (
 	"sync"
 )
 
-// NodePool recycles routing nodes. Items migrating between segments take
-// routing nodes out of one tree and need them in another: a key-map batch
-// delete drops the nodes it merges into a neighbour and a batch insert
-// takes one for every node that overflows, while the recency sequences
-// still split and rejoin their spines at every pop and push —
-// and that churn is almost all of the engines' residual steady-state
-// allocation (E18 in docs/history/EXPERIMENTS_E18-E23.md). A pool turns it into
-// reuse.
+// NodePool recycles the routing nodes of key-maps. Items migrating between
+// segments take routing nodes out of one tree and need them in another: a
+// key-map batch delete drops the nodes it merges into a neighbour and a
+// batch insert takes one for every node that overflows, and that churn is
+// almost all of the engines' residual steady-state allocation (E18 in
+// docs/history/EXPERIMENTS_E18-E23.md). A pool turns it into reuse. A Seq
+// has no routing nodes and takes nothing from it.
 //
 // Only routing nodes are pooled, which the types enforce: leaves are
 // identity — the maps hold direct pointers to them across segment moves
 // (the paper's cross pointers) — and a leaf is a different type from
-// what the pool holds. The routing nodes of a Tree and of a Seq over the
-// same leaves are one type, so both draw on one pool: a node a shrinking
-// recency-map drops can feed the key-map growing beside it.
+// what the pool holds. The key-maps of an engine's segments draw on one
+// pool: a node a shrinking key-map drops can feed one growing beside it.
 //
 // A NodePool is safe for concurrent use (batch operations fork the visits
 // to a node's children, and M2's final slab segments run as
@@ -38,9 +36,9 @@ func NewNodePool[K cmp.Ordered, P any]() *NodePool[K, P] {
 	return &NodePool[K, P]{}
 }
 
-// get returns a routing node of height h on axis ax and otherwise zero,
-// recycled if available.
-func (np *NodePool[K, P]) get(h int16, ax axis) *inner[K, P] {
+// get returns a routing node of height h and otherwise zero, recycled if
+// available.
+func (np *NodePool[K, P]) get(h int16) *inner[K, P] {
 	var n *inner[K, P]
 	if np != nil {
 		n, _ = np.p.Get().(*inner[K, P])
@@ -48,7 +46,7 @@ func (np *NodePool[K, P]) get(h int16, ax axis) *inner[K, P] {
 	if n == nil {
 		n = new(inner[K, P])
 	}
-	n.h, n.ax = h, ax
+	n.h = h
 	return n
 }
 

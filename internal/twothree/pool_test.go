@@ -65,14 +65,14 @@ func TestNodePoolLeafIdentity(t *testing.T) {
 }
 
 // TestNodePoolZeroes checks the pool's clearing contract: a recycled
-// routing node comes back with no children, parent, size, key or axis. (That
+// routing node comes back with no children, parent, size, key or height. (That
 // leaves are never pooled needs no test: put takes *inner, and a leaf is
 // a *Node.)
 func TestNodePoolZeroes(t *testing.T) {
 	np := NewNodePool[int, string]()
-	internal := mk2(np, leafRef(NewLeaf(1, "a"), byRank), leafRef(NewLeaf(2, "b"), byRank))
+	internal := mk2(np, leafRef(NewLeaf(1, "a")), leafRef(NewLeaf(2, "b")))
 	np.put(internal)
-	back := np.get(0, byKey)
+	back := np.get(0)
 	if back != internal {
 		// sync.Pool may drop entries under GC pressure; only the zeroing
 		// contract is hard.
@@ -80,31 +80,5 @@ func TestNodePoolZeroes(t *testing.T) {
 	}
 	if *back != (inner[int, string]{}) {
 		t.Fatalf("pooled node not zeroed: %+v", back)
-	}
-}
-
-// TestSeqPooledPops checks the freeing leaf walk behind PopFront/PopBack:
-// popped leaves keep identity and order while their spine recycles.
-func TestSeqPooledPops(t *testing.T) {
-	s := NewSeqPooled(nil, NewNodePool[int, int]())
-	front := mint(span(0, 200, 1))
-	s.PushBackLeaves(front)
-	for i := 0; i < 10; i++ {
-		popped := s.PopFront(15, nil)
-		if len(popped) != 15 {
-			t.Fatalf("pop %d: got %d leaves", i, len(popped))
-		}
-		for j, lf := range popped {
-			want := front[i*15+j]
-			if lf != want || lf.Key != i*15+j {
-				t.Fatalf("pop %d leaf %d: got key %d, want %d (identity broken)", i, j, lf.Key, i*15+j)
-			}
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("pop %d: %v", i, err)
-		}
-	}
-	if s.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", s.Len())
 	}
 }

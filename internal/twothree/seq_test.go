@@ -5,9 +5,6 @@ import (
 	"testing"
 )
 
-// seqKeyModel mirrors a Seq as a plain slice of keys, most recent first.
-type seqKeyModel []int
-
 // leaf is the leaf of the tests' sequences; its key only labels it.
 type leaf = Node[int, int]
 
@@ -29,97 +26,28 @@ func seqKeys(s *Seq[int, int]) []int {
 	return keys
 }
 
-func checkSeq(t *testing.T, s *Seq[int, int], m seqKeyModel) {
+func checkSeq(t *testing.T, s *Seq[int, int], want []int) {
 	t.Helper()
 	if err := s.Validate(); err != nil {
 		t.Fatalf("invalid seq: %v", err)
 	}
-	if s.Len() != len(m) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(m))
+	if s.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
 	}
 	got := seqKeys(s)
 	for i, k := range got {
-		if k != m[i] {
-			t.Fatalf("rank %d = %d, want %d (all: %v vs %v)", i, k, m[i], got, m)
+		if k != want[i] {
+			t.Fatalf("rank %d = %d, want %d (all: %v vs %v)", i, k, want[i], got, want)
 		}
 	}
-}
-
-func TestSeqPushPop(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	s := NewSeq[int, int](nil)
-	var m seqKeyModel
-	next := 0
-	for step := 0; step < 3000; step++ {
-		switch rng.Intn(4) {
-		case 0: // push front
-			b := rng.Intn(5) + 1
-			keys := make([]int, b)
-			for i := range keys {
-				keys[i] = next
-				next++
-			}
-			s.PushFrontLeaves(mint(keys))
-			m = append(append(seqKeyModel{}, keys...), m...)
-		case 1: // push back
-			b := rng.Intn(5) + 1
-			keys := make([]int, b)
-			for i := range keys {
-				keys[i] = next
-				next++
-			}
-			s.PushBackLeaves(mint(keys))
-			m = append(m, keys...)
-		case 2: // pop front
-			b := rng.Intn(4)
-			want := b
-			if want > len(m) {
-				want = len(m)
-			}
-			got := s.PopFront(b, nil)
-			if len(got) != want {
-				t.Fatalf("PopFront returned %d, want %d", len(got), want)
-			}
-			for i, lf := range got {
-				if lf.Key != m[i] {
-					t.Fatalf("PopFront order wrong")
-				}
-			}
-			m = m[want:]
-		default: // pop back
-			b := rng.Intn(4)
-			want := b
-			if want > len(m) {
-				want = len(m)
-			}
-			got := s.PopBack(b, nil)
-			if len(got) != want {
-				t.Fatalf("PopBack returned %d, want %d", len(got), want)
-			}
-			for i, lf := range got {
-				if lf.Key != m[len(m)-want+i] {
-					t.Fatalf("PopBack order wrong")
-				}
-			}
-			m = m[:len(m)-want]
-		}
-		if step%199 == 0 {
-			checkSeq(t, s, m)
-		}
-	}
-	checkSeq(t, s, m)
 }
 
 func TestSeqRemoveByPointers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(500) + 5
-		s := NewSeq[int, int](nil)
-		keys := make([]int, n)
-		for i := range keys {
-			keys[i] = i
-		}
-		leaves := mint(keys)
+		s := NewSeq[int, int](0, nil)
+		leaves := mint(span(0, n, 1))
 		s.PushBackLeaves(leaves)
 		// Pick a random subset of leaves, in shuffled order.
 		perm := rng.Perm(n)
@@ -130,7 +58,7 @@ func TestSeqRemoveByPointers(t *testing.T) {
 			pick = append(pick, leaves[i])
 			picked[i] = true
 		}
-		removed := s.RemoveInto(pick, make([]int, len(pick)), make([]*leaf, len(pick)))
+		removed := s.RemoveInto(pick, make([]*leaf, len(pick)))
 		if len(removed) != b {
 			t.Fatalf("Remove returned %d, want %d", len(removed), b)
 		}
@@ -140,52 +68,29 @@ func TestSeqRemoveByPointers(t *testing.T) {
 				t.Fatal("Remove output not in recency order")
 			}
 		}
-		var m seqKeyModel
+		var want []int
 		for i := 0; i < n; i++ {
 			if !picked[i] {
-				m = append(m, i)
+				want = append(want, i)
 			}
 		}
-		checkSeq(t, s, m)
-	}
-}
-
-func TestSeqRankOfAndKth(t *testing.T) {
-	s := NewSeq[int, int](nil)
-	leaves := mint([]int{10, 11, 12, 13, 14, 15})
-	s.PushBackLeaves(leaves)
-	for i, lf := range leaves {
-		if got := s.RankOf(lf); got != i {
-			t.Fatalf("RankOf leaf %d = %d", i, got)
-		}
-		if got := s.Kth(i); got != lf {
-			t.Fatalf("Kth(%d) wrong", i)
-		}
-	}
-	if s.Kth(6) != nil || s.Kth(-1) != nil {
-		t.Fatal("Kth out of range should be nil")
-	}
-	// After a front push, old ranks shift.
-	s.PushFrontLeaves(mint([]int{99}))
-	if got := s.RankOf(leaves[0]); got != 1 {
-		t.Fatalf("RankOf after PushFront = %d, want 1", got)
+		checkSeq(t, s, want)
 	}
 }
 
 func TestSeqPushFrontLeavesIdentity(t *testing.T) {
-	s := NewSeq[int, int](nil)
+	s := NewSeq[int, int](0, nil)
 	s.PushBackLeaves(mint([]int{1, 2, 3}))
 	moved := s.PopBack(2, nil) // leaves 2, 3
-	s2 := NewSeq[int, int](nil)
+	s2 := NewSeq[int, int](1, nil)
 	s2.PushBackLeaves(mint([]int{7, 8}))
 	s2.PushFrontLeaves(moved)
-	if got := seqKeys(s2); len(got) != 4 || got[0] != 2 || got[1] != 3 || got[2] != 7 || got[3] != 8 {
-		t.Fatalf("got %v", got)
-	}
-	if s2.Kth(0) != moved[0] {
+	checkSeq(t, s2, []int{2, 3, 7, 8})
+	checkSeq(t, s, []int{1})
+	if s2.Flatten()[0] != moved[0] {
 		t.Fatal("leaf identity lost across transfer")
 	}
-	if err := s2.Validate(); err != nil {
-		t.Fatal(err)
+	if !s2.Owns(moved[0]) || s.Owns(moved[0]) {
+		t.Fatal("a moved leaf is not owned by the sequence it moved to alone")
 	}
 }

@@ -3,6 +3,7 @@ package twothree
 import (
 	"cmp"
 	"math/bits"
+	"sort"
 
 	"repro/internal/metrics"
 )
@@ -155,7 +156,7 @@ func (t *Tree[K, P]) Flatten() []*Node[K, P] {
 // Owns reports whether leaf currently belongs to this tree, by walking its
 // parent chain to the root (test hook; O(log n)).
 func (t *Tree[K, P]) Owns(leaf *Node[K, P]) bool {
-	return root(leaf, byKey) == t.root
+	return root(leaf) == t.root
 }
 
 // Validate checks all structural invariants (test hook).
@@ -296,13 +297,19 @@ func (t *Tree[K, P]) deleteKeys(keys []K, out []*Node[K, P]) {
 }
 
 // RemoveInto deletes the given leaves of the tree (in any order) by
-// reverse indexing, as Seq.RemoveInto does, and returns them in key order,
-// in out; ranks and out are caller scratch of length len(leaves). This is
-// how a holder of direct pointers takes items out without comparing a key.
-// Θ(b log n) work.
+// reverse indexing — compute each leaf's rank by a parent walk, sort the
+// ranks, and batch-delete — and returns them in key order, in out; ranks
+// and out are caller scratch of length len(leaves). This is how a holder of
+// direct pointers takes items out without comparing a key. Θ(b log n)
+// work.
 func (t *Tree[K, P]) RemoveInto(leaves []*Node[K, P], ranks []int, out []*Node[K, P]) []*Node[K, P] {
 	t.chargeBatch(len(leaves))
-	t.root = removeLeaves(t.pool, t.root, byKey, leaves, ranks, out)
+	for i, lf := range leaves {
+		ranks[i] = rank(lf)
+	}
+	sort.Ints(ranks)
+	d := deleter[K, P]{np: t.pool, ranks: ranks, out: out}
+	t.root = d.run(t.root, len(ranks))
 	return out[:len(leaves)]
 }
 

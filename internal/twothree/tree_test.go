@@ -2,6 +2,7 @@ package twothree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -63,7 +64,7 @@ func checkAgainstModel(t *testing.T, tr *Tree[int, string], m *model) {
 		if lf.Key != m.keys[i] || lf.Payload != m.vals[i] {
 			t.Fatalf("leaf %d = (%d,%q), want (%d,%q)", i, lf.Key, lf.Payload, m.keys[i], m.vals[i])
 		}
-		if got := rank(lf, byKey); got != i {
+		if got := rank(lf); got != i {
 			t.Fatalf("Rank(leaf %d) = %d", i, got)
 		}
 		if got := tr.Kth(i); got != lf {
@@ -274,24 +275,24 @@ func TestBatchDeleteRanks(t *testing.T) {
 	}
 }
 
-func TestQuickSplitRank(t *testing.T) {
+// TestQuickJoin checks join, which the deleter uses to put a short subtree
+// under its neighbour's spine, on every pair of trees of up to 1000 leaves
+// each, every key of the first below every key of the second: the result
+// is one valid tree holding both, and the leaves keep their identity.
+func TestQuickJoin(t *testing.T) {
 	pool := NewNodePool[int, int]()
-	f := func(n uint16, at uint16, ax axis) bool {
+	f := func(n uint16, at uint16) bool {
 		size := int(n%1000) + 1
 		cut := int(at) % (size + 1)
-		root := buildLeaves(pool, mint(span(0, size, 1)), ax%2)
-		l, r := splitRank(pool, root, cut)
-		if l.size() != cut || r.size() != size-cut {
-			return false
-		}
-		if validate(l) != nil || validate(r) != nil {
-			return false
-		}
-		back := join(pool, l, r)
+		leaves := mint(span(0, size, 1))
+		l, r := NewPooled[int, int](nil, pool), NewPooled[int, int](nil, pool)
+		l.BatchInsertLeaves(leaves[:cut])
+		r.BatchInsertLeaves(leaves[cut:])
+		back := join(pool, l.root, r.root)
 		if back.size() != size || validate(back) != nil {
 			return false
 		}
-		return true
+		return slices.Equal(appendLeaves(back, nil), leaves)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
