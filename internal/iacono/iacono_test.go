@@ -3,6 +3,7 @@ package iacono
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -139,5 +140,63 @@ func TestEachAndEachLevel(t *testing.T) {
 	})
 	if total != 50 {
 		t.Fatalf("EachLevel visited %d items", total)
+	}
+}
+
+// recencyKeys returns every level's keys in recency order, most recent
+// first.
+func recencyKeys(m *Map[int, int]) [][]int {
+	out := make([][]int, len(m.levels))
+	for i, lv := range m.levels {
+		for e := lv.rec.head; e != nil; e = e.next {
+			out[i] = append(out[i], e.key)
+		}
+	}
+	return out
+}
+
+// TestRecencyOrderMatchesLRU is the placement oracle: after every
+// operation the levels' recency lists, concatenated, are the access
+// sequence's LRU order (an insert or a hit makes a key the most recent, a
+// delete drops it), and every level but the last is full.
+func TestRecencyOrderMatchesLRU(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := New[int, int](nil)
+	var lru []int // most recent first
+	touch := func(k int) {
+		lru = slices.DeleteFunc(lru, func(x int) bool { return x == k })
+		lru = slices.Insert(lru, 0, k)
+	}
+	for step := 0; step < 20000; step++ {
+		k := rng.Intn(300)
+		present := slices.Contains(lru, k)
+		switch rng.Intn(5) {
+		case 0, 1:
+			m.Insert(k, step)
+			touch(k)
+		case 2, 3:
+			if _, ok := m.Get(k); ok != present {
+				t.Fatalf("step %d: Get(%d) found = %v, want %v", step, k, ok, present)
+			}
+			if present {
+				touch(k)
+			}
+		default:
+			if _, ok := m.Delete(k); ok != present {
+				t.Fatalf("step %d: Delete(%d) found = %v, want %v", step, k, ok, present)
+			}
+			lru = slices.DeleteFunc(lru, func(x int) bool { return x == k })
+		}
+		levels := recencyKeys(m)
+		var got []int
+		for i, keys := range levels {
+			if i < len(levels)-1 && len(keys) != levelCap(i) {
+				t.Fatalf("step %d: level %d holds %d, want %d", step, i, len(keys), levelCap(i))
+			}
+			got = append(got, keys...)
+		}
+		if !slices.Equal(got, lru) {
+			t.Fatalf("step %d: recency order %v, want %v", step, got, lru)
+		}
 	}
 }
