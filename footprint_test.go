@@ -21,13 +21,15 @@ func liveHeap() uint64 {
 // server's shape (string keys, 64-byte string values, sharded M1) is
 // loaded with 2^17 items, and the live heap is divided by the item count.
 // 80 of the bytes are the item's own key and value; the rest is the item's
-// one 48-byte leaf, its share of the routing nodes of the two trees that
-// thread it, and allocator rounding. The engine's accounted itemOverhead
-// (96) is a budget charge, not this number. Measured 157.9 B/item; 181.9
-// when the recency-map had a 24-byte leaf of its own beside the key-map's
-// 48-byte one, 240 with 2-3 routing nodes (64 bytes for three children,
-// against 160 for up to sixteen), 431 before leaves and routing nodes were
-// split into two types. Skipped under -race (instrumented heap).
+// one 64-byte leaf, threaded by one tree (the key-map, through its
+// up-pointer) and one list (the recency-map, through its links), its share
+// of that tree's routing nodes, and allocator rounding. The engine's
+// accounted itemOverhead (96) is a budget charge, not this number.
+// Measured 159.8 B/item; 157.9 when the recency-map was a second tree over
+// a 48-byte leaf, 181.9 when it had a 24-byte leaf of its own beside the
+// key-map's 48-byte one, 240 with 2-3 routing nodes (64 bytes for three
+// children, against 160 for up to sixteen), 431 before leaves and routing
+// nodes were split into two types. Skipped under -race (instrumented heap).
 func TestBytesPerItem(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes inflated under -race")

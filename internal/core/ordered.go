@@ -34,33 +34,6 @@ func (m *M0[K, V]) Each(f func(k K, v V) bool) {
 	}
 }
 
-// Min returns the smallest key and its value without adjusting recencies.
-func (m *M0[K, V]) Min() (K, V, bool) { return edgeOf(m.segs, false) }
-
-// Max returns the largest key and its value without adjusting recencies.
-func (m *M0[K, V]) Max() (K, V, bool) { return edgeOf(m.segs, true) }
-
-func edgeOf[K cmp.Ordered, V any](segs []*segment[K, V], max bool) (K, V, bool) {
-	var bestK K
-	var bestV V
-	found := false
-	for km := range keyMaps(segs) {
-		var leaf *segLeaf[K, V]
-		if max {
-			leaf = km.Max()
-		} else {
-			leaf = km.Min()
-		}
-		if leaf == nil {
-			continue
-		}
-		if !found || (max && leaf.Key > bestK) || (!max && leaf.Key < bestK) {
-			bestK, bestV, found = leaf.Key, leaf.Payload, true
-		}
-	}
-	return bestK, bestV, found
-}
-
 // Items returns an ordered snapshot of the map's live contents (keys the
 // Dead hook reports are left out). Like CheckInvariants, it is only valid
 // while the map is quiescent (no operations in flight); it exists for

@@ -33,34 +33,11 @@ func TestM0OrderedQueries(t *testing.T) {
 	if len(got) != len(ref) {
 		t.Fatalf("Each visited %d of %d", len(got), len(ref))
 	}
-	var want []int
-	for k := range ref {
-		want = append(want, k)
-	}
-	sort.Ints(want)
-	minK, minV, ok := m.Min()
-	if !ok || minK != want[0] || minV != want[0]*2 {
-		t.Fatalf("Min = (%d,%d,%v)", minK, minV, ok)
-	}
-	maxK, _, ok := m.Max()
-	if !ok || maxK != want[len(want)-1] {
-		t.Fatalf("Max = %d, want %d", maxK, want[len(want)-1])
-	}
 	// Early termination.
 	count := 0
 	m.Each(func(k, v int) bool { count++; return count < 5 })
 	if count != 5 {
 		t.Fatalf("early-terminated Each visited %d", count)
-	}
-}
-
-func TestM0MinMaxEmpty(t *testing.T) {
-	m := NewM0[int, int](nil)
-	if _, _, ok := m.Min(); ok {
-		t.Fatal("Min on empty map reported ok")
-	}
-	if _, _, ok := m.Max(); ok {
-		t.Fatal("Max on empty map reported ok")
 	}
 }
 

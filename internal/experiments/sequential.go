@@ -171,17 +171,21 @@ func E10RecencyCurve(s Scale) Table {
 	n := 1 << 16
 	t := Table{
 		Title:  fmt.Sprintf("E10: single-access cost vs recency r (n = %d)", n),
-		Header: []string{"recency r", "1+lg r", "M0", "Iacono", "splay", "static lg n"},
-		Note:   "paper: working-set maps pay O(1+lg r) worst-case; splay only amortized (cyclic pattern costs Θ(r))",
+		Header: []string{"recency r", "1+lg r", "M0", "M1", "Iacono", "splay", "static lg n"},
+		Note:   "paper: working-set maps pay O(1+lg r) worst-case; splay only amortized (cyclic pattern costs Θ(r)); M1 from one goroutine: each access is its own cut",
 	}
 	cnt0 := &metrics.Counter{}
 	m0 := core.NewM0[int, int](cnt0)
+	cnt1 := &metrics.Counter{}
+	m1 := core.NewM1[int, int](core.Config{P: 2, Counter: cnt1})
+	defer m1.Close()
 	cntI := &metrics.Counter{}
 	ia := iacono.New[int, int](cntI)
 	cntS := &metrics.Counter{}
 	sp := splay.New[int, int](cntS)
 	for i := 0; i < n; i++ {
 		m0.Insert(i, i)
+		m1.Insert(i, i)
 		ia.Insert(i, i)
 		sp.Insert(i, i)
 	}
@@ -201,9 +205,10 @@ func E10RecencyCurve(s Scale) Table {
 	}
 	for _, r := range []int{1, 4, 16, 64, 256, 1024, 4096, 16384} {
 		c0 := measure(func(k int) { m0.Get(k) }, cnt0, r)
+		c1 := measure(func(k int) { m1.Get(k) }, cnt1, r)
 		ci := measure(func(k int) { ia.Get(k) }, cntI, r)
 		cs := measure(func(k int) { sp.Get(k) }, cntS, r)
-		t.AddRow(d(r), f1(1+math.Log2(float64(r))), f1(c0), f1(ci), f1(cs),
+		t.AddRow(d(r), f1(1+math.Log2(float64(r))), f1(c0), f1(c1), f1(ci), f1(cs),
 			f1(math.Log2(float64(n))))
 	}
 	return t

@@ -13,3 +13,7 @@ func errOverCap(level, size, cap int) error {
 func errTotal(got, want int) error {
 	return fmt.Errorf("iacono: total size %d != tracked size %d", got, want)
 }
+
+func errStray(level int, key any) error {
+	return fmt.Errorf("iacono: level %d key-map leaf %v not in its recency-map", level, key)
+}

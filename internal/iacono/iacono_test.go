@@ -148,8 +148,8 @@ func TestEachAndEachLevel(t *testing.T) {
 func recencyKeys(m *Map[int, int]) [][]int {
 	out := make([][]int, len(m.levels))
 	for i, lv := range m.levels {
-		for e := lv.rec.head; e != nil; e = e.next {
-			out[i] = append(out[i], e.key)
+		for _, lf := range lv.rec.Flatten() {
+			out[i] = append(out[i], lf.Key)
 		}
 	}
 	return out

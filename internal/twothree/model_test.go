@@ -262,25 +262,18 @@ func (m *treeModel) drop(keys []int) {
 	m.forgetAll("BatchDelete", keys, m.tr.BatchDelete(keys))
 }
 
-// dropRanks is BatchDeleteRanks of the sorted ranks.
-func (m *treeModel) dropRanks(ranks []int) {
-	m.t.Helper()
-	keys := make([]int, len(ranks))
-	for i, r := range ranks {
-		keys[i] = m.keys[r]
-	}
-	m.forgetAll("BatchDeleteRanks", keys, m.tr.BatchDeleteRanks(ranks))
-}
-
 // dropLeaves is RemoveInto of the leaves at the sorted ranks, handed over
-// in reverse.
-func (m *treeModel) dropLeaves(ranks []int) {
+// in rank order or in reverse.
+func (m *treeModel) dropLeaves(ranks []int, reverse bool) {
 	m.t.Helper()
 	keys := make([]int, len(ranks))
 	leaves := make([]*leaf, len(ranks))
 	for i, r := range ranks {
 		keys[i] = m.keys[r]
-		leaves[len(ranks)-1-i] = m.leafOf[keys[i]]
+		leaves[i] = m.leafOf[keys[i]]
+	}
+	if reverse {
+		slices.Reverse(leaves)
 	}
 	m.forgetAll("RemoveInto", keys, m.tr.RemoveInto(leaves, make([]int, len(ranks)), make([]*leaf, len(ranks))))
 }
@@ -334,9 +327,9 @@ func TestModelTree(t *testing.T) {
 			sort.Ints(perm)
 			switch rng.Intn(3) {
 			case 0:
-				m.dropRanks(perm)
+				m.dropLeaves(perm, false)
 			case 1:
-				m.dropLeaves(perm)
+				m.dropLeaves(perm, true)
 			default:
 				keys := make([]int, len(perm))
 				for i, p := range perm {
@@ -357,17 +350,15 @@ func TestModelTree(t *testing.T) {
 					t.Fatalf("step %d: BatchGet(%d) returned %p, want %p", step, keys[i], lf, m.leafOf[keys[i]])
 				}
 			}
-		case 4: // Rank and Kth
+		case 4: // Rank and Flatten
+			flat := tr.Flatten()
 			for i, k := range m.keys {
 				if r := rank(m.leafOf[k]); r != i {
 					t.Fatalf("step %d: Rank(%d) = %d, want %d", step, k, r, i)
 				}
-				if tr.Kth(i) != m.leafOf[k] {
-					t.Fatalf("step %d: Kth(%d) is not the leaf of %d", step, i, k)
+				if flat[i] != m.leafOf[k] {
+					t.Fatalf("step %d: Flatten()[%d] is not the leaf of %d", step, i, k)
 				}
-			}
-			if tr.Kth(-1) != nil || tr.Kth(len(m.keys)) != nil {
-				t.Fatalf("step %d: Kth out of range returned a leaf", step)
 			}
 		case 5: // point operations
 			k := rng.Intn(space)
@@ -392,7 +383,7 @@ func TestModelTree(t *testing.T) {
 				}
 				m.forgetAll("Delete", []int{k}, []*leaf{lf})
 			}
-		case 6: // RangeInto, Min, Max
+		case 6: // RangeInto
 			lo, hi := rng.Intn(space), rng.Intn(space+1)
 			var want []int
 			for _, k := range m.keys {
@@ -408,13 +399,6 @@ func TestModelTree(t *testing.T) {
 				if lf != m.leafOf[want[i]] {
 					t.Fatalf("step %d: RangeInto(%d, %d)[%d] is not the leaf of %d", step, lo, hi, i, want[i])
 				}
-			}
-			if len(m.keys) == 0 {
-				if tr.Min() != nil || tr.Max() != nil {
-					t.Fatalf("step %d: Min/Max of an empty tree", step)
-				}
-			} else if tr.Min() != m.leafOf[m.keys[0]] || tr.Max() != m.leafOf[m.keys[len(m.keys)-1]] {
-				t.Fatalf("step %d: Min/Max wrong", step)
 			}
 		case 7: // BatchInsertLeaves of absent keys
 			keys := sortedDistinct(rng, rng.Intn(41), space)
@@ -481,7 +465,7 @@ func TestModelTreeShapes(t *testing.T) {
 						}
 						m := build(n)
 						if ranked {
-							m.dropRanks(ranks)
+							m.dropLeaves(ranks, false)
 						} else {
 							keys := make([]int, len(ranks))
 							for x, r := range ranks {
@@ -785,9 +769,9 @@ func TestForkedKernels(t *testing.T) {
 			m.check()
 			m.drop(span(0, 8*n, frac+1)) // likewise
 			m.check()
-			m.dropRanks(span(0, len(m.keys), frac))
+			m.dropLeaves(span(0, len(m.keys), frac), false)
 			m.check()
-			m.dropLeaves(span(1, len(m.keys), 2))
+			m.dropLeaves(span(1, len(m.keys), 2), true)
 			m.check()
 			m.drop(slices.Clone(m.keys[1:])) // all but the first, through the forks
 			m.check()
@@ -819,7 +803,7 @@ func TestForkedKernels(t *testing.T) {
 				for i := range ranks {
 					ranks[i] /= 8
 				}
-				m.dropRanks(ranks)
+				m.dropLeaves(ranks, false)
 			},
 		} {
 			m := newTreeModel(t, true)

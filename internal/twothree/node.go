@@ -9,7 +9,7 @@
 //
 // Trees are leaf-based: all items live in leaves; routing nodes have
 // minKids..maxKids children (the root: 2..maxKids) and carry the subtree
-// size (for rank/order-statistic queries) and the maximum key of their
+// size (for Len and RemoveInto's rank walk) and the maximum key of their
 // subtree (for routing), so the height is at most log_8 n below the root.
 // Leaves carry parent pointers so that a "direct pointer" to an item
 // supports the reverse-indexing operation: computing the leaf's rank by
@@ -322,23 +322,6 @@ func (n *inner[K, P]) routeIn(i, j int8, k K) int8 {
 // route returns the index of the child of n whose subtree would hold k: the
 // first child whose maximum is >= k, or the last child.
 func (n *inner[K, P]) route(k K) int8 { return n.routeIn(0, n.nc-1, k) }
-
-// locate returns the index of the child of n holding the leaf of rank i
-// (0 <= i < n.size) and that leaf's rank within the child.
-func (n *inner[K, P]) locate(i int) (int8, int) {
-	if n.h == 1 {
-		return int8(i), 0
-	}
-	ci := int8(0)
-	for {
-		sz := int((*inner[K, P])(n.child[ci]).size)
-		if i < sz {
-			return ci, i
-		}
-		i -= sz
-		ci++
-	}
-}
 
 // NewLeaf creates a detached leaf, for later insertion with
 // BatchInsertLeaves and a Seq's pushes. Callers use this to build an item's

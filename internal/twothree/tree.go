@@ -112,42 +112,6 @@ func (t *Tree[K, P]) Delete(k K) (*Node[K, P], bool) {
 	return leaf, leaf != nil
 }
 
-// Min returns the leftmost leaf, or nil when empty.
-func (t *Tree[K, P]) Min() *Node[K, P] { return edgeLeaf(t.root, left) }
-
-// Max returns the rightmost leaf, or nil when empty.
-func (t *Tree[K, P]) Max() *Node[K, P] { return edgeLeaf(t.root, right) }
-
-func edgeLeaf[K cmp.Ordered, P any](r ref[K, P], s side) *Node[K, P] {
-	if r.empty() {
-		return nil
-	}
-	for !r.isLeaf() {
-		r = r.node().edge(s)
-	}
-	return r.leaf()
-}
-
-// Kth returns the leaf with rank i (0-based), or nil if out of range.
-func (t *Tree[K, P]) Kth(i int) *Node[K, P] {
-	if i < 0 || i >= t.root.size() {
-		return nil
-	}
-	t.chargePerOp(1)
-	return kth(t.root, i)
-}
-
-// kth returns the leaf of rank i under r; 0 <= i < r.size().
-func kth[K cmp.Ordered, P any](r ref[K, P], i int) *Node[K, P] {
-	for !r.isLeaf() {
-		n := r.node()
-		var ci int8
-		ci, i = n.locate(i)
-		r = n.kid(ci)
-	}
-	return r.leaf()
-}
-
 // Flatten returns all leaves in key order. O(n).
 func (t *Tree[K, P]) Flatten() []*Node[K, P] {
 	return appendLeaves(t.root, make([]*Node[K, P], 0, t.Len()))
@@ -311,15 +275,4 @@ func (t *Tree[K, P]) RemoveInto(leaves []*Node[K, P], ranks []int, out []*Node[K
 	d := deleter[K, P]{np: t.pool, ranks: ranks, out: out}
 	t.root = d.run(t.root, len(ranks))
 	return out[:len(leaves)]
-}
-
-// BatchDeleteRanks removes the leaves at the given sorted, distinct 0-based
-// ranks and returns them in rank order. This is the second half of the
-// paper's reverse-indexing pattern: ranks come from Rank walks on direct
-// pointers. Θ(b·log(n/b) + b) node visits.
-func (t *Tree[K, P]) BatchDeleteRanks(ranks []int) []*Node[K, P] {
-	t.chargeBatch(len(ranks))
-	d := deleter[K, P]{np: t.pool, ranks: ranks, out: make([]*Node[K, P], len(ranks))}
-	t.root = d.run(t.root, len(ranks))
-	return d.out
 }

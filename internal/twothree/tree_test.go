@@ -67,9 +67,6 @@ func checkAgainstModel(t *testing.T, tr *Tree[int, string], m *model) {
 		if got := rank(lf); got != i {
 			t.Fatalf("Rank(leaf %d) = %d", i, got)
 		}
-		if got := tr.Kth(i); got != lf {
-			t.Fatalf("Kth(%d) wrong leaf", i)
-		}
 	}
 }
 
@@ -114,22 +111,6 @@ func TestSequentialOps(t *testing.T) {
 		}
 	}
 	checkAgainstModel(t, tr, m)
-}
-
-func TestMinMax(t *testing.T) {
-	tr := New[int, string](nil)
-	if tr.Min() != nil || tr.Max() != nil {
-		t.Fatal("empty tree Min/Max should be nil")
-	}
-	for _, k := range []int{5, 3, 9, 1, 7} {
-		tr.Insert(k, "")
-	}
-	if tr.Min().Key != 1 {
-		t.Fatalf("Min = %d", tr.Min().Key)
-	}
-	if tr.Max().Key != 9 {
-		t.Fatalf("Max = %d", tr.Max().Key)
-	}
 }
 
 func sortedDistinct(rng *rand.Rand, n, space int) []int {
@@ -250,7 +231,12 @@ func TestBatchDeleteRanks(t *testing.T) {
 		}
 		b := rng.Intn(n) + 1
 		ranks := sortedDistinct(rng, b, n)
-		removed := tr.BatchDeleteRanks(ranks)
+		flat := tr.Flatten()
+		leaves := make([]*Node[int, int], b)
+		for i, r := range ranks {
+			leaves[i] = flat[r]
+		}
+		removed := tr.RemoveInto(leaves, make([]int, b), make([]*Node[int, int], b))
 		for i, r := range ranks {
 			if removed[i] == nil || removed[i].Key != r {
 				t.Fatalf("removed[%d] = %v, want key %d", i, removed[i], r)
