@@ -78,8 +78,15 @@ func (m *Map[K, V]) find(k K) (int, *twothree.Node[K, V]) {
 	return -1, nil
 }
 
-// relink moves lf, already out of from's recency-map, to the front or the
-// back of to's; it changes key-maps only when the levels differ.
+// unlink takes lf out of level i's recency-map.
+func (m *Map[K, V]) unlink(i int, lf *twothree.Node[K, V]) {
+	m.one[0] = lf
+	m.levels[i].rec.RemoveInto(m.one[:], m.one[:])
+	m.one[0] = nil
+}
+
+// relink moves lf, out of from's recency-map, to the front or the back of
+// to's; it changes key-maps only when the levels differ.
 func (m *Map[K, V]) relink(lf *twothree.Node[K, V], from, to *level[K, V], front bool) {
 	m.one[0] = lf
 	if from != to {
@@ -97,8 +104,7 @@ func (m *Map[K, V]) relink(lf *twothree.Node[K, V], from, to *level[K, V], front
 // promote moves lf (currently in level i) to the front of level 0 and
 // cascades the least recently used item of each overfull level downward.
 func (m *Map[K, V]) promote(i int, lf *twothree.Node[K, V]) {
-	m.one[0] = lf
-	m.levels[i].rec.RemoveInto(m.one[:], m.one[:])
+	m.unlink(i, lf)
 	m.relink(lf, m.levels[i], m.levels[0], true)
 	m.cascade()
 }
@@ -141,10 +147,8 @@ func (m *Map[K, V]) Insert(k K, v V) (V, bool) {
 	if len(m.levels) == 0 {
 		m.newLevel()
 	}
-	lv := m.levels[0]
-	m.one[0], _ = lv.keys.Insert(k, v)
-	lv.rec.PushFrontLeaves(m.one[:])
-	m.one[0] = nil
+	lf, _ := m.levels[0].keys.Insert(k, v)
+	m.relink(lf, m.levels[0], m.levels[0], true)
 	m.size++
 	m.cascade()
 	var zero V
@@ -161,8 +165,7 @@ func (m *Map[K, V]) Delete(k K) (V, bool) {
 		return zero, false
 	}
 	m.levels[i].keys.Delete(k)
-	m.one[0] = lf
-	m.levels[i].rec.RemoveInto(m.one[:], m.one[:])
+	m.unlink(i, lf)
 	m.size--
 	for j := i; j < len(m.levels)-1 && m.levels[j+1].rec.Len() > 0; j++ {
 		mru := m.levels[j+1].rec.PopFront(1, m.one[:0])[0]
