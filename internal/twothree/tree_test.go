@@ -221,6 +221,8 @@ func TestBatchInsertLeavesPreservesIdentity(t *testing.T) {
 	}
 }
 
+// TestBatchDeleteRanks tests the rank deleter behind RemoveInto: the leaves
+// at random sorted ranks leave the tree and come back in key order.
 func TestBatchDeleteRanks(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
