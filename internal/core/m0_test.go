@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -145,5 +146,101 @@ func TestM0DeleteEverything(t *testing.T) {
 	m.Insert(1, 1)
 	if v, ok := m.Get(1); !ok || v != 1 {
 		t.Fatal("reuse after emptying failed")
+	}
+}
+
+// m0Model is Section 5's M0 over plain slices: segs[k] holds S[k]'s keys,
+// most recent first.
+type m0Model struct{ segs [][]int }
+
+// find returns the segment holding k and k's index in it, or -1.
+func (o *m0Model) find(k int) (int, int) {
+	for i, s := range o.segs {
+		if j := slices.Index(s, k); j >= 0 {
+			return i, j
+		}
+	}
+	return -1, -1
+}
+
+// access moves the hit in S[i] to the front of S[max(i-1, 0)], then S[i-1]'s
+// back to S[i]'s front.
+func (o *m0Model) access(i, j int) {
+	k := o.segs[i][j]
+	o.segs[i] = slices.Delete(o.segs[i], j, j+1)
+	tgt := max(i-1, 0)
+	o.segs[tgt] = slices.Insert(o.segs[tgt], 0, k)
+	if i > 0 {
+		back := len(o.segs[i-1]) - 1
+		o.segs[i] = slices.Insert(o.segs[i], 0, o.segs[i-1][back])
+		o.segs[i-1] = o.segs[i-1][:back]
+	}
+}
+
+// insert puts a fresh key at the back of the last segment, opening a new
+// one when that segment is full.
+func (o *m0Model) insert(k int) {
+	if l := len(o.segs) - 1; l < 0 || len(o.segs[l]) >= capOf(l) {
+		o.segs = append(o.segs, nil)
+	}
+	l := len(o.segs) - 1
+	o.segs[l] = append(o.segs[l], k)
+}
+
+// delete removes the key at S[i][j] and moves each later segment's front
+// to the previous segment's back.
+func (o *m0Model) delete(i, j int) {
+	o.segs[i] = slices.Delete(o.segs[i], j, j+1)
+	for ; i < len(o.segs)-1 && len(o.segs[i+1]) > 0; i++ {
+		o.segs[i] = append(o.segs[i], o.segs[i+1][0])
+		o.segs[i+1] = o.segs[i+1][1:]
+	}
+	for len(o.segs) > 0 && len(o.segs[len(o.segs)-1]) == 0 {
+		o.segs = o.segs[:len(o.segs)-1]
+	}
+}
+
+// TestM0PlacementMatchesModel is M0's placement oracle: after every random
+// Insert, Get or Delete each segment's recency order is the model's.
+func TestM0PlacementMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := NewM0[int, int](nil)
+	o := &m0Model{}
+	for step := 0; step < 20000; step++ {
+		k := rng.Intn(300)
+		i, j := o.find(k)
+		switch rng.Intn(5) {
+		case 0, 1:
+			if m.Insert(k, step); i >= 0 {
+				o.access(i, j)
+			} else {
+				o.insert(k)
+			}
+		case 2, 3:
+			if _, ok := m.Get(k); ok != (i >= 0) {
+				t.Fatalf("step %d: Get(%d) found = %v, want %v", step, k, ok, i >= 0)
+			}
+			if i >= 0 {
+				o.access(i, j)
+			}
+		default:
+			if _, ok := m.Delete(k); ok != (i >= 0) {
+				t.Fatalf("step %d: Delete(%d) found = %v, want %v", step, k, ok, i >= 0)
+			}
+			if i >= 0 {
+				o.delete(i, j)
+			}
+		}
+		if len(m.segs) != len(o.segs) {
+			t.Fatalf("step %d: %d segments, model has %d", step, len(m.segs), len(o.segs))
+		}
+		for s, seg := range m.segs {
+			if have := recencyKeys(seg); !slices.Equal(have, o.segs[s]) {
+				t.Fatalf("step %d: S[%d] recency order\n got  %v\n want %v", step, s, have, o.segs[s])
+			}
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
