@@ -1,4 +1,4 @@
-package iacono
+package core
 
 import (
 	"math"
@@ -9,9 +9,9 @@ import (
 	"repro/internal/metrics"
 )
 
-func TestModelEquivalence(t *testing.T) {
+func TestIaconoModelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	m := New[int, int](nil)
+	m := NewIacono[int, int](nil)
 	ref := map[int]int{}
 	for step := 0; step < 20000; step++ {
 		k := rng.Intn(500)
@@ -54,12 +54,12 @@ func TestModelEquivalence(t *testing.T) {
 	}
 }
 
-// TestWorkingSetProperty verifies the structure's defining property: after
-// an item is accessed, immediately re-accessing it is cheap, and accessing
-// an item with recency r costs O(1 + log r) tree work.
-func TestWorkingSetProperty(t *testing.T) {
+// TestIaconoWorkingSetProperty verifies the structure's defining property:
+// after an item is accessed, immediately re-accessing it is cheap, and
+// accessing an item with recency r costs O(1 + log r) tree work.
+func TestIaconoWorkingSetProperty(t *testing.T) {
 	cnt := &metrics.Counter{}
-	m := New[int, int](cnt)
+	m := NewIacono[int, int](cnt)
 	const n = 1 << 14
 	for i := 0; i < n; i++ {
 		m.Insert(i, i)
@@ -93,8 +93,8 @@ func TestWorkingSetProperty(t *testing.T) {
 	}
 }
 
-func TestDeleteFillsHoles(t *testing.T) {
-	m := New[int, int](nil)
+func TestIaconoDeleteFillsHoles(t *testing.T) {
+	m := NewIacono[int, int](nil)
 	for i := 0; i < 300; i++ {
 		m.Insert(i, i)
 	}
@@ -116,52 +116,46 @@ func TestDeleteFillsHoles(t *testing.T) {
 	}
 }
 
-func TestEachAndEachLevel(t *testing.T) {
-	m := New[int, int](nil)
-	for i := 0; i < 50; i++ {
+// TestIaconoEachInKeyOrder: Each visits every item once, in ascending key
+// order across the segments, and stops when its callback returns false.
+func TestIaconoEachInKeyOrder(t *testing.T) {
+	m := NewIacono[int, int](nil)
+	for _, i := range rand.New(rand.NewSource(3)).Perm(50) {
 		m.Insert(i, i*2)
 	}
-	seen := map[int]int{}
-	m.Each(func(k, v int) { seen[k] = v })
-	if len(seen) != 50 {
-		t.Fatalf("Each visited %d items", len(seen))
+	if len(m.Segments()) < 3 {
+		t.Fatalf("50 items in %d segments: the merge is not exercised", len(m.Segments()))
 	}
-	total := 0
-	m.EachLevel(func(i int, items []struct {
-		Key int
-		Val int
-	}) {
-		for j := 1; j < len(items); j++ {
-			if items[j-1].Key >= items[j].Key {
-				t.Fatal("level items not key-sorted")
-			}
+	var keys []int
+	m.Each(func(k, v int) bool {
+		if v != k*2 {
+			t.Fatalf("Each(%d) = %d", k, v)
 		}
-		total += len(items)
+		keys = append(keys, k)
+		return true
 	})
-	if total != 50 {
-		t.Fatalf("EachLevel visited %d items", total)
+	if len(keys) != 50 {
+		t.Fatalf("Each visited %d items", len(keys))
 	}
-}
-
-// recencyKeys returns every level's keys in recency order, most recent
-// first.
-func recencyKeys(m *Map[int, int]) [][]int {
-	out := make([][]int, len(m.levels))
-	for i, lv := range m.levels {
-		for _, lf := range lv.rec.Flatten() {
-			out[i] = append(out[i], lf.Key)
+	for i, k := range keys {
+		if k != i {
+			t.Fatalf("Each visited %v, not the keys in order", keys)
 		}
 	}
-	return out
+	count := 0
+	m.Each(func(int, int) bool { count++; return count < 5 })
+	if count != 5 {
+		t.Fatalf("early-terminated Each visited %d", count)
+	}
 }
 
-// TestRecencyOrderMatchesLRU is the placement oracle: after every
-// operation the levels' recency lists, concatenated, are the access
+// TestIaconoRecencyOrderMatchesLRU is the placement oracle: after every
+// operation the segments' recency lists, concatenated, are the access
 // sequence's LRU order (an insert or a hit makes a key the most recent, a
-// delete drops it), and every level but the last is full.
-func TestRecencyOrderMatchesLRU(t *testing.T) {
+// delete drops it), and every segment but the last is full.
+func TestIaconoRecencyOrderMatchesLRU(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := New[int, int](nil)
+	m := NewIacono[int, int](nil)
 	var lru []int // most recent first
 	touch := func(k int) {
 		lru = slices.DeleteFunc(lru, func(x int) bool { return x == k })
@@ -187,16 +181,28 @@ func TestRecencyOrderMatchesLRU(t *testing.T) {
 			}
 			lru = slices.DeleteFunc(lru, func(x int) bool { return x == k })
 		}
-		levels := recencyKeys(m)
 		var got []int
-		for i, keys := range levels {
-			if i < len(levels)-1 && len(keys) != levelCap(i) {
-				t.Fatalf("step %d: level %d holds %d, want %d", step, i, len(keys), levelCap(i))
+		for i, seg := range m.segs {
+			keys := recencyKeys(seg)
+			if i < len(m.segs)-1 && len(keys) != capOf(i) {
+				t.Fatalf("step %d: segment %d holds %d, want %d", step, i, len(keys), capOf(i))
 			}
 			got = append(got, keys...)
 		}
 		if !slices.Equal(got, lru) {
 			t.Fatalf("step %d: recency order %v, want %v", step, got, lru)
 		}
+	}
+}
+
+func BenchmarkESortLowEntropy(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]int, 1<<14)
+	for i := range keys {
+		keys[i] = rng.Intn(8)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ESort(keys)
 	}
 }

@@ -24,9 +24,9 @@ func orderedItems[K cmp.Ordered, V any](segs []*segment[K, V], dead func(K) bool
 	return out
 }
 
-// Each visits every item in ascending key order without adjusting
-// recencies. O(n).
-func (m *M0[K, V]) Each(f func(k K, v V) bool) {
+// Each visits every item of an M0 or Iacono in ascending key order, until
+// f returns false, without adjusting recencies. O(n).
+func (m *seqMap[K, V]) Each(f func(k K, v V) bool) {
 	for _, kv := range orderedItems(m.segs, nil) {
 		if !f(kv.Key, kv.Val) {
 			return

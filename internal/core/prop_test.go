@@ -240,3 +240,65 @@ func TestM1WorkTracksWSBound(t *testing.T) {
 		t.Fatalf("ratio band too wide: %v", ratios)
 	}
 }
+
+// TestRecencyCostCeilings gates Lemma 6 as E10 measures it: in a map of
+// n = 2^16 keys, the work of re-accessing an item after r-1 other distinct
+// accesses (recency r), averaged over four rounds, for M0, Iacono and M1
+// (P = 2, driven from one goroutine, so every access is its own cut). Each
+// reading's ceiling is the value measured when the test was written plus
+// 10 %; an S[0] hit costs 6 in M0 and Iacono because it only re-links the
+// recency-map (19 when it also left and re-entered the key-map). Every
+// column must also grow with r: a flat one means accesses stopped moving
+// items.
+func TestRecencyCostCeilings(t *testing.T) {
+	if raceEnabled {
+		// One goroutine and a count: the detector has nothing to check, and
+		// the half million GETs take half a minute under it.
+		t.Skip("single-goroutine count ceiling; run without -race")
+	}
+	const n, margin = 1 << 16, 1.10
+	recencies := []int{1, 4, 16, 64, 256, 1024, 4096, 16384}
+	var cnt0, cntI, cnt1 metrics.Counter
+	m0 := NewM0[int, int](&cnt0)
+	ia := NewIacono[int, int](&cntI)
+	m1 := NewM1[int, int](Config{P: 2, Counter: &cnt1})
+	defer m1.Close()
+	for i := 0; i < n; i++ {
+		m0.Insert(i, i)
+		ia.Insert(i, i)
+		m1.Insert(i, i)
+	}
+	for _, tc := range []struct {
+		name     string
+		get      func(int)
+		cnt      *metrics.Counter
+		measured []float64
+	}{
+		{"M0", func(k int) { m0.Get(k) }, &cnt0, []float64{6, 42, 50, 74, 74, 109, 109, 109}},
+		{"Iacono", func(k int) { ia.Get(k) }, &cntI, []float64{6, 42, 67.5, 109, 109, 168, 168, 168}},
+		{"M1", func(k int) { m1.Get(k) }, &cnt1, []float64{26.5, 25, 37, 53.5, 59, 74, 74, 74}},
+	} {
+		got := make([]float64, len(recencies))
+		for j, r := range recencies {
+			const rounds = 4
+			var total int64
+			for range rounds {
+				tc.get(0)
+				for i := 1; i < r; i++ {
+					tc.get(i)
+				}
+				before := tc.cnt.Total()
+				tc.get(0)
+				total += tc.cnt.Total() - before
+			}
+			got[j] = float64(total) / rounds
+			if ceiling := tc.measured[j] * margin; got[j] > ceiling {
+				t.Errorf("%s at recency %d: work %.1f, ceiling %.1f", tc.name, r, got[j], ceiling)
+			}
+		}
+		t.Logf("%s: %v", tc.name, got)
+		if last := got[len(got)-1]; last < 2*got[0] {
+			t.Errorf("%s: work %.1f at recency %d against %.1f at 1: the column does not grow", tc.name, last, recencies[len(recencies)-1], got[0])
+		}
+	}
+}

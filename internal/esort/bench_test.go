@@ -33,14 +33,6 @@ func BenchmarkPESortHighEntropy(b *testing.B) {
 	}
 }
 
-func BenchmarkESortLowEntropy(b *testing.B) {
-	keys := benchInput(1<<14, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ESort(keys)
-	}
-}
-
 func BenchmarkStdSortBaseline(b *testing.B) {
 	keys := benchInput(1<<16, 8)
 	b.ResetTimer()

@@ -1,7 +1,9 @@
-// Package esort implements the paper's entropy-optimal sorting algorithms:
-// the sequential ESort (Definition 29), built on a working-set dictionary,
-// and the parallel PESort (Definition 32), a stable quicksort whose pivot
-// is chosen by the parallel pivot algorithm PPivot (Lemma 34).
+// Package esort implements the paper's parallel entropy-optimal sort
+// PESort (Definition 32), a stable quicksort whose pivot is chosen by the
+// parallel pivot algorithm PPivot (Lemma 34), with Runs to group a sorted
+// batch's duplicates and Entropy to measure an input. The sequential ESort
+// (Definition 29) is a loop over Iacono's working-set structure and lives
+// beside it, in core.
 //
 // Both sort a sequence of n keys with item frequencies q_1..q_u in
 // O(n·H + n) work, where H = Σ q_i lg(1/q_i) is the entropy per element —
@@ -24,7 +26,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/iacono"
 	"repro/internal/parallel"
 )
 
@@ -53,68 +54,6 @@ const insertionMax = 12
 // parCutoff is the subproblem size above which partitioning and recursion
 // run in parallel.
 const parCutoff = 4096
-
-// ESort is the sequential entropy sort: it builds a working-set dictionary
-// (Iacono's structure) mapping each distinct key to its positions, then
-// merges the dictionary's levels in order of increasing capacity. It
-// returns the stable sorting permutation of keys. Θ(W) time where W is the
-// insert working-set bound of the sequence, which is O(n·H + n).
-func ESort[K cmp.Ordered](keys []K) []int {
-	d := iacono.New[K, *[]int](nil)
-	for i, k := range keys {
-		if pos, ok := d.Get(k); ok {
-			*pos = append(*pos, i)
-		} else {
-			d.Insert(k, &[]int{i})
-		}
-	}
-	// Collect per-level key-sorted lists; levels have geometrically
-	// increasing capacity, so successive merging is linear overall.
-	type kv struct {
-		key K
-		pos *[]int
-	}
-	var merged []kv
-	d.EachLevel(func(_ int, items []struct {
-		Key K
-		Val *[]int
-	}) {
-		level := make([]kv, len(items))
-		for i, it := range items {
-			level[i] = kv{it.Key, it.Val}
-		}
-		merged = Merge(merged, level, func(x, y kv) bool { return x.key < y.key })
-	})
-	out := make([]int, 0, len(keys))
-	for _, e := range merged {
-		out = append(out, *e.pos...)
-	}
-	return out
-}
-
-// Merge merges two sorted slices into one, preferring elements of a on
-// ties (stability). O(len(a) + len(b)).
-func Merge[E any](a, b []E, less func(x, y E) bool) []E {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]E, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
 
 // PESort is the parallel entropy sort: a stable quicksort with
 // quartile-guaranteed pivots. It returns the stable sorting permutation of

@@ -40,16 +40,6 @@ func genKeys(rng *rand.Rand, n, universe int) []int {
 	return keys
 }
 
-func TestESortSortsStably(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 10, 100, 5000} {
-		for _, u := range []int{1, 2, 7, 100, 1 << 20} {
-			keys := genKeys(rng, n, u)
-			checkStableSorted(t, keys, ESort(keys))
-		}
-	}
-}
-
 func TestPESortSortsStably(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, strat := range []PivotStrategy{MedianOfMedians, StdStable} {
@@ -198,31 +188,6 @@ func TestEntropyBoundComparisons(t *testing.T) {
 		keys := genKeys(rng, n, u)
 		perm := PESort(keys, MedianOfMedians)
 		checkStableSorted(t, keys, perm)
-	}
-}
-
-// TestESortMatchesPESort: both entropy sorts produce identical stable
-// permutations for any input.
-func TestESortMatchesPESort(t *testing.T) {
-	f := func(raw []uint8) bool {
-		keys := make([]int, len(raw))
-		for i, r := range raw {
-			keys[i] = int(r % 32)
-		}
-		a := ESort(keys)
-		b := PESort(keys, MedianOfMedians)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

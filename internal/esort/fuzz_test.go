@@ -1,8 +1,15 @@
-package esort
+// The tests in this file also check core.ESort, the sequential entropy
+// sort; core imports esort, so they live in the external test package.
+package esort_test
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
+	"testing/quick"
+
+	"repro/internal/core"
+	"repro/internal/esort"
 )
 
 // decodeKeys turns fuzz bytes into a small-alphabet key multiset: each
@@ -48,7 +55,7 @@ func checkStablePerm(t *testing.T, keys []int, perm []int, label string) {
 // lists its positions in arrival order.
 func checkRuns(t *testing.T, keys []int, perm []int, label string) {
 	t.Helper()
-	runs := Runs(keys, perm)
+	runs := esort.Runs(keys, perm)
 	total := 0
 	prevKey := -1
 	for r, run := range runs {
@@ -92,13 +99,13 @@ func FuzzPESort(f *testing.F) {
 			t.Skip("cap input size")
 		}
 		keys := decodeKeys(data)
-		strat := PivotStrategy(stratByte % 2)
+		strat := esort.PivotStrategy(stratByte % 2)
 
-		perm := PESort(keys, strat)
+		perm := esort.PESort(keys, strat)
 		checkStablePerm(t, keys, perm, "PESort")
 		checkRuns(t, keys, perm, "PESort")
 
-		seqPerm := ESort(keys)
+		seqPerm := core.ESort(keys)
 		checkStablePerm(t, keys, seqPerm, "ESort")
 		checkRuns(t, keys, seqPerm, "ESort")
 
@@ -118,4 +125,42 @@ func FuzzPESort(f *testing.F) {
 			}
 		}
 	})
+}
+
+func TestESortSortsStably(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 10, 100, 5000} {
+		for _, u := range []int{1, 2, 7, 100, 1 << 20} {
+			keys := make([]int, n)
+			for i := range keys {
+				keys[i] = rng.Intn(u)
+			}
+			checkStablePerm(t, keys, core.ESort(keys), "ESort")
+		}
+	}
+}
+
+// TestESortMatchesPESort: both entropy sorts produce identical stable
+// permutations for any input.
+func TestESortMatchesPESort(t *testing.T) {
+	f := func(raw []uint8) bool {
+		keys := make([]int, len(raw))
+		for i, r := range raw {
+			keys[i] = int(r % 32)
+		}
+		a := core.ESort(keys)
+		b := esort.PESort(keys, esort.MedianOfMedians)
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
 }

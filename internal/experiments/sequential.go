@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/esort"
-	"repro/internal/iacono"
 	"repro/internal/metrics"
 	"repro/internal/splay"
 	"repro/internal/workload"
@@ -86,7 +85,7 @@ func E2EntropySort(s Scale) Table {
 		pesort := time.Since(start)
 
 		start = time.Now()
-		esort.ESort(keys)
+		core.ESort(keys)
 		es := time.Since(start)
 
 		std := append([]int(nil), keys...)
@@ -180,7 +179,7 @@ func E10RecencyCurve(s Scale) Table {
 	m1 := core.NewM1[int, int](core.Config{P: 2, Counter: cnt1})
 	defer m1.Close()
 	cntI := &metrics.Counter{}
-	ia := iacono.New[int, int](cntI)
+	ia := core.NewIacono[int, int](cntI)
 	cntS := &metrics.Counter{}
 	sp := splay.New[int, int](cntS)
 	for i := 0; i < n; i++ {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/iacono"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -169,14 +168,16 @@ func NewM0[K cmp.Ordered, V any](cnt *WorkCounter) *M0[K, V] {
 }
 
 // Iacono is Iacono's sequential working-set structure (reference [29] of
-// the paper). Not safe for concurrent use.
+// the paper): M0's segments under the move-to-front rule. Each visits its
+// items in ascending key order and stops when the callback returns false.
+// Not safe for concurrent use.
 type Iacono[K cmp.Ordered, V any] struct {
-	*iacono.Map[K, V]
+	*core.Iacono[K, V]
 }
 
 // NewIacono creates an Iacono working-set structure. cnt may be nil.
 func NewIacono[K cmp.Ordered, V any](cnt *WorkCounter) *Iacono[K, V] {
-	return &Iacono[K, V]{iacono.New[K, V](cnt)}
+	return &Iacono[K, V]{core.NewIacono[K, V](cnt)}
 }
 
 // Splay is a top-down splay tree (amortized self-adjusting baseline). Not
