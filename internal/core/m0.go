@@ -20,6 +20,7 @@ type seqMap[K cmp.Ordered, V any] struct {
 	pool *twothree.NodePool[K, V]
 	ms   moveScratch[K, V]
 	one  [1]*segLeaf[K, V] // the batch of a single-leaf move
+	key  [1]K              // the key of a single-item removal
 }
 
 func newSeqMap[K cmp.Ordered, V any](cnt *metrics.Counter) seqMap[K, V] {
@@ -63,12 +64,12 @@ func (m *seqMap[K, V]) fresh(k K, v V) moveBatch[K, V] {
 // take removes lf from S[i]'s recency-map and, unless it stays in S[i],
 // from S[i]'s key-map, and returns it as a one-leaf batch.
 func (m *seqMap[K, V]) take(i int, lf *segLeaf[K, V], stay bool) moveBatch[K, V] {
-	m.one[0] = lf
-	mb := m.ms.removeRec(m.segs[i], m.one[:])
-	if !stay {
-		mb.kmLeaves, mb.inKM = m.ms.removeKM(m.segs[i], mb.recLeaves), false
+	if stay {
+		m.one[0] = lf
+		return m.ms.removeRec(m.segs[i], m.one[:])
 	}
-	return mb
+	m.key[0] = lf.Key
+	return m.ms.removeItems(m.segs[i], m.key[:])
 }
 
 // moveFront moves lf from S[i] to the front of S[j]; within one segment
