@@ -39,8 +39,9 @@
 //   - NewIacono: Iacono's classic working-set structure.
 //   - NewSplay: a splay tree (amortized self-adjusting baseline).
 //   - NewBatchedTree(p, cnt): a batched, non-adaptive parallel 2-3 tree
-//     map (the paper's comparison baseline), with p buffer slots and an
-//     optional work counter.
+//     map (the paper's comparison baseline): M1's implicit batching in
+//     front of one tree, with p buffer slots (at least 2, as for M1) and
+//     an optional work counter.
 //
 // # Choosing a map
 //

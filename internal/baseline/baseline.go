@@ -1,178 +1,14 @@
-// Package baseline provides the non-adaptive comparison structures for the
-// experiments:
-//
-//   - BatchedTree: a parallel map with the same implicit-batching front end
-//     as M1 (parallel buffer, feed buffer, batch combining) but a single
-//     balanced 2-3 tree instead of working-set segments. This is the
-//     structure the paper compares against analytically in Sections 3 and
-//     6: it does Θ(log n) work per operation regardless of recency, so the
-//     working-set maps beat it by ~log n / (1 + log r) on skewed access
-//     patterns and tie on uniform ones.
-//
-//   - Locked: a trivial global-lock adapter that turns any sequential map
-//     (splay tree, Iacono structure, M0) into a concurrent one, for
-//     throughput comparisons.
+// Package baseline provides Locked, a trivial global-lock adapter that
+// turns any sequential map (splay tree, Iacono structure, M0) into a
+// concurrent one, for throughput comparisons. The batched non-adaptive
+// tree the experiments compare against is core.BatchedTree: it shares the
+// working-set maps' implicit-batching interface.
 package baseline
 
 import (
 	"cmp"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/locks"
-	"repro/internal/metrics"
-	"repro/internal/pbuffer"
-	"repro/internal/twothree"
 )
-
-// op mirrors core's operation kinds without importing core (which would
-// invert the intended dependency direction).
-type opKind uint8
-
-const (
-	opGet opKind = iota
-	opInsert
-	opDelete
-)
-
-type call[K cmp.Ordered, V any] struct {
-	kind opKind
-	key  K
-	val  V
-	ok   bool
-	out  V
-	done chan struct{}
-}
-
-// BatchedTree is the batched non-adaptive map baseline.
-type BatchedTree[K cmp.Ordered, V any] struct {
-	p    int
-	pb   *pbuffer.Buffer[*call[K, V]]
-	act  *locks.Activation
-	tree *twothree.Tree[K, V]
-
-	sizeA   atomic.Int64
-	pending atomic.Int64
-	closed  atomic.Bool
-}
-
-// NewBatchedTree creates a batched 2-3 tree map. cnt may be nil.
-func NewBatchedTree[K cmp.Ordered, V any](p int, cnt *metrics.Counter) *BatchedTree[K, V] {
-	if p < 1 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	b := &BatchedTree[K, V]{
-		p:    p,
-		pb:   pbuffer.New[*call[K, V]](p),
-		tree: twothree.NewPooled[K, V](cnt, twothree.NewNodePool[K, V]()),
-	}
-	b.act = locks.NewActivation(
-		func() bool { return b.pb.Len() > 0 },
-		b.engineRun,
-	)
-	return b
-}
-
-// Get searches for key k.
-func (b *BatchedTree[K, V]) Get(k K) (V, bool) {
-	return b.do(&call[K, V]{kind: opGet, key: k, done: make(chan struct{})})
-}
-
-// Insert adds or updates k, returning the previous value if present.
-func (b *BatchedTree[K, V]) Insert(k K, v V) (V, bool) {
-	return b.do(&call[K, V]{kind: opInsert, key: k, val: v, done: make(chan struct{})})
-}
-
-// Delete removes k, returning its value if present.
-func (b *BatchedTree[K, V]) Delete(k K) (V, bool) {
-	return b.do(&call[K, V]{kind: opDelete, key: k, done: make(chan struct{})})
-}
-
-func (b *BatchedTree[K, V]) do(c *call[K, V]) (V, bool) {
-	if b.closed.Load() {
-		panic("baseline: BatchedTree used after Close")
-	}
-	b.pending.Add(1)
-	defer b.pending.Add(-1)
-	b.pb.Add(c)
-	b.act.Activate()
-	<-c.done
-	return c.out, c.ok
-}
-
-// Len returns the number of items (racy snapshot).
-func (b *BatchedTree[K, V]) Len() int { return int(b.sizeA.Load()) }
-
-// Close marks the map closed and drains in-flight operations.
-func (b *BatchedTree[K, V]) Close() {
-	b.closed.Store(true)
-	for b.pending.Load() != 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
-// engineRun flushes the buffer and applies one batch: sort by (key,
-// arrival), group per key, one batched tree pass for the group leaders,
-// then replay members in order.
-func (b *BatchedTree[K, V]) engineRun() bool {
-	batch := b.pb.Flush()
-	if len(batch) == 0 {
-		return false
-	}
-	order := make([]int, len(batch))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool { return batch[order[x]].key < batch[order[y]].key })
-
-	size := int(b.sizeA.Load())
-	for i := 0; i < len(order); {
-		j := i + 1
-		for j < len(order) && batch[order[j]].key == batch[order[i]].key {
-			j++
-		}
-		k := batch[order[i]].key
-		leaf, present := b.tree.Get(k)
-		var cur V
-		if present {
-			cur = leaf.Payload
-		}
-		wasPresent := present
-		for _, oi := range order[i:j] {
-			c := batch[oi]
-			switch c.kind {
-			case opGet:
-				c.out, c.ok = cur, present
-			case opInsert:
-				c.out, c.ok = cur, present
-				cur, present = c.val, true
-			case opDelete:
-				c.out, c.ok = cur, present
-				var zero V
-				cur, present = zero, false
-			}
-		}
-		switch {
-		case present && wasPresent:
-			leaf.Payload = cur
-		case present && !wasPresent:
-			b.tree.Insert(k, cur)
-			size++
-		case !present && wasPresent:
-			b.tree.Delete(k)
-			size--
-		}
-		for _, oi := range order[i:j] {
-			close(batch[oi].done)
-		}
-		i = j
-	}
-	b.sizeA.Store(int64(size))
-	return true
-}
 
 // Locked wraps a sequential map behind a global mutex.
 type Locked[K cmp.Ordered, V any] struct {

@@ -5,7 +5,7 @@ package core
 // issuing batches in a loop reuses one result buffer.
 //
 // The batch is the caller's: it runs on the calling goroutine under the
-// engine mutex, cut by the feed buffer's own rule — numBunches()·P² ops
+// engine mutex, cut by the feed buffer's own rule — numBunches·P² ops
 // per cut batch, re-evaluated as the map grows — so a lone submitter's
 // batch is processed exactly as the parallel buffer and feed would have
 // cut it, without a pooled call frame, a channel or a wait per op. The
@@ -14,17 +14,14 @@ package core
 // order: they may combine into group operations, and per key they
 // resolve in input order. Ranges linearize at the end of their cut.
 func (m *M1[K, V]) ApplyInto(ops []Op[K, V], dst []Result[V]) []Result[V] {
-	if m.closed.Load() {
-		panic("core: M1 used after Close")
-	}
-	dst = grow(dst, len(ops))
-	m.pending.Add()
+	m.enter()
 	defer m.pending.Done()
+	dst = grow(dst, len(ops))
 	m.eng.Lock()
 	defer m.eng.Unlock()
 	bunch := m.cfg.P * m.cfg.P
 	for lo := 0; lo < len(ops); {
-		hi := min(len(ops), lo+m.numBunches()*bunch)
+		hi := min(len(ops), lo+m.numBunches(m.size)*bunch)
 		cut := grow(m.cutSc, hi-lo)
 		m.cutSc = cut
 		batch := m.batchSc[:0]
@@ -72,15 +69,12 @@ func (m *M2[K, V]) ApplyInto(ops []Op[K, V], dst []Result[V]) []Result[V] {
 			panic("core: M2 does not serve OpRange")
 		}
 	}
-	if m.closed.Load() {
-		panic("core: M2 used after Close")
-	}
+	m.enter()
+	defer m.pending.Done()
 	dst = grow(dst, len(ops))
 	if len(ops) == 0 {
 		return dst
 	}
-	m.pending.Add()
-	defer m.pending.Done()
 	calls := make([]*call[K, V], len(ops))
 	for i, op := range ops {
 		calls[i] = m.calls.get(op)

@@ -107,7 +107,7 @@ func TestApplyBulkLoad(t *testing.T) {
 
 // TestApplyIntoCutsByFeedRule pins the cut rule ApplyInto's bit-identity
 // with the point-op path rests on: a batch is cut exactly as the feed
-// buffer would cut it had the whole batch arrived at once — numBunches()
+// buffer would cut it had the whole batch arrived at once — numBunches
 // bunches of P² ops, numBunches re-read as the map grows. One call of
 // 1000 fresh inserts is as many cut batches as the feed yields, and the
 // same ops applied as separate calls of exactly those cut sizes leave the
@@ -120,7 +120,7 @@ func TestApplyIntoCutsByFeedRule(t *testing.T) {
 		ops[i] = Op[int, int]{Kind: OpInsert, Key: k, Val: k}
 	}
 
-	// The feed's cuts: the whole batch in, numBunches() bunches out per
+	// The feed's cuts: the whole batch in, numBunches bunches out per
 	// cut, at the size the map has after the cuts before it.
 	feed := newFeedBuffer[int](p * p)
 	feed.add(make([]int, n))
@@ -128,7 +128,7 @@ func TestApplyIntoCutsByFeedRule(t *testing.T) {
 	defer sizer.Close()
 	var cuts []int
 	for feed.len() > 0 {
-		c := len(feed.takeInto(sizer.numBunches(), nil))
+		c := len(feed.takeInto(sizer.numBunches(sizer.size), nil))
 		cuts = append(cuts, c)
 		sizer.size += c
 	}

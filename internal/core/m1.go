@@ -3,16 +3,13 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/esort"
 	"repro/internal/locks"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/pbuffer"
 	"repro/internal/twothree"
 )
 
@@ -71,11 +68,7 @@ func (c Config) withDefaults() Config {
 // activation — while ApplyInto runs a caller-owned batch on the calling
 // goroutine. Both run their cut batches under eng.
 type M1[K cmp.Ordered, V any] struct {
-	cfg   Config
-	pb    *pbuffer.Buffer[*call[K, V]]
-	act   *locks.Activation
-	rec   *opRecorder[K, V]
-	calls callPool[K, V]
+	batcher[K, V] // its cut scratch is under eng too: ApplyInto builds cuts there
 
 	// eng serializes the engine: the activation run and ApplyInto hold it
 	// for every cut batch.
@@ -86,69 +79,26 @@ type M1[K cmp.Ordered, V any] struct {
 	// engine loop performs (nearly) no allocation; see DESIGN.md
 	// "Allocation discipline".
 	cutSc   []call[K, V] // ApplyInto's call frames (no completion channel)
-	feed    *feedBuffer[*call[K, V]]
 	slab    slab[K, V]
 	mem     *memAcct[K, V]
 	size    int
-	flushSc []*call[K, V]  // pbuffer.FlushInto target
-	batchSc []*call[K, V]  // the cut batch: feed.takeInto target, or cutSc's frames
-	keySc   []K            // processBatch key extraction
-	permSc  []int          // esort.PESortInto permutation
-	sortSc  []int          // esort.PESortInto partition scratch
-	groupSc []*group[K, V] // buildGroups output
 	groups  groupArena[K, V]
-	insKeys []K           // finishBatch insertion keys
-	insVals []V           // finishBatch insertion values
 	rangeCs []*call[K, V] // range calls split out of the batch
 	rangeSc rangeScratch[K, V]
-
-	sizeA   atomic.Int64 // published size for Len()
-	feedA   atomic.Int64 // published feed-buffer size for the ready condition
-	batches atomic.Int64 // processed cut batches (diagnostics)
-	pending locks.WaitCounter
-	closed  atomic.Bool
 }
 
 // NewM1 creates an M1 map.
 func NewM1[K cmp.Ordered, V any](cfg Config) *M1[K, V] {
-	cfg = cfg.withDefaults()
-	m := &M1[K, V]{
-		cfg:  cfg,
-		pb:   pbuffer.New[*call[K, V]](cfg.P),
-		feed: newFeedBuffer[*call[K, V]](cfg.P * cfg.P),
-		rec:  &opRecorder[K, V]{on: cfg.RecordLinearization},
-	}
-	m.slab.cnt = cfg.Counter
-	m.slab.obs = cfg.Obs
+	m := &M1[K, V]{}
+	m.init(cfg.withDefaults(), "M1")
+	m.slab.cnt = m.cfg.Counter
+	m.slab.obs = m.cfg.Obs
 	m.slab.pool = twothree.NewNodePool[K, V]()
 	m.slab.deep = true
-	m.mem = newMemAcct[K, V](cfg.MaxBytes)
+	m.mem = newMemAcct[K, V](m.cfg.MaxBytes)
 	m.slab.mem = m.mem
-	m.act = locks.NewActivation(
-		func() bool { return m.pb.Len() > 0 || m.feedA.Load() > 0 },
-		m.engineRun,
-	)
+	m.act = locks.NewActivation(m.ready, m.engineRun)
 	return m
-}
-
-// Get searches for key k.
-func (m *M1[K, V]) Get(k K) (V, bool) {
-	r := m.Do(Op[K, V]{Kind: OpGet, Key: k})
-	return r.Val, r.OK
-}
-
-// Insert adds k with value v, or updates it if present; it returns the
-// previous value and whether the key existed.
-func (m *M1[K, V]) Insert(k K, v V) (V, bool) {
-	r := m.Do(Op[K, V]{Kind: OpInsert, Key: k, Val: v})
-	return r.Val, r.OK
-}
-
-// Delete removes k; it returns the removed value and whether the key
-// existed.
-func (m *M1[K, V]) Delete(k K) (V, bool) {
-	r := m.Do(Op[K, V]{Kind: OpDelete, Key: k})
-	return r.Val, r.OK
 }
 
 // Do submits one operation and waits for its result: the paper's
@@ -156,22 +106,7 @@ func (m *M1[K, V]) Delete(k K) (V, bool) {
 // pooled call frame, the activation cuts whatever concurrent callers have
 // buffered into batches through the feed, and the caller parks on its
 // frame until the engine completes it.
-func (m *M1[K, V]) Do(op Op[K, V]) Result[V] {
-	if m.closed.Load() {
-		panic("core: M1 used after Close")
-	}
-	m.pending.Add()
-	defer m.pending.Done()
-	c := m.calls.get(op)
-	m.pb.Add(c)
-	m.act.Activate()
-	r := c.wait()
-	m.calls.put(c)
-	return r
-}
-
-// Len returns the current number of items (racy snapshot).
-func (m *M1[K, V]) Len() int { return int(m.sizeA.Load()) }
+func (m *M1[K, V]) Do(op Op[K, V]) Result[V] { return m.do(op) }
 
 // Bytes returns the approximate resident bytes of the map's items
 // (keys + values + a flat per-item structural overhead).
@@ -189,19 +124,6 @@ func (m *M1[K, V]) SetOnEvict(fn func(K, V)) { m.mem.onEvict = fn }
 // resolution — the engine's per-key serialization point (see KeyHooks).
 // Must be set before operations are submitted.
 func (m *M1[K, V]) SetKeyHooks(h *KeyHooks[K, V]) { m.slab.hooks = h }
-
-// Batches returns the number of cut batches processed so far.
-func (m *M1[K, V]) Batches() int64 { return m.batches.Load() }
-
-// Close marks the map closed and waits for in-flight operations to drain.
-func (m *M1[K, V]) Close() {
-	m.closed.Store(true)
-	m.pending.Wait()
-}
-
-// DrainLinearization returns and clears the recorded linearization
-// (RecordLinearization mode only).
-func (m *M1[K, V]) DrainLinearization() []Op[K, V] { return m.rec.take() }
 
 // Quiesce blocks until no client operations are in flight and the engine
 // activation has gone idle. Results are delivered before the activation
@@ -222,14 +144,10 @@ func (m *M1[K, V]) Quiesce() {
 func (m *M1[K, V]) engineRun() bool {
 	m.eng.Lock()
 	defer m.eng.Unlock()
-	m.flushSc = m.pb.FlushInto(m.flushSc[:0])
-	m.feed.add(m.flushSc)
-	if m.feed.len() == 0 {
+	batch := m.cut(m.numBunches(m.size))
+	if len(batch) == 0 {
 		return false
 	}
-	batch := m.feed.takeInto(m.numBunches(), m.batchSc[:0])
-	m.batchSc = batch
-	m.feedA.Store(int64(m.feed.len()))
 	m.runCut(batch)
 	return true
 }
@@ -256,32 +174,10 @@ func (m *M1[K, V]) maybeEvict() {
 	}
 }
 
-// numBunches is the cut-batch sizing rule of Section 6.1: ceil(log n / p)
-// bunches (at least one).
-func (m *M1[K, V]) numBunches() int {
-	logn := bits.Len(uint(m.size + 1))
-	c := (logn + m.cfg.P - 1) / m.cfg.P
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
 func (m *M1[K, V]) processBatch(batch []*call[K, V]) {
 	batch, m.rangeCs = splitRangeCalls(batch, m.rangeCs[:0])
 	if len(batch) > 0 {
-		keys := m.keySc[:0]
-		for _, c := range batch {
-			keys = append(keys, c.op.Key)
-		}
-		m.keySc = keys
-		perm, sortSc := esort.PESortInto(keys, m.cfg.Pivot, m.permSc, m.sortSc)
-		m.permSc, m.sortSc = perm, sortSc
-		m.groups.reset()
-		groups := buildGroups(batch, perm, m.groupSc[:0], &m.groups)
-		m.groupSc = groups
-		m.rec.recordGroups(groups)
-		m.runSegments(groups)
+		m.runSegments(m.group(batch, &m.groups))
 	}
 	// Ranges run last, against the slab the batch just finished mutating:
 	// a range linearizes at the end of its cut batch (see rangeread.go).
@@ -292,7 +188,7 @@ func (m *M1[K, V]) processBatch(batch []*call[K, V]) {
 }
 
 // runSegments passes the group batch through the segments, applying the
-// M1 rules of Section 6.1.
+// M1 rules of Section 6.1, and resolves the groups that reach the end.
 func (m *M1[K, V]) runSegments(groups []*group[K, V]) {
 	pending := groups
 	for k := 0; k < len(m.slab.segs) && len(pending) > 0; k++ {
@@ -300,37 +196,8 @@ func (m *M1[K, V]) runSegments(groups []*group[K, V]) {
 		pending, delta = m.slab.pass(k, pending)
 		m.size += delta
 	}
-	m.finishBatch(pending)
-}
-
-// finishBatch resolves the groups that reached the end of the segments:
-// unsuccessful searches, deletions (already resolved when found) and
-// insertions, which enter at the front of the last segment.
-func (m *M1[K, V]) finishBatch(pending []*group[K, V]) {
-	insKeys := m.insKeys[:0]
-	insVals := m.insVals[:0]
-	tailCalls := 0
-	for _, g := range pending {
-		if g.resolved {
-			continue // deletion resolved when its item was found
-		}
-		tailCalls += len(g.calls)
-		var zero V
-		p, v := g.resolve(false, zero, m.slab.hooks)
-		if p {
-			insKeys = append(insKeys, g.key) // pending is key-sorted
-			insVals = append(insVals, v)
-		}
-	}
-	m.cfg.Obs.RecordLookup(obs.SrcTail, len(m.slab.segs), tailCalls)
-	m.insKeys, m.insVals = insKeys, insVals
-	if len(insKeys) > 0 {
-		for i := range insKeys {
-			m.mem.add(insKeys[i], insVals[i])
-		}
-		m.slab.insertLast(insKeys, insVals, 0)
-		m.size += len(insKeys)
-	}
+	n, _ := m.slab.finish(pending, 0)
+	m.size += n
 	m.slab.trimEmpty()
 	// Publish the size before the calls that changed it complete, so an
 	// acked write is visible to Len even when another submitter's

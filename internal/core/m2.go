@@ -8,10 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/esort"
 	"repro/internal/locks"
 	"repro/internal/obs"
-	"repro/internal/pbuffer"
 	"repro/internal/sched"
 	"repro/internal/twothree"
 )
@@ -117,26 +115,10 @@ type fseg[K cmp.Ordered, V any] struct {
 // All methods are safe for concurrent use; each call blocks until the
 // engine returns its result.
 type M2[K cmp.Ordered, V any] struct {
-	cfg   Config
-	mSeg  int // number of first slab segments (the paper's m)
-	pb    *pbuffer.Buffer[*call[K, V]]
-	pool  *sched.Pool
-	act   *locks.Activation
-	rec   *opRecorder[K, V]
-	calls callPool[K, V]
+	batcher[K, V] // the interface, with no group arena (see groupArena)
 
-	// Interface-private (activation-guarded) state. The scratch fields
-	// are reused across interface batches; group frames themselves are
-	// NOT pooled in M2 — they outlive the batch inside the filter and
-	// final slab (see groupArena).
-	feed    *feedBuffer[*call[K, V]]
-	feedA   atomic.Int64
-	flushSc []*call[K, V]
-	batchSc []*call[K, V]
-	keySc   []K
-	permSc  []int
-	sortSc  []int
-	groupSc []*group[K, V]
+	mSeg int // number of first slab segments (the paper's m)
+	pool *sched.Pool
 
 	// Interface scratch for filterAndForward (safe to reuse because
 	// enqueue copy-merges rather than aliasing fwd).
@@ -152,11 +134,6 @@ type M2[K cmp.Ordered, V any] struct {
 
 	segsMu sync.RWMutex
 	fsegs  []*fseg[K, V]
-
-	sizeA   atomic.Int64
-	batches atomic.Int64
-	pending locks.WaitCounter
-	closed  atomic.Bool
 }
 
 // NewM2 creates an M2 map. Close must be called to release its scheduler
@@ -174,15 +151,12 @@ func NewM2[K cmp.Ordered, V any](cfg Config) *M2[K, V] {
 		mSeg = 2
 	}
 	m := &M2[K, V]{
-		cfg:    cfg,
 		mSeg:   mSeg,
-		pb:     pbuffer.New[*call[K, V]](cfg.P),
 		pool:   sched.New(cfg.P),
-		feed:   newFeedBuffer[*call[K, V]](cfg.P * cfg.P),
-		rec:    &opRecorder[K, V]{on: cfg.RecordLinearization},
 		fl0:    locks.NewDedicated(3),
 		nlock0: locks.NewDedicated(2),
 	}
+	m.init(cfg, "M2")
 	m.first.cnt = cfg.Counter
 	m.first.obs = cfg.Obs
 	m.first.pool = twothree.NewNodePool[K, V]()
@@ -192,55 +166,12 @@ func NewM2[K cmp.Ordered, V any](cfg Config) *M2[K, V] {
 	}
 	m.flt.tree = twothree.NewPooled[K, *fentry[K, V]](cfg.Counter, twothree.NewNodePool[K, *fentry[K, V]]())
 	m.act = locks.NewAsyncActivation(
-		func() bool {
-			return (m.pb.Len() > 0 || m.feedA.Load() > 0) &&
-				m.flt.size.Load() <= int64(cfg.P*cfg.P)
-		},
+		func() bool { return m.ready() && m.flt.size.Load() <= int64(cfg.P*cfg.P) },
 		m.interfaceRun,
 		func(fn func()) { m.pool.Submit(fn, sched.Low) },
 	)
 	return m
 }
-
-// Get searches for key k.
-func (m *M2[K, V]) Get(k K) (V, bool) {
-	r := m.do(Op[K, V]{Kind: OpGet, Key: k})
-	return r.Val, r.OK
-}
-
-// Insert adds k with value v, or updates it if present; it returns the
-// previous value and whether the key existed.
-func (m *M2[K, V]) Insert(k K, v V) (V, bool) {
-	r := m.do(Op[K, V]{Kind: OpInsert, Key: k, Val: v})
-	return r.Val, r.OK
-}
-
-// Delete removes k; it returns the removed value and whether the key
-// existed.
-func (m *M2[K, V]) Delete(k K) (V, bool) {
-	r := m.do(Op[K, V]{Kind: OpDelete, Key: k})
-	return r.Val, r.OK
-}
-
-func (m *M2[K, V]) do(op Op[K, V]) Result[V] {
-	if m.closed.Load() {
-		panic("core: M2 used after Close")
-	}
-	m.pending.Add()
-	defer m.pending.Done()
-	c := m.calls.get(op)
-	m.pb.Add(c)
-	m.act.Activate()
-	r := c.wait()
-	m.calls.put(c)
-	return r
-}
-
-// Len returns the current number of items (racy snapshot).
-func (m *M2[K, V]) Len() int { return int(m.sizeA.Load()) }
-
-// Batches returns the number of cut batches processed so far.
-func (m *M2[K, V]) Batches() int64 { return m.batches.Load() }
 
 // FilterSize returns the current filter occupancy (diagnostics).
 func (m *M2[K, V]) FilterSize() int { return int(m.flt.size.Load()) }
@@ -250,14 +181,9 @@ func (m *M2[K, V]) SchedStats() sched.Stats { return m.pool.Stats() }
 
 // Close waits for in-flight operations and releases the scheduler pool.
 func (m *M2[K, V]) Close() {
-	m.closed.Store(true)
-	m.pending.Wait()
+	m.batcher.Close()
 	m.pool.Close()
 }
-
-// DrainLinearization returns and clears the recorded linearization
-// (RecordLinearization mode only).
-func (m *M2[K, V]) DrainLinearization() []Op[K, V] { return m.rec.take() }
 
 // Quiesce blocks until no client operations are in flight and all
 // scheduled engine activity has drained (test hook).
@@ -270,26 +196,13 @@ func (m *M2[K, V]) Quiesce() {
 // take a size-p² cut batch, entropy-sort it, pass it through the first
 // slab, then filter the unfinished operations into S[m]'s buffer.
 func (m *M2[K, V]) interfaceRun() bool {
-	m.flushSc = m.pb.FlushInto(m.flushSc[:0])
-	m.feed.add(m.flushSc)
-	if m.feed.len() == 0 {
+	batch := m.cut(1)
+	if len(batch) == 0 {
 		return false
 	}
-	batch := m.feed.takeInto(1, m.batchSc[:0])
-	m.batchSc = batch
-	m.feedA.Store(int64(m.feed.len()))
 	m.batches.Add(1)
-
-	keys := m.keySc[:0]
-	for _, c := range batch {
-		keys = append(keys, c.op.Key)
-	}
-	m.keySc = keys
-	perm, sortSc := esort.PESortInto(keys, m.cfg.Pivot, m.permSc, m.sortSc)
-	m.permSc, m.sortSc = perm, sortSc
-	groups := buildGroups(batch, perm, m.groupSc[:0], nil)
-	m.groupSc = groups
-	m.rec.recordGroups(groups)
+	// No arena: the groups outlive the batch in the filter and final slab.
+	groups := m.group(batch, nil)
 
 	// First slab pass over S[0..m-2]: no locks needed, only the interface
 	// touches these segments.
@@ -313,10 +226,10 @@ func (m *M2[K, V]) interfaceRun() bool {
 	pending, d = m.first.pass(m.mSeg-1, pending)
 	sizeDelta += d
 	// Publish the first slab's deletions before their calls can complete
-	// — in finishInFirstSlab below, or in a final slab run the moment
-	// filterAndForward hands them over. Every size change in M2 is
-	// published before the calls it accounts for complete, so a client's
-	// acked writes are visible to its next Len.
+	// — below, or in a final slab run the moment filterAndForward hands
+	// them over. Every size change in M2 is published before the calls it
+	// accounts for complete, so a client's acked writes are visible to
+	// its next Len.
 	m.sizeA.Add(int64(sizeDelta))
 
 	if len(pending) > 0 {
@@ -326,44 +239,21 @@ func (m *M2[K, V]) interfaceRun() bool {
 		if hasFinal {
 			m.filterAndForward(pending)
 		} else {
-			m.finishInFirstSlab(pending)
+			// No final slab: the first slab is the end of the structure.
+			// What S[m-1] cannot hold of the insertions — its coldest
+			// items — goes into a newly created S[m].
+			n, overflow := m.first.finish(pending, m.mSeg)
+			if overflow.len() > 0 {
+				m.createFseg(m.mSeg, m.nlock0).seg.pushFront(overflow)
+			}
+			m.sizeA.Add(int64(n))
+			completeAll(pending)
 		}
 	}
 
 	m.fl0.Release()
 	m.nlock0.Release()
 	return true
-}
-
-// finishInFirstSlab resolves end-of-structure groups when no final slab
-// exists: misses and deletions complete; insertions enter at the front of
-// the first slab's last segment (slab.insertLast), and what S[m-1] cannot
-// hold — its coldest items — goes into a newly created S[m].
-// Caller holds nlock0 and FL[0].
-func (m *M2[K, V]) finishInFirstSlab(pending []*group[K, V]) {
-	var insKeys []K
-	var insVals []V
-	tailCalls := 0
-	for _, g := range pending {
-		if g.resolved {
-			continue // tagged deletion: already resolved in the first slab
-		}
-		tailCalls += len(g.calls)
-		var zero V
-		p, v := g.resolve(false, zero, nil)
-		if p {
-			insKeys = append(insKeys, g.key)
-			insVals = append(insVals, v)
-		}
-	}
-	m.cfg.Obs.RecordLookup(obs.SrcTail, m.mSeg, tailCalls)
-	if len(insKeys) > 0 {
-		if overflow := m.first.insertLast(insKeys, insVals, m.mSeg); overflow.len() > 0 {
-			m.createFseg(m.mSeg, m.nlock0).seg.pushFront(overflow)
-		}
-	}
-	m.sizeA.Add(int64(len(insKeys)))
-	completeAll(pending)
 }
 
 // filterAndForward passes the unfinished groups through the filter

@@ -14,6 +14,12 @@
 // key-map, which S[0..3] do not search: each keeps a key-sorted slice of
 // its own leaves (deepKM), so an item found in S[4] or S[5] costs one
 // descent, and a move between segments no key-map edit.
+//
+// The paper's implicit-batching interface — parallel buffer, feed, cuts
+// of p² bunches, entropy sort, group operations — is written once, the
+// batcher (batcher.go), and three maps embed it: M1, M2 and BatchedTree,
+// the non-adaptive baseline, which runs each cut through one 2-3 tree
+// instead of segments.
 package core
 
 import (
@@ -285,7 +291,7 @@ type group[K cmp.Ordered, V any] struct {
 // The two are equal by value, but not necessarily by backing: a group may
 // combine a search and an insert on the same key, and g.key starts as the
 // first arrival's — possibly the search's. Downstream insertion paths
-// (M1.finishBatch, M2's terminal resolution) store g.key in the segment
+// (slab.finish, M2's terminal resolution) store g.key in the segment
 // trees, and only insert keys carry the caller's guarantee of a stable
 // backing (the server hands out transient arena-backed strings for search
 // keys but copies inserted ones; see wire.Reader's aliasing contract).
@@ -346,10 +352,10 @@ func completeAll[K cmp.Ordered, V any](groups []*group[K, V]) {
 }
 
 // groupArena recycles group frames across batches. Only valid when every
-// group of a batch completes before the next batch starts (true for M1,
-// where finishBatch completes all stragglers inline; NOT true for M2,
-// whose groups outlive the interface batch inside the filter and final
-// slab — M2 passes a nil arena and gets fresh frames).
+// group of a batch completes before the next batch starts: true for M1,
+// whose runSegments completes the stragglers inline, and for BatchedTree;
+// NOT true for M2, whose groups outlive the interface batch inside the
+// filter and final slab — M2 passes a nil arena and gets fresh frames.
 type groupArena[K cmp.Ordered, V any] struct {
 	frames []*group[K, V]
 	used   int
@@ -409,7 +415,7 @@ type opRecorder[K cmp.Ordered, V any] struct {
 }
 
 func (r *opRecorder[K, V]) recordGroups(groups []*group[K, V]) {
-	if r == nil || !r.on {
+	if !r.on {
 		return
 	}
 	r.mu.Lock()
@@ -422,9 +428,6 @@ func (r *opRecorder[K, V]) recordGroups(groups []*group[K, V]) {
 }
 
 func (r *opRecorder[K, V]) take() []Op[K, V] {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := r.log

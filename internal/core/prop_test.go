@@ -243,8 +243,10 @@ func TestM1WorkTracksWSBound(t *testing.T) {
 
 // TestRecencyCostCeilings gates Lemma 6 as E10 measures it: in a map of
 // n = 2^16 keys, the work of re-accessing an item after r-1 other distinct
-// accesses (recency r), averaged over four rounds, for M0, Iacono and M1
-// (P = 2, driven from one goroutine, so every access is its own cut). Each
+// accesses (recency r), averaged over four rounds, for M0, Iacono, M1 and
+// M2 (P = 2, driven from one goroutine, so every access is its own cut;
+// M2 is quiesced after each one, so its final slab has settled and the
+// reading is the same at any GOMAXPROCS). Each
 // reading's ceiling is the value measured when the test was written plus
 // 10 %; an S[0] hit costs 6 in M0 and Iacono because it only re-links the
 // recency-map (19 when it also left and re-entered the key-map). Every
@@ -258,15 +260,19 @@ func TestRecencyCostCeilings(t *testing.T) {
 	}
 	const n, margin = 1 << 16, 1.10
 	recencies := []int{1, 4, 16, 64, 256, 1024, 4096, 16384}
-	var cnt0, cntI, cnt1 metrics.Counter
+	var cnt0, cntI, cnt1, cnt2 metrics.Counter
 	m0 := NewM0[int, int](&cnt0)
 	ia := NewIacono[int, int](&cntI)
 	m1 := NewM1[int, int](Config{P: 2, Counter: &cnt1})
 	defer m1.Close()
+	m2 := NewM2[int, int](Config{P: 2, Counter: &cnt2})
+	defer m2.Close()
 	for i := 0; i < n; i++ {
 		m0.Insert(i, i)
 		ia.Insert(i, i)
 		m1.Insert(i, i)
+		m2.Insert(i, i)
+		m2.Quiesce()
 	}
 	for _, tc := range []struct {
 		name     string
@@ -277,6 +283,7 @@ func TestRecencyCostCeilings(t *testing.T) {
 		{"M0", func(k int) { m0.Get(k) }, &cnt0, []float64{6, 42, 50, 74, 74, 109, 109, 109}},
 		{"Iacono", func(k int) { ia.Get(k) }, &cntI, []float64{6, 42, 67.5, 109, 109, 168, 168, 168}},
 		{"M1", func(k int) { m1.Get(k) }, &cnt1, []float64{26.5, 25, 37, 53.5, 59, 74, 74, 74}},
+		{"M2", func(k int) { m2.Get(k); m2.Quiesce() }, &cnt2, []float64{46, 51, 62.25, 101.25, 113, 166, 166, 166}},
 	} {
 		got := make([]float64, len(recencies))
 		for j, r := range recencies {

@@ -35,6 +35,8 @@ type slab[K cmp.Ordered, V any] struct {
 	deadSc   []*segLeaf[K, V]  // leaves of found groups that deleted their item
 	fPresent []bool            // net-present after resolve, aligned with fKeys
 	finished []*group[K, V]    // groups completed this pass
+	insKeys  []K               // finish's insertion keys
+	insVals  []V               // finish's insertion values
 	ms       moveScratch[K, V] // segment removal scratch
 }
 
@@ -217,6 +219,40 @@ func (s *slab[K, V]) size() int {
 		total += seg.size()
 	}
 	return total
+}
+
+// finish resolves the groups that reached the end of the slab: misses
+// and deletions complete (a deletion resolved when its item was found
+// needs nothing more); insertions, charged to the byte accountant when
+// there is one, enter at the front of the last segment by insertLast, up
+// to maxSegs segments. It returns how many items it inserted and what the
+// last allowed segment could not hold. The caller publishes the size and
+// then completes pending.
+func (s *slab[K, V]) finish(pending []*group[K, V], maxSegs int) (inserted int, overflow moveBatch[K, V]) {
+	insKeys, insVals := s.insKeys[:0], s.insVals[:0]
+	tailCalls := 0
+	for _, g := range pending {
+		if g.resolved {
+			continue // deletion resolved when its item was found
+		}
+		tailCalls += len(g.calls)
+		var zero V
+		if p, v := g.resolve(false, zero, s.hooks); p {
+			insKeys = append(insKeys, g.key) // pending is key-sorted
+			insVals = append(insVals, v)
+		}
+	}
+	s.obs.RecordLookup(obs.SrcTail, len(s.segs), tailCalls)
+	s.insKeys, s.insVals = insKeys, insVals
+	if len(insKeys) == 0 {
+		return 0, moveBatch[K, V]{}
+	}
+	if s.mem != nil {
+		for i := range insKeys {
+			s.mem.add(insKeys[i], insVals[i])
+		}
+	}
+	return len(insKeys), s.insertLast(insKeys, insVals, maxSegs)
 }
 
 // insertLast places brand-new items at the front of the last segment (the

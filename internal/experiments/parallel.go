@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -226,7 +225,7 @@ func E8VsBatchedTree(s Scale) Table {
 		for _, mk := range []func(*metrics.Counter) cmap{
 			func(c *metrics.Counter) cmap { return core.NewM1[int, int](core.Config{Counter: c}) },
 			func(c *metrics.Counter) cmap { return core.NewM2[int, int](core.Config{Counter: c}) },
-			func(c *metrics.Counter) cmap { return baseline.NewBatchedTree[int, int](0, c) },
+			func(c *metrics.Counter) cmap { return core.NewBatchedTree[int, int](0, c) },
 		} {
 			cnt := &metrics.Counter{}
 			m := mk(cnt)

@@ -36,7 +36,7 @@ func E9Scalability(s Scale) Table {
 		for _, mk := range []func() cmap{
 			func() cmap { return core.NewM1[int, int](core.Config{}) },
 			func() cmap { return core.NewM2[int, int](core.Config{}) },
-			func() cmap { return baseline.NewBatchedTree[int, int](0, nil) },
+			func() cmap { return core.NewBatchedTree[int, int](0, nil) },
 			func() cmap { return baseline.NewLocked[int, int](splay.New[int, int](nil)) },
 		} {
 			m := mk()

@@ -170,14 +170,17 @@ func E10RecencyCurve(s Scale) Table {
 	n := 1 << 16
 	t := Table{
 		Title:  fmt.Sprintf("E10: single-access cost vs recency r (n = %d)", n),
-		Header: []string{"recency r", "1+lg r", "M0", "M1", "Iacono", "splay", "static lg n"},
-		Note:   "paper: working-set maps pay O(1+lg r) worst-case; splay only amortized (cyclic pattern costs Θ(r)); M1 from one goroutine: each access is its own cut",
+		Header: []string{"recency r", "1+lg r", "M0", "M1", "M2", "Iacono", "splay", "static lg n"},
+		Note:   "paper: working-set maps pay O(1+lg r) worst-case; splay only amortized (cyclic pattern costs Θ(r)); M1 and M2 from one goroutine: each access is its own cut, M2 quiesced after each",
 	}
 	cnt0 := &metrics.Counter{}
 	m0 := core.NewM0[int, int](cnt0)
 	cnt1 := &metrics.Counter{}
 	m1 := core.NewM1[int, int](core.Config{P: 2, Counter: cnt1})
 	defer m1.Close()
+	cnt2 := &metrics.Counter{}
+	m2 := core.NewM2[int, int](core.Config{P: 2, Counter: cnt2})
+	defer m2.Close()
 	cntI := &metrics.Counter{}
 	ia := core.NewIacono[int, int](cntI)
 	cntS := &metrics.Counter{}
@@ -185,6 +188,8 @@ func E10RecencyCurve(s Scale) Table {
 	for i := 0; i < n; i++ {
 		m0.Insert(i, i)
 		m1.Insert(i, i)
+		m2.Insert(i, i)
+		m2.Quiesce()
 		ia.Insert(i, i)
 		sp.Insert(i, i)
 	}
@@ -205,9 +210,10 @@ func E10RecencyCurve(s Scale) Table {
 	for _, r := range []int{1, 4, 16, 64, 256, 1024, 4096, 16384} {
 		c0 := measure(func(k int) { m0.Get(k) }, cnt0, r)
 		c1 := measure(func(k int) { m1.Get(k) }, cnt1, r)
+		c2 := measure(func(k int) { m2.Get(k); m2.Quiesce() }, cnt2, r)
 		ci := measure(func(k int) { ia.Get(k) }, cntI, r)
 		cs := measure(func(k int) { sp.Get(k) }, cntS, r)
-		t.AddRow(d(r), f1(1+math.Log2(float64(r))), f1(c0), f1(c1), f1(ci), f1(cs),
+		t.AddRow(d(r), f1(1+math.Log2(float64(r))), f1(c0), f1(c1), f1(c2), f1(ci), f1(cs),
 			f1(math.Log2(float64(n))))
 	}
 	return t

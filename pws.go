@@ -192,17 +192,18 @@ func NewSplay[K cmp.Ordered, V any](cnt *WorkCounter) *Splay[K, V] {
 }
 
 // BatchedTree is the non-adaptive batched parallel 2-3 tree map — the
-// baseline the paper compares against analytically. Safe for concurrent
-// use.
+// baseline the paper compares against analytically: M1's implicit
+// batching in front of one balanced tree, so Θ(log n) work per operation
+// whatever the recency. Safe for concurrent use.
 type BatchedTree[K cmp.Ordered, V any] struct {
-	*baseline.BatchedTree[K, V]
+	*core.BatchedTree[K, V]
 }
 
 // NewBatchedTree creates a batched 2-3 tree map with p buffer slots for
-// pending operations (p < 1 defaults to runtime.GOMAXPROCS(0)). cnt may be
-// nil. Close it after use.
+// pending operations (p < 1 defaults to runtime.GOMAXPROCS(0), and a p
+// below 2 becomes 2, as for M1 and M2). cnt may be nil. Close it after use.
 func NewBatchedTree[K cmp.Ordered, V any](p int, cnt *WorkCounter) *BatchedTree[K, V] {
-	return &BatchedTree[K, V]{baseline.NewBatchedTree[K, V](p, cnt)}
+	return &BatchedTree[K, V]{core.NewBatchedTree[K, V](p, cnt)}
 }
 
 // Locked wraps any sequential Map behind a global mutex, producing a
